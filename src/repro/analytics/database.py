@@ -127,6 +127,38 @@ def _native(values, dtype):
     return _np.ascontiguousarray(values, dtype=dtype).tobytes()
 
 
+def servers_per_bin(pairs, bin_seconds: float) -> list[tuple[float, int]]:
+    """Deduped ``(bin_index, server_ip)`` pairs → distinct servers per
+    bin as ``(bin_start, count)``, gap-filled from the first to the
+    last active bin.  Distinct counts do not merge across sources; the
+    pairs do, so this is the last step wherever the pairs came from."""
+    per_bin: dict[int, int] = {}
+    for bin_index, _server in pairs:
+        per_bin[bin_index] = per_bin.get(bin_index, 0) + 1
+    if not per_bin:
+        return []
+    return [
+        (index * bin_seconds, per_bin.get(index, 0))
+        for index in range(min(per_bin), max(per_bin) + 1)
+    ]
+
+
+def sld_stats(per_fqdn, fqdn_sld) -> list[tuple[int, int, int]]:
+    """``(fqdn_id, flows)`` totals → per-organization ``(sld_id, flows,
+    distinct_fqdns)``, sorted, through the ``fqdn id → sld id`` table
+    (each fqdn id appears once)."""
+    flow_counts: dict[int, int] = {}
+    fqdn_counts: dict[int, int] = {}
+    for fqdn_id, flows in per_fqdn:
+        sld_id = fqdn_sld[fqdn_id]
+        flow_counts[sld_id] = flow_counts.get(sld_id, 0) + flows
+        fqdn_counts[sld_id] = fqdn_counts.get(sld_id, 0) + 1
+    return [
+        (sld_id, count, fqdn_counts[sld_id])
+        for sld_id, count in sorted(flow_counts.items())
+    ]
+
+
 class FlowDatabase:
     """Columnar indexed store of tagged flow records.
 
@@ -970,9 +1002,7 @@ class FlowDatabase:
         """Fig. 4 series: distinct serverIPs per time bin for one 2LD,
         gap-filled from the first to the last active bin."""
         rows = self.rows_for_domain(sld)
-        if not len(rows):
-            return []
-        if _np is not None:
+        if _np is not None and len(rows):
             starts = self._take(self.columns.start, rows)
             servers = self._take(self.columns.server_ip, rows)
             bins = _np.floor_divide(starts, bin_seconds).astype(_np.int64)
@@ -986,20 +1016,9 @@ class FlowDatabase:
                 ((lo + index) * bin_seconds, int(count))
                 for index, count in enumerate(per_bin.tolist())
             ]
-        sets: dict[int, set[int]] = {}
-        start_col = self.columns.start
-        server_col = self.columns.server_ip
-        for row in rows:
-            bin_index = int(start_col[row] // bin_seconds)
-            bucket = sets.get(bin_index)
-            if bucket is None:
-                bucket = sets[bin_index] = set()
-            bucket.add(server_col[row])
-        lo, hi = min(sets), max(sets)
-        return [
-            (index * bin_seconds, len(sets.get(index, ())))
-            for index in range(lo, hi + 1)
-        ]
+        return servers_per_bin(
+            self.bin_server_pairs(rows, bin_seconds), bin_seconds
+        )
 
     def server_bins_for_fqdn(
         self, fqdn: str, bin_seconds: float
@@ -1190,21 +1209,13 @@ class FlowDatabase:
                 (sld_id, flow_counts[sld_id], distinct[sld_id])
                 for sld_id in flow_counts
             ]
-        flow_counts: dict[int, int] = {}
-        fqdn_sets: dict[int, set[int]] = {}
-        fqdn_col = self.columns.fqdn_id
-        sld_map = self._fqdn_sld
-        for row in rows:
-            fqdn_id = fqdn_col[row]
-            if fqdn_id < 0:
-                continue
-            sld_id = sld_map[fqdn_id]
-            flow_counts[sld_id] = flow_counts.get(sld_id, 0) + 1
-            fqdn_sets.setdefault(sld_id, set()).add(fqdn_id)
-        return [
-            (sld_id, count, len(fqdn_sets[sld_id]))
-            for sld_id, count in flow_counts.items()
-        ]
+        return sld_stats(
+            (
+                (fqdn_id, flows) for fqdn_id, flows, _up, _down
+                in self.fqdn_flow_byte_totals(rows)
+            ),
+            self._fqdn_sld,
+        )
 
     # -- stats -------------------------------------------------------------
 

@@ -155,39 +155,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_prune_report(args) -> int:
     store = _open_existing(args.directory, strict=args.strict)
-    window = None
-    if (args.t0 is None) != (args.t1 is None):
-        print("error: --t0 and --t1 must be given together",
-              file=sys.stderr)
-        return 1
-    if args.t0 is not None:
-        if args.t0 > args.t1:
-            # An inverted window would "prune" every segment — that is
-            # a caller bug, not a 100% prune win.
-            print("error: --t0 must be <= --t1", file=sys.stderr)
-            return 1
-        window = (args.t0, args.t1)
-    protocol = None
-    if args.protocol is not None:
-        from repro.sniffer.eventcodec import PROTOCOLS
-
-        names = {proto.name: index for index, proto in enumerate(PROTOCOLS)}
-        protocol = names.get(args.protocol.upper())
-        if protocol is None:
-            print(
-                f"error: unknown protocol {args.protocol!r} "
-                f"(known: {', '.join(sorted(names))})",
-                file=sys.stderr,
-            )
-            return 1
-    hint = QueryHint(
-        fqdn=args.fqdn.lower() if args.fqdn else None,
-        sld=args.domain.lower() if args.domain else None,
-        servers=[args.server] if args.server is not None else None,
-        clients=[args.client] if args.client is not None else None,
-        window=window,
-        protocol=protocol,
-    )
+    # A malformed predicate (half-given or inverted window, unknown
+    # protocol) raises ValueError, which main() reports as exit 1.
+    hint = QueryHint.from_mapping({
+        "fqdn": args.fqdn, "sld": args.domain,
+        "server": args.server, "client": args.client,
+        "t0": args.t0, "t1": args.t1, "protocol": args.protocol,
+    }, label="--{}".format)
     report = store.prune_report(hint)
     total_rows = report["scanned_rows"] + report["pruned_rows"]
     if report.get("sharded"):

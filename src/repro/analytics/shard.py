@@ -62,13 +62,18 @@ from __future__ import annotations
 import json
 import multiprocessing
 import threading
-from array import array
-from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.analytics import database as _dbmod
 from repro.analytics.database import FlowDatabase
+from repro.analytics.queries import (
+    INTERNS,
+    QUERIES,
+    Query,
+    QuerySurface,
+    split_rows,
+)
 from repro.analytics.storage import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -76,12 +81,10 @@ from repro.analytics.storage import (
     QueryHint,
     SegmentMeta,
     StorageError,
-    _le_np,
-    _StoreReadMixin,
     _write_file_atomic,
 )
-from repro.net.flow import DnsObservation, FlowRecord, Protocol
-from repro.sniffer.eventcodec import PROTOCOLS, BatchEncoder, decode_events
+from repro.net.flow import FlowRecord
+from repro.sniffer.eventcodec import BatchEncoder, decode_events
 from repro.sniffer.sharding import shard_of
 
 SHARDS_NAME = "SHARDS.json"
@@ -171,109 +174,41 @@ class ShardRouter:
 # ---------------------------------------------------------------------------
 # the per-shard op protocol (shared by both backends)
 
-# Ops dispatched straight to the FlowStore method of the same name with
-# the request args.  Anything not listed here (and not in _SPECIAL_OPS)
-# is rejected — the worker never getattr()s an arbitrary request string.
-_PLAIN_OPS = frozenset({
-    # ingest / lifecycle
+# Every table query is a worker op by name: the worker runs the store's
+# own executor and replies with the merged partial *unfinished*, in
+# shard-local ids and rows, for the coordinator to lift and merge once
+# more.  Besides those, only these lifecycle ops (dispatched to the
+# FlowStore method of the same name) and "ping" are accepted — the
+# worker never getattr()s an arbitrary request string.
+_LIFECYCLE_OPS = frozenset({
     "add_all", "ingest_batch", "flush", "compact", "stats", "health",
-    # row-index views
-    "rows_for_fqdn", "rows_for_domain", "rows_for_port", "rows_in_window",
-    "tagged_rows",
-    # record queries
-    "query_by_fqdn", "query_by_domain", "query_by_port", "query_in_window",
-    # aggregate views
-    "servers_for_fqdn", "servers_for_domain", "fqdns_for_servers",
-    "fqdns_for_rows", "servers", "ports", "count_by_protocol", "time_span",
-    "server_bins_for_fqdn",
-    # grouped aggregations (fqdn ids in results are shard-local;
-    # the coordinator remaps them through its per-shard id maps)
-    "fqdn_server_counts", "fqdn_client_counts", "fqdn_flow_byte_totals",
-    "server_flow_counts", "fqdn_first_seen", "fqdn_bin_pairs",
-    "server_fqdn_bin_triples",
 })
 
 
-def _op_server_row_chunks(store: FlowStore, order: Sequence[int]) -> dict:
-    """Per-server local row chunks for an already-deduped address list.
-
-    ``rows_for_servers`` is server-major and ``server_flow_counts``
-    counts the same predicate, so the flat concatenation splits back
-    into exact per-server chunks without any private kernel.
-    """
-    rows = store.rows_for_servers(order)
-    counts = store.server_flow_counts()
-    chunks: dict[int, array] = {}
-    position = 0
-    for server in order:
-        n = counts.get(server, 0)
-        if n:
-            chunks[server] = rows[position:position + n]
-        position += n
-    return chunks
-
-
-def _op_server_record_chunks(store: FlowStore, order: Sequence[int]) -> dict:
-    records = store.query_by_servers(order)
-    counts = store.server_flow_counts()
-    chunks: dict[int, list[FlowRecord]] = {}
-    position = 0
-    for server in order:
-        n = counts.get(server, 0)
-        if n:
-            chunks[server] = records[position:position + n]
-        position += n
-    return chunks
-
-
-def _op_domain_bin_pairs(store: FlowStore, sld: str,
-                         bin_seconds: float) -> set[tuple[int, int]]:
-    """Deduped ``(bin_index, server_ip)`` pairs for one 2LD — the
-    mergeable primitive behind ``unique_servers_per_bin`` (distinct
-    counts cannot merge across shards; the pairs can).  The binning
-    matches ``FlowDatabase.bin_server_pairs`` (floor division on the
-    stored start)."""
-    return {
-        (int(record.start // bin_seconds), record.fid.server_ip)
-        for record in store.query_by_domain(sld)
-    }
-
-
-_SPECIAL_OPS = {
-    "ping": lambda store: None,
-    "tagged_count": lambda store: store.tagged_count,
-    "all_records": lambda store: list(store),
-    "server_row_chunks": _op_server_row_chunks,
-    "server_record_chunks": _op_server_record_chunks,
-    "domain_bin_pairs": _op_domain_bin_pairs,
-}
-
-
 def _shard_execute(store: FlowStore, op: str, args: tuple,
-                   known_fqdns: int, known_slds: int) -> dict:
+                   known_fqdns: int) -> dict:
     """Run one op against one shard store and describe the outcome.
 
     Every reply piggybacks the shard's label-table growth since the
-    coordinator's last sync (``known_fqdns``/``known_slds`` are the
-    lengths it has already absorbed) plus the current row count — the
-    coordinator needs both to remap shard-local ids and to place the
-    shard's slice in the global row space.  The label capture runs
-    *after* the op, so any label the op itself interned (a live tail
-    sync) is already included.
+    coordinator's last sync (``known_fqdns`` is the length it has
+    already absorbed) plus the current row count — the coordinator
+    needs both to remap shard-local ids and to place the shard's slice
+    in the global row space (``"ping"`` asks for nothing else).  The
+    label capture runs *after* the op, so any label the op itself
+    interned (a live tail sync) is already included.
     """
-    handler = _SPECIAL_OPS.get(op)
-    if handler is not None:
-        result = handler(store, *args)
-    elif op in _PLAIN_OPS:
+    query = QUERIES.get(op)
+    if query is not None:
+        result = store._partial(query, args)
+    elif op in _LIFECYCLE_OPS:
         result = getattr(store, op)(*args)
+    elif op == "ping":
+        result = None
     else:
         raise StorageError(f"unknown shard op {op!r}")
-    fqdns = store.fqdns()
-    slds = store.slds()
     return {
         "result": result,
-        "new_fqdns": fqdns[known_fqdns:],
-        "new_slds": slds[known_slds:],
+        "new_fqdns": store._label_tables()._fqdn_names[known_fqdns:],
         "n_rows": len(store),
     }
 
@@ -298,11 +233,16 @@ class _InProcessBackend:
             self.close()
             raise
 
-    def request_all(self, requests: Sequence[tuple]) -> list[dict]:
-        return [
-            _shard_execute(store, *request)
-            for store, request in zip(self.stores, requests)
-        ]
+    def request_all(self, requests: Sequence[tuple],
+                    token=None) -> list[dict]:
+        replies = []
+        for store, request in zip(self.stores, requests):
+            if token is not None:
+                token.check()
+            replies.append(_shard_execute(store, *request))
+            if token is not None:
+                token.note_done()
+        return replies
 
     def close(self) -> None:
         for store in self.stores:
@@ -340,12 +280,8 @@ def _shard_worker_main(conn, directory: str, store_kwargs: dict) -> None:
                 except OSError:
                     pass
                 return
-            op, args, known_fqdns, known_slds = request
             try:
-                reply = (
-                    "ok", _shard_execute(store, op, args,
-                                         known_fqdns, known_slds),
-                )
+                reply = ("ok", _shard_execute(store, *request))
             except Exception as exc:
                 reply = ("err", f"{type(exc).__name__}: {exc}")
             conn.send(reply)
@@ -360,7 +296,7 @@ def _shard_worker_main(conn, directory: str, store_kwargs: dict) -> None:
 
 class _ProcessBackend:
     """One OS process per shard over a duplex pipe (the ``fanout``
-    worker discipline): pickled ``(op, args, known_fqdns, known_slds)``
+    worker discipline): pickled ``(op, args, known_fqdns)``
     requests down, ``("ok", reply)`` / ``("err", message)`` up.
 
     ``fork`` is preferred when available so a worker inherits the
@@ -407,7 +343,10 @@ class _ProcessBackend:
             f"shard worker {index} died (exitcode {exitcode})"
         )
 
-    def request_all(self, requests: Sequence[tuple]) -> list[dict]:
+    def request_all(self, requests: Sequence[tuple],
+                    token=None) -> list[dict]:
+        if token is not None:
+            token.check()  # nothing is sent for an expired request
         for conn, request in zip(self._conns, requests):
             try:
                 conn.send(request)
@@ -415,8 +354,10 @@ class _ProcessBackend:
                 raise ShardError(f"shard pipe broken: {exc}") from exc
         replies: list = []
         first_error: Optional[str] = None
-        # Drain every pipe before raising, so one failed shard cannot
-        # desynchronize the request/reply framing of the others.
+        cancelled: Optional[Exception] = None
+        # Drain every pipe before raising, so neither a failed shard
+        # nor a cancelled request can desynchronize the request/reply
+        # framing of the others.
         for index, conn in enumerate(self._conns):
             try:
                 status, payload = conn.recv()
@@ -428,8 +369,16 @@ class _ProcessBackend:
                 replies.append(None)
             else:
                 replies.append(payload)
+            if token is not None and cancelled is None:
+                token.note_done()
+                try:
+                    token.check()
+                except Exception as exc:  # re-raised once drained
+                    cancelled = exc
         if first_error is not None:
             raise ShardError(first_error)
+        if cancelled is not None:
+            raise cancelled
         return replies
 
     def close(self) -> None:
@@ -476,7 +425,7 @@ class _Gauge:
         return self.n
 
 
-class CoordinatorSnapshot:
+class CoordinatorSnapshot(QuerySurface):
     """The coordinator's answer to :meth:`FlowStore.pin`.
 
     A flat store's snapshot freezes the segment list; the coordinator
@@ -486,6 +435,10 @@ class CoordinatorSnapshot:
     snapshot may observe different generations if ingest runs between
     them.  That weaker isolation is exactly what the serve layer's
     per-request pin can tolerate (one query per pin).
+
+    What the snapshot does own is the request's :attr:`cancel_token`
+    (the :class:`StoreSnapshot` protocol): every table query issued
+    through it fans out under that token.
     """
 
     __slots__ = ("_coordinator", "cancel_token")
@@ -494,14 +447,11 @@ class CoordinatorSnapshot:
         self._coordinator = coordinator
         self.cancel_token = None
 
+    def _partial(self, query: Query, args: tuple):
+        return self._coordinator._partial(query, args, self.cancel_token)
+
     def __getattr__(self, name):
         return getattr(self._coordinator, name)
-
-    def __len__(self) -> int:
-        return len(self._coordinator)
-
-    def __iter__(self):
-        return iter(self._coordinator)
 
     @property
     def released(self) -> bool:
@@ -521,15 +471,16 @@ class CoordinatorSnapshot:
 # the coordinator
 
 
-class ShardCoordinator:
+class ShardCoordinator(QuerySurface):
     """Scatter-gather façade over N shard FlowStores (see module doc).
 
     Construction is cheap and lazy: shard stores (or worker processes)
     start on the first fanned operation, so metadata-only paths —
     :meth:`prune_report` above all — never open a single segment file.
-    The public query surface mirrors :class:`_StoreReadMixin` method
-    for method and merges per-shard partials with the same arithmetic
-    the flat store applies to per-segment partials.
+    The public query surface is the one generated from the query table
+    (:mod:`repro.analytics.queries`); :meth:`_partial` is the table's
+    executor for sources = shards, applying to per-shard partials the
+    very lift and merge the flat store applies to per-segment ones.
     """
 
     #: Duck-typing discriminator for callers (CLI, serve) that treat a
@@ -578,9 +529,6 @@ class ShardCoordinator:
         # the flat oracle's.  _fqdn_maps[k][local_id] -> global id.
         self._interns = FlowDatabase()
         self._fqdn_maps: list[list[int]] = [[] for _ in range(self.shards)]
-        self._sld_maps: list[list[int]] = [[] for _ in range(self.shards)]
-        self._known_fqdns = [0] * self.shards
-        self._known_slds = [0] * self.shards
         self._rows = [0] * self.shards
         # Serve-layer gauges (see _Gauge) and live metric dicts — the
         # /metrics registration captures these objects once, so they
@@ -669,41 +617,33 @@ class ShardCoordinator:
         coordinator tables (shard-major callers preserve global
         first-appearance order)."""
         self._rows[index] = reply["n_rows"]
-        interns = self._interns
-        fqdn_map = self._fqdn_maps[index]
-        for name in reply["new_fqdns"]:
-            fqdn_map.append(interns._intern_fqdn(name))
-        self._known_fqdns[index] += len(reply["new_fqdns"])
-        sld_map = self._sld_maps[index]
-        for name in reply["new_slds"]:
-            # Every sld enters the interner through some fqdn above,
-            # so the lookup cannot miss for store-produced tables.
-            sld_id = interns._sld_ids.get(name)
-            if sld_id is None:  # pragma: no cover - defensive
-                sld_id = len(interns._sld_names)
-                interns._sld_ids[name] = sld_id
-                interns._sld_names.append(name)
-                interns._by_sld[sld_id] = array("I")
-                interns._sld_fqdns.append(array("i"))
-            sld_map.append(sld_id)
-        self._known_slds[index] += len(reply["new_slds"])
+        intern = self._interns._intern_fqdn  # interns the label's sld too
+        self._fqdn_maps[index].extend(map(intern, reply["new_fqdns"]))
 
     def _fan(self, op: str, args: tuple = (),
-             per_shard_args: Optional[Sequence[tuple]] = None) -> list:
+             per_shard_args: Optional[Sequence[tuple]] = None,
+             token=None) -> list:
         """Send one op to every shard, absorb replies in shard order,
-        return the per-shard results (shard order)."""
+        return the per-shard results (shard order).
+
+        ``token`` is a query's cancellation token (see
+        ``_StoreReadMixin.cancel_token``): checked at every shard
+        boundary in-process, before fan-out and after each gathered
+        reply over worker pipes, with one unit of partial-work
+        accounting per shard."""
         with self._lock:
             backend = self._ensure_backend()
+            if token is not None:
+                token.note_scheduled(self.shards)
             requests = [
                 (
                     op,
                     per_shard_args[k] if per_shard_args is not None else args,
-                    self._known_fqdns[k],
-                    self._known_slds[k],
+                    len(self._fqdn_maps[k]),
                 )
                 for k in range(self.shards)
             ]
-            replies = backend.request_all(requests)
+            replies = backend.request_all(requests, token)
             results = []
             for index, reply in enumerate(replies):
                 self._absorb(index, reply)
@@ -711,60 +651,32 @@ class ShardCoordinator:
             return results
 
     def _bases(self) -> list[int]:
-        bases, total = [], 0
-        for n_rows in self._rows:
-            bases.append(total)
-            total += n_rows
-        return bases
+        return list(accumulate(self._rows[:-1], initial=0))
 
-    def _split_global_rows(self, rows) -> list[array]:
-        """Partition global row indices into per-shard local rows
-        (the sharded analogue of ``_StoreReadMixin._split_rows``)."""
-        bases = self._bases()
-        ends = [bases[k] + self._rows[k] for k in range(self.shards)]
-        out = [array("I") for _ in range(self.shards)]
-        if rows is None or not len(rows):
-            return out
-        np = _dbmod._np
-        if np is not None:
-            taken = (
-                np.frombuffer(rows, np.uint32)
-                if isinstance(rows, array)
-                else np.asarray(rows, np.uint32)
-            )
-            which = np.searchsorted(
-                np.asarray(bases, np.int64), taken, side="right"
-            ) - 1
-            for index in range(self.shards):
-                mask = which == index
-                if mask.any():
-                    local = taken[mask] - bases[index]
-                    out[index].frombytes(_le_np(local, np.uint32))
-            return out
-        for row in rows:
-            index = bisect_right(bases, row) - 1
-            if 0 <= index < len(bases) and row < ends[index]:
-                out[index].append(row - bases[index])
-        return out
-
-    def _fan_rows(self, op: str, rows) -> list:
-        """Fan a grouped aggregation that takes an optional global row
-        set: ``rows=None`` fans as-is, otherwise each shard gets its
-        local slice of the split."""
-        if rows is None:
-            return self._fan(op, (None,))
-        split = self._split_global_rows(rows)
-        return self._fan(op, per_shard_args=[(split[k],)
-                                             for k in range(self.shards)])
-
-    def _concat_offset(self, parts: Sequence) -> array:
-        """Shard-major concatenation of per-shard local row arrays,
-        offset into the global row space."""
-        bases = self._bases()
-        out = array("I")
-        for index, part in enumerate(parts):
-            _StoreReadMixin._extend_offset(out, part, bases[index])
-        return out
+    def _partial(self, query: Query, args: tuple, token=None):
+        """One table query over the shards: every worker runs the
+        query through its own store executor, and its merged partial
+        is lifted through the shard's id map and base row and merged
+        again here (``QuerySurface._query`` finishes it)."""
+        with self._lock:
+            if query.scope is INTERNS:
+                self._fan("ping", token=token)
+                return query.kernel(self._interns, *args)
+            rows = query.rows(args)
+            if rows is None:
+                parts = self._fan(query.name, args, token=token)
+            else:
+                split = split_rows(rows, self._bases(), sum(self._rows))
+                parts = self._fan(query.name, per_shard_args=[
+                    query.with_rows(args, local) for local in split
+                ], token=token)
+            if query.lift is not None:
+                bases = self._bases()
+                parts = [
+                    query.lift(part, self._fqdn_maps[index], bases[index])
+                    for index, part in enumerate(parts)
+                ]
+            return query.merge(parts)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -820,332 +732,6 @@ class ShardCoordinator:
 
     def unpin(self, snapshot: CoordinatorSnapshot) -> None:
         return None
-
-    # -- interned label tables --------------------------------------------
-
-    def fqdn_label(self, fqdn_id: int) -> str:
-        return self._interns._fqdn_names[fqdn_id]
-
-    def sld_label(self, sld_id: int) -> str:
-        return self._interns._sld_names[sld_id]
-
-    def sld_of_fqdn(self, fqdn_id: int) -> int:
-        return self._interns._fqdn_sld[fqdn_id]
-
-    def fqdns(self) -> list[str]:
-        """All distinct labels, shard-major first-appearance order."""
-        self._fan("ping")
-        with self._lock:
-            return list(self._interns._fqdn_names)
-
-    def slds(self) -> list[str]:
-        self._fan("ping")
-        with self._lock:
-            return list(self._interns._sld_names)
-
-    def fqdns_for_domain(self, sld: str) -> set[str]:
-        self._fan("ping")
-        with self._lock:
-            interns = self._interns
-            sld_id = interns._sld_ids.get(sld.lower())
-            if sld_id is None:
-                return set()
-            names = interns._fqdn_names
-            return {
-                names[fqdn_id] for fqdn_id in interns._sld_fqdns[sld_id]
-            }
-
-    def servers(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for part in self._fan("servers"):
-            for server in part:
-                if server not in seen:
-                    seen[server] = None
-        return list(seen)
-
-    def ports(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for part in self._fan("ports"):
-            for port in part:
-                if port not in seen:
-                    seen[port] = None
-        return list(seen)
-
-    # -- row-index views ---------------------------------------------------
-
-    def rows_for_fqdn(self, fqdn: str) -> Sequence[int]:
-        return self._concat_offset(self._fan("rows_for_fqdn", (fqdn,)))
-
-    def rows_for_domain(self, sld: str) -> Sequence[int]:
-        return self._concat_offset(self._fan("rows_for_domain", (sld,)))
-
-    def rows_for_port(self, dst_port: int) -> Sequence[int]:
-        return self._concat_offset(self._fan("rows_for_port", (dst_port,)))
-
-    def rows_in_window(self, t0: float, t1: float) -> Sequence[int]:
-        return self._concat_offset(self._fan("rows_in_window", (t0, t1)))
-
-    def tagged_rows(self) -> Sequence[int]:
-        return self._concat_offset(self._fan("tagged_rows"))
-
-    def rows_for_servers(self, servers: Iterable[int]) -> Sequence[int]:
-        """Server-major concatenated global rows (flat-store order:
-        probe order outermost, then shard-major row order within one
-        server)."""
-        order = list(dict.fromkeys(servers))
-        parts = self._fan("server_row_chunks", (order,))
-        bases = self._bases()
-        out = array("I")
-        for server in order:
-            for index, part in enumerate(parts):
-                chunk = part.get(server)
-                if chunk is not None:
-                    _StoreReadMixin._extend_offset(out, chunk, bases[index])
-        return out
-
-    # -- record queries ----------------------------------------------------
-
-    def _concat_lists(self, parts: Sequence[list]) -> list:
-        out: list = []
-        for part in parts:
-            out.extend(part)
-        return out
-
-    def query_by_fqdn(self, fqdn: str) -> list[FlowRecord]:
-        return self._concat_lists(self._fan("query_by_fqdn", (fqdn,)))
-
-    def query_by_domain(self, sld: str) -> list[FlowRecord]:
-        return self._concat_lists(self._fan("query_by_domain", (sld,)))
-
-    def query_by_port(self, dst_port: int) -> list[FlowRecord]:
-        return self._concat_lists(self._fan("query_by_port", (dst_port,)))
-
-    def query_in_window(self, t0: float, t1: float) -> list[FlowRecord]:
-        return self._concat_lists(self._fan("query_in_window", (t0, t1)))
-
-    def query_by_servers(self, servers: Iterable[int]) -> list[FlowRecord]:
-        order = list(dict.fromkeys(servers))
-        parts = self._fan("server_record_chunks", (order,))
-        out: list[FlowRecord] = []
-        for server in order:
-            for part in parts:
-                chunk = part.get(server)
-                if chunk is not None:
-                    out.extend(chunk)
-        return out
-
-    # -- aggregate views ---------------------------------------------------
-
-    def servers_for_fqdn(self, fqdn: str) -> set[int]:
-        out: set[int] = set()
-        for part in self._fan("servers_for_fqdn", (fqdn,)):
-            out |= part
-        return out
-
-    def servers_for_domain(self, sld: str) -> set[int]:
-        out: set[int] = set()
-        for part in self._fan("servers_for_domain", (sld,)):
-            out |= part
-        return out
-
-    def fqdns_for_servers(self, servers: Iterable[int]) -> set[str]:
-        order = list(dict.fromkeys(servers))
-        out: set[str] = set()
-        for part in self._fan("fqdns_for_servers", (order,)):
-            out |= part
-        return out
-
-    def fqdns_for_rows(self, rows) -> set[str]:
-        out: set[str] = set()
-        for part in self._fan_rows("fqdns_for_rows", rows):
-            out |= part
-        return out
-
-    # -- grouped aggregations ----------------------------------------------
-
-    def _merged_triples(self, op: str, rows) -> list[tuple]:
-        """Sharded analogue of ``_StoreReadMixin._merged_pairs``:
-        remap shard-local fqdn ids, then the same dict-sum merge."""
-        parts = self._fan_rows(op, rows)
-        merged: dict[tuple[int, int], int] = {}
-        for index, part in enumerate(parts):
-            fqdn_map = self._fqdn_maps[index]
-            for fqdn_id, value, count in part:
-                key = (fqdn_map[fqdn_id], value)
-                merged[key] = merged.get(key, 0) + count
-        return [
-            (fqdn_id, value, count)
-            for (fqdn_id, value), count in sorted(merged.items())
-        ]
-
-    def fqdn_server_counts(self, rows=None) -> list[tuple[int, int, int]]:
-        return self._merged_triples("fqdn_server_counts", rows)
-
-    def fqdn_client_counts(self, rows=None) -> list[tuple[int, int, int]]:
-        return self._merged_triples("fqdn_client_counts", rows)
-
-    def fqdn_flow_byte_totals(
-        self, rows=None
-    ) -> list[tuple[int, int, int, int]]:
-        parts = self._fan_rows("fqdn_flow_byte_totals", rows)
-        merged: dict[int, list[int]] = {}
-        for index, part in enumerate(parts):
-            fqdn_map = self._fqdn_maps[index]
-            for fqdn_id, flows, up, down in part:
-                global_id = fqdn_map[fqdn_id]
-                bucket = merged.get(global_id)
-                if bucket is None:
-                    merged[global_id] = [flows, up, down]
-                else:
-                    bucket[0] += flows
-                    bucket[1] += up
-                    bucket[2] += down
-        return [
-            (fqdn_id, flows, up, down)
-            for fqdn_id, (flows, up, down) in sorted(merged.items())
-        ]
-
-    def server_flow_counts(self, rows=None) -> dict[int, int]:
-        merged: dict[int, int] = {}
-        for part in self._fan_rows("server_flow_counts", rows):
-            for server, count in part.items():
-                merged[server] = merged.get(server, 0) + count
-        return dict(sorted(merged.items()))
-
-    def unique_servers_per_bin(
-        self, sld: str, bin_seconds: float
-    ) -> list[tuple[float, int]]:
-        pairs: set[tuple[int, int]] = set()
-        for part in self._fan("domain_bin_pairs", (sld, bin_seconds)):
-            pairs.update(part)
-        if not pairs:
-            return []
-        per_bin: dict[int, int] = {}
-        for bin_index, _server in pairs:
-            per_bin[bin_index] = per_bin.get(bin_index, 0) + 1
-        lo, hi = min(per_bin), max(per_bin)
-        return [
-            (index * bin_seconds, per_bin.get(index, 0))
-            for index in range(lo, hi + 1)
-        ]
-
-    def server_bins_for_fqdn(
-        self, fqdn: str, bin_seconds: float
-    ) -> list[tuple[int, int]]:
-        pairs: set[tuple[int, int]] = set()
-        for part in self._fan("server_bins_for_fqdn", (fqdn, bin_seconds)):
-            pairs.update(part)
-        return sorted(pairs)
-
-    def fqdn_bin_pairs(
-        self, bin_seconds: float, rows=None
-    ) -> list[tuple[int, int]]:
-        if rows is None:
-            parts = self._fan("fqdn_bin_pairs", (bin_seconds, None))
-        else:
-            split = self._split_global_rows(rows)
-            parts = self._fan("fqdn_bin_pairs", per_shard_args=[
-                (bin_seconds, split[k]) for k in range(self.shards)
-            ])
-        pairs: set[tuple[int, int]] = set()
-        for index, part in enumerate(parts):
-            fqdn_map = self._fqdn_maps[index]
-            pairs.update(
-                (fqdn_map[fqdn_id], bin_index) for fqdn_id, bin_index in part
-            )
-        return sorted(pairs)
-
-    def fqdn_first_seen(self, rows=None) -> dict[int, float]:
-        parts = self._fan_rows("fqdn_first_seen", rows)
-        merged: dict[int, float] = {}
-        for index, part in enumerate(parts):
-            fqdn_map = self._fqdn_maps[index]
-            for fqdn_id, start in part.items():
-                global_id = fqdn_map[fqdn_id]
-                if global_id not in merged or start < merged[global_id]:
-                    merged[global_id] = start
-        return dict(sorted(merged.items()))
-
-    def server_fqdn_bin_triples(
-        self, bin_seconds: float, rows=None
-    ) -> list[tuple[int, int, int]]:
-        if rows is None:
-            parts = self._fan("server_fqdn_bin_triples", (bin_seconds, None))
-        else:
-            split = self._split_global_rows(rows)
-            parts = self._fan("server_fqdn_bin_triples", per_shard_args=[
-                (bin_seconds, split[k]) for k in range(self.shards)
-            ])
-        triples: set[tuple[int, int, int]] = set()
-        for index, part in enumerate(parts):
-            fqdn_map = self._fqdn_maps[index]
-            triples.update(
-                (server, fqdn_map[fqdn_id], bin_index)
-                for server, fqdn_id, bin_index in part
-            )
-        return sorted(triples)
-
-    def sld_flow_stats(self, rows) -> list[tuple[int, int, int]]:
-        parts = self._fan_rows("fqdn_flow_byte_totals", rows)
-        per_fqdn: dict[int, int] = {}
-        for index, part in enumerate(parts):
-            fqdn_map = self._fqdn_maps[index]
-            for fqdn_id, flows, _up, _down in part:
-                global_id = fqdn_map[fqdn_id]
-                per_fqdn[global_id] = per_fqdn.get(global_id, 0) + flows
-        sld_map = self._interns._fqdn_sld
-        flow_counts: dict[int, int] = {}
-        fqdn_counts: dict[int, int] = {}
-        for fqdn_id, flows in per_fqdn.items():
-            sld_id = sld_map[fqdn_id]
-            flow_counts[sld_id] = flow_counts.get(sld_id, 0) + flows
-            fqdn_counts[sld_id] = fqdn_counts.get(sld_id, 0) + 1
-        return [
-            (sld_id, count, fqdn_counts[sld_id])
-            for sld_id, count in sorted(flow_counts.items())
-        ]
-
-    # -- whole-store scans / summaries -------------------------------------
-
-    def __len__(self) -> int:
-        self._fan("ping")
-        return sum(self._rows)
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        for part in self._fan("all_records"):
-            yield from part
-
-    @property
-    def tagged_count(self) -> int:
-        return sum(self._fan("tagged_count"))
-
-    def count_by_protocol(self) -> dict[Protocol, int]:
-        totals: dict[Protocol, int] = {}
-        for part in self._fan("count_by_protocol"):
-            for protocol, count in part.items():
-                totals[protocol] = totals.get(protocol, 0) + count
-        return {
-            protocol: totals[protocol]
-            for protocol in PROTOCOLS
-            if totals.get(protocol)
-        }
-
-    def time_span(self) -> tuple[float, float]:
-        parts = self._fan("time_span")
-        lo = float("inf")
-        hi = float("-inf")
-        total = 0
-        for index, span in enumerate(parts):
-            n_rows = self._rows[index]
-            total += n_rows
-            if n_rows:
-                if span[0] < lo:
-                    lo = span[0]
-                if span[1] > hi:
-                    hi = span[1]
-        if not total:
-            return (0.0, 0.0)
-        return (lo, hi)
 
     # -- health / stats / prune reporting ----------------------------------
 

@@ -136,15 +136,24 @@ import threading
 import time
 import zlib
 from array import array
-from bisect import bisect_right
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.analytics import database as _dbmod
 from repro.analytics.database import FlowDatabase, _TRANSPORTS
+from repro.analytics.queries import (
+    INTERNS,
+    SUMMARY,
+    Query,
+    QueryHint,
+    QuerySurface,
+    database_summary,
+    split_rows,
+)
 from repro.dns.name import second_level_domain
-from repro.net.flow import FlowRecord, Protocol
+from repro.net.flow import FlowRecord
 from repro.sniffer.eventcodec import PROTOCOLS, BatchEncoder
 
 logger = logging.getLogger("repro.analytics.storage")
@@ -536,53 +545,6 @@ class SegmentMeta:
         defense in depth).
         """
         return not (self.max_start < t0 or self.min_start >= t1)
-
-
-class QueryHint:
-    """What a query is looking for — matched against
-    :class:`SegmentMeta` to decide whether a sealed segment can be
-    skipped.  A ``None`` field constrains nothing; a segment without
-    metadata (version 1) is never pruned."""
-
-    __slots__ = ("fqdn", "sld", "servers", "clients", "window", "protocol")
-
-    def __init__(
-        self, fqdn=None, sld=None, servers=None, clients=None,
-        window=None, protocol=None,
-    ):
-        self.fqdn = fqdn            # lowercased label
-        self.sld = sld              # lowercased second-level domain
-        self.servers = servers      # iterable of u32 addresses
-        self.clients = clients      # iterable of u32 addresses
-        self.window = window        # (t0, t1) over flow start
-        self.protocol = protocol    # index into PROTOCOLS
-
-    def admits(self, meta: Optional[SegmentMeta]) -> bool:
-        """False only when ``meta`` *proves* the segment cannot hold a
-        matching row."""
-        if meta is None:
-            return True
-        if self.window is not None and not meta.may_overlap_window(
-            *self.window
-        ):
-            return False
-        if self.fqdn is not None and not meta.may_contain_fqdn(self.fqdn):
-            return False
-        if self.sld is not None and not meta.may_contain_sld(self.sld):
-            return False
-        if self.servers is not None and not any(
-            meta.may_contain_server(server) for server in self.servers
-        ):
-            return False
-        if self.clients is not None and not any(
-            meta.may_contain_client(client) for client in self.clients
-        ):
-            return False
-        if self.protocol is not None and not meta.may_contain_protocol(
-            self.protocol
-        ):
-            return False
-        return True
 
 
 def _le(arr: array) -> bytes:
@@ -1124,13 +1086,7 @@ class SegmentReader:
         force a multi-GB store resident.  Served straight from the
         in-memory form when the segment happens to be resident."""
         if self._database is not None:
-            db = self._database
-            return {
-                "min_start": db._min_start,
-                "max_end": db._max_end,
-                "protocol_counts": list(db._protocol_counts),
-                "tagged_rows": len(db._tagged),
-            }
+            return database_summary(self._database)
         if self._summary is None:
             self._summary = self._compute_summary()
         return self._summary
@@ -1650,11 +1606,15 @@ class TailJournal:
         self._size = 0
 
 
-class _StoreReadMixin:
+class _StoreReadMixin(QuerySurface):
     """Merge-on-read query surface shared by :class:`FlowStore` and
     :class:`StoreSnapshot`.
 
-    Every whole-store read goes through one primitive — :meth:`_view`,
+    The public query methods are generated from the query table
+    (:mod:`repro.analytics.queries`); this class is the table's
+    executor for sources = sealed segments + live tail
+    (:meth:`_partial` on top of :meth:`_run_sources`).  Every
+    whole-store read goes through one primitive — :meth:`_view`,
     which captures ``(segments, tail, tail_map)`` under the store
     mutex — so a query always executes over one internally-consistent
     member set even while the single writer keeps appending, sealing
@@ -1667,8 +1627,9 @@ class _StoreReadMixin:
 
     * sealed segment files are immutable — their kernels run lock-free
       (and concurrently under ``parallel > 1``);
-    * the live tail is the one mutable source, so the tail kernel of
-      every pass runs under the store mutex, serialized against the
+    * the live tail is the one mutable source, so the tail step of
+      every pass — bringing the tail's id map up to date, then the
+      kernel — runs under the store mutex, serialized against the
       writer;
     * the global intern tables are append-only and ids are stable, so
       a result that references them can never dangle — though the
@@ -1693,126 +1654,29 @@ class _StoreReadMixin:
 
         The segments tuple is a private copy, so a concurrent
         seal/compact splice of the live list cannot shift this pass;
-        the tail reference stays shared — tail kernels take the mutex.
+        the tail reference stays shared — tail steps take the mutex
+        (and sync ``tail_map`` there, see :meth:`_sync_tail_map`).
         """
         with self._mutex:
-            self._sync_tail_map()
             return tuple(self._segments), self._tail, self._tail_map
 
-    def _sync_tail_map(self) -> None:
+    def _sync_tail_map(self, tail: FlowDatabase, tail_map: array) -> None:
+        """Extend ``tail_map`` (tail-local fqdn id → global id) over
+        every label ``tail`` has interned so far.  Must run under the
+        same mutex hold as whatever then reads the tail's ids: a batch
+        landing in between would intern a label the map lacks."""
         with self._mutex:
-            names = self._tail._fqdn_names
-            tail_map = self._tail_map
+            names = tail._fqdn_names
             intern = self._interns._intern_fqdn
             while len(tail_map) < len(names):
                 tail_map.append(intern(names[len(tail_map)]))
 
-    # -- merge plumbing ----------------------------------------------------
-
-    @staticmethod
-    def _source_bounds(
-        segments: Sequence[SegmentReader], tail_len: int
-    ) -> tuple[list[int], list[int]]:
-        """Per-source (base, end) global row ranges — derived from the
-        segment headers alone, so no segment is materialized."""
-        bases: list[int] = []
-        ends: list[int] = []
-        base = 0
-        for reader in segments:
-            bases.append(base)
-            base += reader.n_rows
-            ends.append(base)
-        if tail_len:
-            bases.append(base)
-            ends.append(base + tail_len)
-        return bases, ends
-
-    def _each(self):
-        """Yield ``(base_row, database, local→global fqdn map)`` per
-        source in row order.
-
-        Sealed segments materialize on demand.  With
-        ``cache_segments=False`` a segment this pass materialized is
-        released again as soon as the consumer advances — a whole-store
-        query then holds one segment in memory at a time instead of
-        pinning the full dataset.  The tail is yielded under the store
-        mutex, so consuming it cannot interleave with the writer.
-        """
-        segments, tail, tail_map = self._view()
-        base = 0
-        for reader in segments:
-            was_resident = reader.resident
-            yield base, reader.database(), reader.fqdn_map
-            if not self.cache_segments and not was_resident:
-                reader.release()
-            base += reader.n_rows
+    def _label_tables(self) -> FlowDatabase:
         with self._mutex:
-            if len(tail):
-                yield base, tail, tail_map
+            self._sync_tail_map(self._tail, self._tail_map)
+            return self._interns
 
-    @staticmethod
-    def _extend_offset(out: array, rows, base: int) -> None:
-        """Append ``rows + base`` to ``out`` (vectorized when possible)."""
-        if not len(rows):
-            return
-        np = _dbmod._np
-        if np is not None:
-            taken = (
-                np.frombuffer(rows, np.uint32)
-                if isinstance(rows, array)
-                else np.asarray(rows, np.uint32)
-            )
-            out.frombytes(_le_np(taken + base, np.uint32))
-            return
-        out.extend(row + base for row in rows)
-
-    @staticmethod
-    def _offset_rows(rows, base: int) -> array:
-        """``rows + base`` as a fresh packed array."""
-        out = array("I")
-        _StoreReadMixin._extend_offset(out, rows, base)
-        return out
-
-    def _split_rows(
-        self, rows, segments: Sequence[SegmentReader], tail_len: int
-    ) -> list[array]:
-        """Partition global row indices into per-source local rows
-        (bounds come from the headers; nothing is materialized)."""
-        bases, ends = self._source_bounds(segments, tail_len)
-        out = [array("I") for _ in bases]
-        if rows is None or not len(rows):
-            return out
-        np = _dbmod._np
-        if np is not None:
-            taken = (
-                np.frombuffer(rows, np.uint32)
-                if isinstance(rows, array)
-                else np.asarray(rows, np.uint32)
-            )
-            which = np.searchsorted(
-                np.asarray(bases, np.int64), taken, side="right"
-            ) - 1
-            for index in range(len(bases)):
-                mask = which == index
-                if mask.any():
-                    local = taken[mask] - bases[index]
-                    out[index].frombytes(_le_np(local, np.uint32))
-            return out
-        for row in rows:
-            index = bisect_right(bases, row) - 1
-            if 0 <= index < len(bases) and row < ends[index]:
-                out[index].append(row - bases[index])
-        return out
-
-    def _note_scan(self, scanned: int, pruned: int) -> None:
-        """Fold one pass's pruning outcome into the shared counters
-        (the ``/metrics`` prune-hit-rate feed; snapshots share their
-        parent store's dict, so the service sees one series)."""
-        with self._mutex:
-            stats = self._scan_stats
-            stats["queries"] += 1
-            stats["segments_scanned"] += scanned
-            stats["segments_pruned"] += pruned
+    # -- the executor ------------------------------------------------------
 
     def _run_sources(self, kernel, hint: Optional[QueryHint] = None,
                      rows=None) -> list:
@@ -1840,10 +1704,12 @@ class _StoreReadMixin:
         With ``parallel > 1`` the surviving kernels run on the thread
         pool; because partials are merged from this ordered result
         list, parallel execution is bit-identical to serial.  The
-        member set is the :meth:`_view` capture, and the tail kernel
-        runs under the store mutex — so concurrent ingest can never
-        tear a pass, and a :class:`StoreSnapshot` pass never sees a
-        segment retired out from under it.
+        member set is the :meth:`_view` capture, and the tail step
+        syncs the tail's id map and runs the kernel under one hold of
+        the store mutex — so concurrent ingest can never tear a pass
+        or hand the kernel a label its map lacks, and a
+        :class:`StoreSnapshot` pass never sees a segment retired out
+        from under it.
 
         When :attr:`cancel_token` is set, every kernel boundary calls
         ``token.check()`` first — on the request thread in serial mode
@@ -1857,54 +1723,66 @@ class _StoreReadMixin:
         segments, tail, tail_map = self._view()
         tail_len = len(tail)
         prune = self.prune
-        split = (
-            self._split_rows(rows, segments, tail_len)
-            if rows is not None else None
-        )
+        # Per-source base rows come from the segment headers alone, so
+        # splitting a row selection materializes nothing.
+        bases: list[int] = []
+        total = 0
+        for reader in segments:
+            bases.append(total)
+            total += reader.n_rows
+        if tail_len:
+            bases.append(total)
+            total += tail_len
+        split = split_rows(rows, bases, total) if rows is not None else None
         cache = self.cache_segments
         mutex = self._mutex
         thunks = []
         scanned = pruned = 0
-        base = 0
         for index, reader in enumerate(segments):
             local = split[index] if split is not None else None
             skip = prune and (
                 (split is not None and not len(local))
                 or (hint is not None and not hint.admits(reader.meta))
             )
-            if not skip:
-                scanned += 1
-
-                def thunk(reader=reader, local=local, base=base):
-                    if token is not None:
-                        token.check()
-                    was_resident = reader.resident
-                    try:
-                        return kernel(
-                            reader.database(), reader.fqdn_map, local, base
-                        )
-                    finally:
-                        if not cache and not was_resident:
-                            reader.release()
-                        if token is not None:
-                            token.note_done()
-                thunks.append(thunk)
-            else:
+            if skip:
                 pruned += 1
-            base += reader.n_rows
-        if tail_len:
-            local = split[len(segments)] if split is not None else None
+                continue
+            scanned += 1
 
-            def tail_thunk(local=local, base=base):
+            def thunk(reader=reader, local=local, base=bases[index]):
+                if token is not None:
+                    token.check()
+                was_resident = reader.resident
+                try:
+                    return kernel(
+                        reader.database(), reader.fqdn_map, local, base
+                    )
+                finally:
+                    if not cache and not was_resident:
+                        reader.release()
+                    if token is not None:
+                        token.note_done()
+            thunks.append(thunk)
+        if tail_len:
+            local = split[-1] if split is not None else None
+
+            def tail_thunk(local=local, base=bases[-1]):
                 if token is not None:
                     token.check()
                 with mutex:
+                    self._sync_tail_map(tail, tail_map)
                     result = kernel(tail, tail_map, local, base)
                 if token is not None:
                     token.note_done()
                 return result
             thunks.append(tail_thunk)
-        self._note_scan(scanned, pruned)
+        with mutex:
+            # The /metrics prune-hit-rate feed; snapshots share their
+            # parent store's dict, so the service sees one series.
+            stats = self._scan_stats
+            stats["queries"] += 1
+            stats["segments_scanned"] += scanned
+            stats["segments_pruned"] += pruned
         if token is not None:
             token.note_scheduled(len(thunks))
             token.check()
@@ -1912,515 +1790,37 @@ class _StoreReadMixin:
             return list(self._executor().map(_call_thunk, thunks))
         return [thunk() for thunk in thunks]
 
-    def _merged_pairs(self, method_name: str, rows) -> list[tuple]:
-        """Shared merge core of the (fqdn_id, value, count) groupers."""
-
-        def kernel(db, fqdn_map, local_rows, _base):
-            return [
-                (fqdn_map[fqdn_id], value, count)
-                for fqdn_id, value, count in getattr(db, method_name)(
-                    local_rows
-                )
+    def _partial(self, query: Query, args: tuple):
+        """One table query over this store's sources: kernel per
+        source, lifted through the source's id map and base row,
+        merged — and left *unfinished*, so a shard worker can hand the
+        result to its coordinator to lift and merge once more."""
+        if query.scope is INTERNS:
+            with self._mutex:  # the tables grow under concurrent syncs
+                return query.kernel(self._label_tables(), *args)
+        if query.scope is SUMMARY:
+            segments, tail, _tail_map = self._view()
+            parts = [
+                query.kernel(reader.n_rows, reader.summary)
+                for reader in segments
             ]
+            with self._mutex:
+                if len(tail):
+                    parts.append(query.kernel(
+                        len(tail), partial(database_summary, tail)
+                    ))
+            return query.merge(parts)
+        lift = query.lift
 
-        merged: dict[tuple[int, int], int] = {}
-        for part in self._run_sources(kernel, rows=rows):
-            for fqdn_id, value, count in part:
-                key = (fqdn_id, value)
-                merged[key] = merged.get(key, 0) + count
-        return [
-            (fqdn_id, value, count)
-            for (fqdn_id, value), count in sorted(merged.items())
-        ]
+        def kernel(db, fqdn_map, local_rows, base):
+            part = query.kernel(db, *query.with_rows(args, local_rows))
+            return part if lift is None else lift(part, fqdn_map, base)
 
-    # -- interned label tables --------------------------------------------
-
-    def fqdn_label(self, fqdn_id: int) -> str:
-        """The lowercased FQDN behind a (global) interned id."""
-        self._sync_tail_map()
-        return self._interns._fqdn_names[fqdn_id]
-
-    def sld_label(self, sld_id: int) -> str:
-        """The second-level domain behind a (global) interned id."""
-        self._sync_tail_map()
-        return self._interns._sld_names[sld_id]
-
-    def sld_of_fqdn(self, fqdn_id: int) -> int:
-        """Global sld id of a global FQDN id."""
-        self._sync_tail_map()
-        return self._interns._fqdn_sld[fqdn_id]
-
-    def fqdns(self) -> list[str]:
-        """All distinct labels, in global first-appearance order."""
-        with self._mutex:
-            self._sync_tail_map()
-            return list(self._interns._fqdn_names)
-
-    def slds(self) -> list[str]:
-        """All distinct second-level domains seen."""
-        with self._mutex:
-            self._sync_tail_map()
-            return list(self._interns._sld_names)
-
-    def servers(self) -> list[int]:
-        """All distinct server addresses, first-appearance order."""
-        seen: dict[int, None] = {}
-        for _base, db, _m in self._each():
-            for server in db._by_server:
-                if server not in seen:
-                    seen[server] = None
-        return list(seen)
-
-    def ports(self) -> list[int]:
-        """All distinct destination ports, first-appearance order."""
-        seen: dict[int, None] = {}
-        for _base, db, _m in self._each():
-            for port in db._by_port:
-                if port not in seen:
-                    seen[port] = None
-        return list(seen)
-
-    def fqdns_for_domain(self, sld: str) -> set[str]:
-        """Distinct FQDNs under one second-level domain."""
-        with self._mutex:
-            self._sync_tail_map()
-            interns = self._interns
-            sld_id = interns._sld_ids.get(sld.lower())
-            if sld_id is None:
-                return set()
-            names = interns._fqdn_names
-            return {
-                names[fqdn_id] for fqdn_id in interns._sld_fqdns[sld_id]
-            }
-
-    # -- row-index views ---------------------------------------------------
-
-    def _concat_rows(self, parts: Iterable[array]) -> array:
-        out = array("I")
-        for part in parts:
-            out.extend(part)
-        return out
-
-    def rows_for_fqdn(self, fqdn: str) -> Sequence[int]:
-        """Global row indices of flows labeled exactly ``fqdn``."""
-        return self._concat_rows(self._run_sources(
-            lambda db, _m, _lr, base: self._offset_rows(
-                db.rows_for_fqdn(fqdn), base
-            ),
-            QueryHint(fqdn=fqdn.lower()),
+        return query.merge(self._run_sources(
+            kernel,
+            query.hint(*args) if query.hint is not None else None,
+            query.rows(args),
         ))
-
-    def rows_for_domain(self, sld: str) -> Sequence[int]:
-        """Global row indices of flows under 2LD ``sld``."""
-        return self._concat_rows(self._run_sources(
-            lambda db, _m, _lr, base: self._offset_rows(
-                db.rows_for_domain(sld), base
-            ),
-            QueryHint(sld=sld.lower()),
-        ))
-
-    def rows_for_port(self, dst_port: int) -> Sequence[int]:
-        """Global row indices of flows to ``dst_port``."""
-        return self._concat_rows(self._run_sources(
-            lambda db, _m, _lr, base: self._offset_rows(
-                db.rows_for_port(dst_port), base
-            ),
-        ))
-
-    def rows_in_window(self, t0: float, t1: float) -> Sequence[int]:
-        """Global row indices of flows starting in ``[t0, t1)`` —
-        segments whose start range misses the window entirely are
-        pruned from the scan via their footer metadata."""
-        return self._concat_rows(self._run_sources(
-            lambda db, _m, _lr, base: self._offset_rows(
-                db.rows_in_window(t0, t1), base
-            ),
-            QueryHint(window=(t0, t1)),
-        ))
-
-    def rows_for_servers(self, servers: Iterable[int]) -> Sequence[int]:
-        """Concatenated global row indices for an address set (deduped,
-        grouped by server exactly like the in-memory store).
-
-        Execution is source-major (one pass, pruned by the per-segment
-        server-address range) but the output stays server-major:
-        per-server chunks are gathered per source and concatenated in
-        probe order afterwards.
-        """
-        order = list(dict.fromkeys(servers))
-
-        def kernel(db, _m, _lr, base):
-            chunks: dict[int, array] = {}
-            by_server = db._by_server
-            for server in order:
-                index = by_server.get(server)
-                if index is not None:
-                    chunks[server] = self._offset_rows(index, base)
-            return chunks
-
-        parts = self._run_sources(kernel, QueryHint(servers=order))
-        out = array("I")
-        for server in order:
-            for part in parts:
-                chunk = part.get(server)
-                if chunk is not None:
-                    out.extend(chunk)
-        return out
-
-    def tagged_rows(self) -> Sequence[int]:
-        """Global row indices of every labeled flow."""
-        return self._concat_rows(self._run_sources(
-            lambda db, _m, _lr, base: self._offset_rows(db._tagged, base),
-        ))
-
-    # -- record queries ----------------------------------------------------
-
-    def query_by_fqdn(self, fqdn: str) -> list[FlowRecord]:
-        """Flows labeled exactly ``fqdn``, in global row order."""
-        out: list[FlowRecord] = []
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.query_by_fqdn(fqdn),
-            QueryHint(fqdn=fqdn.lower()),
-        ):
-            out.extend(part)
-        return out
-
-    def query_by_domain(self, sld: str) -> list[FlowRecord]:
-        """Flows whose label falls under 2LD ``sld``."""
-        out: list[FlowRecord] = []
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.query_by_domain(sld),
-            QueryHint(sld=sld.lower()),
-        ):
-            out.extend(part)
-        return out
-
-    def query_by_servers(self, servers: Iterable[int]) -> list[FlowRecord]:
-        """Flows to any address in ``servers`` (duplicates ignored);
-        source-major pass, server-major output (see
-        :meth:`rows_for_servers`)."""
-        order = list(dict.fromkeys(servers))
-
-        def kernel(db, _m, _lr, _base):
-            chunks: dict[int, list[FlowRecord]] = {}
-            by_server = db._by_server
-            for server in order:
-                index = by_server.get(server)
-                if index is not None:
-                    chunks[server] = db._materialize(index)
-            return chunks
-
-        parts = self._run_sources(kernel, QueryHint(servers=order))
-        out: list[FlowRecord] = []
-        for server in order:
-            for part in parts:
-                chunk = part.get(server)
-                if chunk is not None:
-                    out.extend(chunk)
-        return out
-
-    def query_by_port(self, dst_port: int) -> list[FlowRecord]:
-        """Flows to destination port ``dst_port``."""
-        out: list[FlowRecord] = []
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.query_by_port(dst_port),
-        ):
-            out.extend(part)
-        return out
-
-    def query_in_window(self, t0: float, t1: float) -> list[FlowRecord]:
-        """Flows starting in ``[t0, t1)``, in global row order."""
-        out: list[FlowRecord] = []
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.query_in_window(t0, t1),
-            QueryHint(window=(t0, t1)),
-        ):
-            out.extend(part)
-        return out
-
-    # -- aggregate views ---------------------------------------------------
-
-    def servers_for_fqdn(self, fqdn: str) -> set[int]:
-        """Distinct serverIPs observed delivering ``fqdn``."""
-        out: set[int] = set()
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.servers_for_fqdn(fqdn),
-            QueryHint(fqdn=fqdn.lower()),
-        ):
-            out |= part
-        return out
-
-    def servers_for_domain(self, sld: str) -> set[int]:
-        """Distinct serverIPs observed for the whole organization."""
-        out: set[int] = set()
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.servers_for_domain(sld),
-            QueryHint(sld=sld.lower()),
-        ):
-            out |= part
-        return out
-
-    def fqdns_for_servers(self, servers: Iterable[int]) -> set[str]:
-        """Distinct labels delivered by the given server addresses."""
-        order = list(dict.fromkeys(servers))
-        out: set[str] = set()
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.fqdns_for_servers(order),
-            QueryHint(servers=order),
-        ):
-            out |= part
-        return out
-
-    def fqdns_for_rows(self, rows) -> set[str]:
-        """Distinct labels among the flows of a global row-index set."""
-        out: set[str] = set()
-        for part in self._run_sources(
-            lambda db, _m, local_rows, _base: db.fqdns_for_rows(
-                local_rows
-            ),
-            rows=rows,
-        ):
-            out |= part
-        return out
-
-    # -- grouped aggregations ----------------------------------------------
-
-    def fqdn_server_counts(self, rows=None) -> list[tuple[int, int, int]]:
-        """Deduped ``(fqdn_id, server_ip, flow_count)`` groups (global
-        ids), merged across segments."""
-        return self._merged_pairs("fqdn_server_counts", rows)
-
-    def fqdn_client_counts(self, rows=None) -> list[tuple[int, int, int]]:
-        """Deduped ``(fqdn_id, client_ip, flow_count)`` groups."""
-        return self._merged_pairs("fqdn_client_counts", rows)
-
-    def fqdn_flow_byte_totals(
-        self, rows=None
-    ) -> list[tuple[int, int, int, int]]:
-        """Per-label ``(fqdn_id, flows, bytes_up, bytes_down)`` totals."""
-
-        def kernel(db, fqdn_map, local_rows, _base):
-            return [
-                (fqdn_map[fqdn_id], flows, up, down)
-                for fqdn_id, flows, up, down in db.fqdn_flow_byte_totals(
-                    local_rows
-                )
-            ]
-
-        merged: dict[int, list[int]] = {}
-        for part in self._run_sources(kernel, rows=rows):
-            for fqdn_id, flows, up, down in part:
-                bucket = merged.get(fqdn_id)
-                if bucket is None:
-                    merged[fqdn_id] = [flows, up, down]
-                else:
-                    bucket[0] += flows
-                    bucket[1] += up
-                    bucket[2] += down
-        return [
-            (fqdn_id, flows, up, down)
-            for fqdn_id, (flows, up, down) in sorted(merged.items())
-        ]
-
-    def server_flow_counts(self, rows=None) -> dict[int, int]:
-        """Flow count per serverIP over ``rows`` (default: all flows)."""
-        merged: dict[int, int] = {}
-        for part in self._run_sources(
-            lambda db, _m, local_rows, _base: db.server_flow_counts(
-                local_rows
-            ),
-            rows=rows,
-        ):
-            for server, count in part.items():
-                merged[server] = merged.get(server, 0) + count
-        return dict(sorted(merged.items()))
-
-    def unique_servers_per_bin(
-        self, sld: str, bin_seconds: float
-    ) -> list[tuple[float, int]]:
-        """Fig. 4 series: distinct serverIPs per time bin for one 2LD,
-        gap-filled — deduped across segments before counting."""
-
-        def kernel(db, _m, _lr, _base):
-            rows = db.rows_for_domain(sld)
-            if not len(rows):
-                return []
-            return db.bin_server_pairs(rows, bin_seconds)
-
-        pairs: set[tuple[int, int]] = set()
-        for part in self._run_sources(kernel, QueryHint(sld=sld.lower())):
-            pairs.update(part)
-        if not pairs:
-            return []
-        per_bin: dict[int, int] = {}
-        for bin_index, _server in pairs:
-            per_bin[bin_index] = per_bin.get(bin_index, 0) + 1
-        lo, hi = min(per_bin), max(per_bin)
-        return [
-            (index * bin_seconds, per_bin.get(index, 0))
-            for index in range(lo, hi + 1)
-        ]
-
-    def server_bins_for_fqdn(
-        self, fqdn: str, bin_seconds: float
-    ) -> list[tuple[int, int]]:
-        """Deduped ``(bin_index, server_ip)`` pairs for one FQDN."""
-        pairs: set[tuple[int, int]] = set()
-        for part in self._run_sources(
-            lambda db, _m, _lr, _base: db.server_bins_for_fqdn(
-                fqdn, bin_seconds
-            ),
-            QueryHint(fqdn=fqdn.lower()),
-        ):
-            pairs.update(part)
-        return sorted(pairs)
-
-    def fqdn_bin_pairs(
-        self, bin_seconds: float, rows=None
-    ) -> list[tuple[int, int]]:
-        """Deduped ``(fqdn_id, bin_index)`` activity pairs (global ids)."""
-
-        def kernel(db, fqdn_map, local_rows, _base):
-            return [
-                (fqdn_map[fqdn_id], bin_index)
-                for fqdn_id, bin_index in db.fqdn_bin_pairs(
-                    bin_seconds, local_rows
-                )
-            ]
-
-        pairs: set[tuple[int, int]] = set()
-        for part in self._run_sources(kernel, rows=rows):
-            pairs.update(part)
-        return sorted(pairs)
-
-    def fqdn_first_seen(self, rows=None) -> dict[int, float]:
-        """Earliest flow start per (global) interned label."""
-
-        def kernel(db, fqdn_map, local_rows, _base):
-            return [
-                (fqdn_map[fqdn_id], start)
-                for fqdn_id, start in db.fqdn_first_seen(
-                    local_rows
-                ).items()
-            ]
-
-        merged: dict[int, float] = {}
-        for part in self._run_sources(kernel, rows=rows):
-            for global_id, start in part:
-                if global_id not in merged or start < merged[global_id]:
-                    merged[global_id] = start
-        return dict(sorted(merged.items()))
-
-    def server_fqdn_bin_triples(
-        self, bin_seconds: float, rows=None
-    ) -> list[tuple[int, int, int]]:
-        """Deduped ``(server_ip, fqdn_id, bin_index)`` triples."""
-
-        def kernel(db, fqdn_map, local_rows, _base):
-            return [
-                (server, fqdn_map[fqdn_id], bin_index)
-                for server, fqdn_id, bin_index in db.server_fqdn_bin_triples(
-                    bin_seconds, local_rows
-                )
-            ]
-
-        triples: set[tuple[int, int, int]] = set()
-        for part in self._run_sources(kernel, rows=rows):
-            triples.update(part)
-        return sorted(triples)
-
-    def sld_flow_stats(self, rows) -> list[tuple[int, int, int]]:
-        """Per-organization ``(sld_id, flows, distinct_fqdns)`` over the
-        labeled flows of ``rows`` (global sld ids)."""
-
-        def kernel(db, fqdn_map, local_rows, _base):
-            return [
-                (fqdn_map[fqdn_id], flows)
-                for fqdn_id, flows, _up, _down in db.fqdn_flow_byte_totals(
-                    local_rows
-                )
-            ]
-
-        per_fqdn: dict[int, int] = {}
-        for part in self._run_sources(kernel, rows=rows):
-            for global_id, flows in part:
-                per_fqdn[global_id] = per_fqdn.get(global_id, 0) + flows
-        sld_map = self._interns._fqdn_sld
-        flow_counts: dict[int, int] = {}
-        fqdn_counts: dict[int, int] = {}
-        for fqdn_id, flows in per_fqdn.items():
-            sld_id = sld_map[fqdn_id]
-            flow_counts[sld_id] = flow_counts.get(sld_id, 0) + flows
-            fqdn_counts[sld_id] = fqdn_counts.get(sld_id, 0) + 1
-        return [
-            (sld_id, count, fqdn_counts[sld_id])
-            for sld_id, count in sorted(flow_counts.items())
-        ]
-
-    # -- stats -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return sum(
-                reader.n_rows for reader in self._segments
-            ) + len(self._tail)
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        for _base, db, _m in self._each():
-            yield from db
-
-    @property
-    def tagged_count(self) -> int:
-        """Number of flows carrying a label (segment summaries + live
-        tail — no segment is materialized for this)."""
-        segments, tail, _tail_map = self._view()
-        total = sum(
-            reader.summary()["tagged_rows"] for reader in segments
-        )
-        with self._mutex:
-            return total + tail.tagged_count
-
-    def count_by_protocol(self) -> dict[Protocol, int]:
-        """Flow counts per layer-7 protocol (summaries + live tail)."""
-        segments, tail, _tail_map = self._view()
-        with self._mutex:
-            totals = list(tail._protocol_counts)
-        for reader in segments:
-            for index, count in enumerate(
-                reader.summary()["protocol_counts"]
-            ):
-                totals[index] += count
-        return {
-            PROTOCOLS[index]: count
-            for index, count in enumerate(totals)
-            if count
-        }
-
-    def time_span(self) -> tuple[float, float]:
-        """(earliest start, latest end) across all rows (summaries +
-        live tail)."""
-        segments, tail, _tail_map = self._view()
-        rows = 0
-        lo = float("inf")
-        hi = float("-inf")
-        for reader in segments:
-            rows += reader.n_rows
-            summary = reader.summary()
-            if summary["min_start"] < lo:
-                lo = summary["min_start"]
-            if summary["max_end"] > hi:
-                hi = summary["max_end"]
-        with self._mutex:
-            if len(tail):
-                rows += len(tail)
-                start, end = tail.time_span()
-                if start < lo:
-                    lo = start
-                if end > hi:
-                    hi = end
-        if not rows:
-            return (0.0, 0.0)
-        return (lo, hi)
 
 
 class FlowStore(_StoreReadMixin):
@@ -2898,7 +2298,7 @@ class FlowStore(_StoreReadMixin):
         tail = self._tail
         if not len(tail):
             return None
-        self._sync_tail_map()
+        self._sync_tail_map(tail, self._tail_map)
         name = self._writer.write(tail)
         # Deliberate read-back: re-opening the file we just wrote
         # verifies the write end to end (size + CRC over what actually

@@ -2,9 +2,10 @@
 
 A :class:`Deadline` is the cancellation token the daemon threads
 through a query's whole execution path: admission queueing, the
-single-flight wait, and — via ``StoreSnapshot.cancel_token`` — the
-store's :meth:`_run_sources` per-segment kernel loop, including the
-kernels dispatched onto the ``parallel=N`` thread pool.
+single-flight wait, and — via the pinned snapshot's ``cancel_token`` —
+the store's :meth:`_run_sources` per-segment kernel loop, including the
+kernels dispatched onto the ``parallel=N`` thread pool, or the shard
+coordinator's fan-out (every shard boundary / gathered worker reply).
 
 The token is *cooperative*: nothing is interrupted mid-kernel.  The
 store calls :meth:`check` at every kernel boundary (cheap — one

@@ -45,14 +45,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.analytics.storage import FlowStore, QueryHint
-from repro.net.ip import ip_from_str, ip_to_str
+from repro.analytics.queries import QUERIES, Query, QueryHint
+from repro.analytics.storage import FlowStore
 from repro.serve.admission import AdmissionController
 from repro.serve.deadline import DEADLINE_HEADER, Deadline, DeadlineExceeded
 from repro.serve.governor import READ_ONLY, DegradationGovernor
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.singleflight import SingleFlightTimeout
-from repro.sniffer.eventcodec import PROTOCOLS
 
 __all__ = ["ServeApp", "BadRequest"]
 
@@ -60,87 +59,23 @@ __all__ = ["ServeApp", "BadRequest"]
 #: not balloon the tail past every spill budget in one call.
 MAX_INGEST_BYTES = 64 << 20
 
-_PROTOCOL_BY_VALUE = {p.value: i for i, p in enumerate(PROTOCOLS)}
-
 
 class BadRequest(ValueError):
     """Maps to a 400 with ``{"error": ...}``."""
 
 
-def _one(params: dict, name: str, required: bool = False,
-         convert: Optional[Callable] = None):
-    """Single-valued query parameter (400 on repeats / bad values)."""
-    values = params.get(name, [])
-    if not values:
-        if required:
-            raise BadRequest(f"missing required parameter {name!r}")
-        return None
-    if len(values) > 1:
-        raise BadRequest(f"parameter {name!r} given more than once")
-    value = values[0]
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (ValueError, OverflowError) as exc:
-        raise BadRequest(f"bad {name!r}: {exc}") from exc
-
-
-def _many(params: dict, name: str, convert: Callable) -> list:
-    out = []
-    for value in params.get(name, []):
+def _query_route(query: Query) -> Callable:
+    """The ``/query/<route>`` handler of one query-table entry: read
+    its arguments from the request parameters (400 on a missing,
+    repeated or malformed one), run it on the pinned snapshot, shape
+    the JSON payload."""
+    def handler(snap, params):
         try:
-            out.append(convert(value))
-        except (ValueError, OverflowError) as exc:
-            raise BadRequest(f"bad {name!r}: {exc}") from exc
-    return out
-
-
-def _ip_param(text: str) -> int:
-    """Server/client address: dotted quad or bare u32."""
-    if "." in text:
-        return ip_from_str(text)
-    value = int(text)
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise ValueError(f"{value} is not a u32 address")
-    return value
-
-
-def _protocol_param(text: str) -> int:
-    index = _PROTOCOL_BY_VALUE.get(text.lower())
-    if index is None:
-        raise ValueError(
-            f"unknown protocol {text!r} "
-            f"(one of {sorted(_PROTOCOL_BY_VALUE)})"
-        )
-    return index
-
-
-def _hint_from_params(params: dict) -> QueryHint:
-    """The shared ``fqdn/sld/server/client/t0/t1/protocol`` hint
-    vocabulary (used by ``/prune-report``)."""
-    fqdn = _one(params, "fqdn")
-    sld = _one(params, "sld")
-    servers = _many(params, "server", _ip_param) or None
-    clients = _many(params, "client", _ip_param) or None
-    t0 = _one(params, "t0", convert=float)
-    t1 = _one(params, "t1", convert=float)
-    if (t0 is None) != (t1 is None):
-        raise BadRequest("t0 and t1 must be given together")
-    if t0 is not None and t0 > t1:
-        # An inverted window is always a caller bug: every segment's
-        # metadata "proves" no row can match, so /prune-report would
-        # happily report a 100% prune while the query routes scan and
-        # return empty — answer 400 on both instead (the CLI agrees).
-        raise BadRequest("t0 must be <= t1")
-    return QueryHint(
-        fqdn=fqdn.lower() if fqdn else None,
-        sld=sld.lower() if sld else None,
-        servers=servers,
-        clients=clients,
-        window=(t0, t1) if t0 is not None else None,
-        protocol=_one(params, "protocol", convert=_protocol_param),
-    )
+            args = query.parse(params)
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from exc
+        return query.shape(snap._query(query, args))
+    return handler
 
 
 class ServeApp:
@@ -194,29 +129,13 @@ class ServeApp:
         self.governor.on_probe = (
             lambda outcome: self.m_degraded_probes.inc(outcome=outcome)
         )
-        #: Route table for ``/query/*`` — an instance dict so tests
-        #: can wrap an entry (e.g. with a barrier) to shape timing.
+        #: Route table for ``/query/*``, built from the query table
+        #: (every entry with a JSON shape is served) — an instance dict
+        #: so tests can wrap an entry (e.g. with a barrier) to shape
+        #: timing.
         self.query_routes: dict[str, Callable] = {
-            "len": lambda snap, params: {"rows": len(snap)},
-            "tagged-count": lambda snap, params: {
-                "tagged_rows": snap.tagged_count,
-            },
-            "time-span": self._q_time_span,
-            "count-by-protocol": self._q_count_by_protocol,
-            "fqdns": lambda snap, params: {"fqdns": snap.fqdns()},
-            "slds": lambda snap, params: {"slds": snap.slds()},
-            "rows-in-window": self._q_rows_in_window,
-            "rows-for-fqdn": self._q_rows_for_fqdn,
-            "rows-for-domain": self._q_rows_for_domain,
-            "rows-for-port": self._q_rows_for_port,
-            "servers-for-fqdn": self._q_servers_for_fqdn,
-            "servers-for-domain": self._q_servers_for_domain,
-            "fqdns-for-servers": self._q_fqdns_for_servers,
-            "fqdn-server-counts": self._q_fqdn_server_counts,
-            "fqdn-client-counts": self._q_fqdn_client_counts,
-            "fqdn-flow-byte-totals": self._q_fqdn_flow_byte_totals,
-            "server-flow-counts": self._q_server_flow_counts,
-            "unique-servers-per-bin": self._q_unique_servers_per_bin,
+            query.route: _query_route(query)
+            for query in QUERIES.values() if query.shape is not None
         }
 
     # -- metrics -----------------------------------------------------------
@@ -375,85 +294,6 @@ class ServeApp:
         self.note_ingest(1, rows)
         return rows
 
-    # -- query handlers ----------------------------------------------------
-
-    def _q_time_span(self, snap, params):
-        t0, t1 = snap.time_span()
-        return {"t0": t0, "t1": t1}
-
-    def _q_count_by_protocol(self, snap, params):
-        return {
-            "counts": {
-                protocol.value: count
-                for protocol, count in snap.count_by_protocol().items()
-            },
-        }
-
-    def _q_rows_in_window(self, snap, params):
-        t0 = _one(params, "t0", required=True, convert=float)
-        t1 = _one(params, "t1", required=True, convert=float)
-        if t0 > t1:
-            raise BadRequest("t0 must be <= t1")
-        return {"rows": list(snap.rows_in_window(t0, t1))}
-
-    def _q_rows_for_fqdn(self, snap, params):
-        fqdn = _one(params, "fqdn", required=True)
-        return {"rows": list(snap.rows_for_fqdn(fqdn))}
-
-    def _q_rows_for_domain(self, snap, params):
-        sld = _one(params, "sld", required=True)
-        return {"rows": list(snap.rows_for_domain(sld))}
-
-    def _q_rows_for_port(self, snap, params):
-        port = _one(params, "port", required=True, convert=int)
-        return {"rows": list(snap.rows_for_port(port))}
-
-    def _q_servers_for_fqdn(self, snap, params):
-        fqdn = _one(params, "fqdn", required=True)
-        servers = sorted(snap.servers_for_fqdn(fqdn))
-        return {
-            "servers": servers,
-            "servers_dotted": [ip_to_str(s) for s in servers],
-        }
-
-    def _q_servers_for_domain(self, snap, params):
-        sld = _one(params, "sld", required=True)
-        servers = sorted(snap.servers_for_domain(sld))
-        return {
-            "servers": servers,
-            "servers_dotted": [ip_to_str(s) for s in servers],
-        }
-
-    def _q_fqdns_for_servers(self, snap, params):
-        servers = _many(params, "server", _ip_param)
-        if not servers:
-            raise BadRequest("at least one 'server' parameter required")
-        return {"fqdns": sorted(snap.fqdns_for_servers(servers))}
-
-    def _q_fqdn_server_counts(self, snap, params):
-        groups = snap.fqdn_server_counts()
-        return {"groups": [list(group) for group in groups]}
-
-    def _q_fqdn_client_counts(self, snap, params):
-        groups = snap.fqdn_client_counts()
-        return {"groups": [list(group) for group in groups]}
-
-    def _q_fqdn_flow_byte_totals(self, snap, params):
-        groups = snap.fqdn_flow_byte_totals()
-        return {"groups": [list(group) for group in groups]}
-
-    def _q_server_flow_counts(self, snap, params):
-        counts = snap.server_flow_counts()
-        return {"counts": [[server, n] for server, n in counts.items()]}
-
-    def _q_unique_servers_per_bin(self, snap, params):
-        sld = _one(params, "sld", required=True)
-        bin_seconds = _one(params, "bin", required=True, convert=float)
-        if bin_seconds <= 0:
-            raise BadRequest("bin must be positive")
-        series = snap.unique_servers_per_bin(sld, bin_seconds)
-        return {"series": [[t, n] for t, n in series]}
-
     # -- dispatch ----------------------------------------------------------
 
     def _run_query(self, route: str, params: dict,
@@ -592,7 +432,10 @@ class ServeApp:
             if path == "/stats":
                 return self._finish(route, 200, self.store.stats())
             if path == "/prune-report":
-                hint = _hint_from_params(params)
+                try:
+                    hint = QueryHint.from_mapping(params)
+                except ValueError as exc:
+                    raise BadRequest(str(exc)) from exc
                 return self._finish(
                     route, 200, self.store.prune_report(hint)
                 )

@@ -1,0 +1,519 @@
+"""The query table is the one definition of every flow-database query.
+
+Conformance: for every entry of :data:`repro.analytics.queries.QUERIES`
+the in-memory ``FlowDatabase`` method, the table pipeline run over that
+database as a single source (kernel → lift → merge → finish), a
+multi-segment + live-tail ``FlowStore``, a pinned ``StoreSnapshot``, a
+``ShardCoordinator`` (in-process for several shard counts, one worker
+process per shard for one) and — where the entry is routed — the
+``ServeApp.handle()`` JSON all give the same answer, which also matches
+the retained seed store (``database_reference``) wherever the seed has
+the method.
+
+Completeness: the table's names are exactly the public query methods
+of ``FlowDatabase`` (same signatures), every surface exposes all of
+them, and the worker-op allowlist and the HTTP route table are the
+table — so a query can no longer be added to one surface only.
+
+Merge contract (property): partials of arbitrary source splits merge
+associatively to the single-source answer.
+
+Tail consistency (regression): a label interned between view capture
+and the tail step must not break any entry.
+"""
+
+import inspect
+import json
+from array import array
+from contextlib import contextmanager, nullcontext
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.analytics.database as database_module
+from repro.analytics.database import FlowDatabase
+from repro.analytics.database_reference import (
+    FlowDatabase as ReferenceDatabase,
+)
+from repro.analytics.queries import (
+    INTERNS,
+    QUERIES,
+    SUMMARY,
+    QuerySurface,
+    database_summary,
+    split_rows,
+)
+from repro.analytics.shard import (
+    CoordinatorSnapshot,
+    ShardCoordinator,
+    _shard_execute,
+)
+from repro.analytics.storage import (
+    FlowStore,
+    StorageError,
+    StoreSnapshot,
+    _map_local_fqdns,
+)
+from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
+from repro.serve.server import ServeApp
+
+#: Public FlowDatabase attributes that are not queries: ingestion, id
+#: lookups (answered from the intern tables, never merged), and the
+#: per-source primitive behind ``unique_servers_per_bin``.
+NOT_QUERIES = {
+    "add", "add_all", "from_flows", "ingest_batch", "from_batches",
+    "fqdn_label", "sld_label", "sld_of_fqdn", "bin_server_pairs",
+}
+#: Table entries reached through the data model rather than by name.
+DUNDERS = {"len": "__len__", "all_records": "__iter__"}
+#: FlowDatabase returns these grouped lists in engine order; every
+#: merged surface returns them sorted.
+SORTED_WHEN_MERGED = {
+    "fqdn_server_counts", "fqdn_client_counts", "fqdn_flow_byte_totals",
+    "sld_flow_stats",
+}
+
+
+@contextmanager
+def _without_numpy():
+    saved = database_module._np
+    database_module._np = None
+    try:
+        yield
+    finally:
+        database_module._np = saved
+
+
+def _flow(i: int) -> FlowRecord:
+    fqdn = (
+        None, "www.Example.com", "cdn.example.net", "a.b.tracker.org",
+        "www.example.com", "", "static.example.com",
+    )[i % 7]
+    return FlowRecord(
+        fid=FiveTuple(5 + i % 7, 40 + i % 9, 1024 + i,
+                      (80, 443, 8080)[i % 3], TransportProto.TCP),
+        start=float(i * 3 % 97),
+        end=float(i * 3 % 97) + 2.0,
+        protocol=(Protocol.HTTP, Protocol.TLS, Protocol.P2P)[i % 3],
+        bytes_up=10 + i,
+        bytes_down=1000 + i,
+        packets=4,
+        fqdn=fqdn,
+        cert_name="cert.example.com" if i % 3 == 0 else None,
+        true_fqdn="true.example.com" if i % 5 == 0 else None,
+    )
+
+
+def _call(surface, name: str, args: tuple):
+    """One table entry through a surface's *public* API."""
+    if name == "len":
+        return len(surface)
+    if name == "all_records":
+        return list(surface)
+    if name == "tagged_count":
+        return surface.tagged_count
+    return getattr(surface, name)(*args)
+
+
+def _canon(name: str, value):
+    if name.startswith("rows_") or name == "tagged_rows":
+        return list(value)  # array("I"), or FlowDatabase's () for none
+    if name in SORTED_WHEN_MERGED:
+        return sorted(value)
+    return value
+
+
+def _cases(mem: FlowDatabase) -> list[tuple[str, tuple]]:
+    """(entry name, args) — at least one case per table entry, the
+    row-selecting entries both whole-store and over a window."""
+    window = mem.rows_in_window(10.0, 60.0)
+    servers = [41, 47, 41, 999, 44]
+    cases = [
+        ("rows_for_fqdn", ("www.Example.com",)),
+        ("rows_for_fqdn", ("absent.example.org",)),
+        ("rows_for_domain", ("example.com",)),
+        ("rows_for_port", (443,)),
+        ("rows_in_window", (10.0, 60.0)),
+        ("rows_in_window", (60.0, 10.0)),
+        ("rows_for_servers", (servers,)),
+        ("tagged_rows", ()),
+        ("query_by_fqdn", ("www.example.com",)),
+        ("query_by_domain", ("example.net",)),
+        ("query_by_servers", (servers,)),
+        ("query_by_port", (8080,)),
+        ("query_in_window", (10.0, 60.0)),
+        ("all_records", ()),
+        ("fqdns", ()),
+        ("slds", ()),
+        ("fqdns_for_domain", ("Example.com",)),
+        ("fqdns_for_domain", ("absent.org",)),
+        ("servers", ()),
+        ("ports", ()),
+        ("servers_for_fqdn", ("www.example.com",)),
+        ("servers_for_domain", ("example.com",)),
+        ("fqdns_for_servers", (servers,)),
+        ("fqdns_for_rows", (window,)),
+        ("unique_servers_per_bin", ("example.com", 10.0)),
+        ("unique_servers_per_bin", ("absent.org", 10.0)),
+        ("server_bins_for_fqdn", ("www.example.com", 10.0)),
+        ("sld_flow_stats", (window,)),
+        ("sld_flow_stats", (mem.tagged_rows(),)),
+        ("len", ()),
+        ("tagged_count", ()),
+        ("count_by_protocol", ()),
+        ("time_span", ()),
+    ]
+    for rows in (None, window):
+        cases += [
+            ("fqdn_server_counts", (rows,)),
+            ("fqdn_client_counts", (rows,)),
+            ("fqdn_flow_byte_totals", (rows,)),
+            ("server_flow_counts", (rows,)),
+            ("fqdn_first_seen", (rows,)),
+            ("fqdn_bin_pairs", (10.0, rows)),
+            ("server_fqdn_bin_triples", (10.0, rows)),
+        ]
+    assert {name for name, _args in cases} == set(QUERIES)
+    return cases
+
+
+def _single_source(query, db: FlowDatabase, args: tuple):
+    """The table pipeline with ``db`` as the only source."""
+    args = query.normalize(args)
+    if query.scope is INTERNS:
+        merged = query.kernel(db, *args)
+    elif query.scope is SUMMARY:
+        merged = query.merge([
+            query.kernel(len(db), partial(database_summary, db))
+        ])
+    else:
+        part = query.kernel(db, *args)
+        if query.lift is not None:
+            part = query.lift(part, range(len(db.fqdns())), 0)
+        merged = query.merge([part])
+    if query.finish is None:
+        return merged
+    return query.finish(merged, db, *args)
+
+
+def _http_params(query, args: tuple) -> dict:
+    params = {}
+    for param, arg in zip(query.params, args):
+        if param.http is not None:
+            values = arg if param.many else [arg]
+            params[param.http] = [str(value) for value in values]
+    return params
+
+
+def _assert_conforms(surfaces: dict, mem: FlowDatabase, app=None,
+                     reference=None) -> None:
+    for name, args in _cases(mem):
+        query = QUERIES[name]
+        expected = _canon(name, _call(mem, name, args))
+        assert _canon(name, _single_source(query, mem, args)) == (
+            expected
+        ), f"{name}{args}: table pipeline over one source"
+        answers = []
+        for label, surface in surfaces.items():
+            got = _call(surface, name, args)
+            assert _canon(name, got) == expected, f"{name}{args}: {label}"
+            if name in SORTED_WHEN_MERGED:
+                assert got == sorted(got), f"{name}{args}: {label} order"
+            answers.append(got)
+        if reference is not None and hasattr(
+            ReferenceDatabase, DUNDERS.get(name, name)
+        ):
+            assert _call(reference, name, args) == expected, (
+                f"{name}{args}: seed reference"
+            )
+        if app is None or query.shape is None or (
+            query.rows(args) is not None
+        ):
+            continue
+        status, _ctype, payload, _headers = app.handle(
+            "GET", f"/query/{query.route}", _http_params(query, args)
+        )
+        if name == "rows_in_window" and args[0] > args[1]:
+            assert status == 400  # HTTP refuses an inverted window
+            continue
+        assert status == 200, payload
+        # The served JSON is the table's shape of the direct answer.
+        assert json.loads(payload) == json.loads(
+            json.dumps(query.shape(answers[0]))
+        ), f"{name}{args}: HTTP"
+
+
+def _flat_store(directory, flows, spill_rows=9, **kwargs) -> FlowStore:
+    """Several sealed segments plus a live (unsealed) tail."""
+    store = FlowStore(directory, spill_rows=spill_rows, **kwargs)
+    store.add_all(flows[:-5])
+    store.flush()
+    store.add_all(flows[-5:])
+    assert len(store._segments) >= 2 and len(store._tail)
+    return store
+
+
+class TestConformance:
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_flat_store_snapshot_and_http(self, tmp_path, numpy):
+        with nullcontext() if numpy else _without_numpy():
+            flows = [_flow(i) for i in range(64)]
+            mem = FlowDatabase.from_flows(flows)
+            reference = ReferenceDatabase.from_flows(flows)
+            store = _flat_store(tmp_path / "flat", flows)
+            parallel = _flat_store(tmp_path / "par", flows, parallel=2)
+            with store.pin() as snap:
+                _assert_conforms(
+                    {"store": store, "snapshot": snap,
+                     "parallel": parallel},
+                    mem, app=ServeApp(store), reference=reference,
+                )
+            store.close()
+            parallel.close()
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_inprocess_coordinator_and_http(self, tmp_path, shards, numpy):
+        with nullcontext() if numpy else _without_numpy():
+            flows = [_flow(i) for i in range(64)]
+            coord = ShardCoordinator(
+                tmp_path / "sharded", shards=shards, spill_rows=7
+            )
+            coord.add_all(flows[:-9])
+            coord.flush()
+            coord.add_all(flows[-9:])  # live tails
+            # The coordinator's row space is shard-major.
+            tails = coord.router.split_flows(flows[-9:])
+            sealed = coord.router.split_flows(flows[:-9])
+            ordered = [
+                flow for index in range(shards)
+                for flow in sealed[index] + tails[index]
+            ]
+            mem = FlowDatabase.from_flows(ordered)
+            with coord.pin() as snap:
+                _assert_conforms(
+                    {"coordinator": coord, "snapshot": snap},
+                    mem, app=ServeApp(coord),
+                )
+            coord.close()
+
+    def test_process_backend(self, tmp_path):
+        flows = [_flow(i) for i in range(64)]
+        built = ShardCoordinator(
+            tmp_path / "sharded", shards=2, spill_rows=7
+        )
+        built.add_all(flows)
+        built.close()  # seals: a worker's tail would not be shared
+        coord = ShardCoordinator(tmp_path / "sharded", backend="process")
+        ordered = [
+            flow for part in coord.router.split_flows(flows)
+            for flow in part
+        ]
+        try:
+            _assert_conforms(
+                {"process-coordinator": coord},
+                FlowDatabase.from_flows(ordered),
+            )
+        finally:
+            coord.close()
+
+
+class TestCompleteness:
+    def test_table_is_exactly_the_flowdatabase_query_surface(self):
+        public = {
+            name for name, value in vars(FlowDatabase).items()
+            if not name.startswith("_")
+            and (callable(value)
+                 or isinstance(value, (property, classmethod)))
+        }
+        assert public - NOT_QUERIES == set(QUERIES) - set(DUNDERS)
+        for dunder in DUNDERS.values():
+            assert dunder in vars(FlowDatabase)
+
+    def test_signatures_match_flowdatabase(self):
+        for name, query in QUERIES.items():
+            if name in DUNDERS or name == "tagged_count":
+                assert query.params == ()
+                continue
+            want = inspect.signature(getattr(FlowDatabase, name))
+            got = query.signature
+            assert list(got.parameters) == list(want.parameters), name
+            for param in want.parameters.values():
+                assert got.parameters[param.name].default == (
+                    param.default
+                ), (name, param.name)
+
+    @pytest.mark.parametrize("surface", [
+        FlowStore, StoreSnapshot, ShardCoordinator, CoordinatorSnapshot,
+    ])
+    def test_every_surface_exposes_every_entry(self, surface):
+        assert issubclass(surface, QuerySurface)
+        for name in QUERIES:
+            attr = DUNDERS.get(name, name)
+            # Generated once, on QuerySurface — never re-implemented.
+            assert getattr(surface, attr) is getattr(QuerySurface, attr)
+
+    def test_routes_and_worker_ops_are_the_table(self, tmp_path):
+        store = FlowStore(tmp_path / "store")
+        store.add_all(_flow(i) for i in range(12))
+        app = ServeApp(store)
+        assert set(app.query_routes) == {
+            query.route for query in QUERIES.values()
+            if query.shape is not None
+        }
+        for name, query in QUERIES.items():
+            if query.scope is INTERNS:
+                continue  # answered from the coordinator's own tables
+            args = tuple(
+                {"fqdn": "www.example.com", "sld": "example.com",
+                 "dst_port": 443, "t0": 0.0, "t1": 50.0,
+                 "servers": [41], "bin_seconds": 10.0,
+                 "rows": array("I", [0, 3])}[param.name]
+                for param in query.params
+            )
+            reply = _shard_execute(store, name, args, 0)
+            assert reply["n_rows"] == 12
+            assert reply["new_fqdns"] == store.fqdns()
+        with pytest.raises(StorageError):
+            _shard_execute(store, "_partial", (), 0)
+        with pytest.raises(StorageError):
+            _shard_execute(store, "close", (), 0)
+        store.close()
+
+
+class TestMergeContract:
+    @settings(deadline=None)  # budget set by the hypothesis profile
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=3),
+    )
+    def test_any_split_merges_associatively_to_one_source(
+        self, n_flows, cuts
+    ):
+        """Slice a flow list into sources at arbitrary cut points (empty
+        sources included), lift each source's partial, and merge in
+        every grouping: all equal the unsplit database's answer."""
+        flows = [_flow(i) for i in range(n_flows)]
+        mem = FlowDatabase.from_flows(flows)
+        bounds = sorted({0, n_flows, *(cut % (n_flows + 1) for cut in cuts)})
+        sources = [
+            FlowDatabase.from_flows(flows[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ] or [FlowDatabase()]
+        interns = FlowDatabase()
+        maps = [_map_local_fqdns(interns, db.fqdns()) for db in sources]
+        bases = bounds[:-1] or [0]
+        for name, args in _cases(mem):
+            query = QUERIES[name]
+            if query.scope is INTERNS:
+                continue
+            args = query.normalize(args)
+            local_args = [args] * len(sources)
+            if query.rows(args) is not None:
+                split = split_rows(query.rows(args), bases, n_flows)
+                local_args = [query.with_rows(args, rows) for rows in split]
+            parts = []
+            for db, fqdn_map, base, call in zip(
+                sources, maps, bases, local_args
+            ):
+                if query.scope is SUMMARY:
+                    part = query.kernel(
+                        len(db), partial(database_summary, db)
+                    )
+                else:
+                    part = query.kernel(db, *call)
+                    if query.lift is not None:
+                        part = query.lift(part, fqdn_map, base)
+                parts.append(part)
+            flat = query.merge(list(parts))
+            left = query.merge([query.merge(parts[:1]), *parts[1:]])
+            right = query.merge([*parts[:-1], query.merge(parts[-1:])])
+            nested = query.merge([
+                query.merge(parts[:2]), query.merge(parts[2:]),
+            ])
+            assert flat == left == right == nested, name
+            result = flat if query.finish is None else (
+                query.finish(flat, interns, *args)
+            )
+            assert _canon(name, result) == _canon(
+                name, _call(mem, name, args)
+            ), name
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        st.integers(min_value=6, max_value=60),
+        st.integers(min_value=2, max_value=11),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_random_store_shapes(self, tmp_path_factory, n_flows,
+                                 spill_rows, shards):
+        tmp_path = tmp_path_factory.mktemp("table")
+        flows = [_flow(i) for i in range(n_flows)]
+        coord = ShardCoordinator(
+            tmp_path / "sharded", shards=shards, spill_rows=spill_rows
+        )
+        coord.add_all(flows)
+        ordered = [
+            flow for part in coord.router.split_flows(flows)
+            for flow in part
+        ]
+        flat = FlowStore(tmp_path / "flat", spill_rows=spill_rows,
+                         wal=False)
+        flat.add_all(ordered)
+        _assert_conforms(
+            {"flat": flat, "coordinator": coord},
+            FlowDatabase.from_flows(ordered),
+        )
+        coord.close()
+        flat.close()
+
+
+class _IngestingToken:
+    """A cancellation token whose every ``check()`` lands one flow with
+    a never-seen FQDN in the store — the worst-timed concurrent ingest:
+    after the pass captured its view, before its tail step."""
+
+    def __init__(self, store: FlowStore):
+        self.store = store
+        self.added = 0
+
+    def check(self) -> None:
+        self.added += 1
+        flow = _flow(self.added)
+        flow.fqdn = f"fresh{self.added}.ingest.example"
+        self.store.add(flow)
+
+    def note_scheduled(self, count: int) -> None:
+        pass
+
+    def note_done(self) -> None:
+        pass
+
+
+class TestTailStepConsistency:
+    def test_label_interned_mid_pass_breaks_no_entry(self, tmp_path):
+        """Regression: the tail kernel used to run with the id map
+        synced at view capture, so a label interned in between raised
+        ``IndexError`` in every id-remapping aggregation (seen as HTTP
+        500s beside live ingest)."""
+        flows = [_flow(i) for i in range(40)]
+        store = FlowStore(tmp_path / "store", spill_rows=10_000)
+        store.add_all(flows[:30])
+        store.flush()
+        store.add_all(flows[30:])
+        token = _IngestingToken(store)
+        for name, args in _cases(FlowDatabase.from_flows(flows)):
+            with store.pin() as snap:
+                snap.cancel_token = token
+                before = token.added
+                result = _call(snap, name, args)
+            if QUERIES[name].scope not in (INTERNS, SUMMARY):
+                assert token.added > before, name  # the race happened
+            if name == "fqdn_first_seen" and args == (None,):
+                # Every id in the answer resolves, the fresh ones too.
+                labels = {store.fqdn_label(fqdn_id) for fqdn_id in result}
+                assert f"fresh{token.added}.ingest.example" in labels
+        assert len(store) == 40 + token.added
+        store.close()

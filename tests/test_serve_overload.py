@@ -894,3 +894,98 @@ class TestSigtermWhileShedding:
             assert store.health()["wal"]["recovered_rows"] == 0
         finally:
             store.close()
+
+
+# ---------------------------------------------------------------------------
+# Request deadlines over a sharded store
+# ---------------------------------------------------------------------------
+
+
+class _ExpiringToken(Deadline):
+    """A generous deadline that expires at its ``at``-th ``check()``."""
+
+    def __init__(self, at: int):
+        super().__init__(60.0)
+        self.at = at
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
+        if self.checks >= self.at:
+            self.expires_at = 0.0
+        super().check()
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+class TestShardedDeadlines:
+    """Regression: the serve layer set the request deadline on a
+    ``CoordinatorSnapshot`` slot nothing read, so a sharded daemon
+    answered in full where a flat one answers 504."""
+
+    def _store(self, tmp_path, backend):
+        from repro.analytics.shard import ShardCoordinator
+
+        coord = ShardCoordinator(tmp_path / "sharded", shards=2,
+                                 spill_rows=32, backend=backend)
+        coord.add_all(_flow(i) for i in range(200))
+        coord.flush()
+        assert all(coord._rows), "both shards must hold rows"
+        return coord
+
+    def test_expired_deadline_is_a_504_not_an_answer(
+        self, tmp_path, backend
+    ):
+        coord = self._store(tmp_path, backend)
+        app = ServeApp(coord)
+        try:
+            for route in ("fqdn-server-counts", "rows-for-fqdn", "len",
+                          "fqdns"):
+                status, _ctype, payload, _headers = app.handle(
+                    "GET", f"/query/{route}",
+                    {"fqdn": ["cdn1.example.com"]}
+                    if route == "rows-for-fqdn" else {},
+                    headers={"X-Request-Deadline": "1e-9"},
+                )
+                assert status == 504, (route, payload)
+                body = json.loads(payload)
+                assert body["deadline_s"] == pytest.approx(1e-9)
+                # One unit of work per shard; none started.
+                assert body["kernels_scheduled"] == 2
+                assert body["kernels_done"] == 0
+                assert app.m_deadline_exceeded.value(
+                    route=f"/query/{route}"
+                ) == 1
+            # Not poisoned: the same daemon answers under a sane budget.
+            status, _ctype, payload, _headers = app.handle(
+                "GET", "/query/len", {}
+            )
+            assert status == 200
+            assert json.loads(payload)["rows"] == 200
+            assert app.singleflight.in_flight() == 0
+        finally:
+            coord.close()
+
+    def test_expiry_between_shards_keeps_the_backend_framed(
+        self, tmp_path, backend
+    ):
+        coord = self._store(tmp_path, backend)
+        try:
+            # Checks: in-process one per shard boundary; over pipes one
+            # before fan-out and one per gathered reply.  Either way
+            # the token dies after exactly one shard's work.
+            token = _ExpiringToken(at=2)
+            with coord.pin() as snap:
+                snap.cancel_token = token
+                with pytest.raises(DeadlineExceeded):
+                    snap.fqdn_server_counts()
+            assert token.progress() == {
+                "kernels_scheduled": 2, "kernels_done": 1,
+            }
+            # Every pipe was drained before raising: the next fan
+            # still pairs each reply with its request.
+            assert len(coord) == 200
+            assert sum(
+                count for _f, _s, count in coord.fqdn_server_counts()
+            ) == 200
+        finally:
+            coord.close()
