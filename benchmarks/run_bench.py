@@ -23,8 +23,6 @@ Benches
   alongside for transparency.
 * ``event_pipeline``         — the full sniffer event path over the
   EU1-FTTH trace (resolver + tagger); events/sec.
-* ``sharded_event_pipeline`` — same trace through a 4-shard resolver
-  (no seed counterpart; recorded for the trajectory).
 * ``fanout_event_pipeline``  — the multi-process shard fan-out draining
   pre-encoded binary batches on 2 workers; its baseline ("seed") is the
   PR 1 fused single-process loop measured in the same run, so the
@@ -40,7 +38,7 @@ Benches
   (domain/fqdn server sets, fqdns-for-servers, tagged counts, spans)
   against warm stores, same public API on both sides; queries/sec.
 * ``flowdb_spill_ingest``    — durable ingest: the segmented on-disk
-  columnar store (``FlowDatabase(spill_dir=...)``) absorbing batches
+  columnar store (``FlowStore(DIR, spill_rows=...)``) absorbing batches
   while spilling CRC-checked segments, vs the seed persistence path
   (row store + JSON-lines dump) on the same filesystem; flows/sec.
   The store runs journal-less (``wal=False``) — the crash-safety tax
@@ -433,30 +431,6 @@ def bench_event_pipeline(quick: bool) -> dict:
         "fast_ops_per_s": n_events / fast,
         "speedup": seed / fast,
     }, run_fast, run_seed)
-
-
-def bench_sharded_event_pipeline(quick: bool) -> dict:
-    from repro.experiments.datasets import get_trace
-
-    trace = get_trace("EU1-FTTH")
-    n_events = len(trace.events)
-    repetitions = 1 if quick else 5
-
-    def run():
-        pipeline = SnifferPipeline(clist_size=50_000, shards=4)
-        pipeline.process_trace(trace)
-
-    elapsed = best_of(run, repetitions)
-    return add_peaks({
-        "description": (
-            "Event path through the 4-shard resolver (Sec. 3.1.1 load "
-            "balancing); no seed counterpart"
-        ),
-        "workload": {"trace": "EU1-FTTH", "events": n_events, "shards": 4},
-        "unit": "events/s",
-        "fast_s": elapsed,
-        "fast_ops_per_s": n_events / elapsed,
-    }, run)
 
 
 def bench_fanout_event_pipeline(quick: bool) -> dict:
@@ -866,7 +840,7 @@ def bench_flowdb_spill_ingest(quick: bool) -> dict:
     Both sides absorb the same pre-encoded tagged-flow batches *and*
     leave a reloadable on-disk artifact on the same filesystem — the
     fast side a spilled segment directory
-    (``FlowDatabase(spill_dir=...)``), the seed side the row store plus
+    (``FlowStore(DIR, spill_rows=...)``), the seed side the row store plus
     the JSON-lines dump that was the repo's only durable format before
     the segmented store (``repro.analytics.persistence``).
     """
@@ -1848,7 +1822,6 @@ BENCHES = {
     "resolver_insert_churn": bench_resolver_insert_churn,
     "resolver_lookup": bench_resolver_lookup,
     "event_pipeline": bench_event_pipeline,
-    "sharded_event_pipeline": bench_sharded_event_pipeline,
     "fanout_event_pipeline": bench_fanout_event_pipeline,
     "dns_decode": bench_dns_decode,
     "flowdb_ingest": bench_flowdb_ingest,

@@ -128,21 +128,6 @@ def test_bench_event_pipeline(benchmark, warm_datasets):
     assert count > 1000
 
 
-def test_bench_sharded_resolver_insert(benchmark, insert_workload):
-    """Sec. 3.1.1 load balancing: the odd/even split adds negligible
-    routing cost per insert."""
-    from repro.sniffer.sharding import ShardedResolver
-
-    def insert_all():
-        resolver = ShardedResolver(shards=2, clist_size=10_000)
-        for client, fqdn, answers in insert_workload:
-            resolver.insert(client, fqdn, answers)
-        return resolver
-
-    resolver = benchmark(insert_all)
-    assert resolver.stats.responses == N_OPS
-
-
 def test_bench_dns_wire_encode(benchmark):
     query = DnsMessage.query(1, "photos-a.fbcdn.net")
     response = DnsMessage.response_to(
@@ -181,16 +166,3 @@ def test_bench_dns_fast_decode(benchmark):
     assert len(addresses) == 4
     assert ttl == 20
 
-
-def test_bench_sharded_event_pipeline(benchmark, warm_datasets):
-    """The multi-shard event path (Sec. 3.1.1 load balancing) over the
-    same trace as the single-resolver pipeline bench."""
-    trace = get_trace("EU1-FTTH")
-
-    def process():
-        pipeline = SnifferPipeline(clist_size=50_000, shards=4)
-        pipeline.process_trace(trace)
-        return len(pipeline.tagged_flows)
-
-    count = benchmark(process)
-    assert count > 1000

@@ -167,76 +167,13 @@ class FlowDatabase:
     domain-keyed queries, matching the paper's design where the analyzer
     operates on labeled flows.
 
-    Passing ``spill_dir`` constructs the durable, disk-backed variant
-    instead: ``FlowDatabase(spill_dir=path, spill_rows=...)`` returns a
-    :class:`repro.analytics.storage.FlowStore`, which serves the same
-    query surface over an on-disk directory of columnar segments plus a
-    live in-memory tail (see :mod:`repro.analytics.storage`).
+    The durable, disk-backed variant with the same query surface is
+    :class:`repro.analytics.storage.FlowStore` (sharded:
+    :class:`repro.analytics.shard.ShardCoordinator`); construct those
+    directly.
     """
 
-    def __new__(
-        cls, spill_dir=None, spill_rows=None, spill_bytes=None,
-        parallel=None, wal=None, strict=None,
-        shards=None, shard_by=None, shard_backend=None,
-    ):
-        if spill_dir is not None and cls is FlowDatabase:
-            if shards is not None:
-                from repro.analytics.shard import ShardCoordinator
-
-                return ShardCoordinator(
-                    spill_dir, shards=shards, by=shard_by,
-                    backend=(
-                        "inprocess" if shard_backend is None
-                        else shard_backend
-                    ),
-                    spill_rows=spill_rows, spill_bytes=spill_bytes,
-                    parallel=parallel,
-                    wal=True if wal is None else wal,
-                    strict=bool(strict),
-                )
-            from repro.analytics.storage import FlowStore
-
-            return FlowStore(
-                spill_dir, spill_rows=spill_rows, spill_bytes=spill_bytes,
-                parallel=parallel,
-                wal=True if wal is None else wal,
-                strict=bool(strict),
-            )
-        return super().__new__(cls)
-
-    def __init__(
-        self, spill_dir=None, spill_rows=None, spill_bytes=None,
-        parallel=None, wal=None, strict=None,
-        shards=None, shard_by=None, shard_backend=None,
-    ) -> None:
-        # spill_*/parallel/wal/strict are consumed by __new__ (which
-        # builds a FlowStore and never reaches this initializer).
-        # Reaching here with spill_dir set means a subclass asked for
-        # durability the factory cannot provide — ignoring it would
-        # silently drop data on the floor.
-        if spill_dir is not None:
-            raise TypeError(
-                f"spill_dir is only supported on FlowDatabase itself; "
-                f"construct repro.analytics.storage.FlowStore directly "
-                f"for {type(self).__name__}"
-            )
-        if parallel is not None:
-            raise TypeError(
-                "parallel applies to the durable store only; pass "
-                "spill_dir too (or construct FlowStore directly)"
-            )
-        if wal is not None or strict is not None:
-            raise TypeError(
-                "wal/strict apply to the durable store only; pass "
-                "spill_dir too (or construct FlowStore directly)"
-            )
-        if shards is not None or shard_by is not None \
-                or shard_backend is not None:
-            raise TypeError(
-                "shards/shard_by/shard_backend apply to the durable "
-                "store only; pass spill_dir too (or construct "
-                "repro.analytics.shard.ShardCoordinator directly)"
-            )
+    def __init__(self) -> None:
         self.columns = FlowColumns()
         # Lazily-materialized record cache: object-ingested rows hold
         # the original record, batch-ingested rows start as None.

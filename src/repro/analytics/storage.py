@@ -26,10 +26,6 @@ query engine:
   :meth:`FlowStore.compact` rewrites runs of small segments into one,
   re-interning string-table ids.
 
-``FlowDatabase(spill_dir=..., spill_rows=...)`` constructs a
-:class:`FlowStore` directly, so callers opt into durability with two
-keyword arguments and keep the exact same query surface.
-
 Two levers keep whole-store queries off segments that cannot matter:
 
 * **Pruning metadata** — every sealed segment carries a footer block

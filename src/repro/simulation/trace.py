@@ -141,28 +141,6 @@ class Trace:
         """
         return self.events
 
-    def iter_event_runs(self):
-        """Timestamp-ordered events grouped into same-type runs.
-
-        Yields ``(is_dns, events)`` pairs where ``events`` is a maximal
-        run of consecutive :class:`DnsObservation` (``is_dns=True``) or
-        :class:`FlowRecord` objects, preserving global time order.  Lets
-        batch consumers (``SnifferPipeline.process_event_runs``,
-        ``DnsResolver.insert_batch``) hoist per-type work out of the
-        event loop without re-sorting the stream.
-        """
-        run: list[Event] = []
-        run_is_dns = False
-        for event in self.events:
-            is_dns = event.__class__ is DnsObservation
-            if is_dns != run_is_dns and run:
-                yield run_is_dns, run
-                run = []
-            run_is_dns = is_dns
-            run.append(event)
-        if run:
-            yield run_is_dns, run
-
     def peak_dns_rate_per_min(self) -> int:
         """Peak DNS responses per minute (the Tab. 1 column)."""
         counts: dict[int, int] = {}

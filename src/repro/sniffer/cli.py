@@ -21,7 +21,6 @@ def sniff_pcap(
     path: str,
     clist_size: int = 200_000,
     warmup: float = 300.0,
-    shards: int = 1,
     processes: int = 1,
     batch_events: int = 8192,
     flow_store=None,
@@ -40,38 +39,55 @@ def sniff_pcap(
     ``on_pipeline`` is called with the constructed pipeline before
     processing starts, so a caller's own shutdown handler can reach it
     even when this call is interrupted mid-capture.
+
+    A capture cut mid-record (the writer was killed) is processed up to
+    its last whole record exactly like the same file trimmed there —
+    tagged, drained into the flow store, sealed — and only then is the
+    :class:`PcapFormatError` raised, with the pipeline closed.
     """
-    # Probe the capture before any side effect: constructing the
-    # pipeline with flow_store creates the store directory, and a
-    # typo'd pcap path must not leave a plausible empty store behind.
-    with open(path, "rb"):
-        pass
-    pipeline = SnifferPipeline(
-        clist_size=clist_size, warmup=warmup, shards=shards,
-        processes=processes, batch_events=batch_events,
-        collect_labels=processes > 1,
-        flow_store=flow_store,
-    )
-    pipeline.store_drain_hook = store_drain_hook
-    if on_pipeline is not None:
-        on_pipeline(pipeline)
-    if handle_signals:
-        pipeline.install_signal_handlers()
+    with open(path, "rb") as handle:
+        # Read the global header before any side effect: constructing
+        # the pipeline with flow_store creates the store directory, and
+        # a typo'd path or a file that is no pcap must not leave a
+        # plausible empty store behind.
+        reader = PcapReader(handle)
+        pipeline = SnifferPipeline(
+            clist_size=clist_size, warmup=warmup,
+            processes=processes, batch_events=batch_events,
+            collect_labels=processes > 1,
+            flow_store=flow_store,
+        )
+        pipeline.store_drain_hook = store_drain_hook
+        if on_pipeline is not None:
+            on_pipeline(pipeline)
+        if handle_signals:
+            pipeline.install_signal_handlers()
+        frames = 0
+        cut = None
 
-    def packets():
-        with open(path, "rb") as handle:
-            reader = PcapReader(handle)
+        def packets():
+            nonlocal frames, cut
             with_ethernet = reader.linktype == LINKTYPE_ETHERNET
-            for record in reader:
-                try:
-                    yield decode_frame(
-                        record.timestamp, record.data,
-                        with_ethernet=with_ethernet,
-                    )
-                except PacketDecodeError:
-                    continue
+            try:
+                for frames, record in enumerate(reader, 1):
+                    try:
+                        yield decode_frame(
+                            record.timestamp, record.data,
+                            with_ethernet=with_ethernet,
+                        )
+                    except PacketDecodeError:
+                        continue
+            except PcapFormatError as exc:
+                # End the stream here, so the packet loop flushes the
+                # flow sniffer and drains as for a complete capture.
+                cut = exc
 
-    pipeline.process_packets(packets())
+        pipeline.process_packets(packets())
+    if cut is not None:
+        print(f"warning: capture truncated after {frames} frames",
+              file=sys.stderr)
+        pipeline.close()
+        raise cut
     return pipeline
 
 
@@ -90,21 +106,17 @@ def main(argv: list[str] | None = None) -> int:
         help="statistics warm-up seconds (default 300)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="client-sharded resolvers (Sec. 3.1.1 load balancing; "
-             "default 1 = a single resolver)",
-    )
-    parser.add_argument(
         "--processes", type=int, default=1,
         help="fan the resolver+tagger out to N worker processes "
-             "(client-sharded, batch-fed; default 1 = in-process). "
+             "(split by client address, Sec. 3.1.1 load balancing; "
+             "default 1 = in-process). "
              "Aggregate mode: statistics are merged, per-flow records "
              "are not kept, so --dump is unavailable",
     )
     parser.add_argument(
         "--batch-events", type=int, default=8192,
-        help="events per fan-out batch (with --processes > 1; "
-             "default 8192)",
+        help="events per fan-out batch (with --processes > 1) or "
+             "tagged flows per flow-store batch (default 8192)",
     )
     parser.add_argument(
         "--top", type=int, default=10,
@@ -133,14 +145,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pipeline = sniff_pcap(
             args.pcap, clist_size=args.clist, warmup=args.warmup,
-            shards=args.shards, processes=args.processes,
+            processes=args.processes,
             batch_events=args.batch_events,
             flow_store=args.flow_store,
             # A killed durable capture must seal what it acknowledged.
             handle_signals=args.flow_store is not None,
         )
     except (OSError, PcapFormatError, ValueError) as exc:
-        # ValueError covers bad sizing knobs (--clist 0, --shards 0)
+        # ValueError covers bad sizing knobs (--clist 0, --processes 0)
         # and a corrupt --flow-store directory (StorageError).
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ class DnsResponseSniffer:
 
     Args:
         resolver: the shared :class:`DnsResolver` (or any object with
-            the same insert/lookup surface, e.g. ``ShardedResolver``).
+            the same ``insert`` surface, e.g. the fan-out sink).
         monitored_clients: optional set of client addresses; responses to
             other destinations are ignored (a PoP monitor only replicates
             the caches of its own customers).

@@ -250,23 +250,6 @@ def encode_events(events: Iterable[Event]) -> bytes:
     return encoder.take()
 
 
-def encode_runs(runs: Iterable[tuple[bool, list[Event]]]) -> bytes:
-    """Encode ``(is_dns, events)`` runs (``Trace.iter_event_runs``).
-
-    The run structure collapses into the same columnar layout; only the
-    interleave flags remember where each run began and ended.
-    """
-    encoder = BatchEncoder()
-    for is_dns, events in runs:
-        if is_dns:
-            for event in events:
-                encoder.add_dns(event)
-        else:
-            for event in events:
-                encoder.add_flow(event)
-    return encoder.take()
-
-
 class BatchView:
     """Zero-copy view of one encoded batch: header plus block buffers.
 

@@ -9,19 +9,17 @@ process boundary as one buffer instead of N pickled objects.  FlowDNS
 (Maghsoudlou et al.) applies the same recipe to correlate DNS and flow
 streams at ISP scale.
 
-Sharding uses the same routing hash as :class:`ShardedResolver` — the
-client address' low octet, the paper's Sec. 3.1.1 odd/even example
-generalised to N — so a client's DNS responses and flows always land on
-the same worker and the merged statistics are identical to a
-single-process run (eviction-free regime; once per-worker Clists wrap,
-eviction order differs from the global FIFO exactly as it does for
-in-process shards).
+Sharding uses :func:`repro.sniffer.sharding.shard_of` — the client
+address' low octet, the paper's Sec. 3.1.1 odd/even example generalised
+to N — so a client's DNS responses and flows always land on the same
+worker and the merged statistics are identical to a single-process run
+(eviction-free regime; once per-worker Clists wrap, each worker evicts
+in its own FIFO order rather than the global one).
 
 Two modes share one implementation:
 
-* **offline** — :meth:`FanoutPipeline.run_events` /
-  :meth:`FanoutPipeline.run_trace`: feed a finite stream, collect the
-  merged :class:`FanoutReport`, shut the pool down;
+* **offline** — :meth:`FanoutPipeline.run_events`: feed a finite
+  stream, collect the merged :class:`FanoutReport`, shut the pool down;
 * **streaming** — :meth:`feed` events as they arrive; per-worker
   batches are bounded by ``max_pending`` in-flight batches (workers ack
   each batch, the parent blocks before exceeding the bound — a bounded
@@ -459,8 +457,7 @@ class FanoutPipeline:
 
     Args:
         processes: worker count (the shard count).
-        clist_size: total Clist budget, split evenly across workers
-            (mirrors :class:`ShardedResolver`).
+        clist_size: total Clist budget, split evenly across workers.
         warmup: statistics warm-up window in seconds.
         batch_events: events buffered per shard before a batch is
             encoded and dispatched.
@@ -765,18 +762,6 @@ class FanoutPipeline:
         for event in events:
             self.feed(event)
 
-    def feed_event_runs(self, runs: Iterable) -> None:
-        """Feed ``(is_dns, events)`` runs (``Trace.iter_event_runs``)."""
-        for is_dns, events in runs:
-            if is_dns:
-                for event in events:
-                    self.feed_dns(event.client_ip, event.fqdn,
-                                  event.answers, event.timestamp,
-                                  event.ttl, event.useless)
-            else:
-                for event in events:
-                    self.feed_flow(event)
-
     def flush(self) -> None:
         """Dispatch all partially-filled shard batches."""
         self._require_started()
@@ -903,24 +888,6 @@ class FanoutPipeline:
             return self.collect()
         finally:
             self.close()
-
-    def run_event_runs(self, runs: Iterable) -> FanoutReport:
-        """Offline mode over ``Trace.iter_event_runs()`` output."""
-        if self.started:
-            raise FanoutError(
-                "run_event_runs owns the pool lifecycle; "
-                "use feed/collect on an already-started pipeline"
-            )
-        self.start()
-        try:
-            self.feed_event_runs(runs)
-            return self.collect()
-        finally:
-            self.close()
-
-    def run_trace(self, trace) -> FanoutReport:
-        """Offline mode over a simulation trace object."""
-        return self.run_event_runs(trace.iter_event_runs())
 
     # -- pre-encoded ingest helpers ---------------------------------------
 

@@ -47,7 +47,6 @@ from repro.sniffer.fanout import (
 from repro.sniffer.flow_sniffer import FlowSniffer
 from repro.sniffer.policy import PolicyEnforcer
 from repro.sniffer.resolver import DnsResolver
-from repro.sniffer.sharding import ShardedResolver
 from repro.sniffer.tagger import FlowTagger
 
 Event = Union[DnsObservation, FlowRecord]
@@ -69,25 +68,24 @@ class SnifferPipeline:
     """DN-Hunter's real-time component, assembled.
 
     Args:
-        clist_size: resolver circular-list capacity ``L`` (total budget
-            when sharded).
+        clist_size: resolver circular-list capacity ``L`` (total budget,
+            split evenly across workers with ``processes > 1``).
         warmup: statistics warm-up window in seconds (paper: 5 min).
         policy: optional :class:`PolicyEnforcer`; when present, DNS
             responses pre-install decisions and each tagged flow gets a
             verdict.
         monitored_clients: restrict the resolver replica to these client
             addresses (None = everyone).
-        shards: when > 1, back the pipeline with a
-            :class:`ShardedResolver` split by client low octet
-            (Sec. 3.1.1's load-balancing note) instead of a single
-            resolver.
         processes: when > 1, fan the resolver+tagger work out to this
-            many worker processes (same client-low-octet split, one
-            process per shard; see :mod:`repro.sniffer.fanout`).  The
-            pipeline then aggregates: merged statistics instead of a
-            materialised labeled-flow list.  Mutually exclusive with
-            ``shards``, ``policy`` and ``monitored_clients``.
-        batch_events: events per fan-out batch (``processes > 1`` only).
+            many worker processes split by client low octet
+            (Sec. 3.1.1's load-balancing note; see
+            :mod:`repro.sniffer.fanout`).  The pipeline then
+            aggregates: merged statistics instead of a materialised
+            labeled-flow list.  Mutually exclusive with ``policy`` and
+            ``monitored_clients``.
+        batch_events: events per fan-out batch (``processes > 1``);
+            single-process with a ``flow_store``, the tagged flows per
+            store batch and mid-run drain.
         collect_labels: have fan-out workers histogram attached labels
             (``fanout_report.label_counts``).
         collect_flows: have fan-out workers buffer their tagged flows
@@ -116,7 +114,6 @@ class SnifferPipeline:
         warmup: float = 300.0,
         policy: Optional[PolicyEnforcer] = None,
         monitored_clients: Optional[set[int]] = None,
-        shards: int = 1,
         processes: int = 1,
         batch_events: int = 8192,
         collect_labels: bool = False,
@@ -129,21 +126,17 @@ class SnifferPipeline:
                 "retain_flows=False discards tagged flows; it needs a "
                 "flow_store to stream them into first"
             )
-        if shards <= 0:
-            raise ValueError("shards must be positive")
         if processes <= 0:
             raise ValueError("processes must be positive")
-        if processes > 1:
-            if shards > 1:
-                raise ValueError(
-                    "shards and processes are alternative scaling axes; "
-                    "pick one"
-                )
-            if policy is not None or monitored_clients is not None:
-                raise ValueError(
-                    "policy enforcement and client filters need per-flow "
-                    "records in-process; not supported with processes > 1"
-                )
+        if batch_events <= 0:
+            raise ValueError("batch_events must be positive")
+        if processes > 1 and (
+            policy is not None or monitored_clients is not None
+        ):
+            raise ValueError(
+                "policy enforcement and client filters need per-flow "
+                "records in-process; not supported with processes > 1"
+            )
         # Open (and possibly create on disk) the store only after every
         # sizing knob validated — a rejected construction must not
         # leave a plausible empty store directory behind.
@@ -168,12 +161,7 @@ class SnifferPipeline:
             # is a 1-slot stub that only satisfies the sniffer/tagger
             # wiring, so a paper-scale clist is not allocated twice.
             clist_size = 1
-        if shards > 1:
-            self.resolver: Union[DnsResolver, ShardedResolver] = (
-                ShardedResolver(shards=shards, clist_size=clist_size)
-            )
-        else:
-            self.resolver = DnsResolver(clist_size=clist_size)
+        self.resolver = DnsResolver(clist_size=clist_size)
         self.dns_sniffer = DnsResponseSniffer(
             self.resolver, monitored_clients=monitored_clients
         )
@@ -278,7 +266,7 @@ class SnifferPipeline:
     def process_events(self, events: Iterable[Event]) -> list[FlowRecord]:
         """Run the resolver+tagger over structured events in time order."""
         if self._drain_every:
-            # Chunk the stream so the fused loops stay branch-free on
+            # Chunk the stream so the event loops stay branch-free on
             # their hot path while the store still receives (and can
             # spill) every few batches' worth of tagged flows.
             events = iter(events)
@@ -306,13 +294,7 @@ class SnifferPipeline:
             self.dns_sniffer.monitored_clients is not None
         ):
             return self._process_events_modular(events)
-        resolver = self.resolver
-        if (
-            resolver.__class__ is DnsResolver
-            and resolver.multi_label_depth == 0
-        ):
-            return self._process_events_flat(events)
-        return self._process_events_fused(events)
+        return self._process_events_flat(events)
 
     def _process_events_modular(
         self, events: Iterable[Event]
@@ -479,66 +461,6 @@ class SnifferPipeline:
             return self._process_events_modular(events)
         return self.tagged_flows
 
-    def _process_events_fused(
-        self, events: Iterable[Event]
-    ) -> list[FlowRecord]:
-        """Hoisted loop for non-flat resolvers (e.g. sharded).
-
-        Per event: one exact-type check plus a bound-method insert or
-        lookup — the resolver routes internally.  Statistics are
-        accumulated locally and merged once at the end.
-        """
-        resolver = self.resolver
-        insert = resolver.insert
-        lookup = resolver.lookup
-        tagger = self.tagger
-        warmup = tagger.warmup
-        trace_start = tagger.trace_start
-        append = self.tagged_flows.append
-        dns_cls = DnsObservation
-        flow_cls = FlowRecord
-        empty_answers = 0
-        warmup_skipped = 0
-        hit_protocols: list[Protocol] = []
-        miss_protocols: list[Protocol] = []
-        hit_append = hit_protocols.append
-        miss_append = miss_protocols.append
-        for event in events:
-            cls = event.__class__
-            if cls is dns_cls:
-                answers = event.answers
-                if answers:
-                    insert(
-                        event.client_ip, event.fqdn, answers,
-                        event.timestamp,
-                    )
-                else:
-                    empty_answers += 1
-            elif cls is flow_cls:
-                fqdn = lookup(event.fid.client_ip, event.fid.server_ip)
-                event.fqdn = fqdn
-                start = event.start
-                if trace_start is None:
-                    trace_start = start
-                if start - trace_start < warmup:
-                    warmup_skipped += 1
-                elif fqdn is None:
-                    miss_append(event.protocol)
-                else:
-                    hit_append(event.protocol)
-                append(event)
-            else:
-                # Subclass or foreign event: sync the lazily-set trace
-                # start, let the modular helper judge it, resume inline.
-                tagger.trace_start = trace_start
-                self._process_event_generic(event)
-                trace_start = tagger.trace_start
-        self._flush_tag_state(
-            trace_start, warmup_skipped, empty_answers,
-            hit_protocols, miss_protocols,
-        )
-        return self.tagged_flows
-
     def _flush_tag_state(
         self,
         trace_start: Optional[float],
@@ -547,7 +469,7 @@ class SnifferPipeline:
         hit_protocols: list[Protocol],
         miss_protocols: list[Protocol],
     ) -> None:
-        """Merge a fast loop's local tag/sniffer accumulators back into
+        """Merge the flat loop's local tag/sniffer accumulators back into
         the shared statistics (runs once per loop, off the hot path)."""
         if empty_answers:
             self.dns_sniffer.stats["empty_answers"] += empty_answers
@@ -572,58 +494,6 @@ class SnifferPipeline:
             raise TypeError(
                 f"unsupported event type {type(event).__name__}"
             )
-
-    def process_event_runs(
-        self, runs: Iterable[tuple[bool, list[Event]]]
-    ) -> list[FlowRecord]:
-        """Consume pre-sorted same-type event runs.
-
-        ``runs`` yields ``(is_dns, events)`` pairs as produced by
-        ``Trace.iter_event_runs()``; DNS runs are batch-inserted through
-        the resolver, flow runs go through the tagger.  Useful when a
-        producer naturally emits type-homogeneous bursts; for the
-        fine-grained interleaving of the standard traces (median run
-        length 1) the fused per-event loop is faster.
-        """
-        flows = self._process_event_runs_dispatch(runs)
-        self._store_drain()
-        return flows
-
-    def _process_event_runs_dispatch(
-        self, runs: Iterable[tuple[bool, list[Event]]]
-    ) -> list[FlowRecord]:
-        if self.processes > 1:
-            fanout = self._fanout_pipeline()
-            fanout.feed_event_runs(runs)
-            self._absorb_report(fanout.collect())
-            return self.tagged_flows
-        if self.policy is not None or (
-            self.dns_sniffer.monitored_clients is not None
-        ):
-            for _is_dns, events in runs:
-                self._process_events_modular(events)
-            return self.tagged_flows
-        insert_batch = self.resolver.insert_batch
-        sniffer_stats = self.dns_sniffer.stats
-        tag = self.tagger.tag
-        append = self.tagged_flows.append
-        drain_every = self._drain_every
-        for is_dns, events in runs:
-            if is_dns:
-                with_answers = [obs for obs in events if obs.answers]
-                empty = len(events) - len(with_answers)
-                if empty:
-                    sniffer_stats["empty_answers"] += empty
-                insert_batch(with_answers)
-            else:
-                for flow in events:
-                    append(tag(flow))
-                if drain_every and (
-                    len(self.tagged_flows) - self._emitted_flows
-                    >= drain_every
-                ):
-                    self._store_drain()
-        return self.tagged_flows
 
     def process_trace(self, trace) -> list[FlowRecord]:
         """Convenience: run the event path over a simulation trace object.

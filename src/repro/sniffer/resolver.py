@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 def fuse_key(client_ip: int, server_ip: int) -> int:
@@ -279,18 +279,6 @@ class DnsResolver:
                     del history[depth:]
             key_to_slot[key] = idx
             refs.append(key)
-
-    def insert_batch(self, observations: Iterable) -> None:
-        """Feed a pre-sorted run of decoded DNS responses.
-
-        ``observations`` yields objects with ``client_ip``, ``fqdn``,
-        ``answers`` and ``timestamp`` attributes (``DnsObservation``
-        ducks).  Responses with empty answer lists are counted but do
-        not consume a slot, exactly as :meth:`insert`.
-        """
-        insert = self.insert
-        for obs in observations:
-            insert(obs.client_ip, obs.fqdn, obs.answers, obs.timestamp)
 
     # -- LOOKUP (Algorithm 1, lines 27-34) -------------------------------
 

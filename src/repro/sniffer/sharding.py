@@ -1,123 +1,24 @@
-"""Client-sharded resolver (Sec. 3.1.1 scaling note).
+"""Client routing hash (Sec. 3.1.1 scaling note).
 
 "When the number of monitored clients increase, several load balancing
 strategies can be used.  For example, two resolvers can be maintained
 for odd and even fourth octet value in the client IP-address."
 
-:class:`ShardedResolver` implements exactly that generalized to N
-shards, presenting the same insert/lookup surface as a single
-:class:`DnsResolver` so the tagger and pipeline need no changes.
+:func:`shard_of` is that split generalized to N partitions.  It is the
+one routing hash of the repo: capture-side worker processes
+(:mod:`repro.sniffer.fanout`) and flow-store shards
+(:mod:`repro.analytics.shard`) both partition by it.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
-
-from repro.sniffer.resolver import DnsResolver, ResolverStats
 
 
 def shard_of(client_ip: int, shards: int) -> int:
     """The one definition of the client routing hash (low-octet modulo).
 
-    Shared by :class:`ShardedResolver` (in-process shards) and
-    :class:`repro.sniffer.fanout.FanoutPipeline` (worker processes) so a
-    client's DNS responses and flows always meet in the same shard no
-    matter which scaling axis is in use.
+    Shared by :class:`repro.sniffer.fanout.FanoutPipeline` (worker
+    processes) and :class:`repro.analytics.shard.ShardRouter` (store
+    shards) so a client's DNS responses and flows always meet in the
+    same partition.
     """
     return (client_ip & 0xFF) % shards
-
-
-class ShardedResolver:
-    """N independent resolvers keyed by the client address' low octet.
-
-    Args:
-        shards: number of shards (2 = the paper's odd/even example).
-        clist_size: total Clist budget, split evenly across shards.
-        multi_label_depth: forwarded to each shard.
-    """
-
-    def __init__(
-        self,
-        shards: int = 2,
-        clist_size: int = 100_000,
-        multi_label_depth: int = 0,
-    ):
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        per_shard = max(1, clist_size // shards)
-        self.shards = [
-            DnsResolver(
-                clist_size=per_shard, multi_label_depth=multi_label_depth
-            )
-            for _ in range(shards)
-        ]
-
-    def _shard_index(self, client_ip: int) -> int:
-        return shard_of(client_ip, len(self.shards))
-
-    def _shard_for(self, client_ip: int) -> DnsResolver:
-        return self.shards[self._shard_index(client_ip)]
-
-    def insert(
-        self,
-        client_ip: int,
-        fqdn: str,
-        answers: list[int],
-        timestamp: float = 0.0,
-    ) -> None:
-        """Route the response to the owning shard."""
-        self._shard_for(client_ip).insert(client_ip, fqdn, answers, timestamp)
-
-    def insert_batch(self, observations: Iterable) -> None:
-        """Feed a run of decoded responses, routing each to its shard.
-
-        The routing hash and per-shard ``insert`` bindings are hoisted
-        out of the per-event call chain.
-        """
-        shard_index = self._shard_index
-        inserts = [shard.insert for shard in self.shards]
-        for obs in observations:
-            client_ip = obs.client_ip
-            inserts[shard_index(client_ip)](
-                client_ip, obs.fqdn, obs.answers, obs.timestamp
-            )
-
-    def lookup(self, client_ip: int, server_ip: int) -> Optional[str]:
-        """Look up in the owning shard only."""
-        return self._shard_for(client_ip).lookup(client_ip, server_ip)
-
-    def lookup_key(self, key: int) -> Optional[str]:
-        """Pre-fused-key probe routed by the client octet inside the key."""
-        return self.shards[
-            shard_of(key >> 32, len(self.shards))
-        ].lookup_key(key)
-
-    def peek(self, client_ip: int, server_ip: int) -> Optional[str]:
-        return self._shard_for(client_ip).peek(client_ip, server_ip)
-
-    def lookup_all(self, client_ip: int, server_ip: int) -> list[str]:
-        return self._shard_for(client_ip).lookup_all(client_ip, server_ip)
-
-    @property
-    def stats(self) -> ResolverStats:
-        """Aggregated counters across shards."""
-        total = ResolverStats()
-        for shard in self.shards:
-            total.merge(shard.stats)
-        return total
-
-    @property
-    def client_count(self) -> int:
-        return sum(shard.client_count for shard in self.shards)
-
-    @property
-    def live_entries(self) -> int:
-        return sum(shard.live_entries for shard in self.shards)
-
-    def shard_balance(self) -> list[int]:
-        """Clients per shard — how even the paper's octet split is."""
-        return [shard.client_count for shard in self.shards]
-
-    def check_invariants(self) -> None:
-        for shard in self.shards:
-            shard.check_invariants()

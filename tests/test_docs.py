@@ -5,7 +5,8 @@ Four classes of drift this suite catches:
 * a markdown link (README or docs/) pointing at a file that is gone;
 * a ``src/...`` / ``tests/...`` path or a ``repro.x.y`` module named
   in prose that no longer exists or no longer imports;
-* a documented CLI whose ``--help`` no longer runs;
+* a documented CLI whose ``--help`` no longer runs, or a documented
+  ``ingest-trace`` command naming something that is not a trace;
 * the API/metrics references diverging from the code: every
   ``/query/<name>`` route and every ``/metrics`` family must appear in
   the docs, and vice versa.
@@ -30,6 +31,7 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
 _PATH = re.compile(r"`((?:src|tests|docs|benchmarks|examples)/[\w./-]+?\.(?:py|md))`")
 _MODULE = re.compile(r"`(repro(?:\.\w+)+)`")
 _HELP_CMD = re.compile(r"python -m (repro[\w.]+)")
+_INGEST_TRACE = re.compile(r"ingest-trace\s+([^\s`]+)")
 
 
 def _page_ids():
@@ -108,6 +110,17 @@ def test_documented_clis_answer_help(module):
         f"python -m {module} --help failed:\n{result.stderr}"
     )
     assert "usage" in result.stdout.lower()
+
+
+@pytest.mark.parametrize("page", PAGES, ids=_page_ids())
+def test_ingest_trace_commands_name_known_traces(page):
+    """``repro-flowstore ingest-trace`` takes a simulation trace name,
+    not a capture file."""
+    from repro.simulation.trace import TRACE_PROFILES
+
+    named = _INGEST_TRACE.findall(page.read_text(encoding="utf-8"))
+    unknown = [name for name in named if name not in TRACE_PROFILES]
+    assert not unknown, f"{page.name}: ingest-trace of {unknown}"
 
 
 def _app():

@@ -20,7 +20,6 @@ from repro.sniffer.eventcodec import (
     batch_counts,
     decode_events,
     encode_events,
-    encode_runs,
 )
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -65,32 +64,12 @@ events = st.one_of(dns_events, flow_events)
 
 
 class TestRoundTrip:
-    @settings(max_examples=80, deadline=None)
+    @settings(deadline=None)
     @given(st.lists(events, min_size=0, max_size=40))
     def test_encode_decode_identity(self, stream):
         assert decode_events(encode_events(stream)) == stream
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.lists(dns_events, min_size=1, max_size=5).map(
-                    lambda block: (True, block)
-                ),
-                st.lists(flow_events, min_size=1, max_size=5).map(
-                    lambda block: (False, block)
-                ),
-            ),
-            min_size=0,
-            max_size=8,
-        )
-    )
-    def test_encode_runs_matches_event_stream(self, runs):
-        """Run-based encoding is byte-identical to the flat stream."""
-        flattened = [event for _is_dns, block in runs for event in block]
-        assert encode_runs(runs) == encode_events(flattened)
-
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(st.lists(events, min_size=0, max_size=30))
     def test_counts(self, stream):
         buf = encode_events(stream)

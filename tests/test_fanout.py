@@ -19,7 +19,6 @@ from repro.sniffer.fanout import (
 )
 from repro.sniffer.pipeline import SnifferPipeline
 from repro.sniffer.resolver import DnsResolver, fuse_key
-from repro.sniffer.sharding import ShardedResolver
 
 CONSUME_PATHS = [False] + ([True] if _np is not None else [])
 
@@ -106,21 +105,6 @@ class TestDifferential:
         assert sum(report.worker_events) == len(events)
         assert_report_matches(report, single)
 
-    def test_event_runs_path(self):
-        events = make_events(n_events=1200, seed=9)
-        single = run_single(events)
-        runs = []
-        for event in events:
-            is_dns = isinstance(event, DnsObservation)
-            if runs and runs[-1][0] == is_dns:
-                runs[-1][1].append(event)
-            else:
-                runs.append((is_dns, [event]))
-        report = FanoutPipeline(
-            processes=2, clist_size=4096, batch_events=128
-        ).run_event_runs(runs)
-        assert_report_matches(report, single)
-
     def test_label_histogram(self):
         events = make_events(n_events=1500, seed=5)
         single = run_single(events, warmup=0.0)
@@ -201,10 +185,10 @@ class TestStreaming:
             report = fanout.collect()
         assert_report_matches(report, single)
 
-    def test_shard_routing_matches_sharded_resolver(self):
-        sharded = ShardedResolver(shards=4, clist_size=64)
-        for client_ip in [0, 1, 3, 255, 256, 0x0A000105, 0xFFFFFFFF]:
-            assert shard_of(client_ip, 4) == sharded._shard_index(client_ip)
+    def test_shard_routing_is_the_low_octet_modulo(self):
+        clients = [0, 1, 3, 255, 256, 0x0A000105, 0xFFFFFFFF]
+        assert [shard_of(ip, 4) for ip in clients] == [0, 1, 3, 3, 0, 1, 3]
+        assert [shard_of(ip, 3) for ip in clients] == [0, 1, 0, 0, 0, 2, 0]
 
 
 class TestLifecycle:
@@ -355,8 +339,6 @@ class TestPipelineIntegration:
         from repro.sniffer.policy import PolicyEnforcer
 
         with pytest.raises(ValueError):
-            SnifferPipeline(processes=2, shards=2)
-        with pytest.raises(ValueError):
             SnifferPipeline(processes=2, policy=PolicyEnforcer())
         with pytest.raises(ValueError):
             SnifferPipeline(processes=2, monitored_clients={1})
@@ -389,13 +371,6 @@ class TestLookupKey:
         after = resolver.stats
         assert after.lookups == before.lookups + 2
         assert after.hits == before.hits + 1
-
-    def test_sharded_lookup_key(self):
-        sharded = ShardedResolver(shards=3, clist_size=300)
-        sharded.insert(0x0A000105, "svc.example.com", [42])
-        key = fuse_key(0x0A000105, 42)
-        assert sharded.lookup_key(key) == "svc.example.com"
-        assert sharded.lookup_key(fuse_key(0x0A000105, 43)) is None
 
 
 class TestCollectFlows:

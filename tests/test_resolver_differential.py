@@ -9,9 +9,11 @@ with seeded-random operation streams (10k+ mixed operations) and
 compare them exhaustively, running the structural invariant checks
 after every wrap.
 
-The fused sniffer event loop re-inlines the resolver's insert/lookup
-bodies for speed, so a second differential holds the fused pipeline to
-the modular pipeline over random event streams.
+The flat sniffer event loop re-inlines the resolver's insert/lookup
+bodies for speed, so a second differential holds the flat pipeline to
+the modular pipeline over random event streams; the fan-out worker's
+batch consume loop inlines them once more, so a third holds
+``_WorkerState.consume`` to the flat loop on the same wrapping Clist.
 """
 
 import random
@@ -27,10 +29,11 @@ from repro.net.flow import (
     Protocol,
     TransportProto,
 )
+from repro.sniffer.eventcodec import PROTOCOLS, decode_events, encode_events
+from repro.sniffer.fanout import _WorkerState, _np
 from repro.sniffer.pipeline import SnifferPipeline
 from repro.sniffer.resolver import DnsResolver
 from repro.sniffer.resolver_reference import DnsResolver as ReferenceResolver
-from repro.sniffer.sharding import ShardedResolver
 
 
 def _random_ops(rng, count, clients=6, servers=24, fqdns=40):
@@ -138,48 +141,6 @@ class TestDifferential10k:
                 100.0
             )
 
-    def test_batch_insert_matches_per_call(self):
-        rng = random.Random(99)
-        observations = [
-            DnsObservation(
-                timestamp=float(i),
-                client_ip=rng.randrange(5),
-                fqdn=f"s{rng.randrange(20)}.com",
-                answers=[rng.randrange(16) for _ in range(rng.randint(0, 3))],
-            )
-            for i in range(3000)
-        ]
-        batched = DnsResolver(clist_size=64)
-        batched.insert_batch(observations)
-        manual = DnsResolver(clist_size=64)
-        for obs in observations:
-            manual.insert(obs.client_ip, obs.fqdn, obs.answers, obs.timestamp)
-        assert batched.stats == manual.stats
-        for client in range(5):
-            for server in range(16):
-                assert batched.peek(client, server) == manual.peek(
-                    client, server
-                )
-
-    def test_sharded_batch_matches_per_call(self):
-        rng = random.Random(3)
-        observations = [
-            DnsObservation(
-                timestamp=float(i),
-                client_ip=rng.randrange(64),
-                fqdn=f"s{rng.randrange(20)}.com",
-                answers=[rng.randrange(16) for _ in range(rng.randint(1, 3))],
-            )
-            for i in range(2000)
-        ]
-        batched = ShardedResolver(shards=4, clist_size=256)
-        batched.insert_batch(observations)
-        manual = ShardedResolver(shards=4, clist_size=256)
-        for obs in observations:
-            manual.insert(obs.client_ip, obs.fqdn, obs.answers, obs.timestamp)
-        assert batched.stats == manual.stats
-        assert batched.shard_balance() == manual.shard_balance()
-
 
 # Hypothesis view of the same property, on tiny Clists where every
 # example wraps constantly.
@@ -195,7 +156,7 @@ _hyp_ops = st.lists(
 
 
 class TestDifferentialHypothesis:
-    @settings(max_examples=60)
+    @settings(deadline=None)
     @given(_hyp_ops)
     def test_inserts_match_reference(self, operations):
         fast = DnsResolver(clist_size=4)
@@ -247,7 +208,7 @@ def _random_events(rng, count):
 
 
 class TestPipelineDifferential:
-    """The fused event loop against the modular one, and across shards."""
+    """The flat event loop against the modular one."""
 
     def _modular_pipeline(self, clist_size, warmup):
         # A non-empty monitored set that admits every simulated client
@@ -284,20 +245,89 @@ class TestPipelineDifferential:
             == modular.dns_sniffer.stats["empty_answers"]
         )
 
-    def test_sharded_pipeline_matches_single_labels(self):
-        rng = random.Random(11)
-        events = _random_events(rng, 4000)
-        single = SnifferPipeline(clist_size=4000, warmup=0.0)
-        single.process_events(events)
-        sharded = SnifferPipeline(clist_size=16000, warmup=0.0, shards=4)
-        sharded.process_events([_copy_event(event) for event in events])
-        assert isinstance(sharded.resolver, ShardedResolver)
-        for ours, theirs in zip(single.tagged_flows, sharded.tagged_flows):
-            assert ours.fqdn == theirs.fqdn
-        assert (
-            sharded.resolver.stats.responses
-            == single.resolver.stats.responses
+
+# The worker's eviction branch only runs once its Clist wraps, so every
+# stream is several Clists long over a key universe small enough to
+# collide; batch boundaries fall wherever the drawn cut sizes put them.
+# One drawn integer per event keeps 400-event examples cheap: bit 0
+# picks the type, the rest are sliced into the fields below.
+_hyp_event_words = st.integers(0, (1 << 27) - 1)
+_hyp_cuts = st.lists(st.integers(1, 60), min_size=1, max_size=6)
+
+
+def _events_from(words, step):
+    events = []
+    for i, word in enumerate(words):
+        ts = i * step
+        client = (word >> 1) % 6
+        if word & 1:
+            events.append(FlowRecord(
+                fid=FiveTuple(client, (word >> 4) % 10, 1024 + i, 443,
+                              TransportProto.TCP),
+                start=ts, end=ts + 1.0,
+                protocol=PROTOCOLS[(word >> 8) % len(PROTOCOLS)],
+            ))
+        else:
+            n_answers = (word >> 8) % 5         # 0 = an empty response
+            events.append(DnsObservation(
+                timestamp=ts, client_ip=client,
+                fqdn=f"host{(word >> 4) % 12}.example.com",
+                answers=[
+                    (word >> (11 + 4 * k)) % 10 for k in range(n_answers)
+                ],
+            ))
+    return events
+
+
+@pytest.mark.parametrize("use_numpy", [False] + ([True] if _np else []))
+@pytest.mark.parametrize("warmup", [0.0, 100.0])
+@pytest.mark.parametrize("clist_size", [4, 16, 64])
+class TestWorkerConsumeDifferential:
+    """The fan-out worker's batch loop against the flat in-process loop
+    on the *same* Clist size, under constant wrap."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), cuts=_hyp_cuts)
+    def test_consume_matches_flat_loop(
+        self, clist_size, warmup, use_numpy, data, cuts
+    ):
+        # A 100 s warm-up ends mid-stream whatever the Clist size.
+        events = _events_from(data.draw(st.lists(
+            _hyp_event_words,
+            min_size=4 * clist_size, max_size=6 * clist_size,
+        )), step=50.0 / clist_size)
+        flat = SnifferPipeline(clist_size=clist_size, warmup=warmup)
+        flat.process_events([_copy_event(event) for event in events])
+
+        worker = _WorkerState(
+            clist_size, warmup, collect_labels=False,
+            use_numpy=use_numpy, collect_flows=True,
         )
+        pos = turn = 0
+        while pos < len(events):
+            size = cuts[turn % len(cuts)]
+            worker.consume(encode_events(events[pos:pos + size]))
+            pos += size
+            turn += 1
+
+        worker.resolver.check_invariants()
+        assert worker.resolver.stats == flat.resolver.stats
+        stats = flat.tagger.stats
+        for counts, expected in (
+            (worker.hit_counts, stats.hits),
+            (worker.miss_counts, stats.misses),
+        ):
+            assert {
+                PROTOCOLS[i]: n for i, n in enumerate(counts) if n
+            } == expected
+        assert worker.warmup_skipped == stats.warmup_skipped
+        assert worker.empty_answers == flat.dns_sniffer.stats["empty_answers"]
+        retagged = [
+            flow.fqdn
+            for payload in worker.tagged_batches
+            for flow in decode_events(payload)
+        ]
+        assert retagged == [flow.fqdn for flow in flat.tagged_flows]
 
 
 def _copy_event(event):

@@ -436,13 +436,6 @@ class TestShardTopologyAndErrors:
         with pytest.raises(StorageError):
             ShardCoordinator(tmp_path / "nothing")
 
-    def test_factory_returns_coordinator(self, tmp_path):
-        store = FlowDatabase(spill_dir=tmp_path / "db", shards=2)
-        assert isinstance(store, ShardCoordinator)
-        store.close()
-        with pytest.raises(TypeError):
-            FlowDatabase(shards=2)  # shards without spill_dir
-
     def test_worker_error_propagates_as_shard_error(self, tmp_path):
         coord = ShardCoordinator(tmp_path / "sharded", shards=2,
                                  backend="process")

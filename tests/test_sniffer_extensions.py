@@ -1,5 +1,5 @@
-"""Tests for the paper's sketched extensions: multi-label lookup,
-client sharding, and the DNSCrypt limitation."""
+"""Tests for the paper's sketched extensions: multi-label lookup and
+the DNSCrypt limitation."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.net.flow import DnsObservation, FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.sniffer.resolver import DnsResolver
-from repro.sniffer.sharding import ShardedResolver
 
 C1, C2 = 0x0A000001, 0x0A000102
 S1, S2 = 0xD0000001, 0xD0000002
@@ -79,76 +78,6 @@ class TestMultiLabel:
                 expected = plain.peek(client, server)
                 assert (labels[0] if labels else None) == expected
         multi.check_invariants()
-
-
-class TestShardedResolver:
-    def test_routing_by_low_octet(self):
-        sharded = ShardedResolver(shards=2, clist_size=100)
-        even, odd = 0x0A000002, 0x0A000003
-        sharded.insert(even, "even.com", [S1])
-        sharded.insert(odd, "odd.com", [S1])
-        assert sharded.lookup(even, S1) == "even.com"
-        assert sharded.lookup(odd, S1) == "odd.com"
-        assert sharded.shards[0].client_count == 1
-        assert sharded.shards[1].client_count == 1
-
-    def test_same_behaviour_as_single(self):
-        single = DnsResolver(clist_size=1000)
-        sharded = ShardedResolver(shards=4, clist_size=4000)
-        import random
-
-        rng = random.Random(3)
-        for _ in range(500):
-            client = rng.randrange(1, 200)
-            server = rng.randrange(1, 50)
-            fqdn = f"site{rng.randrange(40)}.com"
-            single.insert(client, fqdn, [server])
-            sharded.insert(client, fqdn, [server])
-        for client in range(1, 200):
-            for server in range(1, 50):
-                assert single.peek(client, server) == sharded.peek(
-                    client, server
-                )
-
-    def test_aggregated_stats(self):
-        sharded = ShardedResolver(shards=2, clist_size=100)
-        sharded.insert(C1, "a.com", [S1])
-        sharded.insert(C2, "b.com", [S2])
-        sharded.lookup(C1, S1)
-        sharded.lookup(C2, S1)
-        stats = sharded.stats
-        assert stats.responses == 2
-        assert stats.lookups == 2
-        assert stats.hits == 1
-        assert sharded.client_count == 2
-        assert sharded.live_entries == 2
-
-    def test_shard_balance(self):
-        sharded = ShardedResolver(shards=2, clist_size=100)
-        for i in range(20):
-            sharded.insert(0x0A000000 + i, f"h{i}.com", [S1])
-        balance = sharded.shard_balance()
-        assert sum(balance) == 20
-        assert balance == [10, 10]  # even/odd split is perfectly balanced
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            ShardedResolver(shards=0)
-
-    def test_works_in_pipeline(self):
-        """The sharded resolver is a drop-in for the tagger."""
-        from repro.sniffer.tagger import FlowTagger
-
-        sharded = ShardedResolver(shards=2, clist_size=100)
-        sharded.insert(C1, "www.example.com", [S1], timestamp=0.0)
-        tagger = FlowTagger(sharded, warmup=0.0, trace_start=0.0)
-        flow = FlowRecord(
-            fid=FiveTuple(C1, S1, 40000, 80, TransportProto.TCP),
-            start=1.0,
-            protocol=Protocol.HTTP,
-        )
-        tagger.tag(flow)
-        assert flow.fqdn == "www.example.com"
 
 
 class TestDnsCryptLimitation:

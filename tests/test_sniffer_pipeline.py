@@ -130,90 +130,13 @@ class TestEventPath:
         hits, total = pipeline.hit_counts_by_protocol()[Protocol.HTTP]
         assert (hits, total) == (1, 2)
 
-    def test_event_runs_match_event_stream(self):
-        """`process_event_runs` over `iter_event_runs`-style batches
-        must label exactly like the per-event path."""
-        events = [
-            DnsObservation(1.0, CLIENT, "a.example.com", [WEB]),
-            DnsObservation(1.1, CLIENT, "b.example.com", [WEB + 1]),
-            DnsObservation(1.2, CLIENT, "nx.example.com", []),
-            FlowRecord(
-                fid=FiveTuple(CLIENT, WEB, 1, 80, TransportProto.TCP),
-                start=2.0,
-                protocol=Protocol.HTTP,
-            ),
-            FlowRecord(
-                fid=FiveTuple(CLIENT, WEB + 1, 2, 443, TransportProto.TCP),
-                start=2.1,
-                protocol=Protocol.TLS,
-            ),
-            DnsObservation(3.0, CLIENT, "c.example.com", [WEB + 2]),
-            FlowRecord(
-                fid=FiveTuple(CLIENT, WEB + 2, 3, 80, TransportProto.TCP),
-                start=3.5,
-                protocol=Protocol.HTTP,
-            ),
-        ]
-        runs = [
-            (True, events[0:3]),
-            (False, events[3:5]),
-            (True, events[5:6]),
-            (False, events[6:7]),
-        ]
-        import copy
-
-        by_event = SnifferPipeline(clist_size=64, warmup=0.0)
-        by_event.process_events(copy.deepcopy(events))
-        by_runs = SnifferPipeline(clist_size=64, warmup=0.0)
-        by_runs.process_event_runs(runs)
-        assert [f.fqdn for f in by_runs.tagged_flows] == [
-            f.fqdn for f in by_event.tagged_flows
-        ]
-        assert by_runs.resolver.stats == by_event.resolver.stats
-        assert (
-            by_runs.dns_sniffer.stats["empty_answers"]
-            == by_event.dns_sniffer.stats["empty_answers"]
-        )
-
-    def test_trace_iter_event_runs_grouping(self):
-        class FakeTrace:
-            def __init__(self, events):
-                self.events = events
-
-        from repro.simulation.trace import Trace
-
-        events = [
-            DnsObservation(1.0, CLIENT, "x.com", [WEB]),
-            DnsObservation(1.1, CLIENT, "y.com", [WEB]),
-            FlowRecord(
-                fid=FiveTuple(CLIENT, WEB, 5, 80, TransportProto.TCP),
-                start=2.0,
-            ),
-            DnsObservation(3.0, CLIENT, "z.com", [WEB]),
-        ]
-        runs = list(Trace.iter_event_runs(FakeTrace(events)))
-        assert [(is_dns, len(run)) for is_dns, run in runs] == [
-            (True, 2), (False, 1), (True, 1),
-        ]
-        assert [e for _is_dns, run in runs for e in run] == events
-
-    def test_sharded_pipeline_event_path(self):
-        pipeline = SnifferPipeline(clist_size=640, warmup=0.0, shards=4)
-        events = [
-            DnsObservation(1.0, CLIENT, "www.example.com", [WEB]),
-            FlowRecord(
-                fid=FiveTuple(CLIENT, WEB, 40002, 80, TransportProto.TCP),
-                start=1.2,
-                protocol=Protocol.HTTP,
-            ),
-        ]
-        flows = pipeline.process_events(events)
-        assert flows[0].fqdn == "www.example.com"
-        assert pipeline.resolver.stats.responses == 1
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            SnifferPipeline(shards=0)
+    @pytest.mark.parametrize("batch_events", [0, -5])
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_batch_events_must_be_positive(self, processes, batch_events):
+        """One validation for both modes: single-process, 0 used to be
+        accepted and silently cut one store batch per flow."""
+        with pytest.raises(ValueError, match="batch_events"):
+            SnifferPipeline(processes=processes, batch_events=batch_events)
 
     def test_process_trace_duck_typing(self):
         class FakeTrace:

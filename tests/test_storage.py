@@ -156,10 +156,7 @@ def _assert_store_matches(store, mem: FlowDatabase, ref: ReferenceDatabase):
 
 
 def _spilled_store(tmp_path, flow_list, spill_rows, via_batches=False):
-    store = FlowDatabase(
-        spill_dir=tmp_path / "store", spill_rows=spill_rows
-    )
-    assert isinstance(store, FlowStore)
+    store = FlowStore(tmp_path / "store", spill_rows=spill_rows)
     if via_batches:
         for pos in range(0, len(flow_list), 7):
             store.ingest_batch(encode_events(flow_list[pos:pos + 7]))

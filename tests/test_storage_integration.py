@@ -220,15 +220,15 @@ class TestPipelineDurableIngest:
         assert reopened.tagged_count == report.tagged_flows
 
 
-class TestFlowDatabaseSpillConstructor:
-    def test_spill_dir_builds_a_flow_store(self, tmp_path):
-        store = FlowDatabase(spill_dir=tmp_path / "db", spill_rows=4)
-        assert isinstance(store, FlowStore)
-        assert store.spill_rows == 4
+class TestFlowDatabaseConstructor:
+    def test_plain_constructor_is_the_only_one(self):
+        """``FlowDatabase()`` is the in-memory store and nothing else;
+        the durable stores are constructed by their own names."""
+        import inspect
 
-    def test_plain_constructor_unchanged(self):
+        assert not inspect.signature(FlowDatabase).parameters
         database = FlowDatabase()
-        assert isinstance(database, FlowDatabase)
+        assert type(database) is FlowDatabase
         assert len(database) == 0
 
 
@@ -465,14 +465,18 @@ class TestStoredDatasetSource:
 
 
 class TestSnifferCliFlowStore:
-    def test_pcap_flow_store_flag(self, tmp_path, capsys):
-        from repro.net.pcap import write_pcap
+    @pytest.fixture(scope="class")
+    def capture_records(self):
         from repro.simulation import build_trace
+
+        return build_trace("EU1-FTTH", seed=19).to_packets(max_flows=60)
+
+    def test_pcap_flow_store_flag(self, tmp_path, capsys, capture_records):
+        from repro.net.pcap import write_pcap
         from repro.sniffer.cli import main as sniff_main
 
-        trace = build_trace("EU1-FTTH", seed=19)
         pcap = tmp_path / "capture.pcap"
-        write_pcap(str(pcap), trace.to_packets(max_flows=60))
+        write_pcap(str(pcap), capture_records)
         code = sniff_main([
             str(pcap), "--warmup", "0", "--flow-store",
             str(tmp_path / "store"),
@@ -484,6 +488,76 @@ class TestSnifferCliFlowStore:
         assert len(store) >= 1
         assert store.tagged_count >= 1
         assert store.fqdns()  # labels made it to disk
+
+    @pytest.mark.parametrize("processes", ["1", "2"])
+    def test_truncated_capture_keeps_every_whole_record(
+        self, tmp_path, capsys, capture_records, processes
+    ):
+        """A capture cut mid-record (the writer was killed) is stored
+        exactly like the same file trimmed to its last whole record;
+        the cut is still reported and still fails the run."""
+        from repro.net.pcap import write_pcap
+        from repro.sniffer.cli import main as sniff_main
+
+        whole = tmp_path / "whole.pcap"
+        write_pcap(str(whole), capture_records)
+        data = whole.read_bytes()
+        (tmp_path / "cut.pcap").write_bytes(data[:-7])
+        (tmp_path / "trimmed.pcap").write_bytes(
+            data[:-(16 + len(capture_records[-1].data))]
+        )
+
+        def sniff(name):
+            code = sniff_main([
+                str(tmp_path / f"{name}.pcap"), "--warmup", "0",
+                "--processes", processes,
+                "--flow-store", str(tmp_path / f"{name}.store"),
+            ])
+            with FlowStore(tmp_path / f"{name}.store") as store:
+                return code, capsys.readouterr().err, len(store)
+
+        code, err, rows = sniff("trimmed")
+        assert (code, err) == (0, "") and rows >= 1
+        code, err, cut_rows = sniff("cut")
+        assert code == 1
+        assert (
+            f"warning: capture truncated after "
+            f"{len(capture_records) - 1} frames"
+            in err
+        )
+        assert "error: truncated pcap record body" in err
+        assert cut_rows == rows
+
+    @pytest.mark.parametrize("content", [b"not a pcap, not even close....",
+                                         b"\xd4\xc3\xb2\xa1\x02\x00"])
+    def test_no_pcap_header_no_store_directory(
+        self, tmp_path, capsys, content
+    ):
+        from repro.sniffer.cli import main as sniff_main
+
+        bad = tmp_path / "bad.pcap"
+        bad.write_bytes(content)
+        assert sniff_main([
+            str(bad), "--flow-store", str(tmp_path / "store"),
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("processes", ["1", "2"])
+    def test_batch_events_zero_is_rejected(
+        self, tmp_path, capsys, processes
+    ):
+        from repro.net.pcap import write_pcap
+        from repro.sniffer.cli import main as sniff_main
+
+        pcap = tmp_path / "empty.pcap"
+        write_pcap(str(pcap), [])
+        assert sniff_main([
+            str(pcap), "--batch-events", "0", "--processes", processes,
+            "--flow-store", str(tmp_path / "store"),
+        ]) == 1
+        assert "batch_events must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
 
 class TestRunnerFlowStoreFlag:

@@ -198,14 +198,10 @@ class TestParallelDifferential:
             store.close()
             serial.close()
 
-    def test_parallel_validation_and_factory(self, tmp_path):
+    def test_parallel_validation(self, tmp_path):
         with pytest.raises(ValueError):
             FlowStore(tmp_path / "s", parallel=0)
-        store = FlowDatabase(spill_dir=tmp_path / "db", parallel=3)
-        assert isinstance(store, FlowStore)
-        assert store.parallel == 3
-        with pytest.raises(TypeError):
-            FlowDatabase(parallel=3)  # parallel without spill_dir
+        assert FlowStore(tmp_path / "db", parallel=3).parallel == 3
 
     def test_pool_is_lazy_and_survives_close(self, tmp_path):
         directory, flows = _store_with_everything(
