@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
+from repro.analytics.shard import _manifest_entries, open_store, store_kind
 from repro.analytics.storage import (
     FlowStore,
     QueryHint,
@@ -48,26 +50,20 @@ from repro.analytics.storage import (
 def _open_existing(directory, strict: bool = False):
     """Open a store that must already exist.
 
-    ``FlowStore`` itself creates missing directories (the writer-side
+    The opener itself creates missing directories (the writer-side
     behaviour); for read/maintenance commands a mistyped path must be
     an error, not a freshly-created empty store reported as healthy.
     ``strict=True`` (the ``--strict`` flag) restores hard-fail opens:
     a corrupt segment raises instead of being quarantined.
 
-    A directory carrying ``SHARDS.json`` opens as a
+    A sharded root opens as a
     :class:`repro.analytics.shard.ShardCoordinator` over its shard
     stores; every flat-store subcommand then reports across all
     shards (``prune-report`` without opening any of them).
     """
-    from pathlib import Path
-
-    from repro.analytics.shard import SHARDS_NAME, ShardCoordinator
-
     if not Path(directory).is_dir():
         raise StorageError(f"no flow store at {directory}")
-    if (Path(directory) / SHARDS_NAME).exists():
-        return ShardCoordinator(directory, strict=strict)
-    return FlowStore(directory, strict=strict)
+    return open_store(directory, strict=strict)
 
 
 def _print_health(health: dict) -> None:
@@ -219,9 +215,9 @@ def _verify_segment(reader) -> tuple[str, int, str]:
     return reader.name, rows, problem
 
 
-def _verify_store(directory, strict: bool, parallel: int,
+def _verify_store(store: FlowStore, parallel: int,
                   prefix: str = "") -> tuple[int, int, int, dict]:
-    """Verify one flat store directory end to end.
+    """Verify one (opened) flat store end to end, then close it.
 
     Returns ``(n_segments, total_rows, bad, health)``.  On top of the
     per-segment footer recomputation (:func:`_verify_segment`) this
@@ -230,11 +226,6 @@ def _verify_store(directory, strict: bool, parallel: int,
     manifest-only pruning (sharded ``prune-report``) trusts without
     opening the segment, so a drifted copy must fail verification.
     """
-    from pathlib import Path
-
-    from repro.analytics.shard import _manifest_entries
-
-    store = FlowStore(directory, strict=strict)
     if parallel > 1 and len(store.segments) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -243,9 +234,8 @@ def _verify_store(directory, strict: bool, parallel: int,
     else:
         results = [_verify_segment(reader) for reader in store.segments]
     promoted = {
-        name: meta for name, _rows, meta in _manifest_entries(
-            Path(directory)
-        )
+        name: meta
+        for name, _rows, meta in _manifest_entries(store.directory)
     }
     total = 0
     bad = 0
@@ -269,40 +259,39 @@ def _verify_store(directory, strict: bool, parallel: int,
     return len(store.segments), total, bad, health
 
 
+def _flat_stores(store, strict: bool):
+    """``(flat store, display prefix)`` for each store to verify: the
+    store itself, or — under a sharded root — every shard store in
+    turn (each a complete FlowStore with its own manifest and
+    journal), opened one at a time.  The coordinator is lazy, so
+    nothing of it was started and nothing needs closing."""
+    if not store.sharded:
+        yield store, ""
+        return
+    for index in range(store.shards):
+        directory = store.shard_directory(index)
+        prefix = f"shard-{index:02d}/"
+        if directory.is_dir():
+            yield FlowStore(directory, strict=strict), prefix
+        else:
+            # A shard no ingest has reached yet: an empty store, fine.
+            print(f"  {prefix}(empty shard, nothing sealed)")
+
+
 def _cmd_verify(args) -> int:
     if args.parallel is not None and args.parallel <= 0:
         # Same contract as FlowStore(parallel=...): a zero/negative
         # worker count is an error, not a silent serial run.
         print("error: --parallel must be positive", file=sys.stderr)
         return 1
-    from pathlib import Path
-
-    from repro.analytics.shard import SHARDS_NAME, ShardCoordinator
-
-    if not Path(args.directory).is_dir():
-        raise StorageError(f"no flow store at {args.directory}")
     parallel = args.parallel or 1
-    if (Path(args.directory) / SHARDS_NAME).exists():
-        # Sharded root: verify every shard store in turn (each is a
-        # complete FlowStore with its own manifest and journal).
-        coordinator = ShardCoordinator(args.directory, strict=args.strict)
-        targets = [
-            (coordinator.shard_directory(index), f"shard-{index:02d}/")
-            for index in range(coordinator.shards)
-        ]
-        coordinator.close()
-    else:
-        targets = [(args.directory, "")]
+    store = _open_existing(args.directory, strict=args.strict)
     n_segments = total = bad = 0
     quarantined = skipped = 0
     degraded = False
-    for directory, prefix in targets:
-        if prefix and not Path(directory).is_dir():
-            # A shard no ingest has reached yet: an empty store, fine.
-            print(f"  {prefix}(empty shard, nothing sealed)")
-            continue
+    for flat, prefix in _flat_stores(store, args.strict):
         segments, rows, store_bad, health = _verify_store(
-            directory, args.strict, parallel, prefix
+            flat, parallel, prefix
         )
         n_segments += segments
         total += rows
@@ -335,20 +324,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compact(args) -> int:
     store = _open_existing(args.directory, strict=args.strict)
-    if getattr(store, "sharded", False):
-        before = len(store.stats()["segments"])
-        removed = store.compact(small_rows=args.small_rows)
-        after = len(store.stats()["segments"])
-        store.close()
-        print(
-            f"compacted {before} segments -> {after} across "
-            f"{store.shards} shards ({removed} files merged away)"
-        )
-        return 0
-    before = len(store.segments)
+    before = store.counters()["segments"]
     removed = store.compact(small_rows=args.small_rows)
+    after = store.counters()["segments"]
+    store.close()
+    across = f" across {store.shards} shards" if store.sharded else ""
     print(
-        f"compacted {before} segments -> {len(store.segments)} "
+        f"compacted {before} segments -> {after}{across} "
         f"({removed} files merged away)"
     )
     return 0
@@ -357,18 +339,13 @@ def _cmd_compact(args) -> int:
 def _cmd_ingest_trace(args) -> int:
     import json
     import shutil
-    from pathlib import Path
 
     from repro.experiments.datasets import DEFAULT_CLIST, DEFAULT_SEED, get_trace
     from repro.sniffer.pipeline import SnifferPipeline
 
-    from repro.analytics.shard import SHARDS_NAME, ShardCoordinator
-
     seed = DEFAULT_SEED if args.seed is None else args.seed
     directory = Path(args.directory) / args.trace
-    if (directory / "MANIFEST.json").exists() or (
-        directory / SHARDS_NAME
-    ).exists():
+    if store_kind(directory) is not None:
         # Appending to an existing store would silently double every
         # flow count the experiments read.
         if not args.force:
@@ -380,12 +357,9 @@ def _cmd_ingest_trace(args) -> int:
             return 1
         shutil.rmtree(directory)
     trace = get_trace(args.trace, seed)
-    if args.shards is not None:
-        store = ShardCoordinator(
-            directory, shards=args.shards, spill_rows=args.spill_rows
-        )
-    else:
-        store = FlowStore(directory, spill_rows=args.spill_rows)
+    store = open_store(
+        directory, shards=args.shards, spill_rows=args.spill_rows
+    )
     # Sidecar first, marked in-progress: a crash mid-ingest leaves a
     # store with committed segments but only part of the trace, and
     # repro-exp must refuse it rather than compute figures from a

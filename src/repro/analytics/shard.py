@@ -18,6 +18,10 @@ Topology::
       |- shard-01/
       |- ...
 
+:func:`open_store` opens either kind of directory (and
+:func:`store_kind` tells them apart); no other module looks at the
+topology or manifest file names.
+
 Two execution backends share one op protocol (:func:`_shard_execute`):
 
 * ``backend="inprocess"`` keeps all N stores in this process — the
@@ -77,17 +81,18 @@ from repro.analytics.queries import (
 from repro.analytics.storage import (
     FORMAT_VERSION,
     MANIFEST_NAME,
+    SHARDS_NAME,
     FlowStore,
     QueryHint,
     SegmentMeta,
     StorageError,
+    _checked_sizing,
     _write_file_atomic,
 )
 from repro.net.flow import FlowRecord
 from repro.sniffer.eventcodec import BatchEncoder, decode_events
 from repro.sniffer.sharding import shard_of
 
-SHARDS_NAME = "SHARDS.json"
 SHARDS_FORMAT = 1
 
 #: Default bucket width (seconds) for ``by="time"`` routing — one hour,
@@ -182,6 +187,7 @@ class ShardRouter:
 # worker never getattr()s an arbitrary request string.
 _LIFECYCLE_OPS = frozenset({
     "add_all", "ingest_batch", "flush", "compact", "stats", "health",
+    "counters",
 })
 
 
@@ -405,24 +411,7 @@ _BACKENDS = {"inprocess": _InProcessBackend, "process": _ProcessBackend}
 
 
 # ---------------------------------------------------------------------------
-# serve-layer duck typing
-
-
-class _Gauge:
-    """``len()``-able stand-in for the private collections the serve
-    layer's metric lambdas read off a flat :class:`FlowStore`
-    (``_tail``, ``_segments``, ``_quarantined``, ``_retired``).
-    Refreshed from the per-shard payloads on every ``stats()`` /
-    ``health()`` fan, so ``/metrics`` lags at most one scrape's
-    ``/health`` poll."""
-
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def __len__(self) -> int:
-        return self.n
+# serve-layer pinning
 
 
 class CoordinatorSnapshot(QuerySurface):
@@ -497,13 +486,17 @@ class ShardCoordinator(QuerySurface):
                  cache_segments: bool = True,
                  parallel: Optional[int] = None,
                  prune: bool = True,
-                 wal: bool = True, wal_sync: bool = True,
+                 wal: bool = True,
                  strict: bool = False):
         if backend not in _BACKENDS:
             raise StorageError(
                 f"unknown shard backend {backend!r} "
                 f"(expected one of {tuple(_BACKENDS)})"
             )
+        # The shard stores open lazily (and, with backend="process", in
+        # another process): reject a bad sizing knob here, before the
+        # topology file exists, with the error FlowStore would raise.
+        _checked_sizing(spill_rows, spill_bytes, parallel)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.router = self._load_or_create_topology(shards, by, time_window)
@@ -518,7 +511,6 @@ class ShardCoordinator(QuerySurface):
             "parallel": parallel,
             "prune": prune,
             "wal": wal,
-            "wal_sync": wal_sync,
             "strict": strict,
         }
         self._backend = None
@@ -530,20 +522,6 @@ class ShardCoordinator(QuerySurface):
         self._interns = FlowDatabase()
         self._fqdn_maps: list[list[int]] = [[] for _ in range(self.shards)]
         self._rows = [0] * self.shards
-        # Serve-layer gauges (see _Gauge) and live metric dicts — the
-        # /metrics registration captures these objects once, so they
-        # must be stable and refreshed in place.
-        self._tail = _Gauge()
-        self._segments = _Gauge()
-        self._quarantined = _Gauge()
-        self._retired = _Gauge()
-        self._pins: dict = {}
-        self._scan_stats = {
-            "queries": 0, "segments_scanned": 0, "segments_pruned": 0,
-        }
-        self._wal_report: dict = {}
-        self._generation = 0
-        self._wal_epoch = 0
 
     # -- topology ----------------------------------------------------------
 
@@ -583,12 +561,17 @@ class ShardCoordinator(QuerySurface):
             raise StorageError(
                 f"no shard topology at {path}; pass shards=N to create one"
             )
+        if (self.directory / MANIFEST_NAME).exists():
+            raise StorageError(
+                f"{self.directory} already holds a flat store; it "
+                f"cannot become a sharded root"
+            )
         router = ShardRouter(
             shards, by if by is not None else "client",
             time_window if time_window is not None else DEFAULT_TIME_WINDOW,
         )
         payload = json.dumps(router.config(), indent=2) + "\n"
-        _write_file_atomic(path, payload.encode("utf-8"), "shard topology")
+        _write_file_atomic(path, [payload.encode("utf-8")], "shard topology")
         return router
 
     def shard_directory(self, index: int) -> Path:
@@ -752,50 +735,38 @@ class ShardCoordinator(QuerySurface):
                     wal[key] = wal.get(key, 0) + value
         return wal
 
-    def _refresh_gauges(self, *, tail_rows=None, segments=None,
-                        quarantined=None, retired=None, generation=None,
-                        wal_epoch=None, scan_stats=None, wal=None) -> None:
-        if tail_rows is not None:
-            self._tail.n = tail_rows
-        if segments is not None:
-            self._segments.n = segments
-        if quarantined is not None:
-            self._quarantined.n = quarantined
-        if retired is not None:
-            self._retired.n = retired
-        if generation is not None:
-            self._generation = generation
-        if wal_epoch is not None:
-            self._wal_epoch = wal_epoch
-        if scan_stats is not None:
-            self._scan_stats.clear()
-            self._scan_stats.update(scan_stats)
-        if wal is not None:
-            self._wal_report.clear()
-            self._wal_report.update(wal)
-
-    def health(self) -> dict:
-        """Aggregated self-diagnosis: degraded if *any* shard is."""
-        parts = self._fan("health")
-        quarantined = []
-        for index, part in enumerate(parts):
-            for entry in part["quarantined_segments"]:
-                quarantined.append(dict(entry, shard=index))
-        wal = self._merge_wal([part["wal"] for part in parts])
+    def _merge_health(self, parts: Sequence[dict]) -> dict:
+        """Per-shard :meth:`FlowStore.health` payloads as one of the
+        same shape: degraded if *any* shard is."""
         degraded = any(part["status"] != "ok" for part in parts)
-        self._refresh_gauges(
-            quarantined=len(quarantined), wal_epoch=wal["epoch"], wal=wal,
-        )
         return {
             "status": "degraded" if degraded else "ok",
-            "sharded": True,
-            "shards": self.shards,
             "strict": self._store_kwargs["strict"],
-            "quarantined_segments": quarantined,
-            "wal": wal,
+            "quarantined_segments": [
+                dict(entry, shard=index)
+                for index, part in enumerate(parts)
+                for entry in part["quarantined_segments"]
+            ],
+            "wal": self._merge_wal([part["wal"] for part in parts]),
             "tmp_files_swept": sum(p["tmp_files_swept"] for p in parts),
-            "per_shard": [part["status"] for part in parts],
         }
+
+    def health(self) -> dict:
+        """Aggregated self-diagnosis plus each shard's status."""
+        parts = self._fan("health")
+        return dict(
+            self._merge_health(parts), sharded=True, shards=self.shards,
+            per_shard=[part["status"] for part in parts],
+        )
+
+    def counters(self) -> dict[str, int]:
+        """:meth:`FlowStore.counters` merged key-wise over one fan of
+        the shards: sums, except ``wal_epoch`` (the maximum, as in
+        :meth:`stats`)."""
+        parts = self._fan("counters")
+        merged = {key: sum(part[key] for part in parts) for key in parts[0]}
+        merged["wal_epoch"] = max(part["wal_epoch"] for part in parts)
+        return merged
 
     def stats(self) -> dict:
         """Aggregate inspection summary plus the full per-shard
@@ -808,28 +779,10 @@ class ShardCoordinator(QuerySurface):
                 segments.append(dict(entry, shard=index))
             for version, count in part["segment_versions"].items():
                 versions[version] = versions.get(version, 0) + count
-        scan_stats = {
-            key: sum(part["scan_stats"].get(key, 0) for part in parts)
-            for key in ("queries", "segments_scanned", "segments_pruned")
-        }
-        quarantined_entries = []
-        for index, part in enumerate(parts):
-            for entry in part["health"]["quarantined_segments"]:
-                quarantined_entries.append(dict(entry, shard=index))
-        quarantined = len(quarantined_entries)
-        wal = self._merge_wal([part["health"]["wal"] for part in parts])
-        degraded = any(part["health"]["status"] != "ok" for part in parts)
-        sealed_rows = sum(part["sealed_rows"] for part in parts)
-        tail_rows = sum(part["tail_rows"] for part in parts)
-        generation = sum(part["generation"] for part in parts)
-        wal_epoch = max(part["wal_epoch"] for part in parts)
-        self._refresh_gauges(
-            tail_rows=tail_rows, segments=len(segments),
-            quarantined=quarantined,
-            retired=sum(part["retired_pending"] for part in parts),
-            generation=generation, wal_epoch=wal_epoch,
-            scan_stats=scan_stats, wal=wal,
-        )
+
+        def total(key: str) -> int:
+            return sum(part[key] for part in parts)
+
         with self._lock:
             fqdns = len(self._interns._fqdn_names)
             slds = len(self._interns._sld_names)
@@ -843,29 +796,24 @@ class ShardCoordinator(QuerySurface):
             "segment_versions": versions,
             "parallel": self._store_kwargs["parallel"],
             "prune": self.prune,
-            "health": {
-                "status": "degraded" if degraded else "ok",
-                "strict": self._store_kwargs["strict"],
-                "quarantined_segments": quarantined_entries,
-                "wal": wal,
-                "tmp_files_swept": sum(
-                    part["health"]["tmp_files_swept"] for part in parts
-                ),
-            },
+            "health": self._merge_health(
+                [part["health"] for part in parts]
+            ),
             "segments": segments,
-            "sealed_rows": sealed_rows,
-            "tail_rows": tail_rows,
-            "rows": sealed_rows + tail_rows,
+            "sealed_rows": total("sealed_rows"),
+            "tail_rows": total("tail_rows"),
+            "rows": total("rows"),
             "fqdns": fqdns,
             "slds": slds,
-            "bytes_on_disk": sum(part["bytes_on_disk"] for part in parts),
-            "wal_epoch": wal_epoch,
-            "generation": generation,
+            "bytes_on_disk": total("bytes_on_disk"),
+            "wal_epoch": max(part["wal_epoch"] for part in parts),
+            "generation": total("generation"),
             "pinned_generations": [],
-            "retired_pending": sum(
-                part["retired_pending"] for part in parts
-            ),
-            "scan_stats": scan_stats,
+            "retired_pending": total("retired_pending"),
+            "scan_stats": {
+                key: sum(part["scan_stats"][key] for part in parts)
+                for key in ("queries", "segments_scanned", "segments_pruned")
+            },
             "per_shard": parts,
         }
 
@@ -921,6 +869,42 @@ class ShardCoordinator(QuerySurface):
             "tail_rows": None,
             "per_shard": per_shard,
         }
+
+
+def store_kind(directory) -> Optional[str]:
+    """``"sharded"`` / ``"flat"`` for a directory holding a committed
+    store of that kind, ``None`` for anything else (missing, empty, or
+    a flat store that never sealed a segment)."""
+    directory = Path(directory)
+    if (directory / SHARDS_NAME).exists():
+        return "sharded"
+    if (directory / MANIFEST_NAME).exists():
+        return "flat"
+    return None
+
+
+def open_store(directory, *, shards: Optional[int] = None,
+               by: Optional[str] = None,
+               time_window: Optional[float] = None,
+               backend: str = "inprocess", **store_knobs):
+    """Open (or create) the durable store at ``directory`` — the one
+    place that decides between a flat :class:`FlowStore` and a
+    :class:`ShardCoordinator`.
+
+    A sharded root opens as a coordinator (``shards`` / ``by`` must
+    agree with its topology when given); ``shards=N`` on a directory
+    without a store creates an N-shard root; everything else is a
+    flat store, for which the routing arguments and ``backend`` mean
+    nothing.  ``store_knobs`` are :class:`FlowStore`'s (``spill_rows``,
+    ``spill_bytes``, ``cache_segments``, ``parallel``, ``prune``,
+    ``wal``, ``strict``), applied to the flat store or to every shard.
+    """
+    if shards is None and store_kind(directory) != "sharded":
+        return FlowStore(directory, **store_knobs)
+    return ShardCoordinator(
+        directory, shards=shards, by=by, time_window=time_window,
+        backend=backend, **store_knobs,
+    )
 
 
 def _manifest_entries(directory: Path) -> list[tuple[str, int, object]]:

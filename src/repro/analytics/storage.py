@@ -161,6 +161,9 @@ MAGIC = b"FSG1"
 FORMAT_VERSION = 2
 FORMAT_VERSION_V1 = 1
 MANIFEST_NAME = "MANIFEST.json"
+#: Topology file of a sharded root (:mod:`repro.analytics.shard`); a
+#: directory carrying it is never opened as one flat store.
+SHARDS_NAME = "SHARDS.json"
 SEGMENT_SUFFIX = ".fseg"
 #: Write-ahead tail journal file (see :class:`TailJournal`) and the
 #: subdirectory quarantined segment files are moved into.
@@ -791,16 +794,19 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _write_file_atomic(path: Path, payload: bytes, what: str) -> None:
-    """Commit ``payload`` to ``path`` via tmp + fsync + rename + dir
-    fsync.  A retried write rewinds the tmp file first, so a partial
-    attempt can never survive into the committed bytes."""
+def _write_file_atomic(
+    path: Path, chunks: Sequence[bytes], what: str
+) -> None:
+    """Commit ``chunks`` (one write each) to ``path`` via tmp + fsync +
+    rename + dir fsync.  A retried write rewinds the tmp file first, so
+    a partial attempt can never survive into the committed bytes."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
         def _write_all():
             handle.seek(0)
             _io.truncate(handle, 0)
-            _io.write(handle, payload)
+            for chunk in chunks:
+                _io.write(handle, chunk)
             handle.flush()
             _io.fsync(handle.fileno())
         _retry_io(_write_all, f"write {what}")
@@ -828,24 +834,9 @@ def _write_segment_file(
         n_labels, n_certs, n_trues, crc, payload_len,
     )
     directory = b"".join(_BLOCK_LEN.pack(len(block)) for block in blocks)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        def _write_all():
-            # Rewind so a retried transient failure re-runs the whole
-            # payload instead of appending after a partial attempt.
-            handle.seek(0)
-            _io.truncate(handle, 0)
-            _io.write(handle, header)
-            _io.write(handle, directory)
-            for block in blocks:
-                _io.write(handle, block)
-            handle.flush()
-            _io.fsync(handle.fileno())
-        _retry_io(_write_all, f"write segment {path.name}")
-    _retry_io(
-        lambda: _io.replace(tmp, path), f"commit segment {path.name}"
+    _write_file_atomic(
+        path, [header, directory, *blocks], f"segment {path.name}"
     )
-    _fsync_directory(path.parent)
 
 
 def write_segment(
@@ -1450,10 +1441,9 @@ class TailJournal:
     holds exactly the rows the manifest does not.
     """
 
-    def __init__(self, path, epoch: int, sync: bool = True):
+    def __init__(self, path, epoch: int):
         self.path = Path(path)
         self.epoch = epoch
-        self.sync = sync
         self._handle = None
         self._size = 0
 
@@ -1528,8 +1518,7 @@ class TailJournal:
                     handle.seek(0)
                     _io.truncate(handle, 0)
                     _io.write(handle, header)
-                    if self.sync:
-                        _io.fsync(handle.fileno())
+                    _io.fsync(handle.fileno())
                 try:
                     _retry_io(_write_header, "tail journal header")
                 except BaseException:
@@ -1556,8 +1545,7 @@ class TailJournal:
             handle.seek(offset)
             _io.truncate(handle, offset)
             _io.write(handle, record)
-            if self.sync:
-                _io.fsync(handle.fileno())
+            _io.fsync(handle.fileno())
         _retry_io(_write_record, "tail journal append")
         self._size = offset + len(record)
 
@@ -1567,8 +1555,7 @@ class TailJournal:
 
         def _do():
             _io.truncate(handle, size)
-            if self.sync:
-                _io.fsync(handle.fileno())
+            _io.fsync(handle.fileno())
         _retry_io(_do, "tail journal truncate")
         self._size = size
 
@@ -1579,7 +1566,7 @@ class TailJournal:
         self.epoch = epoch
         _write_file_atomic(
             self.path,
-            _WAL_HEADER.pack(_WAL_MAGIC, WAL_VERSION, epoch),
+            [_WAL_HEADER.pack(_WAL_MAGIC, WAL_VERSION, epoch)],
             "tail journal",
         )
 
@@ -1613,13 +1600,14 @@ class _StoreReadMixin(QuerySurface):
     whole-store read goes through one primitive — :meth:`_view`,
     which captures ``(segments, tail, tail_map)`` under the store
     mutex — so a query always executes over one internally-consistent
-    member set even while the single writer keeps appending, sealing
-    or compacting.  A host class provides the members (``_segments``,
+    member set even while writers keep appending, sealing or
+    compacting.  A host class provides the members (``_segments``,
     ``_tail``, ``_tail_map``, ``_interns``, ``_mutex``,
     ``_scan_stats``), the execution knobs (``prune``, ``parallel``,
     ``cache_segments``) and ``_executor()``.
 
-    Concurrency contract (single writer, any number of readers):
+    Concurrency contract (any number of readers; writers serialize on
+    the store's own writer lock, see :class:`FlowStore`):
 
     * sealed segment files are immutable — their kernels run lock-free
       (and concurrently under ``parallel > 1``);
@@ -1819,6 +1807,24 @@ class _StoreReadMixin(QuerySurface):
         ))
 
 
+def _checked_sizing(spill_rows, spill_bytes, parallel) -> tuple[int, int]:
+    """``(spill_rows, parallel)`` with defaults applied; ``ValueError``
+    on a non-positive sizing knob.  Run by :class:`FlowStore` and — so
+    a bad knob fails before a topology file is committed — by the
+    shard coordinator's constructor."""
+    if spill_rows is None:
+        spill_rows = DEFAULT_SPILL_ROWS
+    if spill_rows <= 0:
+        raise ValueError("spill_rows must be positive")
+    if spill_bytes is not None and spill_bytes <= 0:
+        raise ValueError("spill_bytes must be positive")
+    if parallel is None:
+        parallel = 1
+    if parallel <= 0:
+        raise ValueError("parallel must be positive")
+    return spill_rows, parallel
+
+
 class FlowStore(_StoreReadMixin):
     """Durable Flow Database: sealed segments plus a live in-memory tail.
 
@@ -1851,7 +1857,19 @@ class FlowStore(_StoreReadMixin):
       processes) because the kernels live in numpy reductions,
       ``frombytes`` bulk copies and file reads — all GIL-releasing —
       and because the merged results then need no pickling.
+
+    Writes are thread-safe: every writer verb (``add``, ``add_all``
+    per journaled chunk, ``ingest_batch``, ``flush``, ``compact``,
+    ``close``) runs under the store's own writer lock, so a drain
+    loop, an HTTP ingest thread and a compaction timer may share one
+    store without an outside lock.  :meth:`counters` is the public
+    view of the store's live numbers.  A directory holding a sharded
+    root is refused — :func:`repro.analytics.shard.open_store` opens
+    either kind.
     """
+
+    #: Flat store; the shard coordinator's twin attribute is True.
+    sharded = False
 
     def __init__(
         self,
@@ -1862,20 +1880,17 @@ class FlowStore(_StoreReadMixin):
         parallel: Optional[int] = None,
         prune: bool = True,
         wal: bool = True,
-        wal_sync: bool = True,
         strict: bool = False,
     ):
-        if spill_rows is None:
-            spill_rows = DEFAULT_SPILL_ROWS
-        if spill_rows <= 0:
-            raise ValueError("spill_rows must be positive")
-        if spill_bytes is not None and spill_bytes <= 0:
-            raise ValueError("spill_bytes must be positive")
-        if parallel is None:
-            parallel = 1
-        if parallel <= 0:
-            raise ValueError("parallel must be positive")
+        spill_rows, parallel = _checked_sizing(
+            spill_rows, spill_bytes, parallel
+        )
         self.directory = Path(directory)
+        if (self.directory / SHARDS_NAME).exists():
+            raise StorageError(
+                f"{self.directory} is a sharded store root; open it "
+                f"with repro.analytics.shard.open_store"
+            )
         self.spill_rows = spill_rows
         self.spill_bytes = spill_bytes
         #: True (default) keeps materialized segments cached for the
@@ -1888,22 +1903,27 @@ class FlowStore(_StoreReadMixin):
         self.prune = prune
         #: wal (default True) journals every acknowledged ingest into
         #: ``tail.wal`` before it lands in the in-memory tail, so a
-        #: crash loses nothing that was acknowledged.  ``wal_sync=False``
-        #: skips the per-record fsync (crash-consistent against process
-        #: death but not power loss).  A surviving current-epoch journal
-        #: is replayed at open even with ``wal=False`` — durability is
-        #: only ever dropped going forward, never retroactively.
+        #: crash loses nothing that was acknowledged.  A surviving
+        #: current-epoch journal is replayed at open even with
+        #: ``wal=False`` — durability is only ever dropped going
+        #: forward, never retroactively.
         self.wal_enabled = wal
         #: strict=True restores PR4/PR5 hard-fail opens: any segment
         #: that fails validation raises ``StorageError``.  The default
         #: quarantines it and degrades gracefully (see :meth:`health`).
         self.strict = strict
         self._pool = None                # lazily-built thread pool
-        #: Store mutex (single writer, many readers).  Readers hold it
-        #: only for view capture and tail kernels; sealed-segment scans
-        #: run lock-free.  Reentrant because a tail kernel may call
-        #: back into helpers that take it again.
+        #: Store mutex (readers, and writers' in-memory commits).
+        #: Readers hold it only for view capture and tail kernels;
+        #: sealed-segment scans run lock-free.  Reentrant because a
+        #: tail kernel may call back into helpers that take it again.
         self._mutex = threading.RLock()
+        #: Writer lock — every writer verb runs under it (see the class
+        #: docstring).  Distinct from the mutex, so a journal fsync or
+        #: a segment write never blocks a query; reentrant because an
+        #: ingest spills into ``flush``, and ``compact`` / ``close``
+        #: seal first.
+        self._write_lock = threading.RLock()
         #: Snapshot bookkeeping: the generation bumps on every member
         #: set change (seal, compact); pins count live readers per
         #: generation; retired holds (generation, path) of compacted
@@ -1938,11 +1958,8 @@ class FlowStore(_StoreReadMixin):
                 continue
             reader.fqdn_map = _map_local_fqdns(self._interns, reader.labels)
             self._segments.append(reader)
-        self._wal = TailJournal(
-            self.directory / WAL_NAME, self._wal_epoch, sync=wal_sync
-        )
-        self._wal_report: dict = {}
-        self._recover_wal()
+        self._wal = TailJournal(self.directory / WAL_NAME, self._wal_epoch)
+        self._recover_wal()             # fills self._wal_report
         if newly_quarantined:
             # Commit the drop: the manifest stops listing the segment
             # and records it under "quarantined" so the degradation is
@@ -2170,7 +2187,7 @@ class FlowStore(_StoreReadMixin):
         }, indent=2) + "\n"
         _write_file_atomic(
             self.directory / MANIFEST_NAME,
-            payload.encode("utf-8"),
+            [payload.encode("utf-8")],
             "manifest",
         )
 
@@ -2194,11 +2211,12 @@ class FlowStore(_StoreReadMixin):
         durably appended to ``tail.wal`` *before* it lands in the tail
         — once ``add`` returns, the row survives a crash.
         """
-        if self.wal_enabled:
-            self._wal.append(_encode_flow_batch((flow,)))
-        with self._mutex:
-            self._tail.add(flow)
-        self._maybe_spill()
+        with self._write_lock:
+            if self.wal_enabled:
+                self._wal.append(_encode_flow_batch((flow,)))
+            with self._mutex:
+                self._tail.add(flow)
+            self._maybe_spill()
 
     def _wal_chunk_rows(self) -> int:
         """Rows journaled per ``add_all`` record.
@@ -2219,11 +2237,8 @@ class FlowStore(_StoreReadMixin):
         """Insert many flow records (journaled in chunks when the WAL
         is enabled)."""
         if not self.wal_enabled:
-            # self._tail rebinds on spill — re-fetch it every iteration.
             for flow in flows:
-                with self._mutex:
-                    self._tail.add(flow)
-                self._maybe_spill()
+                self.add(flow)
             return
         chunk_rows = self._wal_chunk_rows()
         iterator = iter(flows)
@@ -2231,12 +2246,13 @@ class FlowStore(_StoreReadMixin):
             chunk = list(islice(iterator, chunk_rows))
             if not chunk:
                 return
-            self._wal.append(_encode_flow_batch(chunk))
-            with self._mutex:
-                tail = self._tail
-                for flow in chunk:
-                    tail.add(flow)
-            self._maybe_spill()
+            with self._write_lock:
+                self._wal.append(_encode_flow_batch(chunk))
+                with self._mutex:
+                    tail = self._tail
+                    for flow in chunk:
+                        tail.add(flow)
+                self._maybe_spill()
 
     def ingest_batch(self, payload) -> int:
         """Absorb one eventcodec tagged-flow batch (see
@@ -2245,11 +2261,12 @@ class FlowStore(_StoreReadMixin):
         The raw batch is journaled as-is before ingestion, so an
         acknowledged batch replays bit-identically after a crash.
         """
-        if self.wal_enabled:
-            self._wal.append(bytes(payload))
-        with self._mutex:
-            count = self._tail.ingest_batch(payload)
-        self._maybe_spill()
+        with self._write_lock:
+            if self.wal_enabled:
+                self._wal.append(bytes(payload))
+            with self._mutex:
+                count = self._tail.ingest_batch(payload)
+            self._maybe_spill()
         return count
 
     def tail_bytes(self) -> int:
@@ -2291,55 +2308,57 @@ class FlowStore(_StoreReadMixin):
         happens atomically under the mutex.  A snapshot pinned before
         the commit keeps the *old* tail object, which is frozen forever
         after the rebind, so it still sees every row exactly once."""
-        tail = self._tail
-        if not len(tail):
-            return None
-        self._sync_tail_map(tail, self._tail_map)
-        name = self._writer.write(tail)
-        # Deliberate read-back: re-opening the file we just wrote
-        # verifies the write end to end (size + CRC over what actually
-        # hit the filesystem) before the manifest commits it — one
-        # extra sequential read per sealed segment, page-cache warm.
-        reader = SegmentReader.open(self.directory / name)
-        reader.fqdn_map = self._tail_map
-        with self._mutex:
-            self._segments.append(reader)
-            # Epoch protocol: the manifest commits the segment AND the
-            # new WAL epoch in one atomic rename, and only then is the
-            # journal replaced.  A crash before the manifest leaves an
-            # orphan segment plus a current-epoch journal (replayed —
-            # no loss); a crash after it leaves a stale-epoch journal
-            # (discarded — the rows live in the committed segment, no
-            # double count).
-            self._wal_epoch += 1
-            self._generation += 1
-            self._tail = FlowDatabase()
-            self._tail_map = array("i")
-            self._tail_label_bytes = 0
-            self._tail_label_count = 0
-        self._write_manifest()
-        if self.wal_enabled:
-            self._wal.reset(self._wal_epoch)
-        else:
-            # Journal-less mode still clears a journal inherited from a
-            # WAL-enabled run: its rows are sealed now.
-            self._wal.epoch = self._wal_epoch
-            if self._wal.path.exists():
-                self._wal.discard()
-        return name
+        with self._write_lock:
+            tail = self._tail
+            if not len(tail):
+                return None
+            self._sync_tail_map(tail, self._tail_map)
+            name = self._writer.write(tail)
+            # Deliberate read-back: re-opening the file we just wrote
+            # verifies the write end to end (size + CRC over what actually
+            # hit the filesystem) before the manifest commits it — one
+            # extra sequential read per sealed segment, page-cache warm.
+            reader = SegmentReader.open(self.directory / name)
+            reader.fqdn_map = self._tail_map
+            with self._mutex:
+                self._segments.append(reader)
+                # Epoch protocol: the manifest commits the segment AND the
+                # new WAL epoch in one atomic rename, and only then is the
+                # journal replaced.  A crash before the manifest leaves an
+                # orphan segment plus a current-epoch journal (replayed —
+                # no loss); a crash after it leaves a stale-epoch journal
+                # (discarded — the rows live in the committed segment, no
+                # double count).
+                self._wal_epoch += 1
+                self._generation += 1
+                self._tail = FlowDatabase()
+                self._tail_map = array("i")
+                self._tail_label_bytes = 0
+                self._tail_label_count = 0
+            self._write_manifest()
+            if self.wal_enabled:
+                self._wal.reset(self._wal_epoch)
+            else:
+                # Journal-less mode still clears a journal inherited from a
+                # WAL-enabled run: its rows are sealed now.
+                self._wal.epoch = self._wal_epoch
+                if self._wal.path.exists():
+                    self._wal.discard()
+            return name
 
     def close(self) -> None:
         """Seal any live rows and release the worker pool and journal
         handle.  The store object stays usable (both rebuild lazily on
         next use)."""
-        self.flush()
-        self._wal.close()
-        # Close invalidates outstanding snapshots: anything retired
-        # but still pinned is dropped now rather than leaked forever.
-        self._drain_retired(force=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._write_lock:
+            self.flush()
+            self._wal.close()
+            # Close invalidates outstanding snapshots: anything retired
+            # but still pinned is dropped now rather than leaked forever.
+            self._drain_retired(force=True)
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
 
     def __enter__(self) -> "FlowStore":
         return self
@@ -2438,50 +2457,51 @@ class FlowStore(_StoreReadMixin):
         the last such pin is released (:meth:`unpin` drains them), so
         a pinned snapshot can always rematerialize its segments.
         """
-        self.flush()
-        segments = self._segments
-        if small_rows is None:
-            runs = [(0, len(segments))] if len(segments) >= 2 else []
-        else:
-            runs = []
-            start = None
-            for index, reader in enumerate(segments):
-                if reader.n_rows < small_rows:
-                    if start is None:
-                        start = index
-                    continue
-                if start is not None and index - start >= 2:
-                    runs.append((start, index))
+        with self._write_lock:
+            self.flush()
+            segments = self._segments
+            if small_rows is None:
+                runs = [(0, len(segments))] if len(segments) >= 2 else []
+            else:
+                runs = []
                 start = None
-            if start is not None and len(segments) - start >= 2:
-                runs.append((start, len(segments)))
-        removed = 0
-        for start, stop in reversed(runs):
-            run = segments[start:stop]
-            name = self._writer.next_name()
-            # The merge reads only sealed (immutable) files — no lock.
-            _merge_segment_files(run, self.directory / name)
-            merged = SegmentReader.open(self.directory / name)
-            with self._mutex:
-                # Interning into the shared global tables and splicing
-                # the member list are the commit point for readers.
-                merged.fqdn_map = _map_local_fqdns(
-                    self._interns, merged.labels
-                )
-                segments[start:stop] = [merged]
-                self._generation += 1
-                retire_gen = self._generation
-            self._write_manifest()
-            with self._mutex:
-                self._retired.extend(
-                    (retire_gen, reader.path) for reader in run
-                )
-            # With no pins outstanding this unlinks immediately, in
-            # the same order the pre-pinning code did (the crash sweep
-            # counts on that); otherwise the files wait for unpin.
-            self._drain_retired()
-            removed += len(run) - 1
-        return removed
+                for index, reader in enumerate(segments):
+                    if reader.n_rows < small_rows:
+                        if start is None:
+                            start = index
+                        continue
+                    if start is not None and index - start >= 2:
+                        runs.append((start, index))
+                    start = None
+                if start is not None and len(segments) - start >= 2:
+                    runs.append((start, len(segments)))
+            removed = 0
+            for start, stop in reversed(runs):
+                run = segments[start:stop]
+                name = self._writer.next_name()
+                # The merge reads only sealed (immutable) files — no lock.
+                _merge_segment_files(run, self.directory / name)
+                merged = SegmentReader.open(self.directory / name)
+                with self._mutex:
+                    # Interning into the shared global tables and splicing
+                    # the member list are the commit point for readers.
+                    merged.fqdn_map = _map_local_fqdns(
+                        self._interns, merged.labels
+                    )
+                    segments[start:stop] = [merged]
+                    self._generation += 1
+                    retire_gen = self._generation
+                self._write_manifest()
+                with self._mutex:
+                    self._retired.extend(
+                        (retire_gen, reader.path) for reader in run
+                    )
+                # With no pins outstanding this unlinks immediately, in
+                # the same order the pre-pinning code did (the crash sweep
+                # counts on that); otherwise the files wait for unpin.
+                self._drain_retired()
+                removed += len(run) - 1
+            return removed
 
     def health(self) -> dict:
         """Self-diagnosis of the open store.
@@ -2496,17 +2516,7 @@ class FlowStore(_StoreReadMixin):
         ``repro-flowstore stats`` and checked (non-zero exit) by
         ``repro-flowstore verify``.
         """
-        wal = dict(self._wal_report) if self._wal_report else {
-            "enabled": self.wal_enabled,
-            "epoch": self._wal_epoch,
-            "recovered_batches": 0,
-            "recovered_rows": 0,
-            "torn_bytes_dropped": 0,
-            "skipped_records": 0,
-            "stale_dropped": False,
-        }
-        wal["enabled"] = self.wal_enabled
-        wal["epoch"] = self._wal_epoch
+        wal = dict(self._wal_report, epoch=self._wal_epoch)
         degraded = bool(self._quarantined) or bool(
             wal.get("skipped_records")
         )
@@ -2520,32 +2530,55 @@ class FlowStore(_StoreReadMixin):
             "tmp_files_swept": self._swept_tmp,
         }
 
+    def counters(self) -> dict[str, int]:
+        """The store's live numbers as one flat ``{name: int}``, read
+        under a single hold of the store mutex — the public view behind
+        the ``flowstore_*`` metric series (each key is its series name
+        without the prefix) and the base of :meth:`stats`."""
+        with self._mutex:
+            tail_rows = len(self._tail)
+            scan = self._scan_stats
+            wal = self._wal_report
+            return {
+                "rows": tail_rows + sum(
+                    reader.n_rows for reader in self._segments
+                ),
+                "tail_rows": tail_rows,
+                "segments": len(self._segments),
+                "quarantined_segments": len(self._quarantined),
+                "generation": self._generation,
+                "wal_epoch": self._wal_epoch,
+                "pinned_readers": sum(self._pins.values()),
+                "retired_pending": len(self._retired),
+                "scan_queries_total": scan["queries"],
+                "segments_scanned_total": scan["segments_scanned"],
+                "segments_pruned_total": scan["segments_pruned"],
+                "wal_recovered_batches": wal["recovered_batches"],
+                "wal_recovered_rows": wal["recovered_rows"],
+                "wal_torn_bytes_dropped": wal["torn_bytes_dropped"],
+                "wal_skipped_records": wal["skipped_records"],
+            }
+
     def stats(self) -> dict:
         """Inspection summary (the ``repro-flowstore inspect``/``stats``
         payload) — per-segment format version and pruning metadata
         included, so the store is fully introspectable without reading
         any column block.
 
-        The member set is the :meth:`_view` capture plus one pass of
-        the bookkeeping counters under the store mutex — a concurrent
-        seal or compaction can therefore never tear the payload (the
-        segment listing, ``sealed_rows`` and ``bytes_on_disk`` always
-        describe the same instant; the pre-fix code iterated the live
-        ``self._segments`` list lock-free and could disagree with
-        itself mid-splice)."""
-        segments_view, tail, _tail_map = self._view()
+        The member set and :meth:`counters` are captured under one
+        hold of the store mutex — a concurrent seal or compaction can
+        therefore never tear the payload (the segment listing,
+        ``sealed_rows`` and ``bytes_on_disk`` always describe the same
+        instant)."""
         with self._mutex:
-            tail_rows = len(tail)
+            segments_view = tuple(self._segments)
+            counters = self.counters()
             fqdns = len(self._interns._fqdn_names)
             slds = len(self._interns._sld_names)
             pinned = [
                 {"generation": generation, "readers": readers}
                 for generation, readers in sorted(self._pins.items())
             ]
-            retired_pending = len(self._retired)
-            scan_stats = dict(self._scan_stats)
-            generation = self._generation
-            wal_epoch = self._wal_epoch
         segments = [
             {
                 "name": reader.name,
@@ -2565,7 +2598,6 @@ class FlowStore(_StoreReadMixin):
         for reader in segments_view:
             key = str(reader.version)
             versions[key] = versions.get(key, 0) + 1
-        sealed_rows = sum(reader.n_rows for reader in segments_view)
         return {
             "directory": str(self.directory),
             "format": FORMAT_VERSION,
@@ -2574,19 +2606,23 @@ class FlowStore(_StoreReadMixin):
             "prune": self.prune,
             "health": self.health(),
             "segments": segments,
-            "sealed_rows": sealed_rows,
-            "tail_rows": tail_rows,
-            "rows": sealed_rows + tail_rows,
+            "sealed_rows": counters["rows"] - counters["tail_rows"],
+            "tail_rows": counters["tail_rows"],
+            "rows": counters["rows"],
             "fqdns": fqdns,
             "slds": slds,
             "bytes_on_disk": sum(
                 reader.file_size for reader in segments_view
             ),
-            "wal_epoch": wal_epoch,
-            "generation": generation,
+            "wal_epoch": counters["wal_epoch"],
+            "generation": counters["generation"],
             "pinned_generations": pinned,
-            "retired_pending": retired_pending,
-            "scan_stats": scan_stats,
+            "retired_pending": counters["retired_pending"],
+            "scan_stats": {
+                "queries": counters["scan_queries_total"],
+                "segments_scanned": counters["segments_scanned_total"],
+                "segments_pruned": counters["segments_pruned_total"],
+            },
         }
 
     def prune_report(self, hint: QueryHint) -> dict:

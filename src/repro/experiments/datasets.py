@@ -50,7 +50,7 @@ def set_stored_root(path, parallel: Optional[int] = None,
     ``repro-exp --flow-store DIR --parallel N`` path); results are
     bit-identical to serial.
 
-    A per-trace directory carrying ``SHARDS.json`` (built with
+    A per-trace sharded root (built with
     ``repro-flowstore ingest-trace --shards N``) opens as a
     :class:`repro.analytics.shard.ShardCoordinator`;
     ``shard_backend="process"`` (the ``repro-exp --shards process``
@@ -84,10 +84,9 @@ def stored_database(name: str, seed: int = DEFAULT_SEED):
     if _STORED_ROOT is None:
         return None
     directory = _STORED_ROOT / name
-    from repro.analytics.shard import SHARDS_NAME
+    from repro.analytics.shard import open_store, store_kind
 
-    sharded = (directory / SHARDS_NAME).exists()
-    if not sharded and not (directory / "MANIFEST.json").exists():
+    if store_kind(directory) is None:
         return None
     sidecar = directory / "DATASET.json"
     if sidecar.exists():
@@ -99,17 +98,10 @@ def stored_database(name: str, seed: int = DEFAULT_SEED):
             return None
         if meta.get("seed") != seed or meta.get("building"):
             return None
-    if sharded:
-        from repro.analytics.shard import ShardCoordinator
-
-        store = ShardCoordinator(
-            directory, parallel=_STORED_PARALLEL,
-            backend=_STORED_SHARD_BACKEND or "inprocess",
-        )
-    else:
-        from repro.analytics.storage import FlowStore
-
-        store = FlowStore(directory, parallel=_STORED_PARALLEL)
+    store = open_store(
+        directory, parallel=_STORED_PARALLEL,
+        backend=_STORED_SHARD_BACKEND or "inprocess",
+    )
     _OPEN_STORES.append(store)
     return store
 

@@ -1,7 +1,8 @@
 """``repro-serve`` — run the always-on query service from the shell.
 
-Wraps one durable :class:`~repro.analytics.storage.FlowStore` (WAL on
-by default) and the HTTP query API of :mod:`repro.serve.server` in a
+Wraps one durable store (flat or sharded, whatever
+:func:`~repro.analytics.shard.open_store` finds at ``DIR``; WAL on by
+default) and the HTTP query API of :mod:`repro.serve.server` in a
 single process.  Three ingest arrangements:
 
 * ``repro-serve DIR`` — serve an existing store; new rows arrive only
@@ -25,57 +26,11 @@ import argparse
 import sys
 import threading
 
-from pathlib import Path
-
-from repro.analytics.shard import SHARDS_NAME, ShardCoordinator
-from repro.analytics.storage import FlowStore
+from repro.analytics.shard import open_store
 from repro.serve.admission import AdmissionController, RouteClassLimits
 from repro.serve.governor import DegradationGovernor
 from repro.serve.server import ServeApp
 from repro.sniffer.fanout import install_shutdown_signals
-
-
-class SerializedWriter:
-    """A FlowStore facade that routes every ingest-side call through
-    the app's writer lock.
-
-    The sniffer pipeline drains into the store from the main thread
-    while HTTP ``POST /ingest`` lands on listener threads; both must
-    honor the store's single-writer contract, so the pipeline is
-    handed this facade instead of the bare store.  Reads delegate
-    unchanged (the store's own mutex covers them).
-    """
-
-    def __init__(self, store: FlowStore, lock: threading.Lock):
-        self._store = store
-        self._lock = lock
-
-    def ingest_batch(self, payload) -> int:
-        with self._lock:
-            return self._store.ingest_batch(payload)
-
-    def add(self, flow) -> None:
-        with self._lock:
-            self._store.add(flow)
-
-    def add_all(self, flows) -> None:
-        with self._lock:
-            self._store.add_all(flows)
-
-    def flush(self):
-        with self._lock:
-            return self._store.flush()
-
-    def compact(self, small_rows=None) -> int:
-        with self._lock:
-            return self._store.compact(small_rows)
-
-    def close(self) -> None:
-        with self._lock:
-            self._store.close()
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-wal", action="store_true",
                         help="disable the ingest journal (crash loses "
                              "the unsealed tail)")
-    parser.add_argument("--no-wal-sync", action="store_true",
-                        help="journal without per-record fsync")
     parser.add_argument("--strict", action="store_true",
                         help="fail instead of quarantining bad segments")
     parser.add_argument(
@@ -180,23 +133,13 @@ def main(argv=None) -> int:
             "--compact-small and --compact-interval go together"
         )
 
-    # A directory carrying SHARDS.json is a sharded store: front the
-    # scatter-gather coordinator instead of a flat FlowStore.  The
-    # serve layer is agnostic — both expose the same ingest/query/
-    # stats surface.
-    store_cls = (
-        ShardCoordinator
-        if (Path(args.store) / SHARDS_NAME).exists()
-        else FlowStore
-    )
-    store = store_cls(
+    store = open_store(
         args.store,
         spill_rows=args.spill_rows,
         spill_bytes=args.spill_bytes,
         parallel=args.parallel,
         prune=not args.no_prune,
         wal=not args.no_wal,
-        wal_sync=not args.no_wal_sync,
         strict=args.strict,
     )
     app = ServeApp(
@@ -231,8 +174,6 @@ def main(argv=None) -> int:
     print(f"repro-serve: listening on http://{host}:{port} "
           f"(store {args.store}, {len(store)} rows)", flush=True)
 
-    writer = SerializedWriter(store, app.writer_lock)
-
     pipeline = None
     if args.pcap:
         from repro.sniffer.cli import sniff_pcap
@@ -247,7 +188,7 @@ def main(argv=None) -> int:
     if args.compact_interval is not None:
         def _maintain():
             while not stop_maintenance.wait(args.compact_interval):
-                removed = writer.compact(args.compact_small)
+                removed = store.compact(args.compact_small)
                 if removed:
                     print(f"repro-serve: compacted {removed} segments",
                           flush=True)
@@ -267,7 +208,7 @@ def main(argv=None) -> int:
         httpd.server_close()
         if pipeline is not None:
             pipeline.close()      # drain tagged flows + seal the tail
-        writer.close()
+        store.close()
 
     install_shutdown_signals(shutdown)
 
@@ -284,7 +225,7 @@ def main(argv=None) -> int:
                 clist_size=args.clist,
                 warmup=args.warmup,
                 batch_events=args.batch_events,
-                flow_store=writer,
+                flow_store=store,
                 store_drain_hook=app.note_ingest,
                 on_pipeline=_bind_pipeline,
             )

@@ -13,10 +13,10 @@ and exposes its query surface over HTTP/JSON (full reference in
   route + canonicalized params) share one execution and one snapshot
   (:mod:`repro.serve.singleflight`); the duplicate callers surface in
   ``serve_coalesced_total``.
-* **Single-writer ingest** — ``POST /ingest`` accepts one eventcodec
-  tagged-flow batch per request and acknowledges only after the
-  store's WAL fsync; a writer lock serializes ingest with the CLI's
-  pipeline drain, preserving the store's single-writer contract.
+* **Ingest** — ``POST /ingest`` accepts one eventcodec tagged-flow
+  batch per request and acknowledges only after the store's WAL
+  fsync; the store's own writer lock serializes it with the CLI's
+  pipeline drain and compaction timer.
 * **Metrics** — ``GET /metrics`` renders the process registry in
   Prometheus text format (catalog in ``docs/observability.md``).
 * **Overload safety** — every request passes a bounded admission gate
@@ -64,6 +64,40 @@ class BadRequest(ValueError):
     """Maps to a 400 with ``{"error": ...}``."""
 
 
+#: The store series, ``store.counters()`` key → (metric kind, help);
+#: the series name is ``flowstore_`` + key.
+_STORE_SERIES = {
+    "rows": ("gauge", "Total rows (sealed segments + live tail)."),
+    "tail_rows": ("gauge", "Rows in the live in-memory tail."),
+    "segments": ("gauge", "Sealed segment files in the manifest."),
+    "quarantined_segments": (
+        "gauge", "Segments quarantined by graceful degradation."),
+    "generation": (
+        "gauge", "Manifest generation (bumps on seal/compact)."),
+    "wal_epoch": (
+        "gauge", "Current WAL epoch from the manifest protocol."),
+    "pinned_readers": (
+        "gauge", "Readers currently holding pinned snapshots."),
+    "retired_pending": (
+        "gauge", "Compacted segment files awaiting unpin to unlink."),
+    "scan_queries_total": (
+        "counter", "Whole-store query passes executed."),
+    "segments_scanned_total": (
+        "counter", "Sealed segments materialized/scanned by queries."),
+    "segments_pruned_total": (
+        "counter", "Sealed segments skipped by pruning metadata "
+        "(pruned / (scanned + pruned) is the prune hit-rate)."),
+    "wal_recovered_batches": (
+        "counter", "Journal batches replayed at open."),
+    "wal_recovered_rows": ("counter", "Journal rows replayed at open."),
+    "wal_torn_bytes_dropped": (
+        "counter", "Torn trailing journal bytes dropped at open."),
+    "wal_skipped_records": (
+        "counter", "Unplayable journal records skipped at open "
+        "(non-zero means sealed data was lost)."),
+}
+
+
 def _query_route(query: Query) -> Callable:
     """The ``/query/<route>`` handler of one query-table entry: read
     its arguments from the request parameters (400 on a missing,
@@ -102,10 +136,6 @@ class ServeApp:
             MetricsRegistry()
         )
         self.singleflight = SingleFlight()
-        #: Serializes every ingest path into the single-writer store
-        #: (HTTP POSTs against each other and against the CLI's
-        #: pipeline drain loop).
-        self.writer_lock = threading.Lock()
         self.admission = admission if admission is not None else (
             AdmissionController()
         )
@@ -142,7 +172,6 @@ class ServeApp:
 
     def _register_metrics(self) -> None:
         reg = self.registry
-        store = self.store
         self.m_requests = reg.counter(
             "serve_requests_total",
             "HTTP requests served, by route and status code.",
@@ -220,58 +249,30 @@ class ServeApp:
             "Ingest requests waiting in the bounded queue.",
             fn=lambda: self.admission.queued("ingest"),
         )
-        # Store-side state, read at scrape time.
-        reg.gauge("flowstore_rows",
-                  "Total rows (sealed segments + live tail).",
-                  fn=lambda: len(store))
-        reg.gauge("flowstore_tail_rows",
-                  "Rows in the live in-memory tail.",
-                  fn=lambda: len(store._tail))
-        reg.gauge("flowstore_segments",
-                  "Sealed segment files in the manifest.",
-                  fn=lambda: len(store._segments))
-        reg.gauge("flowstore_quarantined_segments",
-                  "Segments quarantined by graceful degradation.",
-                  fn=lambda: len(store._quarantined))
-        reg.gauge("flowstore_generation",
-                  "Manifest generation (bumps on seal/compact).",
-                  fn=lambda: store._generation)
-        reg.gauge("flowstore_wal_epoch",
-                  "Current WAL epoch from the manifest protocol.",
-                  fn=lambda: store._wal_epoch)
-        reg.gauge("flowstore_pinned_readers",
-                  "Readers currently holding pinned snapshots.",
-                  fn=lambda: sum(store._pins.values()))
-        reg.gauge("flowstore_retired_pending",
-                  "Compacted segment files awaiting unpin to unlink.",
-                  fn=lambda: len(store._retired))
-        scan = store._scan_stats
-        reg.counter("flowstore_scan_queries_total",
-                    "Whole-store query passes executed.",
-                    fn=lambda: scan["queries"])
-        reg.counter("flowstore_segments_scanned_total",
-                    "Sealed segments materialized/scanned by queries.",
-                    fn=lambda: scan["segments_scanned"])
-        reg.counter(
-            "flowstore_segments_pruned_total",
-            "Sealed segments skipped by pruning metadata "
-            "(pruned / (scanned + pruned) is the prune hit-rate).",
-            fn=lambda: scan["segments_pruned"],
-        )
-        wal = store._wal_report
-        reg.counter("flowstore_wal_recovered_batches",
-                    "Journal batches replayed at open.",
-                    fn=lambda: wal.get("recovered_batches", 0))
-        reg.counter("flowstore_wal_recovered_rows",
-                    "Journal rows replayed at open.",
-                    fn=lambda: wal.get("recovered_rows", 0))
-        reg.counter("flowstore_wal_torn_bytes_dropped",
-                    "Torn trailing journal bytes dropped at open.",
-                    fn=lambda: wal.get("torn_bytes_dropped", 0))
-        reg.counter("flowstore_wal_skipped_records",
-                    "Unplayable journal records skipped at open "
-                    "(non-zero means sealed data was lost).",
-                    fn=lambda: wal.get("skipped_records", 0))
+        # Store-side state: one counters() snapshot per /metrics
+        # render (see render_metrics), shared by all the series.
+        self._scrape_lock = threading.Lock()
+        self._scrape: Optional[dict] = None
+        for key, (kind, help_text) in _STORE_SERIES.items():
+            getattr(reg, kind)(
+                "flowstore_" + key, help_text,
+                fn=lambda key=key: self._store_counter(key),
+            )
+
+    def _store_counter(self, key: str) -> int:
+        scrape = self._scrape
+        return (scrape if scrape is not None else self.store.counters())[key]
+
+    def render_metrics(self) -> str:
+        """The ``/metrics`` payload, its store series all read from one
+        ``store.counters()`` snapshot (one mutex hold on a flat store,
+        one fan on a sharded one) instead of one call per series."""
+        with self._scrape_lock:
+            self._scrape = self.store.counters()
+            try:
+                return self.registry.render()
+            finally:
+                self._scrape = None
 
     def note_ingest(self, batches: int, rows: int) -> None:
         """Ingest-accounting hook — also wired as the sniffer
@@ -286,11 +287,10 @@ class ServeApp:
     def ingest(self, payload: bytes) -> int:
         """Absorb one eventcodec batch; returns acknowledged rows.
 
-        Returns only after the store's WAL append (fsync included when
-        ``wal_sync``) — an acknowledged batch survives a crash.
+        Returns only after the store's WAL append and fsync — an
+        acknowledged batch survives a crash.
         """
-        with self.writer_lock:
-            rows = self.store.ingest_batch(payload)
+        rows = self.store.ingest_batch(payload)
         self.note_ingest(1, rows)
         return rows
 
@@ -416,7 +416,7 @@ class ServeApp:
             if method != "GET":
                 return self._finish(route, 405, {"error": "GET required"})
             if path == "/metrics":
-                payload = self.registry.render().encode("utf-8")
+                payload = self.render_metrics().encode("utf-8")
                 self.m_requests.inc(route=route, code="200")
                 return (
                     200,

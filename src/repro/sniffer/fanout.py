@@ -476,15 +476,16 @@ class FanoutPipeline:
             where available — workers inherit the warm interpreter).
         use_numpy: force the vectorised (True) or pure-struct (False)
             consume path; None auto-detects.
-        flow_store: durable-ingest mode — a
-            :class:`repro.analytics.storage.FlowStore` (or directory
-            path, opened as one).  Implies ``collect_flows``; the feed
-            paths drain the workers' tagged-flow batches into the
-            store every ~64k events (worker buffers stay bounded and a
-            crash mid-stream loses at most that window), every
-            :meth:`collect` drains the remainder, and :meth:`close`
-            seals the store's live tail.  All transfers are binary
-            batches — worker→parent→disk with no ``FlowRecord`` churn.
+        flow_store: durable-ingest mode — an opened store (flat or
+            sharded) or a directory path, opened with
+            :func:`repro.analytics.shard.open_store`.  Implies
+            ``collect_flows``; the feed paths drain the workers'
+            tagged-flow batches into the store every ~64k events
+            (worker buffers stay bounded and a crash mid-stream loses
+            at most that window), every :meth:`collect` drains the
+            remainder, and :meth:`close` seals the store's live tail.
+            All transfers are binary batches — worker→parent→disk with
+            no ``FlowRecord`` churn.
     """
 
     def __init__(
@@ -515,9 +516,9 @@ class FanoutPipeline:
         # plausible empty store directory behind.
         if flow_store is not None:
             if not hasattr(flow_store, "ingest_batch"):
-                from repro.analytics.storage import FlowStore
+                from repro.analytics.shard import open_store
 
-                flow_store = FlowStore(flow_store)
+                flow_store = open_store(flow_store)
             collect_flows = True
         self.flow_store = flow_store
         #: Optional observability hook, ``hook(batches, rows)`` after

@@ -93,13 +93,14 @@ class SnifferPipeline:
             zero-object-churn feed of ``FlowDatabase.ingest_batch``
             (``processes > 1`` only; the single-process pipeline can
             always emit batches from its ``tagged_flows``).
-        flow_store: durable-ingest mode — a
-            :class:`repro.analytics.storage.FlowStore` (or a directory
-            path, opened as one).  After every processing call the
-            tagged flows emitted since the previous call stream into
-            the store as binary batches (worker→parent→disk with
-            ``processes > 1``, where ``collect_flows`` is implied);
-            :meth:`close` seals the store's live tail to disk.
+        flow_store: durable-ingest mode — an opened store (flat or
+            sharded) or a directory path, opened with
+            :func:`repro.analytics.shard.open_store`.  After every
+            processing call the tagged flows emitted since the previous
+            call stream into the store as binary batches
+            (worker→parent→disk with ``processes > 1``, where
+            ``collect_flows`` is implied); :meth:`close` seals the
+            store's live tail to disk.
         retain_flows: with ``False`` (requires ``flow_store``), flows
             already drained into the store are dropped from
             ``tagged_flows`` — the multi-day capture mode, where the
@@ -141,9 +142,9 @@ class SnifferPipeline:
         # sizing knob validated — a rejected construction must not
         # leave a plausible empty store directory behind.
         if flow_store is not None and not hasattr(flow_store, "ingest_batch"):
-            from repro.analytics.storage import FlowStore
+            from repro.analytics.shard import open_store
 
-            flow_store = FlowStore(flow_store)
+            flow_store = open_store(flow_store)
         if flow_store is not None and processes > 1:
             # Durable ingest needs the workers to re-encode their
             # tagged flows; the knob is implied rather than demanded.

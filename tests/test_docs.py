@@ -10,6 +10,11 @@ Four classes of drift this suite catches:
 * the API/metrics references diverging from the code: every
   ``/query/<name>`` route and every ``/metrics`` family must appear in
   the docs, and vice versa.
+
+Plus one source check behind the "store contract" section of
+``docs/architecture.md``: no module outside
+``repro/analytics/{storage,shard}.py`` names the topology or manifest
+file, and nothing under ``src/repro/serve/`` reads a store private.
 """
 
 from __future__ import annotations
@@ -181,3 +186,34 @@ def test_architecture_doc_is_linked_from_readme():
     for page in ("docs/architecture.md", "docs/http-api.md",
                  "docs/runbook.md", "docs/observability.md"):
         assert page in readme, f"README does not link {page}"
+
+
+def _source_hits(root: Path, pattern: str, skip=()) -> list[str]:
+    regex = re.compile(pattern)
+    return [
+        f"{path.relative_to(REPO)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py")) if path not in skip
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1
+        )
+        if regex.search(line)
+    ]
+
+
+def test_store_contract_is_decided_in_one_place():
+    """docs/architecture.md, "The store contract": which file makes a
+    directory flat or sharded is known to the store modules alone, and
+    the serve layer sees a store through its public surface."""
+    src = REPO / "src" / "repro"
+    analytics = src / "analytics"
+    leaks = _source_hits(
+        src, r"SHARDS\.json|MANIFEST\.json|SHARDS_NAME|MANIFEST_NAME",
+        skip=(analytics / "storage.py", analytics / "shard.py"),
+    )
+    assert not leaks, "store file names outside the store:\n" + "\n".join(
+        leaks
+    )
+    private = _source_hits(src / "serve", r"store\._[a-z]")
+    assert not private, "store privates read in serve:\n" + "\n".join(
+        private
+    )
