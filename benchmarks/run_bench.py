@@ -686,7 +686,7 @@ def _encode_flow_batches(flows, batch_events: int = 8192) -> list[bytes]:
 
 
 def bench_flowdb_ingest(quick: bool) -> dict:
-    from repro.sniffer.eventcodec import iter_decoded_events
+    from repro.sniffer.eventcodec_reference import iter_decoded_events
 
     # Workload size is fixed across quick/full: the seed-relative
     # speedup grows with the dedupe factor (flows per distinct label/
@@ -846,7 +846,7 @@ def bench_flowdb_spill_ingest(quick: bool) -> dict:
     """
     from repro.analytics.persistence import dump_flows
     from repro.analytics.storage import FlowStore
-    from repro.sniffer.eventcodec import iter_decoded_events
+    from repro.sniffer.eventcodec_reference import iter_decoded_events
 
     n_flows = 120_000  # fixed across quick/full; see bench_flowdb_ingest
     spill_rows = 16_384

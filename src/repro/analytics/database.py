@@ -74,6 +74,7 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
 _NONE_STR = 0xFFFF
+_NO_COLD_STRINGS = STR_LEN.pack(_NONE_STR) * 2   # cert_name, true_fqdn: None
 _EMPTY_ROWS: tuple[int, ...] = ()
 
 if _np is not None:
@@ -193,7 +194,9 @@ class FlowDatabase:
         self._sld_names: list[str] = []
         self._sld_ids: dict[str, int] = {}
         self._sld_fqdns: list[array] = []           # sld id -> fqdn ids
-        self._raw_cache: dict[bytes, tuple[int, str]] = {}
+        # Label bytes as they arrive in a batch -> (fqdn id, text);
+        # None is the untagged slot.
+        self._raw_cache: dict[Optional[bytes], tuple] = {None: (-1, None)}
         # Row-index arrays.
         self._by_fqdn: dict[int, array] = {}        # fqdn id -> rows
         self._by_sld: dict[int, array] = {}         # sld id -> rows
@@ -338,25 +341,41 @@ class FlowDatabase:
         ignored (the Flow Database stores flows).  Returns the number of
         flows ingested.
 
-        Ingestion is atomic with respect to malformed input: every
-        variable-length block is parsed (``CodecError`` on truncation
-        or bad UTF-8) before the first shared structure is touched, so
-        a rejected batch leaves the store exactly as it was.
+        Ingestion is atomic with respect to malformed input: it is
+        :meth:`parse_batch` (every block validated into locals,
+        ``CodecError`` on truncation, bad UTF-8 or an out-of-range
+        field) followed by :meth:`commit_batch`, so a rejected batch
+        leaves the store exactly as it was.
+        """
+        return self.commit_batch(self.parse_batch(payload))
+
+    def parse_batch(self, payload):
+        """Validate one batch without touching any shared structure.
+
+        Returns the token :meth:`commit_batch` takes — valid only until
+        the next commit on this database.  The durable store journals
+        a batch between the two, so a payload that cannot be ingested
+        never reaches the WAL.
         """
         view = BatchView(payload)
-        n = view.n_flows
-        if not n:
-            return 0
-        # Parse-then-commit: every block is validated into locals
-        # first; the commit phase below cannot fail partway.
+        if not view.n_flows:
+            return None
         self._validate_flow_numeric(view)
-        entries = self._parse_flow_strings(view, n)
+        return view, self._parse_flow_strings(view, view.n_flows)
+
+    def commit_batch(self, parsed) -> int:
+        """Apply a :meth:`parse_batch` result (cannot fail partway);
+        returns the number of flows ingested."""
+        if parsed is None:
+            return 0
+        view, strings = parsed
+        n = view.n_flows
         base = len(self._records)
         if _np is not None:
             self._ingest_hot_cold_numpy(view)
         else:
             self._ingest_hot_cold_python(view)
-        fqdn_ids = self._commit_flow_strings(entries)
+        fqdn_ids = self._commit_flow_strings(*strings)
         self._index_batch(view, fqdn_ids, base, n)
         self._records.extend([None] * n)
         self._all_records = False
@@ -462,86 +481,80 @@ class FlowDatabase:
 
     def _parse_flow_strings(
         self, view: BatchView, n: int
-    ) -> list[tuple]:
+    ) -> tuple[list, dict, list, list]:
         """Validate and decode the per-flow string block into locals.
 
-        Returns one ``(fqdn_entry, cert_name, true_fqdn)`` tuple per
-        flow, where ``fqdn_entry`` is ``None`` (untagged), an already-
-        interned ``(fqdn_id, text)`` pair from the raw-bytes cache, or
-        a pending ``(raw_bytes, text)`` pair the commit phase interns.
-        Raises :class:`~repro.sniffer.eventcodec.CodecError` on
-        truncation or bad UTF-8 — without touching any shared state.
+        Returns ``(labels, new_labels, cert_names, true_fqdns)``:
+        per flow the fqdn slot's raw bytes (``None`` = untagged), the
+        decoded text of every distinct label the raw-bytes cache has
+        not seen yet (first-appearance order — the commit phase interns
+        each once), and the two cold strings.  Raises
+        :class:`~repro.sniffer.eventcodec.CodecError` on truncation or
+        bad UTF-8 — without touching any shared state.
         """
         # One bytes copy up front: slicing/unpacking bytes is cheaper
         # than going through the memoryview per field.
         flow_str = bytes(view.flow_str)
-        total = len(flow_str)
         unpack = STR_LEN.unpack_from
         raw_cache = self._raw_cache
-        entries: list[tuple] = []
-        append = entries.append
+        labels: list[Optional[bytes]] = []
+        new_labels: dict[bytes, str] = {}
+        cold: list[Optional[str]] = []   # cert_name, true_fqdn, ...
+        label_append = labels.append
+        cold_append = cold.append
         pos = 0
         try:
             for _ in range(n):
                 (length,) = unpack(flow_str, pos)
                 pos += 2
                 if length == _NONE_STR:
-                    fqdn_entry = None
+                    label_append(None)
                 else:
-                    stop = pos + length
-                    if stop > total:
-                        raise CodecError("truncated flow_str block")
-                    raw = flow_str[pos:stop]
-                    pos = stop
-                    fqdn_entry = raw_cache.get(raw)
-                    if fqdn_entry is None:
-                        fqdn_entry = (raw, raw.decode("utf-8"))
-                cold_strings = []
+                    raw = flow_str[pos:pos + length]
+                    pos += length
+                    if raw not in raw_cache and raw not in new_labels:
+                        new_labels[raw] = raw.decode("utf-8")
+                    label_append(raw)
+                if flow_str[pos:pos + 4] == _NO_COLD_STRINGS:
+                    # What the sniffer emits: neither cold string set.
+                    pos += 4
+                    cold_append(None)
+                    cold_append(None)
+                    continue
                 for _ in range(2):
                     (length,) = unpack(flow_str, pos)
                     pos += 2
                     if length == _NONE_STR:
-                        cold_strings.append(None)
+                        cold_append(None)
                     else:
-                        stop = pos + length
-                        if stop > total:
-                            raise CodecError("truncated flow_str block")
-                        cold_strings.append(
-                            flow_str[pos:stop].decode("utf-8")
+                        cold_append(
+                            flow_str[pos:pos + length].decode("utf-8")
                         )
-                        pos = stop
-                append((fqdn_entry, cold_strings[0], cold_strings[1]))
+                        pos += length
         except struct.error as exc:
             raise CodecError(f"truncated flow_str block: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CodecError(f"bad UTF-8 in flow_str: {exc}") from exc
-        return entries
+        if pos > len(flow_str):
+            # A slice past the end comes back short instead of raising.
+            raise CodecError("truncated flow_str block")
+        return labels, new_labels, cold[0::2], cold[1::2]
 
-    def _commit_flow_strings(self, entries: list[tuple]) -> array:
+    def _commit_flow_strings(
+        self, labels: list, new_labels: dict, cert_names: list,
+        true_fqdns: list,
+    ) -> array:
         """Intern and append parsed string entries (cannot fail)."""
-        fqdn_ids = array("i")
         raw_cache = self._raw_cache
-        id_append = fqdn_ids.append
-        raw_append = self._raw_fqdns.append
-        cert_append = self._cert_names.append
-        true_append = self._true_fqdns.append
-        for fqdn_entry, cert_name, true_fqdn in entries:
-            if fqdn_entry is None:
-                id_append(-1)
-                raw_append(None)
-            else:
-                first, text = fqdn_entry
-                if type(first) is int:
-                    fqdn_id = first
-                else:
-                    fqdn_id = (
-                        self._intern_fqdn(text.lower()) if text else -1
-                    )
-                    raw_cache[first] = (fqdn_id, text)
-                id_append(fqdn_id)
-                raw_append(text)
-            cert_append(cert_name)
-            true_append(true_fqdn)
+        for raw, text in new_labels.items():
+            raw_cache[raw] = (
+                self._intern_fqdn(text.lower()) if text else -1, text
+            )
+        entries = [raw_cache[raw] for raw in labels]
+        fqdn_ids = array("i", [fqdn_id for fqdn_id, _text in entries])
+        self._raw_fqdns.extend([text for _fqdn_id, text in entries])
+        self._cert_names.extend(cert_names)
+        self._true_fqdns.extend(true_fqdns)
         self.columns.fqdn_id.extend(fqdn_ids)
         return fqdn_ids
 

@@ -2258,14 +2258,18 @@ class FlowStore(_StoreReadMixin):
         """Absorb one eventcodec tagged-flow batch (see
         :meth:`FlowDatabase.ingest_batch`); spills past the budget.
 
-        The raw batch is journaled as-is before ingestion, so an
-        acknowledged batch replays bit-identically after a crash.
+        Parse, journal, commit: the batch is validated first (a
+        rejected payload raises ``CodecError`` with nothing written),
+        then journaled as-is, then applied — so every journal record is
+        playable and an acknowledged batch replays bit-identically
+        after a crash.
         """
         with self._write_lock:
+            parsed = self._tail.parse_batch(payload)
             if self.wal_enabled:
                 self._wal.append(bytes(payload))
             with self._mutex:
-                count = self._tail.ingest_batch(payload)
+                count = self._tail.commit_batch(parsed)
             self._maybe_spill()
         return count
 

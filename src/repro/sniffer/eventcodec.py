@@ -50,7 +50,8 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Iterable, Iterator, Union
+from itertools import repeat
+from typing import Iterable, Optional, Union
 
 from repro.net.flow import (
     DnsObservation,
@@ -81,6 +82,8 @@ PROTOCOL_INDEX: dict[Protocol, int] = {p: i for i, p in enumerate(PROTOCOLS)}
 _NONE_STR = 0xFFFF
 _MAX_STR = 0xFFFE
 _U32 = 0xFFFFFFFF
+_NONE_SLOT = STR_LEN.pack(_NONE_STR)
+_TRANSPORTS = {int(member): member for member in TransportProto}
 
 
 class CodecError(ValueError):
@@ -93,15 +96,23 @@ def _check_u32(value: int, what: str) -> int:
     return value
 
 
-def _encode_str(out: bytearray, text) -> None:
-    if text is None:
-        out += STR_LEN.pack(_NONE_STR)
-        return
-    raw = text.encode("utf-8")
-    if len(raw) > _MAX_STR:
-        raise CodecError(f"string of {len(raw)} bytes exceeds codec limit")
-    out += STR_LEN.pack(len(raw))
-    out += raw
+class _SlotCache(dict):
+    """text -> encoded ``flow_str`` slot (u16 length prefix + UTF-8,
+    0xFFFF = None): a batch repeats few distinct labels, so each is
+    encoded once."""
+
+    def __missing__(self, text: Optional[str]) -> bytes:
+        if text is None:
+            slot = _NONE_SLOT
+        else:
+            raw = text.encode("utf-8")
+            if len(raw) > _MAX_STR:
+                raise CodecError(
+                    f"string of {len(raw)} bytes exceeds codec limit"
+                )
+            slot = STR_LEN.pack(len(raw)) + raw
+        self[text] = slot
+        return slot
 
 
 class BatchEncoder:
@@ -114,7 +125,7 @@ class BatchEncoder:
 
     __slots__ = (
         "_flags", "_flow_hot", "_flow_cold", "_flow_str",
-        "_dns_hot", "_answers", "_names", "_dns_cold",
+        "_dns_hot", "_answers", "_names", "_dns_cold", "_slots",
         "n_dns", "n_flows",
     )
 
@@ -127,6 +138,7 @@ class BatchEncoder:
         self._answers = array("I")
         self._names = bytearray()
         self._dns_cold = bytearray()
+        self._slots = _SlotCache()  # reset with the batch: bounded
         self.n_dns = 0
         self.n_flows = 0
 
@@ -189,10 +201,10 @@ class BatchEncoder:
             )
         except (struct.error, KeyError) as exc:
             raise CodecError(f"flow field out of range: {exc}") from exc
-        strings = bytearray()
-        _encode_str(strings, flow.fqdn)
-        _encode_str(strings, flow.cert_name)
-        _encode_str(strings, flow.true_fqdn)
+        slots = self._slots
+        strings = (
+            slots[flow.fqdn] + slots[flow.cert_name] + slots[flow.true_fqdn]
+        )
         self._flags.append(0)
         self._flow_hot += hot
         self._flow_cold += cold
@@ -344,7 +356,7 @@ def retag_flows(view: BatchView, labels) -> bytes:
         if length != _NONE_STR:
             pos += length  # discard the pre-tag fqdn slot
         if label is None:
-            out += STR_LEN.pack(_NONE_STR)
+            out += _NONE_SLOT
         else:
             if len(label) > _MAX_STR:
                 raise CodecError(
@@ -374,80 +386,93 @@ def retag_flows(view: BatchView, labels) -> bytes:
     return b"".join(parts)
 
 
-def _decode_str(buf, pos: int):
-    (length,) = STR_LEN.unpack_from(buf, pos)
-    pos += STR_LEN.size
-    if length == _NONE_STR:
-        return None, pos
-    return bytes(buf[pos:pos + length]).decode("utf-8"), pos + length
+def _decode_flows(view: BatchView) -> list[FlowRecord]:
+    n = view.n_flows
+    raw = bytes(view.flow_str)
+    if raw == _NONE_SLOT * (3 * n):
+        # The sniffer's own untagged feed: no string in any slot.
+        fqdns = certs = trues = repeat(None)
+    else:
+        # One pass; each distinct slot is decoded once.
+        texts: dict[bytes, Optional[str]] = {_NONE_SLOT: None}
+        slots = []
+        pos = 0
+        for _ in range(3 * n):
+            length = raw[pos] | raw[pos + 1] << 8
+            stop = pos + 2 + (0 if length == _NONE_STR else length)
+            key = raw[pos:stop]
+            if key not in texts:
+                texts[key] = key[2:].decode("utf-8")
+            slots.append(texts[key])
+            pos = stop
+        if pos > len(raw):  # a slice past the end comes back short
+            raise CodecError("truncated flow_str block")
+        fqdns, certs, trues = slots[0::3], slots[1::3], slots[2::3]
+    return [
+        FlowRecord(
+            FiveTuple(client, server, sport, dport, _TRANSPORTS[transport]),
+            start, end, PROTOCOLS[proto], up, down, packets,
+            fqdn, cert_name, true_fqdn,
+        )
+        for (client, server, start, proto),
+            (sport, dport, transport, end, up, down, packets),
+            fqdn, cert_name, true_fqdn
+        in zip(FLOW_HOT.iter_unpack(view.flow_hot),
+               FLOW_COLD.iter_unpack(view.flow_cold), fqdns, certs, trues)
+    ]
+
+
+def _decode_dns(view: BatchView) -> list[DnsObservation]:
+    packed = array("I")
+    packed.frombytes(view.dns_answers)
+    if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
+        packed.byteswap()
+    answers = packed.tolist()
+    names = bytes(view.dns_names)
+    texts: dict[bytes, str] = {}
+    out = []
+    a_pos = n_pos = 0
+    for (client, timestamp, n, name_len), (ttl, useless) in zip(
+        DNS_HOT.iter_unpack(view.dns_hot),
+        DNS_COLD.iter_unpack(view.dns_cold),
+    ):
+        key = names[n_pos:n_pos + name_len]
+        if key not in texts:
+            texts[key] = key.decode("utf-8")
+        out.append(DnsObservation(
+            timestamp, client, texts[key], answers[a_pos:a_pos + n], ttl,
+            useless != 0,
+        ))
+        n_pos += name_len
+        a_pos += n
+    if a_pos != len(answers) or n_pos != len(names):
+        # Slices past the end come back short instead of raising.
+        raise CodecError("DNS blocks disagree with the hot records")
+    return out
 
 
 def decode_events(buf) -> list[Event]:
     """Decode a batch back into event objects, in original stream order.
 
-    This is the lossless inverse of :func:`encode_events` (the
-    property-tested round trip); the fan-out hot path never calls it —
-    workers consume the blocks directly.
+    The lossless inverse of :func:`encode_events`, block-at-a-time: all
+    flows, all DNS responses, then one interleave by ``flags``.  The
+    per-event seed decoder is retained as the differential oracle in
+    :mod:`repro.sniffer.eventcodec_reference`.  The fan-out hot path
+    never calls this — workers consume the blocks directly.
     """
-    return list(iter_decoded_events(buf))
-
-
-def iter_decoded_events(buf) -> Iterator[Event]:
     view = BatchView(buf)
-    flow_hot = FLOW_HOT.iter_unpack(view.flow_hot)
-    flow_cold = FLOW_COLD.iter_unpack(view.flow_cold)
-    dns_hot = DNS_HOT.iter_unpack(view.dns_hot)
-    dns_cold = DNS_COLD.iter_unpack(view.dns_cold)
-    answers = array("I")
-    answers.frombytes(view.dns_answers)
-    if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
-        answers.byteswap()
-    names = view.dns_names
-    flow_str = view.flow_str
-    str_pos = 0
-    a_pos = 0
-    n_pos = 0
     try:
-        for flag in view.flags:
-            if flag == 1:
-                client_ip, timestamp, n, name_len = next(dns_hot)
-                ttl, useless = next(dns_cold)
-                fqdn = bytes(names[n_pos:n_pos + name_len]).decode("utf-8")
-                n_pos += name_len
-                yield DnsObservation(
-                    timestamp=timestamp,
-                    client_ip=client_ip,
-                    fqdn=fqdn,
-                    answers=answers[a_pos:a_pos + n].tolist(),
-                    ttl=ttl,
-                    useless=bool(useless),
-                )
-                a_pos += n
-            elif flag == 0:
-                client_ip, server_ip, start, proto_idx = next(flow_hot)
-                (src_port, dst_port, transport, end, bytes_up, bytes_down,
-                 packets) = next(flow_cold)
-                fqdn, str_pos = _decode_str(flow_str, str_pos)
-                cert_name, str_pos = _decode_str(flow_str, str_pos)
-                true_fqdn, str_pos = _decode_str(flow_str, str_pos)
-                yield FlowRecord(
-                    fid=FiveTuple(
-                        client_ip, server_ip, src_port, dst_port,
-                        TransportProto(transport),
-                    ),
-                    start=start,
-                    end=end,
-                    protocol=PROTOCOLS[proto_idx],
-                    bytes_up=bytes_up,
-                    bytes_down=bytes_down,
-                    packets=packets,
-                    fqdn=fqdn,
-                    cert_name=cert_name,
-                    true_fqdn=true_fqdn,
-                )
-            else:
-                raise CodecError(f"invalid interleave flag {flag}")
-    except (StopIteration, IndexError, struct.error, ValueError) as exc:
-        if isinstance(exc, CodecError):
-            raise
+        flows = _decode_flows(view)
+        observations = _decode_dns(view)
+    except CodecError:
+        raise
+    except (struct.error, ValueError, LookupError) as exc:
         raise CodecError(f"corrupt batch body: {exc!r}") from exc
+    flags = bytes(view.flags)
+    if flags.count(0) != len(flows) or flags.count(1) != len(observations):
+        raise CodecError("invalid interleave flag")
+    if not flows or not observations:
+        return flows or observations
+    next_flow = iter(flows).__next__
+    next_dns = iter(observations).__next__
+    return [next_dns() if flag else next_flow() for flag in flags]

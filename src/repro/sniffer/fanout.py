@@ -51,6 +51,7 @@ from repro.net.flow import DnsObservation, FlowRecord, Protocol
 from repro.sniffer.eventcodec import (
     BatchEncoder,
     BatchView,
+    CodecError,
     DNS_HOT,
     FLOW_HOT,
     PROTOCOLS,
@@ -125,6 +126,16 @@ def install_shutdown_signals(close, signals=None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_dns_blocks(view: BatchView, n_answers: int, name_bytes: int):
+    """The hot records must consume the answer and name blocks exactly
+    (a slice past the end would come back short, not raise)."""
+    if (
+        n_answers * 4 != len(view.dns_answers)
+        or name_bytes != len(view.dns_names)
+    ):
+        raise CodecError("DNS blocks disagree with the hot records")
+
+
 class _WorkerState:
     """Per-worker resolver + tag counters and the batch consume loop."""
 
@@ -173,8 +184,9 @@ class _WorkerState:
         """(fused answer keys, answer counts, timestamps, name offsets)."""
         if self.use_numpy:
             hot = _np.frombuffer(view.dns_hot, dtype=_DNS_DT)
-            answers = _np.frombuffer(view.dns_answers, dtype="<u4")
             n_arr = hot["n"]
+            _check_dns_blocks(view, int(n_arr.sum()), int(hot["fl"].sum()))
+            answers = _np.frombuffer(view.dns_answers, dtype="<u4")
             keys = ((_np.repeat(hot["client"].astype(_np.uint64), n_arr)
                      << 32) | answers.astype(_np.uint64)).tolist()
             offsets = _np.empty(len(hot) + 1, dtype=_np.int64)
@@ -185,6 +197,7 @@ class _WorkerState:
         clients, timestamps, counts, name_lens = zip(
             *DNS_HOT.iter_unpack(view.dns_hot)
         )
+        _check_dns_blocks(view, sum(counts), sum(name_lens))
         answers = struct.unpack(
             f"<{len(view.dns_answers) // 4}I", view.dns_answers
         )

@@ -33,7 +33,7 @@ counters land in :attr:`tagger` ``.stats`` and :attr:`fanout_report`.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Union
 
 from repro.net.flow import DnsObservation, FlowRecord, Protocol
@@ -269,14 +269,16 @@ class SnifferPipeline:
         if self._drain_every:
             # Chunk the stream so the event loops stay branch-free on
             # their hot path while the store still receives (and can
-            # spill) every few batches' worth of tagged flows.
+            # spill) every few batches' worth of tagged flows.  The
+            # chunk is a lazy slice, never a list: an event the loop is
+            # done with is garbage at once instead of being kept alive
+            # (and aged into the old GC generation) until the drain.
             events = iter(events)
-            chunk_events = self._drain_every * 4
-            while True:
-                chunk = list(islice(events, chunk_events))
-                if not chunk:
-                    break
-                self._process_events_dispatch(chunk)
+            rest = self._drain_every * 4 - 1
+            for first in events:
+                self._process_events_dispatch(
+                    chain((first,), islice(events, rest))
+                )
                 self._store_drain()
             return self.tagged_flows
         flows = self._process_events_dispatch(events)
@@ -661,13 +663,12 @@ class SnifferPipeline:
 
         payloads: list[bytes] = []
         encoder = BatchEncoder()
+        add_flow = encoder.add_flow
         pending = self.tagged_flows[self._emitted_flows:]
         self._emitted_flows += len(pending)
-        for flow in pending:
-            encoder.add_flow(flow)
-            if len(encoder) >= batch_events:
-                payloads.append(encoder.take())
-        if len(encoder):
+        for pos in range(0, len(pending), batch_events):
+            for flow in pending[pos:pos + batch_events]:
+                add_flow(flow)
             payloads.append(encoder.take())
         return payloads
 

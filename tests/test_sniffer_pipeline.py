@@ -204,3 +204,128 @@ class TestEmitTaggedBatchesDrains:
         assert pipeline.emit_tagged_batches() == []
         assert len(database) == len(pipeline.tagged_flows) == 2
         assert list(database) == pipeline.tagged_flows
+
+
+def _event_stream(n: int = 600) -> list:
+    """DNS responses (some empty, 1-3 answers) interleaved with flows,
+    a third of them to servers nobody resolved."""
+    events = []
+    for i in range(n):
+        client = 10 + i % 11
+        if i % 3 == 0:
+            events.append(DnsObservation(
+                timestamp=float(i), client_ip=client,
+                fqdn=f"host{i % 17}.Example{i % 5}.com",
+                answers=[500 + (i + k) % 23 for k in range(i % 4)],
+            ))
+        else:
+            events.append(FlowRecord(
+                fid=FiveTuple(client, 500 + (i * 7) % 31, 1024 + i,
+                              (80, 443)[i % 2], TransportProto.TCP),
+                start=float(i), end=float(i) + 1.5,
+                protocol=(Protocol.HTTP, Protocol.TLS)[i % 2],
+                bytes_up=i, bytes_down=10 * i, packets=3,
+                cert_name="cert.example.com" if i % 5 == 0 else None,
+            ))
+    return events
+
+
+def _store_answers(database) -> dict:
+    return {
+        "rows": list(database),
+        "tagged": database.tagged_count,
+        "span": database.time_span(),
+        "protocols": database.count_by_protocol(),
+        "fqdns": database.fqdns(),
+        "servers": {fqdn: database.servers_for_fqdn(fqdn)
+                    for fqdn in database.fqdns()},
+        "window": database.query_in_window(100.0, 400.0),
+    }
+
+
+class TestLazilySlicedEventLoop:
+    """With a store attached ``process_events`` hands the loops lazy
+    slices of the source (never a materialised chunk); whatever the
+    chunk size, the result equals one store-less pass over a list."""
+
+    @pytest.mark.parametrize("batch_events", [1, 7, 8192])
+    def test_generator_into_store_equals_list_without_store(
+        self, tmp_path, batch_events
+    ):
+        from repro.analytics.database import FlowDatabase
+        from repro.analytics.storage import FlowStore
+
+        plain = SnifferPipeline(clist_size=64, warmup=50.0)
+        expected = FlowDatabase.from_flows(
+            plain.process_events(_event_stream())
+        )
+        store = FlowStore(tmp_path / "store", spill_rows=128)
+        durable = SnifferPipeline(
+            clist_size=64, warmup=50.0, flow_store=store,
+            retain_flows=False, batch_events=batch_events,
+        )
+        drains = []
+        durable.store_drain_hook = lambda batches, rows: drains.append(rows)
+        returned = durable.process_events(
+            event for event in _event_stream()
+        )
+        assert returned == []  # everything drained, nothing retained
+        durable.close()
+        assert durable.resolver.stats == plain.resolver.stats
+        assert durable.tagger.stats == plain.tagger.stats
+        assert durable.dns_sniffer.stats == plain.dns_sniffer.stats
+        assert sum(drains) == len(expected) == len(store)
+        # The drain cadence is unchanged: one per 4 x batch_events events.
+        assert len(drains) == -(-600 // (4 * batch_events))
+        assert _store_answers(store) == _store_answers(expected)
+        store.close()
+
+    def test_source_failing_mid_chunk_keeps_what_was_tagged(self, tmp_path):
+        from repro.analytics.storage import FlowStore
+
+        events = _event_stream()
+        cut = 250
+
+        def failing():
+            yield from events[:cut]
+            raise OSError("capture source went away")
+
+        plain = SnifferPipeline(clist_size=64, warmup=0.0)
+        expected = list(plain.process_events(events[:cut]))
+        store = FlowStore(tmp_path / "store")
+        durable = SnifferPipeline(
+            clist_size=64, warmup=0.0, flow_store=store,
+            retain_flows=False, batch_events=100,
+        )
+        with pytest.raises(OSError, match="went away"):
+            durable.process_events(failing())
+        # The loop's finally flushed its locals back...
+        assert durable.resolver.stats == plain.resolver.stats
+        assert durable.tagger.stats == plain.tagger.stats
+        # ...and the flows tagged before the failure are not lost.
+        durable.close()
+        assert list(store) == expected
+        store.close()
+
+
+def test_batch_encoder_slot_cache_is_invisible():
+    """``BatchEncoder`` encodes each distinct string slot once; reusing
+    an encoder across ``take()`` must emit the bytes a fresh one does."""
+    from repro.sniffer.eventcodec import BatchEncoder, encode_events
+
+    flows = [
+        FlowRecord(
+            fid=FiveTuple(i, 9, 1000 + i, 443, TransportProto.TCP),
+            start=float(i),
+            fqdn=("cdn.example.com", None, "é.example.fr", "")[i % 4],
+            cert_name=("cert.example.com", None)[i % 2],
+            true_fqdn=(None, "cdn.example.com", None)[i % 3],
+        )
+        for i in range(24)
+    ]
+    reused = BatchEncoder()
+    reused.add_events(flows[:13])
+    first = reused.take()
+    reused.add_events(flows[13:])
+    assert first == encode_events(flows[:13])
+    assert reused.take() == encode_events(flows[13:])
