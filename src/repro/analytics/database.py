@@ -91,19 +91,24 @@ if _np is not None:
 
 
 class FlowColumns:
-    """Parallel per-flow arrays (struct-of-arrays layout).
+    """Parallel per-flow columns (struct-of-arrays layout).
 
-    Each attribute is one ``array`` column over all flows in insertion
-    order; ``fqdn_id`` is ``-1`` for untagged flows and otherwise an id
-    into the owning database's interned FQDN table.  numpy can view any
-    column zero-copy via ``numpy.frombuffer``.
+    Each attribute is one column over all flows in insertion order.
+    The eleven :attr:`VALUES` columns and ``fqdn_id`` are ``array``s
+    numpy can view zero-copy via ``numpy.frombuffer``; ``fqdn_id`` is
+    ``-1`` for untagged flows and otherwise an id into the owning
+    database's interned FQDN table.  The three string columns —
+    original-case label, certificate name, ground-truth FQDN — are
+    plain lists of ``Optional[str]``.
     """
 
-    __slots__ = (
+    #: The fixed-width value columns: what one codec flow record, or
+    #: the numeric blocks of a segment file, fill.
+    VALUES = (
         "client_ip", "server_ip", "src_port", "dst_port", "transport",
         "start", "end", "protocol", "bytes_up", "bytes_down", "packets",
-        "fqdn_id",
     )
+    __slots__ = VALUES + ("fqdn_id", "raw_fqdn", "cert_name", "true_fqdn")
 
     def __init__(self) -> None:
         self.client_ip = array("I")
@@ -118,14 +123,121 @@ class FlowColumns:
         self.bytes_down = array("Q")
         self.packets = array("I")
         self.fqdn_id = array("i")    # -1 = untagged
+        self.raw_fqdn: list[Optional[str]] = []
+        self.cert_name: list[Optional[str]] = []
+        self.true_fqdn: list[Optional[str]] = []
 
     def __len__(self) -> int:
         return len(self.start)
+
+    def problem(self, finite: bool) -> Optional[str]:
+        """Why these rows cannot be materialized as records — a
+        protocol index outside ``PROTOCOLS``, a transport byte that is
+        no ``TransportProto`` or, with ``finite``, a NaN/inf timestamp
+        — or ``None``.  The one check behind both column loaders: a
+        codec batch (reported as ``CodecError`` while the store is
+        still untouched) and a segment file (``StorageError``; v1
+        segments predate the finite rule, so they pass ``False``)."""
+        if not len(self):
+            return None
+        if _np is not None:
+            view = _np.frombuffer
+            if int(view(self.protocol, _np.uint8).max()) >= len(PROTOCOLS):
+                return "protocol index out of range"
+            if not _np.isin(
+                view(self.transport, _np.uint8), list(_TRANSPORTS)
+            ).all():
+                return "invalid transport protocol number"
+            if finite and not (
+                _np.isfinite(view(self.start, _np.float64)).all()
+                and _np.isfinite(view(self.end, _np.float64)).all()
+            ):
+                return "non-finite flow timestamp"
+            return None
+        if max(self.protocol) >= len(PROTOCOLS):
+            return "protocol index out of range"
+        if not _TRANSPORTS.issuperset(self.transport):
+            return "invalid transport protocol number"
+        if finite and not (
+            all(map(math.isfinite, self.start))
+            and all(map(math.isfinite, self.end))
+        ):
+            return "non-finite flow timestamp"
+        return None
 
 
 def _native(values, dtype):
     """Contiguous native-endian bytes of a numpy array slice."""
     return _np.ascontiguousarray(values, dtype=dtype).tobytes()
+
+
+def finite_bounds(values) -> tuple[float, float]:
+    """(min, max) over the *finite* entries of a float column; the
+    empty convention ``(inf, -inf)`` when none are.
+
+    The one rule behind ``time_span()`` and the segment footers'
+    time ranges.  Current ingestion rejects non-finite timestamps, but
+    v1 (PR4-era) segments predate that check: a NaN would poison
+    ``min``/``max`` differently per code path, while ranges over the
+    finite values stay sound — a NaN start compares False against
+    every window, so the row can never match a window query the range
+    might prune.
+    """
+    if _np is not None:
+        column = (
+            values if isinstance(values, _np.ndarray)
+            else _np.frombuffer(values, _np.float64)
+        )
+        finite = column[_np.isfinite(column)]
+        if len(finite):
+            return float(finite.min()), float(finite.max())
+        return float("inf"), float("-inf")
+    lo, hi = float("inf"), float("-inf")
+    for value in values:
+        if math.isfinite(value):
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+    return lo, hi
+
+
+def _decode_flow_columns(view: BatchView) -> FlowColumns:
+    """The value columns of a batch's packed hot/cold flow blocks."""
+    cols = FlowColumns()
+    if _np is not None:
+        hot = _np.frombuffer(view.flow_hot, dtype=_HOT_DT)
+        cold = _np.frombuffer(view.flow_cold, dtype=_COLD_DT)
+        cols.client_ip.frombytes(_native(hot["client"], _np.uint32))
+        cols.server_ip.frombytes(_native(hot["server"], _np.uint32))
+        cols.start.frombytes(_native(hot["start"], _np.float64))
+        cols.protocol.frombytes(_native(hot["proto"], _np.uint8))
+        cols.src_port.frombytes(_native(cold["sport"], _np.uint16))
+        cols.dst_port.frombytes(_native(cold["dport"], _np.uint16))
+        cols.transport.frombytes(_native(cold["transport"], _np.uint8))
+        cols.end.frombytes(_native(cold["end"], _np.float64))
+        cols.bytes_up.frombytes(_native(cold["up"], _np.uint64))
+        cols.bytes_down.frombytes(_native(cold["down"], _np.uint64))
+        cols.packets.frombytes(_native(cold["pkts"], _np.uint32))
+        return cols
+    for (client, server, start, proto), (
+        sport, dport, transport, end, up, down, pkts
+    ) in zip(
+        FLOW_HOT.iter_unpack(view.flow_hot),
+        FLOW_COLD.iter_unpack(view.flow_cold),
+    ):
+        cols.client_ip.append(client)
+        cols.server_ip.append(server)
+        cols.start.append(start)
+        cols.protocol.append(proto)
+        cols.src_port.append(sport)
+        cols.dst_port.append(dport)
+        cols.transport.append(transport)
+        cols.end.append(end)
+        cols.bytes_up.append(up)
+        cols.bytes_down.append(down)
+        cols.packets.append(pkts)
+    return cols
 
 
 def servers_per_bin(pairs, bin_seconds: float) -> list[tuple[float, int]]:
@@ -184,9 +296,6 @@ class FlowDatabase:
         # _materialize skip the per-row None check entirely, which is
         # the bulk of a record query on an object-ingested store.
         self._all_records = True
-        self._raw_fqdns: list[Optional[str]] = []   # original-case label
-        self._cert_names: list[Optional[str]] = []
-        self._true_fqdns: list[Optional[str]] = []
         # Interned id tables.
         self._fqdn_names: list[str] = []            # id -> lowercased FQDN
         self._fqdn_ids: dict[str, int] = {}
@@ -296,9 +405,9 @@ class FlowDatabase:
         else:
             fqdn_id = -1
         cols.fqdn_id.append(fqdn_id)
-        self._raw_fqdns.append(fqdn)
-        self._cert_names.append(flow.cert_name)
-        self._true_fqdns.append(flow.true_fqdn)
+        cols.raw_fqdn.append(fqdn)
+        cols.cert_name.append(flow.cert_name)
+        cols.true_fqdn.append(flow.true_fqdn)
         self._records.append(flow)
         index = self._by_server.get(fid.server_ip)
         if index is None:
@@ -324,6 +433,32 @@ class FlowDatabase:
         """Build a database from an iterable of flows."""
         database = cls()
         database.add_all(flows)
+        return database
+
+    @classmethod
+    def from_columns(
+        cls, columns: FlowColumns, fqdn_names: Sequence[str]
+    ) -> "FlowDatabase":
+        """Adopt ready-made rows (a materialized segment): ``columns``
+        complete, its ``fqdn_id`` column holding ``-1`` or an id into
+        ``fqdn_names`` — the distinct lowercased labels in
+        first-appearance order.  The database takes ownership of
+        ``columns`` and builds its intern tables, indexes and
+        statistics from them.  Enum validity
+        (:meth:`FlowColumns.problem`) and the id range are the caller's
+        checks; ragged columns or a repeated name are ``ValueError``."""
+        database = cls()
+        for name in fqdn_names:
+            database._intern_fqdn(name)
+        n = len(columns)
+        if len(database._fqdn_names) != len(fqdn_names) or any(
+            len(getattr(columns, name)) != n for name in columns.__slots__
+        ):
+            raise ValueError("inconsistent flow columns")
+        database.columns = columns
+        database._records = [None] * n
+        database._all_records = not n
+        database._index_rows(0)
         return database
 
     # -- batch ingestion (the sniffer→database deployment format) ---------
@@ -360,25 +495,27 @@ class FlowDatabase:
         view = BatchView(payload)
         if not view.n_flows:
             return None
-        self._validate_flow_numeric(view)
-        return view, self._parse_flow_strings(view, view.n_flows)
+        chunk = _decode_flow_columns(view)
+        problem = chunk.problem(finite=True)
+        if problem:
+            raise CodecError(problem)
+        return chunk, self._parse_flow_strings(view, view.n_flows)
 
     def commit_batch(self, parsed) -> int:
         """Apply a :meth:`parse_batch` result (cannot fail partway);
         returns the number of flows ingested."""
         if parsed is None:
             return 0
-        view, strings = parsed
-        n = view.n_flows
+        chunk, strings = parsed
+        n = len(chunk)
         base = len(self._records)
-        if _np is not None:
-            self._ingest_hot_cold_numpy(view)
-        else:
-            self._ingest_hot_cold_python(view)
-        fqdn_ids = self._commit_flow_strings(*strings)
-        self._index_batch(view, fqdn_ids, base, n)
+        cols = self.columns
+        for name in FlowColumns.VALUES:
+            getattr(cols, name).extend(getattr(chunk, name))
+        self._commit_flow_strings(*strings)
         self._records.extend([None] * n)
         self._all_records = False
+        self._index_rows(base)
         return n
 
     @classmethod
@@ -388,96 +525,6 @@ class FlowDatabase:
         for payload in payloads:
             database.ingest_batch(payload)
         return database
-
-    def _ingest_hot_cold_numpy(self, view: BatchView) -> None:
-        hot = _np.frombuffer(view.flow_hot, dtype=_HOT_DT)
-        cold = _np.frombuffer(view.flow_cold, dtype=_COLD_DT)
-        cols = self.columns
-        cols.client_ip.frombytes(_native(hot["client"], _np.uint32))
-        cols.server_ip.frombytes(_native(hot["server"], _np.uint32))
-        cols.start.frombytes(_native(hot["start"], _np.float64))
-        cols.protocol.frombytes(_native(hot["proto"], _np.uint8))
-        cols.src_port.frombytes(_native(cold["sport"], _np.uint16))
-        cols.dst_port.frombytes(_native(cold["dport"], _np.uint16))
-        cols.transport.frombytes(_native(cold["transport"], _np.uint8))
-        cols.end.frombytes(_native(cold["end"], _np.float64))
-        cols.bytes_up.frombytes(_native(cold["up"], _np.uint64))
-        cols.bytes_down.frombytes(_native(cold["down"], _np.uint64))
-        cols.packets.frombytes(_native(cold["pkts"], _np.uint32))
-        counts = _np.bincount(hot["proto"], minlength=len(PROTOCOLS))
-        for index, count in enumerate(counts.tolist()):
-            self._protocol_counts[index] += count
-        self._min_start = min(self._min_start, float(hot["start"].min()))
-        self._max_end = max(self._max_end, float(cold["end"].max()))
-
-    def _ingest_hot_cold_python(self, view: BatchView) -> None:
-        cols = self.columns
-        protocol_counts = self._protocol_counts
-        min_start, max_end = self._min_start, self._max_end
-        for (client, server, start, proto), (
-            sport, dport, transport, end, up, down, pkts
-        ) in zip(
-            FLOW_HOT.iter_unpack(view.flow_hot),
-            FLOW_COLD.iter_unpack(view.flow_cold),
-        ):
-            cols.client_ip.append(client)
-            cols.server_ip.append(server)
-            cols.start.append(start)
-            cols.protocol.append(proto)
-            cols.src_port.append(sport)
-            cols.dst_port.append(dport)
-            cols.transport.append(transport)
-            cols.end.append(end)
-            cols.bytes_up.append(up)
-            cols.bytes_down.append(down)
-            cols.packets.append(pkts)
-            protocol_counts[proto] += 1
-            if start < min_start:
-                min_start = start
-            if end > max_end:
-                max_end = end
-        self._min_start, self._max_end = min_start, max_end
-
-    @staticmethod
-    def _validate_flow_numeric(view: BatchView) -> None:
-        """Reject out-of-range protocol/transport bytes before commit.
-
-        The codec packs the layer-7 protocol as an index into
-        ``PROTOCOLS`` and the transport as an IP protocol number; a
-        corrupted batch must fail with :class:`CodecError` while the
-        store is still untouched, not with an ``IndexError`` halfway
-        through the column extension (or a deferred ``ValueError`` at
-        first lazy materialization).
-        """
-        if _np is not None:
-            if not view.n_flows:
-                return
-            hot = _np.frombuffer(view.flow_hot, dtype=_HOT_DT)
-            cold = _np.frombuffer(view.flow_cold, dtype=_COLD_DT)
-            if int(hot["proto"].max()) >= len(PROTOCOLS):
-                raise CodecError("protocol index out of range")
-            if not _np.isin(
-                cold["transport"], list(_TRANSPORTS)
-            ).all():
-                raise CodecError("invalid transport protocol number")
-            if not (
-                _np.isfinite(hot["start"]).all()
-                and _np.isfinite(cold["end"]).all()
-            ):
-                raise CodecError("non-finite flow timestamp")
-            return
-        n_protocols = len(PROTOCOLS)
-        isfinite = math.isfinite
-        for _c, _s, start, proto in FLOW_HOT.iter_unpack(view.flow_hot):
-            if proto >= n_protocols:
-                raise CodecError("protocol index out of range")
-            if not isfinite(start):
-                raise CodecError("non-finite flow timestamp")
-        for fields in FLOW_COLD.iter_unpack(view.flow_cold):
-            if fields[2] not in _TRANSPORTS:
-                raise CodecError("invalid transport protocol number")
-            if not isfinite(fields[3]):
-                raise CodecError("non-finite flow timestamp")
 
     def _parse_flow_strings(
         self, view: BatchView, n: int
@@ -543,7 +590,7 @@ class FlowDatabase:
     def _commit_flow_strings(
         self, labels: list, new_labels: dict, cert_names: list,
         true_fqdns: list,
-    ) -> array:
+    ) -> None:
         """Intern and append parsed string entries (cannot fail)."""
         raw_cache = self._raw_cache
         for raw, text in new_labels.items():
@@ -551,54 +598,80 @@ class FlowDatabase:
                 self._intern_fqdn(text.lower()) if text else -1, text
             )
         entries = [raw_cache[raw] for raw in labels]
-        fqdn_ids = array("i", [fqdn_id for fqdn_id, _text in entries])
-        self._raw_fqdns.extend([text for _fqdn_id, text in entries])
-        self._cert_names.extend(cert_names)
-        self._true_fqdns.extend(true_fqdns)
-        self.columns.fqdn_id.extend(fqdn_ids)
-        return fqdn_ids
+        cols = self.columns
+        cols.fqdn_id.extend(
+            array("i", [fqdn_id for fqdn_id, _text in entries])
+        )
+        cols.raw_fqdn.extend([text for _fqdn_id, text in entries])
+        cols.cert_name.extend(cert_names)
+        cols.true_fqdn.extend(true_fqdns)
 
-    def _index_batch(
-        self, view: BatchView, fqdn_ids: array, base: int, n: int
-    ) -> None:
+    def _index_rows(self, base: int) -> None:
+        """Fold rows ``[base, len)`` of the columns into the protocol
+        counts, the finite ``min_start`` / ``max_end``
+        (:func:`finite_bounds`), the by-server / by-port / by-fqdn /
+        by-sld indexes and the tagged-row list — the one builder
+        behind batch ingest and segment materialization
+        (:meth:`add` keeps the same steps inline, per record)."""
+        cols = self.columns
+        n = len(cols)
+        if base >= n:
+            return
         if _np is None:
-            cols = self.columns
             by_server, by_port = self._by_server, self._by_port
             by_fqdn, by_sld = self._by_fqdn, self._by_sld
             fqdn_sld = self._fqdn_sld
             tagged = self._tagged
-            for offset in range(n):
-                row = base + offset
-                index = by_server.get(cols.server_ip[row])
+            protocol_counts = self._protocol_counts
+            server_col, port_col = cols.server_ip, cols.dst_port
+            fqdn_col, proto_col = cols.fqdn_id, cols.protocol
+            for row in range(base, n):
+                protocol_counts[proto_col[row]] += 1
+                index = by_server.get(server_col[row])
                 if index is None:
-                    index = by_server[cols.server_ip[row]] = array("I")
+                    index = by_server[server_col[row]] = array("I")
                 index.append(row)
-                index = by_port.get(cols.dst_port[row])
+                index = by_port.get(port_col[row])
                 if index is None:
-                    index = by_port[cols.dst_port[row]] = array("I")
+                    index = by_port[port_col[row]] = array("I")
                 index.append(row)
-                fqdn_id = fqdn_ids[offset]
+                fqdn_id = fqdn_col[row]
                 if fqdn_id >= 0:
                     by_fqdn[fqdn_id].append(row)
                     by_sld[fqdn_sld[fqdn_id]].append(row)
                     tagged.append(row)
-            return
-        hot = _np.frombuffer(view.flow_hot, dtype=_HOT_DT)
-        cold = _np.frombuffer(view.flow_cold, dtype=_COLD_DT)
-        rows = _np.arange(base, base + n, dtype=_np.uint32)
-        self._extend_index(self._by_server, hot["server"], rows)
-        self._extend_index(self._by_port, cold["dport"], rows)
-        ids = _np.frombuffer(fqdn_ids, dtype=_np.int32)
-        mask = ids >= 0
-        if mask.any():
-            tagged_rows = rows[mask]
-            tagged_ids = ids[mask]
-            self._tagged.frombytes(_native(tagged_rows, _np.uint32))
-            self._extend_index(self._by_fqdn, tagged_ids, tagged_rows)
-            sld_map = _np.frombuffer(self._fqdn_sld, dtype=_np.int32)
-            self._extend_index(
-                self._by_sld, sld_map[tagged_ids], tagged_rows
+            starts, ends = cols.start[base:], cols.end[base:]
+        else:
+            counts = _np.bincount(
+                _np.frombuffer(cols.protocol, _np.uint8)[base:],
+                minlength=len(PROTOCOLS),
             )
+            for index, count in enumerate(counts.tolist()):
+                self._protocol_counts[index] += count
+            rows = _np.arange(base, n, dtype=_np.uint32)
+            self._extend_index(
+                self._by_server,
+                _np.frombuffer(cols.server_ip, _np.uint32)[base:], rows,
+            )
+            self._extend_index(
+                self._by_port,
+                _np.frombuffer(cols.dst_port, _np.uint16)[base:], rows,
+            )
+            ids = _np.frombuffer(cols.fqdn_id, _np.int32)[base:]
+            mask = ids >= 0
+            if mask.any():
+                tagged_rows = rows[mask]
+                tagged_ids = ids[mask]
+                self._tagged.frombytes(_native(tagged_rows, _np.uint32))
+                self._extend_index(self._by_fqdn, tagged_ids, tagged_rows)
+                sld_map = _np.frombuffer(self._fqdn_sld, dtype=_np.int32)
+                self._extend_index(
+                    self._by_sld, sld_map[tagged_ids], tagged_rows
+                )
+            starts = _np.frombuffer(cols.start, _np.float64)[base:]
+            ends = _np.frombuffer(cols.end, _np.float64)[base:]
+        self._min_start = min(self._min_start, finite_bounds(starts)[0])
+        self._max_end = max(self._max_end, finite_bounds(ends)[1])
 
     @staticmethod
     def _extend_index(index: dict, keys, rows) -> None:
@@ -642,9 +715,9 @@ class FlowDatabase:
                 bytes_up=cols.bytes_up[row],
                 bytes_down=cols.bytes_down[row],
                 packets=cols.packets[row],
-                fqdn=self._raw_fqdns[row],
-                cert_name=self._cert_names[row],
-                true_fqdn=self._true_fqdns[row],
+                fqdn=cols.raw_fqdn[row],
+                cert_name=cols.cert_name[row],
+                true_fqdn=cols.true_fqdn[row],
             )
             self._records[row] = record
         return record

@@ -38,12 +38,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analytics.shard import _manifest_entries, open_store, store_kind
+from repro.analytics.shard import open_store, store_kind
 from repro.analytics.storage import (
     FlowStore,
     QueryHint,
     SegmentMeta,
     StorageError,
+    read_manifest,
 )
 
 
@@ -200,18 +201,17 @@ def _verify_segment(reader) -> tuple[str, int, str]:
     Returns ``(name, rows, problem)`` — ``problem`` is empty when the
     segment is healthy, a description otherwise.  The id-table/enum
     validation happens inside ``database()``; the metadata check then
-    recomputes the v2 footer from the materialized columns, so ranges
-    or filters that a buggy rewrite narrowed are caught here rather
-    than silently dropping rows from pruned queries.
+    recomputes the v2 footer from the column blocks, so ranges or
+    filters that a buggy rewrite narrowed are caught here rather than
+    silently dropping rows from pruned queries.
     """
-    database = reader.database()
-    problem = ""
-    if reader.meta is not None and (
-        SegmentMeta.from_database(database) != reader.meta
-    ):
-        problem = "footer metadata does not match segment contents"
-    rows = len(database)
+    rows = len(reader.database())
     reader.release()
+    problem = ""
+    if reader.meta is not None and SegmentMeta.from_blocks(
+        reader.read_blocks(), reader.labels
+    ) != reader.meta:
+        problem = "footer metadata does not match segment contents"
     return reader.name, rows, problem
 
 
@@ -235,7 +235,7 @@ def _verify_store(store: FlowStore, parallel: int,
         results = [_verify_segment(reader) for reader in store.segments]
     promoted = {
         name: meta
-        for name, _rows, meta in _manifest_entries(store.directory)
+        for name, _rows, meta in read_manifest(store.directory)["segments"]
     }
     total = 0
     bad = 0

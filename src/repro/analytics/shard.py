@@ -84,10 +84,10 @@ from repro.analytics.storage import (
     SHARDS_NAME,
     FlowStore,
     QueryHint,
-    SegmentMeta,
     StorageError,
     _checked_sizing,
     _write_file_atomic,
+    read_manifest,
 )
 from repro.net.flow import FlowRecord
 from repro.sniffer.eventcodec import BatchEncoder, decode_events
@@ -832,9 +832,9 @@ class ShardCoordinator(QuerySurface):
         segments_flat = []
         scanned_rows = pruned_rows = 0
         for index in range(self.shards):
-            entries = _manifest_entries(self.shard_directory(index))
+            manifest = read_manifest(self.shard_directory(index))
             segments = []
-            for name, n_rows, meta in entries:
+            for name, n_rows, meta in manifest["segments"]:
                 admitted = not self.prune or hint.admits(meta)
                 segments.append({
                     "name": name, "rows": n_rows,
@@ -905,44 +905,3 @@ def open_store(directory, *, shards: Optional[int] = None,
         directory, shards=shards, by=by, time_window=time_window,
         backend=backend, **store_knobs,
     )
-
-
-def _manifest_entries(directory: Path) -> list[tuple[str, int, object]]:
-    """``(name, rows, SegmentMeta|None)`` per sealed segment, straight
-    from one shard's ``MANIFEST.json`` (no store, no segment I/O).
-
-    A missing manifest is an empty (or never-started) shard.  v1
-    manifests list bare names — no row counts, no metadata — so their
-    segments report zero rows and never prune.
-    """
-    path = directory / MANIFEST_NAME
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return []
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    try:
-        manifest = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"malformed manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or not isinstance(
-        manifest.get("segments"), list
-    ):
-        raise StorageError(f"unsupported manifest {path}")
-    entries: list[tuple[str, int, object]] = []
-    for entry in manifest["segments"]:
-        if isinstance(entry, str):
-            entries.append((entry, 0, None))
-            continue
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("name"), str
-        ):
-            raise StorageError(f"bad segment entry {entry!r} in {path}")
-        rows = entry.get("rows", 0)
-        entries.append((
-            entry["name"],
-            rows if isinstance(rows, int) else 0,
-            SegmentMeta.from_manifest(entry.get("meta")),
-        ))
-    return entries

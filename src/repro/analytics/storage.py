@@ -75,8 +75,8 @@ entry (64 bits minimum, 32768 bits cap), two CRC32-derived probes per
 entry.  A membership test can answer a false "maybe" (the segment is
 scanned needlessly) but never a false "no" — pruning is sound by
 construction, and ``repro-flowstore verify`` recomputes the whole
-footer from the materialized columns to catch a segment whose
-metadata lies (e.g. after a buggy external rewrite).
+footer from the column blocks to catch a segment whose metadata lies
+(e.g. after a buggy external rewrite).
 
 A torn write can never corrupt the store: segments are written to a
 temp file, fsynced and atomically renamed, and only then recorded in
@@ -138,7 +138,11 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.analytics import database as _dbmod
-from repro.analytics.database import FlowDatabase, _TRANSPORTS
+from repro.analytics.database import (
+    FlowColumns,
+    FlowDatabase,
+    finite_bounds,
+)
 from repro.analytics.queries import (
     INTERNS,
     SUMMARY,
@@ -299,10 +303,10 @@ class SegmentMeta:
     Value ranges over the segment's rows plus presence filters over
     its distinct labels; an empty segment encodes inverted ranges
     (``min > max``) and empty filters, so every predicate prunes it.
-    Both construction paths — :meth:`from_database` at seal time and
-    :meth:`from_blocks` at compaction time — produce identical
-    metadata for identical content, which ``repro-flowstore verify``
-    relies on to detect a footer that lies about its segment.
+    :meth:`from_blocks` is the one constructor — seal, compaction and
+    ``repro-flowstore verify`` all compute the footer from the
+    payload blocks, so identical content gives identical metadata and
+    a footer that lies about its segment is detectable.
     """
 
     __slots__ = (
@@ -323,47 +327,16 @@ class SegmentMeta:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_database(cls, database: FlowDatabase) -> "SegmentMeta":
-        """Compute the metadata of an in-memory columnar database."""
-        meta = cls()
-        cols = database.columns
-        if len(cols):
-            meta.min_start, meta.max_start = _finite_bounds(cols.start)
-            meta.min_end, meta.max_end = _finite_bounds(cols.end)
-            np = _dbmod._np
-            if np is not None:
-                clients = np.frombuffer(cols.client_ip, np.uint32)
-                servers = np.frombuffer(cols.server_ip, np.uint32)
-                meta.min_client = int(clients.min())
-                meta.max_client = int(clients.max())
-                meta.min_server = int(servers.min())
-                meta.max_server = int(servers.max())
-            else:
-                meta.min_client = min(cols.client_ip)
-                meta.max_client = max(cols.client_ip)
-                meta.min_server = min(cols.server_ip)
-                meta.max_server = max(cols.server_ip)
-            mask = 0
-            for index, count in enumerate(database._protocol_counts):
-                if count:
-                    mask |= 1 << index
-            meta.protocol_mask = mask
-        meta.fqdn_filter = PresenceFilter.build(database._fqdn_names)
-        meta.sld_filter = PresenceFilter.build(database._sld_names)
-        return meta
-
-    @classmethod
     def from_blocks(
         cls, blocks: Sequence[bytes], labels: Sequence[str]
     ) -> "SegmentMeta":
-        """Compute metadata from raw column blocks plus the label
-        table (compaction's path — no database is materialized).
-        Byte-identical to :meth:`from_database` of the same content."""
+        """Compute metadata from the payload's column blocks plus the
+        label table (no database is materialized)."""
         meta = cls()
         starts = _from_le("d", blocks[5])
         if len(starts):
-            meta.min_start, meta.max_start = _finite_bounds(starts)
-            meta.min_end, meta.max_end = _finite_bounds(
+            meta.min_start, meta.max_start = finite_bounds(starts)
+            meta.min_end, meta.max_end = finite_bounds(
                 _from_le("d", blocks[6])
             )
             np = _dbmod._np
@@ -376,8 +349,10 @@ class SegmentMeta:
                 meta.max_client = int(clients.max())
                 meta.min_server = int(servers.min())
                 meta.max_server = int(servers.max())
-                seen = np.unique(
-                    np.frombuffer(blocks[7], np.uint8)
+                # bincount, not unique: numpy loads unique's machinery
+                # on first use (~10 ms), and every sealing process pays.
+                seen = np.flatnonzero(
+                    np.bincount(np.frombuffer(blocks[7], np.uint8))
                 ).tolist()
             else:
                 clients = _from_le("I", blocks[0])
@@ -391,10 +366,8 @@ class SegmentMeta:
             for value in seen:
                 mask |= 1 << value
             meta.protocol_mask = mask
-        lowered: dict[str, None] = {}
-        for text in labels:
-            if text:
-                lowered.setdefault(text.lower())
+        lowered = dict.fromkeys(map(str.lower, labels))
+        lowered.pop("", None)                       # the untagged label
         meta.fqdn_filter = PresenceFilter.build(lowered)
         meta.sld_filter = PresenceFilter.build(
             dict.fromkeys(second_level_domain(name) for name in lowered)
@@ -563,71 +536,25 @@ def _from_le(typecode: str, raw) -> array:
     return arr
 
 
-def _le_np(values, dtype) -> bytes:
-    """Little-endian bytes of a numpy array (the ``array.frombytes``
-    feed used by every numpy-path column/index builder here)."""
-    np = _dbmod._np
-    if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
-        return values.astype(_np_le_dtype(dtype)).tobytes()
-    return np.ascontiguousarray(values, dtype).tobytes()
-
-
-def _np_le_dtype(dtype) -> str:  # pragma: no cover - BE hosts only
-    return _dbmod._np.dtype(dtype).newbyteorder("<").str
-
-
-def _finite_bounds(values) -> tuple[float, float]:
-    """(min, max) over the *finite* entries of a float column; the
-    empty convention ``(inf, -inf)`` when none are.
-
-    Current ingestion rejects non-finite timestamps, but v1 (PR4-era)
-    segments predate that check — computing ranges over finite values
-    only keeps :meth:`SegmentMeta.from_database` and
-    :meth:`SegmentMeta.from_blocks` byte-identical on such data (a
-    NaN would poison ``min``/``max`` differently per path and make
-    ``verify`` flag a healthy footer), and stays sound: a NaN start
-    compares False against every window, so the row can never match a
-    window query the range might prune.
-    """
-    np = _dbmod._np
-    if np is not None:
-        column = (
-            values if isinstance(values, np.ndarray)
-            else np.frombuffer(values, np.float64)
-        )
-        finite = column[np.isfinite(column)]
-        if len(finite):
-            return float(finite.min()), float(finite.max())
-        return float("inf"), float("-inf")
-    lo, hi = float("inf"), float("-inf")
-    for value in values:
-        if math.isfinite(value):
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-    return lo, hi
-
-
-def _encode_table(table: Sequence[bytes]) -> bytes:
+def _encode_table(table: Iterable[str]) -> bytes:
     """String-table blob: u32 length prefix + UTF-8 bytes per entry."""
     blob = bytearray()
-    for raw in table:
+    for text in table:
+        raw = text.encode("utf-8")
         blob += _STR_LEN.pack(len(raw))
         blob += raw
     return bytes(blob)
 
 
-def _intern_rows(values: Sequence[Optional[str]]) -> tuple[array, bytes, int]:
-    """Intern one per-row optional-string column for the file format.
-
-    Returns ``(ids, table_blob, n_entries)`` — an ``i32`` id per row
-    (``-1`` for None) into a table of distinct strings in
-    first-appearance order, encoded as u32-length-prefixed UTF-8.
-    """
+def _intern_rows(values: Sequence[Optional[str]]) -> tuple[array, list[str]]:
+    """Intern one per-row optional-string column for the file format:
+    an ``i32`` id per row (``-1`` for None) into the table of distinct
+    strings in first-appearance order."""
+    if values.count(None) == len(values):
+        # What the sniffer emits for cert_name / true_fqdn: never set.
+        return array("i", [-1]) * len(values), []
     ids = array("i")
     index: dict[str, int] = {}
-    table: list[bytes] = []
     append = ids.append
     for value in values:
         if value is None:
@@ -635,10 +562,9 @@ def _intern_rows(values: Sequence[Optional[str]]) -> tuple[array, bytes, int]:
             continue
         entry = index.get(value)
         if entry is None:
-            entry = index[value] = len(table)
-            table.append(value.encode("utf-8"))
+            entry = index[value] = len(index)
         append(entry)
-    return ids, _encode_table(table), len(table)
+    return ids, list(index)
 
 
 def _parse_table(raw, count: int, what: str) -> tuple[str, ...]:
@@ -821,16 +747,15 @@ def _write_segment_file(
     n_labels: int,
     n_certs: int,
     n_trues: int,
-    version: int = FORMAT_VERSION,
 ) -> None:
     """Serialize pre-built payload blocks atomically to ``path``."""
-    assert len(blocks) == _block_count(version)
+    assert len(blocks) == _N_BLOCKS
     payload_len = sum(len(block) for block in blocks)
     crc = 0
     for block in blocks:
         crc = zlib.crc32(block, crc)
     header = _HEADER.pack(
-        MAGIC, version, 0, n_rows,
+        MAGIC, FORMAT_VERSION, 0, n_rows,
         n_labels, n_certs, n_trues, crc, payload_len,
     )
     directory = b"".join(_BLOCK_LEN.pack(len(block)) for block in blocks)
@@ -839,39 +764,30 @@ def _write_segment_file(
     )
 
 
-def write_segment(
-    path, database: FlowDatabase, version: int = FORMAT_VERSION
-) -> int:
+def write_segment(path, database: FlowDatabase) -> int:
     """Seal an in-memory columnar database into one segment file.
 
     Returns the number of rows written.  The write is atomic: the
     segment appears under its final name only after a successful
     ``fsync`` + rename, so a crash mid-write leaves at most a
     ``*.tmp`` file that readers never look at.
-
-    ``version=FORMAT_VERSION_V1`` writes the metadata-less PR4-era
-    layout — kept so the backward-compat read path stays exercised by
-    tests rather than by luck.
     """
-    if version not in (FORMAT_VERSION_V1, FORMAT_VERSION):
-        raise ValueError(f"unsupported segment version {version}")
     path = Path(path)
     cols = database.columns
-    n_rows = len(cols)
     blocks: list[bytes] = [
         _le(getattr(cols, name)) for name, _code in _NUMERIC_COLUMNS
     ]
-    label_ids, label_blob, n_labels = _intern_rows(database._raw_fqdns)
-    cert_ids, cert_blob, n_certs = _intern_rows(database._cert_names)
-    true_ids, true_blob, n_trues = _intern_rows(database._true_fqdns)
-    blocks += [_le(label_ids), _le(cert_ids), _le(true_ids)]
-    blocks += [label_blob, cert_blob, true_blob]
-    if version != FORMAT_VERSION_V1:
-        blocks.append(SegmentMeta.from_database(database).encode())
+    interned = [
+        _intern_rows(values)
+        for values in (cols.raw_fqdn, cols.cert_name, cols.true_fqdn)
+    ]
+    blocks += [_le(ids) for ids, _table in interned]
+    blocks += [_encode_table(table) for _ids, table in interned]
+    blocks.append(SegmentMeta.from_blocks(blocks, interned[0][1]).encode())
     _write_segment_file(
-        path, n_rows, blocks, n_labels, n_certs, n_trues, version
+        path, len(cols), blocks, *(len(table) for _ids, table in interned)
     )
-    return n_rows
+    return len(cols)
 
 
 class SegmentWriter:
@@ -1085,10 +1001,13 @@ class SegmentReader:
                 "min_start": float("inf"), "max_end": float("-inf"),
                 "protocol_counts": [0] * len(PROTOCOLS), "tagged_rows": 0,
             }
-        starts = ends = None
-        if self.meta is None:
-            starts = _from_le("d", self._read_block(5))  # start column
-            ends = _from_le("d", self._read_block(6))    # end column
+        if self.meta is not None:
+            min_start, max_end = self.meta.min_start, self.meta.max_end
+        else:
+            # v1: the footer's rule (finite values only) over the start
+            # and end columns, so cold and resident answer alike.
+            min_start = finite_bounds(_from_le("d", self._read_block(5)))[0]
+            max_end = finite_bounds(_from_le("d", self._read_block(6)))[1]
         protocols = self._read_block(7)                 # protocol column
         label_ids = _from_le("i", self._read_block(_N_NUMERIC))
         # A row is tagged iff its label is truthy — id -1 (None) and
@@ -1109,12 +1028,6 @@ class SegmentReader:
             tagged = int((ids >= 0).sum())
             if untagged_entries:
                 tagged -= int(np.isin(ids, untagged_entries).sum())
-            if self.meta is not None:
-                min_start = self.meta.min_start
-                max_end = self.meta.max_end
-            else:
-                min_start = float(np.frombuffer(starts, np.float64).min())
-                max_end = float(np.frombuffer(ends, np.float64).max())
         else:
             counts = [0] * len(PROTOCOLS)
             for value in protocols:
@@ -1126,12 +1039,6 @@ class SegmentReader:
                 1 for value in label_ids
                 if value >= 0 and value not in skip
             )
-            if self.meta is not None:
-                min_start = self.meta.min_start
-                max_end = self.meta.max_end
-            else:
-                min_start = min(starts)
-                max_end = max(ends)
         return {
             "min_start": min_start, "max_end": max_end,
             "protocol_counts": counts, "tagged_rows": tagged,
@@ -1162,56 +1069,31 @@ class SegmentReader:
                 offsets[index]:offsets[index] + lengths[index]
             ]
 
-        db = FlowDatabase()
-        cols = db.columns
+        cols = FlowColumns()
         for index, (name, code) in enumerate(_NUMERIC_COLUMNS):
-            getattr(cols, name)[:] = _from_le(code, block(index))
-        n = self.n_rows
+            setattr(cols, name, _from_le(code, block(index)))
         label_ids = _from_le("i", block(_N_NUMERIC))
         cert_ids = _from_le("i", block(_N_NUMERIC + 1))
         true_ids = _from_le("i", block(_N_NUMERIC + 2))
         self._validate_ids(label_ids, self.n_labels, "label")
         self._validate_ids(cert_ids, self.n_certs, "cert")
         self._validate_ids(true_ids, self.n_trues, "true-fqdn")
-        self._validate_enums(cols)
-        # Local interning: table order reproduces first-appearance
-        # order of each distinct lowered label over the segment's rows,
-        # so the rebuilt id tables match what the live store held.
-        local_of_label = array("i")
-        for text in self.labels:
-            local_of_label.append(
-                db._intern_fqdn(text.lower()) if text else -1
-            )
-        np = _dbmod._np
-        if np is not None and n:
-            ids = np.frombuffer(label_ids, np.int32)
-            if self.n_labels:
-                lut = np.frombuffer(local_of_label, np.int32)
-                fqdn_ids = np.where(
-                    ids >= 0, lut[np.maximum(ids, 0)], np.int32(-1)
-                ).astype(np.int32)
-            else:
-                fqdn_ids = np.full(n, -1, np.int32)
-            cols.fqdn_id.frombytes(_le_np(fqdn_ids, np.int32))
-        else:
-            append = cols.fqdn_id.append
-            for entry in label_ids:
-                append(local_of_label[entry] if entry >= 0 else -1)
+        problem = cols.problem(finite=False)   # v1 data may hold a NaN
+        if problem:
+            raise StorageError(problem)
+        fqdn_names, fqdn_of_label = _lowered_labels(self.labels)
+        cols.fqdn_id = _remap_ids(label_ids, fqdn_of_label)
         labels, certs, trues = self.labels, self.certs, self.trues
-        db._raw_fqdns = [
+        cols.raw_fqdn = [
             labels[entry] if entry >= 0 else None for entry in label_ids
         ]
-        db._cert_names = [
+        cols.cert_name = [
             certs[entry] if entry >= 0 else None for entry in cert_ids
         ]
-        db._true_fqdns = [
+        cols.true_fqdn = [
             trues[entry] if entry >= 0 else None for entry in true_ids
         ]
-        db._records = [None] * n
-        if n:
-            db._all_records = False
-        self._rebuild_stats_and_indexes(db)
-        return db
+        return FlowDatabase.from_columns(cols, fqdn_names)
 
     @staticmethod
     def _validate_ids(ids: array, count: int, what: str) -> None:
@@ -1226,111 +1108,46 @@ class SegmentReader:
         if lo < -1 or hi >= count:
             raise StorageError(f"{what} id out of table range")
 
-    def _validate_enums(self, cols) -> None:
-        """Protocol/transport bytes must be materializable values."""
-        n = len(cols.start)
-        if not n:
-            return
-        np = _dbmod._np
-        if np is not None:
-            protocols = np.frombuffer(cols.protocol, np.uint8)
-            if int(protocols.max()) >= len(PROTOCOLS):
-                raise StorageError("protocol index out of range")
-            transports = np.frombuffer(cols.transport, np.uint8)
-            if not np.isin(transports, list(_TRANSPORTS)).all():
-                raise StorageError("invalid transport protocol number")
-            return
-        n_protocols = len(PROTOCOLS)
-        for value in cols.protocol:
-            if value >= n_protocols:
-                raise StorageError("protocol index out of range")
-        for value in cols.transport:
-            if value not in _TRANSPORTS:
-                raise StorageError("invalid transport protocol number")
 
-    def _rebuild_stats_and_indexes(self, db: FlowDatabase) -> None:
-        cols = db.columns
-        n = len(cols)
-        if not n:
-            return
-        np = _dbmod._np
-        if np is not None:
-            protocols = np.frombuffer(cols.protocol, np.uint8)
-            counts = np.bincount(protocols, minlength=len(PROTOCOLS))
-            for index, count in enumerate(counts.tolist()):
-                db._protocol_counts[index] += count
-            starts = np.frombuffer(cols.start, np.float64)
-            ends = np.frombuffer(cols.end, np.float64)
-            db._min_start = float(starts.min())
-            db._max_end = float(ends.max())
-            rows = np.arange(n, dtype=np.uint32)
-            servers = np.frombuffer(cols.server_ip, np.uint32)
-            ports = np.frombuffer(cols.dst_port, np.uint16)
-            db._extend_index(db._by_server, servers, rows)
-            db._extend_index(db._by_port, ports.astype(np.uint32), rows)
-            ids = np.frombuffer(cols.fqdn_id, np.int32)
-            mask = ids >= 0
-            if mask.any():
-                tagged_rows = rows[mask]
-                tagged_ids = ids[mask]
-                db._tagged.frombytes(_le_np(tagged_rows, np.uint32))
-                db._extend_index(db._by_fqdn, tagged_ids, tagged_rows)
-                sld_map = np.frombuffer(db._fqdn_sld, np.int32)
-                db._extend_index(
-                    db._by_sld, sld_map[tagged_ids], tagged_rows
-                )
-            return
-        by_server, by_port = db._by_server, db._by_port
-        by_fqdn, by_sld = db._by_fqdn, db._by_sld
-        fqdn_sld = db._fqdn_sld
-        tagged = db._tagged
-        protocol_counts = db._protocol_counts
-        min_start, max_end = db._min_start, db._max_end
-        server_col, port_col = cols.server_ip, cols.dst_port
-        start_col, end_col = cols.start, cols.end
-        fqdn_col, proto_col = cols.fqdn_id, cols.protocol
-        for row in range(n):
-            protocol_counts[proto_col[row]] += 1
-            start = start_col[row]
-            end = end_col[row]
-            if start < min_start:
-                min_start = start
-            if end > max_end:
-                max_end = end
-            index = by_server.get(server_col[row])
-            if index is None:
-                index = by_server[server_col[row]] = array("I")
-            index.append(row)
-            index = by_port.get(port_col[row])
-            if index is None:
-                index = by_port[port_col[row]] = array("I")
-            index.append(row)
-            fqdn_id = fqdn_col[row]
-            if fqdn_id >= 0:
-                by_fqdn[fqdn_id].append(row)
-                by_sld[fqdn_sld[fqdn_id]].append(row)
-                tagged.append(row)
-        db._min_start, db._max_end = min_start, max_end
+def _lowered_labels(labels: Sequence[str]) -> tuple[list[str], array]:
+    """A segment label table's distinct lowercased FQDNs in
+    first-appearance order — the order a database fed the segment's
+    rows interns them in, so list position is the segment-local fqdn
+    id — and, per table entry, that id (``-1`` for the untagged
+    ``""``)."""
+    ids: dict[str, int] = {}
+    fqdn_of_label = array("i", (
+        ids.setdefault(text.lower(), len(ids)) if text else -1
+        for text in labels
+    ))
+    return list(ids), fqdn_of_label
+
+
+def _remap_ids(ids: array, lut: array) -> array:
+    """``lut[id]`` per row of an ``i32`` id column; ``-1`` (None)
+    stays ``-1``.  Ids must already be inside the table."""
+    np = _dbmod._np
+    if np is None or not len(ids):
+        return array("i", (lut[value] if value >= 0 else -1 for value in ids))
+    values = np.frombuffer(ids, np.int32)
+    if len(lut):
+        remapped = np.where(
+            values >= 0,
+            np.frombuffer(lut, np.int32)[np.maximum(values, 0)],
+            np.int32(-1),
+        ).astype(np.int32)
+    else:
+        remapped = np.full(len(ids), -1, np.int32)
+    out = array("i")
+    out.frombytes(remapped.tobytes())
+    return out
 
 
 def _map_local_fqdns(interns: FlowDatabase, labels: Sequence[str]) -> array:
-    """Local→global fqdn-id map for a segment's label table.
-
-    Replays the table through the global intern tables exactly as
-    :meth:`SegmentReader._build_database` replays it through the local
-    ones, so index ``k`` of the result is the global id of the
-    segment's local fqdn id ``k``.
-    """
-    fqdn_map = array("i")
-    seen: set[str] = set()
-    for text in labels:
-        if not text:
-            continue
-        lowered = text.lower()
-        if lowered not in seen:
-            seen.add(lowered)
-            fqdn_map.append(interns._intern_fqdn(lowered))
-    return fqdn_map
+    """Local→global fqdn-id map for a segment's label table: index
+    ``k`` of the result is the global id of the segment's local fqdn
+    id ``k`` (see :func:`_lowered_labels`)."""
+    return array("i", map(interns._intern_fqdn, _lowered_labels(labels)[0]))
 
 
 def _call_thunk(thunk):
@@ -1358,50 +1175,26 @@ def _merge_segment_files(
         b"".join(blocks[index] for blocks in all_blocks)
         for index in range(_N_NUMERIC)
     ]
-    np = _dbmod._np
-    table_counts = []
+    tables: list[list[str]] = []
     for offset, attr in enumerate(("labels", "certs", "trues")):
         index: dict[str, int] = {}
-        table: list[bytes] = []
         id_parts: list[bytes] = []
         for reader, blocks in zip(readers, all_blocks):
-            lut = array("i")
-            for text in getattr(reader, attr):
-                entry = index.get(text)
-                if entry is None:
-                    entry = index[text] = len(table)
-                    table.append(text.encode("utf-8"))
-                lut.append(entry)
+            lut = array("i", (
+                index.setdefault(text, len(index))
+                for text in getattr(reader, attr)
+            ))
             ids = _from_le("i", blocks[_N_NUMERIC + offset])
-            if np is not None and len(ids):
-                values = np.frombuffer(ids, np.int32)
-                if len(lut):
-                    lut_np = np.frombuffer(lut, np.int32)
-                    remapped = np.where(
-                        values >= 0,
-                        lut_np[np.maximum(values, 0)],
-                        np.int32(-1),
-                    ).astype(np.int32)
-                else:
-                    remapped = np.full(len(ids), -1, np.int32)
-                out = array("i")
-                out.frombytes(_le_np(remapped, np.int32))
-            else:
-                out = array("i", (
-                    lut[value] if value >= 0 else -1 for value in ids
-                ))
-            id_parts.append(_le(out))
+            id_parts.append(_le(_remap_ids(ids, lut)))
         merged.append(b"".join(id_parts))
-        table_counts.append((len(table), _encode_table(table)))
-        if offset == 0:
-            merged_labels = [raw.decode("utf-8") for raw in table]
-    merged += [blob for _count, blob in table_counts]
-    merged.append(SegmentMeta.from_blocks(merged, merged_labels).encode())
+        tables.append(list(index))
+    merged += [_encode_table(table) for table in tables]
+    merged.append(SegmentMeta.from_blocks(merged, tables[0]).encode())
     _write_segment_file(
         path,
         sum(reader.n_rows for reader in readers),
         merged,
-        table_counts[0][0], table_counts[1][0], table_counts[2][0],
+        *(len(table) for table in tables),
     )
 
 
@@ -1807,6 +1600,69 @@ class _StoreReadMixin(QuerySurface):
         ))
 
 
+def read_manifest(directory) -> dict:
+    """Read and validate ``directory/MANIFEST.json`` — the one parser
+    behind :class:`FlowStore`'s open, the shard coordinator's
+    manifest-only ``prune_report`` and ``repro-flowstore verify``.
+
+    Returns ``{"segments": [(name, rows, meta), ...], "wal_epoch",
+    "quarantined"}`` with ``meta`` the promoted footer copy
+    (:meth:`SegmentMeta.from_manifest`; ``None`` = never prune).  A
+    missing manifest is an empty store; anything malformed raises
+    :class:`StorageError`.  v1 manifests list bare names — no row
+    counts, no metadata — and pre-PR6 ones carry neither
+    ``wal_epoch`` nor ``quarantined``.
+    """
+    path = Path(directory) / MANIFEST_NAME
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return {"segments": [], "wal_epoch": 0, "quarantined": []}
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from exc
+    try:
+        manifest = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise StorageError(f"malformed manifest {path}: {exc}") from exc
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") not in (FORMAT_VERSION_V1, FORMAT_VERSION)
+        or not isinstance(manifest.get("segments"), list)
+    ):
+        raise StorageError(f"unsupported manifest {path}")
+    segments: list[tuple[str, int, Optional[SegmentMeta]]] = []
+    for entry in manifest["segments"]:
+        if not isinstance(entry, dict):
+            entry = {"name": entry, "rows": 0}
+        name, rows = entry.get("name"), entry.get("rows")
+        if not isinstance(name, str) or not _SEGMENT_RE.match(name):
+            raise StorageError(f"bad segment name {name!r} in manifest")
+        if not isinstance(rows, int) or rows < 0:
+            raise StorageError(f"bad row count {rows!r} in manifest")
+        segments.append(
+            (name, rows, SegmentMeta.from_manifest(entry.get("meta")))
+        )
+    wal_epoch = manifest.get("wal_epoch", 0)
+    if not isinstance(wal_epoch, int) or wal_epoch < 0:
+        raise StorageError(f"bad wal_epoch {wal_epoch!r} in manifest")
+    quarantined = manifest.get("quarantined", [])
+    if not isinstance(quarantined, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("reason"), str)
+        for entry in quarantined
+    ):
+        raise StorageError("bad quarantined list in manifest")
+    return {
+        "segments": segments,
+        "wal_epoch": wal_epoch,
+        "quarantined": [
+            {"name": entry["name"], "reason": entry["reason"]}
+            for entry in quarantined
+        ],
+    }
+
+
 def _checked_sizing(spill_rows, spill_bytes, parallel) -> tuple[int, int]:
     """``(spill_rows, parallel)`` with defaults applied; ``ValueError``
     on a non-positive sizing knob.  Run by :class:`FlowStore` and — so
@@ -1942,12 +1798,14 @@ class FlowStore(_StoreReadMixin):
         self._tail_map = array("i")      # tail-local fqdn id -> global
         self._tail_label_bytes = 0       # incremental tail_bytes() state
         self._tail_label_count = 0
-        manifest = self._read_manifest()
+        manifest = read_manifest(self.directory)
         self._wal_epoch: int = manifest["wal_epoch"]
         self._quarantined: list[dict] = manifest["quarantined"]
         self._swept_tmp = self._sweep_tmp_files()
         newly_quarantined = False
-        for name in manifest["segments"]:
+        for name, _rows, _meta in manifest["segments"]:
+            # Only the name is consumed here: the CRC-covered footer is
+            # the store's own authoritative metadata source.
             try:
                 reader = SegmentReader.open(self.directory / name)
             except StorageError as exc:
@@ -2107,67 +1965,6 @@ class FlowStore(_StoreReadMixin):
 
     # -- manifest ----------------------------------------------------------
 
-    def _read_manifest(self) -> dict:
-        path = self.directory / MANIFEST_NAME
-        empty = {"segments": [], "wal_epoch": 0, "quarantined": []}
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return empty
-        except OSError as exc:
-            raise StorageError(f"cannot read {path}: {exc}") from exc
-        try:
-            manifest = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise StorageError(f"malformed manifest {path}: {exc}") from exc
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") not in (
-                FORMAT_VERSION_V1, FORMAT_VERSION
-            )
-            or not isinstance(manifest.get("segments"), list)
-        ):
-            raise StorageError(f"unsupported manifest {path}")
-        names: list[str] = []
-        for entry in manifest["segments"]:
-            # v1 manifests list bare names; v2 entries are objects
-            # carrying a copy of the pruning metadata.  Only the name
-            # is consumed here — the footer (CRC-covered) is the
-            # authoritative metadata source.
-            name = entry.get("name") if isinstance(entry, dict) else entry
-            if (
-                not isinstance(name, str)
-                or not _SEGMENT_RE.match(name)
-            ):
-                raise StorageError(f"bad segment name {name!r} in manifest")
-            names.append(name)
-        # Pre-PR6 manifests carry neither key: epoch 0, nothing
-        # quarantined.
-        wal_epoch = manifest.get("wal_epoch", 0)
-        if not isinstance(wal_epoch, int) or wal_epoch < 0:
-            raise StorageError(f"bad wal_epoch {wal_epoch!r} in manifest")
-        quarantined: list[dict] = []
-        raw_quarantined = manifest.get("quarantined", [])
-        if not isinstance(raw_quarantined, list):
-            raise StorageError("bad quarantined list in manifest")
-        for entry in raw_quarantined:
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("name"), str)
-                or not isinstance(entry.get("reason"), str)
-            ):
-                raise StorageError(
-                    f"bad quarantine entry {entry!r} in manifest"
-                )
-            quarantined.append(
-                {"name": entry["name"], "reason": entry["reason"]}
-            )
-        return {
-            "segments": names,
-            "wal_epoch": wal_epoch,
-            "quarantined": quarantined,
-        }
-
     def _write_manifest(self) -> None:
         payload = json.dumps({
             "format": FORMAT_VERSION,
@@ -2205,18 +2002,9 @@ class FlowStore(_StoreReadMixin):
     # -- ingestion / spilling ---------------------------------------------
 
     def add(self, flow: FlowRecord) -> None:
-        """Insert one flow record (spills when the budget is crossed).
-
-        With the journal enabled the flow is validated, encoded and
-        durably appended to ``tail.wal`` *before* it lands in the tail
-        — once ``add`` returns, the row survives a crash.
-        """
-        with self._write_lock:
-            if self.wal_enabled:
-                self._wal.append(_encode_flow_batch((flow,)))
-            with self._mutex:
-                self._tail.add(flow)
-            self._maybe_spill()
+        """Insert one flow record (spills when the budget is crossed);
+        see :meth:`add_all`."""
+        self.add_all((flow,))
 
     def _wal_chunk_rows(self) -> int:
         """Rows journaled per ``add_all`` record.
@@ -2234,12 +2022,14 @@ class FlowStore(_StoreReadMixin):
         return chunk
 
     def add_all(self, flows: Iterable[FlowRecord]) -> None:
-        """Insert many flow records (journaled in chunks when the WAL
-        is enabled)."""
-        if not self.wal_enabled:
-            for flow in flows:
-                self.add(flow)
-            return
+        """Insert many flow records, a chunk at a time.
+
+        Each chunk is validated by encoding it (``ValueError`` with
+        nothing written — whatever ``wal`` says, a flow the seal could
+        not write never reaches the tail) and, with the journal on,
+        durably appended to ``tail.wal`` *before* it lands in the tail:
+        once the call returns, the rows survive a crash.
+        """
         chunk_rows = self._wal_chunk_rows()
         iterator = iter(flows)
         while True:
@@ -2247,7 +2037,9 @@ class FlowStore(_StoreReadMixin):
             if not chunk:
                 return
             with self._write_lock:
-                self._wal.append(_encode_flow_batch(chunk))
+                payload = _encode_flow_batch(chunk)
+                if self.wal_enabled:
+                    self._wal.append(payload)
                 with self._mutex:
                     tail = self._tail
                     for flow in chunk:

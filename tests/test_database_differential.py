@@ -4,11 +4,14 @@ The columnar engine (:mod:`repro.analytics.database`) must answer every
 query identically to the retained seed implementation
 (:mod:`repro.analytics.database_reference`) on randomized flow sets —
 including untagged flows, empty-string labels, case-folded FQDNs, and
-both ingestion paths (per-record ``add`` and binary ``ingest_batch``),
-with and without numpy.
+all three ways rows enter a database (per-record ``add``, binary
+``ingest_batch``, and a sealed segment rematerialized through
+``SegmentReader.database()``), with and without numpy.
 """
 
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 import repro.analytics.database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.database_reference import FlowDatabase as ReferenceDatabase
+from repro.analytics.storage import SegmentReader, write_segment
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.sniffer.eventcodec import encode_events
 
@@ -155,6 +159,43 @@ class TestBatchIngestDifferential:
         if flow_list[half:]:
             db.ingest_batch(encode_events(flow_list[half:]))
         _assert_equivalent(db, ref)
+
+
+def _rematerialized(db: FlowDatabase) -> FlowDatabase:
+    """``db`` sealed with ``write_segment`` and read back."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "seg-00000001.fseg"
+        write_segment(path, db)
+        return SegmentReader.open(path).database()
+
+
+class TestSegmentRoundTripDifferential:
+    """The third row-entry path: adopted columns must index exactly as
+    ingested ones — same ``servers()`` / ``ports()`` first-appearance
+    order, indexes, ``time_span``, ``count_by_protocol``,
+    ``tagged_count``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(flow_lists)
+    def test_rematerialized_segment_matches_reference(self, flow_list):
+        ref = ReferenceDatabase.from_flows(flow_list)
+        _assert_equivalent(
+            _rematerialized(FlowDatabase.from_flows(flow_list)), ref
+        )
+        _assert_equivalent(_rematerialized(
+            FlowDatabase.from_batches([encode_events(flow_list)])
+        ), ref)
+
+    @settings(max_examples=20, deadline=None)
+    @given(flow_lists)
+    def test_rematerialized_segment_matches_reference_without_numpy(
+        self, flow_list
+    ):
+        ref = ReferenceDatabase.from_flows(flow_list)
+        with _without_numpy():
+            _assert_equivalent(
+                _rematerialized(FlowDatabase.from_flows(flow_list)), ref
+            )
 
 
 class TestGroupedAggregations:

@@ -11,14 +11,19 @@ Four classes of drift this suite catches:
   ``/query/<name>`` route and every ``/metrics`` family must appear in
   the docs, and vice versa.
 
-Plus one source check behind the "store contract" section of
+Plus the source checks behind the "store contract" section of
 ``docs/architecture.md``: no module outside
 ``repro/analytics/{storage,shard}.py`` names the topology or manifest
-file, and nothing under ``src/repro/serve/`` reads a store private.
+file, nothing under ``src/repro/serve/`` reads a store private, the
+store modules name none of a ``FlowDatabase``'s row privates, and one
+function parses ``MANIFEST.json``.  And the lint the image cannot run
+(no ``ruff``): no unused import under ``src``, ``tests``,
+``benchmarks``.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -189,10 +194,13 @@ def test_architecture_doc_is_linked_from_readme():
 
 
 def _source_hits(root: Path, pattern: str, skip=()) -> list[str]:
+    """Lines matching ``pattern`` in ``root`` (one file, or every
+    ``*.py`` under a directory)."""
     regex = re.compile(pattern)
+    paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
     return [
         f"{path.relative_to(REPO)}:{number}: {line.strip()}"
-        for path in sorted(root.rglob("*.py")) if path not in skip
+        for path in paths if path not in skip
         for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), 1
         )
@@ -217,3 +225,103 @@ def test_store_contract_is_decided_in_one_place():
     assert not private, "store privates read in serve:\n" + "\n".join(
         private
     )
+
+
+#: What only ``FlowDatabase`` may touch of itself: indexes, statistics,
+#: the lazy record cache, their builder.  (The intern-table reads
+#: ``_intern_fqdn`` / ``_fqdn_names`` / ``_sld_names`` are shared with
+#: ``queries.py`` and stay.)
+_ROW_PRIVATES = (
+    r"(?<!\w)(?:_by_server|_by_port|_by_fqdn|_by_sld|_tagged"
+    r"|_protocol_counts|_min_start|_max_end|_records|_all_records"
+    r"|_raw_fqdns|_cert_names|_true_fqdns|_extend_index|_fqdn_sld)\b"
+)
+
+
+def _functions_calling(path: Path, module: str, attr: str) -> set[str]:
+    """Names of the functions in ``path`` that call ``module.attr``."""
+    found = set()
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == module
+            ):
+                found.add(function.name)
+    return found
+
+
+def test_flowdatabase_owns_its_rows():
+    """docs/architecture.md, "The store contract", *Rows*: the store
+    modules see a database through ``columns``, its constructors and
+    its queries — never its indexes or statistics — and the manifest
+    has one reader."""
+    analytics = REPO / "src" / "repro" / "analytics"
+    modules = [analytics / name
+               for name in ("storage.py", "shard.py", "flowstore_cli.py")]
+    leaks = [
+        hit for module in modules
+        for hit in _source_hits(module, _ROW_PRIVATES)
+    ]
+    assert not leaks, "FlowDatabase row privates in the store:\n" + (
+        "\n".join(leaks)
+    )
+    parsers = {
+        (module.name, name) for module in modules
+        for name in _functions_calling(module, "json", "loads")
+    }
+    assert parsers == {
+        ("storage.py", "read_manifest"),
+        ("shard.py", "_load_or_create_topology"),   # SHARDS.json
+    }
+
+
+_TYPE_STRING = re.compile(r"[\w.\[\], |]{1,80}")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``ruff check``'s F401 with the stdlib: names an import binds
+    that the module never loads.  ``__all__`` entries and quoted
+    annotations count as uses; a ``noqa`` on the line opts out."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _TYPE_STRING.fullmatch(node.value)
+        ):
+            used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            line = lines[alias.lineno - 1]
+            if bound in used or bound == "*" or (
+                "noqa" in line and "E402" not in line
+            ):
+                continue
+            unused.append(f"{path.relative_to(REPO)}:{alias.lineno}: {bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    unused = [
+        hit
+        for root in ("src", "tests", "benchmarks")
+        for path in sorted((REPO / root).rglob("*.py"))
+        for hit in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

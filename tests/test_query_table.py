@@ -63,9 +63,9 @@ from repro.serve.server import ServeApp
 #: lookups (answered from the intern tables, never merged), and the
 #: per-source primitive behind ``unique_servers_per_bin``.
 NOT_QUERIES = {
-    "add", "add_all", "from_flows", "ingest_batch", "parse_batch",
-    "commit_batch", "from_batches", "fqdn_label", "sld_label",
-    "sld_of_fqdn", "bin_server_pairs",
+    "add", "add_all", "from_flows", "from_columns", "ingest_batch",
+    "parse_batch", "commit_batch", "from_batches", "fqdn_label",
+    "sld_label", "sld_of_fqdn", "bin_server_pairs",
 }
 #: Table entries reached through the data model rather than by name.
 DUNDERS = {"len": "__len__", "all_records": "__iter__"}

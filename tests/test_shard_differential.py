@@ -28,14 +28,19 @@ from hypothesis import strategies as st
 import repro.analytics.database as database_module
 from faultfs import FaultFS, inject
 from repro.analytics.database import FlowDatabase
+from repro.analytics.flowstore_cli import main as flowstore_main
 from repro.analytics.shard import (
     SHARDS_NAME,
     ShardCoordinator,
     ShardError,
     ShardRouter,
-    _manifest_entries,
 )
-from repro.analytics.storage import FlowStore, QueryHint, StorageError
+from repro.analytics.storage import (
+    FlowStore,
+    QueryHint,
+    StorageError,
+    read_manifest,
+)
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 
 SHARD_COUNTS = (1, 2, 4)
@@ -373,6 +378,33 @@ class TestManifestOnlyPruning:
         assert total == len(report["segments"]) > 0
         assert report["pruned_segments"] > 0  # the hint really prunes
 
+    @pytest.mark.parametrize("damage", [
+        lambda manifest: manifest.update(format=99),
+        lambda manifest: manifest["segments"][0].update(
+            name="../../etc/passwd"
+        ),
+        lambda manifest: manifest["segments"][0].update(rows=-5),
+    ], ids=["format", "segment-name", "negative-rows"])
+    def test_malformed_shard_manifest_fails_prune_report_like_any_open(
+        self, tmp_path, damage
+    ):
+        """The manifest-only report holds the promoted copy to the
+        checks of every other open: there is one manifest reader, so a
+        shard manifest ``inspect`` refuses cannot be pruned on."""
+        directory = self._sealed_sharded(tmp_path)
+        path = directory / "shard-00" / "MANIFEST.json"
+        manifest = json.loads(path.read_text())
+        damage(manifest)
+        path.write_text(json.dumps(manifest))
+        coord = ShardCoordinator(directory)
+        with pytest.raises(StorageError):
+            coord.prune_report(QueryHint(window=(0.0, 10.0)))
+        coord.close()
+        assert flowstore_main(["inspect", str(directory)]) == 1
+        assert flowstore_main(
+            ["prune-report", str(directory), "--t0", "0", "--t1", "10"]
+        ) == 1
+
     def test_manifest_verdicts_match_footer_verdicts(self, tmp_path):
         """Decision equivalence: for every segment, the manifest-copy
         verdict equals the verdict the shard's own (footer-backed)
@@ -470,10 +502,10 @@ class TestShardTopologyAndErrors:
             directory, [_flow(i) for i in range(30)], 2, live_tail=False
         )
         coord.close()
-        entries = _manifest_entries(directory / "shard-00")
+        entries = read_manifest(directory / "shard-00")["segments"]
         assert entries
         for name, rows, meta in entries:
             assert name.startswith("seg-")
             assert rows > 0
             assert meta is not None  # v2 manifests carry the footer copy
-        assert _manifest_entries(tmp_path / "missing") == []
+        assert read_manifest(tmp_path / "missing")["segments"] == []

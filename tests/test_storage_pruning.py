@@ -20,7 +20,7 @@ atomically at open).
 import json
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -393,6 +393,26 @@ class TestPresenceFilter:
             PresenceFilter(b"\x00" * 12)  # not a power of two
 
 
+def _write_v1_segment(path: Path, db: FlowDatabase) -> None:
+    """A metadata-less PR4-era segment file: what ``write_segment``
+    produces, minus block 17 (the footer), with the header's version,
+    CRC and payload length re-framed.  ``src/`` only *reads*
+    version 1; this is the one writer left."""
+    write_segment(path, db)
+    data = path.read_bytes()
+    directory_end = _HEADER.size + _N_BLOCKS * _BLOCK_LEN.size
+    v1_directory_end = directory_end - _BLOCK_LEN.size
+    (meta_len,) = _BLOCK_LEN.unpack_from(data, v1_directory_end)
+    payload = data[directory_end:len(data) - meta_len]
+    fields = list(_HEADER.unpack_from(data, 0))
+    fields[1] = FORMAT_VERSION_V1
+    fields[7:9] = zlib.crc32(payload), len(payload)
+    path.write_bytes(
+        _HEADER.pack(*fields) + data[_HEADER.size:v1_directory_end]
+        + payload
+    )
+
+
 class TestVersion1Compat:
     """Metadata-less PR4-era stores must keep answering correctly."""
 
@@ -404,9 +424,7 @@ class TestVersion1Compat:
                 flow_list[pos:pos + per_segment]
             )
             name = f"seg-{len(names) + 1:08d}.fseg"
-            write_segment(
-                directory / name, db, version=FORMAT_VERSION_V1
-            )
+            _write_v1_segment(directory / name, db)
             names.append(name)
         (directory / "MANIFEST.json").write_text(
             json.dumps({"format": 1, "segments": names}) + "\n"
@@ -484,30 +502,57 @@ class TestVersion1Compat:
         assert flowstore_main(["verify", str(directory)]) == 0
         assert "v1 segment" in capsys.readouterr().out
 
-    def test_v1_nan_timestamps_upgrade_cleanly(self, tmp_path, capsys):
-        """PR4-era stores predate the finite-timestamp ingest check, so
-        a legacy segment can hold a NaN start.  Upgrading it via
-        compact() must produce a footer that verify agrees with (ranges
-        are computed over finite values only, identically on the seal
-        and verify paths), and window queries — which a NaN start can
-        never match — must keep working."""
-        directory = tmp_path / "v1store"
+    def _write_v1_nan_store(self, directory: Path) -> list[FlowRecord]:
+        """Two v1 segments, the very first row holding a NaN start
+        (legacy data: PR4-era stores predate the finite-timestamp
+        ingest check).  Returns the flows as ingested."""
         directory.mkdir()
-        db = FlowDatabase.from_flows([_flow(i) for i in range(6)])
-        db.columns.start[2] = float("nan")  # legacy data, pre-check
-        write_segment(
-            directory / "seg-00000001.fseg", db,
-            version=FORMAT_VERSION_V1,
-        )
-        db2 = FlowDatabase.from_flows([_flow(10 + i) for i in range(6)])
-        write_segment(
-            directory / "seg-00000002.fseg", db2,
-            version=FORMAT_VERSION_V1,
+        flow_list = [_flow(i) for i in range(6)] + [
+            _flow(10 + i) for i in range(6)
+        ]
+        db = FlowDatabase.from_flows(flow_list[:6])
+        db.columns.start[0] = float("nan")
+        _write_v1_segment(directory / "seg-00000001.fseg", db)
+        _write_v1_segment(
+            directory / "seg-00000002.fseg",
+            FlowDatabase.from_flows(flow_list[6:]),
         )
         (directory / "MANIFEST.json").write_text(json.dumps({
             "format": 1,
             "segments": ["seg-00000001.fseg", "seg-00000002.fseg"],
         }))
+        return flow_list
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_v1_nan_store_statistics_use_the_finite_rows(
+        self, tmp_path, numpy
+    ):
+        """``time_span()`` / ``count_by_protocol()`` over a legacy NaN
+        start are the answers over the finite values — the same from
+        the cold column blocks and from the materialized segments,
+        with and without numpy."""
+        flow_list = self._write_v1_nan_store(tmp_path / "v1store")
+        span = (min(flow.start for flow in flow_list[1:]),
+                max(flow.end for flow in flow_list))
+        protocols = FlowDatabase.from_flows(flow_list).count_by_protocol()
+        with _without_numpy() if not numpy else nullcontext():
+            store = FlowStore(tmp_path / "v1store")
+            assert not any(seg.resident for seg in store.segments)
+            assert store.time_span() == span
+            assert store.count_by_protocol() == protocols
+            assert len(list(store)) == 12    # materializes every segment
+            assert all(seg.resident for seg in store.segments)
+            assert store.time_span() == span
+            assert store.count_by_protocol() == protocols
+
+    def test_v1_nan_timestamps_upgrade_cleanly(self, tmp_path, capsys):
+        """Upgrading a legacy NaN-start segment via compact() must
+        produce a footer that verify agrees with (ranges are computed
+        over finite values only, by the one footer constructor), and
+        window queries — which a NaN start can never match — must keep
+        working."""
+        directory = tmp_path / "v1store"
+        self._write_v1_nan_store(directory)
         store = FlowStore(directory)
         store.compact()
         assert flowstore_main(["verify", str(directory)]) == 0

@@ -369,3 +369,26 @@ class TestWrite:
         with FlowStore(tmp_path / "crashed") as reopened:
             assert reopened.health()["wal"]["recovered_rows"] == tail_rows
             assert list(reopened) == live
+
+    @pytest.mark.parametrize("wal", [True, False])
+    def test_an_unencodable_flow_is_refused_at_add_whatever_wal_says(
+        self, tmp_path, wal
+    ):
+        """Validation does not hang off the journal knob: a string the
+        seal could not write is a ``ValueError`` at ``add`` with the
+        tail untouched, and the neighbours still seal.  (With
+        ``wal=False`` the flow used to be accepted, and every later
+        ``flush()`` / ``close()`` raised ``UnicodeEncodeError``.)"""
+        bad = _flow(3)
+        bad.cert_name = "bad\ud800"
+        with FlowStore(tmp_path / "store", wal=wal) as store:
+            store.add(_flow(1))
+            with pytest.raises(ValueError):
+                store.add(bad)
+            with pytest.raises(ValueError):
+                store.add_all([_flow(2), bad])
+            store.add(_flow(2))
+            assert store.flush() is not None
+            assert store.counters()["segments"] == 1
+        with FlowStore(tmp_path / "store") as reopened:
+            assert list(reopened) == [_flow(1), _flow(2)]
