@@ -4,14 +4,14 @@
 Everything else in this repository uses the fast event path; this
 example proves the packet path works on genuine capture bytes: the
 trace is rendered to RFC-format DNS/TCP frames inside a classic pcap
-file, read back, decoded, and pushed through the same resolver/tagger.
+file, read back, and pushed frame by frame through the capture loop
+(``SnifferPipeline.process_frames``) into the same resolver/tagger.
 """
 
 import os
 import tempfile
 
-from repro.net.packet import PacketDecodeError, decode_frame
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import PcapReader, write_pcap
 from repro.simulation import build_trace
 from repro.sniffer import SnifferPipeline
 
@@ -27,14 +27,9 @@ def main() -> None:
     print(f"  wrote {count} frames ({size_kb:.0f} KB) to {path}")
 
     print("Reading the pcap back and running the packet-path sniffer...")
-    packets = []
-    for record in read_pcap(path):
-        try:
-            packets.append(decode_frame(record.timestamp, record.data))
-        except PacketDecodeError:
-            continue
     pipeline = SnifferPipeline(clist_size=50_000, warmup=0.0)
-    flows = pipeline.process_packets(packets)
+    with open(path, "rb") as handle:
+        flows = pipeline.process_frames(PcapReader(handle).frames())
 
     tagged = [f for f in flows if f.fqdn]
     print(f"  reconstructed {len(flows)} TCP flows, {len(tagged)} tagged")

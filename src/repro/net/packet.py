@@ -20,6 +20,14 @@ _ETH_FMT = struct.Struct("!6s6sH")
 _IPV4_FMT = struct.Struct("!BBHHHBBH4s4s")
 _UDP_FMT = struct.Struct("!HHHH")
 _TCP_FMT = struct.Struct("!HHIIBBHHH")
+# What the capture loop reads, and nothing else: version/IHL, total
+# length, flags/fragment offset, protocol and both addresses of the IPv4
+# header; ports, data offset and flags of the TCP header.
+_IPV4_SCAN = struct.Struct("!BxH2xHxB2xII")
+_TCP_SCAN = struct.Struct("!HH8xBB")
+_ETH_LEN, _IPV4_LEN = _ETH_FMT.size, _IPV4_FMT.size
+_UDP_LEN, _TCP_LEN = _UDP_FMT.size, _TCP_FMT.size
+_UDP, _TCP = int(TransportProto.UDP), int(TransportProto.TCP)
 
 # TCP flag bits
 TCP_FIN = 0x01
@@ -55,13 +63,6 @@ class EthernetHeader:
     def encode(self) -> bytes:
         return _ETH_FMT.pack(self.dst_mac, self.src_mac, self.ethertype)
 
-    @classmethod
-    def decode(cls, data: bytes) -> tuple["EthernetHeader", bytes]:
-        if len(data) < _ETH_FMT.size:
-            raise PacketDecodeError("truncated Ethernet header")
-        dst, src, etype = _ETH_FMT.unpack_from(data)
-        return cls(dst, src, etype), data[_ETH_FMT.size:]
-
 
 @dataclass(frozen=True, slots=True)
 class IPv4Header:
@@ -74,7 +75,7 @@ class IPv4Header:
     ttl: int = 64
     ident: int = 0
 
-    HEADER_LEN = _IPV4_FMT.size
+    HEADER_LEN = _IPV4_LEN
 
     def encode(self, payload_len: int) -> bytes:
         total = self.HEADER_LEN + payload_len
@@ -93,40 +94,6 @@ class IPv4Header:
         csum = checksum16(head)
         return head[:10] + struct.pack("!H", csum) + head[12:]
 
-    @classmethod
-    def decode(cls, data: bytes) -> tuple["IPv4Header", bytes]:
-        if len(data) < cls.HEADER_LEN:
-            raise PacketDecodeError("truncated IPv4 header")
-        (
-            ver_ihl,
-            _tos,
-            total,
-            ident,
-            _frag,
-            ttl,
-            proto,
-            _csum,
-            src,
-            dst,
-        ) = _IPV4_FMT.unpack_from(data)
-        version = ver_ihl >> 4
-        if version != 4:
-            raise PacketDecodeError(f"not IPv4 (version={version})")
-        ihl = (ver_ihl & 0x0F) * 4
-        if ihl < cls.HEADER_LEN or len(data) < ihl:
-            raise PacketDecodeError("bad IPv4 header length")
-        if total < ihl or total > len(data):
-            raise PacketDecodeError("bad IPv4 total length")
-        header = cls(
-            src=int.from_bytes(src, "big"),
-            dst=int.from_bytes(dst, "big"),
-            proto=proto,
-            total_length=total,
-            ttl=ttl,
-            ident=ident,
-        )
-        return header, data[ihl:total]
-
 
 @dataclass(frozen=True, slots=True)
 class UdpHeader:
@@ -135,21 +102,12 @@ class UdpHeader:
     src_port: int
     dst_port: int
 
-    HEADER_LEN = _UDP_FMT.size
+    HEADER_LEN = _UDP_LEN
 
     def encode(self, payload_len: int) -> bytes:
         return _UDP_FMT.pack(
             self.src_port, self.dst_port, self.HEADER_LEN + payload_len, 0
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> tuple["UdpHeader", bytes]:
-        if len(data) < cls.HEADER_LEN:
-            raise PacketDecodeError("truncated UDP header")
-        sport, dport, length, _csum = _UDP_FMT.unpack_from(data)
-        if length < cls.HEADER_LEN or length > len(data):
-            raise PacketDecodeError("bad UDP length")
-        return cls(sport, dport), data[cls.HEADER_LEN:length]
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +121,7 @@ class TcpHeader:
     flags: int = 0
     window: int = 65535
 
-    HEADER_LEN = _TCP_FMT.size
+    HEADER_LEN = _TCP_LEN
 
     def encode(self) -> bytes:
         return _TCP_FMT.pack(
@@ -177,27 +135,6 @@ class TcpHeader:
             0,
             0,
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> tuple["TcpHeader", bytes]:
-        if len(data) < cls.HEADER_LEN:
-            raise PacketDecodeError("truncated TCP header")
-        (
-            sport,
-            dport,
-            seq,
-            ack,
-            offset_rsvd,
-            flags,
-            window,
-            _csum,
-            _urg,
-        ) = _TCP_FMT.unpack_from(data)
-        offset = (offset_rsvd >> 4) * 4
-        if offset < cls.HEADER_LEN or len(data) < offset:
-            raise PacketDecodeError("bad TCP data offset")
-        header = cls(sport, dport, seq, ack, flags, window)
-        return header, data[offset:]
 
     @property
     def is_syn(self) -> bool:
@@ -296,25 +233,94 @@ def build_tcp_packet(
     return EthernetHeader(_BROADCAST, _LOCAL_MAC).encode() + datagram
 
 
+def parse_frame(
+    data: bytes, with_ethernet: bool = True
+) -> tuple[int, int, int, int, int, int, int, int]:
+    """Validate a raw frame and return the scalars the sniffer acts on:
+    ``(src, dst, proto, src_port, dst_port, tcp_flags, payload_start,
+    payload_end)``.
+
+    ``proto`` is 6 or 17, ``tcp_flags`` is 0 for UDP, and
+    ``data[payload_start:payload_end]`` is the transport payload (IP
+    options, TCP options and trailing link-layer padding excluded).
+    Every length, version and offset check of the packet path lives
+    here; anything it cannot vouch for raises :class:`PacketDecodeError`
+    and a capture loop is expected to skip the frame.
+    """
+    ip = 0
+    if with_ethernet:
+        ip = _ETH_LEN
+        if len(data) < ip:
+            raise PacketDecodeError("truncated Ethernet header")
+        if data[12] != 0x08 or data[13] != 0x00:
+            ethertype = int.from_bytes(data[12:14], "big")
+            raise PacketDecodeError(f"unsupported ethertype {ethertype:#x}")
+    room = len(data) - ip
+    if room < _IPV4_LEN:
+        raise PacketDecodeError("truncated IPv4 header")
+    ver_ihl, total, frag, proto, src, dst = _IPV4_SCAN.unpack_from(data, ip)
+    if ver_ihl >> 4 != 4:
+        raise PacketDecodeError(f"not IPv4 (version={ver_ihl >> 4})")
+    ihl = (ver_ihl & 0x0F) * 4
+    if ihl < _IPV4_LEN or room < ihl:
+        raise PacketDecodeError("bad IPv4 header length")
+    if total < ihl or total > room:
+        raise PacketDecodeError("bad IPv4 total length")
+    if frag & 0x1FFF:
+        # A non-first fragment starts with arbitrary payload bytes, not
+        # a transport header; reading ports out of it would let its
+        # sender forge DNS responses and flows.
+        raise PacketDecodeError("IPv4 fragment")
+    start = ip + ihl
+    end = ip + total
+    if proto == _UDP:
+        if end - start < _UDP_LEN:
+            raise PacketDecodeError("truncated UDP header")
+        sport, dport, length, _csum = _UDP_FMT.unpack_from(data, start)
+        if length < _UDP_LEN or length > end - start:
+            raise PacketDecodeError("bad UDP length")
+        return (src, dst, proto, sport, dport, 0,
+                start + _UDP_LEN, start + length)
+    if proto == _TCP:
+        if end - start < _TCP_LEN:
+            raise PacketDecodeError("truncated TCP header")
+        sport, dport, offset_rsvd, flags = _TCP_SCAN.unpack_from(data, start)
+        offset = (offset_rsvd >> 4) * 4
+        if offset < _TCP_LEN or end - start < offset:
+            raise PacketDecodeError("bad TCP data offset")
+        return src, dst, proto, sport, dport, flags, start + offset, end
+    raise PacketDecodeError(f"unsupported IP protocol {proto}")
+
+
 def decode_frame(
     timestamp: float, data: bytes, with_ethernet: bool = True
 ) -> Packet:
     """Decode a raw frame into a :class:`Packet`.
 
-    Non-IPv4 ethertypes and transports other than TCP/UDP raise
-    :class:`PacketDecodeError`; a capture loop is expected to skip those.
+    The object form of :func:`parse_frame`: offsets and errors are its;
+    only the descriptive fields (MACs, TTL, identification, sequence
+    numbers, window) are unpacked on top.  Non-IPv4 ethertypes and
+    transports other than TCP/UDP raise :class:`PacketDecodeError`; a
+    capture loop is expected to skip those.
     """
-    eth = None
+    src, dst, proto, sport, dport, flags, start, end = parse_frame(
+        data, with_ethernet
+    )
+    eth, ip = None, 0
     if with_ethernet:
-        eth, data = EthernetHeader.decode(data)
-        if eth.ethertype != ETHERTYPE_IPV4:
-            raise PacketDecodeError(f"unsupported ethertype {eth.ethertype:#x}")
-    ipv4, rest = IPv4Header.decode(data)
-    packet = Packet(timestamp=timestamp, ipv4=ipv4, eth=eth)
-    if ipv4.proto == TransportProto.UDP:
-        packet.udp, packet.payload = UdpHeader.decode(rest)
-    elif ipv4.proto == TransportProto.TCP:
-        packet.tcp, packet.payload = TcpHeader.decode(rest)
+        eth, ip = EthernetHeader(*_ETH_FMT.unpack_from(data)), _ETH_LEN
+    ver_ihl, _, total, ident, _, ttl, *_ = _IPV4_FMT.unpack_from(data, ip)
+    packet = Packet(
+        timestamp,
+        IPv4Header(src, dst, proto, total, ttl, ident),
+        payload=data[start:end],
+        eth=eth,
+    )
+    if proto == _UDP:
+        packet.udp = UdpHeader(sport, dport)
     else:
-        raise PacketDecodeError(f"unsupported IP protocol {ipv4.proto}")
+        _, _, seq, ack, _, _, window, *_ = _TCP_FMT.unpack_from(
+            data, ip + (ver_ihl & 0x0F) * 4
+        )
+        packet.tcp = TcpHeader(sport, dport, seq, ack, flags, window)
     return packet

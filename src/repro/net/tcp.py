@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
-from repro.net.packet import Packet
+from repro.net.packet import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN, Packet
 
 
 class TcpState(enum.Enum):
@@ -26,7 +26,7 @@ class TcpState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpConnection:
     """Book-keeping for one tracked connection."""
 
@@ -39,7 +39,6 @@ class TcpConnection:
     packets: int = 0
     fin_up: bool = False
     fin_down: bool = False
-    first_payload: bytes = b""
 
     def to_record(self) -> FlowRecord:
         """Freeze the connection into an immutable flow record."""
@@ -56,119 +55,126 @@ class TcpConnection:
 class TcpFlowTracker:
     """Track concurrent TCP connections and emit completed flow records.
 
-    Connections are keyed by the normalized five-tuple.  A connection whose
-    first observed segment is a SYN gets its client side from the SYN
-    sender; mid-stream pickups (trace started after the handshake) fall
-    back to "lower port is the server" heuristics, mirroring what passive
-    monitors such as Tstat do.
+    Connections are keyed by ``(client, server, client port, server
+    port)``; the :class:`FiveTuple` is built once, when the connection
+    is.  A connection whose first observed segment is a SYN gets its
+    client side from the SYN sender; mid-stream pickups (trace started
+    after the handshake) fall back to "lower port is the server"
+    heuristics, mirroring what passive monitors such as Tstat do.  A
+    segment for an unknown five-tuple opens a connection only if it
+    carries SYN or payload: a bare ACK / FIN / RST is the tail of a
+    connection already closed (the last ACK of every clean shutdown, a
+    retransmitted FIN, a late RST), counted as ``stats["stray"]`` and
+    dropped instead of becoming a one-packet phantom flow.
 
     Args:
         idle_timeout: seconds of silence after which a connection is
             considered finished and flushed.
-        capture_payload: bytes of the first client payload to retain for
-            DPI baselines (0 disables).
     """
 
-    def __init__(self, idle_timeout: float = 300.0, capture_payload: int = 64):
+    def __init__(self, idle_timeout: float = 300.0):
         self.idle_timeout = idle_timeout
-        self.capture_payload = capture_payload
-        self._active: dict[FiveTuple, TcpConnection] = {}
-        self._completed: list[FlowRecord] = []
-        self.stats = {"packets": 0, "midstream": 0, "flows": 0}
-
-    def _normalize(self, packet: Packet) -> tuple[FiveTuple, bool]:
-        """Return (five-tuple in client->server orientation, is_upstream)."""
-        assert packet.tcp is not None
-        src = packet.ipv4.src
-        dst = packet.ipv4.dst
-        sport = packet.tcp.src_port
-        dport = packet.tcp.dst_port
-        forward = FiveTuple(src, dst, sport, dport, TransportProto.TCP)
-        reverse = FiveTuple(dst, src, dport, sport, TransportProto.TCP)
-        if forward in self._active:
-            return forward, True
-        if reverse in self._active:
-            return reverse, False
-        if packet.tcp.is_syn:
-            return forward, True
-        if packet.tcp.is_synack:
-            return reverse, False
-        # Mid-stream: guess that the numerically lower port is the server.
-        self.stats["midstream"] += 1
-        if dport <= sport:
-            return forward, True
-        return reverse, False
+        self._active: dict[tuple[int, int, int, int], TcpConnection] = {}
+        self.stats = {"packets": 0, "midstream": 0, "flows": 0, "stray": 0}
 
     def feed(self, packet: Packet) -> Optional[FlowRecord]:
         """Consume one TCP packet; return a flow record if one completed."""
-        if packet.tcp is None:
+        tcp = packet.tcp
+        if tcp is None:
             raise ValueError("TcpFlowTracker.feed expects TCP packets")
-        self.stats["packets"] += 1
-        fid, upstream = self._normalize(packet)
-        conn = self._active.get(fid)
+        return self.feed_segment(
+            packet.timestamp, packet.ipv4.src, packet.ipv4.dst,
+            tcp.src_port, tcp.dst_port, tcp.flags, len(packet.payload),
+        )
+
+    def feed_segment(
+        self,
+        timestamp: float,
+        src: int,
+        dst: int,
+        sport: int,
+        dport: int,
+        flags: int,
+        payload_len: int,
+    ) -> Optional[FlowRecord]:
+        """Consume one TCP segment given as scalars (the capture loop's
+        call shape); return a flow record if one completed."""
+        stats = self.stats
+        stats["packets"] += 1
+        active = self._active
+        key = (src, dst, sport, dport)
+        conn = active.get(key)
+        upstream = True
         if conn is None:
-            state = (
-                TcpState.SYN_SEEN if packet.tcp.is_syn else TcpState.ESTABLISHED
-            )
-            conn = TcpConnection(
-                fid=fid,
-                state=state,
-                start=packet.timestamp,
-                last_seen=packet.timestamp,
-            )
-            self._active[fid] = conn
-        conn.last_seen = packet.timestamp
-        conn.packets += 1
-        if conn.state is TcpState.SYN_SEEN and packet.tcp.is_synack:
-            conn.state = TcpState.ESTABLISHED
-        if packet.payload:
-            if upstream:
-                if not conn.first_payload and self.capture_payload:
-                    conn.first_payload = packet.payload[: self.capture_payload]
-                conn.bytes_up += len(packet.payload)
+            key = (dst, src, dport, sport)
+            conn = active.get(key)
+            upstream = False
+        if conn is None:
+            # Unknown five-tuple: orient it (key is the reverse tuple).
+            if flags & TCP_SYN:
+                upstream = not flags & TCP_ACK
+            elif payload_len:
+                # Mid-stream: guess the numerically lower port is the server.
+                stats["midstream"] += 1
+                upstream = dport <= sport
             else:
-                conn.bytes_down += len(packet.payload)
-        if packet.tcp.is_rst:
-            return self._finish(fid)
-        if packet.tcp.is_fin:
+                stats["stray"] += 1
+                return None
+            if upstream:
+                key = (src, dst, sport, dport)
+            conn = active[key] = TcpConnection(
+                FiveTuple(*key, TransportProto.TCP),
+                TcpState.SYN_SEEN if upstream and flags & TCP_SYN
+                else TcpState.ESTABLISHED,
+                timestamp,
+                timestamp,
+            )
+        elif conn.state is TcpState.SYN_SEEN and (
+            flags & TCP_SYN and flags & TCP_ACK
+        ):
+            conn.state = TcpState.ESTABLISHED
+        conn.last_seen = timestamp
+        conn.packets += 1
+        if payload_len:
+            if upstream:
+                conn.bytes_up += payload_len
+            else:
+                conn.bytes_down += payload_len
+        if flags & TCP_RST:
+            return self._finish(key)
+        if flags & TCP_FIN:
             if upstream:
                 conn.fin_up = True
             else:
                 conn.fin_down = True
             if conn.fin_up and conn.fin_down:
-                return self._finish(fid)
+                return self._finish(key)
             conn.state = TcpState.CLOSING
         return None
 
-    def _finish(self, fid: FiveTuple) -> FlowRecord:
-        conn = self._active.pop(fid)
+    def _finish(self, key: tuple[int, int, int, int]) -> FlowRecord:
+        conn = self._active.pop(key)
         conn.state = TcpState.CLOSED
-        record = conn.to_record()
         self.stats["flows"] += 1
-        self._completed.append(record)
-        return record
+        return conn.to_record()
 
     def expire(self, now: float) -> list[FlowRecord]:
         """Flush connections idle longer than ``idle_timeout``."""
         stale = [
-            fid
-            for fid, conn in self._active.items()
+            key
+            for key, conn in self._active.items()
             if now - conn.last_seen > self.idle_timeout
         ]
-        return [self._finish(fid) for fid in stale]
+        return [self._finish(key) for key in stale]
 
     def flush(self) -> list[FlowRecord]:
         """Close every remaining connection (end of trace)."""
-        return [self._finish(fid) for fid in list(self._active)]
+        return [self._finish(key) for key in list(self._active)]
 
     @property
     def active_count(self) -> int:
         """Connections currently being tracked."""
         return len(self._active)
-
-    def completed(self) -> Iterator[FlowRecord]:
-        """Iterate flow records completed so far."""
-        return iter(self._completed)
 
 
 def classify_port(dst_port: int, has_tls: bool = False) -> Protocol:

@@ -4,6 +4,11 @@ Reads a classic pcap capture, runs the packet-path sniffer (DNS response
 sniffer + flow sniffer + tagger), and prints per-protocol hit ratios
 plus a sample of labels.  With ``--dump`` the labeled flows are written
 as JSON lines for the off-line analyzer.
+
+:func:`sniff_pcap` is the whole capture path in one call: the reader's
+raw ``(timestamp, data)`` frames go straight into
+``SnifferPipeline.process_frames``, whatever the ``processes`` value —
+no ``PcapRecord``, header object or ``Packet`` is built per frame.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import argparse
 import sys
 from collections import Counter
 
-from repro.net.packet import PacketDecodeError, decode_frame
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapFormatError, PcapReader
 from repro.sniffer.pipeline import SnifferPipeline
 
@@ -62,30 +66,23 @@ def sniff_pcap(
             on_pipeline(pipeline)
         if handle_signals:
             pipeline.install_signal_handlers()
-        frames = 0
         cut = None
 
-        def packets():
-            nonlocal frames, cut
-            with_ethernet = reader.linktype == LINKTYPE_ETHERNET
+        def frames():
+            nonlocal cut
             try:
-                for frames, record in enumerate(reader, 1):
-                    try:
-                        yield decode_frame(
-                            record.timestamp, record.data,
-                            with_ethernet=with_ethernet,
-                        )
-                    except PacketDecodeError:
-                        continue
+                yield from reader.frames()
             except PcapFormatError as exc:
-                # End the stream here, so the packet loop flushes the
+                # End the stream here, so the capture loop flushes the
                 # flow sniffer and drains as for a complete capture.
                 cut = exc
 
-        pipeline.process_packets(packets())
+        pipeline.process_frames(
+            frames(), with_ethernet=reader.linktype == LINKTYPE_ETHERNET
+        )
     if cut is not None:
-        print(f"warning: capture truncated after {frames} frames",
-              file=sys.stderr)
+        print("warning: capture truncated after "
+              f"{pipeline.frame_stats['frames']} frames", file=sys.stderr)
         pipeline.close()
         raise cut
     return pipeline
@@ -133,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
              "tail is sealed on exit — inspect with repro-flowstore). "
              "For multi-day captures combine with --processes N: "
              "aggregate mode keeps no per-flow records in the parent, "
-             "so memory is bounded by the store's spill budget",
+             "so memory is bounded by the store's spill budget and "
+             "the connections still open",
     )
     args = parser.parse_args(argv)
     if args.processes > 1 and args.dump:

@@ -35,8 +35,8 @@ class DnsResponseSniffer:
     """Decode DNS responses and maintain the resolver replica.
 
     Args:
-        resolver: the shared :class:`DnsResolver` (or any object with
-            the same ``insert`` surface, e.g. the fan-out sink).
+        resolver: the :class:`DnsResolver` that :meth:`feed_packet` and
+            :meth:`feed_observation` insert into.
         monitored_clients: optional set of client addresses; responses to
             other destinations are ignored (a PoP monitor only replicates
             the caches of its own customers).
@@ -63,68 +63,66 @@ class DnsResponseSniffer:
         """Consume one UDP packet; return the observation if it was a
         response we recorded."""
         udp = packet.udp
-        if udp is None:
+        if udp is None or (
+            udp.src_port != DNS_PORT and udp.dst_port != DNS_PORT
+        ):
             return None
-        if udp.src_port != DNS_PORT and udp.dst_port != DNS_PORT:
+        client_ip = packet.ipv4.dst  # responses flow server -> client
+        decoded = self.decode_payload(client_ip, packet.payload)
+        if decoded is None:
             return None
+        fqdn, addresses, ttl = decoded
+        self.resolver.insert(client_ip, fqdn, addresses, packet.timestamp)
+        return DnsObservation(
+            packet.timestamp, client_ip, fqdn, addresses, ttl
+        )
+
+    def decode_payload(
+        self, client_ip: int, payload: bytes
+    ) -> Optional[tuple[str, list[int], int]]:
+        """Decode one port-53 UDP payload addressed to ``client_ip``.
+
+        Returns ``(fqdn, addresses, min_ttl)`` when it is a response to
+        a monitored client with at least one A answer — what belongs in
+        the resolver — and ``None`` otherwise, with the reason counted.
+        Nothing is inserted: the capture loop owns the sink (the
+        resolver in-process, the worker pool with ``processes > 1``).
+        """
         stats = self.stats
         stats["packets"] += 1
-        payload = packet.payload
+        message = None
         try:
-            fast = decode_response_addresses(payload)
-        except DnsWireError:
-            stats["decode_errors"] += 1
-            return None
-        if fast is not None:
-            stats["decoded"] += 1
-            stats["fast_path"] += 1
-            client_ip = packet.ipv4.dst  # responses flow server -> client
-            if (
-                self.monitored_clients is not None
-                and client_ip not in self.monitored_clients
-            ):
-                stats["foreign_client"] += 1
-                return None
-            fqdn, addresses, ttl = fast
-            observation = DnsObservation(
-                timestamp=packet.timestamp,
-                client_ip=client_ip,
-                fqdn=fqdn,
-                answers=addresses,
-                ttl=ttl,
-            )
-            return self.feed_observation(observation)
-        # General path: queries, non-A answers, odd or hostile messages.
-        try:
-            message = decode_message(payload)
+            decoded = decode_response_addresses(payload)
+            if decoded is None:
+                # General path: queries, non-A answers, odd or hostile
+                # messages.
+                message = decode_message(payload)
         except DnsWireError:
             stats["decode_errors"] += 1
             return None
         stats["decoded"] += 1
-        if not message.header.is_response:
+        if message is None:
+            stats["fast_path"] += 1
+        elif not message.header.is_response:
             stats["queries_ignored"] += 1
             return None
-        client_ip = packet.ipv4.dst
         if (
             self.monitored_clients is not None
             and client_ip not in self.monitored_clients
         ):
             stats["foreign_client"] += 1
             return None
-        try:
-            fqdn = message.question_name
-        except ValueError:
-            stats["decode_errors"] += 1
+        if message is not None:
+            try:
+                fqdn = message.question_name
+            except ValueError:
+                stats["decode_errors"] += 1
+                return None
+            decoded = fqdn, message.a_addresses(), message.min_answer_ttl()
+        if not decoded[1]:
+            stats["empty_answers"] += 1
             return None
-        addresses = message.a_addresses()
-        observation = DnsObservation(
-            timestamp=packet.timestamp,
-            client_ip=client_ip,
-            fqdn=fqdn,
-            answers=addresses,
-            ttl=message.min_answer_ttl(),
-        )
-        return self.feed_observation(observation)
+        return decoded
 
     def feed_observation(
         self, observation: DnsObservation
@@ -140,9 +138,9 @@ class DnsResponseSniffer:
             self.stats["empty_answers"] += 1
             return None
         self.resolver.insert(
-            client_ip=observation.client_ip,
-            fqdn=observation.fqdn,
-            answers=observation.answers,
-            timestamp=observation.timestamp,
+            observation.client_ip,
+            observation.fqdn,
+            observation.answers,
+            observation.timestamp,
         )
         return observation

@@ -2,9 +2,18 @@
 
 Two ingestion paths exist:
 
-* the **packet path** (:meth:`SnifferPipeline.process_packets`) decodes
-  raw frames, routes port-53 UDP to the DNS response sniffer and the rest
-  to the flow sniffer — this is what runs on a pcap file;
+* the **packet path** runs on captured frames.  Its entry is
+  :meth:`SnifferPipeline.process_frames` — the capture loop, fed the raw
+  ``(timestamp, data)`` tuples of :meth:`PcapReader.frames
+  <repro.net.pcap.PcapReader.frames>`: one scalar
+  :func:`~repro.net.packet.parse_frame` per frame, port-53 UDP payloads
+  to the DNS decoder and the resolver, TCP segments and other datagrams
+  to the flow sniffer as scalars, no per-frame object.
+  :meth:`SnifferPipeline.process_packets` is the same for decoded
+  :class:`~repro.net.packet.Packet` objects (the object API); both are
+  thin loops over one parser, one DNS decode, one TCP state machine and
+  one UDP aggregator, and both hand what those produce to the same two
+  sinks;
 * the **event path** (:meth:`SnifferPipeline.process_events`) consumes
   already-structured :class:`DnsObservation` / :class:`FlowRecord`
   objects in timestamp order — this is the fast path used for the large
@@ -24,10 +33,12 @@ fused loop are identical to the modular path.
 With ``processes > 1`` both paths fan the resolver+tagger work out to a
 pool of worker processes (:mod:`repro.sniffer.fanout`): events are
 partitioned by client IP, cross the process boundary as compact binary
-batches, and come back as merged statistics.  In that mode the pipeline
-aggregates — per-flow records are tallied where they are tagged rather
-than materialised, so ``tagged_flows`` stays empty and the run's merged
-counters land in :attr:`tagger` ``.stats`` and :attr:`fanout_report`.
+batches, and come back as merged statistics (on the packet path the
+parent keeps the decode and reassembly work and only the two sinks
+change).  In that mode the pipeline aggregates — per-flow records are
+tallied where they are tagged rather than materialised, so
+``tagged_flows`` stays empty and the run's merged counters land in
+:attr:`tagger` ``.stats`` and :attr:`fanout_report`.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Union
 
 from repro.net.flow import DnsObservation, FlowRecord, Protocol
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketDecodeError, parse_frame
 from repro.sniffer.dns_sniffer import DnsResponseSniffer
 from repro.sniffer.fanout import (
     FanoutPipeline,
@@ -50,18 +61,6 @@ from repro.sniffer.resolver import DnsResolver
 from repro.sniffer.tagger import FlowTagger
 
 Event = Union[DnsObservation, FlowRecord]
-
-
-class _FanoutResolverSink:
-    """Resolver-shaped adapter: routes packet-path inserts to the pool."""
-
-    __slots__ = ("_feed_dns",)
-
-    def __init__(self, fanout: FanoutPipeline):
-        self._feed_dns = fanout.feed_dns
-
-    def insert(self, client_ip, fqdn, answers, timestamp=0.0):
-        self._feed_dns(client_ip, fqdn, answers, timestamp)
 
 
 class SnifferPipeline:
@@ -171,6 +170,9 @@ class SnifferPipeline:
         self.policy = policy
         self.tagged_flows: list[FlowRecord] = []
         self.blocked_flows: list[FlowRecord] = []
+        #: Raw frames :meth:`process_frames` was handed, and how many of
+        #: them the frame parser refused (and the loop skipped).
+        self.frame_stats = {"frames": 0, "decode_errors": 0}
         self._emitted_flows = 0  # emit_tagged_batches drain cursor
         self.flow_store = flow_store
         self.retain_flows = retain_flows
@@ -191,22 +193,57 @@ class SnifferPipeline:
 
     # -- packet path ------------------------------------------------------
 
-    def process_packets(self, packets: Iterable[Packet]) -> list[FlowRecord]:
-        """Run the full sniffer over decoded packets; return tagged flows."""
-        if self.processes > 1:
-            flows = self._process_packets_fanout(packets)
-        else:
-            flows = self._process_packets_inline(packets)
-        self._store_drain()
-        return flows
-
-    def _process_packets_inline(
-        self, packets: Iterable[Packet]
+    def process_frames(
+        self, frames: Iterable[tuple[float, bytes]], with_ethernet: bool = True
     ) -> list[FlowRecord]:
-        feed_dns = self.dns_sniffer.feed_packet
+        """Run the full sniffer over raw ``(timestamp, data)`` frames —
+        what :meth:`repro.net.pcap.PcapReader.frames` yields; return the
+        tagged flows.
+
+        This is the capture loop: one scalar parse per frame, port-53
+        UDP to the DNS decoder and the resolver, everything else to the
+        flow sniffer, no per-frame object.  A frame the parser refuses
+        is counted in :attr:`frame_stats` and skipped.
+        """
+        parse = parse_frame
+        feed_segment = self.flow_sniffer.feed_segment
+        feed_datagram = self.flow_sniffer.feed_datagram
+        feed_dns, finish = self._packet_sinks()
+        seen = refused = 0
+        last_ts = 0.0
+        try:
+            for timestamp, data in frames:
+                seen += 1
+                try:
+                    (src, dst, proto, sport, dport, flags,
+                     start, end) = parse(data, with_ethernet)
+                except PacketDecodeError:
+                    refused += 1
+                    continue
+                last_ts = timestamp
+                if proto == 6:  # TCP
+                    completed = feed_segment(
+                        timestamp, src, dst, sport, dport, flags, end - start
+                    )
+                    if completed is not None:
+                        finish(completed)
+                elif sport == 53 or dport == 53:
+                    feed_dns(timestamp, dst, data[start:end])
+                else:
+                    feed_datagram(
+                        timestamp, src, dst, sport, dport, end - start
+                    )
+        finally:
+            self.frame_stats["frames"] += seen
+            self.frame_stats["decode_errors"] += refused
+        return self._end_of_capture(last_ts, finish)
+
+    def process_packets(self, packets: Iterable[Packet]) -> list[FlowRecord]:
+        """The same over decoded :class:`Packet` objects (the object API:
+        :func:`~repro.net.packet.decode_frame` output or hand-built
+        packets); return the tagged flows."""
         feed_flow = self.flow_sniffer.feed
-        finish = self._finish_flow
-        policy = self.policy
+        feed_dns, finish = self._packet_sinks()
         last_ts = 0.0
         for packet in packets:
             last_ts = packet.timestamp
@@ -214,52 +251,50 @@ class SnifferPipeline:
             if udp is not None and (
                 udp.src_port == 53 or udp.dst_port == 53
             ):
-                observation = feed_dns(packet)
-                if observation is not None and policy is not None:
-                    policy.on_dns_response(observation)
+                feed_dns(last_ts, packet.ipv4.dst, packet.payload)
                 continue
             completed = feed_flow(packet)
             if completed is not None:
                 finish(completed)
+        return self._end_of_capture(last_ts, finish)
+
+    def _packet_sinks(self):
+        """``(feed_dns, finish)`` for the two packet loops: where a
+        port-53 payload and a completed flow go.  In-process that is the
+        resolver and the tagger; with ``processes > 1`` the parent keeps
+        the decode work (DNS response parsing, five-tuple reassembly)
+        and routes both to the worker pool instead."""
+        if self.processes > 1:
+            fanout = self._fanout_pipeline()
+            insert, finish = fanout.feed_dns, fanout.feed_flow
+        else:
+            insert, finish = self.resolver.insert, self._finish_flow
+        decode = self.dns_sniffer.decode_payload
+        policy = self.policy
+
+        def feed_dns(timestamp, client_ip, payload):
+            # client_ip is the frame's destination: responses flow
+            # server -> client.
+            decoded = decode(client_ip, payload)
+            if decoded is not None:
+                fqdn, addresses, ttl = decoded
+                insert(client_ip, fqdn, addresses, timestamp)
+                if policy is not None:
+                    policy.on_dns_response(DnsObservation(
+                        timestamp, client_ip, fqdn, addresses, ttl
+                    ))
+
+        return feed_dns, finish
+
+    def _end_of_capture(self, last_ts: float, finish) -> list[FlowRecord]:
+        """Close what the flow sniffer still holds, collect the worker
+        pool's report (``processes > 1``) and drain into the store."""
         for record in self.flow_sniffer.flush():
             record.end = max(record.end, last_ts)
             finish(record)
-        return self.tagged_flows
-
-    def _process_packets_fanout(
-        self, packets: Iterable[Packet]
-    ) -> list[FlowRecord]:
-        """Packet path with the resolver+tagger fanned out to workers.
-
-        The parent keeps the decode work (DNS response parsing, 5-tuple
-        reassembly); decoded responses and completed flows are routed to
-        the worker pool instead of the in-process resolver/tagger.
-        """
-        fanout = self._fanout_pipeline()
-        sniffer = DnsResponseSniffer(_FanoutResolverSink(fanout))
-        feed_dns = sniffer.feed_packet
-        feed_flow_packet = self.flow_sniffer.feed
-        feed_flow = fanout.feed_flow
-        last_ts = 0.0
-        for packet in packets:
-            last_ts = packet.timestamp
-            udp = packet.udp
-            if udp is not None and (
-                udp.src_port == 53 or udp.dst_port == 53
-            ):
-                feed_dns(packet)
-                continue
-            completed = feed_flow_packet(packet)
-            if completed is not None:
-                feed_flow(completed)
-        for record in self.flow_sniffer.flush():
-            record.end = max(record.end, last_ts)
-            feed_flow(record)
-        report = fanout.collect()
-        shared = self.dns_sniffer.stats
-        for key, value in sniffer.stats.items():
-            shared[key] = shared.get(key, 0) + value
-        self._absorb_report(report)
+        if self.processes > 1:
+            self._absorb_report(self._fanout_pipeline().collect())
+        self._store_drain()
         return self.tagged_flows
 
     # -- event path -------------------------------------------------------

@@ -6,6 +6,7 @@ codecs' error behaviour is a security property, not a nicety.
 """
 
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 from repro.dns.message import DnsMessage
 from repro.dns.records import a_record
 from repro.dns.wire import DnsWireError, decode_message, encode_message
-from repro.net.packet import PacketDecodeError, decode_frame
+from repro.net.packet import (
+    PacketDecodeError,
+    build_udp_packet,
+    decode_frame,
+    parse_frame,
+)
 from repro.net.pcap import PcapFormatError, PcapReader
 
 
@@ -80,6 +86,73 @@ class TestPacketFuzz:
             pass
 
 
+def _dns_response_frame(frag=0, udp_length=None, cut=None):
+    """A resolver-to-client UDP/53 frame carrying a valid A response,
+    with the IPv4 flags/fragment-offset word and the UDP length set as
+    asked, and optionally cut short (total length adjusted to match)."""
+    query = DnsMessage.query(9, "bank.example.com")
+    payload = encode_message(DnsMessage.response_to(
+        query, [a_record("bank.example.com", 0x06060606, ttl=60)]
+    ))
+    frame = bytearray(build_udp_packet(0.0, 0x0A000035, 0x0A000001,
+                                       53, 5555, payload))
+    struct.pack_into("!H", frame, 14 + 6, frag)
+    if udp_length is not None:
+        struct.pack_into("!H", frame, 14 + 20 + 4, udp_length)
+    if cut is not None:
+        del frame[cut:]
+        struct.pack_into("!H", frame, 14 + 2, len(frame) - 14)
+    return bytes(frame)
+
+
+class TestIpv4Fragments:
+    """A non-first fragment begins with arbitrary payload, not a
+    transport header: parsing ports out of it let its sender write
+    ``(client, fqdn, server)`` rows of their choosing into the Clist."""
+
+    @pytest.mark.parametrize("frag", [10, 0x2000 | 185, 0x1FFF])
+    def test_non_first_fragment_is_refused(self, frag):
+        frame = _dns_response_frame(frag=frag)
+        for parse in (parse_frame, lambda data: decode_frame(0.0, data)):
+            with pytest.raises(PacketDecodeError, match="IPv4 fragment"):
+                parse(frame)
+
+    def test_first_fragment_already_fails_the_length_checks(self):
+        # MF set, offset 0: the UDP header names the whole datagram,
+        # this frame holds only its first 40 bytes.
+        whole = len(_dns_response_frame()) - 14 - 20
+        frame = _dns_response_frame(frag=0x2000, udp_length=whole, cut=74)
+        with pytest.raises(PacketDecodeError, match="bad UDP length"):
+            parse_frame(frame)
+        # ... and one that keeps the sender's total length fails there.
+        kept = bytearray(frame)
+        struct.pack_into("!H", kept, 14 + 2, 20 + whole)
+        with pytest.raises(PacketDecodeError, match="bad IPv4 total length"):
+            parse_frame(bytes(kept))
+
+    def test_dont_fragment_and_whole_datagrams_still_parse(self):
+        for frag in (0, 0x4000):
+            fields = parse_frame(_dns_response_frame(frag=frag))
+            assert fields[2:5] == (17, 53, 5555)
+
+    def test_a_crafted_fragment_cannot_reach_the_clist(self):
+        from repro.sniffer.pipeline import SnifferPipeline
+
+        pipeline = SnifferPipeline(clist_size=64, warmup=0.0)
+        pipeline.process_frames([
+            (0.0, _dns_response_frame(frag=10)),
+            (0.1, _dns_response_frame(frag=0x2000 | 3)),
+        ])
+        assert pipeline.frame_stats == {"frames": 2, "decode_errors": 2}
+        assert pipeline.dns_sniffer.stats["packets"] == 0
+        assert pipeline.resolver.stats.responses == 0
+        assert pipeline.resolver.peek(0x0A000001, 0x06060606) is None
+        pipeline.process_frames([(0.2, _dns_response_frame())])
+        assert pipeline.resolver.peek(0x0A000001, 0x06060606) == (
+            "bank.example.com"
+        )
+
+
 class TestPcapFuzz:
     @settings(max_examples=200)
     @given(st.binary(max_size=200))
@@ -93,7 +166,6 @@ class TestPcapFuzz:
 class TestSnifferHostileInput:
     def test_pipeline_survives_garbage_udp53(self):
         """A flood of malformed 'DNS' packets must only bump counters."""
-        from repro.net.packet import build_udp_packet
         from repro.sniffer.pipeline import SnifferPipeline
 
         pipeline = SnifferPipeline(clist_size=64)

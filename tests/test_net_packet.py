@@ -14,7 +14,6 @@ from repro.net.packet import (
     TCP_ACK,
     TCP_SYN,
     TcpHeader,
-    UdpHeader,
     build_tcp_packet,
     build_udp_packet,
     checksum16,
@@ -104,12 +103,12 @@ class TestDecodeErrors:
 
     def test_not_ipv4(self):
         bad = bytes([0x60]) + b"\x00" * 30  # version 6
-        with pytest.raises(PacketDecodeError):
-            IPv4Header.decode(bad)
+        with pytest.raises(PacketDecodeError, match="not IPv4"):
+            decode_frame(0.0, bad, with_ethernet=False)
 
     def test_truncated_ipv4(self):
-        with pytest.raises(PacketDecodeError):
-            IPv4Header.decode(b"\x45\x00")
+        with pytest.raises(PacketDecodeError, match="truncated IPv4"):
+            decode_frame(0.0, b"\x45\x00", with_ethernet=False)
 
     def test_unsupported_ip_proto(self):
         ip = IPv4Header(src=1, dst=2, proto=1)  # ICMP
@@ -118,12 +117,14 @@ class TestDecodeErrors:
             decode_frame(0.0, datagram, with_ethernet=False)
 
     def test_truncated_udp(self):
-        with pytest.raises(PacketDecodeError):
-            UdpHeader.decode(b"\x00\x01")
+        datagram = IPv4Header(src=1, dst=2, proto=17).encode(2) + b"\x00\x01"
+        with pytest.raises(PacketDecodeError, match="truncated UDP"):
+            decode_frame(0.0, datagram, with_ethernet=False)
 
     def test_truncated_tcp(self):
-        with pytest.raises(PacketDecodeError):
-            TcpHeader.decode(b"\x00" * 8)
+        datagram = IPv4Header(src=1, dst=2, proto=6).encode(8) + b"\x00" * 8
+        with pytest.raises(PacketDecodeError, match="truncated TCP"):
+            decode_frame(0.0, datagram, with_ethernet=False)
 
 
 class TestPacketAccessors:

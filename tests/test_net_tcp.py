@@ -79,11 +79,10 @@ class TestLifecycle:
         tracker = TcpFlowTracker()
         # No SYN: data from server first; lower port should become server.
         tracker.feed(_pkt(0.0, SERVER, CLIENT, 80, 40000, TCP_ACK, b"data"))
-        tracker.feed(_pkt(0.5, CLIENT, SERVER, 40000, 80, TCP_RST))
-        records = list(tracker.completed())
-        assert len(records) == 1
-        assert records[0].fid.server_ip == SERVER
-        assert records[0].bytes_down == 4
+        record = tracker.feed(_pkt(0.5, CLIENT, SERVER, 40000, 80, TCP_RST))
+        assert record is not None and tracker.flush() == []
+        assert record.fid.server_ip == SERVER
+        assert record.bytes_down == 4
         assert tracker.stats["midstream"] >= 1
 
 
@@ -112,16 +111,60 @@ class TestTimeoutsAndFlush:
         assert tracker.stats["flows"] == 1
 
 
-class TestPayloadCapture:
-    def test_first_payload_captured(self):
-        tracker = TcpFlowTracker(capture_payload=8)
-        _handshake(tracker)
-        tracker.feed(
-            _pkt(0.1, CLIENT, SERVER, 40000, 80, TCP_ACK, b"GET /index.html")
-        )
-        fid = next(iter(tracker._active))
-        assert tracker._active[fid].first_payload == b"GET /ind"
+class TestStraySegments:
+    """A segment for an unknown five-tuple opens a connection only if
+    it carries SYN or payload (the tail of a closed connection must not
+    become a phantom flow)."""
 
+    def _clean_close(self, tracker):
+        """SYN, SYN-ACK, ACK, data up, data down, FIN-ACK up, ACK,
+        FIN-ACK down: returns the record the eighth segment completes."""
+        _handshake(tracker)
+        tracker.feed(_pkt(0.1, CLIENT, SERVER, 40000, 80, TCP_ACK, b"x" * 18))
+        tracker.feed(_pkt(0.2, SERVER, CLIENT, 80, 40000, TCP_ACK, b"y" * 19))
+        tracker.feed(_pkt(0.3, CLIENT, SERVER, 40000, 80, TCP_FIN | TCP_ACK))
+        tracker.feed(_pkt(0.4, SERVER, CLIENT, 80, 40000, TCP_ACK))
+        return tracker.feed(
+            _pkt(0.7, SERVER, CLIENT, 80, 40000, TCP_FIN | TCP_ACK)
+        )
+
+    def test_last_ack_of_a_clean_close_opens_nothing(self):
+        tracker = TcpFlowTracker()
+        record = self._clean_close(tracker)
+        assert (record.packets, record.bytes_up, record.bytes_down) == (
+            8, 18, 19
+        )
+        # The last ACK of the four-way close arrives after the flow
+        # was emitted.
+        assert tracker.feed(
+            _pkt(0.8, CLIENT, SERVER, 40000, 80, TCP_ACK)
+        ) is None
+        assert tracker.active_count == 0 and tracker.flush() == []
+        assert tracker.stats == {
+            "packets": 9, "midstream": 0, "flows": 1, "stray": 1,
+        }
+
+    def test_retransmitted_fin_and_late_rst_open_nothing(self):
+        tracker = TcpFlowTracker()
+        self._clean_close(tracker)
+        for flags in (TCP_FIN | TCP_ACK, TCP_RST, TCP_RST | TCP_ACK):
+            assert tracker.feed(
+                _pkt(0.9, SERVER, CLIENT, 80, 40000, flags)
+            ) is None
+        assert tracker.flush() == []
+        assert tracker.stats["stray"] == 3 and tracker.stats["flows"] == 1
+
+    def test_payload_or_syn_still_opens(self):
+        tracker = TcpFlowTracker()
+        tracker.feed(_pkt(0.0, CLIENT, SERVER, 40001, 80, TCP_ACK, b"late"))
+        tracker.feed(_pkt(0.0, SERVER, CLIENT, 443, 40002, TCP_SYN | TCP_ACK))
+        assert tracker.active_count == 2 and tracker.stats["stray"] == 0
+        assert {r.fid.dst_port for r in tracker.flush()} == {80, 443}
+
+
+class TestPayloadCapture:
+    # Named for the payload-capture knob it used to test beside this
+    # guard (deleted with the knob); kept so the test id is stable.
     def test_rejects_non_tcp(self):
         tracker = TcpFlowTracker()
         from repro.net.packet import build_udp_packet

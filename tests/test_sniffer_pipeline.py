@@ -90,6 +90,43 @@ class TestPacketPath:
         assert len(pipeline.blocked_flows) == 1
         assert policy.stats["blocked"] == 1
 
+    @pytest.mark.parametrize("entry", ["packets", "frames"])
+    def test_cleanly_closed_connection_is_stored_once(self, entry):
+        """The last ACK of a four-way close arrives after the flow was
+        emitted; it used to be picked up "mid-stream" as a second,
+        one-packet flow."""
+        segments = [
+            (0.0, CLIENT, WEB, 40002, 80, TCP_SYN, b""),
+            (0.1, WEB, CLIENT, 80, 40002, TCP_SYN | TCP_ACK, b""),
+            (0.2, CLIENT, WEB, 40002, 80, TCP_ACK, b""),
+            (0.3, CLIENT, WEB, 40002, 80, TCP_ACK, b"GET / HTTP/1.1\r\n\r\n"),
+            (0.4, WEB, CLIENT, 80, 40002, TCP_ACK, b"HTTP/1.1 200 OK\r\n\r\n"),
+            (0.5, CLIENT, WEB, 40002, 80, TCP_FIN | TCP_ACK, b""),
+            (0.6, WEB, CLIENT, 80, 40002, TCP_ACK, b""),
+            (0.7, WEB, CLIENT, 80, 40002, TCP_FIN | TCP_ACK, b""),
+            (0.8, CLIENT, WEB, 40002, 80, TCP_ACK, b""),
+        ]
+        frames = [
+            (ts, build_tcp_packet(ts, src, dst, sport, dport, flags,
+                                  payload=payload))
+            for ts, src, dst, sport, dport, flags, payload in segments
+        ]
+        pipeline = SnifferPipeline(clist_size=64, warmup=0.0)
+        if entry == "frames":
+            flows = pipeline.process_frames(frames)
+        else:
+            flows = pipeline.process_packets(
+                decode_frame(ts, data) for ts, data in frames
+            )
+        assert len(flows) == 1
+        assert (flows[0].packets, flows[0].bytes_up, flows[0].bytes_down) == (
+            8, 18, 19
+        )
+        assert (flows[0].start, flows[0].end) == (0.0, 0.7)
+        assert pipeline.flow_sniffer.tcp_stats == {
+            "packets": 9, "midstream": 0, "flows": 1, "stray": 1,
+        }
+
 
 class TestEventPath:
     def test_events_tag_like_packets(self):
