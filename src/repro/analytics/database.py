@@ -19,7 +19,11 @@ This engine stores flows as **columns** instead:
   and re-tokenizing strings per flow;
 * **index arrays** — the by-fqdn/by-sld/by-server/by-port indexes map to
   packed ``array("I")`` row-index arrays rather than lists of object
-  references.
+  references.  Ingestion folds only the statistics (protocol counts,
+  tagged rows, time span); an index is built, and later extended over
+  new rows, the first time a query asks for it
+  (:meth:`FlowDatabase._index`), so a segment materialized for a
+  grouped sweep or a tail batch sealed unqueried never pays for one.
 
 The public query surface of the seed store is preserved verbatim —
 ``query_by_*`` still return :class:`FlowRecord` lists (records ingested
@@ -28,6 +32,12 @@ materialized lazily, once, on first touch) — and a set of grouped
 aggregation methods is exposed on top for the vectorized analytics in
 :mod:`repro.analytics.temporal`, ``spatial``, ``domain_tree``,
 ``trackers``, ``content``, ``tags``, ``tangle`` and ``wordcloud``.
+Each of those is a *kernel* that returns one packed :class:`Groups`
+(key columns then value columns, no tuple per group) plus a ``finish``
+that unpacks it; the query table runs the kernel per source, lifts and
+merges the packed partials (:meth:`Groups.lifted` /
+:meth:`Groups.merged`) and finishes once, and the in-memory method is
+the same two halves back to back.
 
 Ingestion has two paths:
 
@@ -49,9 +59,13 @@ the resolver and the codec.
 
 from __future__ import annotations
 
+import inspect
 import math
+import operator
 import struct
+import threading
 from array import array
+from functools import wraps
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.dns.name import second_level_domain
@@ -88,6 +102,11 @@ if _np is not None:
                    "pkts"],
          "formats": ["<u2", "<u2", "u1", "<f8", "<u8", "<u8", "<u4"],
          "offsets": [0, 2, 4, 5, 13, 21, 29], "itemsize": FLOW_COLD.size})
+    #: ``array`` typecode of a column → the numpy dtype viewing it.
+    _DTYPES = {
+        "I": _np.uint32, "H": _np.uint16, "B": _np.uint8,
+        "d": _np.float64, "Q": _np.uint64, "i": _np.int32,
+    }
 
 
 class FlowColumns:
@@ -171,6 +190,13 @@ def _native(values, dtype):
     return _np.ascontiguousarray(values, dtype=dtype).tobytes()
 
 
+def _row_index(rows):
+    """``rows`` as a numpy ``uint32`` index (a view over an ``array``)."""
+    if isinstance(rows, array):
+        return _np.frombuffer(rows, _np.uint32)
+    return _np.asarray(rows, _np.uint32)
+
+
 def finite_bounds(values) -> tuple[float, float]:
     """(min, max) over the *finite* entries of a float column; the
     empty convention ``(inf, -inf)`` when none are.
@@ -240,35 +266,269 @@ def _decode_flow_columns(view: BatchView) -> FlowColumns:
     return cols
 
 
-def servers_per_bin(pairs, bin_seconds: float) -> list[tuple[float, int]]:
-    """Deduped ``(bin_index, server_ip)`` pairs → distinct servers per
+#: The longest gap-filled series a per-bin query builds.  Gap filling
+#: is the one place a result is not bounded by its input (two flows an
+#: hour apart at ``bin_seconds=1e-5`` span 360M bins), so a longer
+#: series is refused before anything is allocated.  Not a parameter:
+#: 1M bins is 19 years of 10-minute bins.
+MAX_SERIES_BINS = 1_000_000
+
+#: ``reduce`` of :meth:`Groups.merged` → (pairwise fold, numpy ufunc name).
+_REDUCE = {"sum": (operator.add, "add"), "min": (min, "minimum")}
+
+
+def _grouped_keys(keys, permute: bool):
+    """Group the rows of equal-length numpy key columns: ``(order,
+    starts, group_keys)`` — a permutation that sorts the rows
+    lexicographically by key, the offset in it of each run of equal
+    keys, and the distinct keys column-wise.  Keys whose value ranges
+    multiply to under 2^63 are packed into one ``int64`` and take a
+    single unstable sort — of the values alone when no value column
+    has to follow (``permute`` false; ``order`` is then ``None`` and
+    the keys are unpacked again); anything wider takes ``lexsort``."""
+    packed, spans, width = None, [], 1
+    for key in keys:
+        lo = int(key.min())
+        span = int(key.max()) - lo + 1
+        spans.append((lo, span))
+        width *= span
+        if width >= 1 << 63:
+            packed = None
+            break
+        part = key.astype(_np.int64) - lo
+        packed = part if packed is None else packed * span + part
+    if packed is None:
+        order = _np.lexsort(keys[::-1])
+        ordered = [key[order] for key in keys]
+    elif permute:
+        order = _np.argsort(packed)
+        ordered = [packed[order]]
+    else:
+        order = None
+        ordered = [_np.sort(packed)]
+    differs = ordered[0][1:] != ordered[0][:-1]
+    for key in ordered[1:]:
+        differs |= key[1:] != key[:-1]
+    starts = _np.concatenate(([0], _np.flatnonzero(differs) + 1))
+    if order is not None:
+        first = order[starts]
+        return order, starts, [key[first] for key in keys]
+    rest, group_keys = ordered[0][starts], []
+    for lo, span in reversed(spans):
+        rest, part = _np.divmod(rest, span)
+        group_keys.append(part + lo)
+    return None, starts, group_keys[::-1]
+
+
+class Groups:
+    """The packed partial every grouped aggregation carries: ``k`` key
+    columns then value columns, rows unique by key.
+
+    ``columns`` is one numpy array per column when the kernel that
+    built it ran with numpy, otherwise ``rows`` holds the row tuples;
+    each operation has those two bodies and picks by what the instance
+    holds.  Partials stay packed through :meth:`lifted` and
+    :meth:`merged` — also across a shard worker's pipe, they pickle —
+    and become tuples once, in :meth:`tuples` / :meth:`mapping` (the
+    query table's ``finish``).
+    """
+
+    __slots__ = ("k", "columns", "rows")
+
+    def __init__(self, k: int, columns=None, rows=()):
+        self.k = k
+        self.columns = columns
+        self.rows = rows
+
+    def __len__(self) -> int:
+        if self.columns is not None:
+            return len(self.columns[0])
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Groups) and self.tuples() == other.tuples()
+
+    @classmethod
+    def of(cls, k: int, *columns, count: bool = False,
+           reduce: str = "sum") -> "Groups":
+        """Raw rows given column-wise (numpy arrays, or plain
+        sequences) folded into groups; keys may repeat.  ``count``
+        makes the group's row count the first value column."""
+        if not len(columns[0]):
+            return cls(0)
+        if _np is not None and isinstance(columns[0], _np.ndarray):
+            return cls(k, cls._folded(columns, k, reduce, count))
+        ones = ([1] * len(columns[0]),) if count else ()
+        rows = list(zip(*columns[:k], *ones, *columns[k:]))
+        return cls.merged([cls(k, rows=rows)], reduce)
+
+    def lifted(self, column: int, id_map) -> "Groups":
+        """These groups with the ids of one column replaced by
+        ``id_map[id]`` (rows stay distinct when the map is injective,
+        as a source's fqdn id map is)."""
+        if not len(self):
+            return self
+        if self.columns is None:
+            return Groups(self.k, rows=[
+                row[:column] + (id_map[row[column]],) + row[column + 1:]
+                for row in self.rows
+            ])
+        table = (
+            _np.frombuffer(id_map, _np.int32) if isinstance(id_map, array)
+            else _np.asarray(id_map)
+        )
+        columns = list(self.columns)
+        columns[column] = table[columns[column]]
+        return Groups(self.k, tuple(columns))
+
+    @staticmethod
+    def merged(parts, reduce: str = "sum") -> "Groups":
+        """``parts`` folded into one: rows sorted by key, the value
+        columns of equal keys reduced (``"sum"`` or ``"min"``; with no
+        value column this is a dedupe).  Associative; a part need not
+        be unique by key itself.  Integer sums are exact: a column
+        whose total could pass 2^63 is summed as Python ints
+        (``dtype=object``) instead of wrapping."""
+        parts = [part for part in parts if len(part)]
+        if not parts:
+            return Groups(0)
+        k = parts[0].k
+        if any(part.columns is None for part in parts):
+            fold = _REDUCE[reduce][0]
+            merged: dict = {}
+            for part in parts:
+                for row in part.tuples():
+                    key = row[:k]
+                    seen = merged.get(key)
+                    merged[key] = row[k:] if seen is None else tuple(
+                        map(fold, seen, row[k:])
+                    )
+            return Groups(k, rows=[
+                key + values for key, values in sorted(merged.items())
+            ])
+        return Groups(k, Groups._folded([
+            _np.concatenate(column) if len(parts) > 1 else column[0]
+            for column in zip(*(part.columns for part in parts))
+        ], k, reduce))
+
+    @staticmethod
+    def _folded(columns, k: int, reduce: str, count: bool = False) -> tuple:
+        """The numpy fold behind :meth:`of` and :meth:`merged`."""
+        order, starts, out = _grouped_keys(columns[:k], len(columns) > k)
+        if count:
+            out.append(_np.diff(starts, append=len(columns[0])))
+        ufunc = getattr(_np, _REDUCE[reduce][1])
+        for values in columns[k:]:
+            values = values[order]
+            if (
+                reduce == "sum" and values.dtype.kind in "iu"
+                and int(values.max()) * len(values) >= 1 << 63
+            ):
+                values = values.astype(object)
+            out.append(ufunc.reduceat(values, starts))
+        return tuple(out)
+
+    def tuples(self) -> list:
+        """One tuple per group, columns in order."""
+        if self.columns is None:
+            return list(self.rows)
+        return list(zip(*(column.tolist() for column in self.columns)))
+
+    def mapping(self) -> dict:
+        """``{key: value}`` of single-key, single-value groups."""
+        if self.columns is None:
+            return dict(self.rows)
+        keys, values = self.columns
+        return dict(zip(keys.tolist(), values.tolist()))
+
+
+def _bins(starts, bin_seconds: float):
+    """Time-bin index per flow start."""
+    if _np is not None and isinstance(starts, _np.ndarray):
+        return _np.floor_divide(starts, bin_seconds).astype(_np.int64)
+    return [int(start // bin_seconds) for start in starts]
+
+
+def _grouped(finish):
+    """A public grouped aggregation in the two halves the query table
+    runs (:mod:`repro.analytics.queries`): the decorated body is the
+    per-source *kernel* and returns packed :class:`Groups` in the
+    database's local ids; ``finish(groups, interns, *args)`` unpacks
+    them once, at the end.  The method is finish-of-kernel over this
+    one database, so its annotation and docstring describe the
+    unpacked form."""
+    def decorate(kernel):
+        signature = inspect.signature(kernel)
+
+        @wraps(kernel)
+        def method(self, *args, **kwargs):
+            if kwargs:
+                args = signature.bind(self, *args, **kwargs).args[1:]
+            return finish(kernel(self, *args), self, *args)
+        method.kernel, method.finish = kernel, finish
+        return method
+    return decorate
+
+
+def _tuples(groups: Groups, _interns, *_args) -> list:
+    return groups.tuples()
+
+
+def _mapping(groups: Groups, _interns, *_args) -> dict:
+    return groups.mapping()
+
+
+def servers_per_bin(pairs: Groups, _interns, _name,
+                    bin_seconds: float) -> list[tuple[float, int]]:
+    """Deduped ``(bin_index, server_ip)`` groups → distinct servers per
     bin as ``(bin_start, count)``, gap-filled from the first to the
     last active bin.  Distinct counts do not merge across sources; the
-    pairs do, so this is the last step wherever the pairs came from."""
-    per_bin: dict[int, int] = {}
-    for bin_index, _server in pairs:
-        per_bin[bin_index] = per_bin.get(bin_index, 0) + 1
-    if not per_bin:
+    pairs do, so this is the last step wherever the pairs came from —
+    and the one place :data:`MAX_SERIES_BINS` is enforced."""
+    if not len(pairs):
         return []
+    packed = pairs.columns is not None
+    if packed:
+        bins = pairs.columns[0]
+        lo, hi = int(bins.min()), int(bins.max())
+    else:
+        bins = [row[0] for row in pairs.rows]
+        lo, hi = min(bins), max(bins)
+    if hi - lo >= MAX_SERIES_BINS:
+        raise ValueError(
+            f"bin_seconds={bin_seconds!r} asks for a series of "
+            f"{hi - lo + 1} bins; the limit is {MAX_SERIES_BINS}"
+        )
+    if packed:
+        counts = _np.bincount(bins - lo, minlength=hi - lo + 1).tolist()
+    else:
+        counts = [0] * (hi - lo + 1)
+        for index in bins:
+            counts[index - lo] += 1
     return [
-        (index * bin_seconds, per_bin.get(index, 0))
-        for index in range(min(per_bin), max(per_bin) + 1)
+        ((lo + index) * bin_seconds, count)
+        for index, count in enumerate(counts)
     ]
 
 
-def sld_stats(per_fqdn, fqdn_sld) -> list[tuple[int, int, int]]:
-    """``(fqdn_id, flows)`` totals → per-organization ``(sld_id, flows,
-    distinct_fqdns)``, sorted, through the ``fqdn id → sld id`` table
-    (each fqdn id appears once)."""
-    flow_counts: dict[int, int] = {}
-    fqdn_counts: dict[int, int] = {}
-    for fqdn_id, flows in per_fqdn:
-        sld_id = fqdn_sld[fqdn_id]
-        flow_counts[sld_id] = flow_counts.get(sld_id, 0) + flows
-        fqdn_counts[sld_id] = fqdn_counts.get(sld_id, 0) + 1
+def sld_stats(per_fqdn: Groups, interns, *_rows) -> list[tuple[int, int, int]]:
+    """``(fqdn_id; flows)`` groups → per-organization ``(sld_id, flows,
+    distinct_fqdns)``, sorted, through ``interns``' ``fqdn id → sld
+    id`` table (each fqdn id appears once)."""
+    if not len(per_fqdn):
+        return []
+    if per_fqdn.columns is None:
+        fqdn_sld = interns._fqdn_sld
+        slds = [fqdn_sld[fqdn_id] for fqdn_id, _flows in per_fqdn.rows]
+        flows = [flows for _fqdn_id, flows in per_fqdn.rows]
+    else:
+        ids, flows = per_fqdn.columns
+        # A copy, not a view: the table grows under concurrent
+        # interning, and an array cannot grow while it exports a buffer.
+        slds = _np.array(interns._fqdn_sld, _np.int32)[ids]
     return [
-        (sld_id, count, fqdn_counts[sld_id])
-        for sld_id, count in sorted(flow_counts.items())
+        (sld_id, flows, fqdns) for sld_id, fqdns, flows
+        in Groups.of(1, slds, flows, count=True).tuples()
     ]
 
 
@@ -306,13 +566,15 @@ class FlowDatabase:
         # Label bytes as they arrive in a batch -> (fqdn id, text);
         # None is the untagged slot.
         self._raw_cache: dict[Optional[bytes], tuple] = {None: (-1, None)}
-        # Row-index arrays.
-        self._by_fqdn: dict[int, array] = {}        # fqdn id -> rows
-        self._by_sld: dict[int, array] = {}         # sld id -> rows
-        self._by_server: dict[int, array] = {}
-        self._by_port: dict[int, array] = {}
-        self._tagged = array("I")                   # rows with a label
+        # Row-index arrays (key -> rows), built on first use: per index
+        # the rows it covers so far, extended through _index() only.
+        self._indexes: dict[str, dict[int, array]] = {
+            "fqdn": {}, "sld": {}, "server": {}, "port": {},
+        }
+        self._indexed = dict.fromkeys(self._indexes, 0)
+        self._index_lock = threading.Lock()
         # Incremental statistics (no full scans on access).
+        self._tagged = array("I")                   # rows with a label
         self._protocol_counts = [0] * len(PROTOCOLS)
         self._min_start = float("inf")
         self._max_end = float("-inf")
@@ -332,11 +594,9 @@ class FlowDatabase:
                 sld_id = len(self._sld_names)
                 self._sld_ids[sld] = sld_id
                 self._sld_names.append(sld)
-                self._by_sld[sld_id] = array("I")
                 self._sld_fqdns.append(array("i"))
             self._fqdn_sld.append(sld_id)
             self._sld_fqdns[sld_id].append(fqdn_id)
-            self._by_fqdn[fqdn_id] = array("I")
         return fqdn_id
 
     def fqdn_label(self, fqdn_id: int) -> str:
@@ -354,7 +614,7 @@ class FlowDatabase:
     # -- ingestion ---------------------------------------------------------
 
     def add(self, flow: FlowRecord) -> None:
-        """Insert one flow record and index it.
+        """Insert one flow record.
 
         The columnar store enforces the codec's field ranges (u32
         addresses/packets, u16 ports, u64 byte counters) — the ranges
@@ -399,8 +659,6 @@ class FlowDatabase:
         self._protocol_counts[proto_idx] += 1
         if fqdn:
             fqdn_id = self._intern_fqdn(lowered)
-            self._by_fqdn[fqdn_id].append(row)
-            self._by_sld[self._fqdn_sld[fqdn_id]].append(row)
             self._tagged.append(row)
         else:
             fqdn_id = -1
@@ -409,14 +667,6 @@ class FlowDatabase:
         cols.cert_name.append(flow.cert_name)
         cols.true_fqdn.append(flow.true_fqdn)
         self._records.append(flow)
-        index = self._by_server.get(fid.server_ip)
-        if index is None:
-            index = self._by_server[fid.server_ip] = array("I")
-        index.append(row)
-        index = self._by_port.get(fid.dst_port)
-        if index is None:
-            index = self._by_port[fid.dst_port] = array("I")
-        index.append(row)
         if flow.start < self._min_start:
             self._min_start = flow.start
         if flow.end > self._max_end:
@@ -443,8 +693,8 @@ class FlowDatabase:
         complete, its ``fqdn_id`` column holding ``-1`` or an id into
         ``fqdn_names`` — the distinct lowercased labels in
         first-appearance order.  The database takes ownership of
-        ``columns`` and builds its intern tables, indexes and
-        statistics from them.  Enum validity
+        ``columns`` and builds its intern tables and statistics from
+        them (indexes wait for their first reader).  Enum validity
         (:meth:`FlowColumns.problem`) and the id range are the caller's
         checks; ragged columns or a repeated name are ``ValueError``."""
         database = cls()
@@ -458,7 +708,7 @@ class FlowDatabase:
         database.columns = columns
         database._records = [None] * n
         database._all_records = not n
-        database._index_rows(0)
+        database._fold_statistics(0)
         return database
 
     # -- batch ingestion (the sniffer→database deployment format) ---------
@@ -515,7 +765,7 @@ class FlowDatabase:
         self._commit_flow_strings(*strings)
         self._records.extend([None] * n)
         self._all_records = False
-        self._index_rows(base)
+        self._fold_statistics(base)
         return n
 
     @classmethod
@@ -606,40 +856,24 @@ class FlowDatabase:
         cols.cert_name.extend(cert_names)
         cols.true_fqdn.extend(true_fqdns)
 
-    def _index_rows(self, base: int) -> None:
-        """Fold rows ``[base, len)`` of the columns into the protocol
-        counts, the finite ``min_start`` / ``max_end``
-        (:func:`finite_bounds`), the by-server / by-port / by-fqdn /
-        by-sld indexes and the tagged-row list — the one builder
-        behind batch ingest and segment materialization
-        (:meth:`add` keeps the same steps inline, per record)."""
+    def _fold_statistics(self, base: int) -> None:
+        """Fold rows ``[base, len)`` of the columns into what
+        ``count_by_protocol`` / ``tagged_count`` / ``time_span`` answer
+        from — the protocol counts, the tagged-row list and the finite
+        ``min_start`` / ``max_end`` (:func:`finite_bounds`) — behind
+        batch ingest and segment materialization (:meth:`add` folds
+        its one record inline)."""
         cols = self.columns
         n = len(cols)
         if base >= n:
             return
         if _np is None:
-            by_server, by_port = self._by_server, self._by_port
-            by_fqdn, by_sld = self._by_fqdn, self._by_sld
-            fqdn_sld = self._fqdn_sld
-            tagged = self._tagged
-            protocol_counts = self._protocol_counts
-            server_col, port_col = cols.server_ip, cols.dst_port
-            fqdn_col, proto_col = cols.fqdn_id, cols.protocol
-            for row in range(base, n):
-                protocol_counts[proto_col[row]] += 1
-                index = by_server.get(server_col[row])
-                if index is None:
-                    index = by_server[server_col[row]] = array("I")
-                index.append(row)
-                index = by_port.get(port_col[row])
-                if index is None:
-                    index = by_port[port_col[row]] = array("I")
-                index.append(row)
-                fqdn_id = fqdn_col[row]
-                if fqdn_id >= 0:
-                    by_fqdn[fqdn_id].append(row)
-                    by_sld[fqdn_sld[fqdn_id]].append(row)
-                    tagged.append(row)
+            for protocol in cols.protocol[base:]:
+                self._protocol_counts[protocol] += 1
+            fqdn_col = cols.fqdn_id
+            self._tagged.extend(
+                row for row in range(base, n) if fqdn_col[row] >= 0
+            )
             starts, ends = cols.start[base:], cols.end[base:]
         else:
             counts = _np.bincount(
@@ -648,52 +882,88 @@ class FlowDatabase:
             )
             for index, count in enumerate(counts.tolist()):
                 self._protocol_counts[index] += count
-            rows = _np.arange(base, n, dtype=_np.uint32)
-            self._extend_index(
-                self._by_server,
-                _np.frombuffer(cols.server_ip, _np.uint32)[base:], rows,
-            )
-            self._extend_index(
-                self._by_port,
-                _np.frombuffer(cols.dst_port, _np.uint16)[base:], rows,
-            )
             ids = _np.frombuffer(cols.fqdn_id, _np.int32)[base:]
-            mask = ids >= 0
-            if mask.any():
-                tagged_rows = rows[mask]
-                tagged_ids = ids[mask]
-                self._tagged.frombytes(_native(tagged_rows, _np.uint32))
-                self._extend_index(self._by_fqdn, tagged_ids, tagged_rows)
-                sld_map = _np.frombuffer(self._fqdn_sld, dtype=_np.int32)
-                self._extend_index(
-                    self._by_sld, sld_map[tagged_ids], tagged_rows
-                )
+            self._tagged.frombytes(
+                _native(_np.flatnonzero(ids >= 0) + base, _np.uint32)
+            )
             starts = _np.frombuffer(cols.start, _np.float64)[base:]
             ends = _np.frombuffer(cols.end, _np.float64)[base:]
         self._min_start = min(self._min_start, finite_bounds(starts)[0])
         self._max_end = max(self._max_end, finite_bounds(ends)[1])
 
-    @staticmethod
-    def _extend_index(index: dict, keys, rows) -> None:
-        """Group ``rows`` by ``keys`` and append each group to its index
-        array, creating missing keys in first-appearance order (so the
-        ``servers()``/``ports()`` listings match the row store's)."""
-        order = _np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_rows = rows[order]
-        bounds = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        starts = [0, *bounds.tolist()]
-        ends = [*bounds.tolist(), len(sorted_keys)]
-        # Stable sort keeps rows ascending within a group, so the first
-        # row of each group is that key's first appearance.
-        groups = sorted(range(len(starts)), key=lambda g: sorted_rows[starts[g]])
-        for group in groups:
-            lo, hi = starts[group], ends[group]
-            key = int(sorted_keys[lo])
-            arr = index.get(key)
-            if arr is None:
-                arr = index[key] = array("I")
-            arr.frombytes(_native(sorted_rows[lo:hi], _np.uint32))
+    def _index(self, which: str) -> dict[int, array]:
+        """The by-``which`` index (``"fqdn"`` / ``"sld"`` / ``"server"``
+        / ``"port"``: key → ascending rows), brought up to date over
+        every row first — the one way any reader reaches an index, so
+        an index no query asks for is never built.
+
+        Double-checked under the database's own lock: sealed segments
+        are read lock-free by serve threads and the ``parallel`` pool,
+        and exactly one of them extends.  Rows are only ever *added*
+        under the owning store's mutex, which its tail readers hold
+        too, so the row count cannot move under a reader."""
+        n = len(self._records)
+        if self._indexed[which] < n:
+            with self._index_lock:
+                if self._indexed[which] < n:
+                    self._extend_index(which, self._indexed[which], n)
+                    self._indexed[which] = n
+        return self._indexes[which]
+
+    def _extend_index(self, which: str, base: int, n: int) -> None:
+        """Append rows ``[base, n)`` to one index: each key's rows
+        ascending, missing keys created in first-appearance order (so
+        the ``servers()`` / ``ports()`` listings match the row
+        store's whatever order the indexes were first asked in)."""
+        index = self._indexes[which]
+        cols = self.columns
+        column = {"server": cols.server_ip, "port": cols.dst_port}.get(
+            which, cols.fqdn_id
+        )
+        labeled = column is cols.fqdn_id
+        if _np is None:
+            fqdn_sld = self._fqdn_sld
+            for row in range(base, n):
+                key = column[row]
+                if labeled:
+                    if key < 0:
+                        continue
+                    if which == "sld":
+                        key = fqdn_sld[key]
+                have = index.get(key)
+                if have is None:
+                    have = index[key] = array("I")
+                have.append(row)
+            return
+        keys = _np.frombuffer(column, _DTYPES[column.typecode])[base:n]
+        rows = _np.arange(base, n, dtype=_np.uint64)
+        if labeled:
+            mask = keys >= 0
+            keys, rows = keys[mask], rows[mask]
+            if which == "sld":
+                keys = _np.frombuffer(self._fqdn_sld, _np.int32)[keys]
+        if not len(keys):
+            return
+        # One sort of (key, row) packed into a u64 groups the rows by
+        # key and keeps them ascending within a group.
+        packed = _np.sort((keys.astype(_np.uint64) << _np.uint64(32)) | rows)
+        sorted_keys = packed >> _np.uint64(32)
+        starts = _np.concatenate(
+            ([0], _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
+        )
+        rows = (packed & _np.uint64(0xFFFFFFFF)).astype(_np.uint32)
+        sorted_rows = array("I")
+        sorted_rows.frombytes(rows.tobytes())
+        group_keys = sorted_keys[starts].tolist()
+        bounds = [*starts.tolist(), len(packed)]
+        # A group's first row is its key's first appearance.
+        for group in _np.argsort(rows[starts]).tolist():
+            chunk = sorted_rows[bounds[group]:bounds[group + 1]]
+            have = index.get(group_keys[group])
+            if have is None:
+                index[group_keys[group]] = chunk
+            else:
+                have.extend(chunk)
 
     # -- record materialization -------------------------------------------
 
@@ -734,21 +1004,21 @@ class FlowDatabase:
     def rows_for_fqdn(self, fqdn: str) -> Sequence[int]:
         """Row indices of flows labeled exactly ``fqdn`` (do not mutate)."""
         fqdn_id = self._fqdn_ids.get(fqdn.lower())
-        return self._by_fqdn[fqdn_id] if fqdn_id is not None else _EMPTY_ROWS
+        return self._index("fqdn").get(fqdn_id, _EMPTY_ROWS)
 
     def rows_for_domain(self, sld: str) -> Sequence[int]:
         """Row indices of flows under second-level domain ``sld``."""
         sld_id = self._sld_ids.get(sld.lower())
-        return self._by_sld[sld_id] if sld_id is not None else _EMPTY_ROWS
+        return self._index("sld").get(sld_id, _EMPTY_ROWS)
 
     def rows_for_port(self, dst_port: int) -> Sequence[int]:
         """Row indices of flows to destination port ``dst_port``."""
-        return self._by_port.get(dst_port, _EMPTY_ROWS)
+        return self._index("port").get(dst_port, _EMPTY_ROWS)
 
     def rows_for_servers(self, servers: Iterable[int]) -> Sequence[int]:
         """Concatenated row indices for an address set (deduped)."""
         out = array("I")
-        by_server = self._by_server
+        by_server = self._index("server")
         for server in dict.fromkeys(servers):
             index = by_server.get(server)
             if index is not None:
@@ -816,11 +1086,11 @@ class FlowDatabase:
 
     def servers(self) -> list[int]:
         """All distinct server addresses seen."""
-        return list(self._by_server)
+        return list(self._index("server"))
 
     def ports(self) -> list[int]:
         """All distinct destination ports seen."""
-        return list(self._by_port)
+        return list(self._index("port"))
 
     def _unique_servers(self, rows) -> set[int]:
         if not len(rows):
@@ -873,62 +1143,48 @@ class FlowDatabase:
         return {names[fqdn_id] for fqdn_id in self._sld_fqdns[sld_id]}
 
     # -- grouped aggregations (vectorized analytics backends) --------------
+    #
+    # Each kernel selects its raw key/value columns and folds them with
+    # Groups.of; numpy-or-not lives in the selectors.  See _grouped for
+    # how the public method and the query table share a kernel.
 
-    def _take(self, column, rows):
-        """numpy gather of ``column`` at ``rows`` (numpy path only)."""
-        dtype = {
-            "I": _np.uint32, "H": _np.uint16, "B": _np.uint8,
-            "d": _np.float64, "Q": _np.uint64, "i": _np.int32,
-        }[column.typecode]
-        return _np.frombuffer(column, dtype)[
-            _np.frombuffer(rows, _np.uint32)
-            if isinstance(rows, array) else rows
+    def _select(self, rows, *columns) -> list:
+        """The values of ``columns`` at ``rows`` (``None`` = every
+        row), column-wise: numpy arrays, or sequences without numpy."""
+        if _np is None:
+            if rows is None:
+                return list(columns)
+            return [[column[row] for row in rows] for column in columns]
+        views = [
+            _np.frombuffer(column, _DTYPES[column.typecode])
+            for column in columns
         ]
+        if rows is None:
+            return views
+        rows = _row_index(rows)
+        return [view[rows] for view in views]
 
-    def _tagged_subset(self, rows):
-        """(rows', fqdn_ids') restricted to labeled flows (numpy path)."""
-        rows = (
-            _np.frombuffer(rows, _np.uint32)
-            if isinstance(rows, array) else _np.asarray(rows, _np.uint32)
-        )
-        ids = _np.frombuffer(self.columns.fqdn_id, _np.int32)[rows]
-        mask = ids >= 0
-        return rows[mask], ids[mask]
-
-    def _fqdn_pair_counts(
-        self, column, rows
-    ) -> list[tuple[int, int, int]]:
-        """Deduped ``(fqdn_id, column_value, flow_count)`` groups over
-        the labeled flows of ``rows`` — the shared grouping core of
-        :meth:`fqdn_server_counts` / :meth:`fqdn_client_counts`."""
+    def _labeled(self, rows, *columns) -> list:
+        """:meth:`_select` over the labeled flows among ``rows``
+        (``None`` = all of them), their fqdn ids as the first column."""
         if rows is None:
             rows = self._tagged
-        if not len(rows):
-            return []
-        if _np is not None:
-            rows, ids = self._tagged_subset(rows)
-            values = _np.frombuffer(column, _np.uint32)[rows]
-            # ids < 2^31 and values < 2^32, so the packed key fits a
-            # signed int64 without overflow.
-            key = (ids.astype(_np.int64) << 32) | values.astype(_np.int64)
-            unique, counts = _np.unique(key, return_counts=True)
-            return list(zip(
-                (unique >> 32).tolist(),
-                (unique & 0xFFFFFFFF).tolist(),
-                counts.tolist(),
-            ))
-        counts: dict[tuple[int, int], int] = {}
-        fqdn_col = self.columns.fqdn_id
-        for row in rows:
-            fqdn_id = fqdn_col[row]
-            if fqdn_id >= 0:
-                pair = (fqdn_id, column[row])
-                counts[pair] = counts.get(pair, 0) + 1
-        return sorted(
-            (fqdn_id, value, count)
-            for (fqdn_id, value), count in counts.items()
-        )
+        selected = self._select(rows, self.columns.fqdn_id, *columns)
+        ids = selected[0]
+        if _np is None:
+            keep = [at for at, fqdn_id in enumerate(ids) if fqdn_id >= 0]
+            return [[column[at] for at in keep] for column in selected]
+        mask = ids >= 0
+        return selected if mask.all() else [c[mask] for c in selected]
 
+    def _fqdn_pair_counts(self, column, rows) -> Groups:
+        """``(fqdn_id, column_value; flow_count)`` over the labeled
+        flows of ``rows`` — the shared grouping core of
+        :meth:`fqdn_server_counts` / :meth:`fqdn_client_counts`."""
+        ids, values = self._labeled(rows, column)
+        return Groups.of(2, ids, values, count=True)
+
+    @_grouped(_tuples)
     def fqdn_server_counts(
         self, rows=None
     ) -> list[tuple[int, int, int]]:
@@ -941,6 +1197,7 @@ class FlowDatabase:
         """
         return self._fqdn_pair_counts(self.columns.server_ip, rows)
 
+    @_grouped(_tuples)
     def fqdn_client_counts(
         self, rows=None
     ) -> list[tuple[int, int, int]]:
@@ -952,293 +1209,83 @@ class FlowDatabase:
         """
         return self._fqdn_pair_counts(self.columns.client_ip, rows)
 
+    @_grouped(_tuples)
     def fqdn_flow_byte_totals(
         self, rows=None
     ) -> list[tuple[int, int, int, int]]:
         """Per-label ``(fqdn_id, flows, bytes_up, bytes_down)`` totals
         (Tab. 8-style rollups) over the labeled flows of ``rows``."""
-        if rows is None:
-            rows = self._tagged
-        if not len(rows):
-            return []
-        if _np is not None:
-            rows, ids = self._tagged_subset(rows)
-            unique, inverse, counts = _np.unique(
-                ids, return_inverse=True, return_counts=True
-            )
-            up = _np.bincount(
-                inverse,
-                weights=self._take(self.columns.bytes_up, rows),
-            )
-            down = _np.bincount(
-                inverse,
-                weights=self._take(self.columns.bytes_down, rows),
-            )
-            return [
-                (int(fqdn_id), int(count), int(u), int(d))
-                for fqdn_id, count, u, d in zip(
-                    unique.tolist(), counts.tolist(),
-                    up.tolist(), down.tolist(),
-                )
-            ]
-        totals: dict[int, list[int]] = {}
-        cols = self.columns
-        for row in rows:
-            fqdn_id = cols.fqdn_id[row]
-            if fqdn_id < 0:
-                continue
-            bucket = totals.get(fqdn_id)
-            if bucket is None:
-                bucket = totals[fqdn_id] = [0, 0, 0]
-            bucket[0] += 1
-            bucket[1] += cols.bytes_up[row]
-            bucket[2] += cols.bytes_down[row]
-        return sorted(
-            (fqdn_id, flows, up, down)
-            for fqdn_id, (flows, up, down) in totals.items()
+        ids, up, down = self._labeled(
+            rows, self.columns.bytes_up, self.columns.bytes_down
         )
+        return Groups.of(1, ids, up, down, count=True)
 
+    @_grouped(_mapping)
     def server_flow_counts(self, rows=None) -> dict[int, int]:
         """Flow count per serverIP over ``rows`` (default: all flows)."""
-        if rows is None:
-            if _np is not None:
-                servers = _np.frombuffer(self.columns.server_ip, _np.uint32)
-                unique, counts = _np.unique(servers, return_counts=True)
-                return dict(zip(unique.tolist(), counts.tolist()))
-            rows = range(len(self._records))
-        if not len(rows):
-            return {}
-        if _np is not None and isinstance(rows, (array, _np.ndarray)):
-            servers = self._take(self.columns.server_ip, rows)
-            unique, counts = _np.unique(servers, return_counts=True)
-            return dict(zip(unique.tolist(), counts.tolist()))
-        counts: dict[int, int] = {}
-        column = self.columns.server_ip
-        for row in rows:
-            server = column[row]
-            counts[server] = counts.get(server, 0) + 1
-        return counts
+        (servers,) = self._select(rows, self.columns.server_ip)
+        return Groups.of(1, servers, count=True)
 
+    def _bin_server_pairs(self, rows, bin_seconds: float) -> Groups:
+        """Deduped ``(bin_index, server_ip)`` over ``rows`` — distinct-
+        server counts cannot merge across sources; these pairs can."""
+        starts, servers = self._select(
+            rows, self.columns.start, self.columns.server_ip
+        )
+        return Groups.of(2, _bins(starts, bin_seconds), servers)
+
+    @_grouped(servers_per_bin)
     def unique_servers_per_bin(
         self, sld: str, bin_seconds: float
     ) -> list[tuple[float, int]]:
         """Fig. 4 series: distinct serverIPs per time bin for one 2LD,
-        gap-filled from the first to the last active bin."""
-        rows = self.rows_for_domain(sld)
-        if _np is not None and len(rows):
-            starts = self._take(self.columns.start, rows)
-            servers = self._take(self.columns.server_ip, rows)
-            bins = _np.floor_divide(starts, bin_seconds).astype(_np.int64)
-            lo = int(bins.min())
-            hi = int(bins.max())
-            pair = ((bins - lo) << 32) | servers.astype(_np.int64)
-            per_bin = _np.bincount(
-                (_np.unique(pair) >> 32), minlength=hi - lo + 1
-            )
-            return [
-                ((lo + index) * bin_seconds, int(count))
-                for index, count in enumerate(per_bin.tolist())
-            ]
-        return servers_per_bin(
-            self.bin_server_pairs(rows, bin_seconds), bin_seconds
-        )
+        gap-filled from the first to the last active bin (at most
+        :data:`MAX_SERIES_BINS` long, else ``ValueError``)."""
+        return self._bin_server_pairs(self.rows_for_domain(sld), bin_seconds)
 
+    @_grouped(_tuples)
     def server_bins_for_fqdn(
         self, fqdn: str, bin_seconds: float
     ) -> list[tuple[int, int]]:
         """Deduped ``(bin_index, server_ip)`` pairs for one FQDN, sorted
         by bin — the Sec. 4.1 track-over-time feed."""
-        return self.bin_server_pairs(self.rows_for_fqdn(fqdn), bin_seconds)
+        return self._bin_server_pairs(self.rows_for_fqdn(fqdn), bin_seconds)
 
-    def bin_server_pairs(
-        self, rows, bin_seconds: float
-    ) -> list[tuple[int, int]]:
-        """Deduped ``(bin_index, server_ip)`` pairs over ``rows`` —
-        the per-segment primitive behind the on-disk store's
-        :meth:`unique_servers_per_bin` merge (distinct-server counts
-        cannot merge across segments; the pairs can)."""
-        if not len(rows):
-            return []
-        if _np is not None:
-            starts = self._take(self.columns.start, rows)
-            servers = self._take(self.columns.server_ip, rows)
-            bins = _np.floor_divide(starts, bin_seconds).astype(_np.int64)
-            lo = int(bins.min())
-            keys = _np.unique(
-                ((bins - lo) << 32) | servers.astype(_np.int64)
-            )
-            return [
-                (int(key >> 32) + lo, int(key & 0xFFFFFFFF))
-                for key in keys.tolist()
-            ]
-        start_col = self.columns.start
-        server_col = self.columns.server_ip
-        pairs = {
-            (int(start_col[row] // bin_seconds), server_col[row])
-            for row in rows
-        }
-        return sorted(pairs)
-
+    @_grouped(_tuples)
     def fqdn_bin_pairs(
         self, bin_seconds: float, rows=None
     ) -> list[tuple[int, int]]:
         """Deduped ``(fqdn_id, bin_index)`` activity pairs over the
         labeled flows of ``rows`` (Fig. 11 timelines)."""
-        if rows is None:
-            rows = self._tagged
-        if not len(rows):
-            return []
-        if _np is not None:
-            rows, ids = self._tagged_subset(rows)
-            if not len(ids):
-                return []
-            starts = self._take(self.columns.start, rows)
-            bins = _np.floor_divide(starts, bin_seconds).astype(_np.int64)
-            lo = int(bins.min())
-            keys = _np.unique((ids.astype(_np.int64) << 32) | (bins - lo))
-            return [
-                (int(key >> 32), int(key & 0xFFFFFFFF) + lo)
-                for key in keys.tolist()
-            ]
-        pairs = set()
-        fqdn_col = self.columns.fqdn_id
-        start_col = self.columns.start
-        for row in rows:
-            fqdn_id = fqdn_col[row]
-            if fqdn_id >= 0:
-                pairs.add((fqdn_id, int(start_col[row] // bin_seconds)))
-        return sorted(pairs)
+        ids, starts = self._labeled(rows, self.columns.start)
+        return Groups.of(2, ids, _bins(starts, bin_seconds))
 
+    @_grouped(_mapping)
     def fqdn_first_seen(self, rows=None) -> dict[int, float]:
         """Earliest flow start per interned label over ``rows``."""
-        if rows is None:
-            rows = self._tagged
-        if not len(rows):
-            return {}
-        if _np is not None:
-            rows, ids = self._tagged_subset(rows)
-            if not len(ids):
-                return {}
-            starts = self._take(self.columns.start, rows)
-            order = _np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            sorted_starts = starts[order]
-            bounds = _np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-            group_starts = _np.concatenate(([0], bounds))
-            mins = _np.minimum.reduceat(sorted_starts, group_starts)
-            return {
-                int(sorted_ids[index]): float(value)
-                for index, value in zip(
-                    group_starts.tolist(), mins.tolist()
-                )
-            }
-        first: dict[int, float] = {}
-        fqdn_col = self.columns.fqdn_id
-        start_col = self.columns.start
-        for row in rows:
-            fqdn_id = fqdn_col[row]
-            if fqdn_id < 0:
-                continue
-            start = start_col[row]
-            if fqdn_id not in first or start < first[fqdn_id]:
-                first[fqdn_id] = start
-        return first
+        ids, starts = self._labeled(rows, self.columns.start)
+        return Groups.of(1, ids, starts, reduce="min")
 
+    @_grouped(_tuples)
     def server_fqdn_bin_triples(
         self, bin_seconds: float, rows=None
     ) -> list[tuple[int, int, int]]:
         """Deduped ``(server_ip, fqdn_id, bin_index)`` triples over the
         labeled flows of ``rows`` — the Fig. 5 active-FQDNs feed."""
-        if rows is None:
-            rows = self._tagged
-        if not len(rows):
-            return []
-        if _np is not None:
-            rows, ids = self._tagged_subset(rows)
-            if not len(ids):
-                return []
-            starts = self._take(self.columns.start, rows)
-            servers = self._take(self.columns.server_ip, rows)
-            bins = _np.floor_divide(starts, bin_seconds).astype(_np.int64)
-            lo = int(bins.min())
-            n_bins = int(bins.max()) - lo + 1
-            n_ids = len(self._fqdn_names)
-            if n_ids * n_bins <= 1 << 31:
-                # (fqdn, bin) packs into the low 32 bits: one sort-
-                # unique over uint64 keys instead of a structured
-                # (void) unique.  The key must be unsigned — a server
-                # address >= 2^31 shifted into the high bits would
-                # overflow a signed int64 and come back negative.
-                combo = ids.astype(_np.uint64) * _np.uint64(n_bins) + (
-                    (bins - lo).astype(_np.uint64)
-                )
-                key = (
-                    servers.astype(_np.uint64) << _np.uint64(32)
-                ) | combo
-                unique = _np.unique(key)
-                combos = (unique & _np.uint64(0xFFFFFFFF)).astype(
-                    _np.int64
-                )
-                return list(zip(
-                    (unique >> _np.uint64(32)).astype(_np.int64).tolist(),
-                    (combos // n_bins).tolist(),
-                    (combos % n_bins + lo).tolist(),
-                ))
-            stacked = _np.empty(
-                len(rows),
-                dtype=[("s", _np.uint32), ("f", _np.int32),
-                       ("b", _np.int64)],
-            )
-            stacked["s"] = servers
-            stacked["f"] = ids
-            stacked["b"] = bins
-            unique = _np.unique(stacked)
-            return list(zip(
-                unique["s"].tolist(), unique["f"].tolist(),
-                unique["b"].tolist(),
-            ))
-        triples = set()
-        cols = self.columns
-        for row in rows:
-            fqdn_id = cols.fqdn_id[row]
-            if fqdn_id >= 0:
-                triples.add((
-                    cols.server_ip[row], fqdn_id,
-                    int(cols.start[row] // bin_seconds),
-                ))
-        return sorted(triples)
+        ids, servers, starts = self._labeled(
+            rows, self.columns.server_ip, self.columns.start
+        )
+        return Groups.of(3, servers, ids, _bins(starts, bin_seconds))
 
+    @_grouped(sld_stats)
     def sld_flow_stats(
         self, rows
     ) -> list[tuple[int, int, int]]:
         """Per-organization ``(sld_id, flows, distinct_fqdns)`` over the
-        labeled flows of ``rows`` (the Tab. 5 ranking feed)."""
-        if not len(rows):
-            return []
-        if _np is not None:
-            rows, ids = self._tagged_subset(rows)
-            if not len(ids):
-                return []
-            sld_map = _np.frombuffer(self._fqdn_sld, dtype=_np.int32)
-            slds = sld_map[ids]
-            unique, counts = _np.unique(slds, return_counts=True)
-            flow_counts = dict(zip(unique.tolist(), counts.tolist()))
-            pair = (slds.astype(_np.int64) << 32) | ids.astype(_np.int64)
-            fqdn_counts = _np.unique(_np.unique(pair) >> 32,
-                                     return_counts=True)
-            distinct = dict(zip(fqdn_counts[0].tolist(),
-                                fqdn_counts[1].tolist()))
-            return [
-                (sld_id, flow_counts[sld_id], distinct[sld_id])
-                for sld_id in flow_counts
-            ]
-        return sld_stats(
-            (
-                (fqdn_id, flows) for fqdn_id, flows, _up, _down
-                in self.fqdn_flow_byte_totals(rows)
-            ),
-            self._fqdn_sld,
-        )
+        labeled flows of ``rows`` (the Tab. 5 ranking feed) — counted
+        per fqdn by the kernel, grouped by organization at the end."""
+        (ids,) = self._labeled(rows)
+        return Groups.of(1, ids, count=True)
 
     # -- stats -------------------------------------------------------------
 

@@ -18,20 +18,30 @@ written down.  Each :class:`Query` in :data:`QUERIES` carries
 ``kernel``
     the per-source computation over one ``FlowDatabase`` (a sealed
     segment, the live tail, or a whole in-memory database), in that
-    source's *local* fqdn ids and row numbers;
+    source's *local* fqdn ids and row numbers.  The grouped
+    aggregations all return one value type, the packed
+    :class:`~repro.analytics.database.Groups` (key columns then value
+    columns; numpy arrays, no tuple per group);
 ``lift``
     the translation of a kernel result into the enclosing row/id space
-    (remap local fqdn ids through the source's id map, offset local
-    rows by the source's base);
+    (remap local fqdn ids through the source's id map —
+    ``Groups.lifted`` for a grouped aggregation — offset local rows by
+    the source's base);
 ``merge``
-    an associative combination of lifted partials, drawn from the
-    handful of combinators below.  A merged partial has the shape of a
-    kernel result, so it lifts and merges again one level up: a shard
-    worker returns its merged partial *unfinished* and the coordinator
-    lifts it through the shard's id map and row base;
+    an associative combination of lifted partials: row or record
+    concatenation, server-major chunks, union, first-seen order, the
+    summary folds — and ``Groups.merged`` (dedupe, sum or min by key)
+    for every grouped aggregation.  A merged partial has the shape of
+    a kernel result, so it lifts and merges again one level up: a
+    shard worker returns its merged partial *unfinished* (``Groups``
+    pickle) and the coordinator lifts it through the shard's id map
+    and row base;
 ``finish``
-    the optional last step that cannot be merged (pairs → gap-filled
-    per-bin counts, per-fqdn totals → per-organization stats);
+    the last step, which cannot be merged: pairs → gap-filled per-bin
+    counts, per-fqdn totals → per-organization stats, and for every
+    grouped aggregation the one place its tuples (or dict) are made.
+    Kernel and ``finish`` of a grouped aggregation are the two halves
+    of the ``FlowDatabase`` method of the same name;
 ``shape``
     the JSON payload of the query's ``/query/<route>`` endpoint
     (``None`` = not served over HTTP).
@@ -49,6 +59,7 @@ import inspect
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Callable, Optional
 
@@ -215,13 +226,6 @@ def _ordered_window(t0: float, t1: float,
 # row-space plumbing shared by every executor
 
 
-def _np_rows(np, rows):
-    return (
-        np.frombuffer(rows, np.uint32) if isinstance(rows, array)
-        else np.asarray(rows, np.uint32)
-    )
-
-
 def offset_rows(rows, base: int) -> array:
     """``rows + base`` as a fresh packed array."""
     out = array("I")
@@ -229,7 +233,9 @@ def offset_rows(rows, base: int) -> array:
         return out
     np = _dbmod._np
     if np is not None:
-        out.frombytes(_dbmod._native(_np_rows(np, rows) + base, np.uint32))
+        out.frombytes(
+            _dbmod._native(_dbmod._row_index(rows) + base, np.uint32)
+        )
     else:
         out.extend(row + base for row in rows)
     return out
@@ -244,7 +250,7 @@ def split_rows(rows, bases: list, total: int) -> list:
         return out
     np = _dbmod._np
     if np is not None:
-        taken = _np_rows(np, rows)
+        taken = _dbmod._row_index(rows)
         taken = taken[taken < total]
         which = np.searchsorted(
             np.asarray(bases, np.int64), taken, side="right"
@@ -287,27 +293,10 @@ def _lift_row_chunks(chunks, _fqdn_map, base):
     return {key: offset_rows(rows, base) for key, rows in chunks.items()}
 
 
-# Remapping the fqdn id of every tuple is the hot loop of the id-keyed
-# aggregations, hence one unpacking comprehension per tuple shape.
-
-def _lift_id_pairs(rows, fqdn_map, _base):
-    return [(fqdn_map[fqdn_id], x) for fqdn_id, x in rows]
-
-
-def _lift_id_triples(rows, fqdn_map, _base):
-    return [(fqdn_map[fqdn_id], x, y) for fqdn_id, x, y in rows]
-
-
-def _lift_id_totals(rows, fqdn_map, _base):
-    return [(fqdn_map[fqdn_id], x, y, z) for fqdn_id, x, y, z in rows]
-
-
-def _lift_server_id_bins(rows, fqdn_map, _base):
-    return [(server, fqdn_map[fqdn_id], x) for server, fqdn_id, x in rows]
-
-
-def _lift_id_keys(mapping, fqdn_map, _base):
-    return dict(zip(map(fqdn_map.__getitem__, mapping), mapping.values()))
+def _lift_ids(column: int) -> Callable:
+    """Lift of a grouped aggregation: local fqdn ids in one key column
+    of the packed partial → the enclosing id space."""
+    return lambda groups, fqdn_map, _base: groups.lifted(column, fqdn_map)
 
 
 # ---------------------------------------------------------------------------
@@ -347,59 +336,15 @@ def _first_seen_order(parts) -> list:
     return list(dict.fromkeys(chain.from_iterable(parts)))
 
 
-def _sorted_set(parts) -> list:
-    out: set = set()
-    for part in parts:
-        out.update(part)
-    return sorted(out)
-
-
 def _sum_columns(parts) -> list:
     # An empty list is the identity: a store with no sources merges
     # to one, and it must not truncate the zip one level up.
     return [sum(column) for column in zip(*filter(None, parts))]
 
 
-def _sum_counts(parts) -> dict:
-    merged: dict = {}
-    for part in parts:
-        for key, count in part.items():
-            merged[key] = merged.get(key, 0) + count
-    return dict(sorted(merged.items()))
-
-
-def _sum_tuples(parts) -> list:
-    """Sum-by-key over ``(key..., count)`` tuples, sorted by key."""
-    merged: dict = {}
-    for part in parts:
-        for row in part:
-            key = row[:-1]
-            merged[key] = merged.get(key, 0) + row[-1]
-    return [key + (count,) for key, count in sorted(merged.items())]
-
-
-def _sum_totals(parts) -> list:
-    """Sum-by-key over ``(key, a, b, c)`` tuples, sorted by key."""
-    merged: dict = {}
-    for part in parts:
-        for key, a, b, c in part:
-            bucket = merged.get(key)
-            if bucket is None:
-                merged[key] = [a, b, c]
-            else:
-                bucket[0] += a
-                bucket[1] += b
-                bucket[2] += c
-    return [(key, *bucket) for key, bucket in sorted(merged.items())]
-
-
-def _min_by_key(parts) -> dict:
-    merged: dict = {}
-    for part in parts:
-        for key, value in part.items():
-            if key not in merged or value < merged[key]:
-                merged[key] = value
-    return dict(sorted(merged.items()))
+#: Grouped aggregations: packed partials concatenated, sorted by key,
+#: equal keys folded (see :class:`~repro.analytics.database.Groups`).
+_merged = _dbmod.Groups.merged
 
 
 def _merge_span(parts) -> tuple:
@@ -416,7 +361,7 @@ def _merge_span(parts) -> tuple:
 
 
 def _row_chunks(db, servers) -> dict:
-    by_server = db._by_server
+    by_server = db._index("server")
     return {
         server: by_server[server] for server in servers
         if server in by_server
@@ -424,7 +369,7 @@ def _row_chunks(db, servers) -> dict:
 
 
 def _record_chunks(db, servers) -> dict:
-    by_server = db._by_server
+    by_server = db._index("server")
     return {
         server: db._materialize(by_server[server]) for server in servers
         if server in by_server
@@ -441,13 +386,6 @@ def _probe_order(empty: Callable) -> Callable:
                 out.extend(chunk)
         return out
     return finish
-
-
-def _fqdn_flows(db, rows) -> list:
-    return [
-        (fqdn_id, flows)
-        for fqdn_id, flows, _up, _down in db.fqdn_flow_byte_totals(rows)
-    ]
 
 
 def _finish_protocols(totals, _interns) -> dict:
@@ -552,8 +490,10 @@ INTERNS = "interns"
 @dataclass(slots=True)
 class Query:
     """One row of the table (see the module docstring).  ``kernel``
-    defaults to the ``FlowDatabase`` method of the same name; ``check``
-    validates parsed HTTP arguments against each other."""
+    defaults to the ``FlowDatabase`` method of the same name — for a
+    grouped aggregation to its two halves, the packed kernel and the
+    ``finish`` that unpacks it; ``check`` validates parsed HTTP
+    arguments against each other."""
 
     name: str
     doc: str
@@ -571,7 +511,10 @@ class Query:
 
     def __post_init__(self):
         if self.kernel is None:
-            self.kernel = getattr(_dbmod.FlowDatabase, self.name)
+            method = getattr(_dbmod.FlowDatabase, self.name)
+            self.kernel = getattr(method, "kernel", method)
+            if self.finish is None:
+                self.finish = getattr(method, "finish", None)
         for index, param in enumerate(self.params):
             if param.name == "rows":
                 self.rows_index = index
@@ -716,21 +659,18 @@ _TABLE = (
     Query("fqdn_server_counts",
           "Deduped ``(fqdn_id, server_ip, flow_count)`` groups (global "
           "ids) over the labeled flows of ``rows``, sorted.",
-          (ROWS,), lift=_lift_id_triples, merge=_sum_tuples,
-          shape=_shape_groups),
+          (ROWS,), lift=_lift_ids(0), merge=_merged, shape=_shape_groups),
     Query("fqdn_client_counts",
           "Deduped ``(fqdn_id, client_ip, flow_count)`` groups (global "
           "ids) over the labeled flows of ``rows``, sorted.",
-          (ROWS,), lift=_lift_id_triples, merge=_sum_tuples,
-          shape=_shape_groups),
+          (ROWS,), lift=_lift_ids(0), merge=_merged, shape=_shape_groups),
     Query("fqdn_flow_byte_totals",
           "Per-label ``(fqdn_id, flows, bytes_up, bytes_down)`` totals "
           "over the labeled flows of ``rows``, sorted by id.",
-          (ROWS,), lift=_lift_id_totals, merge=_sum_totals,
-          shape=_shape_groups),
+          (ROWS,), lift=_lift_ids(0), merge=_merged, shape=_shape_groups),
     Query("server_flow_counts",
           "Flow count per serverIP over ``rows`` (default: all flows).",
-          (ROWS,), merge=_sum_counts,
+          (ROWS,), merge=_merged,
           shape=lambda counts: {
               "counts": [[server, n] for server, n in counts.items()],
           }),
@@ -739,39 +679,30 @@ _TABLE = (
           "gap-filled from the first to the last active bin — "
           "``(bin, server)`` pairs are deduped across sources before "
           "counting (distinct counts do not merge; the pairs do).",
-          (SLD, BIN), hint=_hint_sld,
-          kernel=lambda db, sld, bin_seconds: db.bin_server_pairs(
-              db.rows_for_domain(sld), bin_seconds
-          ),
-          merge=_union, finish=lambda pairs, _interns, _sld, bin_seconds: (
-              _dbmod.servers_per_bin(pairs, bin_seconds)
-          ),
+          (SLD, BIN), hint=_hint_sld, merge=_merged,
           shape=lambda series: {"series": [[t, n] for t, n in series]}),
     Query("server_bins_for_fqdn",
           "Deduped ``(bin_index, server_ip)`` pairs for one FQDN, "
           "sorted by bin — the Sec. 4.1 track-over-time feed.",
-          (FQDN, BIN), hint=_hint_fqdn, merge=_sorted_set),
+          (FQDN, BIN), hint=_hint_fqdn, merge=_merged),
     Query("fqdn_bin_pairs",
           "Deduped ``(fqdn_id, bin_index)`` activity pairs (global "
           "ids) over the labeled flows of ``rows`` (Fig. 11 timelines).",
-          (BIN, ROWS), lift=_lift_id_pairs, merge=_sorted_set),
+          (BIN, ROWS), lift=_lift_ids(0), merge=_merged),
     Query("fqdn_first_seen",
           "Earliest flow start per (global) interned label over "
           "``rows``.",
-          (ROWS,), lift=_lift_id_keys, merge=_min_by_key),
+          (ROWS,), lift=_lift_ids(0),
+          merge=partial(_merged, reduce="min")),
     Query("server_fqdn_bin_triples",
           "Deduped ``(server_ip, fqdn_id, bin_index)`` triples over the "
           "labeled flows of ``rows`` — the Fig. 5 active-FQDNs feed.",
-          (BIN, ROWS), lift=_lift_server_id_bins, merge=_sorted_set),
+          (BIN, ROWS), lift=_lift_ids(1), merge=_merged),
     Query("sld_flow_stats",
           "Per-organization ``(sld_id, flows, distinct_fqdns)`` over "
           "the labeled flows of ``rows`` (global sld ids, sorted) — "
           "merged per fqdn, grouped by organization at the end.",
-          (ROWS_REQUIRED,), kernel=_fqdn_flows, lift=_lift_id_pairs,
-          merge=_sum_tuples,
-          finish=lambda per_fqdn, interns, _rows: _dbmod.sld_stats(
-              per_fqdn, interns._fqdn_sld
-          )),
+          (ROWS_REQUIRED,), lift=_lift_ids(0), merge=_merged),
     # -- stats (segment summaries + live tail; nothing materialized) -------
     Query("len",
           "Total rows (``len(store)``).",
@@ -832,17 +763,28 @@ class QuerySurface:
     def _label_tables(self):
         return self._interns
 
+    def _label(self, table: str, index: int):
+        """One entry of a global id table.  The tables are append-only
+        and hold every id a query has handed out, so an id inside the
+        table is answered without ``_label_tables()`` — which on a
+        store takes the mutex the writer holds and re-syncs the tail;
+        only a miss (an id interned since the last query) pays that."""
+        entries = getattr(self._interns, table)
+        if not 0 <= index < len(entries):
+            entries = getattr(self._label_tables(), table)
+        return entries[index]
+
     def fqdn_label(self, fqdn_id: int) -> str:
         """The lowercased FQDN behind a (global) interned id."""
-        return self._label_tables()._fqdn_names[fqdn_id]
+        return self._label("_fqdn_names", fqdn_id)
 
     def sld_label(self, sld_id: int) -> str:
         """The second-level domain behind a (global) interned id."""
-        return self._label_tables()._sld_names[sld_id]
+        return self._label("_sld_names", sld_id)
 
     def sld_of_fqdn(self, fqdn_id: int) -> int:
         """Global sld id of a global FQDN id."""
-        return self._label_tables()._fqdn_sld[fqdn_id]
+        return self._label("_fqdn_sld", fqdn_id)
 
     def __len__(self) -> int:
         return self._query(QUERIES["len"], ())

@@ -66,6 +66,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import threading
+from array import array
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -520,7 +521,7 @@ class ShardCoordinator(QuerySurface):
         # as an interner, fed shard-major so quiescent id order matches
         # the flat oracle's.  _fqdn_maps[k][local_id] -> global id.
         self._interns = FlowDatabase()
-        self._fqdn_maps: list[list[int]] = [[] for _ in range(self.shards)]
+        self._fqdn_maps = [array("i") for _ in range(self.shards)]
         self._rows = [0] * self.shards
 
     # -- topology ----------------------------------------------------------

@@ -13,8 +13,9 @@ query engine:
   tables) into a single versioned, CRC-checked segment file;
 * :class:`SegmentReader` — validate and lazily materialize one segment
   back into an in-memory columnar database (columns are rebuilt with
-  ``frombytes``, ids re-interned, indexes regrouped — no per-row
-  object churn on the numpy path);
+  ``frombytes``, ids re-interned, statistics folded; an index is
+  grouped the first time a query reads it — no per-row object churn
+  on the numpy path);
 * :class:`FlowStore` — the durable store: an ordered list of sealed
   segments plus a live in-memory *tail*.  ``add()`` / ``ingest_batch``
   land in the tail; when the tail crosses the configured row/byte

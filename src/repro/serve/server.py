@@ -46,7 +46,7 @@ from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.analytics.queries import QUERIES, Query, QueryHint
-from repro.analytics.storage import FlowStore
+from repro.analytics.storage import FlowStore, StorageError
 from repro.serve.admission import AdmissionController
 from repro.serve.deadline import DEADLINE_HEADER, Deadline, DeadlineExceeded
 from repro.serve.governor import READ_ONLY, DegradationGovernor
@@ -100,15 +100,18 @@ _STORE_SERIES = {
 
 def _query_route(query: Query) -> Callable:
     """The ``/query/<route>`` handler of one query-table entry: read
-    its arguments from the request parameters (400 on a missing,
-    repeated or malformed one), run it on the pinned snapshot, shape
-    the JSON payload."""
+    its arguments from the request parameters and run it on the pinned
+    snapshot — 400 on a missing, repeated or malformed argument and on
+    one the query itself refuses (a gap-filled series past
+    ``MAX_SERIES_BINS``); the store's own ``StorageError`` stays a
+    server error — then shape the JSON payload."""
     def handler(snap, params):
         try:
-            args = query.parse(params)
+            return query.shape(snap._query(query, query.parse(params)))
+        except StorageError:
+            raise
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
-        return query.shape(snap._query(query, args))
     return handler
 
 

@@ -7,19 +7,24 @@ including untagged flows, empty-string labels, case-folded FQDNs, and
 all three ways rows enter a database (per-record ``add``, binary
 ``ingest_batch``, and a sealed segment rematerialized through
 ``SegmentReader.database()``), with and without numpy.
+
+Indexes are built on first use: an interleaving of ingestion and
+index-backed queries must show every query every row committed before
+it, whatever order the indexes were first asked in.
 """
 
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analytics.database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.database_reference import FlowDatabase as ReferenceDatabase
-from repro.analytics.storage import SegmentReader, write_segment
+from repro.analytics.storage import FlowStore, SegmentReader, write_segment
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.sniffer.eventcodec import encode_events
 
@@ -159,6 +164,101 @@ class TestBatchIngestDifferential:
         if flow_list[half:]:
             db.ingest_batch(encode_events(flow_list[half:]))
         _assert_equivalent(db, ref)
+
+
+#: The queries answered from an index (by-fqdn, by-sld, by-port,
+#: by-server) or listing one's keys.
+INDEX_QUERIES = ("fqdn", "domain", "port", "servers", "servers()", "ports()")
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("add"), flows),
+    st.tuples(st.just("batch"), st.lists(flows, max_size=8)),
+    st.tuples(st.just("ask"), st.sampled_from(INDEX_QUERIES)),
+), max_size=30)
+
+
+def _assert_index_query(db: FlowDatabase, ref: ReferenceDatabase,
+                        which: str) -> None:
+    if which == "fqdn":
+        for fqdn in [*ref.fqdns(), "absent.example"]:
+            assert db.query_by_fqdn(fqdn) == ref.query_by_fqdn(fqdn)
+            assert list(db.rows_for_fqdn(fqdn)) == sorted(
+                db.rows_for_fqdn(fqdn)
+            )
+    elif which == "domain":
+        for sld in [*ref.slds(), "absent.example"]:
+            assert db.query_by_domain(sld) == ref.query_by_domain(sld)
+            assert db.servers_for_domain(sld) == ref.servers_for_domain(sld)
+    elif which == "port":
+        for port in (80, 443, 8080, 51413, 1):
+            assert db.query_by_port(port) == ref.query_by_port(port)
+    elif which == "servers":
+        probe = [*ref.servers()[:4], 999_999, *ref.servers()[:2]]
+        assert db.query_by_servers(probe) == ref.query_by_servers(probe)
+        assert db.fqdns_for_servers(probe) == ref.fqdns_for_servers(probe)
+    elif which == "servers()":
+        assert db.servers() == ref.servers()
+    else:
+        assert db.ports() == ref.ports()
+
+
+class TestIndexesOnDemand:
+    @pytest.mark.parametrize("numpy", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(steps)
+    def test_interleaved_ingest_and_index_queries(self, numpy, step_list):
+        """Each query sees every row committed before it — the index it
+        reads is extended from wherever it last stopped — and the
+        ``servers()`` / ``ports()`` listings keep first-appearance order
+        whatever order the indexes were first asked in."""
+        with nullcontext() if numpy else _without_numpy():
+            db, ref = FlowDatabase(), ReferenceDatabase()
+            for kind, arg in step_list:
+                if kind == "add":
+                    db.add(arg)
+                    ref.add(arg)
+                elif kind == "batch":
+                    assert db.ingest_batch(encode_events(arg)) == len(arg)
+                    ref.add_all(arg)
+                else:
+                    _assert_index_query(db, ref, arg)
+            _assert_equivalent(db, ref)
+
+    def test_an_index_nobody_asks_for_is_never_built(self, monkeypatch):
+        extended = []
+        extend = FlowDatabase._extend_index
+        monkeypatch.setattr(
+            FlowDatabase, "_extend_index",
+            lambda self, which, base, n: (
+                extended.append((which, base, n)),
+                extend(self, which, base, n),
+            ),
+        )
+        flow_list = [
+            FlowRecord(
+                fid=FiveTuple(1, 10 + i % 3, 1000 + i, 443,
+                              TransportProto.TCP),
+                start=float(i), end=float(i) + 1.0, protocol=Protocol.TLS,
+                bytes_up=1, bytes_down=1, packets=1,
+                fqdn=f"h{i % 4}.example.com",
+            )
+            for i in range(12)
+        ]
+        db = FlowDatabase.from_flows(flow_list[:6])
+        db.ingest_batch(encode_events(flow_list[6:9]))
+        assert db.time_span() == (0.0, 9.0) and db.tagged_count == 9
+        db.fqdn_server_counts()
+        db.fqdn_first_seen()
+        assert extended == []            # statistics and scans: no index
+        assert len(db.rows_for_domain("example.com")) == 9
+        assert len(db.rows_for_domain("example.com")) == 9
+        assert extended == [("sld", 0, 9)]
+        db.ingest_batch(encode_events(flow_list[9:]))
+        assert db.servers() == [10, 11, 12]
+        assert len(db.rows_for_domain("example.com")) == 12
+        assert extended == [
+            ("sld", 0, 9), ("server", 0, 12), ("sld", 9, 12),
+        ]
 
 
 def _rematerialized(db: FlowDatabase) -> FlowDatabase:
@@ -358,3 +458,50 @@ class TestGroupedAggregations:
                 assert db_py.unique_servers_per_bin(
                     sld, 600.0
                 ) == db_np.unique_servers_per_bin(sld, 600.0)
+
+
+class TestExactByteTotals:
+    """Regression: the numpy body summed the u64 byte counters as
+    ``bincount(weights=float64)``, so Tab. 8 totals past 2^53 differed
+    from the per-row body and the seed (2^53+1 plus 2 came back even).
+    Sums are integer-exact now, as Python ints where a total could pass
+    2^63 — the codec accepts u64 per flow, so a hostile batch can."""
+
+    COUNTERS = (2**53 + 1, 2, 2**53 - 1, 2**63, 2**64 - 1, 1, 2**63, 2**63)
+
+    def _flows(self) -> list[FlowRecord]:
+        return [
+            FlowRecord(
+                fid=FiveTuple(1, 2, 1000 + i, 443, TransportProto.TCP),
+                start=float(i), end=float(i) + 1.0, protocol=Protocol.TLS,
+                bytes_up=counter, bytes_down=self.COUNTERS[-1 - i],
+                packets=1, fqdn=("Big.Example.com", "big.example.com",
+                                 "small.example.org", None)[i // 2],
+            )
+            for i, counter in enumerate(self.COUNTERS)
+        ]
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_in_memory_and_across_segments(self, tmp_path, numpy):
+        flow_list = self._flows()
+        expected: dict[str, list[int]] = {}
+        for flow in ReferenceDatabase.from_flows(flow_list):
+            if flow.fqdn:
+                bucket = expected.setdefault(flow.fqdn.lower(), [0, 0, 0])
+                bucket[0] += 1
+                bucket[1] += flow.bytes_up
+                bucket[2] += flow.bytes_down
+        assert expected["big.example.com"][1] == 2**53 + 2**53 + 2 + 2**63
+        assert expected["small.example.org"][1] == 2**64
+        with nullcontext() if numpy else _without_numpy():
+            store = FlowStore(tmp_path / "store")
+            store.add_all(flow_list[:3])    # cuts big.example.com in two
+            store.flush()
+            store.add_all(flow_list[3:])
+            for surface in (FlowDatabase.from_flows(flow_list), store):
+                assert {
+                    surface.fqdn_label(fqdn_id): [flows, up, down]
+                    for fqdn_id, flows, up, down
+                    in surface.fqdn_flow_byte_totals()
+                } == expected
+            store.close()

@@ -236,6 +236,17 @@ _ROW_PRIVATES = (
     r"|_protocol_counts|_min_start|_max_end|_records|_all_records"
     r"|_raw_fqdns|_cert_names|_true_fqdns|_extend_index|_fqdn_sld)\b"
 )
+#: ``queries.py`` reads the statistics (``database_summary``) and the
+#: intern tables; the indexes it reaches through ``_index()`` only.
+_INDEX_PRIVATES = (
+    r"(?<!\w)(?:_by_server|_by_port|_by_fqdn|_by_sld|_extend_index)\b"
+)
+#: The per-tuple lifts and merges the packed ``Groups`` partial replaced.
+_TUPLE_COMBINATORS = (
+    r"\b(?:_lift_id_pairs|_lift_id_triples|_lift_id_totals"
+    r"|_lift_server_id_bins|_lift_id_keys|_sorted_set|_sum_counts"
+    r"|_sum_tuples|_sum_totals|_min_by_key)\b"
+)
 
 
 def _functions_calling(path: Path, module: str, attr: str) -> set[str]:
@@ -259,8 +270,9 @@ def _functions_calling(path: Path, module: str, attr: str) -> set[str]:
 def test_flowdatabase_owns_its_rows():
     """docs/architecture.md, "The store contract", *Rows*: the store
     modules see a database through ``columns``, its constructors and
-    its queries — never its indexes or statistics — and the manifest
-    has one reader."""
+    its queries — never its indexes or statistics — the query table
+    reaches an index through the accessor that builds it, grouped
+    partials travel packed, and the manifest has one reader."""
     analytics = REPO / "src" / "repro" / "analytics"
     modules = [analytics / name
                for name in ("storage.py", "shard.py", "flowstore_cli.py")]
@@ -268,8 +280,13 @@ def test_flowdatabase_owns_its_rows():
         hit for module in modules
         for hit in _source_hits(module, _ROW_PRIVATES)
     ]
+    leaks += _source_hits(analytics / "queries.py", _INDEX_PRIVATES)
     assert not leaks, "FlowDatabase row privates in the store:\n" + (
         "\n".join(leaks)
+    )
+    revived = _source_hits(REPO / "src", _TUPLE_COMBINATORS)
+    assert not revived, "per-tuple combinators are back:\n" + (
+        "\n".join(revived)
     )
     parsers = {
         (module.name, name) for module in modules

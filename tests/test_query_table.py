@@ -16,14 +16,26 @@ them, and the worker-op allowlist and the HTTP route table are the
 table — so a query can no longer be added to one surface only.
 
 Merge contract (property): partials of arbitrary source splits merge
-associatively to the single-source answer.
+associatively to the single-source answer — the packed ``Groups``
+partials of the grouped aggregations included, on both kernel paths,
+with integer, float and overflowing (``dtype=object``) value columns
+and across a pickle round trip.
 
 Tail consistency (regression): a label interned between view capture
 and the tail step must not break any entry.
+
+Series limit (regression): a gap-filled series longer than
+``MAX_SERIES_BINS`` is refused on every surface before it is allocated.
+
+Label lookups (regression): ``fqdn_label`` / ``sld_label`` /
+``sld_of_fqdn`` answer from the append-only tables without the store
+mutex.
 """
 
 import inspect
 import json
+import pickle
+import threading
 from array import array
 from contextlib import contextmanager, nullcontext
 from functools import partial
@@ -33,7 +45,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analytics.database as database_module
-from repro.analytics.database import FlowDatabase
+from repro.analytics.database import FlowDatabase, Groups
 from repro.analytics.database_reference import (
     FlowDatabase as ReferenceDatabase,
 )
@@ -59,13 +71,19 @@ from repro.analytics.storage import (
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.serve.server import ServeApp
 
-#: Public FlowDatabase attributes that are not queries: ingestion, id
-#: lookups (answered from the intern tables, never merged), and the
-#: per-source primitive behind ``unique_servers_per_bin``.
+#: Public FlowDatabase attributes that are not queries: ingestion and
+#: id lookups (answered from the intern tables, never merged).
 NOT_QUERIES = {
     "add", "add_all", "from_flows", "from_columns", "ingest_batch",
     "parse_batch", "commit_batch", "from_batches", "fqdn_label",
-    "sld_label", "sld_of_fqdn", "bin_server_pairs",
+    "sld_label", "sld_of_fqdn",
+}
+#: The grouped aggregations: their partials travel as packed ``Groups``.
+GROUPED = {
+    "fqdn_server_counts", "fqdn_client_counts", "fqdn_flow_byte_totals",
+    "server_flow_counts", "unique_servers_per_bin", "server_bins_for_fqdn",
+    "fqdn_bin_pairs", "fqdn_first_seen", "server_fqdn_bin_triples",
+    "sld_flow_stats",
 }
 #: Table entries reached through the data model rather than by name.
 DUNDERS = {"len": "__len__", "all_records": "__iter__"}
@@ -105,6 +123,14 @@ def _flow(i: int) -> FlowRecord:
         cert_name="cert.example.com" if i % 3 == 0 else None,
         true_fqdn="true.example.com" if i % 5 == 0 else None,
     )
+
+
+def _big_flow(i: int) -> FlowRecord:
+    """``_flow`` with byte counters whose per-label sums pass 2^64."""
+    flow = _flow(i)
+    flow.bytes_up = 2**64 - 1 - i
+    flow.bytes_down = 2**63 + i
+    return flow
 
 
 def _call(surface, name: str, args: tuple):
@@ -384,63 +410,105 @@ class TestCompleteness:
         store.close()
 
 
+def _assert_split_merges(n_flows: int, cuts: list, make_flow) -> dict:
+    """Slice a flow list into sources at arbitrary cut points (empty
+    sources included), lift each source's partial, and merge in every
+    grouping: all equal — also after a pickle round trip of the parts —
+    and finish to the unsplit database's answer.  Returns each grouped
+    aggregation's flat merged partial (of its first case: the
+    whole-store one where it has one)."""
+    flows = [make_flow(i) for i in range(n_flows)]
+    mem = FlowDatabase.from_flows(flows)
+    bounds = sorted({0, n_flows, *(cut % (n_flows + 1) for cut in cuts)})
+    sources = [
+        FlowDatabase.from_flows(flows[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ] or [FlowDatabase()]
+    interns = FlowDatabase()
+    maps = [_map_local_fqdns(interns, db.fqdns()) for db in sources]
+    bases = bounds[:-1] or [0]
+    packed = {}
+    for name, args in _cases(mem):
+        query = QUERIES[name]
+        if query.scope is INTERNS:
+            continue
+        args = query.normalize(args)
+        local_args = [args] * len(sources)
+        if query.rows(args) is not None:
+            split = split_rows(query.rows(args), bases, n_flows)
+            local_args = [query.with_rows(args, rows) for rows in split]
+        parts = []
+        for db, fqdn_map, base, call in zip(
+            sources, maps, bases, local_args
+        ):
+            if query.scope is SUMMARY:
+                part = query.kernel(
+                    len(db), partial(database_summary, db)
+                )
+            else:
+                part = query.kernel(db, *call)
+                if query.lift is not None:
+                    part = query.lift(part, fqdn_map, base)
+            parts.append(part)
+        flat = query.merge(list(parts))
+        left = query.merge([query.merge(parts[:1]), *parts[1:]])
+        right = query.merge([*parts[:-1], query.merge(parts[-1:])])
+        nested = query.merge([
+            query.merge(parts[:2]), query.merge(parts[2:]),
+        ])
+        assert flat == left == right == nested, name
+        if name in GROUPED:
+            assert all(isinstance(part, Groups) for part in parts), name
+            piped = [pickle.loads(pickle.dumps(part)) for part in parts]
+            assert piped == parts and query.merge(piped) == flat, name
+            # An empty part anywhere is the identity.
+            assert query.merge([Groups(0), *parts, Groups(0)]) == flat
+            packed.setdefault(name, flat)
+        result = flat if query.finish is None else (
+            query.finish(flat, interns, *args)
+        )
+        assert _canon(name, result) == _canon(
+            name, _call(mem, name, args)
+        ), name
+    assert set(packed) == GROUPED
+    return packed
+
+
 class TestMergeContract:
+    @pytest.mark.parametrize("numpy", [True, False])
     @settings(deadline=None)  # budget set by the hypothesis profile
     @given(
         st.integers(min_value=0, max_value=60),
         st.lists(st.integers(min_value=0, max_value=60), max_size=3),
     )
     def test_any_split_merges_associatively_to_one_source(
-        self, n_flows, cuts
+        self, numpy, n_flows, cuts
     ):
-        """Slice a flow list into sources at arbitrary cut points (empty
-        sources included), lift each source's partial, and merge in
-        every grouping: all equal the unsplit database's answer."""
-        flows = [_flow(i) for i in range(n_flows)]
-        mem = FlowDatabase.from_flows(flows)
-        bounds = sorted({0, n_flows, *(cut % (n_flows + 1) for cut in cuts)})
-        sources = [
-            FlowDatabase.from_flows(flows[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])
-        ] or [FlowDatabase()]
-        interns = FlowDatabase()
-        maps = [_map_local_fqdns(interns, db.fqdns()) for db in sources]
-        bases = bounds[:-1] or [0]
-        for name, args in _cases(mem):
-            query = QUERIES[name]
-            if query.scope is INTERNS:
-                continue
-            args = query.normalize(args)
-            local_args = [args] * len(sources)
-            if query.rows(args) is not None:
-                split = split_rows(query.rows(args), bases, n_flows)
-                local_args = [query.with_rows(args, rows) for rows in split]
-            parts = []
-            for db, fqdn_map, base, call in zip(
-                sources, maps, bases, local_args
-            ):
-                if query.scope is SUMMARY:
-                    part = query.kernel(
-                        len(db), partial(database_summary, db)
-                    )
-                else:
-                    part = query.kernel(db, *call)
-                    if query.lift is not None:
-                        part = query.lift(part, fqdn_map, base)
-                parts.append(part)
-            flat = query.merge(list(parts))
-            left = query.merge([query.merge(parts[:1]), *parts[1:]])
-            right = query.merge([*parts[:-1], query.merge(parts[-1:])])
-            nested = query.merge([
-                query.merge(parts[:2]), query.merge(parts[2:]),
-            ])
-            assert flat == left == right == nested, name
-            result = flat if query.finish is None else (
-                query.finish(flat, interns, *args)
+        with nullcontext() if numpy else _without_numpy():
+            packed = _assert_split_merges(n_flows, cuts, _flow)
+            first_seen = packed["fqdn_first_seen"]
+            if first_seen.columns is not None:   # the float value column
+                assert first_seen.columns[1].dtype.kind == "f"
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.integers(min_value=8, max_value=40),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+    )
+    def test_overflowing_sums_merge_exactly(self, numpy, n_flows, cuts):
+        """Byte counters near 2^64: the packed sums switch to Python
+        ints (``dtype=object``) instead of wrapping, in the kernel and
+        in every merge."""
+        with nullcontext() if numpy else _without_numpy():
+            packed = _assert_split_merges(n_flows, cuts, _big_flow)
+            totals = packed["fqdn_flow_byte_totals"]
+            if totals.columns is not None:
+                assert totals.columns[2].dtype == object
+            flows = [_big_flow(i) for i in range(n_flows)]
+            assert sum(up for _id, _n, up, _down in totals.tuples()) == sum(
+                flow.bytes_up for flow in flows if flow.fqdn
             )
-            assert _canon(name, result) == _canon(
-                name, _call(mem, name, args)
-            ), name
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -517,4 +585,111 @@ class TestTailStepConsistency:
                 labels = {store.fqdn_label(fqdn_id) for fqdn_id in result}
                 assert f"fresh{token.added}.ingest.example" in labels
         assert len(store) == 40 + token.added
+        store.close()
+
+
+
+class TestSeriesLimit:
+    """Regression: gap filling is the one place a query's output is not
+    bounded by its input.  Two labeled flows an hour apart at
+    ``bin=1e-5`` used to ask numpy for a 2.68 GiB ``bincount`` (in
+    memory) or build 360M tuples in ``finish`` (a store) — one request
+    could take ``repro-serve`` down, unseen by admission control."""
+
+    FLOWS = [
+        FlowRecord(
+            fid=FiveTuple(7, 40 + i, 1024 + i, 443, TransportProto.TCP),
+            start=start, end=start + 1.0, protocol=Protocol.TLS,
+            bytes_up=1, bytes_down=1, packets=1, fqdn="www.example.com",
+        )
+        for i, start in enumerate((0.0, 3600.0))
+    ]
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_refused_before_allocating_on_every_surface(self, tmp_path,
+                                                        numpy):
+        limit = str(database_module.MAX_SERIES_BINS)
+        with nullcontext() if numpy else _without_numpy():
+            mem = FlowDatabase.from_flows(self.FLOWS)
+            store = FlowStore(tmp_path / "store")
+            store.add(self.FLOWS[0])
+            store.flush()
+            store.add(self.FLOWS[1])   # one sealed segment + the tail
+            for surface in (mem, store):
+                with pytest.raises(ValueError, match=limit):
+                    surface.unique_servers_per_bin("example.com", 1e-5)
+            status, _ctype, payload, _headers = ServeApp(store).handle(
+                "GET", "/query/unique-servers-per-bin",
+                {"sld": ["example.com"], "bin": ["0.00001"]},
+            )
+            assert status == 400 and limit in json.loads(payload)["error"]
+            # An hour of one-second bins is an ordinary request.
+            series = store.unique_servers_per_bin("example.com", 1.0)
+            assert series == mem.unique_servers_per_bin("example.com", 1.0)
+            assert len(series) == 3601
+            store.close()
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(database_module, "MAX_SERIES_BINS", 3601)
+        mem = FlowDatabase.from_flows(self.FLOWS)
+        assert len(mem.unique_servers_per_bin("example.com", 1.0)) == 3601
+        monkeypatch.setattr(database_module, "MAX_SERIES_BINS", 3600)
+        with pytest.raises(ValueError, match="3601 bins"):
+            mem.unique_servers_per_bin("example.com", 1.0)
+
+
+class TestLabelLookups:
+    def test_known_ids_resolve_while_the_store_mutex_is_held(self,
+                                                             tmp_path):
+        """Regression: every label lookup took the store mutex and
+        re-synced the tail map — thousands of times per sweep, each
+        queued behind the writer beside ingest."""
+        store = FlowStore(tmp_path / "store", spill_rows=10_000)
+        store.add_all(_flow(i) for i in range(30))
+        store.flush()
+        store.add_all(_flow(i) for i in range(30, 40))
+        ids = list(store.fqdn_first_seen())   # the last query
+        expected = [FlowDatabase.fqdn_label(store._interns, i) for i in ids]
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with store._mutex:
+                held.set()
+                release.wait(30)
+
+        def look_up():
+            answers.append([store.fqdn_label(i) for i in ids])
+            answers.append([
+                store.sld_label(store.sld_of_fqdn(i)) for i in ids
+            ])
+
+        answers: list = []
+        holder = threading.Thread(target=hold)
+        reader = threading.Thread(target=look_up)
+        holder.start()
+        try:
+            assert held.wait(10)
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive(), "label lookup waited on the mutex"
+        finally:
+            release.set()
+            holder.join(10)
+        assert answers[0] == expected
+        assert answers[1] == [
+            store.slds()[store.sld_of_fqdn(i)] for i in ids
+        ]
+        # An id interned by a commit after the last query: a miss, so
+        # the lookup syncs the tail map and still resolves it.
+        fresh = _flow(1)
+        fresh.fqdn = "Fresh.After-Query.example"
+        known = len(store._interns._fqdn_names)
+        store.add(fresh)
+        assert len(store._interns._fqdn_names) == known
+        assert store.fqdn_label(known) == "fresh.after-query.example"
+        assert store.sld_label(store.sld_of_fqdn(known)) == (
+            "after-query.example"
+        )
+        with pytest.raises(IndexError):
+            store.fqdn_label(known + 1)
         store.close()

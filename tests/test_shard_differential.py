@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import repro.analytics.database as database_module
 from faultfs import FaultFS, inject
-from repro.analytics.database import FlowDatabase
+from repro.analytics.database import FlowDatabase, Groups
 from repro.analytics.flowstore_cli import main as flowstore_main
 from repro.analytics.shard import (
     SHARDS_NAME,
@@ -213,6 +213,42 @@ class TestShardedDifferential:
         flat = _flat_oracle(tmp_path / "flat", coord.router, flows)
         mem = FlowDatabase.from_flows(_shard_major(coord.router, flows))
         _assert_bit_identical(coord, flat, mem)
+        coord.close()
+        flat.close()
+
+    def test_packed_partials_cross_the_worker_pipe(self, tmp_path):
+        """A process shard returns its merged partial *unfinished*: the
+        packed ``Groups`` pickles over the pipe — an overflowing byte
+        sum as exact Python ints — and the coordinator lifts it through
+        the shard's id map and merges once more."""
+        flows = [_flow(i) for i in range(60)]
+        for flow in flows:
+            flow.bytes_up = 2**64 - 1 - flow.bytes_up
+        built = _build_sharded(
+            tmp_path / "sharded", flows, 2, live_tail=False
+        )
+        built.close()
+        coord = ShardCoordinator(tmp_path / "sharded", backend="process")
+        parts = coord._fan("fqdn_flow_byte_totals", (None,))
+        assert all(isinstance(part, Groups) and len(part) for part in parts)
+        assert all(
+            part.columns is None or part.columns[2].dtype == object
+            for part in parts
+        )
+        assert all(
+            coord._fqdn_maps[k].typecode == "i" and len(coord._fqdn_maps[k])
+            for k in range(2)
+        )
+        flat = _flat_oracle(tmp_path / "flat", coord.router, flows)
+        totals = coord.fqdn_flow_byte_totals()
+        assert totals == flat.fqdn_flow_byte_totals()
+        assert sum(up for _id, _n, up, _down in totals) == sum(
+            flow.bytes_up for flow in flows if flow.fqdn
+        )
+        assert coord.fqdn_first_seen() == flat.fqdn_first_seen()
+        assert coord.server_fqdn_bin_triples(10.0) == (
+            flat.server_fqdn_bin_triples(10.0)
+        )
         coord.close()
         flat.close()
 

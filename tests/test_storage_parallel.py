@@ -7,9 +7,17 @@ grouped aggregation, record query and row-index view has to come back
 (N=1) and to the in-memory columnar store, for N=1, 2 and 4, including
 stores holding empty segments and a live unsealed tail, with pruning
 on or off, with and without numpy.
+
+A segment's indexes are built by whichever reader asks first: threads
+released together onto fresh segments must each get the serial answer
+while every index is extended exactly once, and a reader beside a
+committing writer never sees the tail's index short or doubled.
 """
 
+import sys
+import threading
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -24,6 +32,7 @@ from repro.analytics.storage import (
     _map_local_fqdns,
 )
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
+from repro.sniffer.eventcodec import encode_events
 
 PARALLELISMS = (1, 2, 4)
 
@@ -251,3 +260,152 @@ class TestParallelProperty:
         assert parallel_store.sld_flow_stats(rows) == (
             serial.sld_flow_stats(array("I", rows))
         )
+
+
+@contextmanager
+def _eager_switching():
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
+
+
+def _race(ask, threads: int = 8) -> list:
+    """``ask()`` on ``threads`` threads released together by a barrier
+    (more threads than cores, eager switching); their answers."""
+    barrier = threading.Barrier(threads)
+    answers: list = []
+
+    def run():
+        barrier.wait(30)
+        answers.append(ask())
+
+    workers = [threading.Thread(target=run) for _ in range(threads)]
+    with _eager_switching():
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(answers) == threads
+    return answers
+
+
+def _index_queries(surface, servers):
+    return (
+        list(surface.rows_for_servers(servers)),
+        surface.servers_for_domain("example.com"),
+        list(surface.rows_for_port(443)),
+    )
+
+
+@pytest.fixture
+def extensions(monkeypatch):
+    """Every ``FlowDatabase._extend_index`` call, as ``(database id,
+    index name)`` counts."""
+    calls: Counter = Counter()
+    extend = FlowDatabase._extend_index
+
+    def counting(self, which, base, n):
+        calls[id(self), which] += 1
+        return extend(self, which, base, n)
+
+    monkeypatch.setattr(FlowDatabase, "_extend_index", counting)
+    return calls
+
+
+class TestIndexesOnFirstUse:
+    def test_threads_on_one_fresh_segment(self, tmp_path, extensions):
+        flows = [_flow(i) for i in range(600)]
+        store = FlowStore(tmp_path / "store", spill_rows=10_000)
+        store.add_all(flows)
+        store.close()                       # one sealed segment
+        mem = FlowDatabase.from_flows(flows)
+        servers = mem.servers()[:5]
+        expected = _index_queries(mem, servers)
+        extensions.clear()
+        (reader,) = FlowStore(tmp_path / "store").segments
+        database = reader.database()        # fresh: no index built yet
+        assert not extensions
+        answers = _race(lambda: _index_queries(database, servers))
+        assert all(answer == expected for answer in answers)
+        assert extensions == {
+            (id(database), which): 1 for which in ("server", "sld", "port")
+        }
+
+    def test_threads_on_a_parallel_store(self, tmp_path, extensions):
+        directory, flows = _store_with_everything(tmp_path, live_tail=False)
+        serial = FlowStore(directory)
+        servers = serial.servers()[:5]
+        expected = _index_queries(serial, servers)
+        extensions.clear()
+        store = FlowStore(directory, parallel=4)
+        # Resident but unindexed: the race below is over the indexes,
+        # not over who materializes a segment.
+        databases = {
+            id(reader.database()): reader.n_rows for reader in store.segments
+        }
+        assert not extensions
+        answers = _race(lambda: _index_queries(store, servers))
+        assert all(answer == expected for answer in answers)
+        # Exactly once per index per segment that holds a row (the
+        # by-port scan is never pruned, so it reaches every one).
+        assert set(extensions.values()) == {1}
+        assert {db for db, which in extensions if which == "port"} == {
+            db for db, rows in databases.items() if rows
+        }
+        assert {db for db, _which in extensions} <= set(databases)
+        store.close()
+        serial.close()
+
+    def test_reader_beside_a_committing_writer(self, tmp_path):
+        """Every flow matches every probe, so whatever batch-aligned
+        prefix a read lands on, the answer is ``range(k * batch)``:
+        never short within a batch, never a row twice."""
+        batch, batches = 16, 40
+        payloads = [
+            encode_events([
+                FlowRecord(
+                    fid=FiveTuple(5, 40, 1024 + i, 443, TransportProto.TCP),
+                    start=float(i), end=float(i) + 1.0,
+                    protocol=Protocol.TLS, bytes_up=1, bytes_down=1,
+                    packets=1, fqdn=f"h{i % 3}.example.com",
+                )
+                for i in range(at * batch, (at + 1) * batch)
+            ])
+            for at in range(batches)
+        ]
+        store = FlowStore(tmp_path / "store", spill_rows=10**6)
+        done = threading.Event()
+        seen: list = []
+        failures: list = []
+
+        def read():
+            asks = (
+                lambda: store.rows_for_port(443),
+                lambda: store.rows_for_domain("example.com"),
+                lambda: store.rows_for_servers([40]),
+            )
+            turn = 0
+            while not failures:
+                finished = done.is_set()
+                rows = list(asks[turn % 3]())
+                turn += 1
+                if rows != list(range(len(rows))) or len(rows) % batch:
+                    failures.append(rows)
+                seen.append(len(rows))
+                if finished:
+                    return
+
+        reader = threading.Thread(target=read)
+        with _eager_switching():
+            reader.start()
+            for payload in payloads:
+                assert store.ingest_batch(payload) == batch
+            done.set()
+            reader.join(60)
+        assert not reader.is_alive() and not failures
+        assert seen == sorted(seen) and seen[-1] == batch * batches
+        store.close()
