@@ -266,12 +266,25 @@ def _decode_flow_columns(view: BatchView) -> FlowColumns:
     return cols
 
 
-#: The longest gap-filled series a per-bin query builds.  Gap filling
-#: is the one place a result is not bounded by its input (two flows an
-#: hour apart at ``bin_seconds=1e-5`` span 360M bins), so a longer
-#: series is refused before anything is allocated.  Not a parameter:
-#: 1M bins is 19 years of 10-minute bins.
+#: The longest gap-filled series anything builds.  Gap filling is the
+#: one place a result is not bounded by its input (two flows an hour
+#: apart at ``bin_seconds=1e-5`` span 360M bins), so every series —
+#: Fig. 4, Fig. 5, :class:`~repro.analytics.temporal.TimeBins` — asks
+#: :func:`series_bins` for its length before anything is allocated.
+#: Not a parameter: 1M bins is 19 years of 10-minute bins.
 MAX_SERIES_BINS = 1_000_000
+
+
+def series_bins(lo: int, hi: int, bin_seconds: float) -> int:
+    """Length of the gap-filled series from bin ``lo`` to bin ``hi``;
+    ``ValueError`` past :data:`MAX_SERIES_BINS` (enforced here only)."""
+    if hi - lo >= MAX_SERIES_BINS:
+        raise ValueError(
+            f"bin_seconds={bin_seconds!r} asks for a series of "
+            f"{hi - lo + 1} bins; the limit is {MAX_SERIES_BINS}"
+        )
+    return hi - lo + 1
+
 
 #: ``reduce`` of :meth:`Groups.merged` → (pairwise fold, numpy ufunc name).
 _REDUCE = {"sum": (operator.add, "add"), "min": (min, "minimum")}
@@ -330,7 +343,10 @@ class Groups:
     holds.  Partials stay packed through :meth:`lifted` and
     :meth:`merged` — also across a shard worker's pipe, they pickle —
     and become tuples once, in :meth:`tuples` / :meth:`mapping` (the
-    query table's ``finish``).
+    query table's ``finish``).  An analysis that regroups them asks for
+    the partial itself (``database.groups(name, ...)``) and stays on
+    columns: :meth:`mapped`, :meth:`where`, :meth:`column` back into
+    :meth:`of`, and :meth:`values` for the one list it reports.
     """
 
     __slots__ = ("k", "columns", "rows")
@@ -380,6 +396,49 @@ class Groups:
         columns = list(self.columns)
         columns[column] = table[columns[column]]
         return Groups(self.k, tuple(columns))
+
+    def mapped(self, column: int, function) -> "Groups":
+        """These rows with one column replaced by ``function(value)``
+        (an integer), called once per distinct value in ascending
+        order.  A function that is not injective leaves equal keys
+        behind: fold the columns again with :meth:`of`."""
+        if not len(self):
+            return self
+        if self.columns is None:
+            distinct = sorted({row[column] for row in self.rows})
+            return self.lifted(
+                column, {value: function(value) for value in distinct}
+            )
+        distinct, inverse = _np.unique(
+            self.columns[column], return_inverse=True
+        )
+        columns = list(self.columns)
+        columns[column] = _np.array(
+            [function(value) for value in distinct.tolist()]
+        )[inverse]
+        return Groups(self.k, tuple(columns))
+
+    def where(self, column: int, values) -> "Groups":
+        """The rows whose ``column`` holds one of ``values``."""
+        if self.columns is None:
+            values = frozenset(values)
+            return Groups(self.k, rows=[
+                row for row in self.rows if row[column] in values
+            ])
+        mask = _np.isin(self.columns[column], list(values))
+        return Groups(self.k, tuple(c[mask] for c in self.columns))
+
+    def column(self, index: int):
+        """One column in the form :meth:`of` takes back — opaque; read
+        it with :meth:`values`."""
+        if self.columns is not None:
+            return self.columns[index]
+        return [row[index] for row in self.rows]
+
+    def values(self, index: int) -> list:
+        """One column as a plain list of Python scalars."""
+        column = self.column(index)
+        return column if self.columns is None else column.tolist()
 
     @staticmethod
     def merged(parts, reduce: str = "sum") -> "Groups":
@@ -478,36 +537,21 @@ def _mapping(groups: Groups, _interns, *_args) -> dict:
     return groups.mapping()
 
 
-def servers_per_bin(pairs: Groups, _interns, _name,
-                    bin_seconds: float) -> list[tuple[float, int]]:
-    """Deduped ``(bin_index, server_ip)`` groups → distinct servers per
+def distinct_per_bin(pairs: Groups,
+                     bin_seconds: float) -> list[tuple[float, int]]:
+    """Deduped ``(bin_index, member)`` groups → distinct members per
     bin as ``(bin_start, count)``, gap-filled from the first to the
-    last active bin.  Distinct counts do not merge across sources; the
-    pairs do, so this is the last step wherever the pairs came from —
-    and the one place :data:`MAX_SERIES_BINS` is enforced."""
+    last active bin (:func:`series_bins` long).  Distinct counts do not
+    merge across sources; the pairs do, so this is the last step
+    wherever the pairs came from: servers of a 2LD (Fig. 4), FQDNs of
+    a CDN (Fig. 5)."""
     if not len(pairs):
         return []
-    packed = pairs.columns is not None
-    if packed:
-        bins = pairs.columns[0]
-        lo, hi = int(bins.min()), int(bins.max())
-    else:
-        bins = [row[0] for row in pairs.rows]
-        lo, hi = min(bins), max(bins)
-    if hi - lo >= MAX_SERIES_BINS:
-        raise ValueError(
-            f"bin_seconds={bin_seconds!r} asks for a series of "
-            f"{hi - lo + 1} bins; the limit is {MAX_SERIES_BINS}"
-        )
-    if packed:
-        counts = _np.bincount(bins - lo, minlength=hi - lo + 1).tolist()
-    else:
-        counts = [0] * (hi - lo + 1)
-        for index in bins:
-            counts[index - lo] += 1
+    members = Groups.of(1, pairs.column(0), count=True).mapping()
+    lo = min(members)
     return [
-        ((lo + index) * bin_seconds, count)
-        for index, count in enumerate(counts)
+        ((lo + index) * bin_seconds, members.get(lo + index, 0))
+        for index in range(series_bins(lo, max(members), bin_seconds))
     ]
 
 
@@ -515,20 +559,13 @@ def sld_stats(per_fqdn: Groups, interns, *_rows) -> list[tuple[int, int, int]]:
     """``(fqdn_id; flows)`` groups → per-organization ``(sld_id, flows,
     distinct_fqdns)``, sorted, through ``interns``' ``fqdn id → sld
     id`` table (each fqdn id appears once)."""
-    if not len(per_fqdn):
-        return []
-    if per_fqdn.columns is None:
-        fqdn_sld = interns._fqdn_sld
-        slds = [fqdn_sld[fqdn_id] for fqdn_id, _flows in per_fqdn.rows]
-        flows = [flows for _fqdn_id, flows in per_fqdn.rows]
-    else:
-        ids, flows = per_fqdn.columns
-        # A copy, not a view: the table grows under concurrent
-        # interning, and an array cannot grow while it exports a buffer.
-        slds = _np.array(interns._fqdn_sld, _np.int32)[ids]
+    # Through a copy, not a view: the table grows under concurrent
+    # interning, and an array cannot grow while it exports a buffer.
+    per_sld = per_fqdn.lifted(0, interns._fqdn_sld[:])
     return [
-        (sld_id, flows, fqdns) for sld_id, fqdns, flows
-        in Groups.of(1, slds, flows, count=True).tuples()
+        (sld_id, flows, fqdns) for sld_id, fqdns, flows in Groups.of(
+            1, per_sld.column(0), per_sld.column(1), count=True
+        ).tuples()
     ]
 
 
@@ -611,6 +648,18 @@ class FlowDatabase:
         """Interned sld id of an interned FQDN id."""
         return self._fqdn_sld[fqdn_id]
 
+    def labels_of(self, fqdn_ids) -> tuple[list[str], list[str]]:
+        """``(FQDNs, their second-level domains)`` behind interned ids,
+        as this table's own ``str`` objects — what
+        :meth:`from_columns` adopts, so every segment of a store shares
+        one string per label and no name is parsed twice."""
+        sld_names = self._sld_names
+        return (
+            list(map(self._fqdn_names.__getitem__, fqdn_ids)),
+            [sld_names[sld_id]
+             for sld_id in map(self._fqdn_sld.__getitem__, fqdn_ids)],
+        )
+
     # -- ingestion ---------------------------------------------------------
 
     def add(self, flow: FlowRecord) -> None:
@@ -687,24 +736,37 @@ class FlowDatabase:
 
     @classmethod
     def from_columns(
-        cls, columns: FlowColumns, fqdn_names: Sequence[str]
+        cls, columns: FlowColumns, fqdn_names: Sequence[str],
+        slds: Sequence[str],
     ) -> "FlowDatabase":
         """Adopt ready-made rows (a materialized segment): ``columns``
         complete, its ``fqdn_id`` column holding ``-1`` or an id into
         ``fqdn_names`` — the distinct lowercased labels in
-        first-appearance order.  The database takes ownership of
-        ``columns`` and builds its intern tables and statistics from
-        them (indexes wait for their first reader).  Enum validity
-        (:meth:`FlowColumns.problem`) and the id range are the caller's
-        checks; ragged columns or a repeated name are ``ValueError``."""
+        first-appearance order — and ``slds`` the second-level domain
+        of each (:meth:`labels_of` of a table that interned them).
+        The database takes ownership of ``columns``, builds its label
+        tables in bulk — field for field what interning the names one
+        by one gives, without parsing a name again — and folds the
+        statistics (indexes wait for their first reader).  Enum
+        validity (:meth:`FlowColumns.problem`) and the id range are the
+        caller's checks; ragged columns or a repeated name are
+        ``ValueError``."""
         database = cls()
-        for name in fqdn_names:
-            database._intern_fqdn(name)
         n = len(columns)
-        if len(database._fqdn_names) != len(fqdn_names) or any(
+        fqdn_ids = dict(zip(fqdn_names, range(len(fqdn_names))))
+        if not len(fqdn_ids) == len(fqdn_names) == len(slds) or any(
             len(getattr(columns, name)) != n for name in columns.__slots__
         ):
             raise ValueError("inconsistent flow columns")
+        sld_ids = {sld: at for at, sld in enumerate(dict.fromkeys(slds))}
+        database._fqdn_names = list(fqdn_names)
+        database._fqdn_ids = fqdn_ids
+        database._fqdn_sld = array("i", map(sld_ids.__getitem__, slds))
+        database._sld_names = list(sld_ids)
+        database._sld_ids = sld_ids
+        database._sld_fqdns = [array("i") for _ in sld_ids]
+        for fqdn_id, sld_id in enumerate(database._fqdn_sld):
+            database._sld_fqdns[sld_id].append(fqdn_id)
         database.columns = columns
         database._records = [None] * n
         database._all_records = not n
@@ -1148,6 +1210,17 @@ class FlowDatabase:
     # Groups.of; numpy-or-not lives in the selectors.  See _grouped for
     # how the public method and the query table share a kernel.
 
+    def groups(self, name: str, *args) -> Groups:
+        """The packed partial of the grouped aggregation ``name`` — its
+        kernel half, what the method of that name would go on to
+        unpack — for an analysis that regroups it with
+        :class:`Groups` operations instead of walking tuples.
+        ``KeyError`` for any other name."""
+        kernel = getattr(getattr(FlowDatabase, name, None), "kernel", None)
+        if kernel is None:
+            raise KeyError(f"{name!r} is not a grouped aggregation")
+        return kernel(self, *args)
+
     def _select(self, rows, *columns) -> list:
         """The values of ``columns`` at ``rows`` (``None`` = every
         row), column-wise: numpy arrays, or sequences without numpy."""
@@ -1234,7 +1307,8 @@ class FlowDatabase:
         )
         return Groups.of(2, _bins(starts, bin_seconds), servers)
 
-    @_grouped(servers_per_bin)
+    @_grouped(lambda pairs, _interns, _sld, bin_seconds:
+              distinct_per_bin(pairs, bin_seconds))
     def unique_servers_per_bin(
         self, sld: str, bin_seconds: float
     ) -> list[tuple[float, int]]:

@@ -491,9 +491,9 @@ INTERNS = "interns"
 class Query:
     """One row of the table (see the module docstring).  ``kernel``
     defaults to the ``FlowDatabase`` method of the same name — for a
-    grouped aggregation to its two halves, the packed kernel and the
-    ``finish`` that unpacks it; ``check`` validates parsed HTTP
-    arguments against each other."""
+    grouped aggregation (``grouped``) to its two halves, the packed
+    kernel and the ``finish`` that unpacks it; ``check`` validates
+    parsed HTTP arguments against each other."""
 
     name: str
     doc: str
@@ -506,6 +506,7 @@ class Query:
     finish: Optional[Callable] = None
     check: Optional[Callable] = None
     shape: Optional[Callable] = None
+    grouped: bool = field(init=False, default=False)
     rows_index: Optional[int] = field(init=False, default=None)
     signature: inspect.Signature = field(init=False, default=None)
 
@@ -513,6 +514,7 @@ class Query:
         if self.kernel is None:
             method = getattr(_dbmod.FlowDatabase, self.name)
             self.kernel = getattr(method, "kernel", method)
+            self.grouped = self.kernel is not method
             if self.finish is None:
                 self.finish = getattr(method, "finish", None)
         for index, param in enumerate(self.params):
@@ -531,6 +533,15 @@ class Query:
     @property
     def route(self) -> str:
         return self.name.replace("_", "-")
+
+    def bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The positional arguments of one public call, defaults
+        filled in (``TypeError`` as a real method would raise it)."""
+        if kwargs or len(args) != len(self.params):
+            bound = self.signature.bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        return args
 
     def normalize(self, args: tuple) -> tuple:
         return tuple(
@@ -760,6 +771,18 @@ class QuerySurface:
             return partial
         return query.finish(partial, self._interns, *args)
 
+    def groups(self, name: str, *args):
+        """The packed partial of the grouped aggregation ``name`` over
+        every source — ``Groups`` in global ids, merged, unfinished:
+        what the method of that name would go on to unpack — for an
+        analysis that regroups it with ``Groups`` operations
+        (``FlowDatabase.groups`` is the in-memory twin).  ``KeyError``
+        for any other name."""
+        query = QUERIES.get(name)
+        if query is None or not query.grouped:
+            raise KeyError(f"{name!r} is not a grouped aggregation")
+        return self._partial(query, query.normalize(query.bind(args, {})))
+
     def _label_tables(self):
         return self._interns
 
@@ -799,20 +822,13 @@ class QuerySurface:
 
 
 def _surface_method(query: Query) -> Callable:
-    signature = query.signature
-    n_params = len(query.params)
-
     def method(self, *args, **kwargs):
-        if kwargs or len(args) != n_params:
-            bound = signature.bind(self, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
-        return self._query(query, args)
+        return self._query(query, query.bind(args, kwargs))
 
     method.__name__ = query.name
     method.__qualname__ = f"QuerySurface.{query.name}"
     method.__doc__ = query.doc
-    method.__signature__ = signature
+    method.__signature__ = query.signature
     return method
 
 

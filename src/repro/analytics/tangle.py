@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analytics.database import FlowDatabase
+from repro.analytics.database import FlowDatabase, Groups
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,23 +58,25 @@ class Cdf:
         ]
 
 
+def _pairs_per(database: FlowDatabase, column: int) -> Cdf:
+    """CDF of the number of deduped ``(fqdn, server)`` pairs sharing one
+    value of ``column`` — counted on the packed partial, one list out."""
+    pairs = database.groups("fqdn_server_counts")
+    return Cdf.from_counts(
+        Groups.of(1, pairs.column(column), count=True).values(1)
+    )
+
+
 def fanout_distribution(database: FlowDatabase) -> Cdf:
     """Fig. 3 top: distinct serverIP count per FQDN."""
-    # One deduped (FQDN, server) pass over the columns; every interned
-    # FQDN has at least one flow, so counting pairs per label covers
-    # exactly database.fqdns().
-    counts: dict[int, int] = defaultdict(int)
-    for fqdn_id, _server, _flows in database.fqdn_server_counts():
-        counts[fqdn_id] += 1
-    return Cdf.from_counts(list(counts.values()))
+    # Every interned FQDN has at least one flow, so counting pairs per
+    # label covers exactly database.fqdns().
+    return _pairs_per(database, 0)
 
 
 def fanin_distribution(database: FlowDatabase) -> Cdf:
     """Fig. 3 bottom: distinct FQDN count per serverIP."""
-    per_server: dict[int, int] = defaultdict(int)
-    for _fqdn_id, server, _flows in database.fqdn_server_counts():
-        per_server[server] += 1
-    return Cdf.from_counts(list(per_server.values()))
+    return _pairs_per(database, 1)
 
 
 def single_mapping_fractions(database: FlowDatabase) -> tuple[float, float]:

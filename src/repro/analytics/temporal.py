@@ -7,9 +7,11 @@
 All three ride the columnar flow store: the per-flow set-building loops
 of the seed implementation became grouped dedupes over interned ids
 (:meth:`FlowDatabase.unique_servers_per_bin`,
-:meth:`FlowDatabase.server_fqdn_bin_triples`), and the IP→organization
-database is consulted once per *distinct server* instead of once per
-flow.
+:meth:`FlowDatabase.server_fqdn_bin_triples`).  Fig. 5 regroups the
+packed triples (``database.groups``) without unpacking them: the
+IP→organization database is consulted once per *distinct server*, and
+every gap-filled series ends in
+:func:`~repro.analytics.database.distinct_per_bin`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from repro.analytics.database import FlowDatabase
+from repro.analytics.database import (
+    FlowDatabase,
+    Groups,
+    distinct_per_bin,
+    series_bins,
+)
 from repro.net.flow import DnsObservation
 from repro.orgdb.ipdb import IpOrganizationDb
 
@@ -44,30 +51,32 @@ class TimeBins:
         self._bins[self.index_of(timestamp)] += count
 
     def add_many(self, timestamps: Iterable[float]) -> None:
-        """Bulk :meth:`add`: one bincount instead of a call per event."""
+        """Bulk :meth:`add`: one count per distinct bin instead of a
+        call per event."""
         if _np is None:
             for timestamp in timestamps:
                 self.add(timestamp)
             return
         stamps = _np.fromiter(timestamps, dtype=_np.float64)
-        if not len(stamps):
-            return
         bins = _np.floor_divide(
             stamps - self.start, self.bin_seconds
         ).astype(_np.int64)
-        lo = int(bins.min())
-        for offset, count in enumerate(_np.bincount(bins - lo).tolist()):
-            if count:
-                self._bins[lo + offset] += count
+        # Counted per distinct bin: nothing here is as long as the span.
+        indexes, counts = _np.unique(bins, return_counts=True)
+        for index, count in zip(indexes.tolist(), counts.tolist()):
+            self._bins[index] += count
 
     def series(self) -> list[tuple[float, int]]:
-        """(bin start time, count) in time order, gaps filled with 0."""
+        """(bin start time, count) in time order, gaps filled with 0
+        (at most ``MAX_SERIES_BINS`` long, else ``ValueError``)."""
         if not self._bins:
             return []
-        lo, hi = min(self._bins), max(self._bins)
+        lo = min(self._bins)
         return [
             (self.start + i * self.bin_seconds, self._bins.get(i, 0))
-            for i in range(lo, hi + 1)
+            for i in range(
+                lo, lo + series_bins(lo, max(self._bins), self.bin_seconds)
+            )
         ]
 
     def peak(self) -> tuple[float, int]:
@@ -90,22 +99,19 @@ def servers_per_domain_series(
     }
 
 
-_MISSING = object()
+def _owner_code(ipdb: IpOrganizationDb, cdns: Sequence[str]):
+    """``(codes, code_of)``: a code per distinct lowercased CDN name,
+    first appearance first, and ``server → code`` of the organization
+    owning it (``-1``: none of them, or unallocated)."""
+    codes = {name: code for code, name in enumerate(
+        dict.fromkeys(cdn.lower() for cdn in cdns)
+    )}
 
+    def code_of(server: int) -> int:
+        owner = ipdb.lookup(server)
+        return -1 if owner is None else codes.get(owner.lower(), -1)
 
-def _owner_lookup(ipdb: IpOrganizationDb):
-    """Memoized ``server → lowercased owner`` (one probe per server)."""
-    cache: dict[int, str | None] = {}
-
-    def lookup(server: int) -> str | None:
-        owner = cache.get(server, _MISSING)
-        if owner is _MISSING:
-            owner = ipdb.lookup(server)
-            owner = owner.lower() if owner is not None else None
-            cache[server] = owner
-        return owner
-
-    return lookup
+    return codes, code_of
 
 
 def fqdns_per_cdn_series(
@@ -114,43 +120,40 @@ def fqdns_per_cdn_series(
     cdns: Sequence[str],
     bin_seconds: float = 600.0,
 ) -> dict[str, list[tuple[float, int]]]:
-    """Fig. 5: distinct active FQDNs per CDN per time bin."""
-    wanted = {cdn.lower() for cdn in cdns}
-    sets: dict[str, dict[int, set[int]]] = {
-        cdn.lower(): defaultdict(set) for cdn in cdns
-    }
-    owner_of = _owner_lookup(ipdb)
-    for server, fqdn_id, bin_index in database.server_fqdn_bin_triples(
-        bin_seconds
-    ):
-        owner = owner_of(server)
-        if owner in wanted:
-            sets[owner][bin_index].add(fqdn_id)
+    """Fig. 5: distinct active FQDNs per CDN per time bin (a series is
+    at most :data:`~repro.analytics.database.MAX_SERIES_BINS` long,
+    else ``ValueError``)."""
+    codes, code_of = _owner_code(ipdb, cdns)
+    owned = database.groups(
+        "server_fqdn_bin_triples", bin_seconds
+    ).mapped(0, code_of)
     out: dict[str, list[tuple[float, int]]] = {}
-    for cdn, bins in sets.items():
-        if not bins:
-            out[cdn] = []
-            continue
-        lo, hi = min(bins), max(bins)
-        out[cdn] = [
-            (i * bin_seconds, len(bins.get(i, set())))
-            for i in range(lo, hi + 1)
-        ]
+    for cdn, code in codes.items():
+        mine = owned.where(0, (code,))
+        out[cdn] = distinct_per_bin(
+            Groups.of(2, mine.column(2), mine.column(1)), bin_seconds
+        )
     return out
+
+
+def total_fqdns_per_cdns(
+    database: FlowDatabase, ipdb: IpOrganizationDb, cdns: Sequence[str]
+) -> dict[str, int]:
+    """Whole-trace FQDN count per CDN, keyed by lowercased name (the
+    paper: Amazon served 7995 FQDNs over the day) — one pass over the
+    store whatever the number of CDNs."""
+    codes, code_of = _owner_code(ipdb, cdns)
+    owned = database.groups("fqdn_server_counts").mapped(1, code_of)
+    distinct = Groups.of(2, owned.column(1), owned.column(0))
+    totals = Groups.of(1, distinct.column(0), count=True).mapping()
+    return {cdn: totals.get(code, 0) for cdn, code in codes.items()}
 
 
 def total_fqdns_per_cdn(
     database: FlowDatabase, ipdb: IpOrganizationDb, cdn: str
 ) -> int:
-    """Whole-trace FQDN count for one CDN (the paper: Amazon served 7995
-    FQDNs over the day)."""
-    cdn_lower = cdn.lower()
-    owner_of = _owner_lookup(ipdb)
-    fqdns: set[int] = set()
-    for fqdn_id, server, _count in database.fqdn_server_counts():
-        if owner_of(server) == cdn_lower:
-            fqdns.add(fqdn_id)
-    return len(fqdns)
+    """:func:`total_fqdns_per_cdns` for one name."""
+    return total_fqdns_per_cdns(database, ipdb, [cdn])[cdn.lower()]
 
 
 def dns_response_rate(

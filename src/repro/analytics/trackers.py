@@ -9,6 +9,7 @@ general apps with flow and byte totals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -55,10 +56,11 @@ class TrackerActivityAnalysis:
         self._timelines: dict[str, ActivityTimeline] = {}
         self._max_bin = 0
 
+    _TRACKER_PATTERN = re.compile("|".join(map(re.escape, TRACKER_TOKENS)))
+
     @classmethod
     def _default_classifier(cls, fqdn: str) -> bool:
-        lowered = fqdn.lower()
-        return any(token in lowered for token in cls.TRACKER_TOKENS)
+        return cls._TRACKER_PATTERN.search(fqdn.lower()) is not None
 
     def observe(self, flow: FlowRecord) -> None:
         """Feed one labeled flow.
@@ -92,18 +94,19 @@ class TrackerActivityAnalysis:
         """Feed a whole flow database through the grouped fast path.
 
         Classification runs once per *distinct* label and activity bins
-        come from the store's deduped ``(fqdn_id, bin)`` pairs — the
-        per-flow :meth:`observe` loop collapses to one pass over unique
-        (service, bin) combinations, with identical results (the
-        classifier receives the canonical lowercased label on both
-        paths, and ``first_seen`` is the earliest flow start).
+        come from the store's deduped ``(fqdn_id, bin)`` pairs, cut
+        down to the classified labels while still packed — the
+        per-flow :meth:`observe` loop collapses to one pass over the
+        trackers' unique (service, bin) combinations, with identical
+        results (the classifier receives the canonical lowercased label
+        on both paths, and ``first_seen`` is the earliest flow start).
         """
-        first_seen = database.fqdn_first_seen(rows)
-        classified: dict[int, ActivityTimeline | None] = {}
-        for fqdn_id, start in first_seen.items():
-            service = database.fqdn_label(fqdn_id)
+        first_seen = database.groups("fqdn_first_seen", rows)
+        names = database.fqdns()            # position = interned id
+        tracked: dict[int, ActivityTimeline] = {}
+        for fqdn_id, start in zip(first_seen.values(0), first_seen.values(1)):
+            service = names[fqdn_id]
             if not self.classifier(service):
-                classified[fqdn_id] = None
                 continue
             timeline = self._timelines.get(service)
             if timeline is None:
@@ -113,15 +116,15 @@ class TrackerActivityAnalysis:
                 self._timelines[service] = timeline
             elif start < timeline.first_seen:
                 timeline.first_seen = start
-            classified[fqdn_id] = timeline
-        for fqdn_id, bin_index in database.fqdn_bin_pairs(
-            self.bin_seconds, rows
-        ):
-            timeline = classified[fqdn_id]
-            if timeline is not None:
-                if bin_index > self._max_bin:
-                    self._max_bin = bin_index
-                timeline.active_bins.add(bin_index)
+            tracked[fqdn_id] = timeline
+        # Only the trackers' pairs ever leave the packed partial.
+        active = database.groups(
+            "fqdn_bin_pairs", self.bin_seconds, rows
+        ).where(0, tracked)
+        bins = active.values(1)
+        for fqdn_id, bin_index in zip(active.values(0), bins):
+            tracked[fqdn_id].active_bins.add(bin_index)
+        self._max_bin = max(self._max_bin, max(bins, default=0))
 
     def timelines(self) -> list[ActivityTimeline]:
         """Timelines ordered by first appearance (Fig. 11's id order)."""

@@ -7,7 +7,7 @@ EdgeCast serves <20.  The reproduced ordering should match.
 
 from __future__ import annotations
 
-from repro.analytics.temporal import fqdns_per_cdn_series, total_fqdns_per_cdn
+from repro.analytics.temporal import fqdns_per_cdn_series, total_fqdns_per_cdns
 from repro.experiments.datasets import DEFAULT_SEED, get_result
 from repro.experiments.report import hours_fmt
 from repro.experiments.result import ExperimentResult
@@ -28,9 +28,7 @@ def run(
     series = fqdns_per_cdn_series(
         result.database, ipdb, CDNS, bin_seconds=bin_seconds
     )
-    totals = {
-        cdn: total_fqdns_per_cdn(result.database, ipdb, cdn) for cdn in CDNS
-    }
+    totals = total_fqdns_per_cdns(result.database, ipdb, CDNS)
     sections = []
     for cdn in CDNS:
         data = series[cdn]

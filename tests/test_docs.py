@@ -249,22 +249,35 @@ _TUPLE_COMBINATORS = (
 )
 
 
+def _functions_with(path: Path, wanted) -> set[str]:
+    """Names of the functions in ``path`` holding a node ``wanted``
+    accepts (a nested function counts for its enclosing ones too)."""
+    return {
+        function.name
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(wanted(node) for node in ast.walk(function))
+    }
+
+
+def _calls(name: str):
+    """Node test: a call of ``name``, bare or as an attribute."""
+    def wanted(node) -> bool:
+        return isinstance(node, ast.Call) and name == getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        )
+    return wanted
+
+
 def _functions_calling(path: Path, module: str, attr: str) -> set[str]:
     """Names of the functions in ``path`` that call ``module.attr``."""
-    found = set()
-    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == module
-            ):
-                found.add(function.name)
-    return found
+    return _functions_with(path, lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == module
+    ))
 
 
 def test_flowdatabase_owns_its_rows():
@@ -296,6 +309,50 @@ def test_flowdatabase_owns_its_rows():
         ("storage.py", "read_manifest"),
         ("shard.py", "_load_or_create_topology"),   # SHARDS.json
     }
+
+
+def test_consumers_read_columns_and_labels_resolve_once():
+    """docs/architecture.md, *Rows* and "add an analysis": the Fig. 3 /
+    5 / 11 analyses regroup a packed partial through ``Groups``
+    operations — no tuple per group, no reaching into its arrays; a
+    segment's label table is lowered in one place and adopted, not
+    re-interned, at materialization; and a gap-filled series is bounded
+    in one function."""
+    analytics = REPO / "src" / "repro" / "analytics"
+    unpacked = [
+        hit for name in ("temporal.py", "tangle.py", "trackers.py")
+        for hit in _source_hits(
+            analytics / name, r"\.tuples\(\)|\.columns\b|\.rows\b"
+        )
+    ]
+    assert not unpacked, "a consumer unpacks its partial:\n" + "\n".join(
+        unpacked
+    )
+    storage, database = analytics / "storage.py", analytics / "database.py"
+    assert not _source_hits(REPO / "src", r"_map_local_fqdns")
+    assert _functions_with(storage, _calls("_lowered_labels")) == {"bind"}
+    # The footer (write path) and first-seen interning, nowhere else.
+    assert _functions_with(storage, _calls("second_level_domain")) == {
+        "from_blocks"
+    }
+    assert _functions_with(database, _calls("second_level_domain")) == {
+        "_intern_fqdn"
+    }
+    assert "from_columns" not in _functions_with(
+        database, _calls("_intern_fqdn")
+    )
+
+    def compares_the_limit(node) -> bool:
+        return isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Name) and side.id == "MAX_SERIES_BINS"
+            for side in [node.left, *node.comparators]
+        )
+
+    assert {
+        (path.name, name)
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for name in _functions_with(path, compares_the_limit)
+    } == {("database.py", "series_bins")}
 
 
 _TYPE_STRING = re.compile(r"[\w.\[\], |]{1,80}")

@@ -34,7 +34,10 @@ mutex.
 
 import inspect
 import json
+import os
 import pickle
+import subprocess
+import sys
 import threading
 from array import array
 from contextlib import contextmanager, nullcontext
@@ -66,17 +69,17 @@ from repro.analytics.storage import (
     FlowStore,
     StorageError,
     StoreSnapshot,
-    _map_local_fqdns,
 )
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.serve.server import ServeApp
 
-#: Public FlowDatabase attributes that are not queries: ingestion and
-#: id lookups (answered from the intern tables, never merged).
+#: Public FlowDatabase attributes that are not queries: ingestion, id
+#: lookups (answered from the intern tables, never merged) and
+#: ``groups``, the accessor for a grouped aggregation's packed partial.
 NOT_QUERIES = {
     "add", "add_all", "from_flows", "from_columns", "ingest_batch",
     "parse_batch", "commit_batch", "from_batches", "fqdn_label",
-    "sld_label", "sld_of_fqdn",
+    "sld_label", "sld_of_fqdn", "labels_of", "groups",
 }
 #: The grouped aggregations: their partials travel as packed ``Groups``.
 GROUPED = {
@@ -382,6 +385,57 @@ class TestCompleteness:
             # Generated once, on QuerySurface — never re-implemented.
             assert getattr(surface, attr) is getattr(QuerySurface, attr)
 
+    @pytest.mark.parametrize("surface", [
+        FlowStore, StoreSnapshot, ShardCoordinator, CoordinatorSnapshot,
+    ])
+    def test_packed_accessor_is_generated_once(self, surface):
+        """``groups`` comes from ``QuerySurface`` alone; ``labels_of``
+        is the in-memory database's (what a segment adopts its label
+        tables through) and no merged surface grows one."""
+        assert surface.groups is QuerySurface.groups
+        assert "labels_of" not in vars(QuerySurface)
+        assert "labels_of" not in vars(surface)
+        assert {name for name, query in QUERIES.items() if query.grouped} == (
+            GROUPED
+        )
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_packed_accessor_is_the_unfinished_partial(self, tmp_path,
+                                                       numpy):
+        with nullcontext() if numpy else _without_numpy():
+            flows = [_flow(i) for i in range(60)]
+            mem = FlowDatabase.from_flows(flows)
+            store = FlowStore(tmp_path / "store", spill_rows=13)
+            store.add_all(flows)
+            coord = ShardCoordinator(tmp_path / "sharded", shards=2,
+                                     spill_rows=13)
+            coord.add_all(flows)
+            for name, args in _cases(mem):
+                query = QUERIES[name]
+                for surface in (mem, store, coord):
+                    if name not in GROUPED:
+                        # Not a row array, not a record list: refused.
+                        with pytest.raises(KeyError, match=name):
+                            surface.groups(name, *args)
+                        continue
+                    packed = surface.groups(name, *args)
+                    assert isinstance(packed, Groups), name
+                    interns = mem if surface is mem else surface._interns
+                    assert query.finish(
+                        packed, interns, *query.normalize(args)
+                    ) == _call(surface, name, args), name
+            for surface in (mem, store, coord):
+                for bogus in ("no_such_query", "_partial", "close", "add"):
+                    with pytest.raises(KeyError):
+                        surface.groups(bogus)
+            # A trailing default fills in like the method's.
+            for surface in (mem, store, coord):
+                assert surface.groups("fqdn_bin_pairs", 10.0) == (
+                    surface.groups("fqdn_bin_pairs", 10.0, None)
+                )
+            coord.close()
+            store.close()
+
     def test_routes_and_worker_ops_are_the_table(self, tmp_path):
         store = FlowStore(tmp_path / "store")
         store.add_all(_flow(i) for i in range(12))
@@ -425,7 +479,9 @@ def _assert_split_merges(n_flows: int, cuts: list, make_flow) -> dict:
         for lo, hi in zip(bounds, bounds[1:])
     ] or [FlowDatabase()]
     interns = FlowDatabase()
-    maps = [_map_local_fqdns(interns, db.fqdns()) for db in sources]
+    maps = [
+        array("i", map(interns._intern_fqdn, db.fqdns())) for db in sources
+    ]
     bases = bounds[:-1] or [0]
     packed = {}
     for name, args in _cases(mem):
@@ -636,6 +692,64 @@ class TestSeriesLimit:
         monkeypatch.setattr(database_module, "MAX_SERIES_BINS", 3600)
         with pytest.raises(ValueError, match="3601 bins"):
             mem.unique_servers_per_bin("example.com", 1.0)
+
+    #: Fig. 5 and Fig. 14 over the same two flows / two DNS responses,
+    #: in a child whose address space ends 1 GiB above what the imports
+    #: mapped: the 360M-entry series (a ``range`` comprehension in
+    #: ``fqdns_per_cdn_series`` and ``TimeBins.series``, a 2.7 GiB
+    #: ``bincount`` in ``TimeBins.add_many``) dies of ``MemoryError``
+    #: there instead of taking the machine along.
+    CHILD = """
+import os, resource, sys
+import repro.analytics.database as database
+import repro.analytics.temporal as temporal
+from repro.net.flow import (DnsObservation, FiveTuple, FlowRecord,
+                            Protocol, TransportProto)
+from repro.orgdb.ipdb import IpOrganizationDb
+
+if sys.argv[1] == "pure":
+    database._np = temporal._np = None
+flows = [
+    FlowRecord(fid=FiveTuple(7, 40 + i, 1024 + i, 443, TransportProto.TCP),
+               start=start, end=start + 1.0, protocol=Protocol.TLS,
+               bytes_up=1, bytes_down=1, packets=1, fqdn="www.example.com")
+    for i, start in enumerate((0.0, 3600.0))
+]
+db = database.FlowDatabase.from_flows(flows)
+ipdb = IpOrganizationDb()
+ipdb.add_range(0, 1000, "cdn")
+responses = [DnsObservation(flow.start, 7, "www.example.com") for flow in flows]
+try:
+    with open("/proc/self/statm") as statm:
+        mapped = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+except OSError:
+    mapped = 2 << 30
+_soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), hard))
+for ask in (
+    lambda: temporal.fqdns_per_cdn_series(db, ipdb, ["cdn"], 1e-5),
+    lambda: temporal.dns_response_rate(responses, 1e-5).series(),
+):
+    try:
+        ask()
+    except ValueError as exc:
+        assert str(database.MAX_SERIES_BINS) in str(exc), exc
+    else:
+        sys.exit("a 360M-bin series was built")
+hour = temporal.fqdns_per_cdn_series(db, ipdb, ["cdn"], 1.0)["cdn"]
+assert len(hour) == 3601 and hour[0] == (0.0, 1) and hour[1] == (1.0, 0)
+assert len(temporal.dns_response_rate(responses, 1.0).series()) == 3601
+"""
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    def test_fig5_and_fig14_series_are_refused_too(self, leg):
+        pytest.importorskip("resource")
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHILD, leg],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestLabelLookups:

@@ -29,7 +29,6 @@ from repro.analytics.database import FlowDatabase
 from repro.analytics.storage import (
     FlowStore,
     SegmentReader,
-    _map_local_fqdns,
 )
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.sniffer.eventcodec import encode_events
@@ -73,7 +72,7 @@ def _inject_empty_segment(directory) -> None:
     store = FlowStore(directory)
     name = store._writer.write(FlowDatabase())
     reader = SegmentReader.open(store.directory / name)
-    reader.fqdn_map = _map_local_fqdns(store._interns, reader.labels)
+    reader.bind(store._interns)
     store._segments.append(reader)
     store._write_manifest()
 
