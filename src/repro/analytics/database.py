@@ -60,6 +60,7 @@ the resolver and the codec.
 from __future__ import annotations
 
 import inspect
+import json
 import math
 import operator
 import struct
@@ -343,10 +344,12 @@ class Groups:
     holds.  Partials stay packed through :meth:`lifted` and
     :meth:`merged` — also across a shard worker's pipe, they pickle —
     and become tuples once, in :meth:`tuples` / :meth:`mapping` (the
-    query table's ``finish``).  An analysis that regroups them asks for
-    the partial itself (``database.groups(name, ...)``) and stays on
-    columns: :meth:`mapped`, :meth:`where`, :meth:`column` back into
-    :meth:`of`, and :meth:`values` for the one list it reports.
+    query table's ``finish``) — or never: a served answer is written
+    from the columns (:meth:`to_json`).  An analysis that regroups them
+    asks for the partial itself (``database.groups(name, ...)``) and
+    stays on columns: :meth:`mapped`, :meth:`where`, :meth:`column`
+    back into :meth:`of`, and :meth:`values` for the one list it
+    reports.
     """
 
     __slots__ = ("k", "columns", "rows")
@@ -499,6 +502,21 @@ class Groups:
             return dict(self.rows)
         keys, values = self.columns
         return dict(zip(keys.tolist(), values.tolist()))
+
+    def to_json(self) -> str:
+        """``[[k…, v…], …]``: the text ``json.dumps`` writes for
+        :meth:`tuples`, without a tuple per group — integer columns
+        are interleaved and written by one ``%d`` template."""
+        if self.columns is None or any(
+            column.dtype.kind not in "iuO" for column in self.columns
+        ):
+            return json.dumps(self.tuples())
+        width = len(self.columns)
+        flat = [None] * (width * len(self))
+        for index, column in enumerate(self.columns):
+            flat[index::width] = column.tolist()
+        row = "[" + ", ".join(["%d"] * width) + "]"
+        return "[" + ", ".join([row] * len(self)) % tuple(flat) + "]"
 
 
 def _bins(starts, bin_seconds: float):

@@ -44,7 +44,10 @@ written down.  Each :class:`Query` in :data:`QUERIES` carries
     of the ``FlowDatabase`` method of the same name;
 ``shape``
     the JSON payload of the query's ``/query/<route>`` endpoint
-    (``None`` = not served over HTTP).
+    (``None`` = not served over HTTP): a ``dict`` of the finished
+    result, which the server encodes — except on a ``packed`` route,
+    whose shape takes the merged partial itself (``Groups``, never
+    unpacked) and returns the encoded body.
 
 Executors live with the sources they know: ``_StoreReadMixin._partial``
 (sources = segments + tail) and ``ShardCoordinator._partial`` (sources
@@ -423,8 +426,10 @@ def _shape_servers(servers) -> dict:
     }
 
 
-def _shape_groups(groups) -> dict:
-    return {"groups": [list(group) for group in groups]}
+def _shape_groups(key: str) -> Callable:
+    """Shape of a ``packed`` route: the body ``{key: [[k…, v…], …]}``
+    written from the columns of the merged partial."""
+    return lambda groups: ('{"%s": %s}' % (key, groups.to_json())).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +498,8 @@ class Query:
     defaults to the ``FlowDatabase`` method of the same name — for a
     grouped aggregation (``grouped``) to its two halves, the packed
     kernel and the ``finish`` that unpacks it; ``check`` validates
-    parsed HTTP arguments against each other."""
+    parsed HTTP arguments against each other; ``packed`` routes the
+    merged partial, not the finished result, to ``shape``."""
 
     name: str
     doc: str
@@ -506,6 +512,7 @@ class Query:
     finish: Optional[Callable] = None
     check: Optional[Callable] = None
     shape: Optional[Callable] = None
+    packed: bool = False
     grouped: bool = field(init=False, default=False)
     rows_index: Optional[int] = field(init=False, default=None)
     signature: inspect.Signature = field(init=False, default=None)
@@ -670,21 +677,22 @@ _TABLE = (
     Query("fqdn_server_counts",
           "Deduped ``(fqdn_id, server_ip, flow_count)`` groups (global "
           "ids) over the labeled flows of ``rows``, sorted.",
-          (ROWS,), lift=_lift_ids(0), merge=_merged, shape=_shape_groups),
+          (ROWS,), lift=_lift_ids(0), merge=_merged,
+          shape=_shape_groups("groups"), packed=True),
     Query("fqdn_client_counts",
           "Deduped ``(fqdn_id, client_ip, flow_count)`` groups (global "
           "ids) over the labeled flows of ``rows``, sorted.",
-          (ROWS,), lift=_lift_ids(0), merge=_merged, shape=_shape_groups),
+          (ROWS,), lift=_lift_ids(0), merge=_merged,
+          shape=_shape_groups("groups"), packed=True),
     Query("fqdn_flow_byte_totals",
           "Per-label ``(fqdn_id, flows, bytes_up, bytes_down)`` totals "
           "over the labeled flows of ``rows``, sorted by id.",
-          (ROWS,), lift=_lift_ids(0), merge=_merged, shape=_shape_groups),
+          (ROWS,), lift=_lift_ids(0), merge=_merged,
+          shape=_shape_groups("groups"), packed=True),
     Query("server_flow_counts",
           "Flow count per serverIP over ``rows`` (default: all flows).",
           (ROWS,), merge=_merged,
-          shape=lambda counts: {
-              "counts": [[server, n] for server, n in counts.items()],
-          }),
+          shape=_shape_groups("counts"), packed=True),
     Query("unique_servers_per_bin",
           "Fig. 4 series: distinct serverIPs per time bin for one 2LD, "
           "gap-filled from the first to the last active bin — "

@@ -10,9 +10,9 @@ and exposes its query surface over HTTP/JSON (full reference in
   and compactions land concurrently; a pinned reader can never 404
   half-way through a scan.
 * **Single-flight coalescing** — identical concurrent queries (same
-  route + canonicalized params) share one execution and one snapshot
-  (:mod:`repro.serve.singleflight`); the duplicate callers surface in
-  ``serve_coalesced_total``.
+  route + canonicalized params) share one execution, one snapshot and
+  one encoded body (:mod:`repro.serve.singleflight`); the duplicate
+  callers surface in ``serve_coalesced_total``.
 * **Ingest** — ``POST /ingest`` accepts one eventcodec tagged-flow
   batch per request and acknowledges only after the store's WAL
   fsync; the store's own writer lock serializes it with the CLI's
@@ -30,10 +30,11 @@ and exposes its query surface over HTTP/JSON (full reference in
 Everything is stdlib: :class:`http.server.ThreadingHTTPServer` gives
 one thread per in-flight request, which the store's mutex discipline
 (lock-free sealed-segment scans, serialized tail access) is built for.
-The transport hardening — per-connection socket timeouts, daemon
-threads, ``Content-Length``-first body handling — lives in
-:meth:`ServeApp.make_server`, so a slow-loris client times out and an
-oversized POST is refused *before* its body is read.
+The transport — one write per response on ``TCP_NODELAY`` sockets,
+per-connection socket timeouts, daemon threads, ``Content-Length``-first
+body handling — lives in :meth:`ServeApp.make_server`, so a slow-loris
+client times out and a POST that is oversized, or to any route but
+``/ingest``, is refused *before* its body is read.
 """
 
 from __future__ import annotations
@@ -98,16 +99,28 @@ _STORE_SERIES = {
 }
 
 
+def _encode(payload: dict | bytes) -> bytes:
+    """The response body of a JSON payload; one that is encoded
+    already (a ``packed`` route's, a finished query's) passes through."""
+    if isinstance(payload, bytes):
+        return payload
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 def _query_route(query: Query) -> Callable:
     """The ``/query/<route>`` handler of one query-table entry: read
     its arguments from the request parameters and run it on the pinned
     snapshot — 400 on a missing, repeated or malformed argument and on
     one the query itself refuses (a gap-filled series past
     ``MAX_SERIES_BINS``); the store's own ``StorageError`` stays a
-    server error — then shape the JSON payload."""
+    server error — then shape the JSON payload (a ``packed`` route's
+    shape writes the body from the merged partial itself)."""
     def handler(snap, params):
         try:
-            return query.shape(snap._query(query, query.parse(params)))
+            args = query.parse(params)
+            if query.packed:
+                return query.shape(snap.groups(query.name, *args))
+            return query.shape(snap._query(query, args))
         except StorageError:
             raise
         except ValueError as exc:
@@ -182,8 +195,9 @@ class ServeApp:
         )
         self.m_latency = reg.histogram(
             "serve_query_seconds",
-            "End-to-end /query handler latency in seconds "
-            "(coalesced followers included).",
+            "/query handler latency in seconds: execution and JSON "
+            "encoding, not the transport (coalesced followers "
+            "included).",
             labelnames=("route",),
         )
         self.m_coalesced = reg.counter(
@@ -300,7 +314,7 @@ class ServeApp:
     # -- dispatch ----------------------------------------------------------
 
     def _run_query(self, route: str, params: dict,
-                   deadline: Optional[Deadline] = None) -> dict:
+                   deadline: Optional[Deadline] = None) -> bytes:
         fn = self.query_routes[route]
         key = (
             route,
@@ -317,11 +331,12 @@ class ServeApp:
             # followers share it.  The deadline rides on the snapshot
             # (instance attribute), so the store's kernel loop — pool
             # workers included — checks *this* request's budget and no
-            # other reader's.
+            # other reader's.  The answer is encoded here too, once:
+            # followers share the leader's bytes.
             with self.store.pin() as snap:
                 if deadline is not None:
                     snap.cancel_token = deadline
-                return fn(snap, params)
+                return _encode(fn(snap, params))
 
         # A follower waits at most its own remaining budget, and a
         # failed leader (crash or *its* deadline) makes the follower
@@ -515,18 +530,18 @@ class ServeApp:
 
     def reject(self, route: str, status: int, message: str
                ) -> tuple[int, str, bytes, dict]:
-        """A transport-level refusal (oversized/truncated body) that
-        still lands in ``serve_requests_total``.  The connection is
-        closed — the client may still be mid-upload."""
+        """A transport-level refusal (oversized/truncated body, a POST
+        to a GET route) that still lands in ``serve_requests_total``.
+        The connection is closed — the client may still be mid-upload."""
         return self._finish(route, status, {"error": message},
                             headers={"Connection": "close"})
 
-    def _finish(self, route: str, status: int, payload: dict,
+    def _finish(self, route: str, status: int, payload: dict | bytes,
                 headers: Optional[dict] = None
                 ) -> tuple[int, str, bytes, dict]:
         self.m_requests.inc(route=route, code=str(status))
-        raw = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return status, "application/json", raw, dict(headers or {})
+        return (status, "application/json", _encode(payload),
+                dict(headers or {}))
 
     # -- transport ---------------------------------------------------------
 
@@ -540,8 +555,10 @@ class ServeApp:
         its thread is reclaimed), daemon connection threads (a wedged
         client cannot block process exit), and a ``Content-Length``-
         first POST path — an oversized ingest body is refused with 413
-        *before* a single body byte is read, and a mid-body disconnect
-        or stall drops the connection instead of wedging the handler.
+        and a POST to any other route with 405 *before* a single body
+        byte is read, and a mid-body disconnect or stall drops the
+        connection instead of wedging the handler.  Every response
+        leaves as one write on a ``TCP_NODELAY`` socket.
         """
         app = self
 
@@ -557,6 +574,9 @@ class ServeApp:
             # are all bounded — handle_one_request treats the timeout
             # as end-of-connection.
             timeout = app.socket_timeout_s
+            # TCP_NODELAY on every accepted socket: an answer is one
+            # write (see _reply), there is nothing for Nagle to gather.
+            disable_nagle_algorithm = True
 
             def _reply(self, response) -> None:
                 status, content_type, payload, headers = response
@@ -570,7 +590,15 @@ class ServeApp:
                         # send_header("Connection", "close") also
                         # flips close_connection for us.
                         self.send_header(name, value)
-                    self.end_headers()
+                    # Head and body leave in one write.  end_headers()
+                    # would send the buffered head here and the body
+                    # after it, and on a keep-alive connection that
+                    # second segment waits for the client's delayed
+                    # ACK (~40 ms under every small answer).
+                    if self.request_version != "HTTP/0.9":
+                        self._headers_buffer.append(b"\r\n")
+                        payload = b"".join(self._headers_buffer) + payload
+                        self._headers_buffer = []
                     self.wfile.write(payload)
                 except OSError:
                     # The client is gone (reset, broken pipe, or its
@@ -593,6 +621,12 @@ class ServeApp:
 
             def do_POST(self):
                 split = urlsplit(self.path)
+                if split.path != "/ingest":
+                    # Nothing else takes a POST: refused from the
+                    # request line, whatever body was announced.
+                    return self._reply(app.reject(
+                        split.path, 405, "GET required"
+                    ))
                 raw_length = self.headers.get("Content-Length")
                 if raw_length is None:
                     return self._reply(app.reject(
@@ -607,8 +641,7 @@ class ServeApp:
                         split.path, 400,
                         f"bad Content-Length {raw_length!r}",
                     ))
-                if (split.path == "/ingest"
-                        and length > app.max_ingest_bytes):
+                if length > app.max_ingest_bytes:
                     # Refuse from the header alone: reading (then
                     # discarding) a 64 MiB+ body is exactly the
                     # resource exhaustion the cap exists to prevent.

@@ -27,6 +27,14 @@ and the tail step must not break any entry.
 Series limit (regression): a gap-filled series longer than
 ``MAX_SERIES_BINS`` is refused on every surface before it is allocated.
 
+Served bytes (differential): every routed entry's HTTP body equals
+``json.dumps(twin(result), sort_keys=True)`` byte for byte, the twin
+being the shape functions as PR 21 served them (kept here) — the four
+``packed`` routes write their body from the columns
+(``Groups.to_json``) and must not be tellable from the rest; on
+generated stores (empty, one group, tail only, sealed + tail, sums
+past 2^53 and past 2^64) and on both kernel paths.
+
 Label lookups (regression): ``fqdn_label`` / ``sld_label`` /
 ``sld_of_fqdn`` answer from the append-only tables without the store
 mutex.
@@ -44,7 +52,7 @@ from contextlib import contextmanager, nullcontext
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.analytics.database as database_module
@@ -71,6 +79,7 @@ from repro.analytics.storage import (
     StoreSnapshot,
 )
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
+from repro.net.ip import ip_to_str
 from repro.serve.server import ServeApp
 
 #: Public FlowDatabase attributes that are not queries: ingestion, id
@@ -96,6 +105,59 @@ SORTED_WHEN_MERGED = {
     "fqdn_server_counts", "fqdn_client_counts", "fqdn_flow_byte_totals",
     "sld_flow_stats",
 }
+
+
+def _twin_rows(rows) -> dict:
+    return {"rows": list(rows)}
+
+
+def _twin_servers(servers) -> dict:
+    servers = sorted(servers)
+    return {
+        "servers": servers,
+        "servers_dotted": [ip_to_str(s) for s in servers],
+    }
+
+
+def _twin_groups(groups) -> dict:
+    return {"groups": [list(group) for group in groups]}
+
+
+#: Route shapes as PR 21 served them — the retained twin of
+#: ``Query.shape``: result of the public method → JSON payload, which
+#: the server then wrote with ``json.dumps(payload, sort_keys=True)``.
+TWIN_SHAPES = {
+    "rows_for_fqdn": _twin_rows,
+    "rows_for_domain": _twin_rows,
+    "rows_for_port": _twin_rows,
+    "rows_in_window": _twin_rows,
+    "fqdns": lambda names: {"fqdns": names},
+    "slds": lambda names: {"slds": names},
+    "servers_for_fqdn": _twin_servers,
+    "servers_for_domain": _twin_servers,
+    "fqdns_for_servers": lambda names: {"fqdns": sorted(names)},
+    "fqdn_server_counts": _twin_groups,
+    "fqdn_client_counts": _twin_groups,
+    "fqdn_flow_byte_totals": _twin_groups,
+    "server_flow_counts": lambda counts: {
+        "counts": [[server, n] for server, n in counts.items()],
+    },
+    "unique_servers_per_bin": lambda series: {
+        "series": [[t, n] for t, n in series],
+    },
+    "len": lambda rows: {"rows": rows},
+    "tagged_count": lambda rows: {"tagged_rows": rows},
+    "count_by_protocol": lambda counts: {
+        "counts": {
+            protocol.value: count for protocol, count in counts.items()
+        },
+    },
+    "time_span": lambda span: {"t0": span[0], "t1": span[1]},
+}
+
+
+def _twin_body(name: str, result) -> bytes:
+    return json.dumps(TWIN_SHAPES[name](result), sort_keys=True).encode()
 
 
 @contextmanager
@@ -133,6 +195,15 @@ def _big_flow(i: int) -> FlowRecord:
     flow = _flow(i)
     flow.bytes_up = 2**64 - 1 - i
     flow.bytes_down = 2**63 + i
+    return flow
+
+
+def _wide_flow(i: int) -> FlowRecord:
+    """``_flow`` with byte counters past 2^53 (no float holds their
+    sums) that still add up inside a ``uint64``."""
+    flow = _flow(i)
+    flow.bytes_up = 2**53 + 1 + i
+    flow.bytes_down = 2**55 + i
     return flow
 
 
@@ -269,10 +340,10 @@ def _assert_conforms(surfaces: dict, mem: FlowDatabase, app=None,
             assert status == 400  # HTTP refuses an inverted window
             continue
         assert status == 200, payload
-        # The served JSON is the table's shape of the direct answer.
-        assert json.loads(payload) == json.loads(
-            json.dumps(query.shape(answers[0]))
-        ), f"{name}{args}: HTTP"
+        # The served bytes are the twin's shape of the direct answer.
+        assert payload == _twin_body(name, answers[0]), (
+            f"{name}{args}: HTTP"
+        )
 
 
 def _flat_store(directory, flows, spill_rows=9, **kwargs) -> FlowStore:
@@ -519,6 +590,11 @@ def _assert_split_merges(n_flows: int, cuts: list, make_flow) -> dict:
             assert piped == parts and query.merge(piped) == flat, name
             # An empty part anywhere is the identity.
             assert query.merge([Groups(0), *parts, Groups(0)]) == flat
+            # Written from the columns, the text of the tuples.
+            for groups in (flat, *parts):
+                assert groups.to_json() == json.dumps(
+                    [list(row) for row in groups.tuples()]
+                ), name
             packed.setdefault(name, flat)
         result = flat if query.finish is None else (
             query.finish(flat, interns, *args)
@@ -593,6 +669,49 @@ class TestMergeContract:
         )
         coord.close()
         flat.close()
+
+
+class TestServedBytes:
+    @pytest.mark.parametrize("numpy", [True, False])
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=2, max_value=17),
+        st.booleans(),
+        st.sampled_from([_flow, _wide_flow, _big_flow]),
+    )
+    @example(0, 9, True, _flow)       # empty store
+    @example(2, 9, False, _flow)      # one group, tail only
+    @example(2, 2, True, _big_flow)   # one group, sealed, dtype=object
+    @example(40, 7, False, _wide_flow)  # sealed + tail, sums past 2^53
+    def test_every_route_serves_the_twins_bytes(
+        self, tmp_path_factory, numpy, n_flows, spill_rows, flush,
+        make_flow,
+    ):
+        with nullcontext() if numpy else _without_numpy():
+            flows = [make_flow(i) for i in range(n_flows)]
+            store = FlowStore(tmp_path_factory.mktemp("served"),
+                              spill_rows=spill_rows, wal=False)
+            store.add_all(flows)
+            if flush:
+                store.flush()
+            _assert_conforms(
+                {"store": store}, FlowDatabase.from_flows(flows),
+                app=ServeApp(store),
+            )
+            store.close()
+
+    def test_the_twin_covers_the_route_table(self):
+        assert set(TWIN_SHAPES) == {
+            name for name, query in QUERIES.items()
+            if query.shape is not None
+        }
+        assert {
+            name for name, query in QUERIES.items() if query.packed
+        } == {
+            "fqdn_server_counts", "fqdn_client_counts",
+            "fqdn_flow_byte_totals", "server_flow_counts",
+        }
 
 
 class _IngestingToken:
