@@ -760,6 +760,15 @@ class ShardCoordinator(QuerySurface):
             per_shard=[part["status"] for part in parts],
         )
 
+    def version(self) -> Optional[tuple]:
+        """The in-process shards' :meth:`FlowStore.version`\\ s; None
+        when saying would cost a round trip per shard (processes)."""
+        if self.backend_kind != "inprocess":
+            return None
+        with self._lock:
+            stores = self._ensure_backend().stores
+            return tuple(store.version() for store in stores)
+
     def counters(self) -> dict[str, int]:
         """:meth:`FlowStore.counters` merged key-wise over one fan of
         the shards: sums, except ``wal_epoch`` (the maximum, as in

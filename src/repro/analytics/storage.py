@@ -2359,6 +2359,13 @@ class FlowStore(_StoreReadMixin):
             "tmp_files_swept": self._swept_tmp,
         }
 
+    def version(self) -> tuple[int, int]:
+        """``(generation, tail rows)`` under one hold of the mutex.
+        An acknowledged ingest grows the tail, a seal or compaction
+        bumps the generation: equal versions mean equal answers."""
+        with self._mutex:
+            return self._generation, len(self._tail)
+
     def counters(self) -> dict[str, int]:
         """The store's live numbers as one flat ``{name: int}``, read
         under a single hold of the store mutex — the public view behind

@@ -9,10 +9,11 @@ and exposes its query surface over HTTP/JSON (full reference in
   is computed against one frozen member set even while ingest, seals
   and compactions land concurrently; a pinned reader can never 404
   half-way through a scan.
-* **Single-flight coalescing** — identical concurrent queries (same
-  route + canonicalized params) share one execution, one snapshot and
-  one encoded body (:mod:`repro.serve.singleflight`); the duplicate
-  callers surface in ``serve_coalesced_total``.
+* **Single-flight coalescing** — identical queries (same route +
+  canonicalized params) share one execution, one snapshot and one
+  encoded body (:mod:`repro.serve.singleflight`) while they are
+  concurrent (``serve_coalesced_total``) and, after that, for as long
+  as ``store.version()`` stands still (``serve_answers_reused_total``).
 * **Ingest** — ``POST /ingest`` accepts one eventcodec tagged-flow
   batch per request and acknowledges only after the store's WAL
   fsync; the store's own writer lock serializes it with the CLI's
@@ -52,13 +53,17 @@ from repro.serve.admission import AdmissionController
 from repro.serve.deadline import DEADLINE_HEADER, Deadline, DeadlineExceeded
 from repro.serve.governor import READ_ONLY, DegradationGovernor
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.singleflight import SingleFlightTimeout
+from repro.serve.singleflight import REUSED, SingleFlight, SingleFlightTimeout
 
 __all__ = ["ServeApp", "BadRequest"]
 
 #: Refuse ingest bodies past this size (64 MiB): a stray huge POST must
 #: not balloon the tail past every spill budget in one call.
 MAX_INGEST_BYTES = 64 << 20
+
+
+#: The served paths outside ``/query/*`` (``ServeApp._dispatch``).
+_ROUTES = ("/ingest", "/metrics", "/health", "/stats", "/prune-report")
 
 
 class BadRequest(ValueError):
@@ -145,8 +150,6 @@ class ServeApp:
                  default_deadline_s: Optional[float] = 30.0,
                  max_deadline_s: float = 300.0,
                  socket_timeout_s: float = 10.0):
-        from repro.serve.singleflight import SingleFlight
-
         self.store = store
         self.registry = registry if registry is not None else (
             MetricsRegistry()
@@ -218,6 +221,21 @@ class ServeApp:
             "serve_inflight_queries",
             "Distinct coalescing keys currently executing.",
             fn=lambda: self.singleflight.in_flight(),
+        )
+        self.m_reused = reg.counter(
+            "serve_answers_reused_total",
+            "Queries answered with the kept body of an identical "
+            "finished one (store version unchanged since).",
+            labelnames=("route",),
+        )
+        reg.gauge(
+            "serve_retained_answers", "Finished answers kept for reuse.",
+            fn=lambda: self.singleflight.retained()[0],
+        )
+        reg.gauge(
+            "serve_retained_bytes",
+            "Bytes the kept answers charge to the retention budget.",
+            fn=lambda: self.singleflight.retained()[1],
         )
         # Overload & degradation (PR 8).
         self.m_shed = reg.counter(
@@ -341,20 +359,33 @@ class ServeApp:
         # A follower waits at most its own remaining budget, and a
         # failed leader (crash or *its* deadline) makes the follower
         # re-dispatch with its own — coalescing can delay a caller,
-        # never hang or fail it on someone else's behalf.
+        # never hang or fail it on someone else's behalf.  A finished
+        # answer is kept until the store's version moves.
         result, coalesced = self.singleflight.do(
             key, compute,
             timeout=(
                 None if deadline is None else deadline.remaining()
             ),
             retry_on_leader_error=True,
+            version=self.store.version,
         )
         self.m_latency.observe(
             time.perf_counter() - start, route=route
         )
-        if coalesced:
+        if coalesced == REUSED:
+            self.m_reused.inc(route=route)
+        elif coalesced:
             self.m_coalesced.inc(route=route)
         return result
+
+    def _route_label(self, path: str) -> str:
+        """A request path's ``route`` label: itself when served, else
+        ``"unknown"`` — a series per probed path would live forever."""
+        served = path in _ROUTES or (
+            path.startswith("/query/")
+            and path.removeprefix("/query/") in self.query_routes
+        )
+        return path if served else "unknown"
 
     @staticmethod
     def _route_class(path: str) -> Optional[str]:
@@ -395,7 +426,7 @@ class ServeApp:
         exempt, everything else can be shed with 503 + ``Retry-After``
         before any store work happens.
         """
-        route = path
+        route = self._route_label(path)
         route_class = self._route_class(path)
         if route_class is None:
             return self._dispatch(method, path, params, body, route,
@@ -528,12 +559,13 @@ class ServeApp:
         self.governor.record_success()
         return self._finish(route, 200, {"rows": rows})
 
-    def reject(self, route: str, status: int, message: str
+    def reject(self, path: str, status: int, message: str
                ) -> tuple[int, str, bytes, dict]:
         """A transport-level refusal (oversized/truncated body, a POST
         to a GET route) that still lands in ``serve_requests_total``.
         The connection is closed — the client may still be mid-upload."""
-        return self._finish(route, status, {"error": message},
+        return self._finish(self._route_label(path), status,
+                            {"error": message},
                             headers={"Connection": "close"})
 
     def _finish(self, route: str, status: int, payload: dict | bytes,

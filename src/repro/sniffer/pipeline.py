@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Optional, Union
 from repro.net.flow import DnsObservation, FlowRecord, Protocol
 from repro.net.packet import Packet, PacketDecodeError, parse_frame
 from repro.sniffer.dns_sniffer import DnsResponseSniffer
+from repro.sniffer.eventcodec import decode_events
 from repro.sniffer.fanout import (
     FanoutPipeline,
     FanoutReport,
@@ -319,6 +320,13 @@ class SnifferPipeline:
         flows = self._process_events_dispatch(events)
         self._store_drain()
         return flows
+
+    def process_batches(self, payloads: Iterable[bytes]) -> list[FlowRecord]:
+        """:meth:`process_events` over eventcodec batches, in order."""
+        return self.process_events(
+            event for payload in payloads
+            for event in decode_events(payload)
+        )
 
     def _process_events_dispatch(
         self, events: Iterable[Event]

@@ -245,6 +245,51 @@ class TestPipelineDifferential:
             == modular.dns_sniffer.stats["empty_answers"]
         )
 
+    def test_process_batches_is_process_events_over_the_batches(
+        self, tmp_path
+    ):
+        """The payload-level entry is the adapter the system benchmark's
+        phase A runs by hand (ROADMAP 1(b)): same labels, statistics
+        and stored bytes, Clist wrapping all the way."""
+        from repro.analytics.storage import FlowStore
+
+        events = _random_events(random.Random(24), 4000)
+        batches = [
+            encode_events(events[start:start + 257])
+            for start in range(0, len(events), 257)
+        ]
+        sides = {}
+        for side in ("batches", "events"):
+            store = FlowStore(tmp_path / side, spill_rows=300)
+            pipeline = SnifferPipeline(
+                clist_size=16, warmup=0.0, batch_events=64,
+                flow_store=store,
+            )
+            if side == "batches":
+                pipeline.process_batches(iter(batches))
+            else:
+                pipeline.process_events(
+                    event for payload in batches
+                    for event in decode_events(payload)
+                )
+            pipeline.close()
+            store.close()
+            pipeline.resolver.check_invariants()
+            sides[side] = (
+                [flow.fqdn for flow in pipeline.tagged_flows],
+                pipeline.resolver.stats,
+                pipeline.tagger.stats,
+                pipeline.dns_sniffer.stats,
+                {
+                    path.name: path.read_bytes()
+                    for path in (tmp_path / side).iterdir()
+                },
+            )
+        assert sides["batches"] == sides["events"]
+        labels, resolver_stats, _tagger, _dns, files = sides["batches"]
+        assert any(labels) and resolver_stats.replacements > 0
+        assert sum(name.endswith(".fseg") for name in files) >= 2
+
 
 # The worker's eviction branch only runs once its Clist wraps, so every
 # stream is several Clists long over a key universe small enough to

@@ -15,6 +15,15 @@ The contracts under test:
   Prometheus text format and they move when traffic happens;
 * **SIGTERM** — the daemon drains through the pipeline shutdown path,
   seals the store, and still dies by the signal.
+
+Since PR 24 a finished answer is kept until ``store.version()`` moves
+(``tests/test_serve_retention.py``).  Every app here keeps the
+production budget, on purpose: the bit-identity tests repeat the same
+requests after every acknowledged batch, so they are also the proof
+that no kept answer crosses an ack (flat and sharded); the coalescing
+tests hold the *first* request for a key in flight, which retention
+cannot precede; ``TestSingleFlight`` passes no ``version``, so its
+"next call computes fresh" still holds.
 """
 
 from __future__ import annotations
@@ -116,7 +125,9 @@ class TestHttpBitIdentical:
             assert daemon.post("/ingest", _batch(chunk))["rows"] == 60
             acked += 60
             # Between acks the store is quiescent: the HTTP answer
-            # must equal the in-memory database over the acked prefix.
+            # must equal the in-memory database over the acked prefix
+            # (the same eight requests every round: an answer kept from
+            # the round before would fail here).
             reference = FlowDatabase.from_flows(flows[:acked])
             assert daemon.get("/query/len")["rows"] == acked
             got = daemon.get("/query/rows-in-window?t0=120&t1=260")
@@ -463,6 +474,33 @@ class TestMetrics:
         text = daemon.get_text("/metrics")
         assert "serve_ingest_rows_total 150" in text
         assert "serve_ingest_batches_total 3" in text
+
+    def test_unknown_paths_share_one_series(self, daemon):
+        """Regression: ``serve_requests_total`` was labelled with the
+        raw request path, so a scanner minted one immortal series per
+        probe (40,000 of them made a 2.2 MB ``/metrics``)."""
+        app = daemon.app
+        baseline = len(app.m_requests.samples())
+        for i in range(10_000):
+            assert app.handle("GET", f"/nope/{i}", {})[0] == 404
+            assert app.handle("GET", f"/query/x{i}", {})[0] == 404
+            assert app.handle("POST", f"/nope/{i}", {})[0] == 405
+            assert app.reject(f"/query/x{i}", 405, "GET required")[0] == 405
+        # The transport's own refusal (do_POST) goes the same way.
+        for path in ("/elsewhere", "/query/nothing"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                daemon.post(path, b"x")
+            assert excinfo.value.code == 405
+        requests = app.m_requests
+        assert requests.value(route="unknown", code="404") == 20_000
+        assert requests.value(route="unknown", code="405") == 20_002
+        assert len(requests.samples()) == baseline + 2
+        # A served route keeps its own series, whatever the verdict.
+        daemon.get("/query/len")
+        assert requests.value(route="/query/len", code="200") == 1
+        assert len(daemon.get_text("/metrics")) < 64_000
+        # Nothing a stranger typed became a retention key either.
+        assert app.singleflight.retained()[0] == 1
 
 
 class TestSingleFlight:

@@ -24,6 +24,16 @@ always-on daemon.  What must hold:
 
 Misbehaving clients come from :mod:`tests.chaosclient`; filesystem
 faults from :mod:`tests.faultfs` (scoped to the WAL via ``only=``).
+
+Since PR 24 a finished answer is kept until ``store.version()`` moves.
+The deadline tests (``TestDeadlines``, ``TestShardedDeadlines``) are
+about cancelling an *executing* scan, so their apps keep nothing
+(``retain_bytes = 0``): a kept answer needs no scan and would turn
+their 504s into 200s were a route ever asked twice.  Everything else
+runs the production budget: the admission tests hold or shed the first
+request for a key (and a shed request never reaches the table), and
+the chaos sweep's ``/query/len`` storm runs beside an ingest storm, so
+it exercises retention under a moving version exactly as deployed.
 """
 
 from __future__ import annotations
@@ -267,6 +277,7 @@ class TestDeadlines:
     ):
         store = self._store(tmp_path)
         daemon = _Daemon(store)
+        daemon.app.singleflight.retain_bytes = 0
         try:
             # A kernel that sleeps per segment: the deadline expires
             # mid-scan, so some kernels finish and the rest never run.
@@ -301,6 +312,7 @@ class TestDeadlines:
     def test_cancellation_reaches_the_parallel_pool(self, tmp_path):
         store = self._store(tmp_path, parallel=2)
         app = ServeApp(store)
+        app.singleflight.retain_bytes = 0
 
         def slow_scan(snap, params):
             def kernel(db, fqdn_map, local_rows, base):
@@ -937,6 +949,7 @@ class TestShardedDeadlines:
     ):
         coord = self._store(tmp_path, backend)
         app = ServeApp(coord)
+        app.singleflight.retain_bytes = 0
         try:
             for route in ("fqdn-server-counts", "rows-for-fqdn", "len",
                           "fqdns"):
