@@ -190,6 +190,21 @@ class Packet:
 
 _BROADCAST = b"\xff" * 6
 _LOCAL_MAC = b"\x02\x00\x00\x00\x00\x01"
+# The header stack a builder writes in one pack: Ethernet, IPv4 (no
+# options, TTL 64, ident 0, never fragmented), then the transport header.
+_UDP_FRAME = struct.Struct("!6s6sH" "BBHHHBBHII" "HHHH")
+_TCP_FRAME = struct.Struct("!6s6sH" "BBHHHBBHII" "HHIIBBHHH")
+_IPV4_WORDS = 0x4500 + (64 << 8)  # version/IHL/TOS word + TTL byte
+
+
+def _ipv4_checksum(total: int, proto: int, src: int, dst: int) -> int:
+    """:func:`checksum16` of the header :class:`IPv4Header` encodes,
+    from its fields: the words are summed once and folded in one
+    modulo, the end-around-carry sum of a nonzero ``words`` being
+    ``(words - 1) % 0xFFFF + 1``."""
+    words = (_IPV4_WORDS + total + proto + (src >> 16) + (src & 0xFFFF)
+             + (dst >> 16) + (dst & 0xFFFF))
+    return 0xFFFE - (words - 1) % 0xFFFF
 
 
 def build_udp_packet(
@@ -202,13 +217,15 @@ def build_udp_packet(
     with_ethernet: bool = True,
 ) -> bytes:
     """Encode a full UDP-in-IPv4(-in-Ethernet) frame."""
-    udp = UdpHeader(src_port, dst_port)
-    segment = udp.encode(len(payload)) + payload
-    ip = IPv4Header(src=src, dst=dst, proto=TransportProto.UDP)
-    datagram = ip.encode(len(segment)) + segment
-    if not with_ethernet:
-        return datagram
-    return EthernetHeader(_BROADCAST, _LOCAL_MAC).encode() + datagram
+    length = _UDP_LEN + len(payload)
+    total = _IPV4_LEN + length
+    frame = _UDP_FRAME.pack(
+        _BROADCAST, _LOCAL_MAC, ETHERTYPE_IPV4,
+        0x45, 0, total, 0, 0, 64, _UDP,
+        _ipv4_checksum(total, _UDP, src, dst), src, dst,
+        src_port, dst_port, length, 0,
+    ) + payload
+    return frame if with_ethernet else frame[_ETH_LEN:]
 
 
 def build_tcp_packet(
@@ -224,13 +241,14 @@ def build_tcp_packet(
     with_ethernet: bool = True,
 ) -> bytes:
     """Encode a full TCP-in-IPv4(-in-Ethernet) frame."""
-    tcp = TcpHeader(src_port, dst_port, seq=seq, ack=ack, flags=flags)
-    segment = tcp.encode() + payload
-    ip = IPv4Header(src=src, dst=dst, proto=TransportProto.TCP)
-    datagram = ip.encode(len(segment)) + segment
-    if not with_ethernet:
-        return datagram
-    return EthernetHeader(_BROADCAST, _LOCAL_MAC).encode() + datagram
+    total = _IPV4_LEN + _TCP_LEN + len(payload)
+    frame = _TCP_FRAME.pack(
+        _BROADCAST, _LOCAL_MAC, ETHERTYPE_IPV4,
+        0x45, 0, total, 0, 0, 64, _TCP,
+        _ipv4_checksum(total, _TCP, src, dst), src, dst,
+        src_port, dst_port, seq, ack, 5 << 4, flags, 65535, 0, 0,
+    ) + payload
+    return frame if with_ethernet else frame[_ETH_LEN:]
 
 
 def parse_frame(

@@ -20,7 +20,9 @@ measures all live here:
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +34,7 @@ from repro.net.flow import (
     Protocol,
     TransportProto,
 )
-from repro.simulation.internet import Internet, ServiceEntry
+from repro.simulation.internet import Internet, SamplingTable, ServiceEntry
 from repro.simulation.p2p import PeerSwarm
 from repro.simulation.tls import certificate_name
 
@@ -99,10 +101,11 @@ class Client:
         self.cache = StubResolverCache(
             capacity=256, max_lifetime=profile.cache_lifetime
         )
-        entries = internet.service_entries()
-        weights = internet.popularity_weights(entries)
-        count = min(favourite_count, len(entries))
-        self.favourites = _weighted_sample(rng, entries, weights, count)
+        table = internet.sampling_table()
+        count = min(favourite_count, len(table.entries))
+        self.favourites = _weighted_sample(
+            rng, table.entries, table.weights, count
+        )
         self.assets = internet.service_entries(asset_only=True)
         self._fqdn_choice: dict[int, list[str]] = {}
         # The tunnel proxy is a single address outside any known org.
@@ -113,9 +116,7 @@ class Client:
     def _pick_entry(self) -> ServiceEntry:
         if self.favourites and self.rng.random() < 0.8:
             return self.rng.choice(self.favourites)
-        entries = self.internet.service_entries()
-        weights = self.internet.popularity_weights(entries)
-        return _weighted_choice(self.rng, entries, weights)
+        return _weighted_choice(self.rng, self.internet.sampling_table())
 
     def _pick_fqdn(self, entry: ServiceEntry, favourite_only: bool = False) -> str:
         """Clients stick to a couple of concrete names per service.
@@ -274,10 +275,9 @@ class Client:
         not the client's favourites — which is why roughly half of them
         are never followed by a connection.
         """
-        entries = self.internet.service_entries()
-        weights = self.internet.popularity_weights(entries)
+        table = self.internet.sampling_table()
         for _ in range(self.rng.randint(1, 3)):
-            entry = _weighted_choice(self.rng, entries, weights)
+            entry = _weighted_choice(self.rng, table)
             fqdn = self._pick_fqdn(entry)
             if self.cache.lookup(fqdn, now) is not None:
                 continue
@@ -338,36 +338,35 @@ class Client:
 
 
 def _ln(x: float) -> float:
-    import math
-
     return math.log(max(x, 1e-9))
 
 
-def _weighted_choice(rng: random.Random, items, weights):
-    total = sum(weights)
-    point = rng.random() * total
-    cumulative = 0.0
-    for item, weight in zip(items, weights):
-        cumulative += weight
-        if point <= cumulative:
-            return item
-    return items[-1]
+def _draw(rng: random.Random, table: SamplingTable) -> int:
+    """Index of the first running sum reaching ``rng.random() * total``,
+    or ``len(table.entries)`` when none does: ``total`` is ``sum``,
+    compensated on Python 3.12+, so it can exceed the last running sum."""
+    return bisect_left(table.cumulative, rng.random() * table.total)
+
+
+def _weighted_choice(rng: random.Random, table: SamplingTable):
+    """One draw proportional to weight; the last entry when past the end."""
+    return table.entries[min(_draw(rng, table), len(table.entries) - 1)]
 
 
 def _weighted_sample(rng: random.Random, items, weights, count):
-    """Sample without replacement, probability proportional to weight."""
+    """Sample without replacement, probability proportional to weight.
+
+    A draw past the last running sum picks nothing, so fewer than
+    ``count`` items can come back.
+    """
     chosen = []
-    pool = list(zip(items, weights))
-    for _ in range(min(count, len(pool))):
-        total = sum(w for _, w in pool)
-        if total <= 0:
+    items, weights = list(items), list(weights)
+    for _ in range(min(count, len(items))):
+        table = SamplingTable.build(items, weights)
+        if table.total <= 0:
             break
-        point = rng.random() * total
-        cumulative = 0.0
-        for index, (item, weight) in enumerate(pool):
-            cumulative += weight
-            if point <= cumulative:
-                chosen.append(item)
-                pool.pop(index)
-                break
+        index = _draw(rng, table)
+        if index < len(items):
+            chosen.append(items.pop(index))
+            del weights[index]
     return chosen

@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from repro.dns.server import RecursiveResolver, Zone
 from repro.net.flow import Protocol as _Protocol
@@ -88,6 +89,22 @@ class ServiceEntry:
         return sum(p.deployment.weight for p in self.pools) or 1.0
 
 
+class SamplingTable(NamedTuple):
+    """An entry list with what a popularity-weighted draw from it needs:
+    the weights, ``total = sum(weights)`` and the running sums
+    accumulated left to right from 0.0."""
+
+    entries: list[ServiceEntry]
+    weights: list[float]
+    total: float
+    cumulative: list[float]
+
+    @classmethod
+    def build(cls, entries: list, weights: list[float]) -> SamplingTable:
+        running = list(accumulate(weights, initial=0.0))
+        return cls(entries, weights, sum(weights), running[1:])
+
+
 class Internet:
     """The built model for one geography.
 
@@ -113,6 +130,9 @@ class Internet:
         self._ptr_overrides: dict[int, Optional[str]] = {}
         self.cdns: dict[str, Cdn] = {}
         self.organizations: list[Organization] = []
+        # The sampling table and asset list, rebuilt from ``entries`` by
+        # every change to it.
+        self._index_entries()
 
     # -- address plan -----------------------------------------------------
 
@@ -429,27 +449,24 @@ class Internet:
                     )
                 elif roll < 0.70:
                     self._ptr_overrides[address] = None  # no PTR
+        self._index_entries()
+
+    def _index_entries(self) -> None:
+        """Rebuild the sampling table and the asset list from ``entries``."""
+        geography = self.geography
+        popular = [e for e in self.entries if e.service.popularity_in(geography) > 0]
+        self._table = SamplingTable.build(popular, self.popularity_weights(popular))
+        self._assets = [
+            e for e in popular if e.organization.domain in ASSET_DOMAINS
+        ]
+
+    def sampling_table(self) -> SamplingTable:
+        """:meth:`service_entries` with their weights and running sums."""
+        return self._table
 
     def service_entries(self, asset_only: bool = False) -> list[ServiceEntry]:
-        """Entries with nonzero popularity here, optionally assets only.
-
-        Cached after first call — the entry set is immutable once built.
-        """
-        cached = getattr(self, "_entry_cache", {}).get(asset_only)
-        if cached is not None:
-            return cached
-        out = []
-        for entry in self.entries:
-            if entry.service.popularity_in(self.geography) <= 0:
-                continue
-            is_asset = entry.organization.domain in ASSET_DOMAINS
-            if asset_only and not is_asset:
-                continue
-            out.append(entry)
-        if not hasattr(self, "_entry_cache"):
-            self._entry_cache = {}
-        self._entry_cache[asset_only] = out
-        return out
+        """Entries with nonzero popularity here, optionally assets only."""
+        return self._assets if asset_only else self._table.entries
 
     def popularity_weights(self, entries: list[ServiceEntry]) -> list[float]:
         """Sampling weights for the given entries in this geography."""
@@ -479,6 +496,7 @@ def build_internet(
     for organization in organizations:
         for service in organization.services:
             internet._build_service(organization, service)
+    internet._index_entries()
     if tail_sites:
         internet.add_long_tail(tail_sites)
     internet._assign_ptr_records()

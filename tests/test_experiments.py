@@ -7,9 +7,19 @@ substrate is a scaled synthetic internet, not the authors' testbed).
 Traces are cached per process, so the suite builds each one once.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.runner import REGISTRY, run_experiment
+
+# sha256 of str(result) for every experiment, run with the ``results``
+# fixture's arguments.  ``str`` (the rendered table) rather than
+# ``repr(result.data)``: the latter differs between the numpy and the
+# pure-Python kernels for fig10, table6 and table7.
+GOLDEN = Path(__file__).parent / "golden" / "experiments.json"
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +51,13 @@ class TestRunner:
             assert result.rendered.strip()
             assert result.paper_reference
             assert str(result)
+
+    def test_every_result_matches_its_golden_digest(self, results):
+        digests = {
+            exp_id: hashlib.sha256(str(result).encode()).hexdigest()
+            for exp_id, result in results.items()
+        }
+        assert digests == json.loads(GOLDEN.read_text())
 
 
 class TestTable1:
