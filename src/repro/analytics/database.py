@@ -51,10 +51,10 @@ Ingestion has two paths:
   blocks straight into its columns.  This closes the sniffer→database
   arrow of Fig. 1 in the same throughput class as the event loop.
 
-All aggregations use numpy when importable and fall back to pure-Python
-loops over the same columns otherwise (the ``array``/``struct`` idiom of
-:mod:`repro.sniffer.fanout`).  Addresses are IPv4 ``u32`` exactly as in
-the resolver and the codec.
+Every aggregation, decode and index build has one body, in numpy — a
+hard dependency of the analyzer, unlike the stdlib-only capture side
+(:mod:`repro.sniffer`).  Addresses are IPv4 ``u32`` exactly as in the
+resolver and the codec.
 """
 
 from __future__ import annotations
@@ -62,12 +62,13 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import operator
 import struct
 import threading
 from array import array
 from functools import wraps
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as _np
 
 from repro.dns.name import second_level_domain
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
@@ -83,31 +84,25 @@ from repro.sniffer.eventcodec import (
 
 _TRANSPORTS = frozenset(int(t) for t in TransportProto)
 
-try:  # numpy accelerates grouped aggregation; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
 _NONE_STR = 0xFFFF
 _NO_COLD_STRINGS = STR_LEN.pack(_NONE_STR) * 2   # cert_name, true_fqdn: None
 _EMPTY_ROWS: tuple[int, ...] = ()
 
-if _np is not None:
-    # Unaligned little-endian views of the codec's packed flow blocks.
-    _HOT_DT = _np.dtype(
-        {"names": ["client", "server", "start", "proto"],
-         "formats": ["<u4", "<u4", "<f8", "u1"],
-         "offsets": [0, 4, 8, 16], "itemsize": FLOW_HOT.size})
-    _COLD_DT = _np.dtype(
-        {"names": ["sport", "dport", "transport", "end", "up", "down",
-                   "pkts"],
-         "formats": ["<u2", "<u2", "u1", "<f8", "<u8", "<u8", "<u4"],
-         "offsets": [0, 2, 4, 5, 13, 21, 29], "itemsize": FLOW_COLD.size})
-    #: ``array`` typecode of a column → the numpy dtype viewing it.
-    _DTYPES = {
-        "I": _np.uint32, "H": _np.uint16, "B": _np.uint8,
-        "d": _np.float64, "Q": _np.uint64, "i": _np.int32,
-    }
+# Unaligned little-endian views of the codec's packed flow blocks.
+_HOT_DT = _np.dtype(
+    {"names": ["client", "server", "start", "proto"],
+     "formats": ["<u4", "<u4", "<f8", "u1"],
+     "offsets": [0, 4, 8, 16], "itemsize": FLOW_HOT.size})
+_COLD_DT = _np.dtype(
+    {"names": ["sport", "dport", "transport", "end", "up", "down",
+               "pkts"],
+     "formats": ["<u2", "<u2", "u1", "<f8", "<u8", "<u8", "<u4"],
+     "offsets": [0, 2, 4, 5, 13, 21, 29], "itemsize": FLOW_COLD.size})
+#: ``array`` typecode of a column → the numpy dtype viewing it.
+_DTYPES = {
+    "I": _np.uint32, "H": _np.uint16, "B": _np.uint8,
+    "d": _np.float64, "Q": _np.uint64, "i": _np.int32,
+}
 
 
 class FlowColumns:
@@ -160,27 +155,16 @@ class FlowColumns:
         segments predate the finite rule, so they pass ``False``)."""
         if not len(self):
             return None
-        if _np is not None:
-            view = _np.frombuffer
-            if int(view(self.protocol, _np.uint8).max()) >= len(PROTOCOLS):
-                return "protocol index out of range"
-            if not _np.isin(
-                view(self.transport, _np.uint8), list(_TRANSPORTS)
-            ).all():
-                return "invalid transport protocol number"
-            if finite and not (
-                _np.isfinite(view(self.start, _np.float64)).all()
-                and _np.isfinite(view(self.end, _np.float64)).all()
-            ):
-                return "non-finite flow timestamp"
-            return None
-        if max(self.protocol) >= len(PROTOCOLS):
+        view = _np.frombuffer
+        if int(view(self.protocol, _np.uint8).max()) >= len(PROTOCOLS):
             return "protocol index out of range"
-        if not _TRANSPORTS.issuperset(self.transport):
+        if not _np.isin(
+            view(self.transport, _np.uint8), list(_TRANSPORTS)
+        ).all():
             return "invalid transport protocol number"
         if finite and not (
-            all(map(math.isfinite, self.start))
-            and all(map(math.isfinite, self.end))
+            _np.isfinite(view(self.start, _np.float64)).all()
+            and _np.isfinite(view(self.end, _np.float64)).all()
         ):
             return "non-finite flow timestamp"
         return None
@@ -210,60 +194,32 @@ def finite_bounds(values) -> tuple[float, float]:
     every window, so the row can never match a window query the range
     might prune.
     """
-    if _np is not None:
-        column = (
-            values if isinstance(values, _np.ndarray)
-            else _np.frombuffer(values, _np.float64)
-        )
-        finite = column[_np.isfinite(column)]
-        if len(finite):
-            return float(finite.min()), float(finite.max())
-        return float("inf"), float("-inf")
-    lo, hi = float("inf"), float("-inf")
-    for value in values:
-        if math.isfinite(value):
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-    return lo, hi
+    column = (
+        values if isinstance(values, _np.ndarray)
+        else _np.frombuffer(values, _np.float64)
+    )
+    finite = column[_np.isfinite(column)]
+    if len(finite):
+        return float(finite.min()), float(finite.max())
+    return float("inf"), float("-inf")
 
 
 def _decode_flow_columns(view: BatchView) -> FlowColumns:
     """The value columns of a batch's packed hot/cold flow blocks."""
     cols = FlowColumns()
-    if _np is not None:
-        hot = _np.frombuffer(view.flow_hot, dtype=_HOT_DT)
-        cold = _np.frombuffer(view.flow_cold, dtype=_COLD_DT)
-        cols.client_ip.frombytes(_native(hot["client"], _np.uint32))
-        cols.server_ip.frombytes(_native(hot["server"], _np.uint32))
-        cols.start.frombytes(_native(hot["start"], _np.float64))
-        cols.protocol.frombytes(_native(hot["proto"], _np.uint8))
-        cols.src_port.frombytes(_native(cold["sport"], _np.uint16))
-        cols.dst_port.frombytes(_native(cold["dport"], _np.uint16))
-        cols.transport.frombytes(_native(cold["transport"], _np.uint8))
-        cols.end.frombytes(_native(cold["end"], _np.float64))
-        cols.bytes_up.frombytes(_native(cold["up"], _np.uint64))
-        cols.bytes_down.frombytes(_native(cold["down"], _np.uint64))
-        cols.packets.frombytes(_native(cold["pkts"], _np.uint32))
-        return cols
-    for (client, server, start, proto), (
-        sport, dport, transport, end, up, down, pkts
-    ) in zip(
-        FLOW_HOT.iter_unpack(view.flow_hot),
-        FLOW_COLD.iter_unpack(view.flow_cold),
-    ):
-        cols.client_ip.append(client)
-        cols.server_ip.append(server)
-        cols.start.append(start)
-        cols.protocol.append(proto)
-        cols.src_port.append(sport)
-        cols.dst_port.append(dport)
-        cols.transport.append(transport)
-        cols.end.append(end)
-        cols.bytes_up.append(up)
-        cols.bytes_down.append(down)
-        cols.packets.append(pkts)
+    hot = _np.frombuffer(view.flow_hot, dtype=_HOT_DT)
+    cold = _np.frombuffer(view.flow_cold, dtype=_COLD_DT)
+    cols.client_ip.frombytes(_native(hot["client"], _np.uint32))
+    cols.server_ip.frombytes(_native(hot["server"], _np.uint32))
+    cols.start.frombytes(_native(hot["start"], _np.float64))
+    cols.protocol.frombytes(_native(hot["proto"], _np.uint8))
+    cols.src_port.frombytes(_native(cold["sport"], _np.uint16))
+    cols.dst_port.frombytes(_native(cold["dport"], _np.uint16))
+    cols.transport.frombytes(_native(cold["transport"], _np.uint8))
+    cols.end.frombytes(_native(cold["end"], _np.float64))
+    cols.bytes_up.frombytes(_native(cold["up"], _np.uint64))
+    cols.bytes_down.frombytes(_native(cold["down"], _np.uint64))
+    cols.packets.frombytes(_native(cold["pkts"], _np.uint32))
     return cols
 
 
@@ -287,8 +243,11 @@ def series_bins(lo: int, hi: int, bin_seconds: float) -> int:
     return hi - lo + 1
 
 
-#: ``reduce`` of :meth:`Groups.merged` → (pairwise fold, numpy ufunc name).
-_REDUCE = {"sum": (operator.add, "add"), "min": (min, "minimum")}
+#: ``reduce`` of :meth:`Groups.merged` → the ufunc that folds a group.
+#: ``fmin``, not ``minimum``: a NaN must not hide the finite values
+#: beside it (the kernels already drop a v1 segment's NaN start,
+#: :func:`_finite`).
+_REDUCE = {"sum": _np.add, "min": _np.fmin}
 
 
 def _grouped_keys(keys, permute: bool):
@@ -336,33 +295,27 @@ def _grouped_keys(keys, permute: bool):
 
 class Groups:
     """The packed partial every grouped aggregation carries: ``k`` key
-    columns then value columns, rows unique by key.
+    columns then value columns, one numpy array each, rows unique by
+    key (the empty partial holds no column at all).
 
-    ``columns`` is one numpy array per column when the kernel that
-    built it ran with numpy, otherwise ``rows`` holds the row tuples;
-    each operation has those two bodies and picks by what the instance
-    holds.  Partials stay packed through :meth:`lifted` and
-    :meth:`merged` — also across a shard worker's pipe, they pickle —
-    and become tuples once, in :meth:`tuples` / :meth:`mapping` (the
-    query table's ``finish``) — or never: a served answer is written
-    from the columns (:meth:`to_json`).  An analysis that regroups them
-    asks for the partial itself (``database.groups(name, ...)``) and
-    stays on columns: :meth:`mapped`, :meth:`where`, :meth:`column`
-    back into :meth:`of`, and :meth:`values` for the one list it
-    reports.
+    Partials stay packed through :meth:`lifted` and :meth:`merged` —
+    also across a shard worker's pipe, they pickle — and become tuples
+    once, in :meth:`tuples` / :meth:`mapping` (the query table's
+    ``finish``) — or never: a served answer is written from the
+    columns (:meth:`to_json`).  An analysis that regroups them asks
+    for the partial itself (``database.groups(name, ...)``) and stays
+    on columns: :meth:`mapped`, :meth:`where`, :meth:`column` back
+    into :meth:`of`, and :meth:`values` for the one list it reports.
     """
 
-    __slots__ = ("k", "columns", "rows")
+    __slots__ = ("k", "columns")
 
-    def __init__(self, k: int, columns=None, rows=()):
+    def __init__(self, k: int, columns: tuple = ()):
         self.k = k
         self.columns = columns
-        self.rows = rows
 
     def __len__(self) -> int:
-        if self.columns is not None:
-            return len(self.columns[0])
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Groups) and self.tuples() == other.tuples()
@@ -370,16 +323,12 @@ class Groups:
     @classmethod
     def of(cls, k: int, *columns, count: bool = False,
            reduce: str = "sum") -> "Groups":
-        """Raw rows given column-wise (numpy arrays, or plain
-        sequences) folded into groups; keys may repeat.  ``count``
-        makes the group's row count the first value column."""
+        """Raw rows given column-wise (numpy arrays) folded into
+        groups; keys may repeat.  ``count`` makes the group's row count
+        the first value column."""
         if not len(columns[0]):
             return cls(0)
-        if _np is not None and isinstance(columns[0], _np.ndarray):
-            return cls(k, cls._folded(columns, k, reduce, count))
-        ones = ([1] * len(columns[0]),) if count else ()
-        rows = list(zip(*columns[:k], *ones, *columns[k:]))
-        return cls.merged([cls(k, rows=rows)], reduce)
+        return cls(k, cls._folded(columns, k, reduce, count))
 
     def lifted(self, column: int, id_map) -> "Groups":
         """These groups with the ids of one column replaced by
@@ -387,11 +336,6 @@ class Groups:
         as a source's fqdn id map is)."""
         if not len(self):
             return self
-        if self.columns is None:
-            return Groups(self.k, rows=[
-                row[:column] + (id_map[row[column]],) + row[column + 1:]
-                for row in self.rows
-            ])
         table = (
             _np.frombuffer(id_map, _np.int32) if isinstance(id_map, array)
             else _np.asarray(id_map)
@@ -407,11 +351,6 @@ class Groups:
         behind: fold the columns again with :meth:`of`."""
         if not len(self):
             return self
-        if self.columns is None:
-            distinct = sorted({row[column] for row in self.rows})
-            return self.lifted(
-                column, {value: function(value) for value in distinct}
-            )
         distinct, inverse = _np.unique(
             self.columns[column], return_inverse=True
         )
@@ -423,25 +362,19 @@ class Groups:
 
     def where(self, column: int, values) -> "Groups":
         """The rows whose ``column`` holds one of ``values``."""
-        if self.columns is None:
-            values = frozenset(values)
-            return Groups(self.k, rows=[
-                row for row in self.rows if row[column] in values
-            ])
+        if not len(self):
+            return self
         mask = _np.isin(self.columns[column], list(values))
         return Groups(self.k, tuple(c[mask] for c in self.columns))
 
     def column(self, index: int):
         """One column in the form :meth:`of` takes back — opaque; read
         it with :meth:`values`."""
-        if self.columns is not None:
-            return self.columns[index]
-        return [row[index] for row in self.rows]
+        return self.columns[index] if self.columns else _np.empty(0)
 
     def values(self, index: int) -> list:
         """One column as a plain list of Python scalars."""
-        column = self.column(index)
-        return column if self.columns is None else column.tolist()
+        return self.column(index).tolist()
 
     @staticmethod
     def merged(parts, reduce: str = "sum") -> "Groups":
@@ -455,19 +388,6 @@ class Groups:
         if not parts:
             return Groups(0)
         k = parts[0].k
-        if any(part.columns is None for part in parts):
-            fold = _REDUCE[reduce][0]
-            merged: dict = {}
-            for part in parts:
-                for row in part.tuples():
-                    key = row[:k]
-                    seen = merged.get(key)
-                    merged[key] = row[k:] if seen is None else tuple(
-                        map(fold, seen, row[k:])
-                    )
-            return Groups(k, rows=[
-                key + values for key, values in sorted(merged.items())
-            ])
         return Groups(k, Groups._folded([
             _np.concatenate(column) if len(parts) > 1 else column[0]
             for column in zip(*(part.columns for part in parts))
@@ -475,11 +395,11 @@ class Groups:
 
     @staticmethod
     def _folded(columns, k: int, reduce: str, count: bool = False) -> tuple:
-        """The numpy fold behind :meth:`of` and :meth:`merged`."""
+        """The fold behind :meth:`of` and :meth:`merged`."""
         order, starts, out = _grouped_keys(columns[:k], len(columns) > k)
         if count:
             out.append(_np.diff(starts, append=len(columns[0])))
-        ufunc = getattr(_np, _REDUCE[reduce][1])
+        ufunc = _REDUCE[reduce]
         for values in columns[k:]:
             values = values[order]
             if (
@@ -492,22 +412,17 @@ class Groups:
 
     def tuples(self) -> list:
         """One tuple per group, columns in order."""
-        if self.columns is None:
-            return list(self.rows)
         return list(zip(*(column.tolist() for column in self.columns)))
 
     def mapping(self) -> dict:
         """``{key: value}`` of single-key, single-value groups."""
-        if self.columns is None:
-            return dict(self.rows)
-        keys, values = self.columns
-        return dict(zip(keys.tolist(), values.tolist()))
+        return dict(zip(*(column.tolist() for column in self.columns)))
 
     def to_json(self) -> str:
         """``[[k…, v…], …]``: the text ``json.dumps`` writes for
         :meth:`tuples`, without a tuple per group — integer columns
         are interleaved and written by one ``%d`` template."""
-        if self.columns is None or any(
+        if not len(self) or any(
             column.dtype.kind not in "iuO" for column in self.columns
         ):
             return json.dumps(self.tuples())
@@ -519,11 +434,25 @@ class Groups:
         return "[" + ", ".join([row] * len(self)) % tuple(flat) + "]"
 
 
-def _bins(starts, bin_seconds: float):
-    """Time-bin index per flow start."""
-    if _np is not None and isinstance(starts, _np.ndarray):
-        return _np.floor_divide(starts, bin_seconds).astype(_np.int64)
-    return [int(start // bin_seconds) for start in starts]
+def _finite(starts, *columns) -> list:
+    """``columns`` followed by ``starts``, over the rows whose start is
+    finite.  A NaN or infinite start (a v1 segment predates the finite
+    rule) is no time a flow was seen and falls in no bin — the rule
+    :meth:`FlowDatabase.rows_in_window` follows — so its row is dropped
+    here, for every kernel that reads a start."""
+    finite = _np.isfinite(starts)
+    if finite.all():
+        return [*columns, starts]
+    return [*(column[finite] for column in columns), starts[finite]]
+
+
+def _binned(bin_seconds: float, starts, *columns) -> list:
+    """``columns`` followed by the time-bin index of each finite start
+    (:func:`_finite`)."""
+    *columns, starts = _finite(starts, *columns)
+    return [
+        *columns, _np.floor_divide(starts, bin_seconds).astype(_np.int64)
+    ]
 
 
 def _grouped(finish):
@@ -947,27 +876,18 @@ class FlowDatabase:
         n = len(cols)
         if base >= n:
             return
-        if _np is None:
-            for protocol in cols.protocol[base:]:
-                self._protocol_counts[protocol] += 1
-            fqdn_col = cols.fqdn_id
-            self._tagged.extend(
-                row for row in range(base, n) if fqdn_col[row] >= 0
-            )
-            starts, ends = cols.start[base:], cols.end[base:]
-        else:
-            counts = _np.bincount(
-                _np.frombuffer(cols.protocol, _np.uint8)[base:],
-                minlength=len(PROTOCOLS),
-            )
-            for index, count in enumerate(counts.tolist()):
-                self._protocol_counts[index] += count
-            ids = _np.frombuffer(cols.fqdn_id, _np.int32)[base:]
-            self._tagged.frombytes(
-                _native(_np.flatnonzero(ids >= 0) + base, _np.uint32)
-            )
-            starts = _np.frombuffer(cols.start, _np.float64)[base:]
-            ends = _np.frombuffer(cols.end, _np.float64)[base:]
+        counts = _np.bincount(
+            _np.frombuffer(cols.protocol, _np.uint8)[base:],
+            minlength=len(PROTOCOLS),
+        )
+        for index, count in enumerate(counts.tolist()):
+            self._protocol_counts[index] += count
+        ids = _np.frombuffer(cols.fqdn_id, _np.int32)[base:]
+        self._tagged.frombytes(
+            _native(_np.flatnonzero(ids >= 0) + base, _np.uint32)
+        )
+        starts = _np.frombuffer(cols.start, _np.float64)[base:]
+        ends = _np.frombuffer(cols.end, _np.float64)[base:]
         self._min_start = min(self._min_start, finite_bounds(starts)[0])
         self._max_end = max(self._max_end, finite_bounds(ends)[1])
 
@@ -1000,24 +920,9 @@ class FlowDatabase:
         column = {"server": cols.server_ip, "port": cols.dst_port}.get(
             which, cols.fqdn_id
         )
-        labeled = column is cols.fqdn_id
-        if _np is None:
-            fqdn_sld = self._fqdn_sld
-            for row in range(base, n):
-                key = column[row]
-                if labeled:
-                    if key < 0:
-                        continue
-                    if which == "sld":
-                        key = fqdn_sld[key]
-                have = index.get(key)
-                if have is None:
-                    have = index[key] = array("I")
-                have.append(row)
-            return
         keys = _np.frombuffer(column, _DTYPES[column.typecode])[base:n]
         rows = _np.arange(base, n, dtype=_np.uint64)
-        if labeled:
+        if column is cols.fqdn_id:
             mask = keys >= 0
             keys, rows = keys[mask], rows[mask]
             if which == "sld":
@@ -1114,19 +1019,13 @@ class FlowDatabase:
         ``[min_start, max_start]`` misses the window is skipped
         without touching its columns).
         """
-        start_col = self.columns.start
-        n = len(start_col)
-        if not n or t1 <= t0:
+        if not len(self.columns) or t1 <= t0:
             return _EMPTY_ROWS
-        if _np is not None:
-            starts = _np.frombuffer(start_col, _np.float64)
-            hits = _np.flatnonzero((starts >= t0) & (starts < t1))
-            out = array("I")
-            out.frombytes(_native(hits, _np.uint32))
-            return out
-        return array("I", (
-            row for row in range(n) if t0 <= start_col[row] < t1
-        ))
+        starts = _np.frombuffer(self.columns.start, _np.float64)
+        hits = _np.flatnonzero((starts >= t0) & (starts < t1))
+        out = array("I")
+        out.frombytes(_native(hits, _np.uint32))
+        return out
 
     def tagged_rows(self) -> Sequence[int]:
         """Row indices of every labeled flow (do not mutate)."""
@@ -1175,12 +1074,9 @@ class FlowDatabase:
     def _unique_servers(self, rows) -> set[int]:
         if not len(rows):
             return set()
-        if _np is not None:
-            column = _np.frombuffer(self.columns.server_ip, _np.uint32)
-            taken = column[_np.frombuffer(rows, _np.uint32)]
-            return set(_np.unique(taken).tolist())
-        column = self.columns.server_ip
-        return {column[row] for row in rows}
+        column = _np.frombuffer(self.columns.server_ip, _np.uint32)
+        taken = column[_np.frombuffer(rows, _np.uint32)]
+        return set(_np.unique(taken).tolist())
 
     def servers_for_fqdn(self, fqdn: str) -> set[int]:
         """Distinct serverIPs observed delivering ``fqdn``."""
@@ -1199,18 +1095,11 @@ class FlowDatabase:
         if not len(rows):
             return set()
         names = self._fqdn_names
-        if _np is not None:
-            column = _np.frombuffer(self.columns.fqdn_id, _np.int32)
-            ids = column[_np.frombuffer(rows, _np.uint32)]
-            return {
-                names[fqdn_id]
-                for fqdn_id in _np.unique(ids).tolist()
-                if fqdn_id >= 0
-            }
-        column = self.columns.fqdn_id
+        column = _np.frombuffer(self.columns.fqdn_id, _np.int32)
+        ids = column[_np.frombuffer(rows, _np.uint32)]
         return {
             names[fqdn_id]
-            for fqdn_id in {column[row] for row in rows}
+            for fqdn_id in _np.unique(ids).tolist()
             if fqdn_id >= 0
         }
 
@@ -1225,8 +1114,8 @@ class FlowDatabase:
     # -- grouped aggregations (vectorized analytics backends) --------------
     #
     # Each kernel selects its raw key/value columns and folds them with
-    # Groups.of; numpy-or-not lives in the selectors.  See _grouped for
-    # how the public method and the query table share a kernel.
+    # Groups.of.  See _grouped for how the public method and the query
+    # table share a kernel.
 
     def groups(self, name: str, *args) -> Groups:
         """The packed partial of the grouped aggregation ``name`` — its
@@ -1241,11 +1130,7 @@ class FlowDatabase:
 
     def _select(self, rows, *columns) -> list:
         """The values of ``columns`` at ``rows`` (``None`` = every
-        row), column-wise: numpy arrays, or sequences without numpy."""
-        if _np is None:
-            if rows is None:
-                return list(columns)
-            return [[column[row] for row in rows] for column in columns]
+        row), column-wise, as numpy arrays."""
         views = [
             _np.frombuffer(column, _DTYPES[column.typecode])
             for column in columns
@@ -1261,11 +1146,7 @@ class FlowDatabase:
         if rows is None:
             rows = self._tagged
         selected = self._select(rows, self.columns.fqdn_id, *columns)
-        ids = selected[0]
-        if _np is None:
-            keep = [at for at, fqdn_id in enumerate(ids) if fqdn_id >= 0]
-            return [[column[at] for at in keep] for column in selected]
-        mask = ids >= 0
+        mask = selected[0] >= 0
         return selected if mask.all() else [c[mask] for c in selected]
 
     def _fqdn_pair_counts(self, column, rows) -> Groups:
@@ -1320,10 +1201,10 @@ class FlowDatabase:
     def _bin_server_pairs(self, rows, bin_seconds: float) -> Groups:
         """Deduped ``(bin_index, server_ip)`` over ``rows`` — distinct-
         server counts cannot merge across sources; these pairs can."""
-        starts, servers = self._select(
+        servers, bins = _binned(bin_seconds, *self._select(
             rows, self.columns.start, self.columns.server_ip
-        )
-        return Groups.of(2, _bins(starts, bin_seconds), servers)
+        ))
+        return Groups.of(2, bins, servers)
 
     @_grouped(lambda pairs, _interns, _sld, bin_seconds:
               distinct_per_bin(pairs, bin_seconds))
@@ -1350,13 +1231,13 @@ class FlowDatabase:
         """Deduped ``(fqdn_id, bin_index)`` activity pairs over the
         labeled flows of ``rows`` (Fig. 11 timelines)."""
         ids, starts = self._labeled(rows, self.columns.start)
-        return Groups.of(2, ids, _bins(starts, bin_seconds))
+        return Groups.of(2, *_binned(bin_seconds, starts, ids))
 
     @_grouped(_mapping)
     def fqdn_first_seen(self, rows=None) -> dict[int, float]:
         """Earliest flow start per interned label over ``rows``."""
         ids, starts = self._labeled(rows, self.columns.start)
-        return Groups.of(1, ids, starts, reduce="min")
+        return Groups.of(1, *_finite(starts, ids), reduce="min")
 
     @_grouped(_tuples)
     def server_fqdn_bin_triples(
@@ -1367,7 +1248,7 @@ class FlowDatabase:
         ids, servers, starts = self._labeled(
             rows, self.columns.server_ip, self.columns.start
         )
-        return Groups.of(3, servers, ids, _bins(starts, bin_seconds))
+        return Groups.of(3, *_binned(bin_seconds, starts, servers, ids))
 
     @_grouped(sld_stats)
     def sld_flow_stats(

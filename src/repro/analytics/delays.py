@@ -23,8 +23,7 @@ class DelayAnalysis:
     """Computed delay distributions and the useless-response fraction.
 
     The distributions are plain sorted tuples and every accessor is a
-    ``bisect`` probe or a linear interpolation — no numpy, so the
-    module imports (and answers identically) on the no-numpy CI leg.
+    ``bisect`` probe or a linear interpolation.
     """
 
     first_flow_delays: Sequence[float]

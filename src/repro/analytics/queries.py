@@ -60,11 +60,12 @@ from __future__ import annotations
 
 import inspect
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.analytics import database as _dbmod
 from repro.net.ip import ip_from_str, ip_to_str
@@ -232,15 +233,10 @@ def _ordered_window(t0: float, t1: float,
 def offset_rows(rows, base: int) -> array:
     """``rows + base`` as a fresh packed array."""
     out = array("I")
-    if not len(rows):
-        return out
-    np = _dbmod._np
-    if np is not None:
+    if len(rows):
         out.frombytes(
             _dbmod._native(_dbmod._row_index(rows) + base, np.uint32)
         )
-    else:
-        out.extend(row + base for row in rows)
     return out
 
 
@@ -251,24 +247,17 @@ def split_rows(rows, bases: list, total: int) -> list:
     out = [array("I") for _ in bases]
     if rows is None or not len(rows):
         return out
-    np = _dbmod._np
-    if np is not None:
-        taken = _dbmod._row_index(rows)
-        taken = taken[taken < total]
-        which = np.searchsorted(
-            np.asarray(bases, np.int64), taken, side="right"
-        ) - 1
-        for index, base in enumerate(bases):
-            mask = which == index
-            if mask.any():
-                out[index].frombytes(
-                    _dbmod._native(taken[mask] - base, np.uint32)
-                )
-        return out
-    for row in rows:
-        if row < total:
-            index = bisect_right(bases, row) - 1
-            out[index].append(row - bases[index])
+    taken = _dbmod._row_index(rows)
+    taken = taken[taken < total]
+    which = np.searchsorted(
+        np.asarray(bases, np.int64), taken, side="right"
+    ) - 1
+    for index, base in enumerate(bases):
+        mask = which == index
+        if mask.any():
+            out[index].frombytes(
+                _dbmod._native(taken[mask] - base, np.uint32)
+            )
     return out
 
 

@@ -28,8 +28,8 @@ Two execution backends share one op protocol (:func:`_shard_execute`):
   default, zero extra moving parts;
 * ``backend="process"`` runs one OS process per shard over a duplex
   pipe (the ``repro.sniffer.fanout`` discipline), which doubles as a
-  process-pool rescue for ``parallel=N`` deployments where the GIL —
-  or a missing numpy — makes the flat store's thread pool useless.
+  process-pool rescue for ``parallel=N`` deployments where the GIL
+  makes the flat store's thread pool useless.
 
 Merge contract
 --------------
@@ -38,8 +38,7 @@ The coordinator's global row space is the shard-major concatenation
 ``shard-00 rows ++ shard-01 rows ++ ...``.  Every query result equals
 the same query against one flat ``FlowStore`` that ingested the rows
 in that shard-major order (the differential suite in
-``tests/test_shard_differential.py`` enforces this property, with and
-without numpy).  Two sharding-specific caveats:
+``tests/test_shard_differential.py`` enforces this property).  Two sharding-specific caveats:
 
 * global row indices are positions in the concatenation, so they are
   stable only while no ingest runs (a flat store only ever appends at
@@ -306,9 +305,9 @@ class _ProcessBackend:
     worker discipline): pickled ``(op, args, known_fqdns)``
     requests down, ``("ok", reply)`` / ``("err", message)`` up.
 
-    ``fork`` is preferred when available so a worker inherits the
-    parent's runtime state (notably ``repro.analytics.database._np``
-    gating — the no-numpy differential legs depend on it)."""
+    ``fork`` is preferred when available: a forked worker starts from
+    the parent's imported modules instead of importing numpy and the
+    store again."""
 
     kind = "process"
 

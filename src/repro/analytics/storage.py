@@ -14,8 +14,7 @@ query engine:
 * :class:`SegmentReader` — validate and lazily materialize one segment
   back into an in-memory columnar database (columns are rebuilt with
   ``frombytes``, ids re-interned, statistics folded; an index is
-  grouped the first time a query reads it — no per-row object churn
-  on the numpy path);
+  grouped the first time a query reads it — no per-row object churn);
 * :class:`FlowStore` — the durable store: an ordered list of sealed
   segments plus a live in-memory *tail*.  ``add()`` / ``ingest_batch``
   land in the tail; when the tail crosses the configured row/byte
@@ -111,10 +110,8 @@ crash anywhere in the seal can neither lose nor double-count a row
 ``tests/test_storage_crash.py`` proves this by crashing a
 spill+compact+WAL workload at every single write/fsync/rename.
 
-Like the in-memory engine, everything here uses numpy when importable
-and falls back to pure-Python loops over the same blocks otherwise —
-the gate is read dynamically from :mod:`repro.analytics.database` so
-the two layers always agree on which path is active.
+Like the in-memory engine, every column statistic, id check and id
+remap here has one body, in numpy.
 """
 
 from __future__ import annotations
@@ -138,7 +135,8 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.analytics import database as _dbmod
+import numpy as np
+
 from repro.analytics.database import (
     FlowColumns,
     FlowDatabase,
@@ -340,29 +338,17 @@ class SegmentMeta:
             meta.min_end, meta.max_end = finite_bounds(
                 _from_le("d", blocks[6])
             )
-            np = _dbmod._np
-            if np is not None:
-                # Compaction can merge multi-million-row segments;
-                # full-column Python min/max passes would dominate it.
-                clients = np.frombuffer(blocks[0], np.dtype("<u4"))
-                servers = np.frombuffer(blocks[1], np.dtype("<u4"))
-                meta.min_client = int(clients.min())
-                meta.max_client = int(clients.max())
-                meta.min_server = int(servers.min())
-                meta.max_server = int(servers.max())
-                # bincount, not unique: numpy loads unique's machinery
-                # on first use (~10 ms), and every sealing process pays.
-                seen = np.flatnonzero(
-                    np.bincount(np.frombuffer(blocks[7], np.uint8))
-                ).tolist()
-            else:
-                clients = _from_le("I", blocks[0])
-                servers = _from_le("I", blocks[1])
-                meta.min_client = min(clients)
-                meta.max_client = max(clients)
-                meta.min_server = min(servers)
-                meta.max_server = max(servers)
-                seen = set(blocks[7])
+            clients = np.frombuffer(blocks[0], np.dtype("<u4"))
+            servers = np.frombuffer(blocks[1], np.dtype("<u4"))
+            meta.min_client = int(clients.min())
+            meta.max_client = int(clients.max())
+            meta.min_server = int(servers.min())
+            meta.max_server = int(servers.max())
+            # bincount, not unique: numpy loads unique's machinery on
+            # first use (~10 ms), and every sealing process pays.
+            seen = np.flatnonzero(
+                np.bincount(np.frombuffer(blocks[7], np.uint8))
+            ).tolist()
             mask = 0
             for value in seen:
                 mask |= 1 << value
@@ -1047,29 +1033,15 @@ class SegmentReader:
         untagged_entries = [
             index for index, text in enumerate(self.labels) if not text
         ]
-        np = _dbmod._np
-        if np is not None:
-            counts = np.bincount(
-                np.frombuffer(protocols, np.uint8),
-                minlength=len(PROTOCOLS),
-            ).tolist()
-            if len(counts) > len(PROTOCOLS):
-                raise StorageError("protocol index out of range")
-            ids = np.frombuffer(label_ids, np.int32)
-            tagged = int((ids >= 0).sum())
-            if untagged_entries:
-                tagged -= int(np.isin(ids, untagged_entries).sum())
-        else:
-            counts = [0] * len(PROTOCOLS)
-            for value in protocols:
-                if value >= len(PROTOCOLS):
-                    raise StorageError("protocol index out of range")
-                counts[value] += 1
-            skip = set(untagged_entries)
-            tagged = sum(
-                1 for value in label_ids
-                if value >= 0 and value not in skip
-            )
+        counts = np.bincount(
+            np.frombuffer(protocols, np.uint8), minlength=len(PROTOCOLS),
+        ).tolist()
+        if len(counts) > len(PROTOCOLS):
+            raise StorageError("protocol index out of range")
+        ids = np.frombuffer(label_ids, np.int32)
+        tagged = int((ids >= 0).sum())
+        if untagged_entries:
+            tagged -= int(np.isin(ids, untagged_entries).sum())
         return {
             "min_start": min_start, "max_end": max_end,
             "protocol_counts": counts, "tagged_rows": tagged,
@@ -1124,14 +1096,10 @@ class SegmentReader:
 
     @staticmethod
     def _validate_ids(ids: array, count: int, what: str) -> None:
-        np = _dbmod._np
         if not len(ids):
             return
-        if np is not None:
-            column = np.frombuffer(ids, np.int32)
-            lo, hi = int(column.min()), int(column.max())
-        else:
-            lo, hi = min(ids), max(ids)
+        column = np.frombuffer(ids, np.int32)
+        lo, hi = int(column.min()), int(column.max())
         if lo < -1 or hi >= count:
             raise StorageError(f"{what} id out of table range")
 
@@ -1159,18 +1127,14 @@ def _table_rows(table: tuple, ids: array) -> list:
     if not table:
         return [None] * len(ids)
     table += (None,)
-    np = _dbmod._np
-    if np is None:
-        return list(map(table.__getitem__, ids))
     return np.array(table, object)[np.frombuffer(ids, np.int32)].tolist()
 
 
 def _remap_ids(ids: array, lut: array) -> array:
     """``lut[id]`` per row of an ``i32`` id column; ``-1`` (None)
     stays ``-1``.  Ids must already be inside the table."""
-    np = _dbmod._np
-    if np is None or not len(ids):
-        return array("i", (lut[value] if value >= 0 else -1 for value in ids))
+    if not len(ids):
+        return array("i")
     values = np.frombuffer(ids, np.int32)
     if len(lut):
         remapped = np.where(

@@ -20,8 +20,7 @@ class Cdf:
     """An empirical CDF over positive integer counts.
 
     Pure stdlib on purpose: every operation is a scalar probe of an
-    already-sorted tuple (``bisect`` territory), so the class works
-    unchanged on the CI leg that strips numpy out.
+    already-sorted tuple (``bisect`` territory).
     """
 
     values: tuple[int, ...]

@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.analytics.database import (
     FlowDatabase,
     Groups,
@@ -27,11 +29,6 @@ from repro.analytics.database import (
 )
 from repro.net.flow import DnsObservation
 from repro.orgdb.ipdb import IpOrganizationDb
-
-try:  # numpy accelerates bulk binning; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 
 class TimeBins:
@@ -53,16 +50,12 @@ class TimeBins:
     def add_many(self, timestamps: Iterable[float]) -> None:
         """Bulk :meth:`add`: one count per distinct bin instead of a
         call per event."""
-        if _np is None:
-            for timestamp in timestamps:
-                self.add(timestamp)
-            return
-        stamps = _np.fromiter(timestamps, dtype=_np.float64)
-        bins = _np.floor_divide(
+        stamps = np.fromiter(timestamps, dtype=np.float64)
+        bins = np.floor_divide(
             stamps - self.start, self.bin_seconds
-        ).astype(_np.int64)
+        ).astype(np.int64)
         # Counted per distinct bin: nothing here is as long as the span.
-        indexes, counts = _np.unique(bins, return_counts=True)
+        indexes, counts = np.unique(bins, return_counts=True)
         for index, count in zip(indexes.tolist(), counts.tolist()):
             self._bins[index] += count
 

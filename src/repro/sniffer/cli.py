@@ -141,6 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     try:
+        if args.dump:
+            # Before the capture, so a missing numpy costs no pass.
+            from repro.analytics.persistence import dump_flows
         pipeline = sniff_pcap(
             args.pcap, clist_size=args.clist, warmup=args.warmup,
             processes=args.processes,
@@ -149,9 +152,11 @@ def main(argv: list[str] | None = None) -> int:
             # A killed durable capture must seal what it acknowledged.
             handle_signals=args.flow_store is not None,
         )
-    except (OSError, PcapFormatError, ValueError) as exc:
+    except (OSError, PcapFormatError, ValueError, ImportError) as exc:
         # ValueError covers bad sizing knobs (--clist 0, --processes 0)
-        # and a corrupt --flow-store directory (StorageError).
+        # and a corrupt --flow-store directory (StorageError);
+        # ImportError a --flow-store or --dump without numpy, which
+        # the store and the dump writer need and the capture does not.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -182,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {count:6d}  {fqdn}")
 
     if args.dump:
-        from repro.analytics.persistence import dump_flows
-
         with open(args.dump, "w", encoding="utf-8") as handle:
             written = dump_flows(flows, handle)
         print(f"\nwrote {written} labeled flows to {args.dump}")

@@ -6,7 +6,7 @@ query identically to the retained seed implementation
 including untagged flows, empty-string labels, case-folded FQDNs, and
 all three ways rows enter a database (per-record ``add``, binary
 ``ingest_batch``, and a sealed segment rematerialized through
-``SegmentReader.database()``), with and without numpy.
+``SegmentReader.database()``).
 
 Indexes are built on first use: an interleaving of ingestion and
 index-backed queries must show every query every row committed before
@@ -14,14 +14,11 @@ it, whatever order the indexes were first asked in.
 """
 
 import tempfile
-from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analytics.database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.database_reference import FlowDatabase as ReferenceDatabase
 from repro.analytics.storage import FlowStore, SegmentReader, write_segment
@@ -45,7 +42,7 @@ labels = st.none() | st.sampled_from([
     "a.b.c.example.org", "tracker.appspot.com", "x",
 ]) | st.text(min_size=1, max_size=20)
 # Mostly a small colliding pool, plus high-bit addresses (>= 2^31) to
-# catch signed-overflow bugs in packed-key numpy paths.
+# catch signed-overflow bugs in packed-key paths.
 addresses = st.integers(min_value=1, max_value=40) | st.sampled_from(
     [0x80000000, 0xDEADBEEF, 0xFFFFFFFF]
 )
@@ -73,16 +70,6 @@ flows = st.builds(
 )
 
 flow_lists = st.lists(flows, min_size=0, max_size=60)
-
-
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
 
 
 def _assert_equivalent(db: FlowDatabase, ref: ReferenceDatabase) -> None:
@@ -121,14 +108,6 @@ class TestObjectIngestDifferential:
         ref = ReferenceDatabase.from_flows(flow_list)
         _assert_equivalent(FlowDatabase.from_flows(flow_list), ref)
 
-    @settings(max_examples=25, deadline=None)
-    @given(flow_lists)
-    def test_add_path_matches_reference_without_numpy(self, flow_list):
-        ref = ReferenceDatabase.from_flows(flow_list)
-        with _without_numpy():
-            db = FlowDatabase.from_flows(flow_list)
-            _assert_equivalent(db, ref)
-
 
 class TestBatchIngestDifferential:
     @settings(max_examples=60, deadline=None)
@@ -140,20 +119,6 @@ class TestBatchIngestDifferential:
             for pos in range(0, len(flow_list), batch_size)
         ]
         _assert_equivalent(FlowDatabase.from_batches(payloads), ref)
-
-    @settings(max_examples=25, deadline=None)
-    @given(flow_lists, st.integers(min_value=1, max_value=17))
-    def test_batch_path_matches_reference_without_numpy(
-        self, flow_list, batch_size
-    ):
-        ref = ReferenceDatabase.from_flows(flow_list)
-        payloads = [
-            encode_events(flow_list[pos:pos + batch_size])
-            for pos in range(0, len(flow_list), batch_size)
-        ]
-        with _without_numpy():
-            db = FlowDatabase.from_batches(payloads)
-            _assert_equivalent(db, ref)
 
     @settings(max_examples=20, deadline=None)
     @given(flow_lists)
@@ -203,26 +168,24 @@ def _assert_index_query(db: FlowDatabase, ref: ReferenceDatabase,
 
 
 class TestIndexesOnDemand:
-    @pytest.mark.parametrize("numpy", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(steps)
-    def test_interleaved_ingest_and_index_queries(self, numpy, step_list):
+    def test_interleaved_ingest_and_index_queries(self, step_list):
         """Each query sees every row committed before it — the index it
         reads is extended from wherever it last stopped — and the
         ``servers()`` / ``ports()`` listings keep first-appearance order
         whatever order the indexes were first asked in."""
-        with nullcontext() if numpy else _without_numpy():
-            db, ref = FlowDatabase(), ReferenceDatabase()
-            for kind, arg in step_list:
-                if kind == "add":
-                    db.add(arg)
-                    ref.add(arg)
-                elif kind == "batch":
-                    assert db.ingest_batch(encode_events(arg)) == len(arg)
-                    ref.add_all(arg)
-                else:
-                    _assert_index_query(db, ref, arg)
-            _assert_equivalent(db, ref)
+        db, ref = FlowDatabase(), ReferenceDatabase()
+        for kind, arg in step_list:
+            if kind == "add":
+                db.add(arg)
+                ref.add(arg)
+            elif kind == "batch":
+                assert db.ingest_batch(encode_events(arg)) == len(arg)
+                ref.add_all(arg)
+            else:
+                _assert_index_query(db, ref, arg)
+        _assert_equivalent(db, ref)
 
     def test_an_index_nobody_asks_for_is_never_built(self, monkeypatch):
         extended = []
@@ -285,17 +248,6 @@ class TestSegmentRoundTripDifferential:
         _assert_equivalent(_rematerialized(
             FlowDatabase.from_batches([encode_events(flow_list)])
         ), ref)
-
-    @settings(max_examples=20, deadline=None)
-    @given(flow_lists)
-    def test_rematerialized_segment_matches_reference_without_numpy(
-        self, flow_list
-    ):
-        ref = ReferenceDatabase.from_flows(flow_list)
-        with _without_numpy():
-            _assert_equivalent(
-                _rematerialized(FlowDatabase.from_flows(flow_list)), ref
-            )
 
 
 class TestGroupedAggregations:
@@ -437,33 +389,11 @@ class TestGroupedAggregations:
         }
         assert got == expected
 
-    @settings(max_examples=15, deadline=None)
-    @given(flow_lists)
-    def test_grouped_aggregations_without_numpy(self, flow_list):
-        db_np = FlowDatabase.from_flows(flow_list)
-        with _without_numpy():
-            db_py = FlowDatabase.from_flows(flow_list)
-            assert sorted(db_py.fqdn_server_counts()) == sorted(
-                db_np.fqdn_server_counts()
-            )
-            assert sorted(db_py.fqdn_client_counts()) == sorted(
-                db_np.fqdn_client_counts()
-            )
-            assert sorted(db_py.fqdn_flow_byte_totals()) == sorted(
-                db_np.fqdn_flow_byte_totals()
-            )
-            assert db_py.fqdn_first_seen() == db_np.fqdn_first_seen()
-            assert db_py.fqdn_bin_pairs(60.0) == db_np.fqdn_bin_pairs(60.0)
-            for sld in db_np.slds():
-                assert db_py.unique_servers_per_bin(
-                    sld, 600.0
-                ) == db_np.unique_servers_per_bin(sld, 600.0)
-
 
 class TestExactByteTotals:
     """Regression: the numpy body summed the u64 byte counters as
     ``bincount(weights=float64)``, so Tab. 8 totals past 2^53 differed
-    from the per-row body and the seed (2^53+1 plus 2 came back even).
+    from the seed (2^53+1 plus 2 came back even).
     Sums are integer-exact now, as Python ints where a total could pass
     2^63 — the codec accepts u64 per flow, so a hostile batch can."""
 
@@ -481,8 +411,7 @@ class TestExactByteTotals:
             for i, counter in enumerate(self.COUNTERS)
         ]
 
-    @pytest.mark.parametrize("numpy", [True, False])
-    def test_in_memory_and_across_segments(self, tmp_path, numpy):
+    def test_in_memory_and_across_segments(self, tmp_path):
         flow_list = self._flows()
         expected: dict[str, list[int]] = {}
         for flow in ReferenceDatabase.from_flows(flow_list):
@@ -493,15 +422,14 @@ class TestExactByteTotals:
                 bucket[2] += flow.bytes_down
         assert expected["big.example.com"][1] == 2**53 + 2**53 + 2 + 2**63
         assert expected["small.example.org"][1] == 2**64
-        with nullcontext() if numpy else _without_numpy():
-            store = FlowStore(tmp_path / "store")
-            store.add_all(flow_list[:3])    # cuts big.example.com in two
-            store.flush()
-            store.add_all(flow_list[3:])
-            for surface in (FlowDatabase.from_flows(flow_list), store):
-                assert {
-                    surface.fqdn_label(fqdn_id): [flows, up, down]
-                    for fqdn_id, flows, up, down
-                    in surface.fqdn_flow_byte_totals()
-                } == expected
-            store.close()
+        store = FlowStore(tmp_path / "store")
+        store.add_all(flow_list[:3])    # cuts big.example.com in two
+        store.flush()
+        store.add_all(flow_list[3:])
+        for surface in (FlowDatabase.from_flows(flow_list), store):
+            assert {
+                surface.fqdn_label(fqdn_id): [flows, up, down]
+                for fqdn_id, flows, up, down
+                in surface.fqdn_flow_byte_totals()
+            } == expected
+        store.close()

@@ -16,9 +16,9 @@ import pytest
 from repro.experiments.runner import REGISTRY, run_experiment
 
 # sha256 of str(result) for every experiment, run with the ``results``
-# fixture's arguments.  ``str`` (the rendered table) rather than
-# ``repr(result.data)``: the latter differs between the numpy and the
-# pure-Python kernels for fig10, table6 and table7.
+# fixture's arguments.  ``str`` (the rendered table, what the paper
+# reports) rather than ``repr(result.data)``, whose dict orders and
+# container types are the analyses' implementation detail.
 GOLDEN = Path(__file__).parent / "golden" / "experiments.json"
 
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -206,6 +209,75 @@ class TestSnifferCli:
         assert f"flows labeled       : {labeled}" in output
         assert "worker processes    : 2" in output
         assert "top 10 labels:" in output
+
+    #: A child that, with ``import numpy`` failing first when argv[1]
+    #: is ``shadow``, imports every module of the comma-separated
+    #: packages of argv[2] and runs ``repro-sniff`` on the rest of argv.
+    CHILD = """
+import importlib, pkgutil, sys
+shadow, packages, *argv = sys.argv[1:]
+if shadow == "shadow":
+    sys.modules["numpy"] = None
+for package in packages.split(","):
+    module = importlib.import_module("repro." + package)
+    for info in pkgutil.iter_modules(module.__path__):
+        importlib.import_module(f"repro.{package}.{info.name}")
+if argv:
+    from repro.sniffer.cli import main
+    sys.exit(main(argv))
+"""
+    #: The capture side, stdlib-only.
+    CAPTURE = ("net", "dns", "sniffer", "simulation")
+
+    def _child(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+
+    @pytest.mark.parametrize("package", CAPTURE)
+    def test_capture_package_imports_with_numpy_shadowed(self, package):
+        done = self._child("shadow", package)
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    def test_the_shadow_hides_numpy_from_analytics(self):
+        """The shadow is real: the package that needs numpy fails."""
+        done = self._child("shadow", "analytics")
+        assert done.returncode != 0
+        assert "numpy" in done.stderr
+
+    @pytest.mark.parametrize("extra", [[], ["--processes", "2"]],
+                             ids=["inline", "processes-2"])
+    def test_capture_with_numpy_shadowed_prints_the_same_stats(
+        self, pcap_path, extra
+    ):
+        argv = [pcap_path, "--warmup", "0", *extra]
+        packages = ",".join(self.CAPTURE)
+        shadowed = self._child("shadow", packages, *argv)
+        plain = self._child("plain", packages, *argv)
+        assert shadowed.returncode == 0, shadowed.stderr[-2000:]
+        assert plain.returncode == 0, plain.stderr[-2000:]
+        assert "flows reconstructed : 60" in shadowed.stdout
+        assert shadowed.stdout == plain.stdout
+
+    @pytest.mark.parametrize("option", ["--flow-store", "--dump"])
+    def test_analytics_options_with_numpy_shadowed_name_numpy(
+        self, pcap_path, tmp_path, option
+    ):
+        """The flow store and the dump writer need numpy: refused
+        with one line that says so, before anything is written."""
+        target = tmp_path / "out"
+        refused = self._child(
+            "shadow", "sniffer", pcap_path, "--warmup", "0",
+            option, str(target),
+        )
+        assert refused.returncode == 1
+        assert refused.stderr.startswith("error: ")
+        assert "numpy" in refused.stderr
+        assert "Traceback" not in refused.stderr
+        assert refused.stdout == ""
+        assert not target.exists()
 
     def test_cli_fanout_rejects_dump(self, pcap_path, tmp_path, capsys):
         from repro.sniffer.cli import main

@@ -17,9 +17,9 @@ table — so a query can no longer be added to one surface only.
 
 Merge contract (property): partials of arbitrary source splits merge
 associatively to the single-source answer — the packed ``Groups``
-partials of the grouped aggregations included, on both kernel paths,
-with integer, float and overflowing (``dtype=object``) value columns
-and across a pickle round trip.
+partials of the grouped aggregations included, with integer, float and
+overflowing (``dtype=object``) value columns and across a pickle round
+trip.
 
 Tail consistency (regression): a label interned between view capture
 and the tail step must not break any entry.
@@ -33,7 +33,7 @@ being the shape functions as PR 21 served them (kept here) — the four
 ``packed`` routes write their body from the columns
 (``Groups.to_json``) and must not be tellable from the rest; on
 generated stores (empty, one group, tail only, sealed + tail, sums
-past 2^53 and past 2^64) and on both kernel paths.
+past 2^53 and past 2^64).
 
 Label lookups (regression): ``fqdn_label`` / ``sld_label`` /
 ``sld_of_fqdn`` answer from the append-only tables without the store
@@ -48,7 +48,6 @@ import subprocess
 import sys
 import threading
 from array import array
-from contextlib import contextmanager, nullcontext
 from functools import partial
 
 import pytest
@@ -158,16 +157,6 @@ TWIN_SHAPES = {
 
 def _twin_body(name: str, result) -> bytes:
     return json.dumps(TWIN_SHAPES[name](result), sort_keys=True).encode()
-
-
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
 
 
 def _flow(i: int) -> FlowRecord:
@@ -346,59 +335,63 @@ def _assert_conforms(surfaces: dict, mem: FlowDatabase, app=None,
         )
 
 
-def _flat_store(directory, flows, spill_rows=9, **kwargs) -> FlowStore:
-    """Several sealed segments plus a live (unsealed) tail."""
+def _flat_store(directory, flows, spill_rows=9, compacted=False,
+                **kwargs) -> FlowStore:
+    """Several sealed segments (``compacted``: rewritten as one) plus a
+    live (unsealed) tail."""
     store = FlowStore(directory, spill_rows=spill_rows, **kwargs)
     store.add_all(flows[:-5])
     store.flush()
+    if compacted:
+        store.compact()
     store.add_all(flows[-5:])
-    assert len(store._segments) >= 2 and len(store._tail)
+    assert len(store._segments) >= (1 if compacted else 2)
+    assert len(store._tail)
     return store
 
 
 class TestConformance:
-    @pytest.mark.parametrize("numpy", [True, False])
-    def test_flat_store_snapshot_and_http(self, tmp_path, numpy):
-        with nullcontext() if numpy else _without_numpy():
-            flows = [_flow(i) for i in range(64)]
-            mem = FlowDatabase.from_flows(flows)
-            reference = ReferenceDatabase.from_flows(flows)
-            store = _flat_store(tmp_path / "flat", flows)
-            parallel = _flat_store(tmp_path / "par", flows, parallel=2)
-            with store.pin() as snap:
-                _assert_conforms(
-                    {"store": store, "snapshot": snap,
-                     "parallel": parallel},
-                    mem, app=ServeApp(store), reference=reference,
-                )
-            store.close()
-            parallel.close()
-
-    @pytest.mark.parametrize("numpy", [True, False])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_inprocess_coordinator_and_http(self, tmp_path, shards, numpy):
-        with nullcontext() if numpy else _without_numpy():
-            flows = [_flow(i) for i in range(64)]
-            coord = ShardCoordinator(
-                tmp_path / "sharded", shards=shards, spill_rows=7
+    @pytest.mark.parametrize("compacted", [False, True],
+                             ids=["segments", "compacted"])
+    def test_flat_store_snapshot_and_http(self, tmp_path, compacted):
+        flows = [_flow(i) for i in range(64)]
+        mem = FlowDatabase.from_flows(flows)
+        reference = ReferenceDatabase.from_flows(flows)
+        store = _flat_store(tmp_path / "flat", flows, compacted=compacted)
+        parallel = _flat_store(tmp_path / "par", flows, parallel=2,
+                               compacted=compacted)
+        with store.pin() as snap:
+            _assert_conforms(
+                {"store": store, "snapshot": snap,
+                 "parallel": parallel},
+                mem, app=ServeApp(store), reference=reference,
             )
-            coord.add_all(flows[:-9])
-            coord.flush()
-            coord.add_all(flows[-9:])  # live tails
-            # The coordinator's row space is shard-major.
-            tails = coord.router.split_flows(flows[-9:])
-            sealed = coord.router.split_flows(flows[:-9])
-            ordered = [
-                flow for index in range(shards)
-                for flow in sealed[index] + tails[index]
-            ]
-            mem = FlowDatabase.from_flows(ordered)
-            with coord.pin() as snap:
-                _assert_conforms(
-                    {"coordinator": coord, "snapshot": snap},
-                    mem, app=ServeApp(coord),
-                )
-            coord.close()
+        store.close()
+        parallel.close()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_inprocess_coordinator_and_http(self, tmp_path, shards):
+        flows = [_flow(i) for i in range(64)]
+        coord = ShardCoordinator(
+            tmp_path / "sharded", shards=shards, spill_rows=7
+        )
+        coord.add_all(flows[:-9])
+        coord.flush()
+        coord.add_all(flows[-9:])  # live tails
+        # The coordinator's row space is shard-major.
+        tails = coord.router.split_flows(flows[-9:])
+        sealed = coord.router.split_flows(flows[:-9])
+        ordered = [
+            flow for index in range(shards)
+            for flow in sealed[index] + tails[index]
+        ]
+        mem = FlowDatabase.from_flows(ordered)
+        with coord.pin() as snap:
+            _assert_conforms(
+                {"coordinator": coord, "snapshot": snap},
+                mem, app=ServeApp(coord),
+            )
+        coord.close()
 
     def test_process_backend(self, tmp_path):
         flows = [_flow(i) for i in range(64)]
@@ -470,42 +463,39 @@ class TestCompleteness:
             GROUPED
         )
 
-    @pytest.mark.parametrize("numpy", [True, False])
-    def test_packed_accessor_is_the_unfinished_partial(self, tmp_path,
-                                                       numpy):
-        with nullcontext() if numpy else _without_numpy():
-            flows = [_flow(i) for i in range(60)]
-            mem = FlowDatabase.from_flows(flows)
-            store = FlowStore(tmp_path / "store", spill_rows=13)
-            store.add_all(flows)
-            coord = ShardCoordinator(tmp_path / "sharded", shards=2,
-                                     spill_rows=13)
-            coord.add_all(flows)
-            for name, args in _cases(mem):
-                query = QUERIES[name]
-                for surface in (mem, store, coord):
-                    if name not in GROUPED:
-                        # Not a row array, not a record list: refused.
-                        with pytest.raises(KeyError, match=name):
-                            surface.groups(name, *args)
-                        continue
-                    packed = surface.groups(name, *args)
-                    assert isinstance(packed, Groups), name
-                    interns = mem if surface is mem else surface._interns
-                    assert query.finish(
-                        packed, interns, *query.normalize(args)
-                    ) == _call(surface, name, args), name
+    def test_packed_accessor_is_the_unfinished_partial(self, tmp_path):
+        flows = [_flow(i) for i in range(60)]
+        mem = FlowDatabase.from_flows(flows)
+        store = FlowStore(tmp_path / "store", spill_rows=13)
+        store.add_all(flows)
+        coord = ShardCoordinator(tmp_path / "sharded", shards=2,
+                                 spill_rows=13)
+        coord.add_all(flows)
+        for name, args in _cases(mem):
+            query = QUERIES[name]
             for surface in (mem, store, coord):
-                for bogus in ("no_such_query", "_partial", "close", "add"):
-                    with pytest.raises(KeyError):
-                        surface.groups(bogus)
-            # A trailing default fills in like the method's.
-            for surface in (mem, store, coord):
-                assert surface.groups("fqdn_bin_pairs", 10.0) == (
-                    surface.groups("fqdn_bin_pairs", 10.0, None)
-                )
-            coord.close()
-            store.close()
+                if name not in GROUPED:
+                    # Not a row array, not a record list: refused.
+                    with pytest.raises(KeyError, match=name):
+                        surface.groups(name, *args)
+                    continue
+                packed = surface.groups(name, *args)
+                assert isinstance(packed, Groups), name
+                interns = mem if surface is mem else surface._interns
+                assert query.finish(
+                    packed, interns, *query.normalize(args)
+                ) == _call(surface, name, args), name
+        for surface in (mem, store, coord):
+            for bogus in ("no_such_query", "_partial", "close", "add"):
+                with pytest.raises(KeyError):
+                    surface.groups(bogus)
+        # A trailing default fills in like the method's.
+        for surface in (mem, store, coord):
+            assert surface.groups("fqdn_bin_pairs", 10.0) == (
+                surface.groups("fqdn_bin_pairs", 10.0, None)
+            )
+        coord.close()
+        store.close()
 
     def test_routes_and_worker_ops_are_the_table(self, tmp_path):
         store = FlowStore(tmp_path / "store")
@@ -607,40 +597,35 @@ def _assert_split_merges(n_flows: int, cuts: list, make_flow) -> dict:
 
 
 class TestMergeContract:
-    @pytest.mark.parametrize("numpy", [True, False])
     @settings(deadline=None)  # budget set by the hypothesis profile
     @given(
         st.integers(min_value=0, max_value=60),
         st.lists(st.integers(min_value=0, max_value=60), max_size=3),
     )
     def test_any_split_merges_associatively_to_one_source(
-        self, numpy, n_flows, cuts
+        self, n_flows, cuts
     ):
-        with nullcontext() if numpy else _without_numpy():
-            packed = _assert_split_merges(n_flows, cuts, _flow)
-            first_seen = packed["fqdn_first_seen"]
-            if first_seen.columns is not None:   # the float value column
-                assert first_seen.columns[1].dtype.kind == "f"
+        packed = _assert_split_merges(n_flows, cuts, _flow)
+        first_seen = packed["fqdn_first_seen"]
+        if len(first_seen):   # the float value column
+            assert first_seen.columns[1].dtype.kind == "f"
 
-    @pytest.mark.parametrize("numpy", [True, False])
     @settings(deadline=None, max_examples=25)
     @given(
         st.integers(min_value=8, max_value=40),
         st.lists(st.integers(min_value=0, max_value=40), max_size=3),
     )
-    def test_overflowing_sums_merge_exactly(self, numpy, n_flows, cuts):
+    def test_overflowing_sums_merge_exactly(self, n_flows, cuts):
         """Byte counters near 2^64: the packed sums switch to Python
         ints (``dtype=object``) instead of wrapping, in the kernel and
         in every merge."""
-        with nullcontext() if numpy else _without_numpy():
-            packed = _assert_split_merges(n_flows, cuts, _big_flow)
-            totals = packed["fqdn_flow_byte_totals"]
-            if totals.columns is not None:
-                assert totals.columns[2].dtype == object
-            flows = [_big_flow(i) for i in range(n_flows)]
-            assert sum(up for _id, _n, up, _down in totals.tuples()) == sum(
-                flow.bytes_up for flow in flows if flow.fqdn
-            )
+        packed = _assert_split_merges(n_flows, cuts, _big_flow)
+        totals = packed["fqdn_flow_byte_totals"]
+        assert totals.columns[2].dtype == object
+        flows = [_big_flow(i) for i in range(n_flows)]
+        assert sum(up for _id, _n, up, _down in totals.tuples()) == sum(
+            flow.bytes_up for flow in flows if flow.fqdn
+        )
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -672,7 +657,6 @@ class TestMergeContract:
 
 
 class TestServedBytes:
-    @pytest.mark.parametrize("numpy", [True, False])
     @settings(deadline=None, max_examples=25)
     @given(
         st.integers(min_value=0, max_value=40),
@@ -685,21 +669,19 @@ class TestServedBytes:
     @example(2, 2, True, _big_flow)   # one group, sealed, dtype=object
     @example(40, 7, False, _wide_flow)  # sealed + tail, sums past 2^53
     def test_every_route_serves_the_twins_bytes(
-        self, tmp_path_factory, numpy, n_flows, spill_rows, flush,
-        make_flow,
+        self, tmp_path_factory, n_flows, spill_rows, flush, make_flow,
     ):
-        with nullcontext() if numpy else _without_numpy():
-            flows = [make_flow(i) for i in range(n_flows)]
-            store = FlowStore(tmp_path_factory.mktemp("served"),
-                              spill_rows=spill_rows, wal=False)
-            store.add_all(flows)
-            if flush:
-                store.flush()
-            _assert_conforms(
-                {"store": store}, FlowDatabase.from_flows(flows),
-                app=ServeApp(store),
-            )
-            store.close()
+        flows = [make_flow(i) for i in range(n_flows)]
+        store = FlowStore(tmp_path_factory.mktemp("served"),
+                          spill_rows=spill_rows, wal=False)
+        store.add_all(flows)
+        if flush:
+            store.flush()
+        _assert_conforms(
+            {"store": store}, FlowDatabase.from_flows(flows),
+            app=ServeApp(store),
+        )
+        store.close()
 
     def test_the_twin_covers_the_route_table(self):
         assert set(TWIN_SHAPES) == {
@@ -780,29 +762,26 @@ class TestSeriesLimit:
         for i, start in enumerate((0.0, 3600.0))
     ]
 
-    @pytest.mark.parametrize("numpy", [True, False])
-    def test_refused_before_allocating_on_every_surface(self, tmp_path,
-                                                        numpy):
+    def test_refused_before_allocating_on_every_surface(self, tmp_path):
         limit = str(database_module.MAX_SERIES_BINS)
-        with nullcontext() if numpy else _without_numpy():
-            mem = FlowDatabase.from_flows(self.FLOWS)
-            store = FlowStore(tmp_path / "store")
-            store.add(self.FLOWS[0])
-            store.flush()
-            store.add(self.FLOWS[1])   # one sealed segment + the tail
-            for surface in (mem, store):
-                with pytest.raises(ValueError, match=limit):
-                    surface.unique_servers_per_bin("example.com", 1e-5)
-            status, _ctype, payload, _headers = ServeApp(store).handle(
-                "GET", "/query/unique-servers-per-bin",
-                {"sld": ["example.com"], "bin": ["0.00001"]},
-            )
-            assert status == 400 and limit in json.loads(payload)["error"]
-            # An hour of one-second bins is an ordinary request.
-            series = store.unique_servers_per_bin("example.com", 1.0)
-            assert series == mem.unique_servers_per_bin("example.com", 1.0)
-            assert len(series) == 3601
-            store.close()
+        mem = FlowDatabase.from_flows(self.FLOWS)
+        store = FlowStore(tmp_path / "store")
+        store.add(self.FLOWS[0])
+        store.flush()
+        store.add(self.FLOWS[1])   # one sealed segment + the tail
+        for surface in (mem, store):
+            with pytest.raises(ValueError, match=limit):
+                surface.unique_servers_per_bin("example.com", 1e-5)
+        status, _ctype, payload, _headers = ServeApp(store).handle(
+            "GET", "/query/unique-servers-per-bin",
+            {"sld": ["example.com"], "bin": ["0.00001"]},
+        )
+        assert status == 400 and limit in json.loads(payload)["error"]
+        # An hour of one-second bins is an ordinary request.
+        series = store.unique_servers_per_bin("example.com", 1.0)
+        assert series == mem.unique_servers_per_bin("example.com", 1.0)
+        assert len(series) == 3601
+        store.close()
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(database_module, "MAX_SERIES_BINS", 3601)
@@ -826,8 +805,6 @@ from repro.net.flow import (DnsObservation, FiveTuple, FlowRecord,
                             Protocol, TransportProto)
 from repro.orgdb.ipdb import IpOrganizationDb
 
-if sys.argv[1] == "pure":
-    database._np = temporal._np = None
 flows = [
     FlowRecord(fid=FiveTuple(7, 40 + i, 1024 + i, 443, TransportProto.TCP),
                start=start, end=start + 1.0, protocol=Protocol.TLS,
@@ -860,11 +837,10 @@ assert len(hour) == 3601 and hour[0] == (0.0, 1) and hour[1] == (1.0, 0)
 assert len(temporal.dns_response_rate(responses, 1.0).series()) == 3601
 """
 
-    @pytest.mark.parametrize("leg", ["numpy", "pure"])
-    def test_fig5_and_fig14_series_are_refused_too(self, leg):
+    def test_fig5_and_fig14_series_are_refused_too(self):
         pytest.importorskip("resource")
         done = subprocess.run(
-            [sys.executable, "-c", self.CHILD, leg],
+            [sys.executable, "-c", self.CHILD],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )

@@ -11,7 +11,8 @@ query while the version stands still.  What must hold:
 * **exactness** — whatever interleaving of ingest, seal, compaction and
   repeated requests, a served body equals what a daemon that keeps
   nothing (budget 0) answers at that moment (the state machine below,
-  on both numpy legs, for every route with a ``shape``);
+  over a flat store and a two-shard in-process coordinator, for every
+  route with a ``shape``);
 * **nothing doubtful is kept** — an answer computed across a version
   change, an error, a 4xx/5xx, a 504; and a shed request never reaches
   the table;
@@ -30,13 +31,11 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.analytics import database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.queries import QUERIES
 from repro.analytics.shard import ShardCoordinator
@@ -50,9 +49,7 @@ from repro.serve.singleflight import (
     SingleFlight,
 )
 from repro.sniffer.eventcodec import encode_events
-from test_query_table import _cases, _flow, _http_params, _without_numpy
-
-LEGS = pytest.mark.parametrize("numpy", [True, False])
+from test_query_table import _cases, _flow, _http_params
 
 
 def _requests() -> list[tuple[str, dict]]:
@@ -96,11 +93,30 @@ def _count_executions(app: ServeApp, route: str) -> list:
     return executions
 
 
-def _quiet_store(directory) -> FlowStore:
+def _open(directory, spill_rows: int, sharded: bool = False):
+    """A flat store, or a two-shard in-process coordinator — whose
+    version is the tuple of its shards'."""
+    if sharded:
+        return ShardCoordinator(directory, shards=2, spill_rows=spill_rows)
+    return FlowStore(directory, spill_rows=spill_rows)
+
+
+#: The two roots whose answers a daemon keeps.
+ROOTS = pytest.mark.parametrize("sharded", [False, True],
+                                ids=["flat", "sharded"])
+
+
+def _quiet_store(directory, sharded: bool = False):
     """Sealed segments plus a live tail, nothing moving."""
-    store = FlowStore(directory, spill_rows=9)
+    store = _open(directory, 9, sharded)
     store.add_all(_flow(i) for i in range(40))
-    assert len(store._segments) >= 2 and len(store._tail)
+    if sharded:
+        assert all(
+            shard._segments and len(shard._tail)
+            for shard in store._ensure_backend().stores
+        )
+    else:
+        assert len(store._segments) >= 2 and len(store._tail)
     return store
 
 
@@ -109,39 +125,38 @@ def _quiet_store(directory) -> FlowStore:
 # ---------------------------------------------------------------------------
 
 
-@LEGS
-def test_sequential_identical_requests_execute_once(tmp_path, numpy):
+@ROOTS
+def test_sequential_identical_requests_execute_once(tmp_path, sharded):
     n = 5
-    with nullcontext() if numpy else _without_numpy():
-        store = _quiet_store(tmp_path / "store")
-        app = ServeApp(store)
-        executions = {
-            route: _count_executions(app, route)
-            for route in {route for route, _params in REQUESTS}
-        }
-        for route, params in REQUESTS:
-            before = len(executions[route])
-            reused = app.m_reused.value(route=route)
-            answers = [_get(app, route, params) for _ in range(n)]
-            status, body = answers[0]
-            if status != 200:
-                # An error is recomputed every time.
-                assert len(executions[route]) == before + n
-                continue
-            assert len(executions[route]) == before + 1, route
-            # Not merely equal: the bytes the leader encoded.
-            assert all(
-                again == 200 and kept is body for again, kept in answers
-            ), route
-            assert app.m_reused.value(route=route) == reused + n - 1
-        assert app.m_coalesced.samples() == []  # nobody was concurrent
-        count, held = app.singleflight.retained()
-        assert count == sum(
-            1 for route, params in REQUESTS
-            if _get(app, route, params)[0] == 200
-        ) > len(app.query_routes)
-        assert 0 < held <= RETAIN_BYTES
-        store.close()
+    store = _quiet_store(tmp_path / "store", sharded)
+    app = ServeApp(store)
+    executions = {
+        route: _count_executions(app, route)
+        for route in {route for route, _params in REQUESTS}
+    }
+    for route, params in REQUESTS:
+        before = len(executions[route])
+        reused = app.m_reused.value(route=route)
+        answers = [_get(app, route, params) for _ in range(n)]
+        status, body = answers[0]
+        if status != 200:
+            # An error is recomputed every time.
+            assert len(executions[route]) == before + n
+            continue
+        assert len(executions[route]) == before + 1, route
+        # Not merely equal: the bytes the leader encoded.
+        assert all(
+            again == 200 and kept is body for again, kept in answers
+        ), route
+        assert app.m_reused.value(route=route) == reused + n - 1
+    assert app.m_coalesced.samples() == []  # nobody was concurrent
+    count, held = app.singleflight.retained()
+    assert count == sum(
+        1 for route, params in REQUESTS
+        if _get(app, route, params)[0] == 200
+    ) > len(app.query_routes)
+    assert 0 < held <= RETAIN_BYTES
+    store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +168,12 @@ class RetentionMachine(RuleBasedStateMachine):
     """Real ``FlowStore``, real ``ServeApp``; the oracle is a second
     app over the same store that keeps nothing."""
 
-    numpy = True
+    sharded = False
 
     def __init__(self):
         super().__init__()
-        self._saved_np = database_module._np
-        if not self.numpy:
-            database_module._np = None
         self.directory = tempfile.mkdtemp(prefix="retention-")
-        self.store = FlowStore(self.directory, spill_rows=23)
+        self.store = _open(self.directory, 23, self.sharded)
         self.app = ServeApp(self.store)
         self.fresh = ServeApp(self.store)
         self.fresh.singleflight.retain_bytes = 0
@@ -170,7 +182,6 @@ class RetentionMachine(RuleBasedStateMachine):
     def teardown(self):
         self.store.close()
         shutil.rmtree(self.directory, ignore_errors=True)
-        database_module._np = self._saved_np
 
     @rule(count=st.integers(1, 12))
     def ingest(self, count):
@@ -200,8 +211,8 @@ class RetentionMachine(RuleBasedStateMachine):
             )
 
 
-class PureRetentionMachine(RetentionMachine):
-    numpy = False
+class ShardedRetentionMachine(RetentionMachine):
+    sharded = True
 
 
 _machine_settings = settings(
@@ -209,43 +220,42 @@ _machine_settings = settings(
 )
 TestRetentionMachine = RetentionMachine.TestCase
 TestRetentionMachine.settings = _machine_settings
-TestPureRetentionMachine = PureRetentionMachine.TestCase
-TestPureRetentionMachine.settings = _machine_settings
+TestShardedRetentionMachine = ShardedRetentionMachine.TestCase
+TestShardedRetentionMachine.settings = _machine_settings
 
 
-@LEGS
-def test_the_machine_s_worst_case_by_hand(tmp_path, numpy):
+@ROOTS
+def test_the_machine_s_worst_case_by_hand(tmp_path, sharded):
     """The directed version: the same requests after an acknowledged
     ingest, a seal and a compaction never see the answer kept before —
     ``rows-in-window`` included, whose global row ids can only be
     trusted for the member set they were computed over."""
-    with nullcontext() if numpy else _without_numpy():
-        store = FlowStore(tmp_path / "store", spill_rows=1000)
-        app, fresh = ServeApp(store), ServeApp(store)
-        fresh.singleflight.retain_bytes = 0
-        steps = [
-            lambda: store.add_all(_flow(i) for i in range(30)),
-            store.flush,
-            lambda: app.ingest(encode_events(
-                [_flow(i) for i in range(30, 45)]
-            )),
-            store.flush,
-            store.compact,
-            lambda: store.add(_flow(45)),
-        ]
-        versions = set()
-        for step in steps:
-            step()
-            assert store.version() not in versions
-            versions.add(store.version())
-            for route, params in REQUESTS:
-                first = _get(app, route, params)
-                assert first == _get(fresh, route, params), route
-                assert _get(app, route, params) == first
-        assert sum(
-            value for _s, _l, value in app.m_reused.samples()
-        ) > 0
-        store.close()
+    store = _open(tmp_path / "store", 1000, sharded)
+    app, fresh = ServeApp(store), ServeApp(store)
+    fresh.singleflight.retain_bytes = 0
+    steps = [
+        lambda: store.add_all(_flow(i) for i in range(30)),
+        store.flush,
+        lambda: app.ingest(encode_events(
+            [_flow(i) for i in range(30, 45)]
+        )),
+        store.flush,
+        store.compact,
+        lambda: store.add(_flow(45)),
+    ]
+    versions = set()
+    for step in steps:
+        step()
+        assert store.version() not in versions
+        versions.add(store.version())
+        for route, params in REQUESTS:
+            first = _get(app, route, params)
+            assert first == _get(fresh, route, params), route
+            assert _get(app, route, params) == first
+    assert sum(
+        value for _s, _l, value in app.m_reused.samples()
+    ) > 0
+    store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ N-shard store equals the same query against one flat ``FlowStore``
 shard-major order — same values, same ordering, same interned ids —
 for N=1, 2 and 4, over both backends (in-process stores and
 one-process-per-shard workers), including empty shards, shards with a
-quarantined segment, a live unsealed tail per shard, and the no-numpy
-code paths.
+quarantined segment and a live unsealed tail per shard.
 
 The manifest-only pruning half: ``prune_report`` on a fresh
 coordinator must decide scan-vs-prune for every sealed segment in
@@ -18,14 +17,13 @@ own footer-based reports.
 """
 
 import json
+import multiprocessing
 from array import array
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analytics.database as database_module
 from faultfs import FaultFS, inject
 from repro.analytics.database import FlowDatabase, Groups
 from repro.analytics.flowstore_cli import main as flowstore_main
@@ -45,16 +43,6 @@ from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 
 SHARD_COUNTS = (1, 2, 4)
 BACKENDS = ("inprocess", "process")
-
-
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
 
 
 def _flow(i: int, clients: int = 7) -> FlowRecord:
@@ -216,6 +204,30 @@ class TestShardedDifferential:
         coord.close()
         flat.close()
 
+    @pytest.mark.parametrize(
+        "start_method", multiprocessing.get_all_start_methods()
+    )
+    def test_process_backend_under_every_start_method(
+        self, tmp_path, start_method
+    ):
+        """A worker started without the parent's memory (``spawn``,
+        ``forkserver``) rebuilds its shard from the directory alone and
+        answers as a forked one does."""
+        flows = [_flow(i) for i in range(48)]
+        built = _build_sharded(
+            tmp_path / "sharded", flows, 3, live_tail=False
+        )
+        built.close()
+        coord = ShardCoordinator(
+            tmp_path / "sharded", backend="process",
+            start_method=start_method,
+        )
+        flat = _flat_oracle(tmp_path / "flat", coord.router, flows)
+        mem = FlowDatabase.from_flows(_shard_major(coord.router, flows))
+        _assert_bit_identical(coord, flat, mem)
+        coord.close()
+        flat.close()
+
     def test_packed_partials_cross_the_worker_pipe(self, tmp_path):
         """A process shard returns its merged partial *unfinished*: the
         packed ``Groups`` pickles over the pipe — an overflowing byte
@@ -231,10 +243,7 @@ class TestShardedDifferential:
         coord = ShardCoordinator(tmp_path / "sharded", backend="process")
         parts = coord._fan("fqdn_flow_byte_totals", (None,))
         assert all(isinstance(part, Groups) and len(part) for part in parts)
-        assert all(
-            part.columns is None or part.columns[2].dtype == object
-            for part in parts
-        )
+        assert all(part.columns[2].dtype == object for part in parts)
         assert all(
             coord._fqdn_maps[k].typecode == "i" and len(coord._fqdn_maps[k])
             for k in range(2)
@@ -251,32 +260,6 @@ class TestShardedDifferential:
         )
         coord.close()
         flat.close()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_without_numpy(self, tmp_path, backend):
-        with _without_numpy():
-            flows = [_flow(i) for i in range(48)]
-            live_tail = backend == "inprocess"
-            coord = _build_sharded(
-                tmp_path / "sharded", flows, 3, live_tail=live_tail,
-                backend="inprocess",
-            )
-            if backend == "process":
-                coord.close()
-                # fork start method: the workers inherit the parent's
-                # _np = None gating, so the subprocess leg really runs
-                # the pure-python kernels.
-                coord = ShardCoordinator(
-                    tmp_path / "sharded", backend="process",
-                    start_method="fork",
-                )
-            flat = _flat_oracle(tmp_path / "flat", coord.router, flows)
-            mem = FlowDatabase.from_flows(
-                _shard_major(coord.router, flows)
-            )
-            _assert_bit_identical(coord, flat, mem)
-            coord.close()
-            flat.close()
 
     def test_empty_shard_is_inert(self, tmp_path):
         # client addresses 5 + i % 7 with 14 shards: half the shards

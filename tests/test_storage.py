@@ -5,19 +5,17 @@ spilled to segments during ingest and reopened from the directory has
 to answer **every** query-surface call and grouped aggregation
 identically to the in-memory columnar store and the seed row store —
 on randomized flow sets, for both ingestion paths, across spill
-boundaries, after compaction, and with or without numpy.  Corruption
+boundaries and after compaction.  Corruption
 must be rejected atomically: a truncated or bit-flipped segment fails
 the open with ``StorageError`` instead of answering wrong.
 """
 
 import json
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analytics.database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.database_reference import (
     FlowDatabase as ReferenceDatabase,
@@ -78,16 +76,6 @@ flow_lists = st.lists(flows, min_size=0, max_size=60)
 spill_sizes = st.integers(min_value=1, max_value=25)
 
 
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
-
-
 def _assert_store_matches(store, mem: FlowDatabase, ref: ReferenceDatabase):
     """The full differential: store vs in-memory columnar vs seed row
     store — query surface (vs both) and grouped aggregations including
@@ -128,9 +116,8 @@ def _assert_store_matches(store, mem: FlowDatabase, ref: ReferenceDatabase):
     for port in [*ref.ports(), 1]:
         assert store.query_by_port(port) == ref.query_by_port(port)
     # Grouped aggregations: identical global ids AND ordering vs the
-    # in-memory columnar store (sld_flow_stats/server_flow_counts allow
-    # order-free equality — the in-memory store itself orders those
-    # differently with and without numpy).
+    # in-memory columnar store (sld_flow_stats is compared order-free,
+    # server_flow_counts is a mapping).
     assert store.fqdn_server_counts() == sorted(mem.fqdn_server_counts())
     assert store.fqdn_client_counts() == sorted(mem.fqdn_client_counts())
     assert store.fqdn_flow_byte_totals() == sorted(
@@ -205,34 +192,6 @@ class TestRoundTrip:
         ref = ReferenceDatabase.from_flows(flow_list)
         _assert_store_matches(store, mem, ref)
 
-    @settings(max_examples=12, deadline=None)
-    @given(flow_lists, spill_sizes)
-    def test_round_trip_without_numpy(
-        self, tmp_path_factory, flow_list, spill_rows
-    ):
-        tmp_path = tmp_path_factory.mktemp("store")
-        with _without_numpy():
-            _spilled_store(tmp_path, flow_list, spill_rows)
-            mem = FlowDatabase.from_flows(flow_list)
-            ref = ReferenceDatabase.from_flows(flow_list)
-            reopened = FlowStore(tmp_path / "store")
-            _assert_store_matches(reopened, mem, ref)
-
-    @settings(max_examples=12, deadline=None)
-    @given(flow_lists, spill_sizes)
-    def test_numpy_written_python_read(
-        self, tmp_path_factory, flow_list, spill_rows
-    ):
-        """Segments written on the numpy path must reopen identically
-        on the pure-Python path (and the committed format is shared)."""
-        tmp_path = tmp_path_factory.mktemp("store")
-        _spilled_store(tmp_path, flow_list, spill_rows)
-        ref = ReferenceDatabase.from_flows(flow_list)
-        with _without_numpy():
-            mem = FlowDatabase.from_flows(flow_list)
-            reopened = FlowStore(tmp_path / "store")
-            _assert_store_matches(reopened, mem, ref)
-
 
 class TestCompaction:
     @settings(max_examples=25, deadline=None)
@@ -270,15 +229,6 @@ class TestCompaction:
         ref = ReferenceDatabase.from_flows(flow_list)
         _assert_store_matches(store, mem, ref)
         _assert_store_matches(FlowStore(tmp_path / "store"), mem, ref)
-
-    def test_compaction_without_numpy(self, tmp_path):
-        flow_list = [_flow(i) for i in range(25)]
-        with _without_numpy():
-            store = _spilled_store(tmp_path, flow_list, 4)
-            store.compact()
-            mem = FlowDatabase.from_flows(flow_list)
-            ref = ReferenceDatabase.from_flows(flow_list)
-            _assert_store_matches(store, mem, ref)
 
 
 def _flow(i: int, fqdn="www.Example.com") -> FlowRecord:

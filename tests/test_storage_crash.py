@@ -15,9 +15,6 @@ degraded) instead of failing the open; torn WAL records and stale
 journal epochs are dropped without touching acknowledged data;
 transient OSErrors retry with bounded backoff; directory-fsync
 failures are fatal unless the platform genuinely cannot do it.
-
-Both halves run with and without numpy — recovery code that is only
-correct on one path would be a silent trap for the other.
 """
 
 from __future__ import annotations
@@ -25,11 +22,9 @@ from __future__ import annotations
 import errno
 import os
 import shutil
-from contextlib import contextmanager, nullcontext
 
 import pytest
 
-import repro.analytics.database as database_module
 from faultfs import CrashError, FaultFS, inject
 from repro.analytics import storage
 from repro.analytics.database import FlowDatabase
@@ -42,16 +37,6 @@ from repro.analytics.storage import (
     _encode_flow_batch,
 )
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
-
-
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
 
 
 @pytest.fixture
@@ -253,12 +238,6 @@ class TestCrashSweep:
     def test_every_injection_point(self, tmp_path, torn):
         _sweep(tmp_path, torn)
 
-    @pytest.mark.parametrize("torn", (False, True),
-                             ids=("clean-cut", "torn-write"))
-    def test_every_injection_point_without_numpy(self, tmp_path, torn):
-        with _without_numpy():
-            _sweep(tmp_path, torn)
-
 
 # ---------------------------------------------------------------------------
 # directed WAL recovery tests
@@ -438,33 +417,29 @@ class TestQuarantine:
         assert len(segments) == 3
         return directory, segments
 
-    def _surviving_flows(self):
-        # Segments hold rows 0-7, 8-15, 16-23; segment 2 is the victim.
-        return _ALL_FLOWS[:8] + _ALL_FLOWS[16:24]
+    def _surviving_flows(self, victim: int = 1):
+        # Segments hold rows 0-7, 8-15, 16-23.
+        return _ALL_FLOWS[:8 * victim] + _ALL_FLOWS[8 * victim + 8:24]
 
-    @pytest.mark.parametrize("use_numpy", (True, False),
-                             ids=("numpy", "pure-python"))
-    def test_corrupt_segment_quarantined_not_fatal(
-        self, tmp_path, use_numpy
-    ):
-        context = nullcontext() if use_numpy else _without_numpy()
-        with context:
-            directory, segments = self._sealed_store(tmp_path)
-            victim = segments[1]
-            raw = bytearray(victim.read_bytes())
-            raw[len(raw) // 2] ^= 0xFF
-            victim.write_bytes(bytes(raw))
-            store = FlowStore(directory)
-            health = store.health()
-            assert health["status"] == "degraded"
-            assert [q["name"] for q in health["quarantined_segments"]] \
-                == [victim.name]
-            assert "CRC" in health["quarantined_segments"][0]["reason"]
-            # Moved aside, bytes preserved for post-mortem.
-            assert not victim.exists()
-            assert (directory / "quarantine" / victim.name).exists()
-            _assert_equivalent(store, self._surviving_flows())
-            store.close()
+    @pytest.mark.parametrize("index", [0, 1, 2],
+                             ids=["first", "middle", "last"])
+    def test_corrupt_segment_quarantined_not_fatal(self, tmp_path, index):
+        directory, segments = self._sealed_store(tmp_path)
+        victim = segments[index]
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        store = FlowStore(directory)
+        health = store.health()
+        assert health["status"] == "degraded"
+        assert [q["name"] for q in health["quarantined_segments"]] \
+            == [victim.name]
+        assert "CRC" in health["quarantined_segments"][0]["reason"]
+        # Moved aside, bytes preserved for post-mortem.
+        assert not victim.exists()
+        assert (directory / "quarantine" / victim.name).exists()
+        _assert_equivalent(store, self._surviving_flows(index))
+        store.close()
 
     def test_missing_segment_quarantined(self, tmp_path):
         directory, segments = self._sealed_store(tmp_path)

@@ -6,7 +6,7 @@ grouped aggregation, record query and row-index view has to come back
 **bit-identical** — same values, same ordering — to the serial pass
 (N=1) and to the in-memory columnar store, for N=1, 2 and 4, including
 stores holding empty segments and a live unsealed tail, with pruning
-on or off, with and without numpy.
+on or off.
 
 A segment's indexes are built by whichever reader asks first: threads
 released together onto fresh segments must each get the serial answer
@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analytics.database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.storage import (
     FlowStore,
@@ -34,16 +33,6 @@ from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.sniffer.eventcodec import encode_events
 
 PARALLELISMS = (1, 2, 4)
-
-
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
 
 
 def _flow(i: int) -> FlowRecord:
@@ -195,16 +184,6 @@ class TestParallelDifferential:
         assert all(not seg.resident for seg in store.segments)
         store.close()
         serial.close()
-
-    def test_parallel_without_numpy(self, tmp_path):
-        with _without_numpy():
-            directory, flows = _store_with_everything(tmp_path)
-            serial = _open(directory, flows, 1, True)
-            store = _open(directory, flows, 4, True)
-            mem = FlowDatabase.from_flows(flows)
-            _assert_bit_identical(store, serial, mem)
-            store.close()
-            serial.close()
 
     def test_parallel_validation(self, tmp_path):
         with pytest.raises(ValueError):

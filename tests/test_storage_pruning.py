@@ -8,7 +8,7 @@ time/server/FQDN/2LD predicates, a pruned query over a spilled (and
 compacted) store must equal the same query with pruning disabled
 (``FlowStore(prune=False)``, the PR4 scan-everything pass), the
 in-memory columnar :class:`FlowDatabase` and the seed
-``database_reference`` row store — with and without numpy.
+``database_reference`` row store.
 
 Alongside the property suite: backward compatibility (a metadata-less
 version-1 store opens and answers identically; compaction upgrades it),
@@ -19,15 +19,14 @@ atomically at open).
 
 import json
 import struct
+import warnings
 import zlib
-from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analytics.database as database_module
 from repro.analytics.database import FlowDatabase
 from repro.analytics.database_reference import (
     FlowDatabase as ReferenceDatabase,
@@ -100,16 +99,6 @@ server_probes = st.lists(addresses, min_size=0, max_size=6)
 fqdn_probes = st.sampled_from(
     LABEL_POOL + ("missing.example.net", "TRACKER.appspot.com")
 )
-
-
-@contextmanager
-def _without_numpy():
-    saved = database_module._np
-    database_module._np = None
-    try:
-        yield
-    finally:
-        database_module._np = saved
 
 
 def _spill(tmp_path, flow_list, spill_rows) -> Path:
@@ -226,23 +215,6 @@ class TestPruningSoundness:
 
     @settings(deadline=None, max_examples=25)
     @given(flow_lists, spill_sizes, windows, server_probes, fqdn_probes)
-    def test_pruning_sound_without_numpy(
-        self, tmp_path_factory, flow_list, spill_rows, window, servers,
-        fqdn,
-    ):
-        tmp_path = tmp_path_factory.mktemp("prune")
-        with _without_numpy():
-            directory = _spill(tmp_path, flow_list, spill_rows)
-            pruned = FlowStore(directory)
-            unpruned = FlowStore(directory, prune=False)
-            mem = FlowDatabase.from_flows(flow_list)
-            ref = ReferenceDatabase.from_flows(flow_list)
-            _assert_predicates_identical(
-                pruned, unpruned, mem, ref, window, servers, fqdn
-            )
-
-    @settings(deadline=None, max_examples=25)
-    @given(flow_lists, spill_sizes, windows, server_probes, fqdn_probes)
     def test_live_tail_included_in_pruned_queries(
         self, tmp_path_factory, flow_list, spill_rows, window, servers,
         fqdn,
@@ -313,8 +285,8 @@ def _flow(i: int, fqdn="www.Example.com", start=None) -> FlowRecord:
 class TestNonFiniteTimestamps:
     """A NaN/inf timestamp would poison segment time ranges and let
     window pruning silently drop valid rows — ingestion must reject it
-    before any state is touched, on both ingest paths and both numpy
-    legs."""
+    before any state is touched, on both ingest paths and on the
+    durable store."""
 
     def _bad_flows(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -346,17 +318,16 @@ class TestNonFiniteTimestamps:
             FlowDatabase.from_flows(good).time_span()
         )
 
-    def test_rejection_without_numpy(self, tmp_path):
+    def test_store_rejects_non_finite_atomically(self, tmp_path):
         from repro.sniffer.eventcodec import CodecError, encode_events
 
-        with _without_numpy():
-            store = FlowStore(tmp_path / "s", spill_rows=4)
-            for bad_flow in self._bad_flows():
-                with pytest.raises(ValueError, match="non-finite"):
-                    store.add(bad_flow)
-                with pytest.raises(CodecError, match="non-finite"):
-                    store.ingest_batch(encode_events([bad_flow]))
-            assert len(store) == 0
+        store = FlowStore(tmp_path / "s", spill_rows=4)
+        for bad_flow in self._bad_flows():
+            with pytest.raises(ValueError, match="non-finite"):
+                store.add(bad_flow)
+            with pytest.raises(CodecError, match="non-finite"):
+                store.ingest_batch(encode_events([bad_flow]))
+        assert len(store) == 0
 
     def test_window_predicate_is_conservative_under_nan(self):
         # Defense in depth: were a NaN bound ever to reach a footer,
@@ -502,16 +473,19 @@ class TestVersion1Compat:
         assert flowstore_main(["verify", str(directory)]) == 0
         assert "v1 segment" in capsys.readouterr().out
 
-    def _write_v1_nan_store(self, directory: Path) -> list[FlowRecord]:
-        """Two v1 segments, the very first row holding a NaN start
-        (legacy data: PR4-era stores predate the finite-timestamp
-        ingest check).  Returns the flows as ingested."""
+    def _write_v1_nan_store(self, directory: Path, row: int = 0,
+                            value: float = float("nan"),
+                            ) -> list[FlowRecord]:
+        """Two v1 segments, row ``row`` of the first holding the
+        non-finite start ``value`` (legacy data: PR4-era stores predate
+        the finite-timestamp ingest check).  Returns the flows as
+        ingested."""
         directory.mkdir()
         flow_list = [_flow(i) for i in range(6)] + [
             _flow(10 + i) for i in range(6)
         ]
         db = FlowDatabase.from_flows(flow_list[:6])
-        db.columns.start[0] = float("nan")
+        db.columns.start[row] = value
         _write_v1_segment(directory / "seg-00000001.fseg", db)
         _write_v1_segment(
             directory / "seg-00000002.fseg",
@@ -523,27 +497,74 @@ class TestVersion1Compat:
         }))
         return flow_list
 
-    @pytest.mark.parametrize("numpy", [True, False])
-    def test_v1_nan_store_statistics_use_the_finite_rows(
-        self, tmp_path, numpy
-    ):
+    @pytest.mark.parametrize("row", [0, 1], ids=["untagged", "tagged"])
+    def test_v1_nan_store_statistics_use_the_finite_rows(self, tmp_path,
+                                                        row):
         """``time_span()`` / ``count_by_protocol()`` over a legacy NaN
         start are the answers over the finite values — the same from
-        the cold column blocks and from the materialized segments,
-        with and without numpy."""
-        flow_list = self._write_v1_nan_store(tmp_path / "v1store")
-        span = (min(flow.start for flow in flow_list[1:]),
+        the cold column blocks and from the materialized segments."""
+        flow_list = self._write_v1_nan_store(tmp_path / "v1store", row)
+        span = (min(flow.start for index, flow in enumerate(flow_list)
+                    if index != row),
                 max(flow.end for flow in flow_list))
         protocols = FlowDatabase.from_flows(flow_list).count_by_protocol()
-        with _without_numpy() if not numpy else nullcontext():
-            store = FlowStore(tmp_path / "v1store")
-            assert not any(seg.resident for seg in store.segments)
-            assert store.time_span() == span
-            assert store.count_by_protocol() == protocols
-            assert len(list(store)) == 12    # materializes every segment
-            assert all(seg.resident for seg in store.segments)
-            assert store.time_span() == span
-            assert store.count_by_protocol() == protocols
+        store = FlowStore(tmp_path / "v1store")
+        assert not any(seg.resident for seg in store.segments)
+        assert store.time_span() == span
+        assert store.count_by_protocol() == protocols
+        assert len(list(store)) == 12    # materializes every segment
+        assert all(seg.resident for seg in store.segments)
+        assert store.time_span() == span
+        assert store.count_by_protocol() == protocols
+
+    #: The kernels that read a flow's start, each as a function of a
+    #: database giving its answer in labels (ids differ between a
+    #: store and a database).
+    START_KERNELS = {
+        "fqdn_bin_pairs": lambda db: sorted(
+            (db.fqdn_label(fqdn_id), index)
+            for fqdn_id, index in db.fqdn_bin_pairs(60.0)
+        ),
+        "server_fqdn_bin_triples": lambda db: sorted(
+            (server, db.fqdn_label(fqdn_id), index)
+            for server, fqdn_id, index in db.server_fqdn_bin_triples(60.0)
+        ),
+        "unique_servers_per_bin": lambda db: {
+            sld: db.unique_servers_per_bin(sld, 60.0) for sld in db.slds()
+        },
+        "server_bins_for_fqdn": lambda db: {
+            fqdn: db.server_bins_for_fqdn(fqdn, 60.0) for fqdn in db.fqdns()
+        },
+        "fqdn_first_seen": lambda db: {
+            db.fqdn_label(fqdn_id): start
+            for fqdn_id, start in db.fqdn_first_seen().items()
+        },
+    }
+
+    @pytest.mark.parametrize("kernel", list(START_KERNELS))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_v1_non_finite_start_on_a_tagged_row_carries_no_time(
+        self, tmp_path, value, kernel
+    ):
+        """Regression: a legacy NaN start on a labeled flow was cast to
+        bin -2^63 (and the Fig. 4 series refused a 2^63-bin span), and
+        folded by ``minimum`` it hid the label's finite starts; a -inf
+        start was that label's first sighting.  A non-finite start
+        falls in no bin and is no sighting now — the rule
+        ``rows_in_window`` follows — so every kernel that reads a start
+        answers as over the flows without that row."""
+        flow_list = self._write_v1_nan_store(
+            tmp_path / "v1store", row=1, value=value
+        )
+        assert flow_list[1].fqdn
+        finite = FlowDatabase.from_flows(flow_list[:1] + flow_list[2:])
+        store = FlowStore(tmp_path / "v1store")
+        answer = self.START_KERNELS[kernel]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no NaN cast to int
+            assert answer(store) == answer(finite)
+        store.close()
 
     def test_v1_nan_timestamps_upgrade_cleanly(self, tmp_path, capsys):
         """Upgrading a legacy NaN-start segment via compact() must
