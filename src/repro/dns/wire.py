@@ -12,7 +12,7 @@ import struct
 from typing import Optional
 
 from repro.dns.message import DnsHeader, DnsMessage, Question
-from repro.dns.name import MAX_LABEL_LENGTH
+from repro.dns.name import MAX_LABEL_LENGTH, MAX_NAME_LENGTH
 from repro.dns.records import (
     MxData,
     ResourceRecord,
@@ -38,7 +38,13 @@ class _NameEncoder:
         self._offsets: dict[str, int] = {}
 
     def encode(self, name: str, at_offset: int) -> bytes:
-        labels = name.rstrip(".").lower().split(".") if name else []
+        if not name.isascii():
+            raise DnsWireError(f"non-ASCII name: {name!r}")
+        name = name.rstrip(".").lower()
+        # A name's wire form is two octets longer than its dotted form.
+        if len(name) > MAX_NAME_LENGTH:
+            raise DnsWireError(f"name too long: {name[:20]!r}...")
+        labels = name.split(".") if name else []
         out = bytearray()
         for index in range(len(labels)):
             suffix = ".".join(labels[index:])
@@ -50,6 +56,8 @@ class _NameEncoder:
             if current < _POINTER_MASK:  # pointers only address 14 bits
                 self._offsets[suffix] = current
             label = labels[index].encode("ascii")
+            if not label:
+                raise DnsWireError(f"empty label in {name!r}")
             if len(label) > MAX_LABEL_LENGTH:
                 raise DnsWireError(f"label too long: {labels[index]!r}")
             out.append(len(label))
@@ -284,6 +292,8 @@ def decode_message(data: bytes) -> DnsMessage:
 # the way the full decoder would.
 
 _A_RECORD_TAIL = struct.Struct("!HHIHI")  # type, class, ttl, rdlen, address
+_A_IN = b"\x00\x01\x00\x01"  # type A, class IN
+_TTL_RDLENGTH = struct.Struct("!IH")
 _KNOWN_QTYPES = frozenset(int(rrtype) for rrtype in RRType)
 
 
@@ -370,3 +380,35 @@ def decode_response_addresses(
         if ttl < min_ttl or min_ttl < 0:
             min_ttl = ttl
     return fqdn, addresses, 0 if min_ttl < 0 else min_ttl
+
+
+def encode_a_response(
+    ident: int,
+    name: str,
+    addresses: list[int],
+    ttl: int,
+    names: dict[str, tuple[bytes, bytes]],
+) -> bytes:
+    """Encode a NOERROR response to an A query for ``name`` directly.
+
+    Writes the bytes :func:`encode_message` writes for
+    ``DnsMessage.response_to(DnsMessage.query(ident, name), [a_record(
+    name, address, ttl=ttl) for address in addresses])``: the header,
+    the question, and per address the owner name (a pointer to the
+    question), type A, class IN, ``ttl`` and the address.  ``names``
+    maps each name already seen to its question section and answer
+    prefix, so a name is encoded once per table.
+    """
+    encoded = names.get(name)
+    if encoded is None:
+        encoder = _NameEncoder()
+        question = encoder.encode(name, _HEADER_FMT.size) + _A_IN
+        owner = encoder.encode(name, _HEADER_FMT.size + len(question))
+        encoded = names[name] = (question, owner + _A_IN)
+    question, answer = encoded
+    wire = _HEADER_FMT.pack(ident, 0x8180, 1, len(addresses), 0, 0) + question
+    if not addresses:
+        return wire
+    answer += _TTL_RDLENGTH.pack(ttl, 4)
+    # answer + address, answer + address, ...
+    return wire + answer + answer.join([int.to_bytes(a, 4, "big") for a in addresses])

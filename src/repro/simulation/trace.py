@@ -14,9 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.dns.message import DnsMessage
-from repro.dns.records import a_record
-from repro.dns.wire import encode_message
+from repro.dns.wire import encode_a_response
 from repro.net.flow import DnsObservation, FlowRecord, FiveTuple, Protocol, TransportProto
 from repro.net.packet import (
     TCP_ACK,
@@ -177,12 +175,11 @@ class Trace:
         server = dns_server or (0x0A000001 + (self.profile.pop_index << 16))
         rng = random.Random(self.seed ^ 0x9E3779B9)
         frames: list[PcapRecord] = []
+        names: dict[str, tuple[bytes, bytes]] = {}  # encoded once per call
         flows_done = 0
         for event in self.events:
             if isinstance(event, DnsObservation):
-                frames.extend(
-                    _dns_response_frames(event, server, rng)
-                )
+                frames.extend(_dns_response_frames(event, server, rng, names))
             else:
                 if max_flows is not None and flows_done >= max_flows:
                     continue
@@ -193,23 +190,22 @@ class Trace:
 
 
 def _dns_response_frames(
-    observation: DnsObservation, server: int, rng: random.Random
+    observation: DnsObservation,
+    server: int,
+    rng: random.Random,
+    names: dict[str, tuple[bytes, bytes]],
 ) -> list[PcapRecord]:
-    query = DnsMessage.query(rng.randrange(0, 0xFFFF), observation.fqdn)
-    response = DnsMessage.response_to(
-        query,
-        [
-            a_record(observation.fqdn, address, ttl=max(observation.ttl, 1))
-            for address in observation.answers
-        ],
-    )
+    ident = rng.randrange(0, 0xFFFF)
     frame = build_udp_packet(
         observation.timestamp,
         server,
         observation.client_ip,
         53,
         rng.randrange(1024, 65535),
-        encode_message(response),
+        encode_a_response(
+            ident, observation.fqdn, observation.answers,
+            max(observation.ttl, 1), names,
+        ),
     )
     return [PcapRecord(observation.timestamp, frame)]
 

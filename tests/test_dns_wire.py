@@ -166,6 +166,50 @@ class TestWireErrors:
             decode_message(b"\xff" * 40)
 
 
+class TestNameEncoding:
+    """The encoder refuses what RFC 1035 cannot carry, with DnsWireError."""
+
+    def test_empty_interior_label_refused(self):
+        with pytest.raises(DnsWireError, match="empty label"):
+            encode_message(DnsMessage.query(1, "a..example.com"))
+
+    def test_root_name_is_the_single_root_byte(self):
+        wire = encode_message(DnsMessage.query(1, "."))
+        assert wire[12:] == b"\x00\x00\x01\x00\x01"
+        assert decode_message(wire).question_name == ""
+
+    def test_non_ascii_label_refused(self):
+        with pytest.raises(DnsWireError, match="non-ASCII"):
+            encode_message(DnsMessage.query(1, "bücher.example"))
+
+    def test_name_over_255_wire_octets_refused(self):
+        longest = ".".join(["a" * 63, "b" * 63, "c" * 63, "d" * 61])
+        assert _roundtrip(DnsMessage.query(1, longest)).question_name == longest
+        with pytest.raises(DnsWireError, match="name too long"):
+            encode_message(DnsMessage.query(1, longest + "d"))
+
+    @given(
+        st.one_of(
+            st.text(max_size=300),
+            st.text(alphabet="aZ9-.\x00é", max_size=300),
+            st.lists(
+                st.text(alphabet="aB.", max_size=70), max_size=6
+            ).map(".".join),
+        )
+    )
+    def test_arbitrary_names_roundtrip_or_raise_wire_error(self, name):
+        query = DnsMessage.query(1, name)
+        try:
+            wire = encode_message(
+                DnsMessage.response_to(query, [a_record(name, 1)])
+            )
+        except DnsWireError:
+            return
+        out = decode_message(wire)
+        assert out.question_name == name.rstrip(".").lower()
+        assert out.answers[0].name == out.question_name
+
+
 class TestPointerValidation:
     """Regression tests for compression-pointer hardening.
 

@@ -10,7 +10,10 @@ result of the reproduction hangs off them.
 * ``build_tcp_packet`` / ``build_udp_packet`` against the composition
   of the single-header ``encode()`` methods;
 * the sampling tables after ``add_long_tail`` on a built internet;
-* digests of two event streams and one rendered capture against
+* the direct A-response encoder behind ``_dns_response_frames``
+  against the message-building body it replaced, kept verbatim: the
+  same bytes, the same rng draws, the same error class on a refusal;
+* digests of two event streams and two rendered captures against
   ``tests/golden/traces.json`` (the 22 experiment results are held to
   ``tests/golden/experiments.json`` by ``tests/test_experiments.py``).
 """
@@ -19,13 +22,17 @@ import hashlib
 import json
 import math
 import random
+import string
 import struct
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.flow import TransportProto
+from repro.dns.message import DnsMessage
+from repro.dns.records import a_record
+from repro.dns.wire import encode_a_response, encode_message
+from repro.net.flow import DnsObservation, TransportProto
 from repro.net.packet import (
     EthernetHeader,
     IPv4Header,
@@ -36,7 +43,8 @@ from repro.net.packet import (
 )
 from repro.simulation.client import _weighted_choice, _weighted_sample
 from repro.simulation.internet import SamplingTable, build_internet
-from repro.simulation.trace import build_trace
+from repro.net.pcap import PcapRecord
+from repro.simulation.trace import _dns_response_frames, build_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -295,6 +303,131 @@ class TestPackedHeaders:
                 ) == reference_udp(src, dst, 53, 65535, payload)
 
 
+# -- the direct A-response encoder against the messages it replaced -------
+
+def reference_dns_response_frames(
+    observation: DnsObservation, server: int, rng: random.Random
+) -> list[PcapRecord]:
+    query = DnsMessage.query(rng.randrange(0, 0xFFFF), observation.fqdn)
+    response = DnsMessage.response_to(
+        query,
+        [
+            a_record(observation.fqdn, address, ttl=max(observation.ttl, 1))
+            for address in observation.answers
+        ],
+    )
+    frame = build_udp_packet(
+        observation.timestamp,
+        server,
+        observation.client_ip,
+        53,
+        rng.randrange(1024, 65535),
+        encode_message(response),
+    )
+    return [PcapRecord(observation.timestamp, frame)]
+
+
+LABEL_63 = "x" * 63
+NAME_253 = ".".join(["a" * 63, "b" * 63, "c" * 63, "d" * 61])
+
+# Upper case, digits and hyphens; at most three labels, so every drawn
+# name fits in 253 characters.  The root name's answers carry no pointer.
+labels = st.text(
+    alphabet=string.ascii_letters + string.digits + "-", min_size=1, max_size=63
+)
+valid_names = st.one_of(
+    st.lists(labels, min_size=1, max_size=3).map(".".join),
+    st.sampled_from([LABEL_63 + ".Example.COM", NAME_253, "x", ""]),
+).flatmap(lambda name: st.sampled_from([name, name + "."]))
+valid_addresses = st.one_of(
+    st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 2**32 - 1)
+)
+valid_ttls = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, -5]), st.integers(0, 2**32 - 1)
+)
+
+# One fault per refused input: which check fires first is not part of
+# the contract when several would.
+refused_names = st.sampled_from([
+    "y" * 64 + ".example.com",        # label over 63 octets
+    NAME_253 + "d",                    # 254 characters: 256 wire octets
+    "a..example.com",                  # empty interior label
+    ".example.com",
+    "bücher.example",                  # non-ASCII
+])
+refused_addresses = st.sampled_from([2**32, 2**40, -1, 1.5, None])
+refused_ttls = st.sampled_from([2**32, 2**64, 1.5])
+
+
+def _outcome(render, observation, rng):
+    try:
+        return render(observation, rng), None
+    except Exception as exc:  # the class is the result
+        return None, type(exc)
+
+
+@st.composite
+def observations(draw):
+    fault = draw(st.sampled_from(["none", "name", "address", "ttl"]))
+    name = draw(refused_names if fault == "name" else valid_names)
+    answers = draw(st.lists(valid_addresses, max_size=8))
+    if fault == "address":
+        index = draw(st.integers(0, len(answers)))
+        answers.insert(index, draw(refused_addresses))
+    ttl = draw(refused_ttls if fault == "ttl" else valid_ttls)
+    if fault == "ttl" and not answers:  # a TTL is only written with an answer
+        answers.append(draw(valid_addresses))
+    return DnsObservation(
+        timestamp=draw(st.floats(0.0, 1e6)),
+        client_ip=draw(valid_addresses),
+        fqdn=name,
+        answers=answers,
+        ttl=ttl,
+    ), fault
+
+
+class TestDnsResponseFrames:
+    server = 0x0A090001
+
+    @settings(deadline=None)
+    @given(st.lists(observations(), min_size=1, max_size=6), st.integers(0, 2**64))
+    def test_matches_the_message_building_path(self, drawn, seed):
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        names = {}
+        for observation, fault in drawn:
+            new = _outcome(
+                lambda o, r: _dns_response_frames(o, self.server, r, names),
+                observation, new_rng,
+            )
+            old = _outcome(
+                lambda o, r: reference_dns_response_frames(o, self.server, r),
+                observation, old_rng,
+            )
+            assert new == old
+            assert (new[1] is None) == (fault == "none")
+            if new[1] is not None:
+                break  # a refusal ends the render: the rng goes with it
+            # The ident is drawn first, then the source port.
+            assert new_rng.getstate() == old_rng.getstate()
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0, 0xFFFF]), st.integers(0, 0xFFFF)),
+        valid_names,
+        st.lists(valid_addresses, max_size=8),
+        st.sampled_from([1, 2**32 - 1]),
+    )
+    def test_every_ident_and_a_reused_name_table(self, ident, name, answers, ttl):
+        expected = encode_message(DnsMessage.response_to(
+            DnsMessage.query(ident, name),
+            [a_record(name, address, ttl=ttl) for address in answers],
+        ))
+        names = {}
+        assert encode_a_response(ident, name, answers, ttl, names) == expected
+        assert list(names) == [name]
+        assert encode_a_response(ident, name, answers, ttl, names) == expected
+
+
 # -- goldens -----------------------------------------------------------------
 
 def events_digest(events) -> str:
@@ -331,3 +464,5 @@ class TestTraceGoldens:
         assert frames_digest(frames) == (
             self.golden["frames"]["EU1-FTTH/21/max_flows=800"]
         )
+        frames = build_trace("US-3G", seed=5).to_packets()
+        assert frames_digest(frames) == self.golden["frames"]["US-3G/5"]
