@@ -145,14 +145,13 @@ class FlowColumns:
     def __len__(self) -> int:
         return len(self.start)
 
-    def problem(self, finite: bool) -> Optional[str]:
+    def problem(self) -> Optional[str]:
         """Why these rows cannot be materialized as records — a
         protocol index outside ``PROTOCOLS``, a transport byte that is
-        no ``TransportProto`` or, with ``finite``, a NaN/inf timestamp
-        — or ``None``.  The one check behind both column loaders: a
-        codec batch (reported as ``CodecError`` while the store is
-        still untouched) and a segment file (``StorageError``; v1
-        segments predate the finite rule, so they pass ``False``)."""
+        no ``TransportProto`` or a NaN/inf timestamp — or ``None``.
+        The one check behind both column loaders: a codec batch
+        (reported as ``CodecError`` while the store is still
+        untouched) and a segment file (``StorageError``)."""
         if not len(self):
             return None
         view = _np.frombuffer
@@ -162,7 +161,7 @@ class FlowColumns:
             view(self.transport, _np.uint8), list(_TRANSPORTS)
         ).all():
             return "invalid transport protocol number"
-        if finite and not (
+        if not (
             _np.isfinite(view(self.start, _np.float64)).all()
             and _np.isfinite(view(self.end, _np.float64)).all()
         ):
@@ -180,28 +179,6 @@ def _row_index(rows):
     if isinstance(rows, array):
         return _np.frombuffer(rows, _np.uint32)
     return _np.asarray(rows, _np.uint32)
-
-
-def finite_bounds(values) -> tuple[float, float]:
-    """(min, max) over the *finite* entries of a float column; the
-    empty convention ``(inf, -inf)`` when none are.
-
-    The one rule behind ``time_span()`` and the segment footers'
-    time ranges.  Current ingestion rejects non-finite timestamps, but
-    v1 (PR4-era) segments predate that check: a NaN would poison
-    ``min``/``max`` differently per code path, while ranges over the
-    finite values stay sound — a NaN start compares False against
-    every window, so the row can never match a window query the range
-    might prune.
-    """
-    column = (
-        values if isinstance(values, _np.ndarray)
-        else _np.frombuffer(values, _np.float64)
-    )
-    finite = column[_np.isfinite(column)]
-    if len(finite):
-        return float(finite.min()), float(finite.max())
-    return float("inf"), float("-inf")
 
 
 def _decode_flow_columns(view: BatchView) -> FlowColumns:
@@ -244,10 +221,7 @@ def series_bins(lo: int, hi: int, bin_seconds: float) -> int:
 
 
 #: ``reduce`` of :meth:`Groups.merged` → the ufunc that folds a group.
-#: ``fmin``, not ``minimum``: a NaN must not hide the finite values
-#: beside it (the kernels already drop a v1 segment's NaN start,
-#: :func:`_finite`).
-_REDUCE = {"sum": _np.add, "min": _np.fmin}
+_REDUCE = {"sum": _np.add, "min": _np.minimum}
 
 
 def _grouped_keys(keys, permute: bool):
@@ -434,25 +408,18 @@ class Groups:
         return "[" + ", ".join([row] * len(self)) % tuple(flat) + "]"
 
 
-def _finite(starts, *columns) -> list:
-    """``columns`` followed by ``starts``, over the rows whose start is
-    finite.  A NaN or infinite start (a v1 segment predates the finite
-    rule) is no time a flow was seen and falls in no bin — the rule
-    :meth:`FlowDatabase.rows_in_window` follows — so its row is dropped
-    here, for every kernel that reads a start."""
-    finite = _np.isfinite(starts)
-    if finite.all():
-        return [*columns, starts]
-    return [*(column[finite] for column in columns), starts[finite]]
-
-
 def _binned(bin_seconds: float, starts, *columns) -> list:
-    """``columns`` followed by the time-bin index of each finite start
-    (:func:`_finite`)."""
-    *columns, starts = _finite(starts, *columns)
-    return [
-        *columns, _np.floor_divide(starts, bin_seconds).astype(_np.int64)
-    ]
+    """``columns`` followed by the time-bin index of each start;
+    ``ValueError`` when an index would not fit an ``int64``."""
+    bins = _np.floor_divide(starts, bin_seconds)
+    if len(bins) and not (
+        bins.min() >= -2.0 ** 63 and bins.max() < 2.0 ** 63
+    ):
+        raise ValueError(
+            f"bin_seconds={bin_seconds!r} puts a time-bin index outside "
+            f"the int64 range"
+        )
+    return [*columns, bins.astype(_np.int64)]
 
 
 def _grouped(finish):
@@ -755,7 +722,7 @@ class FlowDatabase:
         if not view.n_flows:
             return None
         chunk = _decode_flow_columns(view)
-        problem = chunk.problem(finite=True)
+        problem = chunk.problem()
         if problem:
             raise CodecError(problem)
         return chunk, self._parse_flow_strings(view, view.n_flows)
@@ -868,8 +835,8 @@ class FlowDatabase:
     def _fold_statistics(self, base: int) -> None:
         """Fold rows ``[base, len)`` of the columns into what
         ``count_by_protocol`` / ``tagged_count`` / ``time_span`` answer
-        from — the protocol counts, the tagged-row list and the finite
-        ``min_start`` / ``max_end`` (:func:`finite_bounds`) — behind
+        from — the protocol counts, the tagged-row list and
+        ``min_start`` / ``max_end`` — behind
         batch ingest and segment materialization (:meth:`add` folds
         its one record inline)."""
         cols = self.columns
@@ -888,8 +855,8 @@ class FlowDatabase:
         )
         starts = _np.frombuffer(cols.start, _np.float64)[base:]
         ends = _np.frombuffer(cols.end, _np.float64)[base:]
-        self._min_start = min(self._min_start, finite_bounds(starts)[0])
-        self._max_end = max(self._max_end, finite_bounds(ends)[1])
+        self._min_start = min(self._min_start, float(starts.min()))
+        self._max_end = max(self._max_end, float(ends.max()))
 
     def _index(self, which: str) -> dict[int, array]:
         """The by-``which`` index (``"fqdn"`` / ``"sld"`` / ``"server"``
@@ -1237,7 +1204,7 @@ class FlowDatabase:
     def fqdn_first_seen(self, rows=None) -> dict[int, float]:
         """Earliest flow start per interned label over ``rows``."""
         ids, starts = self._labeled(rows, self.columns.start)
-        return Groups.of(1, *_finite(starts, ids), reduce="min")
+        return Groups.of(1, ids, starts, reduce="min")
 
     @_grouped(_tuples)
     def server_fqdn_bin_triples(

@@ -11,15 +11,15 @@ Subcommands:
   ``--client``, ``--protocol``) would scan vs skip — metadata
   arithmetic only, nothing is materialized;
 * ``verify DIR``         — additionally materialize every segment
-  (id-table consistency end to end) and recompute each version-2
-  footer's pruning metadata from the columns, failing on a footer
+  (id-table consistency end to end) and recompute each footer's
+  pruning metadata from the columns, failing on a footer
   that lies about its segment; exits non-zero when the store is
   degraded (quarantined segments, unplayable journal records);
   ``--parallel N`` fans the per-segment checks out over a thread
   pool;
 * ``compact DIR``        — merge sealed segments (all of them, or only
   adjacent runs of segments below ``--small-rows``); rewrites always
-  carry fresh metadata, so compaction also upgrades v1 segments;
+  carry fresh metadata;
 
 Every store-opening command accepts ``--strict`` to hard-fail on a
 corrupt segment instead of quarantining it (the library default is
@@ -95,19 +95,8 @@ def _print_health(health: dict) -> None:
 def _cmd_inspect(args) -> int:
     store = _open_existing(args.directory, strict=args.strict)
     stats = store.stats()
-    versions = stats["segment_versions"]
-    suffix = ""
-    if versions and set(versions) != {str(stats["format"])}:
-        # Mixed or older on-disk versions matter to an operator
-        # triaging v1 compat — say so instead of claiming v2.
-        breakdown = ", ".join(
-            f"{count}x v{version}" for version, count in sorted(
-                versions.items()
-            )
-        )
-        suffix = f" (segments: {breakdown}; compact upgrades)"
     print(f"flow store : {stats['directory']}")
-    print(f"format     : v{stats['format']}{suffix}")
+    print(f"format     : v{stats['format']}")
     if stats.get("sharded"):
         print(f"sharded    : {stats['shards']} shards "
               f"(routing by {stats['by']})")
@@ -135,7 +124,7 @@ def _cmd_inspect(args) -> int:
                 else ""
             )
             print(
-                f"  {where}{segment['name']}  v{segment['version']}  "
+                f"  {where}{segment['name']}  "
                 f"rows={segment['rows']:<10d}"
                 f"labels={segment['labels']:<8d}bytes={segment['bytes']}"
             )
@@ -163,9 +152,8 @@ def _cmd_prune_report(args) -> int:
     total_rows = report["scanned_rows"] + report["pruned_rows"]
     if report.get("sharded"):
         # Manifest-only coordinator report: no segment was opened, so
-        # there is no version column and no live-tail row count (the
-        # unsealed rows live in each shard's journal, never replayed
-        # for a report).
+        # there is no live-tail row count (the unsealed rows live in
+        # each shard's journal, never replayed for a report).
         for segment in report["segments"]:
             verdict = "scan " if segment["scan"] else "prune"
             print(
@@ -183,8 +171,7 @@ def _cmd_prune_report(args) -> int:
     for segment in report["segments"]:
         verdict = "scan " if segment["scan"] else "prune"
         print(
-            f"  {segment['name']}  v{segment['version']}  "
-            f"rows={segment['rows']:<10d}{verdict}"
+            f"  {segment['name']}  rows={segment['rows']:<10d}{verdict}"
         )
     print(
         f"would scan {report['scanned_segments']} of "
@@ -201,14 +188,14 @@ def _verify_segment(reader) -> tuple[str, int, str]:
     Returns ``(name, rows, problem)`` — ``problem`` is empty when the
     segment is healthy, a description otherwise.  The id-table/enum
     validation happens inside ``database()``; the metadata check then
-    recomputes the v2 footer from the column blocks, so ranges or
+    recomputes the footer from the column blocks, so ranges or
     filters that a buggy rewrite narrowed are caught here rather than
     silently dropping rows from pruned queries.
     """
     rows = len(reader.database())
     reader.release()
     problem = ""
-    if reader.meta is not None and SegmentMeta.from_blocks(
+    if SegmentMeta.from_blocks(
         reader.read_blocks(), reader.labels
     ) != reader.meta:
         problem = "footer metadata does not match segment contents"
@@ -221,7 +208,7 @@ def _verify_store(store: FlowStore, parallel: int,
 
     Returns ``(n_segments, total_rows, bad, health)``.  On top of the
     per-segment footer recomputation (:func:`_verify_segment`) this
-    cross-checks the *promoted* metadata copy each v2 manifest entry
+    cross-checks the *promoted* metadata copy each manifest entry
     carries against the segment footer — the copy is what
     manifest-only pruning (sharded ``prune-report``) trusts without
     opening the segment, so a drifted copy must fail verification.
@@ -244,14 +231,11 @@ def _verify_store(store: FlowStore, parallel: int,
             problem = (
                 "manifest metadata copy does not match segment footer"
             )
-        note = "no pruning metadata (v1 segment)" if (
-            reader.meta is None
-        ) else "metadata ok"
         if problem:
             bad += 1
             print(f"  {prefix}{name}: {rows} rows, ERROR: {problem}")
         else:
-            print(f"  {prefix}{name}: {rows} rows ok, {note}")
+            print(f"  {prefix}{name}: {rows} rows ok, metadata ok")
         total += rows
     health = store.health()
     _print_health(health)
@@ -440,12 +424,12 @@ def main(argv: list[str] | None = None) -> int:
         "--domain", default=None, help="second-level domain to probe"
     )
     prune_report.add_argument(
-        "--server", type=int, default=None,
-        help="server address (u32) to probe",
+        "--server", action="append", default=None,
+        help="server address (dotted quad or u32) to probe; repeatable",
     )
     prune_report.add_argument(
-        "--client", type=int, default=None,
-        help="client address (u32) to probe",
+        "--client", action="append", default=None,
+        help="client address (dotted quad or u32) to probe; repeatable",
     )
     prune_report.add_argument(
         "--protocol", default=None,

@@ -59,6 +59,7 @@ surface only.
 from __future__ import annotations
 
 import inspect
+import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -136,8 +137,8 @@ def parse_protocol(text: str) -> int:
 
 def _positive_float(text) -> float:
     value = float(text)
-    if not value > 0:
-        raise ValueError("must be positive")
+    if not 0 < value < math.inf:
+        raise ValueError("must be positive and finite")
     return value
 
 
@@ -145,7 +146,8 @@ class QueryHint:
     """What a query is looking for — matched against a segment's
     :class:`~repro.analytics.storage.SegmentMeta` to decide whether a
     sealed segment can be skipped.  A ``None`` field constrains
-    nothing; a segment without metadata (version 1) is never pruned."""
+    nothing; a manifest entry whose metadata copy is missing or
+    malformed (``meta`` ``None``) is never pruned."""
 
     __slots__ = ("fqdn", "sld", "servers", "clients", "window", "protocol")
 

@@ -782,12 +782,9 @@ class ShardCoordinator(QuerySurface):
         payloads (``repro-flowstore stats`` on a sharded root)."""
         parts = self._fan("stats")
         segments = []
-        versions: dict[str, int] = {}
         for index, part in enumerate(parts):
             for entry in part["segments"]:
                 segments.append(dict(entry, shard=index))
-            for version, count in part["segment_versions"].items():
-                versions[version] = versions.get(version, 0) + count
 
         def total(key: str) -> int:
             return sum(part[key] for part in parts)
@@ -802,7 +799,6 @@ class ShardCoordinator(QuerySurface):
             "shards": self.shards,
             "by": self.router.by,
             "backend": self.backend_kind,
-            "segment_versions": versions,
             "parallel": self._store_kwargs["parallel"],
             "prune": self.prune,
             "health": self._merge_health(

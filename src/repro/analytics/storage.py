@@ -44,14 +44,12 @@ Two levers keep whole-store queries off segments that cannot matter:
   GIL) and merges the partials in segment order under the global
   intern table, so results are bit-identical to the serial pass.
 
-Segment file format (version 2; version-1 files — identical but
-without block 17 — still open; all integers little-endian)::
+Segment file format (version 2; all integers little-endian)::
 
     header     <4sHHIIIIIQ   magic b"FSG1", version, flags,
                              n_rows, n_labels, n_certs, n_trues,
                              crc32(payload), payload_len
     directory  18 x u64      byte length of each payload block
-                             (17 x u64 in version 1)
     payload    18 blocks, in order:
       0-10   numeric columns  client_ip u32, server_ip u32,
                               src_port u16, dst_port u16, transport u8,
@@ -67,7 +65,12 @@ without block 17 — still open; all integers little-endian)::
                               min_server, max_server, protocol_mask,
                               fqdn_filter_len, sld_filter_len —
                               followed by the two filter bitmaps
-                              (version 2 only)
+
+Version 1 (the same layout without block 17, listed by bare name in a
+version-1 manifest) is refused at open, never quarantined: its rows
+are intact and only need migrating — ``repro-flowstore compact`` run
+by a build that still reads version 1 rewrites every segment at
+version 2 (see ``docs/runbook.md``).
 
 The presence filters are Bloom filters over the segment's *distinct*
 lowercased FQDNs / 2LDs: a power-of-two bitmap sized at ~8 bits per
@@ -137,11 +140,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.analytics.database import (
-    FlowColumns,
-    FlowDatabase,
-    finite_bounds,
-)
+from repro.analytics.database import FlowColumns, FlowDatabase
 from repro.analytics.queries import (
     INTERNS,
     SUMMARY,
@@ -158,11 +157,9 @@ from repro.sniffer.eventcodec import PROTOCOLS, BatchEncoder
 logger = logging.getLogger("repro.analytics.storage")
 
 MAGIC = b"FSG1"
-#: Current on-disk format: version 2 adds the pruning-metadata footer
-#: block.  Version-1 segments and manifests still open read-only-
-#: compatibly (they simply carry no metadata and are never pruned).
+#: The on-disk format of segments and manifests: version 2, whose
+#: segments carry the pruning-metadata footer block.
 FORMAT_VERSION = 2
-FORMAT_VERSION_V1 = 1
 MANIFEST_NAME = "MANIFEST.json"
 #: Topology file of a sharded root (:mod:`repro.analytics.shard`); a
 #: directory carrying it is never opened as one flat store.
@@ -215,13 +212,8 @@ _NUMERIC_COLUMNS = (
 _N_NUMERIC = len(_NUMERIC_COLUMNS)
 _N_ID = 3          # label_id, cert_id, true_id
 _N_TABLES = 3      # labels, certs, trues
-_N_BLOCKS_V1 = _N_NUMERIC + _N_ID + _N_TABLES
-_META_BLOCK = _N_BLOCKS_V1          # block 17: pruning metadata (v2)
-_N_BLOCKS = _N_BLOCKS_V1 + 1
-
-
-def _block_count(version: int) -> int:
-    return _N_BLOCKS_V1 if version == FORMAT_VERSION_V1 else _N_BLOCKS
+_META_BLOCK = _N_NUMERIC + _N_ID + _N_TABLES  # block 17: pruning metadata
+_N_BLOCKS = _META_BLOCK + 1
 
 #: Fixed column bytes per in-memory row (the 11 value columns plus the
 #: fqdn_id column) — the per-row term of :meth:`FlowStore.tail_bytes`.
@@ -234,6 +226,19 @@ _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.fseg$")
 
 class StorageError(ValueError):
     """A segment file or store directory is malformed or corrupted."""
+
+
+class _Version1Error(StorageError):
+    """A version-1 segment or manifest: intact rows in a format this
+    build no longer reads — refused at open, never quarantined."""
+
+    def __init__(self, what: str):
+        super().__init__(
+            f"{what} is flow-store format version 1, which this build "
+            f"no longer reads: upgrade the store with `repro-flowstore "
+            f"compact DIR` run by a build that still reads version 1, "
+            f"or rebuild it (docs/runbook.md, \"Format upgrade\")"
+        )
 
 
 class PresenceFilter:
@@ -334,8 +339,8 @@ class SegmentMeta:
         meta = cls()
         starts = _from_le("d", blocks[5])
         if len(starts):
-            meta.min_start, meta.max_start = finite_bounds(starts)
-            meta.min_end, meta.max_end = finite_bounds(
+            meta.min_start, meta.max_start = _finite_bounds(starts)
+            meta.min_end, meta.max_end = _finite_bounds(
                 _from_le("d", blocks[6])
             )
             clients = np.frombuffer(blocks[0], np.dtype("<u4"))
@@ -434,8 +439,7 @@ class SegmentMeta:
         Returns ``None`` when the entry is absent, predates the
         filter promotion, or is malformed in any way — the caller
         must then treat the segment as unprunable (conservative
-        scan), mirroring how a version-1 segment without a footer is
-        never pruned.  A round trip through :meth:`to_manifest` is
+        scan).  A round trip through :meth:`to_manifest` is
         lossless: the rebuilt metadata compares equal to the footer
         it was promoted from.
         """
@@ -512,6 +516,23 @@ def _le(arr: array) -> bytes:
         arr = arr[:]
         arr.byteswap()
     return arr.tobytes()
+
+
+def _finite_bounds(column) -> tuple[float, float]:
+    """(min, max) over the *finite* entries of a float column; the
+    empty convention ``(inf, -inf)`` when none are.
+
+    The footer's time ranges use it because compaction recomputes a
+    footer from column blocks no :meth:`FlowColumns.problem` check has
+    passed: ranges over the finite values stay sound — a NaN start
+    compares False against every window, so the row can never match a
+    window query the range might prune.
+    """
+    column = np.frombuffer(column, np.float64)
+    finite = column[np.isfinite(column)]
+    if len(finite):
+        return float(finite.min()), float(finite.max())
+    return float("inf"), float("-inf")
 
 
 def _from_le(typecode: str, raw) -> array:
@@ -839,7 +860,7 @@ class SegmentReader:
     """
 
     __slots__ = (
-        "path", "version", "n_rows", "n_labels", "n_certs", "n_trues",
+        "path", "n_rows", "n_labels", "n_certs", "n_trues",
         "labels", "certs", "trues", "crc", "file_size", "meta",
         "_body", "_lengths", "_offsets", "_database", "_summary",
         "fqdn_map", "_fqdn_of_label", "_interns",
@@ -848,7 +869,6 @@ class SegmentReader:
     def __init__(self):
         self._database = None
         self._summary = None
-        self.meta: Optional[SegmentMeta] = None
         self.fqdn_map: Optional[array] = None
 
     @property
@@ -858,7 +878,8 @@ class SegmentReader:
     @classmethod
     def open(cls, path) -> "SegmentReader":
         """Validate the segment at ``path``; raises :class:`StorageError`
-        on any truncation, corruption or version mismatch."""
+        on any truncation, corruption or version mismatch — for a
+        version-1 segment, one that names the upgrade."""
         path = Path(path)
         try:
             data = _io.read_bytes(path)
@@ -870,16 +891,17 @@ class SegmentReader:
          crc, payload_len) = _HEADER.unpack_from(data, 0)
         if magic != MAGIC:
             raise StorageError(f"segment {path.name}: bad magic {magic!r}")
-        if version not in (FORMAT_VERSION_V1, FORMAT_VERSION):
+        if version == 1:
+            raise _Version1Error(f"segment {path.name}")
+        if version != FORMAT_VERSION:
             raise StorageError(
                 f"segment {path.name}: unsupported version {version}"
             )
-        n_blocks = _block_count(version)
-        if len(data) < _HEADER.size + n_blocks * _BLOCK_LEN.size:
+        if len(data) < _HEADER.size + _N_BLOCKS * _BLOCK_LEN.size:
             raise StorageError(f"segment {path.name}: truncated header")
         lengths = []
         pos = _HEADER.size
-        for _ in range(n_blocks):
+        for _ in range(_N_BLOCKS):
             (length,) = _BLOCK_LEN.unpack_from(data, pos)
             lengths.append(length)
             pos += _BLOCK_LEN.size
@@ -920,7 +942,6 @@ class SegmentReader:
             ))
         reader = cls()
         reader.path = path
-        reader.version = version
         reader.n_rows = n_rows
         reader.n_labels = n_labels
         reader.n_certs = n_certs
@@ -931,16 +952,13 @@ class SegmentReader:
         reader._body = body
         reader._lengths = lengths
         reader._offsets = offsets
-        if version != FORMAT_VERSION_V1:
-            start = offsets[_META_BLOCK]
-            try:
-                reader.meta = SegmentMeta.decode(
-                    memoryview(data)[start:start + lengths[_META_BLOCK]]
-                )
-            except StorageError as exc:
-                raise StorageError(
-                    f"segment {path.name}: {exc}"
-                ) from exc
+        start = offsets[_META_BLOCK]
+        try:
+            reader.meta = SegmentMeta.decode(
+                memoryview(data)[start:start + lengths[_META_BLOCK]]
+            )
+        except StorageError as exc:
+            raise StorageError(f"segment {path.name}: {exc}") from exc
         return reader
 
     def bind(self, interns: FlowDatabase,
@@ -999,11 +1017,11 @@ class SegmentReader:
 
     def summary(self) -> dict:
         """Cheap per-segment statistics — ``min_start``/``max_end``,
-        the protocol histogram and the tagged-row count — from the four
-        relevant column blocks only.  Nothing is materialized or
-        cached beyond the small result, so whole-store stats
-        (``time_span``, ``count_by_protocol``, ``tagged_count``) never
-        force a multi-GB store resident.  Served straight from the
+        the protocol histogram and the tagged-row count — from the
+        footer's time range and two column blocks only.  Nothing is
+        materialized or cached beyond the small result, so whole-store
+        stats (``time_span``, ``count_by_protocol``, ``tagged_count``)
+        never force a multi-GB store resident.  Served straight from the
         in-memory form when the segment happens to be resident."""
         if self._database is not None:
             return database_summary(self._database)
@@ -1012,19 +1030,11 @@ class SegmentReader:
         return self._summary
 
     def _compute_summary(self) -> dict:
-        n = self.n_rows
-        if not n:
+        if not self.n_rows:
             return {
                 "min_start": float("inf"), "max_end": float("-inf"),
                 "protocol_counts": [0] * len(PROTOCOLS), "tagged_rows": 0,
             }
-        if self.meta is not None:
-            min_start, max_end = self.meta.min_start, self.meta.max_end
-        else:
-            # v1: the footer's rule (finite values only) over the start
-            # and end columns, so cold and resident answer alike.
-            min_start = finite_bounds(_from_le("d", self._read_block(5)))[0]
-            max_end = finite_bounds(_from_le("d", self._read_block(6)))[1]
         protocols = self._read_block(7)                 # protocol column
         label_ids = _from_le("i", self._read_block(_N_NUMERIC))
         # A row is tagged iff its label is truthy — id -1 (None) and
@@ -1043,7 +1053,7 @@ class SegmentReader:
         if untagged_entries:
             tagged -= int(np.isin(ids, untagged_entries).sum())
         return {
-            "min_start": min_start, "max_end": max_end,
+            "min_start": self.meta.min_start, "max_end": self.meta.max_end,
             "protocol_counts": counts, "tagged_rows": tagged,
         }
 
@@ -1081,9 +1091,9 @@ class SegmentReader:
         self._validate_ids(label_ids, self.n_labels, "label")
         self._validate_ids(cert_ids, self.n_certs, "cert")
         self._validate_ids(true_ids, self.n_trues, "true-fqdn")
-        problem = cols.problem(finite=False)   # v1 data may hold a NaN
+        problem = cols.problem()
         if problem:
-            raise StorageError(problem)
+            raise StorageError(f"segment {self.name}: {problem}")
         if self.fqdn_map is None:
             self.bind(FlowDatabase())
         cols.fqdn_id = _remap_ids(label_ids, self._fqdn_of_label)
@@ -1165,9 +1175,7 @@ def _merge_segment_files(
     query result — is preserved.  Blocks are assembled in memory, so
     one compaction holds roughly the merged file size transiently.
 
-    The output is always written at the current format version with a
-    freshly computed metadata footer — compacting version-1 inputs is
-    therefore also the upgrade path to prunable segments.
+    The output carries a freshly computed metadata footer.
     """
     all_blocks = [reader.read_blocks() for reader in readers]
     merged: list[bytes] = [
@@ -1607,10 +1615,9 @@ def read_manifest(directory) -> dict:
     Returns ``{"segments": [(name, rows, meta), ...], "wal_epoch",
     "quarantined"}`` with ``meta`` the promoted footer copy
     (:meth:`SegmentMeta.from_manifest`; ``None`` = never prune).  A
-    missing manifest is an empty store; anything malformed raises
-    :class:`StorageError`.  v1 manifests list bare names — no row
-    counts, no metadata — and pre-PR6 ones carry neither
-    ``wal_epoch`` nor ``quarantined``.
+    missing manifest is an empty store; anything malformed, and a
+    version-1 manifest, raises :class:`StorageError`.  Early version-2
+    manifests carry neither ``wal_epoch`` nor ``quarantined``.
     """
     path = Path(directory) / MANIFEST_NAME
     try:
@@ -1623,16 +1630,18 @@ def read_manifest(directory) -> dict:
         manifest = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise StorageError(f"malformed manifest {path}: {exc}") from exc
+    if isinstance(manifest, dict) and manifest.get("format") == 1:
+        raise _Version1Error(f"manifest {path}")
     if (
         not isinstance(manifest, dict)
-        or manifest.get("format") not in (FORMAT_VERSION_V1, FORMAT_VERSION)
+        or manifest.get("format") != FORMAT_VERSION
         or not isinstance(manifest.get("segments"), list)
     ):
         raise StorageError(f"unsupported manifest {path}")
     segments: list[tuple[str, int, Optional[SegmentMeta]]] = []
     for entry in manifest["segments"]:
         if not isinstance(entry, dict):
-            entry = {"name": entry, "rows": 0}
+            raise StorageError(f"bad segment entry {entry!r} in manifest")
         name, rows = entry.get("name"), entry.get("rows")
         if not isinstance(name, str) or not _SEGMENT_RE.match(name):
             raise StorageError(f"bad segment name {name!r} in manifest")
@@ -1800,24 +1809,27 @@ class FlowStore(_StoreReadMixin):
         manifest = read_manifest(self.directory)
         self._wal_epoch: int = manifest["wal_epoch"]
         self._quarantined: list[dict] = manifest["quarantined"]
-        self._swept_tmp = self._sweep_tmp_files()
-        newly_quarantined = False
+        failed = []
         for name, _rows, _meta in manifest["segments"]:
             # Only the name is consumed here: the CRC-covered footer is
             # the store's own authoritative metadata source.
             try:
                 reader = SegmentReader.open(self.directory / name)
+            except _Version1Error:
+                raise       # before anything on disk has been touched
             except StorageError as exc:
                 if self.strict:
                     raise
-                self._quarantine_segment(name, exc)
-                newly_quarantined = True
+                failed.append((name, exc))
                 continue
             reader.bind(self._interns)
             self._segments.append(reader)
+        self._swept_tmp = self._sweep_tmp_files()
+        for name, exc in failed:
+            self._quarantine_segment(name, exc)
         self._wal = TailJournal(self.directory / WAL_NAME, self._wal_epoch)
         self._recover_wal()             # fills self._wal_report
-        if newly_quarantined:
+        if failed:
             # Commit the drop: the manifest stops listing the segment
             # and records it under "quarantined" so the degradation is
             # visible to every later open and to the CLI.
@@ -1972,10 +1984,7 @@ class FlowStore(_StoreReadMixin):
                 {
                     "name": reader.name,
                     "rows": reader.n_rows,
-                    "meta": (
-                        reader.meta.to_manifest()
-                        if reader.meta is not None else None
-                    ),
+                    "meta": reader.meta.to_manifest(),
                 }
                 for reader in self._segments
             ],
@@ -2361,9 +2370,8 @@ class FlowStore(_StoreReadMixin):
 
     def stats(self) -> dict:
         """Inspection summary (the ``repro-flowstore inspect``/``stats``
-        payload) — per-segment format version and pruning metadata
-        included, so the store is fully introspectable without reading
-        any column block.
+        payload) — per-segment pruning metadata included, so the store
+        is fully introspectable without reading any column block.
 
         The member set and :meth:`counters` are captured under one
         hold of the store mutex — a concurrent seal or compaction can
@@ -2382,26 +2390,17 @@ class FlowStore(_StoreReadMixin):
         segments = [
             {
                 "name": reader.name,
-                "version": reader.version,
                 "rows": reader.n_rows,
                 "labels": reader.n_labels,
                 "bytes": reader.file_size,
                 "resident": reader.resident,
-                "meta": (
-                    reader.meta.to_manifest()
-                    if reader.meta is not None else None
-                ),
+                "meta": reader.meta.to_manifest(),
             }
             for reader in segments_view
         ]
-        versions: dict[str, int] = {}
-        for reader in segments_view:
-            key = str(reader.version)
-            versions[key] = versions.get(key, 0) + 1
         return {
             "directory": str(self.directory),
             "format": FORMAT_VERSION,
-            "segment_versions": versions,
             "parallel": self.parallel,
             "prune": self.prune,
             "health": self.health(),
@@ -2444,7 +2443,6 @@ class FlowStore(_StoreReadMixin):
             segments.append({
                 "name": reader.name,
                 "rows": reader.n_rows,
-                "version": reader.version,
                 "scan": admitted,
             })
             if admitted:

@@ -552,7 +552,7 @@ class TestCorruptLabelTables:
         with pytest.raises(StorageError, match=message):
             SegmentReader.open(path)
         (tmp_path / "MANIFEST.json").write_text(json.dumps(
-            {"format": 1, "segments": [path.name]}
+            {"format": 2, "segments": [{"name": path.name, "rows": 3}]}
         ))
         with pytest.raises(StorageError, match=message):
             FlowStore(tmp_path, strict=True)

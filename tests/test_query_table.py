@@ -783,6 +783,41 @@ class TestSeriesLimit:
         assert len(series) == 3601
         store.close()
 
+    @pytest.mark.parametrize("name", [
+        "fqdn_bin_pairs", "server_bins_for_fqdn", "server_fqdn_bin_triples",
+    ])
+    def test_bin_index_past_int64_is_refused(self, tmp_path, name):
+        """Regression: at ``bin_seconds=1e-300`` the flow at 3600 s
+        has bin index 3.6e303, which the ``int64`` cast wrapped to
+        -2^63 (a numpy RuntimeWarning, and a wrong answer)."""
+        store = FlowStore(tmp_path / "store")
+        store.add(self.FLOWS[0])
+        store.flush()
+        store.add(self.FLOWS[1])
+        args = ("www.example.com",) if name == "server_bins_for_fqdn" else ()
+        for surface in (FlowDatabase.from_flows(self.FLOWS), store):
+            with pytest.raises(ValueError, match="int64"):
+                getattr(surface, name)(*args, 1e-300)
+        store.close()
+
+    @pytest.mark.parametrize("bin_seconds, error", [
+        ("inf", "finite"), ("1e-300", "int64"),
+    ])
+    def test_series_route_refuses_a_bin_with_no_valid_index(
+        self, tmp_path, bin_seconds, error
+    ):
+        """Regression: ``bin=inf`` answered 200 with a NaN bin start
+        (not JSON), and ``bin=1e-300`` a 400 counting the wrapped
+        bins ("9223372036854775809 bins")."""
+        store = FlowStore(tmp_path / "store")
+        store.add_all(self.FLOWS)
+        status, _ctype, payload, _headers = ServeApp(store).handle(
+            "GET", "/query/unique-servers-per-bin",
+            {"sld": ["example.com"], "bin": [bin_seconds]},
+        )
+        assert status == 400 and error in json.loads(payload)["error"]
+        store.close()
+
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(database_module, "MAX_SERIES_BINS", 3601)
         mem = FlowDatabase.from_flows(self.FLOWS)

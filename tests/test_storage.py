@@ -292,19 +292,16 @@ class TestCorruption:
         )
         with pytest.raises(StorageError):
             FlowStore(directory)
-        (directory / "MANIFEST.json").write_text(
-            json.dumps({"format": 1, "segments": ["../escape.fseg"]})
-        )
-        with pytest.raises(StorageError):
-            FlowStore(directory)
-        # v2 entry forms: escape attempts and junk entries both fail.
+        # Escape attempts and junk entries both fail.
         (directory / "MANIFEST.json").write_text(
             json.dumps({
                 "format": 2,
-                "segments": [{"name": "../escape.fseg", "meta": None}],
+                "segments": [
+                    {"name": "../escape.fseg", "rows": 0, "meta": None}
+                ],
             })
         )
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="bad segment name"):
             FlowStore(directory)
         (directory / "MANIFEST.json").write_text(
             json.dumps({"format": 2, "segments": [42]})

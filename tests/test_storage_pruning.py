@@ -10,16 +10,16 @@ compacted) store must equal the same query with pruning disabled
 in-memory columnar :class:`FlowDatabase` and the seed
 ``database_reference`` row store.
 
-Alongside the property suite: backward compatibility (a metadata-less
-version-1 store opens and answers identically; compaction upgrades it),
-and metadata corruption (a footer whose ranges lie is caught by
+Alongside the property suite: format refusal (a version-1 store is
+refused at open, untouched, with the upgrade named), and metadata
+corruption (a footer whose ranges lie is caught by
 ``repro-flowstore verify``; a truncated metadata block is rejected
 atomically at open).
 """
 
 import json
+import math
 import struct
-import warnings
 import zlib
 from pathlib import Path
 
@@ -32,12 +32,12 @@ from repro.analytics.database_reference import (
     FlowDatabase as ReferenceDatabase,
 )
 from repro.analytics.flowstore_cli import main as flowstore_main
+from repro.analytics.shard import open_store
 from repro.analytics.storage import (
     _BLOCK_LEN,
     _HEADER,
     _META_FIXED,
     _N_BLOCKS,
-    FORMAT_VERSION_V1,
     FlowStore,
     PresenceFilter,
     QueryHint,
@@ -329,6 +329,25 @@ class TestNonFiniteTimestamps:
                 store.ingest_batch(encode_events([bad_flow]))
         assert len(store) == 0
 
+    def test_segment_with_a_nan_start_fails_closed(self, tmp_path,
+                                                    capsys):
+        """A non-finite start reaches disk only by a rewrite that fixed
+        up the CRC: the segment opens (sizes and CRC hold) but refuses
+        to materialize, and verify reports it."""
+        directory = tmp_path / "store"
+        store = FlowStore(directory)
+        store.add_all(_flow(i) for i in range(6))
+        store.close()
+        (segment,) = directory.glob("seg-*.fseg")
+        _patch_segment_block(
+            segment, lambda raw: raw[:8] + struct.pack("<d", math.nan)
+            + raw[16:], index=5,                  # row 1's start
+        )
+        with pytest.raises(StorageError, match="non-finite"):
+            list(FlowStore(directory))
+        assert flowstore_main(["verify", str(directory)]) == 1
+        assert "non-finite flow timestamp" in capsys.readouterr().err
+
     def test_window_predicate_is_conservative_under_nan(self):
         # Defense in depth: were a NaN bound ever to reach a footer,
         # the segment must be scanned, not silently pruned.
@@ -365,10 +384,10 @@ class TestPresenceFilter:
 
 
 def _write_v1_segment(path: Path, db: FlowDatabase) -> None:
-    """A metadata-less PR4-era segment file: what ``write_segment``
+    """A metadata-less version-1 segment file: what ``write_segment``
     produces, minus block 17 (the footer), with the header's version,
-    CRC and payload length re-framed.  ``src/`` only *reads*
-    version 1; this is the one writer left."""
+    CRC and payload length re-framed.  ``src/`` neither writes nor
+    reads version 1; this is the one writer left, for the refusal."""
     write_segment(path, db)
     data = path.read_bytes()
     directory_end = _HEADER.size + _N_BLOCKS * _BLOCK_LEN.size
@@ -376,7 +395,7 @@ def _write_v1_segment(path: Path, db: FlowDatabase) -> None:
     (meta_len,) = _BLOCK_LEN.unpack_from(data, v1_directory_end)
     payload = data[directory_end:len(data) - meta_len]
     fields = list(_HEADER.unpack_from(data, 0))
-    fields[1] = FORMAT_VERSION_V1
+    fields[1] = 1
     fields[7:9] = zlib.crc32(payload), len(payload)
     path.write_bytes(
         _HEADER.pack(*fields) + data[_HEADER.size:v1_directory_end]
@@ -384,218 +403,92 @@ def _write_v1_segment(path: Path, db: FlowDatabase) -> None:
     )
 
 
-class TestVersion1Compat:
-    """Metadata-less PR4-era stores must keep answering correctly."""
-
-    def _write_v1_store(self, directory: Path, flow_list, per_segment=8):
-        directory.mkdir(parents=True)
-        names = []
-        for pos in range(0, len(flow_list), per_segment):
-            db = FlowDatabase.from_flows(
-                flow_list[pos:pos + per_segment]
-            )
-            name = f"seg-{len(names) + 1:08d}.fseg"
-            _write_v1_segment(directory / name, db)
-            names.append(name)
-        (directory / "MANIFEST.json").write_text(
-            json.dumps({"format": 1, "segments": names}) + "\n"
-        )
-        return names
-
-    def test_v1_store_reopens_and_answers_identically(self, tmp_path):
-        flow_list = [_flow(i) for i in range(30)]
-        directory = tmp_path / "v1store"
-        self._write_v1_store(directory, flow_list)
-        store = FlowStore(directory)
-        assert all(seg.version == 1 for seg in store.segments)
-        assert all(seg.meta is None for seg in store.segments)
-        mem = FlowDatabase.from_flows(flow_list)
-        ref = ReferenceDatabase.from_flows(flow_list)
-        assert list(store) == list(ref)
-        assert store.fqdns() == ref.fqdns()
-        assert store.fqdn_server_counts() == sorted(
-            mem.fqdn_server_counts()
-        )
-        assert store.query_by_fqdn("www.example.COM") == (
-            ref.query_by_fqdn("www.example.COM")
-        )
-        assert list(store.rows_in_window(4.0, 11.0)) == list(
-            mem.rows_in_window(4.0, 11.0)
-        )
-        assert store.time_span() == ref.time_span()
-        # Without metadata nothing is ever pruned.
-        report = store.prune_report(QueryHint(fqdn="missing.example.net"))
-        assert report["pruned_segments"] == 0
-
-    def test_v1_store_spill_upgrades_manifest_and_new_segments(
-        self, tmp_path
-    ):
-        flow_list = [_flow(i) for i in range(20)]
-        directory = tmp_path / "v1store"
-        self._write_v1_store(directory, flow_list)
-        store = FlowStore(directory, spill_rows=4)
-        store.add_all(_flow(100 + i) for i in range(4))
-        store.flush()
-        manifest = json.loads(
-            (directory / "MANIFEST.json").read_text()
-        )
-        assert manifest["format"] == 2
-        entries = {
-            entry["name"]: entry for entry in manifest["segments"]
-        }
-        old = [n for n in entries if n != store.segments[-1].name]
-        assert all(entries[name]["meta"] is None for name in old)
-        assert entries[store.segments[-1].name]["meta"] is not None
-        assert store.segments[-1].version == 2
-        reopened = FlowStore(directory)
-        assert len(reopened) == 24
-
-    def test_compaction_upgrades_v1_segments(self, tmp_path):
-        flow_list = [_flow(i) for i in range(24)]
-        directory = tmp_path / "v1store"
-        self._write_v1_store(directory, flow_list)
-        store = FlowStore(directory)
-        store.compact()
-        assert len(store.segments) == 1
-        assert store.segments[0].version == 2
-        assert store.segments[0].meta is not None
-        ref = ReferenceDatabase.from_flows(flow_list)
-        assert list(FlowStore(directory)) == list(ref)
-        # The upgraded segment now prunes.
-        report = FlowStore(directory).prune_report(
-            QueryHint(window=(5000.0, 6000.0))
-        )
-        assert report["pruned_segments"] == 1
-
-    def test_verify_accepts_v1_segments(self, tmp_path, capsys):
-        directory = tmp_path / "v1store"
-        self._write_v1_store(directory, [_flow(i) for i in range(12)])
-        assert flowstore_main(["verify", str(directory)]) == 0
-        assert "v1 segment" in capsys.readouterr().out
-
-    def _write_v1_nan_store(self, directory: Path, row: int = 0,
-                            value: float = float("nan"),
-                            ) -> list[FlowRecord]:
-        """Two v1 segments, row ``row`` of the first holding the
-        non-finite start ``value`` (legacy data: PR4-era stores predate
-        the finite-timestamp ingest check).  Returns the flows as
-        ingested."""
-        directory.mkdir()
-        flow_list = [_flow(i) for i in range(6)] + [
-            _flow(10 + i) for i in range(6)
-        ]
-        db = FlowDatabase.from_flows(flow_list[:6])
-        db.columns.start[row] = value
-        _write_v1_segment(directory / "seg-00000001.fseg", db)
-        _write_v1_segment(
-            directory / "seg-00000002.fseg",
-            FlowDatabase.from_flows(flow_list[6:]),
-        )
-        (directory / "MANIFEST.json").write_text(json.dumps({
-            "format": 1,
-            "segments": ["seg-00000001.fseg", "seg-00000002.fseg"],
-        }))
-        return flow_list
-
-    @pytest.mark.parametrize("row", [0, 1], ids=["untagged", "tagged"])
-    def test_v1_nan_store_statistics_use_the_finite_rows(self, tmp_path,
-                                                        row):
-        """``time_span()`` / ``count_by_protocol()`` over a legacy NaN
-        start are the answers over the finite values — the same from
-        the cold column blocks and from the materialized segments."""
-        flow_list = self._write_v1_nan_store(tmp_path / "v1store", row)
-        span = (min(flow.start for index, flow in enumerate(flow_list)
-                    if index != row),
-                max(flow.end for flow in flow_list))
-        protocols = FlowDatabase.from_flows(flow_list).count_by_protocol()
-        store = FlowStore(tmp_path / "v1store")
-        assert not any(seg.resident for seg in store.segments)
-        assert store.time_span() == span
-        assert store.count_by_protocol() == protocols
-        assert len(list(store)) == 12    # materializes every segment
-        assert all(seg.resident for seg in store.segments)
-        assert store.time_span() == span
-        assert store.count_by_protocol() == protocols
-
-    #: The kernels that read a flow's start, each as a function of a
-    #: database giving its answer in labels (ids differ between a
-    #: store and a database).
-    START_KERNELS = {
-        "fqdn_bin_pairs": lambda db: sorted(
-            (db.fqdn_label(fqdn_id), index)
-            for fqdn_id, index in db.fqdn_bin_pairs(60.0)
-        ),
-        "server_fqdn_bin_triples": lambda db: sorted(
-            (server, db.fqdn_label(fqdn_id), index)
-            for server, fqdn_id, index in db.server_fqdn_bin_triples(60.0)
-        ),
-        "unique_servers_per_bin": lambda db: {
-            sld: db.unique_servers_per_bin(sld, 60.0) for sld in db.slds()
-        },
-        "server_bins_for_fqdn": lambda db: {
-            fqdn: db.server_bins_for_fqdn(fqdn, 60.0) for fqdn in db.fqdns()
-        },
-        "fqdn_first_seen": lambda db: {
-            db.fqdn_label(fqdn_id): start
-            for fqdn_id, start in db.fqdn_first_seen().items()
-        },
+def _tree(directory: Path) -> dict:
+    """Every path under ``directory`` with its bytes (None: a dir)."""
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
     }
 
-    @pytest.mark.parametrize("kernel", list(START_KERNELS))
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")])
-    def test_v1_non_finite_start_on_a_tagged_row_carries_no_time(
-        self, tmp_path, value, kernel
-    ):
-        """Regression: a legacy NaN start on a labeled flow was cast to
-        bin -2^63 (and the Fig. 4 series refused a 2^63-bin span), and
-        folded by ``minimum`` it hid the label's finite starts; a -inf
-        start was that label's first sighting.  A non-finite start
-        falls in no bin and is no sighting now — the rule
-        ``rows_in_window`` follows — so every kernel that reads a start
-        answers as over the flows without that row."""
-        flow_list = self._write_v1_nan_store(
-            tmp_path / "v1store", row=1, value=value
-        )
-        assert flow_list[1].fqdn
-        finite = FlowDatabase.from_flows(flow_list[:1] + flow_list[2:])
-        store = FlowStore(tmp_path / "v1store")
-        answer = self.START_KERNELS[kernel]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")      # no NaN cast to int
-            assert answer(store) == answer(finite)
-        store.close()
 
-    def test_v1_nan_timestamps_upgrade_cleanly(self, tmp_path, capsys):
-        """Upgrading a legacy NaN-start segment via compact() must
-        produce a footer that verify agrees with (ranges are computed
-        over finite values only, by the one footer constructor), and
-        window queries — which a NaN start can never match — must keep
-        working."""
-        directory = tmp_path / "v1store"
-        self._write_v1_nan_store(directory)
+class TestVersion1Refused:
+    """A version-1 store is refused at open — never quarantined, never
+    half-read — with a message naming the upgrade."""
+
+    def _v1_store(self, directory: Path, shape: str) -> Path:
+        """Two version-1 segments listed by a version-1 manifest, or —
+        what an open that spilled left behind before version 1 was
+        dropped — by a version-2 manifest after a version-2 segment
+        (``corrupt``: a truncated one, which alone would be
+        quarantined)."""
+        directory.mkdir()
+        names = ["seg-00000002.fseg", "seg-00000003.fseg"]
+        for index, name in enumerate(names):
+            _write_v1_segment(directory / name, FlowDatabase.from_flows(
+                [_flow(8 * index + i) for i in range(8)]
+            ))
+        if shape == "v1-manifest":
+            manifest = {"format": 1, "segments": names}
+        else:
+            first = directory / "seg-00000001.fseg"
+            write_segment(first, FlowDatabase.from_flows(
+                [_flow(100 + i) for i in range(4)]
+            ))
+            if shape == "v2-manifest, corrupt first":
+                first.write_bytes(first.read_bytes()[:40])
+            manifest = {"format": 2, "wal_epoch": 1, "quarantined": [],
+                        "segments": [
+                            {"name": name, "rows": rows, "meta": None}
+                            for name, rows in zip([first.name, *names],
+                                                  [4, 8, 8])
+                        ]}
+        (directory / "MANIFEST.json").write_text(json.dumps(manifest))
+        return directory
+
+    @pytest.mark.parametrize(
+        "opener", ["FlowStore", "open_store", "inspect", "verify", "compact"]
+    )
+    @pytest.mark.parametrize(
+        "shape", ["v1-manifest", "v2-manifest", "v2-manifest, corrupt first"]
+    )
+    def test_refused_with_the_directory_untouched(self, tmp_path, capsys,
+                                                  shape, opener):
+        directory = self._v1_store(tmp_path / "store", shape)
+        before = _tree(directory)
+        if opener in ("FlowStore", "open_store"):
+            with pytest.raises(StorageError) as refused:
+                (FlowStore if opener == "FlowStore" else open_store)(
+                    directory
+                )
+            message = str(refused.value)
+        else:
+            assert flowstore_main([opener, str(directory)]) == 1
+            message = capsys.readouterr().err
+        assert "format version 1" in message
+        assert "repro-flowstore compact" in message
+        assert _tree(directory) == before
+        assert not (directory / "quarantine").exists()
+
+    def test_an_unknown_version_is_still_quarantined(self, tmp_path):
+        directory = tmp_path / "store"
         store = FlowStore(directory)
-        store.compact()
-        assert flowstore_main(["verify", str(directory)]) == 0
-        assert "metadata ok" in capsys.readouterr().out
-        reopened = FlowStore(directory)
-        # 12 rows on disk; the NaN-start row matches no window.
-        assert len(reopened) == 12
-        assert len(reopened.rows_in_window(-1e9, 1e9)) == 11
-
-    def test_inspect_reports_v1_segments(self, tmp_path, capsys):
-        """An operator triaging v1 compat must see the on-disk
-        versions, not just the store's write format."""
-        directory = tmp_path / "v1store"
-        self._write_v1_store(directory, [_flow(i) for i in range(12)])
-        assert flowstore_main(["inspect", str(directory)]) == 0
-        out = capsys.readouterr().out
-        assert "2x v1" in out and "compact upgrades" in out
+        store.add_all(_flow(i) for i in range(4))
+        store.close()
+        (segment,) = directory.glob("seg-*.fseg")
+        raw = bytearray(segment.read_bytes())
+        struct.pack_into("<H", raw, 4, 3)        # the header's version
+        segment.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match="unsupported version 3"):
+            FlowStore(directory, strict=True)
+        assert FlowStore(directory).health()["status"] == "degraded"
+        assert (directory / "quarantine" / segment.name).exists()
 
 
-def _patch_segment_meta(path: Path, mutate) -> None:
-    """Rewrite a v2 segment's metadata block in place (CRC kept
-    consistent), simulating an external tool whose footer lies."""
+def _patch_segment_block(path: Path, mutate,
+                         index: int = _N_BLOCKS - 1) -> None:
+    """Rewrite one payload block of a segment in place (CRC kept
+    consistent), simulating an external tool that lies — by default
+    about the metadata footer."""
     data = bytearray(path.read_bytes())
     lengths = []
     pos = _HEADER.size
@@ -604,11 +497,11 @@ def _patch_segment_meta(path: Path, mutate) -> None:
         lengths.append(length)
         pos += _BLOCK_LEN.size
     body = pos
-    meta_offset = body + sum(lengths[:-1])
-    raw = bytes(data[meta_offset:meta_offset + lengths[-1]])
+    offset = body + sum(lengths[:index])
+    raw = bytes(data[offset:offset + lengths[index]])
     replacement = mutate(raw)
-    assert len(replacement) == lengths[-1]
-    data[meta_offset:meta_offset + lengths[-1]] = replacement
+    assert len(replacement) == lengths[index]
+    data[offset:offset + lengths[index]] = replacement
     crc = zlib.crc32(memoryview(data)[body:])
     struct.pack_into("<I", data, 24, crc)  # crc field of the header
     path.write_bytes(bytes(data))
@@ -630,7 +523,7 @@ class TestMetadataCorruption:
             meta.min_start, meta.max_start = 9000.0, 9001.0
             return meta.encode()
 
-        _patch_segment_meta(segments[0], narrow)
+        _patch_segment_block(segments[0], narrow)
         # CRC is consistent, so the store opens — and would silently
         # mis-prune a window query...
         store = FlowStore(directory)
@@ -651,7 +544,7 @@ class TestMetadataCorruption:
             )
             return meta.encode()
 
-        _patch_segment_meta(segments[1], blank_filter)
+        _patch_segment_block(segments[1], blank_filter)
         assert flowstore_main(["verify", str(directory)]) == 1
         assert "does not match" in capsys.readouterr().out
 
@@ -669,7 +562,7 @@ class TestMetadataCorruption:
             fields[9] += 8
             return _META_FIXED.pack(*fields) + raw[_META_FIXED.size:]
 
-        _patch_segment_meta(segments[0], lie_about_filter_length)
+        _patch_segment_block(segments[0], lie_about_filter_length)
         with pytest.raises(StorageError, match="metadata"):
             FlowStore(directory, strict=True)
         # A failed strict open leaves nothing behind that blocks a
