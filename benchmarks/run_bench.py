@@ -57,16 +57,7 @@ Benches
 * ``flowdb_pruned_query``    — the time-windowed analytics workload
   over a cold-reopened, time-ordered store: segment pruning via the
   footer metadata vs the seed JSON-lines reload + per-flow filter
-  loops; queries/sec.  The ``unpruned_*``/``prune_speedup`` fields
-  additionally time the same store with ``prune=False`` (the PR4
-  scan-everything pass), isolating what the metadata alone buys.
-* ``flowdb_parallel_analytics`` — the whole-store grouped-aggregation
-  sweep with per-segment kernels on a 2-thread pool
-  (``FlowStore(parallel=2)``) vs the serial pass on the same store;
-  sweeps/sec.  Like ``fanout_event_pipeline`` its baseline is the
-  current serial implementation measured in the same run, and the
-  ratio is machine-bound (gate-exempt): on the 1-core CI container
-  threads time-slice; multi-core hardware is where the pool pays.
+  loops; queries/sec.
 * ``analytics_experiments``  — a representative Fig. 3/4/5/11 +
   Tab. 5/8 + Alg. 2 sweep: the vectorized analytics on the columnar
   store vs faithful replicas of the seed per-flow loops on the seed
@@ -1055,11 +1046,7 @@ def bench_flowdb_pruned_query(quick: bool) -> dict:
     given window.  Fast side: reopen + pruned window queries.  Seed
     side: reload the JSON-lines dump into the row store and answer the
     same windows with per-flow filter loops (the only pre-segment-store
-    expression of this workload).  A third, untimed-gate arm runs the
-    identical workload on the same store with ``prune=False`` — the
-    PR4 scan-everything behaviour — and is reported as
-    ``unpruned_ops_per_s`` / ``prune_speedup`` so the metadata's own
-    contribution is first-class in the BENCH file.
+    expression of this workload).
     """
     from repro.analytics.persistence import dump_flows, load_flows
     from repro.analytics.storage import FlowStore
@@ -1092,9 +1079,6 @@ def bench_flowdb_pruned_query(quick: bool) -> dict:
     def run_fast():
         return run_windows(FlowStore(store_dir))
 
-    def run_unpruned():
-        return run_windows(FlowStore(store_dir, prune=False))
-
     def run_seed():
         database = ReferenceDatabase()
         with open(jsonl, "r", encoding="utf-8") as handle:
@@ -1111,20 +1095,17 @@ def bench_flowdb_pruned_query(quick: bool) -> dict:
             acc += len({f.fqdn.lower() for f in window if f.fqdn})
         return acc
 
-    # Identical answers out of all three arms before timing anything.
-    assert run_fast() == run_unpruned() == run_seed()
+    # Identical answers out of both arms before timing anything.
+    assert run_fast() == run_seed()
     n_ops = 4 * len(_PRUNE_WINDOWS)
     fast = best_of(run_fast, repetitions)
-    unpruned = best_of(run_unpruned, repetitions)
     seed = best_of(run_seed, repetitions)
     return add_peaks({
         "description": (
             "Cold reopen + time-windowed analytics (window row "
             "selection, per-window fqdn/server groupings) over a "
             "time-ordered segment store: footer-metadata pruning vs "
-            "the seed JSON-lines reload with per-flow filter loops; "
-            "unpruned_* times the same store with prune=False (the "
-            "pre-metadata scan-everything pass)"
+            "the seed JSON-lines reload with per-flow filter loops"
         ),
         "workload": {
             "flows": n_flows, "queries": n_ops,
@@ -1133,89 +1114,10 @@ def bench_flowdb_pruned_query(quick: bool) -> dict:
         "unit": "queries/s",
         "seed_s": seed,
         "fast_s": fast,
-        "unpruned_s": unpruned,
         "seed_ops_per_s": n_ops / seed,
         "fast_ops_per_s": n_ops / fast,
-        "unpruned_ops_per_s": n_ops / unpruned,
         "speedup": seed / fast,
-        "prune_speedup": unpruned / fast,
     }, run_fast, run_seed)
-
-
-def bench_flowdb_parallel_analytics(quick: bool) -> dict:
-    """Whole-store grouped-aggregation sweep: parallel=2 vs serial.
-
-    Both arms cold-reopen the same time-ordered segment store with
-    ``cache_segments=False`` (every repetition re-materializes each
-    segment inside its kernel — the work the pool overlaps) and run
-    the full grouped-aggregation surface.  The baseline is the serial
-    pass measured in the same run, so the ratio states "the pool beats
-    one thread"; it is machine-bound and gate-exempt on the 1-core CI
-    container, exactly like ``fanout_event_pipeline``.
-    """
-    from repro.analytics.storage import FlowStore
-
-    n_flows = 120_000  # fixed across quick/full; see bench_flowdb_ingest
-    flows, _ipdb, _domains, _cdns = make_flow_workload(n_flows)
-    flows.sort(key=lambda flow: flow.start)
-    repetitions = 2 if quick else 5
-    root = _spill_root() / "parallel_analytics"
-    store_dir = root / "store"
-    shutil.rmtree(store_dir, ignore_errors=True)
-    root.mkdir(parents=True, exist_ok=True)
-    store = FlowStore(store_dir, spill_rows=8192, wal=False)
-    store.add_all(flows)
-    store.close()
-
-    def run_sweep(db) -> int:
-        acc = len(db.fqdn_server_counts())
-        acc += len(db.fqdn_client_counts())
-        acc += len(db.fqdn_flow_byte_totals())
-        acc += len(db.server_flow_counts())
-        acc += len(db.fqdn_bin_pairs(600.0))
-        acc += len(db.server_fqdn_bin_triples(600.0))
-        acc += len(db.fqdn_first_seen())
-        acc += len(db.sld_flow_stats(db.tagged_rows()))
-        return acc
-
-    def run_fast():
-        parallel_store = FlowStore(
-            store_dir, parallel=2, cache_segments=False
-        )
-        try:
-            return run_sweep(parallel_store)
-        finally:
-            parallel_store.close()
-
-    def run_serial():
-        serial_store = FlowStore(store_dir, cache_segments=False)
-        return run_sweep(serial_store)
-
-    assert run_fast() == run_serial()  # bit-identical before timing
-    n_ops = 8
-    fast = best_of(run_fast, repetitions)
-    serial = best_of(run_serial, repetitions)
-    return add_peaks({
-        "description": (
-            "Whole-store grouped-aggregation sweep on a cold store "
-            "(cache_segments=False, every kernel re-materializes its "
-            "segment): per-segment kernels on a 2-thread pool vs the "
-            "serial pass measured in the same run.  Machine-bound "
-            "ratio — 1-core CI runners time-slice the pool — so the "
-            "regression gate skips it"
-        ),
-        "workload": {
-            "flows": n_flows, "aggregations": n_ops,
-            "parallel": 2, "spill_rows": 8192,
-        },
-        "unit": "sweeps/s",
-        "seed_s": serial,
-        "fast_s": fast,
-        "seed_ops_per_s": n_ops / serial,
-        "fast_ops_per_s": n_ops / fast,
-        "speedup": serial / fast,
-        "gate_exempt": True,
-    }, run_fast, run_serial)
 
 
 def bench_flowdb_sharded_query(quick: bool) -> dict:
@@ -1856,7 +1758,6 @@ BENCHES = {
     "flowdb_wal_ingest": bench_flowdb_wal_ingest,
     "flowdb_reopen_query": bench_flowdb_reopen_query,
     "flowdb_pruned_query": bench_flowdb_pruned_query,
-    "flowdb_parallel_analytics": bench_flowdb_parallel_analytics,
     "flowdb_sharded_query": bench_flowdb_sharded_query,
     "flowdb_serve_query": bench_flowdb_serve_query,
     "flowdb_serve_overload": bench_flowdb_serve_overload,

@@ -15,8 +15,6 @@ Subcommands:
   pruning metadata from the columns, failing on a footer
   that lies about its segment; exits non-zero when the store is
   degraded (quarantined segments, unplayable journal records);
-  ``--parallel N`` fans the per-segment checks out over a thread
-  pool;
 * ``compact DIR``        — merge sealed segments (all of them, or only
   adjacent runs of segments below ``--small-rows``); rewrites always
   carry fresh metadata;
@@ -202,7 +200,7 @@ def _verify_segment(reader) -> tuple[str, int, str]:
     return reader.name, rows, problem
 
 
-def _verify_store(store: FlowStore, parallel: int,
+def _verify_store(store: FlowStore,
                   prefix: str = "") -> tuple[int, int, int, dict]:
     """Verify one (opened) flat store end to end, then close it.
 
@@ -213,13 +211,7 @@ def _verify_store(store: FlowStore, parallel: int,
     manifest-only pruning (sharded ``prune-report``) trusts without
     opening the segment, so a drifted copy must fail verification.
     """
-    if parallel > 1 and len(store.segments) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_verify_segment, store.segments))
-    else:
-        results = [_verify_segment(reader) for reader in store.segments]
+    results = [_verify_segment(reader) for reader in store.segments]
     promoted = {
         name: meta
         for name, _rows, meta in read_manifest(store.directory)["segments"]
@@ -263,20 +255,12 @@ def _flat_stores(store, strict: bool):
 
 
 def _cmd_verify(args) -> int:
-    if args.parallel is not None and args.parallel <= 0:
-        # Same contract as FlowStore(parallel=...): a zero/negative
-        # worker count is an error, not a silent serial run.
-        print("error: --parallel must be positive", file=sys.stderr)
-        return 1
-    parallel = args.parallel or 1
     store = _open_existing(args.directory, strict=args.strict)
     n_segments = total = bad = 0
     quarantined = skipped = 0
     degraded = False
     for flat, prefix in _flat_stores(store, args.strict):
-        segments, rows, store_bad, health = _verify_store(
-            flat, parallel, prefix
-        )
+        segments, rows, store_bad, health = _verify_store(flat, prefix)
         n_segments += segments
         total += rows
         bad += store_bad
@@ -328,19 +312,26 @@ def _cmd_ingest_trace(args) -> int:
     from repro.sniffer.pipeline import SnifferPipeline
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    # Everything that can refuse the run is checked before --force
+    # deletes the existing dataset.
+    if args.spill_rows <= 0:
+        raise ValueError("--spill-rows must be positive")
+    if args.shards is not None and args.shards <= 0:
+        raise ValueError("--shards must be positive")
     directory = Path(args.directory) / args.trace
-    if store_kind(directory) is not None:
+    existing = store_kind(directory) is not None
+    if existing and not args.force:
         # Appending to an existing store would silently double every
         # flow count the experiments read.
-        if not args.force:
-            print(
-                f"error: {directory} already holds a stored dataset; "
-                f"re-run with --force to replace it",
-                file=sys.stderr,
-            )
-            return 1
-        shutil.rmtree(directory)
+        print(
+            f"error: {directory} already holds a stored dataset; "
+            f"re-run with --force to replace it",
+            file=sys.stderr,
+        )
+        return 1
     trace = get_trace(args.trace, seed)
+    if existing:
+        shutil.rmtree(directory)
     store = open_store(
         directory, shards=args.shards, spill_rows=args.spill_rows
     )
@@ -442,10 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         help="materialize every segment (full validation, including "
              "recomputed pruning metadata); non-zero exit when the "
              "store is degraded",
-    )
-    verify.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="verify N segments concurrently (thread pool)",
     )
     verify.set_defaults(func=_cmd_verify)
 

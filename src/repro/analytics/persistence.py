@@ -1,8 +1,9 @@
-"""Labeled-flow database persistence (the Fig. 1 "Flow Database").
+"""The seed JSON-lines flow format (the first Fig. 1 "Flow Database").
 
-The real-time sniffer streams tagged flows to disk; the off-line
-analyzer loads them later.  JSON-lines keeps the format inspectable and
-append-friendly; every field of :class:`FlowRecord` round-trips.
+The durable store is :mod:`repro.analytics.storage`; this row format
+stays as the baseline the store's benchmark rows are measured against.
+JSON-lines keeps the format inspectable and append-friendly; every
+field of :class:`FlowRecord` round-trips.
 """
 
 from __future__ import annotations

@@ -483,9 +483,7 @@ class ShardCoordinator(QuerySurface):
                  start_method: Optional[str] = None,
                  spill_rows: Optional[int] = None,
                  spill_bytes: Optional[int] = None,
-                 cache_segments: bool = True,
                  parallel: Optional[int] = None,
-                 prune: bool = True,
                  wal: bool = True,
                  strict: bool = False):
         if backend not in _BACKENDS:
@@ -502,14 +500,11 @@ class ShardCoordinator(QuerySurface):
         self.router = self._load_or_create_topology(shards, by, time_window)
         self.shards = self.router.shards
         self.backend_kind = backend
-        self.prune = bool(prune)
         self._start_method = start_method
         self._store_kwargs = {
             "spill_rows": spill_rows,
             "spill_bytes": spill_bytes,
-            "cache_segments": cache_segments,
             "parallel": parallel,
-            "prune": prune,
             "wal": wal,
             "strict": strict,
         }
@@ -800,7 +795,6 @@ class ShardCoordinator(QuerySurface):
             "by": self.router.by,
             "backend": self.backend_kind,
             "parallel": self._store_kwargs["parallel"],
-            "prune": self.prune,
             "health": self._merge_health(
                 [part["health"] for part in parts]
             ),
@@ -840,7 +834,7 @@ class ShardCoordinator(QuerySurface):
             manifest = read_manifest(self.shard_directory(index))
             segments = []
             for name, n_rows, meta in manifest["segments"]:
-                admitted = not self.prune or hint.admits(meta)
+                admitted = hint.admits(meta)
                 segments.append({
                     "name": name, "rows": n_rows,
                     "scan": admitted, "shard": index,
@@ -863,7 +857,6 @@ class ShardCoordinator(QuerySurface):
             "directory": str(self.directory),
             "sharded": True,
             "shards": self.shards,
-            "prune": self.prune,
             "segments": segments_flat,
             "scanned_segments": sum(1 for s in segments_flat if s["scan"]),
             "pruned_segments": sum(
@@ -901,8 +894,8 @@ def open_store(directory, *, shards: Optional[int] = None,
     without a store creates an N-shard root; everything else is a
     flat store, for which the routing arguments and ``backend`` mean
     nothing.  ``store_knobs`` are :class:`FlowStore`'s (``spill_rows``,
-    ``spill_bytes``, ``cache_segments``, ``parallel``, ``prune``,
-    ``wal``, ``strict``), applied to the flat store or to every shard.
+    ``spill_bytes``, ``parallel``, ``wal``, ``strict``), applied to the
+    flat store or to every shard.
     """
     if shards is None and store_kind(directory) != "sharded":
         return FlowStore(directory, **store_knobs)

@@ -34,9 +34,8 @@ Two levers keep whole-store queries off segments that cannot matter:
   filters over the segment's distinct FQDNs and second-level domains.
   Label-, domain-, server- and time-window-keyed queries skip — never
   materialize — segments whose metadata proves they cannot contribute
-  (``FlowStore(prune=False)`` restores the scan-everything behaviour;
-  answers are identical either way, which the property suite in
-  ``tests/test_storage_pruning.py`` holds it to).
+  (answers are identical to scanning every segment, which the property
+  suite in ``tests/test_storage_pruning.py`` holds it to).
 * **Parallel per-segment kernels** — ``FlowStore(parallel=N)`` fans
   the surviving per-segment query/aggregation kernels out over a
   thread pool (the kernels spend their time in numpy reductions,
@@ -1403,8 +1402,8 @@ class _StoreReadMixin(QuerySurface):
     member set even while writers keep appending, sealing or
     compacting.  A host class provides the members (``_segments``,
     ``_tail``, ``_tail_map``, ``_interns``, ``_mutex``,
-    ``_scan_stats``), the execution knobs (``prune``, ``parallel``,
-    ``cache_segments``) and ``_executor()``.
+    ``_scan_stats``), the ``parallel`` execution knob and
+    ``_executor()``.
 
     Concurrency contract (any number of readers; writers serialize on
     the store's own writer lock, see :class:`FlowStore`):
@@ -1468,22 +1467,12 @@ class _StoreReadMixin(QuerySurface):
         surviving source and return the results **in row order** — the
         one execution path behind every query and grouped aggregation.
 
-        Pruning (``self.prune``) drops a sealed segment *before* it is
-        materialized when either (a) ``rows`` is given and the
-        header-derived row split proves the segment holds none of the
-        selected rows, or (b) ``hint`` is given and the segment's
-        footer metadata proves no row can match.  The live tail is
-        never pruned (it is already resident and has no metadata).
-
-        Both skips — including the exact row-split one — sit behind
-        ``self.prune`` on purpose: the PR4 ``_sources_with_rows``
-        pass materialized every segment regardless (its generator
-        called ``reader.database()`` at yield time; the empty-split
-        ``continue`` only skipped the kernel), so ``prune=False``
-        reproduces that cost faithfully, which is exactly what the
-        differential property suite and the ``flowdb_pruned_query``
-        bench's unpruned arm need from it.  A kernel over an empty
-        row set is O(1), so re-running it there costs nothing extra.
+        Pruning drops a sealed segment *before* it is materialized
+        when either (a) ``rows`` is given and the header-derived row
+        split proves the segment holds none of the selected rows, or
+        (b) ``hint`` is given and the segment's footer metadata proves
+        no row can match.  The live tail is never pruned (it is
+        already resident and has no metadata).
 
         With ``parallel > 1`` the surviving kernels run on the thread
         pool; because partials are merged from this ordered result
@@ -1506,7 +1495,6 @@ class _StoreReadMixin(QuerySurface):
         token = self.cancel_token
         segments, tail, tail_map = self._view()
         tail_len = len(tail)
-        prune = self.prune
         # Per-source base rows come from the segment headers alone, so
         # splitting a row selection materializes nothing.
         bases: list[int] = []
@@ -1518,17 +1506,14 @@ class _StoreReadMixin(QuerySurface):
             bases.append(total)
             total += tail_len
         split = split_rows(rows, bases, total) if rows is not None else None
-        cache = self.cache_segments
         mutex = self._mutex
         thunks = []
         scanned = pruned = 0
         for index, reader in enumerate(segments):
             local = split[index] if split is not None else None
-            skip = prune and (
-                (split is not None and not len(local))
-                or (hint is not None and not hint.admits(reader.meta))
-            )
-            if skip:
+            if (split is not None and not len(local)) or (
+                hint is not None and not hint.admits(reader.meta)
+            ):
                 pruned += 1
                 continue
             scanned += 1
@@ -1536,14 +1521,11 @@ class _StoreReadMixin(QuerySurface):
             def thunk(reader=reader, local=local, base=bases[index]):
                 if token is not None:
                     token.check()
-                was_resident = reader.resident
                 try:
                     return kernel(
                         reader.database(), reader.fqdn_map, local, base
                     )
                 finally:
-                    if not cache and not was_resident:
-                        reader.release()
                     if token is not None:
                         token.note_done()
             thunks.append(thunk)
@@ -1708,19 +1690,13 @@ class FlowStore(_StoreReadMixin):
     first-appearance order) and merge.  The analytics layer therefore
     runs unchanged on a store that never held the dataset in one piece.
 
-    Two execution knobs (both answer-preserving):
-
-    * ``prune`` (default True) — skip sealed segments whose footer
-      metadata (:class:`SegmentMeta`) proves they cannot contribute to
-      a label/domain/server/time-window query, *before* any column is
-      read.  ``prune=False`` restores the PR4 scan-everything pass —
-      the differential baseline the property suite compares against.
-    * ``parallel=N`` — run the surviving per-segment kernels on an
-      ``N``-thread pool and merge partials in segment order, so
-      results are bit-identical to the serial pass.  Threads (not
-      processes) because the kernels live in numpy reductions,
-      ``frombytes`` bulk copies and file reads — all GIL-releasing —
-      and because the merged results then need no pickling.
+    Sealed segments whose footer metadata (:class:`SegmentMeta`)
+    proves they cannot contribute to a label/domain/server/time-window
+    query are skipped *before* any column is read; a materialized
+    segment stays cached for the next query.  ``parallel=N`` runs the
+    surviving per-segment kernels on an ``N``-thread pool and merges
+    partials in segment order, so results are bit-identical to the
+    serial pass.
 
     Writes are thread-safe: every writer verb (``add``, ``add_all``
     per journaled chunk, ``ingest_batch``, ``flush``, ``compact``,
@@ -1740,9 +1716,7 @@ class FlowStore(_StoreReadMixin):
         directory,
         spill_rows: Optional[int] = None,
         spill_bytes: Optional[int] = None,
-        cache_segments: bool = True,
         parallel: Optional[int] = None,
-        prune: bool = True,
         wal: bool = True,
         strict: bool = False,
     ):
@@ -1757,14 +1731,7 @@ class FlowStore(_StoreReadMixin):
             )
         self.spill_rows = spill_rows
         self.spill_bytes = spill_bytes
-        #: True (default) keeps materialized segments cached for the
-        #: next query — right when the dataset fits and queries repeat
-        #: (the experiments sweep).  False streams every whole-store
-        #: pass load→merge→release, holding one segment at a time —
-        #: right for larger-than-memory stores.
-        self.cache_segments = cache_segments
         self.parallel = parallel
-        self.prune = prune
         #: wal (default True) journals every acknowledged ingest into
         #: ``tail.wal`` before it lands in the in-memory tail, so a
         #: crash loses nothing that was acknowledged.  A surviving
@@ -1772,8 +1739,8 @@ class FlowStore(_StoreReadMixin):
         #: ``wal=False`` — durability is only ever dropped going
         #: forward, never retroactively.
         self.wal_enabled = wal
-        #: strict=True restores PR4/PR5 hard-fail opens: any segment
-        #: that fails validation raises ``StorageError``.  The default
+        #: strict=True makes opens hard-fail: any segment that fails
+        #: validation raises ``StorageError``.  The default
         #: quarantines it and degrades gracefully (see :meth:`health`).
         self.strict = strict
         self._pool = None                # lazily-built thread pool
@@ -2402,7 +2369,6 @@ class FlowStore(_StoreReadMixin):
             "directory": str(self.directory),
             "format": FORMAT_VERSION,
             "parallel": self.parallel,
-            "prune": self.prune,
             "health": self.health(),
             "segments": segments,
             "sealed_rows": counters["rows"] - counters["tail_rows"],
@@ -2439,7 +2405,7 @@ class FlowStore(_StoreReadMixin):
         segments = []
         pruned_rows = scanned_rows = 0
         for reader in segments_view:
-            admitted = not self.prune or hint.admits(reader.meta)
+            admitted = hint.admits(reader.meta)
             segments.append({
                 "name": reader.name,
                 "rows": reader.n_rows,
@@ -2451,7 +2417,6 @@ class FlowStore(_StoreReadMixin):
                 pruned_rows += reader.n_rows
         return {
             "directory": str(self.directory),
-            "prune": self.prune,
             "segments": segments,
             "scanned_segments": sum(1 for s in segments if s["scan"]),
             "pruned_segments": sum(1 for s in segments if not s["scan"]),
@@ -2503,9 +2468,7 @@ class StoreSnapshot(_StoreReadMixin):
         self._interns = store._interns
         self._mutex = store._mutex
         self._scan_stats = store._scan_stats
-        self.prune = store.prune
         self.parallel = store.parallel
-        self.cache_segments = store.cache_segments
         self._released = False
 
     def _executor(self):

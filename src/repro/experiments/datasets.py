@@ -33,37 +33,30 @@ STANDARD_TRACES = (
 DEFAULT_CLIST = 200_000
 
 _STORED_ROOT: Optional[Path] = None
-_STORED_PARALLEL: Optional[int] = None
 _STORED_SHARD_BACKEND: Optional[str] = None
 _OPEN_STORES: list = []
 
 
-def set_stored_root(path, parallel: Optional[int] = None,
-                    shard_backend: Optional[str] = None) -> None:
+def set_stored_root(path, shard_backend: Optional[str] = None) -> None:
     """Serve experiment databases from stored flow-store directories.
 
     ``path`` is a root directory holding one flow store per trace name
     (``<root>/<trace-name>``); ``None`` reverts to in-memory databases.
     Cached results are invalidated either way.  Traces without a store
-    under the root fall back to the in-memory build.  ``parallel=N``
-    opens each store with an ``N``-thread per-segment query pool (the
-    ``repro-exp --flow-store DIR --parallel N`` path); results are
-    bit-identical to serial.
+    under the root fall back to the in-memory build.
 
     A per-trace sharded root (built with
     ``repro-flowstore ingest-trace --shards N``) opens as a
     :class:`repro.analytics.shard.ShardCoordinator`;
     ``shard_backend="process"`` (the ``repro-exp --shards process``
-    path) runs one worker process per shard — the process-pool rescue
-    for deployments where the thread pool is GIL-bound.
+    path) runs one worker process per shard.
     """
-    global _STORED_ROOT, _STORED_PARALLEL, _STORED_SHARD_BACKEND
+    global _STORED_ROOT, _STORED_SHARD_BACKEND
     _STORED_ROOT = Path(path) if path is not None else None
-    _STORED_PARALLEL = parallel
     _STORED_SHARD_BACKEND = shard_backend
     # The cached results being invalidated below hold the previously
-    # opened stores; close them so their lazily-built query thread
-    # pools don't idle for the rest of the process.
+    # opened stores; close them so their shard workers don't idle for
+    # the rest of the process.
     for store in _OPEN_STORES:
         store.close()
     _OPEN_STORES.clear()
@@ -99,8 +92,7 @@ def stored_database(name: str, seed: int = DEFAULT_SEED):
         if meta.get("seed") != seed or meta.get("building"):
             return None
     store = open_store(
-        directory, parallel=_STORED_PARALLEL,
-        backend=_STORED_SHARD_BACKEND or "inprocess",
+        directory, backend=_STORED_SHARD_BACKEND or "inprocess"
     )
     _OPEN_STORES.append(store)
     return store

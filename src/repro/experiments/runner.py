@@ -96,27 +96,15 @@ def main(argv: list[str] | None = None) -> int:
              "fall back to the in-memory build",
     )
     parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="with --flow-store: run per-segment analytics kernels on "
-             "an N-thread pool per store (answers are bit-identical "
-             "to serial)",
-    )
-    parser.add_argument(
         "--shards", metavar="BACKEND", default=None,
         choices=("inprocess", "process"),
         help="with --flow-store: open sharded stored datasets "
              "(directories built by repro-flowstore ingest-trace "
              "--shards N) with the given backend — 'inprocess' keeps "
              "all shards in this process, 'process' runs one worker "
-             "process per shard (the GIL-free rescue when --parallel "
-             "cannot help)",
+             "process per shard",
     )
     args = parser.parse_args(argv)
-    if args.parallel is not None:
-        if args.flow_store is None:
-            parser.error("--parallel requires --flow-store")
-        if args.parallel <= 0:
-            parser.error("--parallel must be positive")
     if args.shards is not None and args.flow_store is None:
         parser.error("--shards requires --flow-store")
     if args.experiment == "list":
@@ -129,17 +117,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.flow_store is not None:
         from repro.experiments.datasets import set_stored_root
 
-        set_stored_root(
-            args.flow_store, parallel=args.parallel,
-            shard_backend=args.shards,
-        )
+        set_stored_root(args.flow_store, shard_backend=args.shards)
     targets = list(REGISTRY) if args.experiment == "all" else [args.experiment]
     try:
         return _run_targets(targets, args)
     finally:
         if args.flow_store is not None:
             # Drops the stored-dataset cache and closes the opened
-            # stores (shutting their query thread pools).
+            # stores (shutting their shard workers).
             from repro.experiments.datasets import set_stored_root
 
             set_stored_root(None)

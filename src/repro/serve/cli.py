@@ -62,10 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tail row budget before sealing a segment")
     parser.add_argument("--spill-bytes", type=int, default=None,
                         help="tail byte budget before sealing a segment")
-    parser.add_argument("--parallel", type=int, default=None,
-                        help="query worker threads (default 1 = serial)")
-    parser.add_argument("--no-prune", action="store_true",
-                        help="disable metadata segment pruning")
     parser.add_argument("--no-wal", action="store_true",
                         help="disable the ingest journal (crash loses "
                              "the unsealed tail)")
@@ -133,15 +129,19 @@ def main(argv=None) -> int:
             "--compact-small and --compact-interval go together"
         )
 
-    store = open_store(
-        args.store,
-        spill_rows=args.spill_rows,
-        spill_bytes=args.spill_bytes,
-        parallel=args.parallel,
-        prune=not args.no_prune,
-        wal=not args.no_wal,
-        strict=args.strict,
-    )
+    try:
+        store = open_store(
+            args.store,
+            spill_rows=args.spill_rows,
+            spill_bytes=args.spill_bytes,
+            wal=not args.no_wal,
+            strict=args.strict,
+        )
+    except (ValueError, OSError) as exc:
+        # ValueError covers a bad sizing knob and a store the opener
+        # refuses (StorageError: corrupt or version-1 manifest).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     app = ServeApp(
         store,
         admission=AdmissionController({

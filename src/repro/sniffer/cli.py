@@ -2,8 +2,8 @@
 
 Reads a classic pcap capture, runs the packet-path sniffer (DNS response
 sniffer + flow sniffer + tagger), and prints per-protocol hit ratios
-plus a sample of labels.  With ``--dump`` the labeled flows are written
-as JSON lines for the off-line analyzer.
+plus a sample of labels.  With ``--flow-store`` the labeled flows are
+persisted to the durable store the off-line analyzer reads.
 
 :func:`sniff_pcap` is the whole capture path in one call: the reader's
 raw ``(timestamp, data)`` frames go straight into
@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
              "(split by client address, Sec. 3.1.1 load balancing; "
              "default 1 = in-process). "
              "Aggregate mode: statistics are merged, per-flow records "
-             "are not kept, so --dump is unavailable",
+             "are not kept",
     )
     parser.add_argument(
         "--batch-events", type=int, default=8192,
@@ -118,10 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--top", type=int, default=10,
         help="show the N most common labels (default 10)",
-    )
-    parser.add_argument(
-        "--dump", metavar="PATH",
-        help="write labeled flows as JSON lines to PATH",
     )
     parser.add_argument(
         "--flow-store", metavar="DIR",
@@ -134,16 +130,8 @@ def main(argv: list[str] | None = None) -> int:
              "the connections still open",
     )
     args = parser.parse_args(argv)
-    if args.processes > 1 and args.dump:
-        parser.error(
-            "--dump needs per-flow records, which --processes > 1 "
-            "aggregates away in the workers"
-        )
 
     try:
-        if args.dump:
-            # Before the capture, so a missing numpy costs no pass.
-            from repro.analytics.persistence import dump_flows
         pipeline = sniff_pcap(
             args.pcap, clist_size=args.clist, warmup=args.warmup,
             processes=args.processes,
@@ -155,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, PcapFormatError, ValueError, ImportError) as exc:
         # ValueError covers bad sizing knobs (--clist 0, --processes 0)
         # and a corrupt --flow-store directory (StorageError);
-        # ImportError a --flow-store or --dump without numpy, which
-        # the store and the dump writer need and the capture does not.
+        # ImportError a --flow-store without numpy, which the store
+        # needs and the capture does not.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -186,10 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         for fqdn, count in counter.most_common(args.top):
             print(f"  {count:6d}  {fqdn}")
 
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as handle:
-            written = dump_flows(flows, handle)
-        print(f"\nwrote {written} labeled flows to {args.dump}")
     pipeline.close()
     if pipeline.flow_store is not None:
         stats = pipeline.flow_store.stats()

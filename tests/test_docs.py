@@ -5,8 +5,9 @@ Four classes of drift this suite catches:
 * a markdown link (README or docs/) pointing at a file that is gone;
 * a ``src/...`` / ``tests/...`` path or a ``repro.x.y`` module named
   in prose that no longer exists or no longer imports;
-* a documented CLI whose ``--help`` no longer runs, or a documented
-  ``ingest-trace`` command naming something that is not a trace;
+* a documented CLI whose ``--help`` no longer runs, a ``--flag`` no
+  CLI parser defines, or a documented ``ingest-trace`` command naming
+  something that is not a trace;
 * the API/metrics references diverging from the code: every
   ``/query/<name>`` route and every ``/metrics`` family must appear in
   the docs, and vice versa.
@@ -42,6 +43,18 @@ _PATH = re.compile(r"`((?:src|tests|docs|benchmarks|examples)/[\w./-]+?\.(?:py|m
 _MODULE = re.compile(r"`(repro(?:\.\w+)+)`")
 _HELP_CMD = re.compile(r"python -m (repro[\w.]+)")
 _INGEST_TRACE = re.compile(r"ingest-trace\s+([^\s`]+)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+_REPRO_CLIS = (
+    "repro.serve.cli", "repro.analytics.flowstore_cli",
+    "repro.experiments.runner", "repro.sniffer.cli",
+)
+#: Flags of the other tools the docs run: ``python -m benchmarks.e2e``,
+#: ``benchmarks/run_bench.py`` and pytest.
+_OTHER_TOOL_FLAGS = frozenset({
+    "--workload", "--seconds", "--trace", "--smoke",
+    "--quick", "--compare", "--tolerance",
+    "--hypothesis-profile",
+})
 
 
 def _page_ids():
@@ -120,6 +133,40 @@ def test_documented_clis_answer_help(module):
         f"python -m {module} --help failed:\n{result.stderr}"
     )
     assert "usage" in result.stdout.lower()
+
+
+@pytest.fixture(scope="module")
+def cli_flags() -> frozenset:
+    """Every option string of the repro CLI parsers, subcommands
+    included: each ``main`` is run up to its ``parse_args`` call."""
+    import argparse
+    from unittest import mock
+
+    parsers = []
+
+    def capture(parser, *args, **kwargs):
+        parsers.append(parser)
+        raise SystemExit(0)
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", capture):
+        for module in _REPRO_CLIS:
+            with pytest.raises(SystemExit):
+                importlib.import_module(module).main([])
+    flags = set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return frozenset(flags)
+
+
+@pytest.mark.parametrize("page", PAGES, ids=_page_ids())
+def test_documented_flags_exist(page, cli_flags):
+    named = set(_FLAG.findall(page.read_text(encoding="utf-8")))
+    stale = sorted(named - cli_flags - _OTHER_TOOL_FLAGS)
+    assert not stale, f"{page.name}: no CLI defines {stale}"
 
 
 @pytest.mark.parametrize("page", PAGES, ids=_page_ids())

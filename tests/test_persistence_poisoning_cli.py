@@ -179,17 +179,14 @@ class TestSnifferCli:
         assert len(flows) == 60
         assert any(f.fqdn for f in flows)
 
-    def test_cli_main(self, pcap_path, tmp_path, capsys):
+    def test_cli_main(self, pcap_path, capsys):
         from repro.sniffer.cli import main
 
-        dump = str(tmp_path / "labels.jsonl")
-        code = main([pcap_path, "--warmup", "0", "--dump", dump])
+        code = main([pcap_path, "--warmup", "0"])
         assert code == 0
         output = capsys.readouterr().out
         assert "flows reconstructed : 60" in output
         assert "top 10 labels:" in output
-        with open(dump) as handle:
-            assert sum(1 for _ in handle) == 60
 
     def test_cli_missing_file(self, capsys):
         from repro.sniffer.cli import main
@@ -261,16 +258,15 @@ if argv:
         assert "flows reconstructed : 60" in shadowed.stdout
         assert shadowed.stdout == plain.stdout
 
-    @pytest.mark.parametrize("option", ["--flow-store", "--dump"])
-    def test_analytics_options_with_numpy_shadowed_name_numpy(
-        self, pcap_path, tmp_path, option
+    def test_flow_store_with_numpy_shadowed_names_numpy(
+        self, pcap_path, tmp_path
     ):
-        """The flow store and the dump writer need numpy: refused
-        with one line that says so, before anything is written."""
+        """The flow store needs numpy: refused with one line that says
+        so, before anything is written."""
         target = tmp_path / "out"
         refused = self._child(
             "shadow", "sniffer", pcap_path, "--warmup", "0",
-            option, str(target),
+            "--flow-store", str(target),
         )
         assert refused.returncode == 1
         assert refused.stderr.startswith("error: ")
@@ -279,9 +275,3 @@ if argv:
         assert refused.stdout == ""
         assert not target.exists()
 
-    def test_cli_fanout_rejects_dump(self, pcap_path, tmp_path, capsys):
-        from repro.sniffer.cli import main
-
-        with pytest.raises(SystemExit):
-            main([pcap_path, "--processes", "2",
-                  "--dump", str(tmp_path / "x.jsonl")])

@@ -718,3 +718,40 @@ class TestServeSharded:
         reopened = ShardCoordinator(directory)
         assert len(reopened) == 40
         reopened.close()
+
+
+class TestServeCliRefusals:
+    """A store ``repro-serve`` cannot open is one ``error:`` line and
+    exit status 1, like the other CLIs — never a traceback."""
+
+    def _refused(self, capsys, argv, expected) -> None:
+        from repro.serve.cli import main as serve_main
+
+        code = serve_main([*argv, "--port", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and expected in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("manifest, expected", [
+        ("{not json", "malformed manifest"),
+        (json.dumps({"format": 1, "segments": ["seg-00000001.fseg"]}),
+         "repro-flowstore compact"),
+    ], ids=["garbage", "version-1"])
+    def test_unreadable_manifest(self, tmp_path, capsys, manifest,
+                                 expected):
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "MANIFEST.json").write_text(manifest)
+        self._refused(capsys, [str(tmp_path / "store")], expected)
+
+    def test_bad_sizing_knob_creates_nothing(self, tmp_path, capsys):
+        self._refused(
+            capsys, [str(tmp_path / "store"), "--spill-rows", "0"],
+            "spill_rows must be positive",
+        )
+        assert not (tmp_path / "store").exists()
+
+    def test_store_path_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "store").write_text("not a directory")
+        self._refused(capsys, [str(tmp_path / "store")], "File exists")

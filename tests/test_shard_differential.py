@@ -453,13 +453,17 @@ class TestManifestOnlyPruning:
                     )
             assert manifest_verdicts == footer_verdicts
 
-    def test_prune_false_scans_everything(self, tmp_path):
+    def test_window_query_skips_what_the_report_prunes(self, tmp_path):
+        """The query path prunes exactly the segments the manifest-only
+        report rules out — and for a narrow window it rules some out."""
         directory = self._sealed_sharded(tmp_path)
-        coord = ShardCoordinator(directory, prune=False)
+        coord = ShardCoordinator(directory)
         report = coord.prune_report(QueryHint(window=(0.0, 1.0)))
+        coord.rows_in_window(0.0, 1.0)
+        pruned = coord.stats()["scan_stats"]["segments_pruned"]
         coord.close()
-        assert report["pruned_segments"] == 0
-        assert report["scanned_segments"] == len(report["segments"])
+        assert report["pruned_segments"] > 0
+        assert pruned == report["pruned_segments"]
 
 
 class TestShardTopologyAndErrors:

@@ -389,23 +389,6 @@ class TestSegmentFormat:
         assert store.count_by_protocol() == ref.count_by_protocol()
         assert all(not seg.resident for seg in store.segments)
 
-    def test_streaming_queries_release_segments(self, tmp_path):
-        """cache_segments=False: a whole-store pass holds one segment
-        at a time and leaves nothing resident, with identical answers."""
-        flow_list = [_flow(i) for i in range(30)]
-        cached = FlowStore(tmp_path / "store", spill_rows=8)
-        cached.add_all(flow_list)
-        cached.close()
-        streaming = FlowStore(tmp_path / "store", cache_segments=False)
-        mem = FlowDatabase.from_flows(flow_list)
-        assert streaming.fqdn_server_counts() == mem.fqdn_server_counts()
-        assert streaming.tagged_count == mem.tagged_count
-        assert list(streaming) == list(mem)
-        assert all(not seg.resident for seg in streaming.segments)
-        rows = streaming.rows_for_servers(mem.servers())
-        assert list(rows) == list(mem.rows_for_servers(mem.servers()))
-        assert all(not seg.resident for seg in streaming.segments)
-
     def test_spill_releases_sealed_tail(self, tmp_path):
         """Spilling is what bounds resident memory: a sealed segment
         must not stay materialized, and queries reload it on demand."""

@@ -47,6 +47,14 @@ def _run_module(module: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _tree(directory: Path) -> dict:
+    """Every path under ``directory`` with its bytes (None: a dir)."""
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
+    }
+
+
 def _events(n_clients=6, flows_per_client=30):
     """A tiny deterministic event stream: DNS then flows per client."""
     events = []
@@ -372,23 +380,6 @@ class TestFlowstoreCli:
         assert "would scan 3 of 3" in scanned("--client", "192.168.0.7")
         assert "would scan 0 of 3" in scanned("--client", "192.168.0.8")
 
-    def test_verify_parallel_matches_serial(self, tmp_path, capsys):
-        directory = self._seed_store(tmp_path)
-        assert flowstore_main(["verify", str(directory)]) == 0
-        serial = capsys.readouterr().out
-        assert flowstore_main([
-            "verify", str(directory), "--parallel", "4",
-        ]) == 0
-        assert capsys.readouterr().out == serial
-        # Zero/negative worker counts error out (same contract as
-        # FlowStore(parallel=...)) instead of silently running serial.
-        for bad in ("0", "-2"):
-            assert flowstore_main([
-                "verify", str(directory), "--parallel", bad,
-            ]) == 1
-            assert "must be positive" in capsys.readouterr().err
-
-
 class TestStoredDatasetSource:
     @pytest.fixture()
     def stored_root(self, tmp_path):
@@ -494,6 +485,25 @@ class TestStoredDatasetSource:
             "ingest-trace", "EU1-FTTH", str(stored_root), "--force",
         ]) == 0
         assert len(FlowStore(stored_root / "EU1-FTTH")) == rows
+
+    @pytest.mark.parametrize("bad", [
+        ["--spill-rows", "0"], ["--shards", "0"], ["--shards", "-2"],
+    ], ids=["spill-rows-0", "shards-0", "shards-negative"])
+    def test_refused_force_keeps_the_stored_dataset(
+        self, stored_root, capsys, bad
+    ):
+        """--force replaces a dataset only once the new run is sure to
+        start: a refused invocation leaves it byte-identical."""
+        assert flowstore_main([
+            "ingest-trace", "US-3G", str(stored_root),
+        ]) == 0
+        before = _tree(stored_root)
+        capsys.readouterr()
+        assert flowstore_main([
+            "ingest-trace", "US-3G", str(stored_root), "--force", *bad,
+        ]) == 1
+        assert "must be positive" in capsys.readouterr().err
+        assert _tree(stored_root) == before
 
 
 class TestSnifferCliFlowStore:
@@ -610,56 +620,6 @@ class TestRunnerFlowStoreFlag:
         assert code == 0
         assert "Table 6" in capsys.readouterr().out
 
-    def test_runner_parallel_matches_serial(self, tmp_path, capsys):
-        """--parallel N serves experiments from a threaded store with
-        output identical to the serial store."""
-        from repro.experiments import datasets
-        from repro.experiments.runner import main as runner_main
-
-        assert flowstore_main([
-            "ingest-trace", "EU1-FTTH", str(tmp_path / "root"),
-            "--spill-rows", "2048",
-        ]) == 0
-        capsys.readouterr()
-        outputs = []
-        try:
-            for argv in (
-                ["--flow-store", str(tmp_path / "root"), "table6"],
-                ["--flow-store", str(tmp_path / "root"),
-                 "--parallel", "2", "table6"],
-            ):
-                assert runner_main(argv) == 0
-                # Strip the trailing timing line — wall clock differs.
-                outputs.append([
-                    line for line in capsys.readouterr().out.splitlines()
-                    if not line.startswith("[table6 completed")
-                ])
-        finally:
-            datasets.set_stored_root(None)
-        assert outputs[0] == outputs[1]
-        store = datasets.stored_database("EU1-FTTH")
-        assert store is None  # root reset
-
-    def test_parallel_requires_flow_store(self, capsys):
-        from repro.experiments.runner import main as runner_main
-
-        with pytest.raises(SystemExit):
-            runner_main(["--parallel", "2", "table6"])
-        assert "--flow-store" in capsys.readouterr().err
-
-    def test_parallel_must_be_positive(self, tmp_path, capsys):
-        """A bad worker count is a usage error, not a mid-experiment
-        traceback out of FlowStore's constructor."""
-        from repro.experiments.runner import main as runner_main
-
-        for bad in ("0", "-3"):
-            with pytest.raises(SystemExit):
-                runner_main([
-                    "--flow-store", str(tmp_path), "--parallel", bad,
-                    "table6",
-                ])
-            assert "must be positive" in capsys.readouterr().err
-
     def test_list_does_not_leak_stored_root(self, tmp_path):
         """`runner list --flow-store DIR` must not leave the global
         stored root set for later in-process callers."""
@@ -694,8 +654,7 @@ class TestModuleCliInvocation:
         assert result.returncode == 0, result.stderr
         assert "seg-00000001.fseg" in result.stdout
         result = _run_module(
-            "repro.analytics.flowstore_cli", "verify", directory,
-            "--parallel", "2",
+            "repro.analytics.flowstore_cli", "verify", directory
         )
         assert result.returncode == 0, result.stderr
         assert "verified" in result.stdout
@@ -823,6 +782,12 @@ class TestStatsSealRace:
         from repro.analytics.storage import QueryHint
 
         store = FlowStore(tmp_path / "store", spill_rows=1, wal=False)
+        # Every I/O call in a seal gives up the GIL and, at the default
+        # 5 ms switch interval, waits that long to get it back from the
+        # CPU-bound poller below; a short interval lets the writer's
+        # 400 seals interleave with the polls without the convoy.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         thread = self._spin_writer(store, 400)
         try:
             while thread.is_alive():
@@ -840,6 +805,7 @@ class TestStatsSealRace:
                 )
         finally:
             thread.join()
+            sys.setswitchinterval(switch_interval)
         final = store.stats()
         assert final["rows"] == 400
         store.close()

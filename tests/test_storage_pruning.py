@@ -5,10 +5,11 @@ lets the durable store skip — never materialize — sealed segments that
 provably cannot contribute to a query.  That optimisation is only
 admissible if it is invisible: for random flow sets and random
 time/server/FQDN/2LD predicates, a pruned query over a spilled (and
-compacted) store must equal the same query with pruning disabled
-(``FlowStore(prune=False)``, the PR4 scan-everything pass), the
-in-memory columnar :class:`FlowDatabase` and the seed
-``database_reference`` row store.
+compacted) store must equal the in-memory columnar
+:class:`FlowDatabase` and the seed ``database_reference`` row store —
+and the executor must skip exactly the segments ``prune_report``
+says the metadata rules out, so the equality is checked with pruning
+actually running.
 
 Alongside the property suite: format refusal (a version-1 store is
 refused at open, untouched, with the upgrade named), and metadata
@@ -109,15 +110,24 @@ def _spill(tmp_path, flow_list, spill_rows) -> Path:
     return directory
 
 
-def _assert_predicates_identical(
-    pruned, unpruned, mem, ref, window, servers, fqdn
-):
-    """One predicate set, four stores, every pruning-sensitive call."""
+def _skipped(store, call):
+    """``(call(), sealed segments the call pruned)``, read off the
+    store's public counters."""
+    before = store.counters()["segments_pruned_total"]
+    result = call()
+    return result, store.counters()["segments_pruned_total"] - before
+
+
+def _assert_predicates_identical(pruned, mem, ref, window, servers, fqdn):
+    """One predicate set, three stores, every pruning-sensitive call."""
     t0, t1 = window
     sld = ".".join(fqdn.split(".")[-2:]).lower()
     # Label / 2LD keyed queries (presence-filter pruning).
-    assert pruned.query_by_fqdn(fqdn) == unpruned.query_by_fqdn(fqdn)
-    assert pruned.query_by_fqdn(fqdn) == ref.query_by_fqdn(fqdn)
+    records, skipped = _skipped(pruned, lambda: pruned.query_by_fqdn(fqdn))
+    assert records == ref.query_by_fqdn(fqdn)
+    assert skipped == pruned.prune_report(
+        QueryHint(fqdn=fqdn.lower())
+    )["pruned_segments"]
     assert list(pruned.rows_for_fqdn(fqdn)) == list(
         mem.rows_for_fqdn(fqdn)
     )
@@ -134,9 +144,6 @@ def _assert_predicates_identical(
         mem.unique_servers_per_bin(sld, 600.0)
     )
     # Server-set queries (address-range pruning).
-    assert pruned.query_by_servers(servers) == unpruned.query_by_servers(
-        servers
-    )
     assert pruned.query_by_servers(servers) == ref.query_by_servers(
         servers
     )
@@ -148,12 +155,13 @@ def _assert_predicates_identical(
     )
     # Time-window queries (start-range pruning) and the grouped
     # aggregations driven by their row sets.
-    rows_p = pruned.rows_in_window(t0, t1)
-    rows_u = unpruned.rows_in_window(t0, t1)
+    rows_p, skipped = _skipped(pruned, lambda: pruned.rows_in_window(t0, t1))
     rows_m = mem.rows_in_window(t0, t1)
-    assert list(rows_p) == list(rows_u) == list(rows_m)
+    assert list(rows_p) == list(rows_m)
+    assert skipped == pruned.prune_report(
+        QueryHint(window=(t0, t1))
+    )["pruned_segments"]
     window_records = pruned.query_in_window(t0, t1)
-    assert window_records == unpruned.query_in_window(t0, t1)
     assert window_records == ref.query_in_window(t0, t1)
     assert window_records == mem.query_in_window(t0, t1)
     assert pruned.fqdn_server_counts(rows_p) == sorted(
@@ -178,18 +186,17 @@ def _assert_predicates_identical(
 class TestPruningSoundness:
     @settings(deadline=None)
     @given(flow_lists, spill_sizes, windows, server_probes, fqdn_probes)
-    def test_pruned_equals_unpruned_and_memory_stores(
+    def test_pruned_equals_memory_stores(
         self, tmp_path_factory, flow_list, spill_rows, window, servers,
         fqdn,
     ):
         tmp_path = tmp_path_factory.mktemp("prune")
         directory = _spill(tmp_path, flow_list, spill_rows)
         pruned = FlowStore(directory)
-        unpruned = FlowStore(directory, prune=False)
         mem = FlowDatabase.from_flows(flow_list)
         ref = ReferenceDatabase.from_flows(flow_list)
         _assert_predicates_identical(
-            pruned, unpruned, mem, ref, window, servers, fqdn
+            pruned, mem, ref, window, servers, fqdn
         )
 
     @settings(deadline=None)
@@ -206,11 +213,10 @@ class TestPruningSoundness:
         store = FlowStore(directory)
         store.compact(small_rows=max(2, spill_rows))
         pruned = FlowStore(directory)
-        unpruned = FlowStore(directory, prune=False)
         mem = FlowDatabase.from_flows(flow_list)
         ref = ReferenceDatabase.from_flows(flow_list)
         _assert_predicates_identical(
-            pruned, unpruned, mem, ref, window, servers, fqdn
+            pruned, mem, ref, window, servers, fqdn
         )
 
     @settings(deadline=None, max_examples=25)
@@ -228,7 +234,7 @@ class TestPruningSoundness:
         mem = FlowDatabase.from_flows(flow_list)
         ref = ReferenceDatabase.from_flows(flow_list)
         _assert_predicates_identical(
-            store, store, mem, ref, window, servers, fqdn
+            store, mem, ref, window, servers, fqdn
         )
 
     @settings(deadline=None)
@@ -265,6 +271,25 @@ class TestPruningSoundness:
             for reader in store.segments:
                 if not by_name[reader.name]:
                     assert not len(matcher(reader.database()))
+
+    def test_window_and_fqdn_queries_prune_sealed_segments(self, tmp_path):
+        """The properties above hold whether or not a draw prunes; a
+        time-ordered store with one label per time slice must prune,
+        and still answer like the in-memory stores."""
+        flow_list = [
+            _flow(i, fqdn=f"host{i // 10}.example.com") for i in range(60)
+        ]
+        store = FlowStore(_spill(tmp_path, flow_list, spill_rows=10))
+        assert len(store.segments) == 6
+        mem = FlowDatabase.from_flows(flow_list)
+        ref = ReferenceDatabase.from_flows(flow_list)
+        for call in (
+            lambda db: db.query_in_window(12.0, 18.0),
+            lambda db: db.query_by_fqdn("HOST3.example.com"),
+        ):
+            before = store.stats()["scan_stats"]["segments_pruned"]
+            assert call(store) == call(ref) == call(mem)
+            assert store.stats()["scan_stats"]["segments_pruned"] > before
 
 
 def _flow(i: int, fqdn="www.Example.com", start=None) -> FlowRecord:

@@ -19,6 +19,7 @@ pipeline need nothing of a store beyond its public attributes.
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import shutil
@@ -219,6 +220,37 @@ class TestOpen:
         assert not isinstance(excinfo.value, StorageError)
         assert store_kind(tmp_path / "bad") is None
         assert not (tmp_path / "bad").exists()
+
+
+class TestRemovedKnobs:
+    """Knobs that never changed an answer are gone: the openers and
+    the CLIs refuse them rather than ignore them."""
+
+    @pytest.mark.parametrize("opener, knob", [
+        (FlowStore, "prune"), (FlowStore, "cache_segments"),
+        (ShardCoordinator, "prune"), (open_store, "cache_segments"),
+    ])
+    def test_openers_refuse(self, tmp_path, opener, knob):
+        with pytest.raises(TypeError):
+            opener(tmp_path / "store", **{knob: False})
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("module, argv", [
+        ("repro.serve.cli", ["DIR", "--parallel", "2"]),
+        ("repro.serve.cli", ["DIR", "--no-prune"]),
+        ("repro.experiments.runner",
+         ["--flow-store", "DIR", "--parallel", "2", "table6"]),
+        ("repro.analytics.flowstore_cli",
+         ["verify", "DIR", "--parallel", "2"]),
+        ("repro.sniffer.cli", ["DIR", "--dump", "x"]),
+    ], ids=["serve-parallel", "serve-no-prune", "exp-parallel",
+            "verify-parallel", "sniff-dump"])
+    def test_clis_refuse(self, tmp_path, capsys, module, argv):
+        main = importlib.import_module(module).main
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path) if arg == "DIR" else arg for arg in argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestObserve:
