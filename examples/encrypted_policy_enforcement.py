@@ -8,6 +8,7 @@ first packet of the flow (pre-installed decisions cover even the TCP
 handshake).
 """
 
+from repro.baselines import DpiEngine
 from repro.net.flow import Protocol
 from repro.simulation import build_trace
 from repro.sniffer import PolicyAction, PolicyEnforcer, PolicyRule, SnifferPipeline
@@ -58,6 +59,11 @@ def main() -> None:
         f"\n  {len(tls_blocked)} of the blocked zynga flows were TLS — "
         f"invisible to DPI signatures, visible to DN-Hunter."
     )
+    # The comparison point: signature DPI on the first bytes of a TLS
+    # ClientHello record names the protocol, never the service.
+    verdict = DpiEngine().inspect_payload(b"\x16\x03\x01\x02\x00\x01")
+    print(f"  DPI verdict on a TLS handshake: {verdict.signature} "
+          f"(service identified: {verdict.specific})")
 
 
 if __name__ == "__main__":

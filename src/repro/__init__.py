@@ -6,7 +6,7 @@ visibility in a web where content owners and content hosts are decoupled
 ("the tangled web").  This package implements the full system —
 
 * ``repro.net`` / ``repro.dns`` — packet and DNS substrates built from
-  scratch (wire formats, caches, zones, pcap I/O);
+  scratch (wire formats, caches, the PTR zone, pcap I/O);
 * ``repro.sniffer`` — the real-time component: DNS resolver replica
   (Algorithm 1), flow sniffer, flow tagger, policy enforcer;
 * ``repro.analytics`` — the off-line analyzer: spatial discovery,
@@ -25,8 +25,8 @@ Quickstart::
 
     trace = build_trace("EU1-FTTH", seed=7)
     pipeline = SnifferPipeline()
-    database = pipeline.process_trace(trace)
-    print(pipeline.hit_ratio_by_protocol())
+    flows = pipeline.process_trace(trace)
+    print(pipeline.hit_counts_by_protocol())
 """
 
 __version__ = "1.0.0"

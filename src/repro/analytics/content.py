@@ -8,13 +8,10 @@ domains hosted on Amazon EC2") is this module's output.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.analytics.database import FlowDatabase
-from repro.analytics.tokens import tokenize_fqdn
 from repro.dns.name import second_level_domain
 from repro.orgdb.ipdb import IpOrganizationDb
 
@@ -94,39 +91,6 @@ class ContentDiscovery:
         """All FQDNs delivered by the address set (Alg. 3 line 4)."""
         return self.database.fqdns_for_servers(servers)
 
-    def hosted_service_tokens(
-        self, servers: Iterable[int], k: int = 20
-    ) -> list[tuple[str, float]]:
-        """Rank sub-domain tokens served by the address set.
-
-        Uses the same log score as Alg. 4 so one chatty client cannot
-        dominate; this is the "if only service tokens are used" variant
-        of Alg. 3, and the word-cloud input for Fig. 10.
-        """
-        database = self.database
-        rows = database.rows_for_servers(servers)
-        per_client: dict[str, dict[int, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        token_sets: dict[int, set[str]] = {}
-        for fqdn_id, client, count in database.fqdn_client_counts(rows):
-            tokens = token_sets.get(fqdn_id)
-            if tokens is None:
-                tokens = token_sets[fqdn_id] = set(
-                    tokenize_fqdn(database.fqdn_label(fqdn_id))
-                )
-            for token in tokens:
-                per_client[token][client] += count
-        scored = [
-            (
-                token,
-                sum(math.log(count + 1) for count in clients.values()),
-            )
-            for token, clients in per_client.items()
-        ]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:k]
-
     def common_domains(
         self, servers_a: Iterable[int], servers_b: Iterable[int]
     ) -> set[str]:
@@ -138,15 +102,3 @@ class ContentDiscovery:
             second_level_domain(f) for f in self.hosted_fqdns(servers_b)
         }
         return domains_a & domains_b
-
-    def cdn_popularity(
-        self, cdns: Iterable[str]
-    ) -> dict[str, tuple[int, int]]:
-        """(distinct FQDNs, flows) per CDN — the Fig. 5 aggregate."""
-        out: dict[str, tuple[int, int]] = {}
-        for cdn in cdns:
-            servers = self._servers_of_cdn(cdn)
-            rows = self.database.rows_for_servers(servers)
-            fqdns = self.database.fqdns_for_rows(rows)
-            out[cdn] = (len(fqdns), len(rows))
-        return out

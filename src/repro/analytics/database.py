@@ -558,10 +558,6 @@ class FlowDatabase:
         """The second-level domain behind an interned id."""
         return self._sld_names[sld_id]
 
-    def sld_of_fqdn(self, fqdn_id: int) -> int:
-        """Interned sld id of an interned FQDN id."""
-        return self._fqdn_sld[fqdn_id]
-
     def labels_of(self, fqdn_ids) -> tuple[list[str], list[str]]:
         """``(FQDNs, their second-level domains)`` behind interned ids,
         as this table's own ``str`` objects — what

@@ -34,10 +34,6 @@ class TreeNode:
             self.children[token] = node
         return node
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def dominant_cdn(self) -> Optional[str]:
         """The CDN carrying most of this subtree's flows."""
         if not self.cdns:

@@ -97,7 +97,7 @@ def _cmd_inspect(args) -> int:
     print(f"format     : v{stats['format']}")
     if stats.get("sharded"):
         print(f"sharded    : {stats['shards']} shards "
-              f"(routing by {stats['by']})")
+              f"(routing by client address)")
     print(f"health     : {stats['health']['status']}")
     print(f"rows       : {stats['rows']} "
           f"(sealed {stats['sealed_rows']}, tail {stats['tail_rows']})")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator
 
-from repro.analytics.database import FlowDatabase
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 
 FORMAT_VERSION = 1
@@ -86,15 +85,3 @@ def load_flows(fileobj: IO[str]) -> Iterator[FlowRecord]:
                 f"malformed flow record on line {line_number}"
             ) from exc
         yield flow_from_dict(data)
-
-
-def save_database(database: FlowDatabase, path: str) -> int:
-    """Persist a whole database to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        return dump_flows(database, handle)
-
-
-def load_database(path: str) -> FlowDatabase:
-    """Load a database previously saved with :func:`save_database`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return FlowDatabase.from_flows(load_flows(handle))

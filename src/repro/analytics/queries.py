@@ -804,10 +804,6 @@ class QuerySurface:
         """The second-level domain behind a (global) interned id."""
         return self._label("_sld_names", sld_id)
 
-    def sld_of_fqdn(self, fqdn_id: int) -> int:
-        """Global sld id of a global FQDN id."""
-        return self._label("_fqdn_sld", fqdn_id)
-
     def __len__(self) -> int:
         return self._query(QUERIES["len"], ())
 

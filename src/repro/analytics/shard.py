@@ -3,8 +3,8 @@
 One :class:`FlowStore` scales until a single directory's segment scan —
 or a single Python process — becomes the bottleneck.  This module
 splits the store horizontally instead: a :class:`ShardRouter` assigns
-every ingested event to one of *N* shards (by client address, the
-paper's natural per-user partition, or by time), each shard is a full
+every ingested event to one of *N* shards by client address (the
+paper's natural per-user partition, Sec. 3.1.1), each shard is a full
 :class:`FlowStore` — WAL, quarantine, snapshot pins and footer
 metadata all intact — and a :class:`ShardCoordinator` fans every query
 out to all shards and merges the partial results **bit-identically**
@@ -95,12 +95,6 @@ from repro.sniffer.sharding import shard_of
 
 SHARDS_FORMAT = 1
 
-#: Default bucket width (seconds) for ``by="time"`` routing — one hour,
-#: the granularity of the paper's per-hour traffic breakdowns.
-DEFAULT_TIME_WINDOW = 3600.0
-
-_ROUTING_KEYS = ("client", "time")
-
 
 class ShardError(StorageError):
     """A shard backend failed structurally (dead worker, bad reply)."""
@@ -111,43 +105,28 @@ class ShardError(StorageError):
 
 
 class ShardRouter:
-    """Deterministic event→shard assignment.
+    """Deterministic event→shard assignment on the client address.
 
-    ``by="client"`` routes on the low client-address byte
+    Routes on the low client-address byte
     (:func:`repro.sniffer.sharding.shard_of` — the same hash the live
     capture fan-out uses, so a sniffer shard and a store shard can be
-    pinned one-to-one).  ``by="time"`` routes on the flow start (DNS:
-    observation timestamp) bucketed into ``time_window``-second strides.
+    pinned one-to-one).
     """
 
-    __slots__ = ("shards", "by", "time_window")
+    __slots__ = ("shards",)
 
-    def __init__(self, shards: int, by: str = "client",
-                 time_window: float = DEFAULT_TIME_WINDOW):
+    def __init__(self, shards: int):
         if not isinstance(shards, int) or shards < 1:
             raise StorageError(f"shards must be a positive int, not {shards!r}")
-        if by not in _ROUTING_KEYS:
-            raise StorageError(
-                f"unknown routing key {by!r} (expected one of {_ROUTING_KEYS})"
-            )
-        if not time_window > 0:
-            raise StorageError("time_window must be positive")
         self.shards = shards
-        self.by = by
-        self.time_window = float(time_window)
 
     def shard_for(self, event) -> int:
         """Shard index of one :class:`FlowRecord` / :class:`DnsObservation`."""
-        if self.by == "client":
-            client_ip = (
-                event.fid.client_ip if isinstance(event, FlowRecord)
-                else event.client_ip
-            )
-            return shard_of(client_ip, self.shards)
-        timestamp = (
-            event.start if isinstance(event, FlowRecord) else event.timestamp
+        client_ip = (
+            event.fid.client_ip if isinstance(event, FlowRecord)
+            else event.client_ip
         )
-        return int(timestamp // self.time_window) % self.shards
+        return shard_of(client_ip, self.shards)
 
     def split_flows(self, flows: Iterable[FlowRecord]) -> list[list[FlowRecord]]:
         """Partition a flow iterable into per-shard lists, order kept."""
@@ -171,8 +150,7 @@ class ShardRouter:
         return {
             "format": SHARDS_FORMAT,
             "shards": self.shards,
-            "by": self.by,
-            "time_window": self.time_window,
+            "by": "client",
         }
 
 
@@ -477,8 +455,6 @@ class ShardCoordinator(QuerySurface):
     sharded = True
 
     def __init__(self, directory, shards: Optional[int] = None,
-                 by: Optional[str] = None,
-                 time_window: Optional[float] = None,
                  backend: str = "inprocess",
                  start_method: Optional[str] = None,
                  spill_rows: Optional[int] = None,
@@ -497,7 +473,7 @@ class ShardCoordinator(QuerySurface):
         _checked_sizing(spill_rows, spill_bytes, parallel)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.router = self._load_or_create_topology(shards, by, time_window)
+        self.router = self._load_or_create_topology(shards)
         self.shards = self.router.shards
         self.backend_kind = backend
         self._start_method = start_method
@@ -520,7 +496,7 @@ class ShardCoordinator(QuerySurface):
 
     # -- topology ----------------------------------------------------------
 
-    def _load_or_create_topology(self, shards, by, time_window) -> ShardRouter:
+    def _load_or_create_topology(self, shards) -> ShardRouter:
         path = self.directory / SHARDS_NAME
         if path.exists():
             try:
@@ -534,10 +510,15 @@ class ShardCoordinator(QuerySurface):
                 or config.get("format") != SHARDS_FORMAT
             ):
                 raise StorageError(f"unsupported shard topology {path}")
-            router = ShardRouter(
-                config.get("shards"), config.get("by", "client"),
-                config.get("time_window", DEFAULT_TIME_WINDOW),
-            )
+            # Client address is the only routing key: every append to a
+            # root routed any other way would land in the wrong shard,
+            # so such a root is refused, not reinterpreted.
+            if config.get("by", "client") != "client":
+                raise StorageError(
+                    f"store at {self.directory} routes by "
+                    f"{config.get('by')!r}; only 'client' is supported"
+                )
+            router = ShardRouter(config.get("shards"))
             # The on-disk topology is authoritative: rows were routed
             # with it, so opening with different parameters would
             # silently misroute every future ingest.
@@ -545,11 +526,6 @@ class ShardCoordinator(QuerySurface):
                 raise StorageError(
                     f"store at {self.directory} has {router.shards} "
                     f"shards, not {shards}"
-                )
-            if by is not None and by != router.by:
-                raise StorageError(
-                    f"store at {self.directory} routes by "
-                    f"{router.by!r}, not {by!r}"
                 )
             return router
         if shards is None:
@@ -561,10 +537,7 @@ class ShardCoordinator(QuerySurface):
                 f"{self.directory} already holds a flat store; it "
                 f"cannot become a sharded root"
             )
-        router = ShardRouter(
-            shards, by if by is not None else "client",
-            time_window if time_window is not None else DEFAULT_TIME_WINDOW,
-        )
+        router = ShardRouter(shards)
         payload = json.dumps(router.config(), indent=2) + "\n"
         _write_file_atomic(path, [payload.encode("utf-8")], "shard topology")
         return router
@@ -792,7 +765,6 @@ class ShardCoordinator(QuerySurface):
             "format": FORMAT_VERSION,
             "sharded": True,
             "shards": self.shards,
-            "by": self.router.by,
             "backend": self.backend_kind,
             "parallel": self._store_kwargs["parallel"],
             "health": self._merge_health(
@@ -882,17 +854,15 @@ def store_kind(directory) -> Optional[str]:
 
 
 def open_store(directory, *, shards: Optional[int] = None,
-               by: Optional[str] = None,
-               time_window: Optional[float] = None,
                backend: str = "inprocess", **store_knobs):
     """Open (or create) the durable store at ``directory`` — the one
     place that decides between a flat :class:`FlowStore` and a
     :class:`ShardCoordinator`.
 
-    A sharded root opens as a coordinator (``shards`` / ``by`` must
-    agree with its topology when given); ``shards=N`` on a directory
-    without a store creates an N-shard root; everything else is a
-    flat store, for which the routing arguments and ``backend`` mean
+    A sharded root opens as a coordinator (``shards`` must agree with
+    its topology when given); ``shards=N`` on a directory without a
+    store creates an N-shard root, routed by client address;
+    everything else is a flat store, for which ``backend`` means
     nothing.  ``store_knobs`` are :class:`FlowStore`'s (``spill_rows``,
     ``spill_bytes``, ``parallel``, ``wal``, ``strict``), applied to the
     flat store or to every shard.
@@ -900,6 +870,5 @@ def open_store(directory, *, shards: Optional[int] = None,
     if shards is None and store_kind(directory) != "sharded":
         return FlowStore(directory, **store_knobs)
     return ShardCoordinator(
-        directory, shards=shards, by=by, time_window=time_window,
-        backend=backend, **store_knobs,
+        directory, shards=shards, backend=backend, **store_knobs,
     )

@@ -117,39 +117,3 @@ class SpatialDiscovery:
             share.flows += count
             report.total_flows += count
         return report
-
-    def server_access_matrix(
-        self, target: str
-    ) -> dict[str, dict[int, float]]:
-        """Fig. 9 view: per hosting org, per serverIP flow fraction.
-
-        The gray level of each cell in Fig. 9 is the fraction of the
-        domain's flows a particular serverIP carried.
-        """
-        report = self.discover(target)
-        matrix: dict[str, dict[int, float]] = {}
-        if report.total_flows == 0:
-            return matrix
-        organization = report.organization.split(".")[0]
-        rows = self.database.rows_for_domain(report.organization)
-        for server, count in self.database.server_flow_counts(rows).items():
-            owner = self._owner_of(server, organization)
-            matrix.setdefault(owner, {})[server] = (
-                count / report.total_flows
-            )
-        return matrix
-
-    def track_changes(
-        self, fqdn: str, bin_seconds: float = 600.0
-    ) -> list[tuple[float, set[int]]]:
-        """Server set per time bin for one FQDN — the "track over time"
-        capability of Sec. 4.1 (and the anomaly-detection feed)."""
-        bins: dict[int, set[int]] = defaultdict(set)
-        for bin_index, server in self.database.server_bins_for_fqdn(
-            fqdn, bin_seconds
-        ):
-            bins[bin_index].add(server)
-        return [
-            (index * bin_seconds, servers)
-            for index, servers in sorted(bins.items())
-        ]

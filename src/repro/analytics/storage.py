@@ -2143,11 +2143,6 @@ class FlowStore(_StoreReadMixin):
     def segments(self) -> tuple[SegmentReader, ...]:
         return tuple(self._segments)
 
-    def release_segments(self) -> None:
-        """Drop every cached in-memory segment materialization."""
-        for reader in self._segments:
-            reader.release()
-
     # -- snapshot isolation ------------------------------------------------
 
     def pin(self) -> "StoreSnapshot":
@@ -2486,4 +2481,3 @@ class StoreSnapshot(_StoreReadMixin):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-

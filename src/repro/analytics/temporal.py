@@ -142,13 +142,6 @@ def total_fqdns_per_cdns(
     return {cdn: totals.get(code, 0) for cdn, code in codes.items()}
 
 
-def total_fqdns_per_cdn(
-    database: FlowDatabase, ipdb: IpOrganizationDb, cdn: str
-) -> int:
-    """:func:`total_fqdns_per_cdns` for one name."""
-    return total_fqdns_per_cdns(database, ipdb, [cdn])[cdn.lower()]
-
-
 def dns_response_rate(
     observations: Iterable[DnsObservation],
     bin_seconds: float = 600.0,

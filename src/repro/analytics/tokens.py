@@ -42,20 +42,3 @@ def tokenize_fqdn(fqdn: str) -> list[str]:
     for label in name.subdomain_labels:
         tokens.extend(tokenize_label(label))
     return tokens
-
-
-def tokenize_fqdn_keep_sld(fqdn: str) -> list[str]:
-    """Variant keeping the 2LD's own label as the last token.
-
-    Content discovery at organization granularity (Alg. 3 "depending on
-    the desired granularity") uses this to rank organizations hosted on
-    an address set: ``cdn.zynga.com`` → ``['cdn', 'zynga']``.
-    """
-    try:
-        name = DomainName(fqdn)
-    except DomainNameError:
-        return []
-    tokens = list(tokenize_fqdn(fqdn))
-    sld_first_label = name.sld.split(".")[0]
-    tokens.extend(tokenize_label(sld_first_label))
-    return tokens

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.net.flow import FlowRecord, Protocol
+from repro.net.flow import Protocol
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,16 +103,3 @@ class DpiEngine:
                 return DpiVerdict(sig.protocol, sig.name, sig.specific)
         self.stats["unknown"] += 1
         return DpiVerdict(Protocol.OTHER, None, False)
-
-    def inspect_flow(self, flow: FlowRecord, payload: bytes) -> DpiVerdict:
-        """Classify a flow and stamp its ``protocol`` when identified."""
-        verdict = self.inspect_payload(payload)
-        if verdict.identified:
-            flow.protocol = verdict.protocol
-        return verdict
-
-    @property
-    def identification_ratio(self) -> float:
-        """Fraction of inspected flows any signature matched."""
-        total = self.stats["inspected"]
-        return self.stats["identified"] / total if total else 0.0

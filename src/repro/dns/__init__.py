@@ -1,12 +1,11 @@
-"""DNS substrate: names, records, RFC 1035 wire format, caches, servers.
+"""DNS substrate: names, records, RFC 1035 wire format, caches, PTR zone.
 
 Everything DN-Hunter consumes from the DNS side is built here from
 scratch: a domain-name type with TLD / second-level-domain semantics
 (Sec. 2.2 of the paper), resource records, a binary message codec with
 name compression, the client-side stub cache whose TTL behaviour drives
-the paper's dimensioning analysis (Sec. 6), and an authoritative +
-recursive server simulation including PTR zones for the reverse-lookup
-baseline (Tab. 3).
+the paper's dimensioning analysis (Sec. 6), and the reverse (PTR) zone
+the reverse-lookup baseline queries (Tab. 3).
 """
 
 from repro.dns.name import DomainName, effective_tld, second_level_domain

@@ -86,16 +86,6 @@ class StubResolverCache:
         self._entries[key] = entry
         return entry
 
-    def purge_expired(self, now: float) -> int:
-        """Drop every stale entry; return how many were removed."""
-        stale = [
-            key for key, entry in self._entries.items() if not entry.fresh(now)
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.stats["expired"] += len(stale)
-        return len(stale)
-
     @property
     def hit_ratio(self) -> float:
         """Fraction of lookups served from cache so far."""

@@ -137,9 +137,3 @@ class DnsMessage:
         if not self.answers:
             return 0
         return min(rr.ttl for rr in self.answers)
-
-    def cname_chain(self) -> list[str]:
-        """CNAME targets in answer order (may be empty)."""
-        return [
-            rr.target for rr in self.answers if rr.rtype is RRType.CNAME
-        ]

@@ -170,9 +170,3 @@ class DomainName:
 
     def __lt__(self, other: "DomainName") -> bool:
         return self._name < other._name
-
-
-def reverse_pointer_name(address: int) -> str:
-    """The ``in-addr.arpa`` name for integer IPv4 ``address``."""
-    octets = [(address >> shift) & 0xFF for shift in (0, 8, 16, 24)]
-    return ".".join(str(o) for o in octets) + ".in-addr.arpa"

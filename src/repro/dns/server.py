@@ -1,79 +1,16 @@
-"""Authoritative zones and a recursive resolver simulation.
+"""The reverse (PTR) zone of the synthetic internet.
 
-The synthetic internet publishes its FQDN→address plan through these
-zones.  Forward zones serve A records (with CDN-style answer lists and
-TTL policy); reverse zones serve the PTR records that the Tab. 3
-reverse-lookup baseline queries.  A tiny recursive server model fronts
-the zones so client queries produce the response messages the sniffer
-observes on the wire.
+Forward answers are rendered straight to wire bytes by the trace
+synthesis (:func:`repro.dns.wire.encode_a_response`); what the model
+keeps as DNS state is the ``in-addr.arpa`` tree that the Tab. 3
+reverse-lookup baseline queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.dns.message import DnsMessage, ResponseCode
-from repro.dns.name import DomainName, reverse_pointer_name
-from repro.dns.records import (
-    ResourceRecord,
-    RRType,
-    a_record,
-    ptr_record,
-)
-
-AnswerHook = Callable[[str, float], Optional[list[int]]]
-
-
-@dataclass
-class Zone:
-    """An authoritative forward zone.
-
-    Static records live in ``records``; a zone may also carry a dynamic
-    ``answer_hook`` so CDN-operated names can vary their answer list with
-    time of day (server pools growing at peak hours, Fig. 4).
-    """
-
-    origin: str
-    records: dict[tuple[str, RRType], list[ResourceRecord]] = field(
-        default_factory=dict
-    )
-    answer_hook: Optional[AnswerHook] = None
-    default_ttl: int = 300
-
-    def add(self, record: ResourceRecord) -> None:
-        """Insert a record, validating it belongs to this zone."""
-        name = DomainName(record.name)
-        if not name.is_subdomain_of(self.origin):
-            raise ValueError(
-                f"{record.name} does not belong to zone {self.origin}"
-            )
-        key = (name.fqdn, record.rtype)
-        self.records.setdefault(key, []).append(record)
-
-    def add_a(self, name: str, addresses: list[int], ttl: int | None = None) -> None:
-        """Add one A record per address for ``name``."""
-        for address in addresses:
-            self.add(a_record(name, address, ttl=ttl or self.default_ttl))
-
-    def contains_name(self, fqdn: str) -> bool:
-        """True if any record exists for ``fqdn``."""
-        normalized = DomainName(fqdn).fqdn
-        return any(key[0] == normalized for key in self.records)
-
-    def lookup(
-        self, fqdn: str, rtype: RRType, now: float = 0.0
-    ) -> list[ResourceRecord]:
-        """Resolve ``fqdn`` within this zone (dynamic hook wins for A)."""
-        normalized = DomainName(fqdn).fqdn
-        if rtype is RRType.A and self.answer_hook is not None:
-            addresses = self.answer_hook(normalized, now)
-            if addresses is not None:
-                return [
-                    a_record(normalized, address, ttl=self.default_ttl)
-                    for address in addresses
-                ]
-        return list(self.records.get((normalized, rtype), ()))
+from repro.dns.name import DomainName
 
 
 class ReverseZone:
@@ -92,126 +29,9 @@ class ReverseZone:
         """Register the PTR target for ``address``."""
         self._ptr[address] = DomainName(target).fqdn
 
-    def remove_pointer(self, address: int) -> None:
-        """Delete the PTR record (simulates unregistered infrastructure)."""
-        self._ptr.pop(address, None)
-
     def lookup(self, address: int) -> Optional[str]:
         """Return the PTR target or None (NXDOMAIN)."""
         return self._ptr.get(address)
 
-    def lookup_record(self, address: int) -> list[ResourceRecord]:
-        """PTR lookup returning proper resource records."""
-        target = self._ptr.get(address)
-        if target is None:
-            return []
-        return [ptr_record(reverse_pointer_name(address), target)]
-
     def __len__(self) -> int:
         return len(self._ptr)
-
-
-class RecursiveResolver:
-    """A recursive server fronting a set of authoritative zones.
-
-    Matches queries to the longest zone origin that suffixes the queried
-    name, follows CNAMEs across zones, and builds well-formed response
-    messages (NXDOMAIN when nothing matches).  This is the server the
-    simulated clients query; the monitoring point sees its responses.
-    """
-
-    MAX_CNAME_DEPTH = 8
-
-    def __init__(self) -> None:
-        self._zones: dict[str, Zone] = {}
-        self.reverse = ReverseZone()
-        self.stats = {"queries": 0, "nxdomain": 0}
-
-    def add_zone(self, zone: Zone) -> None:
-        """Register an authoritative zone."""
-        origin = DomainName(zone.origin).fqdn
-        if origin in self._zones:
-            raise ValueError(f"duplicate zone {origin}")
-        self._zones[origin] = zone
-
-    def zone_for(self, fqdn: str) -> Optional[Zone]:
-        """Longest-suffix zone match for ``fqdn``."""
-        name = DomainName(fqdn)
-        labels = name.labels
-        for start in range(len(labels)):
-            candidate = ".".join(labels[start:])
-            zone = self._zones.get(candidate)
-            if zone is not None:
-                return zone
-        return None
-
-    def resolve_a(self, fqdn: str, now: float = 0.0) -> list[ResourceRecord]:
-        """Resolve A records for ``fqdn``, following CNAME chains."""
-        answers: list[ResourceRecord] = []
-        current = DomainName(fqdn).fqdn
-        for _ in range(self.MAX_CNAME_DEPTH):
-            zone = self.zone_for(current)
-            if zone is None:
-                break
-            direct = zone.lookup(current, RRType.A, now=now)
-            if direct:
-                answers.extend(direct)
-                break
-            aliases = zone.lookup(current, RRType.CNAME, now=now)
-            if not aliases:
-                break
-            answers.extend(aliases)
-            current = aliases[0].target
-        return answers
-
-    def handle_query(self, query: DnsMessage, now: float = 0.0) -> DnsMessage:
-        """Produce the full response message for ``query``."""
-        self.stats["queries"] += 1
-        question = query.questions[0] if query.questions else None
-        if question is None:
-            return DnsMessage.response_to(
-                query, [], rcode=ResponseCode.FORMERR
-            )
-        if question.qtype is RRType.PTR:
-            # question.name is the in-addr.arpa form; recover the address.
-            address = _address_from_arpa(question.name)
-            answers = (
-                self.reverse.lookup_record(address)
-                if address is not None
-                else []
-            )
-        elif question.qtype is RRType.A:
-            answers = self.resolve_a(question.name, now=now)
-        else:
-            zone = self.zone_for(question.name)
-            answers = (
-                zone.lookup(question.name, question.qtype, now=now)
-                if zone
-                else []
-            )
-        rcode = ResponseCode.NOERROR
-        if not answers:
-            rcode = ResponseCode.NXDOMAIN
-            self.stats["nxdomain"] += 1
-        return DnsMessage.response_to(query, answers, rcode=rcode)
-
-
-def _address_from_arpa(name: str) -> Optional[int]:
-    """Parse ``d.c.b.a.in-addr.arpa`` back to an integer address."""
-    normalized = name.lower().rstrip(".")
-    suffix = ".in-addr.arpa"
-    if not normalized.endswith(suffix):
-        return None
-    parts = normalized[: -len(suffix)].split(".")
-    if len(parts) != 4:
-        return None
-    try:
-        octets = [int(part) for part in parts]
-    except ValueError:
-        return None
-    if any(not 0 <= octet <= 255 for octet in octets):
-        return None
-    # arpa order is reversed: first label is the last octet.
-    return (
-        (octets[3] << 24) | (octets[2] << 16) | (octets[1] << 8) | octets[0]
-    )

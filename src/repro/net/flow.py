@@ -100,16 +100,6 @@ class FlowRecord:
         """Flow duration in seconds."""
         return self.end - self.start
 
-    @property
-    def total_bytes(self) -> int:
-        """Payload bytes in both directions."""
-        return self.bytes_up + self.bytes_down
-
-    @property
-    def is_tagged(self) -> bool:
-        """True when the flow tagger attached a FQDN."""
-        return self.fqdn is not None
-
 
 @dataclass(slots=True)
 class DnsObservation:

@@ -108,16 +108,6 @@ class IPv4Network:
             raise IndexError(f"index {index} outside /{self.prefix} block")
         return self.base + index
 
-    def subnets(self, new_prefix: int) -> list["IPv4Network"]:
-        """Split into consecutive subnets of ``new_prefix``."""
-        if new_prefix < self.prefix or new_prefix > 32:
-            raise ValueError("new prefix must be >= current prefix and <= 32")
-        step = 1 << (32 - new_prefix)
-        return [
-            IPv4Network(self.base + i * step, new_prefix)
-            for i in range(1 << (new_prefix - self.prefix))
-        ]
-
     def __str__(self) -> str:
         return f"{ip_to_str(self.base)}/{self.prefix}"
 
@@ -133,11 +123,6 @@ class IPv4Pool:
 
     networks: list[IPv4Network] = field(default_factory=list)
     _next: int = 0
-
-    @classmethod
-    def from_cidrs(cls, *cidrs: str) -> "IPv4Pool":
-        """Build a pool from dotted-quad CIDR strings."""
-        return cls(networks=[IPv4Network.parse(c) for c in cidrs])
 
     @property
     def capacity(self) -> int:
@@ -158,10 +143,6 @@ class IPv4Pool:
                 return net.address(index)
             index -= net.size
         raise RuntimeError("address pool exhausted")
-
-    def allocate_many(self, count: int) -> list[int]:
-        """Allocate ``count`` consecutive addresses."""
-        return [self.allocate() for _ in range(count)]
 
     def __contains__(self, address: int) -> bool:
         return any(address in net for net in self.networks)

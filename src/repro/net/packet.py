@@ -136,22 +136,6 @@ class TcpHeader:
             0,
         )
 
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & TCP_SYN) and not self.flags & TCP_ACK
-
-    @property
-    def is_synack(self) -> bool:
-        return bool(self.flags & TCP_SYN) and bool(self.flags & TCP_ACK)
-
-    @property
-    def is_fin(self) -> bool:
-        return bool(self.flags & TCP_FIN)
-
-    @property
-    def is_rst(self) -> bool:
-        return bool(self.flags & TCP_RST)
-
 
 @dataclass(slots=True)
 class Packet:

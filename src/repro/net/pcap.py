@@ -168,9 +168,3 @@ def write_pcap(
         writer = PcapWriter(handle, linktype=linktype)
         writer.write_all(records)
         return writer.count
-
-
-def read_pcap(path: str) -> list[PcapRecord]:
-    """Read every record of the pcap file at ``path``."""
-    with open(path, "rb") as handle:
-        return list(PcapReader(handle))

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
+from repro.net.flow import FiveTuple, FlowRecord, TransportProto
 from repro.net.packet import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN, Packet
 
 
@@ -175,24 +175,3 @@ class TcpFlowTracker:
     def active_count(self) -> int:
         """Connections currently being tracked."""
         return len(self._active)
-
-
-def classify_port(dst_port: int, has_tls: bool = False) -> Protocol:
-    """Rough layer-7 classification by destination port.
-
-    Used as a fallback when no DPI ground truth is attached; the real
-    classification in experiments comes from the simulator's labels.
-    """
-    if has_tls or dst_port in (443, 995, 993, 465, 5223):
-        return Protocol.TLS
-    if dst_port in (80, 8080, 3128):
-        return Protocol.HTTP
-    if dst_port in (25, 110, 143, 587):
-        return Protocol.MAIL
-    if dst_port in (1863, 5050, 5190, 5222, 5228):
-        return Protocol.CHAT
-    if dst_port in (554, 1935):
-        return Protocol.STREAMING
-    if dst_port == 53:
-        return Protocol.DNS
-    return Protocol.OTHER

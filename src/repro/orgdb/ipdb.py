@@ -87,14 +87,6 @@ class IpOrganizationDb:
         candidate = self._ranges[index]
         return candidate.organization if address in candidate else None
 
-    def lookup_many(self, addresses: Iterable[int]) -> dict[int, Optional[str]]:
-        """Batch lookup preserving input addresses as keys."""
-        return {address: self.lookup(address) for address in addresses}
-
     def organizations(self) -> set[str]:
         """All distinct organizations with at least one range."""
         return {r.organization for r in self._ranges}
-
-    def ranges_of(self, organization: str) -> list[IpRange]:
-        """Every range registered to ``organization``."""
-        return [r for r in self._ranges if r.organization == organization]

@@ -61,14 +61,6 @@ class WhoisRegistry:
         canonical = self._aliases.get(key)
         return self._records.get(canonical) if canonical else None
 
-    def is_infrastructure(self, name: str) -> bool:
-        """True when ``name`` is a CDN or cloud operator."""
-        record = self.lookup(name)
-        return record is not None and record.kind in (
-            OrgKind.CDN,
-            OrgKind.CLOUD,
-        )
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -27,6 +27,7 @@ import sys
 import threading
 
 from repro.analytics.shard import open_store
+from repro.net.pcap import PcapFormatError
 from repro.serve.admission import AdmissionController, RouteClassLimits
 from repro.serve.governor import DegradationGovernor
 from repro.serve.server import ServeApp
@@ -128,6 +129,12 @@ def main(argv=None) -> int:
         _build_parser().error(
             "--compact-small and --compact-interval go together"
         )
+    # Checked before the store opens: a refused run creates nothing.
+    for flag, value in (("--clist", args.clist),
+                        ("--batch-events", args.batch_events)):
+        if value <= 0:
+            print(f"error: {flag} must be positive", file=sys.stderr)
+            return 1
 
     try:
         store = open_store(
@@ -175,14 +182,6 @@ def main(argv=None) -> int:
           f"(store {args.store}, {len(store)} rows)", flush=True)
 
     pipeline = None
-    if args.pcap:
-        from repro.sniffer.cli import sniff_pcap
-
-        # Probe before any ingest side effect (typo'd path must not
-        # dirty the store).
-        with open(args.pcap, "rb"):
-            pass
-
     stop_maintenance = threading.Event()
     maintenance = None
     if args.compact_interval is not None:
@@ -220,15 +219,25 @@ def main(argv=None) -> int:
 
     try:
         if args.pcap:
-            sniff_pcap(
-                args.pcap,
-                clist_size=args.clist,
-                warmup=args.warmup,
-                batch_events=args.batch_events,
-                flow_store=store,
-                store_drain_hook=app.note_ingest,
-                on_pipeline=_bind_pipeline,
-            )
+            from repro.sniffer.cli import sniff_pcap
+
+            try:
+                sniff_pcap(
+                    args.pcap,
+                    clist_size=args.clist,
+                    warmup=args.warmup,
+                    batch_events=args.batch_events,
+                    flow_store=store,
+                    store_drain_hook=app.note_ingest,
+                    on_pipeline=_bind_pipeline,
+                )
+            except (OSError, PcapFormatError) as exc:
+                # A missing or garbled capture fails before any ingest,
+                # a truncated one after its last whole record; either
+                # way shutdown() drains and seals what was ingested.
+                print(f"error: {exc}", file=sys.stderr)
+                shutdown()
+                return 1
             print(f"repro-serve: capture ingested, {len(store)} rows "
                   f"total; still serving (Ctrl-C to stop)", flush=True)
         # Serve until a signal arrives (the handler re-delivers it

@@ -7,8 +7,8 @@ closest synthetic equivalent: a model internet in which
 * content owners (Google, Facebook, Zynga, LinkedIn, ...) publish FQDNs
   whose content is hosted by CDNs and clouds (Akamai, Amazon EC2,
   EdgeCast, ...) with per-geography server pools — the "tangle";
-* DNS zones answer queries with CDN-style rotating answer lists, TTL
-  policy, and diurnal pool scaling;
+* DNS answers carry CDN-style rotating answer lists, TTL policy, and
+  diurnal pool scaling;
 * clients browse with OS-level DNS caches, prefetch aggressively
   (useless resolutions), open flows after realistic first-flow delays,
   run mail/chat/P2P applications, and on 3G arrive mid-trace with warm

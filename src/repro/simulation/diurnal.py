@@ -8,8 +8,6 @@ and the CDN pool-scaling hooks.
 
 from __future__ import annotations
 
-import math
-
 # Hour-by-hour relative activity, renormalized so the mean is 1.0.
 # Shape: trough at 04:00, evening peak at 21:00 — the pattern of
 # residential traces like EU1-ADSL2 (Fig. 14).
@@ -54,12 +52,3 @@ def pool_scale(
     level = activity_at(seconds_of_day, timezone_offset_hours)
     peak = max(HOURLY_ACTIVITY)
     return max(floor, min(1.0, level / peak + (1 - 1 / peak) * floor))
-
-
-def smooth_peak_boost(seconds_of_day: float, onset_hour: float,
-                      width_hours: float = 3.0, gain: float = 1.0) -> float:
-    """A bump centred at ``onset_hour`` — models YouTube's sudden policy
-    change between 17:00 and 20:30 in Fig. 4 (extra servers at peak)."""
-    hour = (seconds_of_day / 3600.0) % 24.0
-    distance = min(abs(hour - onset_hour), 24 - abs(hour - onset_hour))
-    return 1.0 + gain * math.exp(-((distance / width_hours) ** 2))

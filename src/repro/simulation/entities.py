@@ -151,6 +151,3 @@ class Organization:
     self_cidrs_by_geo: dict[str, list[str]] = field(default_factory=dict)
     self_ptr_style: PtrStyle = PtrStyle.ORG_INFRA
     dns_ttl: int = 300
-
-    def total_popularity(self, geography: str) -> float:
-        return sum(s.popularity_in(geography) for s in self.services)

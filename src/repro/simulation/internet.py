@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from repro.dns.server import RecursiveResolver, Zone
+from repro.dns.server import ReverseZone
 from repro.net.flow import Protocol as _Protocol
 from repro.net.ip import IPv4Network, IPv4Pool, ip_to_str
 from repro.orgdb.ipdb import IpOrganizationDb
@@ -117,8 +117,7 @@ class Internet:
         self.rng = random.Random(seed ^ zlib.crc32(geography.encode()))
         self.ipdb = IpOrganizationDb()
         self.whois = WhoisRegistry()
-        self.dns = RecursiveResolver()
-        self.reverse = self.dns.reverse
+        self.reverse = ReverseZone()
         self.entries: list[ServiceEntry] = []
         self._fqdn_map: dict[str, ServiceEntry] = {}
         self._cdn_pools: dict[str, list[int]] = {}
@@ -284,36 +283,7 @@ class Internet:
                 self.reverse.set_pointer(address, f"srv{index}.{domain}")
             # else: no PTR record.
 
-    def _build_zones(self) -> None:
-        """Authoritative zones whose answers come from :meth:`resolve`."""
-        for organization in self.organizations:
-            if not any(
-                entry.organization is organization for entry in self.entries
-            ):
-                continue
-
-            def hook(fqdn: str, now: float, _org=organization):
-                entry = self._fqdn_map.get(fqdn)
-                if entry is None or entry.organization is not _org:
-                    return None
-                answers, _ttl = self.resolve(fqdn, now)
-                return answers
-
-            zone = Zone(
-                origin=organization.domain,
-                answer_hook=hook,
-                default_ttl=organization.dns_ttl,
-            )
-            self.dns.add_zone(zone)
-
     # -- runtime queries ----------------------------------------------------
-
-    def knows(self, fqdn: str) -> bool:
-        """True if the FQDN exists in this internet."""
-        return fqdn.lower() in self._fqdn_map
-
-    def entry_for(self, fqdn: str) -> Optional[ServiceEntry]:
-        return self._fqdn_map.get(fqdn.lower())
 
     def resolve(self, fqdn: str, now: float) -> tuple[list[int], int]:
         """Answer an A query: (address list, TTL).
@@ -500,5 +470,4 @@ def build_internet(
     if tail_sites:
         internet.add_long_tail(tail_sites)
     internet._assign_ptr_records()
-    internet._build_zones()
     return internet

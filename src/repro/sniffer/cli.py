@@ -130,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
              "the connections still open",
     )
     args = parser.parse_args(argv)
+    if args.top < 0:
+        parser.error(f"argument --top: must be >= 0, not {args.top}")
 
     try:
         pipeline = sniff_pcap(

@@ -321,12 +321,6 @@ class BatchView:
             raise CodecError("dns_cold block does not match DNS count")
 
 
-def batch_counts(buf) -> tuple[int, int, int]:
-    """``(n_events, n_dns, n_flows)`` of an encoded batch."""
-    view = BatchView(buf)
-    return view.n_events, view.n_dns, view.n_flows
-
-
 def retag_flows(view: BatchView, labels) -> bytes:
     """Re-encode a batch's flows as a flows-only batch with new labels.
 

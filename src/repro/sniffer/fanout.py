@@ -16,15 +16,11 @@ worker and the merged statistics are identical to a single-process run
 (eviction-free regime; once per-worker Clists wrap, each worker evicts
 in its own FIFO order rather than the global one).
 
-Two modes share one implementation:
-
-* **offline** — :meth:`FanoutPipeline.run_events`: feed a finite
-  stream, collect the merged :class:`FanoutReport`, shut the pool down;
-* **streaming** — :meth:`feed` events as they arrive; per-worker
-  batches are bounded by ``max_pending`` in-flight batches (workers ack
-  each batch, the parent blocks before exceeding the bound — a bounded
-  queue with explicit backpressure), :meth:`collect` snapshots merged
-  statistics without stopping, :meth:`close` shuts down cleanly.
+Events stream in as they arrive (:meth:`feed_events` and friends);
+per-worker batches are bounded by ``max_pending`` in-flight batches
+(workers ack each batch, the parent blocks before exceeding the bound —
+a bounded queue with explicit backpressure), :meth:`collect` snapshots
+merged statistics without stopping, :meth:`close` shuts down cleanly.
 
 Workers keep per-shard :class:`DnsResolver` state plus tag counters and
 return only counters (and optionally a label histogram) — flow records
@@ -446,15 +442,6 @@ class FanoutReport:
     def tagged_flows(self) -> int:
         """Flows that received a label (== resolver lookup hits)."""
         return self.resolver_stats.hits
-
-    def hit_ratio_by_protocol(self) -> dict[Protocol, float]:
-        """Tab. 2 view: per-protocol tagging success after warm-up."""
-        out = {}
-        for protocol in Protocol:
-            total = self.tag_stats.total(protocol)
-            if total:
-                out[protocol] = self.tag_stats.hit_ratio(protocol)
-        return out
 
     def hit_counts_by_protocol(self) -> dict[Protocol, tuple[int, int]]:
         out = {}
@@ -886,22 +873,6 @@ class FanoutPipeline:
             label_counts=labels,
             worker_events=worker_events,
         )
-
-    # -- one-shot offline mode --------------------------------------------
-
-    def run_events(self, events: Iterable) -> FanoutReport:
-        """Offline mode: start, feed the whole stream, merge, shut down."""
-        if self.started:
-            raise FanoutError(
-                "run_events owns the pool lifecycle; "
-                "use feed/collect on an already-started pipeline"
-            )
-        self.start()
-        try:
-            self.feed_events(events)
-            return self.collect()
-        finally:
-            self.close()
 
     # -- pre-encoded ingest helpers ---------------------------------------
 

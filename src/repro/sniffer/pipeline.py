@@ -127,6 +127,8 @@ class SnifferPipeline:
                 "retain_flows=False discards tagged flows; it needs a "
                 "flow_store to stream them into first"
             )
+        if clist_size <= 0:
+            raise ValueError("clist_size must be positive")
         if processes <= 0:
             raise ValueError("processes must be positive")
         if batch_events <= 0:
@@ -641,7 +643,7 @@ class SnifferPipeline:
 
     def _absorb_report(self, report: FanoutReport) -> None:
         """Fold a merged fan-out report into the shared statistics so
-        ``hit_ratio_by_protocol`` and friends work unchanged.
+        ``hit_counts_by_protocol`` and friends work unchanged.
 
         Worker reports are cumulative over the pool's lifetime, so only
         the delta against the previously absorbed report is added;
@@ -732,15 +734,6 @@ class SnifferPipeline:
             # Packet path / modular loop mid-run durability: spill to
             # the store every ~batch_events tagged flows.
             self._store_drain()
-
-    def hit_ratio_by_protocol(self) -> dict[Protocol, float]:
-        """Tab. 2 view: per-protocol tagging success after warm-up."""
-        out = {}
-        for protocol in Protocol:
-            total = self.tagger.stats.total(protocol)
-            if total:
-                out[protocol] = self.tagger.stats.hit_ratio(protocol)
-        return out
 
     def hit_counts_by_protocol(self) -> dict[Protocol, tuple[int, int]]:
         """(hits, total) per protocol after warm-up."""

@@ -74,7 +74,3 @@ class FlowTagger:
         else:
             self.stats.record(flow.protocol, fqdn is not None)
         return flow
-
-    def tag_all(self, flows: list[FlowRecord]) -> list[FlowRecord]:
-        """Tag a batch of flows."""
-        return [self.tag(flow) for flow in flows]

@@ -18,7 +18,7 @@ from repro.analytics.temporal import (
     dns_response_rate,
     fqdns_per_cdn_series,
     servers_per_domain_series,
-    total_fqdns_per_cdn,
+    total_fqdns_per_cdns,
 )
 from repro.analytics.trackers import (
     TrackerActivityAnalysis,
@@ -147,8 +147,9 @@ class TestTemporalSeries:
 
     def test_total_fqdns_per_cdn(self):
         db, ipdb = self._db_and_ipdb()
-        assert total_fqdns_per_cdn(db, ipdb, "akamai") == 2
-        assert total_fqdns_per_cdn(db, ipdb, "edgecast") == 0
+        assert total_fqdns_per_cdns(db, ipdb, ["akamai", "edgecast"]) == {
+            "akamai": 2, "edgecast": 0,
+        }
 
     def test_dns_response_rate(self):
         observations = [

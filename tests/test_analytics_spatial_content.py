@@ -92,23 +92,6 @@ class TestSpatialDiscovery:
         assert report.flow_share("akamai") == 0.0
         assert report.ranked_cdns() == []
 
-    def test_access_matrix(self, flows_db):
-        spatial = SpatialDiscovery(flows_db, _ipdb())
-        matrix = spatial.server_access_matrix("zynga.com")
-        assert matrix["amazon"][AMAZON1] == pytest.approx(3 / 7)
-        total = sum(v for row in matrix.values() for v in row.values())
-        assert total == pytest.approx(1.0)
-
-    def test_access_matrix_empty(self, flows_db):
-        spatial = SpatialDiscovery(flows_db, _ipdb())
-        assert spatial.server_access_matrix("none.org") == {}
-
-    def test_track_changes_bins(self, flows_db):
-        spatial = SpatialDiscovery(flows_db, _ipdb())
-        series = spatial.track_changes("cityville.zynga.com", bin_seconds=600)
-        assert len(series) == 2
-        assert series[0][1] == {AMAZON1}
-
 
 class TestContentDiscovery:
     def test_hosted_domains_on_amazon(self, flows_db):
@@ -143,24 +126,9 @@ class TestContentDiscovery:
         with pytest.raises(ValueError):
             content.hosted_domains_of_cdn("amazon")
 
-    def test_service_tokens(self, flows_db):
-        content = ContentDiscovery(flows_db)
-        tokens = content.hosted_service_tokens([AMAZON1, AMAZON2])
-        names = [t for t, _ in tokens]
-        assert "cityville" in names
-        assert "farmville" in names
-
     def test_common_domains(self, flows_db):
         content = ContentDiscovery(flows_db)
         common = content.common_domains(
             [AMAZON1, AMAZON2], [AKAMAI1, AKAMAI2]
         )
         assert common == {"zynga.com"}
-
-    def test_cdn_popularity(self, flows_db):
-        content = ContentDiscovery(flows_db, _ipdb())
-        popularity = content.cdn_popularity(["akamai", "amazon", "zynga"])
-        assert popularity["akamai"] == (2, 2)
-        fqdns, flows = popularity["amazon"]
-        assert fqdns == 4
-        assert flows == 6

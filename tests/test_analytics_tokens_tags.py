@@ -10,7 +10,6 @@ from repro.analytics.database import FlowDatabase
 from repro.analytics.tags import ServiceTagExtractor
 from repro.analytics.tokens import (
     tokenize_fqdn,
-    tokenize_fqdn_keep_sld,
     tokenize_label,
 )
 from repro.net.flow import FiveTuple, FlowRecord, TransportProto
@@ -49,10 +48,6 @@ class TestTokenizeFqdn:
     def test_invalid_name(self):
         assert tokenize_fqdn("") == []
         assert tokenize_fqdn("..") == []
-
-    def test_keep_sld_variant(self):
-        assert tokenize_fqdn_keep_sld("cdn.zynga.com") == ["cdn", "zynga"]
-        assert tokenize_fqdn_keep_sld("zynga.com") == ["zynga"]
 
     @given(
         st.lists(

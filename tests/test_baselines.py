@@ -156,6 +156,51 @@ class TestDpiEngine:
         assert verdict.specific is specific
         assert verdict.identified
 
+    @pytest.mark.parametrize(
+        "payload,signature",
+        [
+            (b"HEAD / HTTP/1.1\r\n", "http-request"),
+            (b"HTTP/1.0 304 Not Modified\r\n", "http-response"),
+            (b"\x16\x03\x00\x00\x2f", "tls-handshake"),
+            (b"EHLO client.example.com\r\n", "smtp-banner"),
+            (b"USER alice\r\n", "pop3-banner"),
+            (b"* OK IMAP4rev1 ready\r\n", "imap-banner"),
+            (b"a001 LOGIN alice secret\r\n", "imap-banner"),
+            (b"DESCRIBE rtsp://media.example.com/a RTSP/1.0", "rtsp"),
+            (b"VER 1 MSNP8 CVR0\r\n", "msn"),
+            (b"USR 2 TWN I alice@example.com\r\n", "msn"),
+            (b"<stream:stream to='example.com'>", "xmpp"),
+        ],
+    )
+    def test_signature_alternatives(self, payload, signature):
+        """Every alternative of a signature's pattern names that
+        signature, including the two with no case above."""
+        by_name = {sig.name: sig for sig in DEFAULT_SIGNATURES}
+        verdict = DpiEngine().inspect_payload(payload)
+        assert verdict.signature == signature
+        assert verdict.protocol is by_name[signature].protocol
+        assert verdict.specific is by_name[signature].specific
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"get / HTTP/1.1\r\n",
+            b" GET / HTTP/1.1\r\n",
+            b"HTTP/2 200\r\n",
+            b"\x16\x03\x04\x00",
+            b"\x17\x03\x03\x00\x20",
+            b"",
+        ],
+        ids=["lowercase-method", "leading-space", "http2-status",
+             "tls-bad-version", "tls-app-data", "empty"],
+    )
+    def test_near_misses_stay_unknown(self, payload):
+        """Signatures are anchored, case-sensitive byte patterns: a
+        payload that only resembles one is not identified."""
+        verdict = DpiEngine().inspect_payload(payload)
+        assert not verdict.identified
+        assert verdict.protocol is Protocol.OTHER
+
     def test_unknown_payload(self):
         engine = DpiEngine()
         verdict = engine.inspect_payload(b"\x00\x01\x02\x03 random garbage")
@@ -169,20 +214,11 @@ class TestDpiEngine:
         assert verdict.protocol is Protocol.TLS
         assert not verdict.specific  # protocol known, service unknown
 
-    def test_inspect_flow_stamps_protocol(self):
-        engine = DpiEngine()
-        flow = FlowRecord(
-            fid=FiveTuple(1, 2, 3, 80, TransportProto.TCP), start=0.0
-        )
-        engine.inspect_flow(flow, b"GET / HTTP/1.1\r\n")
-        assert flow.protocol is Protocol.HTTP
-
     def test_identification_ratio(self):
         engine = DpiEngine()
         engine.inspect_payload(b"GET / HTTP/1.1")
         engine.inspect_payload(b"garbage-nothing")
-        assert engine.identification_ratio == pytest.approx(0.5)
-        assert engine.stats["unknown"] == 1
+        assert engine.stats == {"inspected": 2, "identified": 1, "unknown": 1}
 
     def test_tracker_beats_plain_http(self):
         """The announce GET must classify as P2P, not generic HTTP."""

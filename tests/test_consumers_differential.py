@@ -41,7 +41,6 @@ from repro.analytics.storage import (
 from repro.analytics.tangle import fanin_distribution, fanout_distribution
 from repro.analytics.temporal import (
     fqdns_per_cdn_series,
-    total_fqdns_per_cdn,
     total_fqdns_per_cdns,
 )
 from repro.analytics.trackers import TrackerActivityAnalysis
@@ -170,8 +169,6 @@ def _analyses(database, ipdb, bin_seconds: float) -> dict:
     tracker = TrackerActivityAnalysis(bin_seconds=bin_seconds)
     tracker.observe_database(database)
     totals = total_fqdns_per_cdns(database, ipdb, CDNS)
-    for cdn in CDNS:
-        assert total_fqdns_per_cdn(database, ipdb, cdn) == totals[cdn.lower()]
     return {
         "fig3": [list(fanout_distribution(database).values),
                  list(fanin_distribution(database).values)],

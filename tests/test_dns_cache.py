@@ -69,13 +69,6 @@ class TestCapacity:
 
 
 class TestPurgeAndStats:
-    def test_purge_expired(self):
-        cache = StubResolverCache()
-        cache.insert("a.com", (1,), ttl=10, now=0.0)
-        cache.insert("b.com", (2,), ttl=1000, now=0.0)
-        removed = cache.purge_expired(now=500.0)
-        assert removed == 1
-        assert len(cache) == 1
 
     def test_hit_ratio(self):
         cache = StubResolverCache()

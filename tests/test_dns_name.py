@@ -8,10 +8,8 @@ from repro.dns.name import (
     DomainName,
     DomainNameError,
     effective_tld,
-    reverse_pointer_name,
     second_level_domain,
 )
-from repro.net.ip import ip_from_str
 
 _label = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=10
@@ -107,9 +105,3 @@ class TestDomainName:
             return
         name = DomainName(text)
         assert name.labels == tuple(labels)
-
-
-class TestReversePointer:
-    def test_known_value(self):
-        addr = ip_from_str("192.0.2.10")
-        assert reverse_pointer_name(addr) == "10.2.0.192.in-addr.arpa"

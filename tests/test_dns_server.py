@@ -1,63 +1,10 @@
-"""Tests for authoritative zones, reverse zones and the recursive resolver."""
+"""Tests for the reverse (PTR) zone."""
 
 import pytest
 
-from repro.dns.message import DnsMessage, ResponseCode
-from repro.dns.name import reverse_pointer_name
-from repro.dns.records import RRType, a_record, cname_record
-from repro.dns.server import RecursiveResolver, ReverseZone, Zone
+from repro.dns.name import DomainNameError
+from repro.dns.server import ReverseZone
 from repro.net.ip import ip_from_str
-
-
-def _make_resolver():
-    resolver = RecursiveResolver()
-    google = Zone(origin="google.com")
-    google.add_a("mail.google.com", [ip_from_str("172.217.0.1")], ttl=300)
-    google.add_a(
-        "www.google.com",
-        [ip_from_str("172.217.0.2"), ip_from_str("172.217.0.3")],
-    )
-    resolver.add_zone(google)
-    zynga = Zone(origin="zynga.com")
-    zynga.add(cname_record("static.zynga.com", "zynga.akamai-cdn.net"))
-    resolver.add_zone(zynga)
-    akamai = Zone(origin="akamai-cdn.net")
-    akamai.add_a("zynga.akamai-cdn.net", [ip_from_str("2.16.0.1")], ttl=20)
-    resolver.add_zone(akamai)
-    return resolver
-
-
-class TestZone:
-    def test_add_and_lookup(self):
-        zone = Zone(origin="example.com")
-        zone.add_a("www.example.com", [1, 2])
-        records = zone.lookup("www.example.com", RRType.A)
-        assert [rr.address for rr in records] == [1, 2]
-
-    def test_rejects_foreign_name(self):
-        zone = Zone(origin="example.com")
-        with pytest.raises(ValueError):
-            zone.add(a_record("www.other.com", 1))
-
-    def test_contains_name(self):
-        zone = Zone(origin="example.com")
-        zone.add_a("www.example.com", [1])
-        assert zone.contains_name("WWW.example.com")
-        assert not zone.contains_name("mail.example.com")
-
-    def test_dynamic_hook(self):
-        def hook(fqdn, now):
-            if fqdn == "cdn.example.com":
-                return [100 + int(now)]
-            return None
-
-        zone = Zone(origin="example.com", answer_hook=hook, default_ttl=30)
-        zone.add_a("www.example.com", [1])
-        dynamic = zone.lookup("cdn.example.com", RRType.A, now=5.0)
-        assert [rr.address for rr in dynamic] == [105]
-        assert dynamic[0].ttl == 30
-        static = zone.lookup("www.example.com", RRType.A, now=5.0)
-        assert [rr.address for rr in static] == [1]
 
 
 class TestReverseZone:
@@ -68,82 +15,28 @@ class TestReverseZone:
         assert reverse.lookup(addr) == (
             "a2-16-0-1.deploy.akamaitechnologies.com"
         )
-        records = reverse.lookup_record(addr)
-        assert records[0].name == reverse_pointer_name(addr)
+        assert len(reverse) == 1
 
     def test_missing_pointer(self):
         reverse = ReverseZone()
         assert reverse.lookup(123) is None
-        assert reverse.lookup_record(123) == []
 
-    def test_remove_pointer(self):
+    def test_target_is_normalized(self):
         reverse = ReverseZone()
-        reverse.set_pointer(5, "x.example.com")
-        reverse.remove_pointer(5)
-        assert reverse.lookup(5) is None
+        reverse.set_pointer(7, "Server-7.Example.NET.")
+        assert reverse.lookup(7) == "server-7.example.net"
+
+    def test_repointing_replaces_target(self):
+        reverse = ReverseZone()
+        reverse.set_pointer(7, "old.example.net")
+        reverse.set_pointer(7, "new.example.net")
+        assert reverse.lookup(7) == "new.example.net"
+        assert len(reverse) == 1
+
+    @pytest.mark.parametrize("target", ["", "a..example.net", "x" * 64 + ".net"])
+    def test_malformed_target_is_refused(self, target):
+        reverse = ReverseZone()
+        with pytest.raises(DomainNameError):
+            reverse.set_pointer(7, target)
+        assert reverse.lookup(7) is None
         assert len(reverse) == 0
-
-
-class TestRecursiveResolver:
-    def test_direct_a(self):
-        resolver = _make_resolver()
-        answers = resolver.resolve_a("mail.google.com")
-        assert [rr.address for rr in answers] == [ip_from_str("172.217.0.1")]
-
-    def test_cname_follow_across_zones(self):
-        resolver = _make_resolver()
-        answers = resolver.resolve_a("static.zynga.com")
-        assert answers[0].rtype is RRType.CNAME
-        assert answers[0].target == "zynga.akamai-cdn.net"
-        assert answers[-1].rtype is RRType.A
-        assert answers[-1].address == ip_from_str("2.16.0.1")
-
-    def test_unknown_name(self):
-        resolver = _make_resolver()
-        assert resolver.resolve_a("nope.invalid") == []
-
-    def test_duplicate_zone_rejected(self):
-        resolver = _make_resolver()
-        with pytest.raises(ValueError):
-            resolver.add_zone(Zone(origin="google.com"))
-
-    def test_handle_query_a(self):
-        resolver = _make_resolver()
-        query = DnsMessage.query(77, "www.google.com")
-        response = resolver.handle_query(query)
-        assert response.header.ident == 77
-        assert response.header.is_response
-        assert len(response.a_addresses()) == 2
-
-    def test_handle_query_nxdomain(self):
-        resolver = _make_resolver()
-        response = resolver.handle_query(DnsMessage.query(1, "no.invalid"))
-        assert response.header.rcode is ResponseCode.NXDOMAIN
-        assert resolver.stats["nxdomain"] == 1
-
-    def test_handle_ptr_query(self):
-        resolver = _make_resolver()
-        addr = ip_from_str("2.16.0.1")
-        resolver.reverse.set_pointer(addr, "edge1.akamai.net")
-        query = DnsMessage.query(
-            3, reverse_pointer_name(addr), qtype=RRType.PTR
-        )
-        response = resolver.handle_query(query)
-        assert response.answers[0].target == "edge1.akamai.net"
-
-    def test_handle_ptr_query_bad_name(self):
-        resolver = _make_resolver()
-        query = DnsMessage.query(3, "weird.in-addr.arpa", qtype=RRType.PTR)
-        response = resolver.handle_query(query)
-        assert response.header.rcode is ResponseCode.NXDOMAIN
-
-    def test_query_counter(self):
-        resolver = _make_resolver()
-        resolver.handle_query(DnsMessage.query(1, "www.google.com"))
-        resolver.handle_query(DnsMessage.query(2, "mail.google.com"))
-        assert resolver.stats["queries"] == 2
-
-    def test_zone_for_longest_match(self):
-        resolver = _make_resolver()
-        assert resolver.zone_for("deep.sub.google.com").origin == "google.com"
-        assert resolver.zone_for("unknown.org") is None

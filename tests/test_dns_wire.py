@@ -67,10 +67,9 @@ class TestResponseRoundtrip:
             a_record("a1955.g.akamai.net", ip_from_str("2.16.0.10"), ttl=20),
         ]
         out = _roundtrip(DnsMessage.response_to(query, answers))
-        assert out.cname_chain() == [
-            "zynga.edgesuite.net",
-            "a1955.g.akamai.net",
-        ]
+        assert [
+            rr.target for rr in out.answers if rr.rtype is RRType.CNAME
+        ] == ["zynga.edgesuite.net", "a1955.g.akamai.net"]
         assert out.a_addresses() == [ip_from_str("2.16.0.10")]
 
     def test_nxdomain(self):

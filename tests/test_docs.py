@@ -17,14 +17,15 @@ Plus the source checks behind the "store contract" section of
 ``repro/analytics/{storage,shard}.py`` names the topology or manifest
 file, nothing under ``src/repro/serve/`` reads a store private, the
 store modules name none of a ``FlowDatabase``'s row privates, and one
-function parses ``MANIFEST.json``.  And the lint the image cannot run
-(no ``ruff``): no unused import under ``src``, ``tests``,
-``benchmarks``.
+function parses ``MANIFEST.json``.  And two source lints: no unused
+import under ``src``, ``tests``, ``benchmarks``, ``examples`` (ruff's
+F401, stdlib only), and no definition in ``src`` that only tests reach.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import os
 import re
@@ -441,8 +442,94 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     unused = [
         hit
-        for root in ("src", "tests", "benchmarks")
+        for root in ("src", "tests", "benchmarks", "examples")
         for path in sorted((REPO / root).rglob("*.py"))
         for hit in _unused_imports(path)
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+#: Definitions kept although nothing outside ``tests/`` names them.
+_TEST_ONLY_ALLOWED = {
+    "check_invariants": "the invariant checks the property tests call",
+    "tcp_stats": "the TCP counter ROADMAP item 5(a) exports",
+    "process_batches": "ROADMAP item 1(b) points the benchmark at it",
+    "released": "the pin state the snapshot tests assert on",
+    "do_GET": "http.server hook",
+    "do_POST": "http.server hook",
+    "log_message": "http.server hook",
+}
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name ``path`` refers to: loads, attributes, import
+    aliases and identifier-shaped strings (``__all__``, ``getattr``
+    tables such as ``QUERIES``)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname or node.name)
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _IDENTIFIER.fullmatch(node.value)
+        ):
+            names.add(node.value)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _names_used_outside_tests() -> frozenset[str]:
+    return frozenset(
+        name
+        for root in ("src", "benchmarks", "examples")
+        for path in sorted((REPO / root).rglob("*.py"))
+        for name in _referenced_names(path)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _src_definitions() -> tuple[tuple[str, int, str], ...]:
+    """``(path, line, name)`` of every non-dunder ``def`` / ``class``
+    in ``src``."""
+    return tuple(
+        (str(path.relative_to(REPO)), node.lineno, node.name)
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def test_no_test_only_definitions():
+    """``src`` ships what the monitor, the benchmarks and the examples
+    run: every ``def`` / ``class`` in it is named somewhere outside
+    ``tests/``, or allowlisted with a reason."""
+    used = _names_used_outside_tests()
+    unused = [
+        f"{path}:{line}: {name}"
+        for path, line, name in _src_definitions()
+        if name not in used and name not in _TEST_ONLY_ALLOWED
+    ]
+    assert not unused, "defined in src, reached only by tests:\n" + (
+        "\n".join(unused)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_TEST_ONLY_ALLOWED))
+def test_allowlisted_definition_is_still_test_only(name):
+    """An allowlist entry stays only while it is needed: the name is
+    still defined in ``src`` and still named by nothing outside
+    ``tests/``.  Drop the entry once either stops holding."""
+    assert name in {defined for _, _, defined in _src_definitions()}, (
+        f"{name} is no longer defined in src"
+    )
+    assert name not in _names_used_outside_tests(), (
+        f"{name} is now named outside tests/"
+    )

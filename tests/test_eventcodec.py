@@ -17,7 +17,6 @@ from repro.sniffer.eventcodec import (
     BatchEncoder,
     BatchView,
     CodecError,
-    batch_counts,
     decode_events,
     encode_events,
 )
@@ -72,18 +71,18 @@ class TestRoundTrip:
     @settings(deadline=None)
     @given(st.lists(events, min_size=0, max_size=30))
     def test_counts(self, stream):
-        buf = encode_events(stream)
-        n_events, n_dns, n_flows = batch_counts(buf)
-        assert n_events == len(stream)
-        assert n_dns == sum(
+        view = BatchView(encode_events(stream))
+        assert view.n_events == len(stream)
+        assert view.n_dns == sum(
             1 for event in stream if isinstance(event, DnsObservation)
         )
-        assert n_dns + n_flows == n_events
+        assert view.n_dns + view.n_flows == view.n_events
 
     def test_empty_batch(self):
         buf = encode_events([])
         assert decode_events(buf) == []
-        assert batch_counts(buf) == (0, 0, 0)
+        view = BatchView(buf)
+        assert (view.n_events, view.n_dns, view.n_flows) == (0, 0, 0)
 
     def test_empty_answers_preserved(self):
         observation = DnsObservation(

@@ -69,6 +69,13 @@ def run_single(events, clist_size=4096, warmup=300.0):
     return pipeline
 
 
+def run_fanout(fanout, events):
+    """Feed a whole stream through a fresh pool and merge its report."""
+    with fanout:
+        fanout.feed_events(events)
+        return fanout.collect()
+
+
 def assert_report_matches(report, single):
     assert report.tag_stats.hits == single.tagger.stats.hits
     assert report.tag_stats.misses == single.tagger.stats.misses
@@ -99,7 +106,7 @@ class TestDifferential:
             processes=processes, clist_size=4096, batch_events=256,
             use_numpy=use_numpy,
         )
-        report = fanout.run_events(events)
+        report = run_fanout(fanout, events)
         assert report.events == len(events)
         assert report.processes == processes
         assert sum(report.worker_events) == len(events)
@@ -112,7 +119,7 @@ class TestDifferential:
             processes=2, clist_size=4096, warmup=0.0,
             batch_events=200, collect_labels=True,
         )
-        report = fanout.run_events(events)
+        report = run_fanout(fanout, events)
         expected = {}
         for flow in single.tagged_flows:
             if flow.fqdn is not None:
@@ -122,12 +129,9 @@ class TestDifferential:
     def test_report_helpers(self):
         events = make_events(n_events=1500, seed=7)
         single = run_single(events, warmup=0.0)
-        report = FanoutPipeline(
+        report = run_fanout(FanoutPipeline(
             processes=2, clist_size=4096, warmup=0.0, batch_events=500
-        ).run_events(events)
-        assert report.hit_ratio_by_protocol() == (
-            single.hit_ratio_by_protocol()
-        )
+        ), events)
         assert report.hit_counts_by_protocol() == (
             single.hit_counts_by_protocol()
         )
@@ -204,15 +208,6 @@ class TestLifecycle:
         fanout = FanoutPipeline(processes=2, clist_size=64)
         with pytest.raises(FanoutError):
             fanout.feed_dns(1, "x.com", [2])
-
-    def test_run_events_owns_lifecycle(self):
-        fanout = FanoutPipeline(processes=2, clist_size=64)
-        fanout.start()
-        try:
-            with pytest.raises(FanoutError):
-                fanout.run_events([])
-        finally:
-            fanout.close()
 
     def test_dead_worker_is_reported(self):
         events = make_events(n_events=50, seed=19)

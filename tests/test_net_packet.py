@@ -12,8 +12,10 @@ from repro.net.packet import (
     Packet,
     PacketDecodeError,
     TCP_ACK,
+    TCP_FIN,
+    TCP_PSH,
+    TCP_RST,
     TCP_SYN,
-    TcpHeader,
     build_tcp_packet,
     build_udp_packet,
     checksum16,
@@ -74,14 +76,29 @@ class TestTcpRoundtrip:
         )
         packet = decode_frame(2.0, frame)
         assert packet.transport is TransportProto.TCP
-        assert packet.tcp.is_syn
-        assert not packet.tcp.is_synack
+        assert packet.tcp.flags == TCP_SYN
         assert packet.tcp.seq == 100
 
-    def test_synack_flags(self):
-        header = TcpHeader(443, 40000, flags=TCP_SYN | TCP_ACK)
-        assert header.is_synack
-        assert not header.is_syn
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            TCP_SYN | TCP_ACK,
+            TCP_ACK,
+            TCP_PSH | TCP_ACK,
+            TCP_FIN | TCP_ACK,
+            TCP_RST,
+            TCP_RST | TCP_ACK,
+        ],
+        ids=["syn-ack", "ack", "psh-ack", "fin-ack", "rst", "rst-ack"],
+    )
+    def test_flags_roundtrip(self, flags):
+        """The flag byte the tracker's state machine reads survives
+        the wire unchanged."""
+        frame = build_tcp_packet(0.0, 1, 2, 443, 40000, flags, seq=7)
+        header = decode_frame(0.0, frame).tcp
+        assert header.flags == flags
+        assert (header.src_port, header.dst_port) == (443, 40000)
+        assert header.seq == 7
 
     def test_payload_roundtrip(self):
         frame = build_tcp_packet(

@@ -16,7 +16,6 @@ from repro.net.pcap import (
     PcapReader,
     PcapRecord,
     PcapWriter,
-    read_pcap,
     write_pcap,
 )
 
@@ -76,7 +75,8 @@ class TestFileHelpers:
         )
         count = write_pcap(path, [PcapRecord(3.25, frame)])
         assert count == 1
-        records = read_pcap(path)
+        with PcapReader(open(path, "rb")) as reader:
+            records = list(reader)
         assert len(records) == 1
         packet = decode_frame(records[0].timestamp, records[0].data)
         assert packet.dst_port == 53

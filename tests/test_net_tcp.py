@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.flow import Protocol
 from repro.net.ip import ip_from_str
 from repro.net.packet import (
     TCP_ACK,
@@ -12,7 +11,7 @@ from repro.net.packet import (
     build_tcp_packet,
     decode_frame,
 )
-from repro.net.tcp import TcpFlowTracker, classify_port
+from repro.net.tcp import TcpFlowTracker
 
 CLIENT = ip_from_str("10.0.0.5")
 SERVER = ip_from_str("93.184.216.34")
@@ -172,24 +171,3 @@ class TestPayloadCapture:
         udp = decode_frame(0.0, build_udp_packet(0.0, 1, 2, 53, 53, b""))
         with pytest.raises(ValueError):
             tracker.feed(udp)
-
-
-class TestClassifyPort:
-    @pytest.mark.parametrize(
-        "port,expected",
-        [
-            (80, Protocol.HTTP),
-            (443, Protocol.TLS),
-            (25, Protocol.MAIL),
-            (110, Protocol.MAIL),
-            (1863, Protocol.CHAT),
-            (554, Protocol.STREAMING),
-            (53, Protocol.DNS),
-            (34567, Protocol.OTHER),
-        ],
-    )
-    def test_port_map(self, port, expected):
-        assert classify_port(port) is expected
-
-    def test_tls_override(self):
-        assert classify_port(8080, has_tls=True) is Protocol.TLS

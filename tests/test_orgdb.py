@@ -62,19 +62,12 @@ class TestIpOrganizationDb:
         assert db.lookup(200) == "a"
         assert db.lookup(201) == "b"
 
-    def test_lookup_many(self):
-        db = IpOrganizationDb()
-        db.add_range(1, 10, "x")
-        out = db.lookup_many([5, 50])
-        assert out == {5: "x", 50: None}
-
-    def test_organizations_and_ranges_of(self):
+    def test_organizations(self):
         db = IpOrganizationDb()
         db.add_range(1, 10, "x")
         db.add_range(20, 30, "x")
         db.add_range(40, 50, "y")
         assert db.organizations() == {"x", "y"}
-        assert len(db.ranges_of("x")) == 2
 
     @given(
         st.lists(
@@ -117,13 +110,6 @@ class TestWhoisRegistry:
         assert reg.lookup("akamai").kind is OrgKind.CDN
         assert reg.lookup("Akamai Technologies").name == "akamai"
         assert reg.lookup("unknown") is None
-
-    def test_is_infrastructure(self):
-        reg = self._registry()
-        assert reg.is_infrastructure("akamai")
-        assert reg.is_infrastructure("amazon")
-        assert not reg.is_infrastructure("zynga")
-        assert not reg.is_infrastructure("missing")
 
     def test_duplicate_rejected(self):
         reg = self._registry()

@@ -10,14 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analytics.database import FlowDatabase
 from repro.analytics.persistence import (
     dump_flows,
     flow_from_dict,
     flow_to_dict,
-    load_database,
     load_flows,
-    save_database,
 )
 from repro.net.flow import (
     DnsObservation,
@@ -96,19 +93,10 @@ class TestDumpLoad:
         with pytest.raises(ValueError, match="line 1"):
             list(load_flows(buffer))
 
-    def test_database_file_roundtrip(self, tmp_path):
-        database = FlowDatabase.from_flows(
-            [_flow(fqdn=f"site{i}.example.com") for i in range(10)]
-        )
-        path = str(tmp_path / "flows.jsonl")
-        assert save_database(database, path) == 10
-        loaded = load_database(path)
-        assert len(loaded) == 10
-        assert set(loaded.fqdns()) == set(database.fqdns())
-
     def test_file_is_valid_jsonl(self, tmp_path):
         path = str(tmp_path / "flows.jsonl")
-        save_database(FlowDatabase.from_flows([_flow()]), path)
+        with open(path, "w") as handle:
+            assert dump_flows([_flow(), _flow(fqdn="b.example")], handle) == 2
         with open(path) as handle:
             for line in handle:
                 json.loads(line)
@@ -193,6 +181,32 @@ class TestSnifferCli:
 
         assert main(["/nonexistent.pcap"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_top_is_refused(self, pcap_path, capsys):
+        from repro.sniffer.cli import main
+
+        with pytest.raises(SystemExit) as refused:
+            main([pcap_path, "--top", "-1"])
+        assert refused.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clist", [0, -5])
+    def test_refused_clist_leaves_no_store(self, pcap_path, tmp_path,
+                                           capsys, clist):
+        """A pipeline refused for its Clist size opens no flow store:
+        neither the library call nor the CLI leaves an empty DIR."""
+        from repro.sniffer.cli import main
+        from repro.sniffer.pipeline import SnifferPipeline
+
+        target = tmp_path / "out"
+        with pytest.raises(ValueError, match="clist_size"):
+            SnifferPipeline(clist_size=clist, flow_store=target)
+        assert not target.exists()
+        code = main([pcap_path, "--clist", str(clist), "--flow-store",
+                     str(target)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
 
     def test_cli_fanout(self, pcap_path, capsys):
         from repro.sniffer.cli import main, sniff_pcap

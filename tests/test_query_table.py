@@ -35,9 +35,8 @@ being the shape functions as PR 21 served them (kept here) — the four
 generated stores (empty, one group, tail only, sealed + tail, sums
 past 2^53 and past 2^64).
 
-Label lookups (regression): ``fqdn_label`` / ``sld_label`` /
-``sld_of_fqdn`` answer from the append-only tables without the store
-mutex.
+Label lookups (regression): ``fqdn_label`` / ``sld_label`` answer
+from the append-only tables without the store mutex.
 """
 
 import inspect
@@ -87,7 +86,7 @@ from repro.serve.server import ServeApp
 NOT_QUERIES = {
     "add", "add_all", "from_flows", "from_columns", "ingest_batch",
     "parse_batch", "commit_batch", "from_batches", "fqdn_label",
-    "sld_label", "sld_of_fqdn", "labels_of", "groups",
+    "sld_label", "labels_of", "groups",
 }
 #: The grouped aggregations: their partials travel as packed ``Groups``.
 GROUPED = {
@@ -892,6 +891,7 @@ class TestLabelLookups:
         store.add_all(_flow(i) for i in range(30))
         store.flush()
         store.add_all(_flow(i) for i in range(30, 40))
+        slds = store.slds()
         ids = list(store.fqdn_first_seen())   # the last query
         expected = [FlowDatabase.fqdn_label(store._interns, i) for i in ids]
         held, release = threading.Event(), threading.Event()
@@ -903,9 +903,7 @@ class TestLabelLookups:
 
         def look_up():
             answers.append([store.fqdn_label(i) for i in ids])
-            answers.append([
-                store.sld_label(store.sld_of_fqdn(i)) for i in ids
-            ])
+            answers.append([store.sld_label(j) for j in range(len(slds))])
 
         answers: list = []
         holder = threading.Thread(target=hold)
@@ -920,20 +918,17 @@ class TestLabelLookups:
             release.set()
             holder.join(10)
         assert answers[0] == expected
-        assert answers[1] == [
-            store.slds()[store.sld_of_fqdn(i)] for i in ids
-        ]
+        assert answers[1] == list(slds)
         # An id interned by a commit after the last query: a miss, so
         # the lookup syncs the tail map and still resolves it.
         fresh = _flow(1)
         fresh.fqdn = "Fresh.After-Query.example"
         known = len(store._interns._fqdn_names)
+        known_sld = len(store._interns._sld_names)
         store.add(fresh)
         assert len(store._interns._fqdn_names) == known
         assert store.fqdn_label(known) == "fresh.after-query.example"
-        assert store.sld_label(store.sld_of_fqdn(known)) == (
-            "after-query.example"
-        )
+        assert store.sld_label(known_sld) == "after-query.example"
         with pytest.raises(IndexError):
             store.fqdn_label(known + 1)
         store.close()

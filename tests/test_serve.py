@@ -755,3 +755,42 @@ class TestServeCliRefusals:
     def test_store_path_is_a_file(self, tmp_path, capsys):
         (tmp_path / "store").write_text("not a directory")
         self._refused(capsys, [str(tmp_path / "store")], "File exists")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--clist", "--batch-events"])
+    def test_non_positive_capture_knob_creates_nothing(self, tmp_path,
+                                                       capsys, flag, value):
+        capture = tmp_path / "capture.pcap"
+        capture.write_bytes(b"")
+        self._refused(
+            capsys,
+            [str(tmp_path / "store"), "--pcap", str(capture), flag, value],
+            f"{flag} must be positive",
+        )
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("content, expected", [
+        (b"this is no pcap capture file", "bad pcap magic"),
+        (None, "No such file"),
+    ], ids=["garbage", "missing"])
+    def test_unreadable_capture_closes_the_store(self, tmp_path, capsys,
+                                                 monkeypatch, content,
+                                                 expected):
+        """A capture that is not a pcap is one ``error:`` line after the
+        listener came up; the store is closed through the shutdown
+        path and reopens clean."""
+        import repro.serve.cli as serve_cli
+
+        # The run shuts down in-process; keep pytest's own handlers.
+        monkeypatch.setattr(serve_cli, "install_shutdown_signals",
+                            lambda close: None)
+        capture = tmp_path / "capture.pcap"
+        if content is not None:
+            capture.write_bytes(content)
+        self._refused(
+            capsys, [str(tmp_path / "store"), "--pcap", str(capture)],
+            expected,
+        )
+        store = FlowStore(tmp_path / "store")
+        assert len(store) == 0
+        store.close()

@@ -18,6 +18,7 @@ own footer-based reports.
 
 import json
 import multiprocessing
+import re
 from array import array
 
 import pytest
@@ -32,6 +33,7 @@ from repro.analytics.shard import (
     ShardCoordinator,
     ShardError,
     ShardRouter,
+    open_store,
 )
 from repro.analytics.storage import (
     FlowStore,
@@ -89,6 +91,27 @@ def _flat_oracle(directory, router, flows) -> FlowStore:
     store = FlowStore(directory, spill_rows=9, wal=False)
     store.add_all(_shard_major(router, flows))
     return store
+
+
+def _answers(store) -> dict:
+    """A few answers of every shape, for reopen comparisons."""
+    return {
+        "len": len(store),
+        "fqdns": store.fqdns(),
+        "fqdn_server_counts": store.fqdn_server_counts(),
+        "server_flow_counts": store.server_flow_counts(),
+        "tagged_rows": list(store.tagged_rows()),
+        "time_span": store.time_span(),
+    }
+
+
+def _tree_bytes(directory) -> dict:
+    """Every path under ``directory`` with its bytes (None: a dir)."""
+    return {
+        path.relative_to(directory).as_posix():
+            None if path.is_dir() else path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+    }
 
 
 def _assert_bit_identical(coord, flat, mem):
@@ -333,18 +356,15 @@ class TestShardedProperty:
         st.integers(min_value=0, max_value=70),
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=2, max_value=11),
-        st.sampled_from(["client", "time"]),
     )
     def test_random_shapes(self, tmp_path_factory, n_flows, shards,
-                           spill_rows, by):
-        """Random store shapes (flow count, shard count, segment size,
-        routing key) stay bit-identical to the shard-major flat
-        oracle."""
+                           spill_rows):
+        """Random store shapes (flow count, shard count, segment size)
+        stay bit-identical to the shard-major flat oracle."""
         tmp_path = tmp_path_factory.mktemp("shard")
         flows = [_flow(i) for i in range(n_flows)]
         coord = ShardCoordinator(
-            tmp_path / "sharded", shards=shards, by=by,
-            time_window=16.0, spill_rows=spill_rows,
+            tmp_path / "sharded", shards=shards, spill_rows=spill_rows,
         )
         coord.add_all(flows)  # tails may or may not be live per shard
         flat = FlowStore(tmp_path / "flat", spill_rows=spill_rows,
@@ -469,23 +489,83 @@ class TestManifestOnlyPruning:
 class TestShardTopologyAndErrors:
     def test_topology_persists_and_mismatch_is_rejected(self, tmp_path):
         directory = tmp_path / "sharded"
-        coord = ShardCoordinator(directory, shards=3, by="time",
-                                 time_window=60.0)
+        coord = ShardCoordinator(directory, shards=3)
         coord.add_all([_flow(i) for i in range(10)])
         coord.close()
         config = json.loads((directory / SHARDS_NAME).read_text())
-        assert config == {
-            "format": 1, "shards": 3, "by": "time", "time_window": 60.0,
-        }
+        assert config == {"format": 1, "shards": 3, "by": "client"}
         reopened = ShardCoordinator(directory)  # topology from disk
         assert reopened.shards == 3
-        assert reopened.router.by == "time"
         assert len(reopened) == 10
         reopened.close()
         with pytest.raises(StorageError):
             ShardCoordinator(directory, shards=2)
-        with pytest.raises(StorageError):
-            ShardCoordinator(directory, by="client")
+
+    def _sharded_with_topology(self, tmp_path, config: dict):
+        """A 3-shard root holding 20 flows, its ``SHARDS.json``
+        rewritten to ``config`` the way the writer formats it."""
+        directory = tmp_path / "sharded"
+        coord = ShardCoordinator(directory, shards=3, spill_rows=4)
+        coord.add_all([_flow(i) for i in range(20)])
+        answers = _answers(coord)
+        coord.close()
+        (directory / SHARDS_NAME).write_text(
+            json.dumps(config, indent=2) + "\n", encoding="utf-8"
+        )
+        return directory, answers
+
+    def test_time_routed_topology_is_refused_untouched(self, tmp_path):
+        """Client address is the only routing key: a root routed by
+        time is refused at open, and nothing in it changes."""
+        directory, _answers_before = self._sharded_with_topology(
+            tmp_path,
+            {"format": 1, "shards": 3, "by": "time", "time_window": 60.0},
+        )
+        before = _tree_bytes(directory)
+        for opener in (ShardCoordinator, open_store):
+            with pytest.raises(StorageError, match="routes by 'time'"):
+                opener(directory)
+        assert _tree_bytes(directory) == before
+
+    @pytest.mark.parametrize("by", ["server", "Client", None])
+    def test_other_routing_keys_are_refused_untouched(self, tmp_path, by):
+        """Any key but ``"client"`` is refused, not reinterpreted: a
+        misread key would misroute every later append."""
+        directory, _answers_before = self._sharded_with_topology(
+            tmp_path, {"format": 1, "shards": 3, "by": by},
+        )
+        before = _tree_bytes(directory)
+        with pytest.raises(StorageError, match=re.escape(f"routes by {by!r}")):
+            open_store(directory)
+        assert _tree_bytes(directory) == before
+
+    def test_client_topology_with_time_window_opens_unchanged(self,
+                                                              tmp_path):
+        """Roots written while ``time_window`` was still a setting carry
+        it beside ``"by": "client"``: they open, answer the same, and
+        keep their topology file byte for byte."""
+        directory, answers = self._sharded_with_topology(
+            tmp_path,
+            {"format": 1, "shards": 3, "by": "client",
+             "time_window": 3600.0},
+        )
+        topology = (directory / SHARDS_NAME).read_bytes()
+        store = open_store(directory)
+        assert _answers(store) == answers
+        store.add_all([_flow(i) for i in range(20, 25)])
+        assert len(store) == 25
+        store.close()
+        assert (directory / SHARDS_NAME).read_bytes() == topology
+
+    def test_routing_arguments_are_gone(self, tmp_path):
+        for kwargs in ({"by": "client"}, {"time_window": 60.0}):
+            with pytest.raises(TypeError):
+                ShardCoordinator(tmp_path / "a", shards=2, **kwargs)
+            with pytest.raises(TypeError):
+                open_store(tmp_path / "b", shards=2, **kwargs)
+            with pytest.raises(TypeError):
+                open_store(tmp_path / "c", **kwargs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_topology_requires_shards(self, tmp_path):
         with pytest.raises(StorageError):

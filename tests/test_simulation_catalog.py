@@ -7,7 +7,6 @@ catalog edit fails fast instead of silently skewing a figure.
 
 import pytest
 
-from repro.net.flow import Protocol
 from repro.net.ip import IPv4Network
 from repro.simulation.catalog import (
     APPSPOT_TRACKERS,
@@ -19,8 +18,6 @@ from repro.simulation.catalog import (
 from repro.simulation.entities import (
     CertPolicy,
     Deployment,
-    Organization,
-    Service,
 )
 
 
@@ -117,20 +114,6 @@ class TestOrganizationCatalog:
         classify = TrackerActivityAnalysis._default_classifier
         detectable = sum(1 for name in APPSPOT_TRACKERS if classify(name))
         assert detectable / len(APPSPOT_TRACKERS) > 0.6
-
-    def test_total_popularity_helper(self):
-        org = Organization(
-            domain="x.com",
-            services=[
-                Service("a", 80, Protocol.HTTP,
-                        [Deployment("SELF", 1)], popularity=2.0,
-                        popularity_by_geo={"US": 5.0}),
-                Service("b", 80, Protocol.HTTP,
-                        [Deployment("SELF", 1)], popularity=1.0),
-            ],
-        )
-        assert org.total_popularity("EU") == 3.0
-        assert org.total_popularity("US") == 6.0
 
 
 class TestDeploymentModel:

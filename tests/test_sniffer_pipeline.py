@@ -141,7 +141,7 @@ class TestEventPath:
         ]
         flows = pipeline.process_events(events)
         assert flows[0].fqdn == "www.example.com"
-        assert pipeline.hit_ratio_by_protocol()[Protocol.HTTP] == 1.0
+        assert pipeline.hit_counts_by_protocol()[Protocol.HTTP] == (1, 1)
 
     def test_rejects_unknown_event(self):
         pipeline = SnifferPipeline()

@@ -400,8 +400,6 @@ class TestSegmentFormat:
             FlowDatabase.from_flows(flow_list)
         )  # reloads lazily
         assert any(seg.resident for seg in store.segments)
-        store.release_segments()
-        assert all(not seg.resident for seg in store.segments)
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
