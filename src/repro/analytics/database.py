@@ -82,7 +82,9 @@ from repro.sniffer.eventcodec import (
     STR_LEN,
 )
 
-_TRANSPORTS = frozenset(int(t) for t in TransportProto)
+# Transport byte -> member: what ``FlowColumns.problem`` accepts and
+# what ``_record`` rebuilds ``fid.proto`` from, with no enum call.
+_TRANSPORTS = {int(member): member for member in TransportProto}
 
 _NONE_STR = 0xFFFF
 _NO_COLD_STRINGS = STR_LEN.pack(_NONE_STR) * 2   # cert_name, true_fqdn: None
@@ -920,22 +922,15 @@ class FlowDatabase:
         if record is None:
             cols = self.columns
             record = FlowRecord(
-                fid=FiveTuple(
-                    client_ip=cols.client_ip[row],
-                    server_ip=cols.server_ip[row],
-                    src_port=cols.src_port[row],
-                    dst_port=cols.dst_port[row],
-                    proto=TransportProto(cols.transport[row]),
+                FiveTuple(
+                    cols.client_ip[row], cols.server_ip[row],
+                    cols.src_port[row], cols.dst_port[row],
+                    _TRANSPORTS[cols.transport[row]],
                 ),
-                start=cols.start[row],
-                end=cols.end[row],
-                protocol=PROTOCOLS[cols.protocol[row]],
-                bytes_up=cols.bytes_up[row],
-                bytes_down=cols.bytes_down[row],
-                packets=cols.packets[row],
-                fqdn=cols.raw_fqdn[row],
-                cert_name=cols.cert_name[row],
-                true_fqdn=cols.true_fqdn[row],
+                cols.start[row], cols.end[row],
+                PROTOCOLS[cols.protocol[row]],
+                cols.bytes_up[row], cols.bytes_down[row], cols.packets[row],
+                cols.raw_fqdn[row], cols.cert_name[row], cols.true_fqdn[row],
             )
             self._records[row] = record
         return record

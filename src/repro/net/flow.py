@@ -4,13 +4,20 @@ The paper's flow sniffer aggregates packets into layer-4 flows keyed by
 ``Fid = (clientIP, serverIP, sPort, dPort, protocol)`` (Sec. 3.1).  The
 ``FlowRecord`` here is the unit stored in the labeled-flows database after
 the tagger has attached a FQDN.
+
+``FiveTuple`` is a named tuple with value semantics: it hashes, prints
+and refuses field assignment as a frozen record would, and it also
+compares equal to the plain tuple of its five fields.  The flow database
+keeps rows ingested from codec batches or read from store segments
+columnar; it builds a row's ``FlowRecord`` lazily, once, with positional
+arguments, when a query first hands that row out.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.net.ip import ip_to_str
 
@@ -40,8 +47,7 @@ class Protocol(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """Flow identifier ``(clientIP, serverIP, sPort, dPort, protocol)``.
 
     ``client_ip``/``src_port`` always refer to the monitored-customer side,

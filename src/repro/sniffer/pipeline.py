@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Optional, Union
 from repro.net.flow import DnsObservation, FlowRecord, Protocol
 from repro.net.packet import Packet, PacketDecodeError, parse_frame
 from repro.sniffer.dns_sniffer import DnsResponseSniffer
-from repro.sniffer.eventcodec import decode_events
+from repro.sniffer.eventcodec import BatchEncoder, CodecError, decode_events
 from repro.sniffer.fanout import (
     FanoutPipeline,
     FanoutReport,
@@ -594,14 +594,25 @@ class SnifferPipeline:
             # collect()/close() (see _fanout_pipeline).
             return
         batches = rows = 0
-        for payload in self.emit_tagged_batches(self.batch_events):
-            rows += self.flow_store.ingest_batch(payload)
-            batches += 1
+        rejected = None
+        # Loop until the window is empty: a rejected flow ends one emit
+        # early, and the flows after it still belong to this drain.
+        while self._emitted_flows < len(self.tagged_flows):
+            try:
+                payloads = self.emit_tagged_batches(self.batch_events)
+            except CodecError as exc:
+                rejected = rejected or exc
+                continue
+            for payload in payloads:
+                rows += self.flow_store.ingest_batch(payload)
+                batches += 1
         if batches and self.store_drain_hook is not None:
             self.store_drain_hook(batches, rows)
         if not self.retain_flows and self._emitted_flows:
             del self.tagged_flows[:self._emitted_flows]
             self._emitted_flows = 0
+        if rejected is not None:
+            raise rejected
 
     def install_signal_handlers(self, signals=None) -> None:
         """Close the pipeline gracefully on SIGTERM/SIGINT (drain the
@@ -689,6 +700,11 @@ class SnifferPipeline:
         in-memory ``tagged_flows``, paying one object walk at emit
         time.
 
+        A flow the codec rejects is passed over once: the call returns
+        the payloads of the flows before it, the next call raises its
+        ``CodecError`` and the one after that goes on past it, so no
+        other flow is lost or emitted twice.
+
         With a ``flow_store`` attached the pipeline drains this same
         cursor itself (that is how the store receives the flows), so a
         caller's own emit loop sees only what the store has not
@@ -704,17 +720,25 @@ class SnifferPipeline:
             if self._fanout is None:
                 return []
             return self._fanout.drain_tagged_batches()
-        from repro.sniffer.eventcodec import BatchEncoder
-
         payloads: list[bytes] = []
         encoder = BatchEncoder()
         add_flow = encoder.add_flow
         pending = self.tagged_flows[self._emitted_flows:]
-        self._emitted_flows += len(pending)
         for pos in range(0, len(pending), batch_events):
-            for flow in pending[pos:pos + batch_events]:
-                add_flow(flow)
+            try:
+                for flow in pending[pos:pos + batch_events]:
+                    add_flow(flow)
+            except CodecError:
+                done = pos + encoder.n_flows   # the rejected flow's place
+                if not done:
+                    self._emitted_flows += 1
+                    raise
+                if encoder.n_flows:
+                    payloads.append(encoder.take())
+                self._emitted_flows += done
+                return payloads
             payloads.append(encoder.take())
+        self._emitted_flows += len(pending)
         return payloads
 
     # -- shared -----------------------------------------------------------

@@ -345,6 +345,70 @@ class TestLazilySlicedEventLoop:
         store.close()
 
 
+class TestRejectedFlowKeepsItsWindow:
+    """A flow the codec rejects is skipped once; the other flows of its
+    drain window still reach the store (regression: the cursor used to
+    pass the whole window before a single flow was encoded)."""
+
+    @staticmethod
+    def _flow(port, start, bytes_up=0):
+        return FlowRecord(
+            FiveTuple(CLIENT, WEB, port, 80, TransportProto.TCP),
+            start, bytes_up=bytes_up,
+        )
+
+    def test_store_drain_keeps_the_good_flows(self, tmp_path):
+        from repro.analytics.storage import FlowStore
+        from repro.sniffer.eventcodec import CodecError
+
+        pipeline = SnifferPipeline(
+            clist_size=100, warmup=0.0, flow_store=tmp_path / "store",
+            batch_events=4,
+        )
+        with pytest.raises(CodecError):
+            pipeline.process_events([
+                DnsObservation(1.0, CLIENT, "www.example.com", [WEB]),
+                self._flow(40001, 1.1),
+                self._flow(40002, 1.2, bytes_up=-1),
+                self._flow(40003, 1.3),
+                self._flow(40004, 1.4),
+            ])
+        # A later drain neither re-raises for the rejected flow nor
+        # stores an earlier one again.
+        pipeline.process_events(
+            [self._flow(40005, 2.0), self._flow(40006, 2.1)]
+        )
+        pipeline.close()
+        store = FlowStore(tmp_path / "store")
+        assert sorted(flow.fid.src_port for flow in store) == [
+            40001, 40003, 40004, 40005, 40006,
+        ]
+        assert {flow.fqdn for flow in store} == {"www.example.com"}
+        store.close()
+
+    def test_emit_returns_the_flows_before_a_rejected_one(self):
+        from repro.sniffer.eventcodec import CodecError, decode_events
+
+        pipeline = SnifferPipeline(clist_size=100, warmup=0.0)
+        pipeline.process_events([
+            self._flow(40001, 1.1),
+            self._flow(40002, 1.2, bytes_up=-1),
+            self._flow(40003, 1.3),
+        ])
+
+        def ports(payloads):
+            return [
+                event.fid.src_port
+                for payload in payloads for event in decode_events(payload)
+            ]
+
+        assert ports(pipeline.emit_tagged_batches(batch_events=2)) == [40001]
+        with pytest.raises(CodecError):
+            pipeline.emit_tagged_batches(batch_events=2)
+        assert ports(pipeline.emit_tagged_batches(batch_events=2)) == [40003]
+        assert pipeline.emit_tagged_batches() == []
+
+
 def test_batch_encoder_slot_cache_is_invisible():
     """``BatchEncoder`` encodes each distinct string slot once; reusing
     an encoder across ``take()`` must emit the bytes a fresh one does."""
