@@ -45,10 +45,9 @@ Ingestion has two paths:
   (the seed API, used by tests and small tools);
 * :meth:`FlowDatabase.ingest_batch` — one eventcodec flow batch
   (:mod:`repro.sniffer.eventcodec`) absorbed column-wise with **no
-  per-record object churn**: the sniffer/fan-out side emits tagged-flow
-  batches (``SnifferPipeline.emit_tagged_batches`` or
-  ``FanoutPipeline(collect_flows=True)``) and this store lifts the hot
-  blocks straight into its columns.  This closes the sniffer→database
+  per-record object churn**: the sniffer emits tagged-flow batches
+  (``SnifferPipeline.emit_tagged_batches``) and this store lifts the
+  hot blocks straight into its columns.  This closes the sniffer→database
   arrow of Fig. 1 in the same throughput class as the event loop.
 
 Every aggregation, decode and index build has one body, in numpy — a
@@ -691,8 +690,7 @@ class FlowDatabase:
         """Absorb one eventcodec batch of tagged flows, column-wise.
 
         ``payload`` is an encoded batch as produced by
-        ``SnifferPipeline.emit_tagged_batches`` /
-        ``FanoutPipeline(collect_flows=True)`` (or any
+        ``SnifferPipeline.emit_tagged_batches`` (or any
         :func:`repro.sniffer.eventcodec.encode_events` call).  Flow
         blocks are lifted straight into the columns — no
         :class:`FlowRecord` objects are created; queries materialize

@@ -17,7 +17,9 @@ The pieces mirror Fig. 1 of the paper:
   together for both the packet path and the fast event path;
 * :class:`~repro.sniffer.fanout.FanoutPipeline` — partitions the event
   stream by client IP across worker processes fed by the binary batch
-  codec of :mod:`repro.sniffer.eventcodec` and merges their statistics.
+  codec of :mod:`repro.sniffer.eventcodec` and merges their statistics
+  (``SnifferPipeline(processes=N)`` on the event path; the packet path
+  and durable ingest run in-process).
 """
 
 from repro.sniffer.resolver import DnsResolver, ResolverStats, fuse_key

@@ -7,8 +7,8 @@ persisted to the durable store the off-line analyzer reads.
 
 :func:`sniff_pcap` is the whole capture path in one call: the reader's
 raw ``(timestamp, data)`` frames go straight into
-``SnifferPipeline.process_frames``, whatever the ``processes`` value —
-no ``PcapRecord``, header object or ``Packet`` is built per frame.
+``SnifferPipeline.process_frames`` — no ``PcapRecord``, header object
+or ``Packet`` is built per frame.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ def sniff_pcap(
     path: str,
     clist_size: int = 200_000,
     warmup: float = 300.0,
-    processes: int = 1,
     batch_events: int = 8192,
     flow_store=None,
     handle_signals: bool = False,
@@ -35,8 +34,8 @@ def sniff_pcap(
     """Run the packet path over the capture at ``path``.
 
     ``handle_signals=True`` installs SIGTERM/SIGINT handlers that close
-    the pipeline — drain the workers, seal the flow store's tail and
-    journal — before the signal terminates the process, so killing a
+    the pipeline — drain the tagged flows, seal the flow store's tail
+    and journal — before the signal terminates the process, so killing a
     durable capture mid-run loses nothing that was acknowledged.
     ``store_drain_hook`` is installed on the pipeline before any
     packet is processed (see ``SnifferPipeline.store_drain_hook``);
@@ -57,9 +56,7 @@ def sniff_pcap(
         reader = PcapReader(handle)
         pipeline = SnifferPipeline(
             clist_size=clist_size, warmup=warmup,
-            processes=processes, batch_events=batch_events,
-            collect_labels=processes > 1,
-            flow_store=flow_store,
+            batch_events=batch_events, flow_store=flow_store,
         )
         pipeline.store_drain_hook = store_drain_hook
         if on_pipeline is not None:
@@ -103,17 +100,8 @@ def main(argv: list[str] | None = None) -> int:
         help="statistics warm-up seconds (default 300)",
     )
     parser.add_argument(
-        "--processes", type=int, default=1,
-        help="fan the resolver+tagger out to N worker processes "
-             "(split by client address, Sec. 3.1.1 load balancing; "
-             "default 1 = in-process). "
-             "Aggregate mode: statistics are merged, per-flow records "
-             "are not kept",
-    )
-    parser.add_argument(
         "--batch-events", type=int, default=8192,
-        help="events per fan-out batch (with --processes > 1) or "
-             "tagged flows per flow-store batch (default 8192)",
+        help="tagged flows per flow-store batch (default 8192)",
     )
     parser.add_argument(
         "--top", type=int, default=10,
@@ -123,11 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         "--flow-store", metavar="DIR",
         help="stream tagged flows into the durable columnar flow store "
              "at DIR (created if missing; spills mid-run, the live "
-             "tail is sealed on exit — inspect with repro-flowstore). "
-             "For multi-day captures combine with --processes N: "
-             "aggregate mode keeps no per-flow records in the parent, "
-             "so memory is bounded by the store's spill budget and "
-             "the connections still open",
+             "tail is sealed on exit — inspect with repro-flowstore)",
     )
     args = parser.parse_args(argv)
     if args.top < 0:
@@ -136,44 +120,31 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pipeline = sniff_pcap(
             args.pcap, clist_size=args.clist, warmup=args.warmup,
-            processes=args.processes,
             batch_events=args.batch_events,
             flow_store=args.flow_store,
             # A killed durable capture must seal what it acknowledged.
             handle_signals=args.flow_store is not None,
         )
     except (OSError, PcapFormatError, ValueError, ImportError) as exc:
-        # ValueError covers bad sizing knobs (--clist 0, --processes 0)
-        # and a corrupt --flow-store directory (StorageError);
-        # ImportError a --flow-store without numpy, which the store
-        # needs and the capture does not.
+        # ValueError covers bad sizing knobs (--clist 0,
+        # --batch-events 0) and a corrupt --flow-store directory
+        # (StorageError); ImportError a --flow-store without numpy,
+        # which the store needs and the capture does not.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report = pipeline.fanout_report
-    if report is not None:
-        labeled = report.tagged_flows
-        ratio = f" ({labeled / report.flows:.0%})" if report.flows else ""
-        print(f"flows reconstructed : {report.flows}")
-        print(f"flows labeled       : {labeled}{ratio}")
-        print(f"dns responses seen  : {pipeline.dns_sniffer.stats['decoded']}")
-        print(f"worker processes    : {report.processes} "
-              f"(events per worker: "
-              f"{', '.join(str(n) for n in report.worker_events)})")
-        counter = report.label_counts or Counter()
-    else:
-        flows = pipeline.tagged_flows
-        tagged = [f for f in flows if f.fqdn]
-        print(f"flows reconstructed : {len(flows)}")
-        print(f"flows labeled       : {len(tagged)} "
-              f"({len(tagged) / len(flows):.0%})"
-              if flows else "flows labeled : 0")
-        print(f"dns responses seen  : {pipeline.dns_sniffer.stats['decoded']}")
-        print(f"resolver clients    : {pipeline.resolver.client_count}")
-        counter = Counter(f.fqdn for f in tagged)
-    if counter:
+    flows = pipeline.tagged_flows
+    tagged = [f for f in flows if f.fqdn]
+    print(f"flows reconstructed : {len(flows)}")
+    print(f"flows labeled       : {len(tagged)} "
+          f"({len(tagged) / len(flows):.0%})"
+          if flows else "flows labeled : 0")
+    print(f"dns responses seen  : {pipeline.dns_sniffer.stats['decoded']}")
+    print(f"resolver clients    : {pipeline.resolver.client_count}")
+    top = Counter(f.fqdn for f in tagged).most_common(args.top)
+    if top:
         print(f"\ntop {args.top} labels:")
-        for fqdn, count in counter.most_common(args.top):
+        for fqdn, count in top:
             print(f"  {count:6d}  {fqdn}")
 
     pipeline.close()

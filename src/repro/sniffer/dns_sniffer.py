@@ -37,25 +37,16 @@ class DnsResponseSniffer:
     Args:
         resolver: the :class:`DnsResolver` that :meth:`feed_packet` and
             :meth:`feed_observation` insert into.
-        monitored_clients: optional set of client addresses; responses to
-            other destinations are ignored (a PoP monitor only replicates
-            the caches of its own customers).
     """
 
-    def __init__(
-        self,
-        resolver: DnsResolver,
-        monitored_clients: Optional[set[int]] = None,
-    ):
+    def __init__(self, resolver: DnsResolver):
         self.resolver = resolver
-        self.monitored_clients = monitored_clients
         self.stats = {
             "packets": 0,
             "decoded": 0,
             "fast_path": 0,
             "queries_ignored": 0,
             "decode_errors": 0,
-            "foreign_client": 0,
             "empty_answers": 0,
         }
 
@@ -68,7 +59,7 @@ class DnsResponseSniffer:
         ):
             return None
         client_ip = packet.ipv4.dst  # responses flow server -> client
-        decoded = self.decode_payload(client_ip, packet.payload)
+        decoded = self.decode_payload(packet.payload)
         if decoded is None:
             return None
         fqdn, addresses, ttl = decoded
@@ -78,15 +69,14 @@ class DnsResponseSniffer:
         )
 
     def decode_payload(
-        self, client_ip: int, payload: bytes
+        self, payload: bytes
     ) -> Optional[tuple[str, list[int], int]]:
-        """Decode one port-53 UDP payload addressed to ``client_ip``.
+        """Decode one port-53 UDP payload.
 
-        Returns ``(fqdn, addresses, min_ttl)`` when it is a response to
-        a monitored client with at least one A answer — what belongs in
-        the resolver — and ``None`` otherwise, with the reason counted.
-        Nothing is inserted: the capture loop owns the sink (the
-        resolver in-process, the worker pool with ``processes > 1``).
+        Returns ``(fqdn, addresses, min_ttl)`` when it is a response
+        with at least one A answer — what belongs in the resolver — and
+        ``None`` otherwise, with the reason counted.  Nothing is
+        inserted: the capture loop owns the sink.
         """
         stats = self.stats
         stats["packets"] += 1
@@ -106,12 +96,6 @@ class DnsResponseSniffer:
         elif not message.header.is_response:
             stats["queries_ignored"] += 1
             return None
-        if (
-            self.monitored_clients is not None
-            and client_ip not in self.monitored_clients
-        ):
-            stats["foreign_client"] += 1
-            return None
         if message is not None:
             try:
                 fqdn = message.question_name
@@ -128,12 +112,6 @@ class DnsResponseSniffer:
         self, observation: DnsObservation
     ) -> Optional[DnsObservation]:
         """Fast path: consume an already-decoded response."""
-        if (
-            self.monitored_clients is not None
-            and observation.client_ip not in self.monitored_clients
-        ):
-            self.stats["foreign_client"] += 1
-            return None
         if not observation.answers:
             self.stats["empty_answers"] += 1
             return None

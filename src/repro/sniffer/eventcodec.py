@@ -5,7 +5,11 @@ the partitioning parent and its worker processes.  Shipping Python
 objects would pay a pickle + allocation toll per event; instead a batch
 of events crosses the process boundary as **one** ``struct``-packed
 buffer that the receiver can consume without materialising per-event
-objects — the ROADMAP's "interpreter-independent batch ingest".
+objects — the ROADMAP's "interpreter-independent batch ingest".  The
+same batches are the Flow Database's feed: the in-process pipeline
+encodes its tagged flows with :class:`BatchEncoder`
+(``SnifferPipeline.emit_tagged_batches``) and the store journals and
+ingests them as they are.
 
 Layout
 ------
@@ -319,65 +323,6 @@ class BatchView:
             raise CodecError("dns_hot block does not match DNS count")
         if len(self.dns_cold) != n_dns * DNS_COLD.size:
             raise CodecError("dns_cold block does not match DNS count")
-
-
-def retag_flows(view: BatchView, labels) -> bytes:
-    """Re-encode a batch's flows as a flows-only batch with new labels.
-
-    ``labels`` holds one entry per flow in block order: the attached
-    FQDN as UTF-8 ``bytes``, or ``None`` for a cache miss.  The hot and
-    cold flow blocks are copied verbatim (no per-record decode); only
-    the string block is rebuilt — the fqdn slot takes the new label,
-    cert/true-fqdn strings carry over from the source batch.  DNS
-    records in the source batch are dropped.
-
-    This is how a fan-out worker emits its tagged flows toward
-    ``FlowDatabase.ingest_batch`` without materialising one
-    :class:`FlowRecord` per flow — the Fig. 1 sniffer→database arrow in
-    the codec's own deployment format.
-    """
-    n = view.n_flows
-    if len(labels) != n:
-        raise CodecError(
-            f"{len(labels)} labels for {n} flows in the batch"
-        )
-    src = view.flow_str
-    out = bytearray()
-    pos = 0
-    for label in labels:
-        (length,) = STR_LEN.unpack_from(src, pos)
-        pos += STR_LEN.size
-        if length != _NONE_STR:
-            pos += length  # discard the pre-tag fqdn slot
-        if label is None:
-            out += _NONE_SLOT
-        else:
-            if len(label) > _MAX_STR:
-                raise CodecError(
-                    f"label of {len(label)} bytes exceeds codec limit"
-                )
-            out += STR_LEN.pack(len(label))
-            out += label
-        # cert_name and true_fqdn carry over verbatim.
-        for _ in range(2):
-            (length,) = STR_LEN.unpack_from(src, pos)
-            stop = pos + STR_LEN.size + (
-                0 if length == _NONE_STR else length
-            )
-            out += src[pos:stop]
-            pos = stop
-    blocks = (
-        b"\x00" * n,           # flags: all flows, block order
-        bytes(view.flow_hot),
-        bytes(view.flow_cold),
-        bytes(out),
-        b"", b"", b"", b"",    # no DNS blocks
-    )
-    parts = [HEADER.pack(MAGIC, VERSION, n, 0, n)]
-    for block in blocks:
-        parts.append(BLOCK_LEN.pack(len(block)))
-        parts.append(block)
-    return b"".join(parts)
 
 
 def _decode_flows(view: BatchView) -> list[FlowRecord]:

@@ -23,23 +23,21 @@ a bounded queue with explicit backpressure), :meth:`collect` snapshots
 merged statistics without stopping, :meth:`close` shuts down cleanly.
 
 Workers keep per-shard :class:`DnsResolver` state plus tag counters and
-return only counters (and optionally a label histogram) — flow records
-are tallied where they are tagged, never shipped back, which is what
-lets the drain rate exceed the single-interpreter ceiling.
+return only counters — flow records are tallied where they are tagged,
+never shipped back.  The pool is a statistics engine: nothing it tags
+reaches a flow store (durable ingest runs in-process).
 
 The worker's consume loop lifts whole batch columns into vectorised
-``numpy`` code when numpy is importable (key fusion, warm-up masks) and
-falls back to pure ``struct`` otherwise; both paths replay the exact
-event interleaving recorded by the codec flags, so statistics match the
-fused in-process loop bit for bit.
+``numpy`` code when numpy imports (key fusion, warm-up masks) and falls
+back to pure ``struct`` otherwise — the capture side must run without
+numpy; both paths replay the exact event interleaving recorded by the
+codec flags, so statistics match the fused in-process loop bit for bit.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import struct
-import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -52,7 +50,6 @@ from repro.sniffer.eventcodec import (
     FLOW_HOT,
     PROTOCOLS,
     encode_events,
-    retag_flows,
 )
 from repro.sniffer.resolver import DnsResolver, ResolverStats
 from repro.sniffer.sharding import shard_of
@@ -71,7 +68,6 @@ _OP_BATCH = b"B"      # + batch buffer; worker acks
 _OP_TRACE = b"T"      # + f64 trace start hint; worker acks
 _OP_RESET = b"R"      # drop all state; worker acks
 _OP_FLUSH = b"F"      # worker replies with its report (pickled dict)
-_OP_DRAIN = b"D"      # worker replies with buffered tagged-flow batches
 _OP_STOP = b"S"       # worker exits; no reply
 _ACK = b"A"
 
@@ -133,11 +129,14 @@ def _check_dns_blocks(view: BatchView, n_answers: int, name_bytes: int):
 
 
 class _WorkerState:
-    """Per-worker resolver + tag counters and the batch consume loop."""
+    """Per-worker resolver + tag counters and the batch consume loop.
 
-    def __init__(self, clist_size: int, warmup: float,
-                 collect_labels: bool, use_numpy: bool,
-                 collect_flows: bool = False):
+    ``use_numpy`` picks the batch-column precompute: the vectorised one
+    (the worker process passes it whenever numpy imports) or the
+    pure-``struct`` one.
+    """
+
+    def __init__(self, clist_size: int, warmup: float, use_numpy: bool):
         self.resolver = DnsResolver(clist_size=clist_size)
         self.warmup = warmup
         self.use_numpy = use_numpy
@@ -148,9 +147,6 @@ class _WorkerState:
         self.empty_answers = 0
         self.events = 0
         self.flows = 0
-        self.labels: Optional[Counter] = Counter() if collect_labels else None
-        self.collect_flows = collect_flows
-        self.tagged_batches: list[bytes] = []
 
     # -- batch-column precompute ------------------------------------------
 
@@ -219,9 +215,10 @@ class _WorkerState:
 
         Mirrors ``SnifferPipeline._process_events_flat`` — resolver
         state in locals, identical insert/lookup bodies — over codec
-        columns instead of event objects.  Labels are kept as raw bytes
-        (decoded only when reported); lookup results and every counter
-        match the in-process loop exactly.
+        columns instead of event objects.  Labels are kept as the raw
+        UTF-8 name bytes and never decoded (the worker reports counters
+        only); lookup results and every counter match the in-process
+        loop exactly.
         """
         view = BatchView(buf)
         if view.n_flows:
@@ -254,12 +251,6 @@ class _WorkerState:
         hit_counts = self.hit_counts
         miss_counts = self.miss_counts
         warmup_skipped = self.warmup_skipped
-        labels = self.labels
-        # Attached label per flow (block order) when the worker emits
-        # tagged-flow batches toward FlowDatabase.ingest_batch.
-        flow_labels = (
-            [None] * view.n_flows if self.collect_flows else None
-        )
         empty = 0
         fpos = dpos = kpos = 0
         try:
@@ -323,19 +314,11 @@ class _WorkerState:
                             miss_counts[fproto[fpos]] += 1
                     else:
                         hits += 1
-                        if labels is not None:
-                            labels[fqdns[slot]] += 1
-                        if flow_labels is not None:
-                            flow_labels[fpos] = fqdns[slot]
                         if fwarm[fpos]:
                             warmup_skipped += 1
                         else:
                             hit_counts[fproto[fpos]] += 1
                     fpos += 1
-            if flow_labels is not None and view.n_flows:
-                self.tagged_batches.append(
-                    retag_flows(view, flow_labels)
-                )
         finally:
             resolver._next_slot = idx
             resolver._used = used
@@ -352,7 +335,6 @@ class _WorkerState:
 
     def report(self) -> dict:
         stats = self.resolver.stats
-        labels = self.labels
         return {
             "resolver": (
                 stats.responses, stats.answers, stats.lookups,
@@ -364,7 +346,6 @@ class _WorkerState:
             "empty_answers": self.empty_answers,
             "events": self.events,
             "flows": self.flows,
-            "labels": dict(labels) if labels is not None else None,
         }
 
 
@@ -380,12 +361,10 @@ if _np is not None:
          "offsets": [0, 4, 12, 13], "itemsize": DNS_HOT.size})
 
 
-def _worker_main(conn, clist_size: int, warmup: float,
-                 collect_labels: bool, use_numpy: bool,
-                 collect_flows: bool = False) -> None:
+def _worker_main(conn, clist_size: int, warmup: float) -> None:
     """Worker process loop: frames in, acks/reports out."""
-    state = _WorkerState(clist_size, warmup, collect_labels, use_numpy,
-                         collect_flows)
+    use_numpy = _np is not None
+    state = _WorkerState(clist_size, warmup, use_numpy)
     try:
         while True:
             try:
@@ -402,15 +381,8 @@ def _worker_main(conn, clist_size: int, warmup: float,
                 conn.send_bytes(_ACK)
             elif op == _OP_FLUSH:
                 conn.send(state.report())
-            elif op == _OP_DRAIN:
-                batches = state.tagged_batches
-                state.tagged_batches = []
-                conn.send(batches)
             elif op == _OP_RESET:
-                state = _WorkerState(
-                    clist_size, warmup, collect_labels, use_numpy,
-                    collect_flows,
-                )
+                state = _WorkerState(clist_size, warmup, use_numpy)
                 conn.send_bytes(_ACK)
             elif op == _OP_STOP:
                 return
@@ -435,7 +407,6 @@ class FanoutReport:
     resolver_stats: ResolverStats
     tag_stats: TagStats
     empty_answers: int
-    label_counts: Optional[Counter] = None
     worker_events: list[int] = field(default_factory=list)
 
     @property
@@ -464,28 +435,8 @@ class FanoutPipeline:
         max_pending: bound on unacknowledged batches per worker — the
             streaming mode's queue depth; :meth:`feed` blocks when a
             worker falls this far behind.
-        collect_labels: have workers histogram the labels they attach
-            (`FanoutReport.label_counts`); costs one dict update per
-            tagged flow.
-        collect_flows: have workers re-encode every consumed flow —
-            with its attached label — as tagged-flow codec batches for
-            :meth:`drain_tagged_batches`, the zero-object-churn feed of
-            ``FlowDatabase.ingest_batch`` (the Fig. 1 sniffer→database
-            arrow).  Batches buffer in the workers until drained.
         start_method: multiprocessing start method (default ``fork``
             where available — workers inherit the warm interpreter).
-        use_numpy: force the vectorised (True) or pure-struct (False)
-            consume path; None auto-detects.
-        flow_store: durable-ingest mode — an opened store (flat or
-            sharded) or a directory path, opened with
-            :func:`repro.analytics.shard.open_store`.  Implies
-            ``collect_flows``; the feed paths drain the workers'
-            tagged-flow batches into the store every ~64k events
-            (worker buffers stay bounded and a crash mid-stream loses
-            at most that window), every :meth:`collect` drains the
-            remainder, and :meth:`close` seals the store's live tail.
-            All transfers are binary batches — worker→parent→disk with
-            no ``FlowRecord`` churn.
     """
 
     def __init__(
@@ -495,11 +446,7 @@ class FanoutPipeline:
         warmup: float = 300.0,
         batch_events: int = 8192,
         max_pending: int = 4,
-        collect_labels: bool = False,
-        collect_flows: bool = False,
         start_method: Optional[str] = None,
-        use_numpy: Optional[bool] = None,
-        flow_store=None,
     ):
         if processes <= 0:
             raise ValueError("processes must be positive")
@@ -507,39 +454,11 @@ class FanoutPipeline:
             raise ValueError("batch_events must be positive")
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
-        if use_numpy is None:
-            use_numpy = _np is not None
-        elif use_numpy and _np is None:
-            raise ValueError("use_numpy=True but numpy is not importable")
-        # Open (and possibly create on disk) the store only after every
-        # knob validated — a rejected construction must not leave a
-        # plausible empty store directory behind.
-        if flow_store is not None:
-            if not hasattr(flow_store, "ingest_batch"):
-                from repro.analytics.shard import open_store
-
-                flow_store = open_store(flow_store)
-            collect_flows = True
-        self.flow_store = flow_store
-        #: Optional observability hook, ``hook(batches, rows)`` after
-        #: every non-empty drain into the store (see
-        #: ``SnifferPipeline.store_drain_hook``).  Must not raise.
-        self.store_drain_hook = None
-        # Feed-path durable-drain cadence: one worker round-trip per
-        # ~64k dispatched events (0 disables; see _note_dispatch).
-        self._drain_interval = (
-            max(1, 65536 // batch_events)
-            if flow_store is not None else 0
-        )
-        self._dispatches_since_drain = 0
         self.processes = processes
         self.clist_size = clist_size
         self.warmup = warmup
         self.batch_events = batch_events
         self.max_pending = max_pending
-        self.collect_labels = collect_labels
-        self.collect_flows = collect_flows
-        self.use_numpy = use_numpy
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -566,9 +485,7 @@ class FanoutPipeline:
             parent, child = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child, per_worker, self.warmup,
-                      self.collect_labels, self.use_numpy,
-                      self.collect_flows),
+                args=(child, per_worker, self.warmup),
                 name=f"fanout-worker-{index}",
                 daemon=True,
             )
@@ -578,35 +495,10 @@ class FanoutPipeline:
             self._procs.append(proc)
         return self
 
-    def install_signal_handlers(self, signals=None) -> None:
-        """Close the pool gracefully on SIGTERM/SIGINT (drain workers,
-        seal the flow store), then re-deliver the signal — see
-        :func:`install_shutdown_signals`."""
-        install_shutdown_signals(self.close, signals)
-
     def close(self) -> None:
-        """Stop all workers and reap them (idempotent).  With a
-        ``flow_store`` attached, remaining tagged-flow batches are
-        drained and the store's live tail is sealed first — but a
-        failing drain (dead worker, full disk) must never skip the
-        shutdown below, so the salvage is best-effort."""
+        """Stop all workers and reap them (idempotent)."""
         if not self.started:
             return
-        if self.flow_store is not None:
-            try:
-                try:
-                    self._drain_into_store()
-                finally:
-                    self.flow_store.flush()
-            except (FanoutError, OSError, ValueError) as exc:
-                # The pool must still be reaped, so don't raise — but a
-                # durability failure (dead worker, full disk) must not
-                # pass silently either.
-                print(
-                    f"warning: flow-store drain failed during close: "
-                    f"{exc}",
-                    file=sys.stderr,
-                )
         for index, conn in enumerate(self._conns):
             try:
                 while self._pending[index]:
@@ -695,31 +587,6 @@ class FanoutPipeline:
         if len(encoder):
             self.send_encoded(shard, encoder.take())
 
-    def _drain_into_store(self) -> None:
-        """Move every buffered worker tagged-flow batch into the
-        attached flow store (the single definition of the drain
-        protocol, shared by the feed path, collect and close)."""
-        batches = rows = 0
-        for payload in self.drain_tagged_batches():
-            rows += self.flow_store.ingest_batch(payload)
-            batches += 1
-        if batches and self.store_drain_hook is not None:
-            self.store_drain_hook(batches, rows)
-
-    def _note_dispatch(self) -> None:
-        """Feed-path hook: every ``_drain_interval`` dispatched batches
-        the workers' tagged-flow buffers are drained into the attached
-        flow store, so buffers stay bounded and the capture is durable
-        mid-stream.  Called only from the feed paths — never from
-        :meth:`drain_tagged_batches`'s own flush, so it cannot recurse.
-        """
-        if not self._drain_interval:
-            return
-        self._dispatches_since_drain += 1
-        if self._dispatches_since_drain >= self._drain_interval:
-            self._dispatches_since_drain = 0
-            self._drain_into_store()
-
     # -- feeding -----------------------------------------------------------
 
     def feed_dns(self, client_ip: int, fqdn: str, answers,
@@ -733,7 +600,6 @@ class FanoutPipeline:
                                ttl, useless)
         if len(encoder) >= self.batch_events:
             self._dispatch(shard)
-            self._note_dispatch()
 
     def feed_flow(self, flow: FlowRecord) -> None:
         """Route one reconstructed flow to its shard."""
@@ -745,7 +611,6 @@ class FanoutPipeline:
         encoder.add_flow(flow)
         if len(encoder) >= self.batch_events:
             self._dispatch(shard)
-            self._note_dispatch()
 
     def feed(self, event) -> None:
         """Route one event (DNS observation or flow record)."""
@@ -773,11 +638,7 @@ class FanoutPipeline:
 
     def collect(self) -> FanoutReport:
         """Flush, then merge every worker's statistics (non-destructive:
-        workers keep their state and the stream may continue).  With a
-        ``flow_store`` attached, the workers' tagged-flow batches are
-        drained into the store first."""
-        if self.flow_store is not None:
-            self._drain_into_store()
+        workers keep their state and the stream may continue)."""
         self.flush()
         for index, conn in enumerate(self._conns):
             while self._pending[index]:
@@ -793,32 +654,6 @@ class FanoutPipeline:
             except (EOFError, OSError) as exc:
                 raise self._worker_failed(index, exc) from exc
         return self._merge(reports)
-
-    def drain_tagged_batches(self) -> list[bytes]:
-        """Flush, then fetch (and clear) every worker's buffered
-        tagged-flow batches, in shard order.
-
-        Only meaningful with ``collect_flows=True`` (returns ``[]``
-        otherwise).  Each payload is a flows-only codec batch carrying
-        the labels the workers attached — feed them to
-        ``FlowDatabase.ingest_batch``.  Statistics are unaffected;
-        workers keep their resolver state and the stream may continue.
-        """
-        self.flush()
-        for index, conn in enumerate(self._conns):
-            while self._pending[index]:
-                self._recv_ack(index)
-            try:
-                conn.send_bytes(_OP_DRAIN)
-            except (BrokenPipeError, OSError) as exc:
-                raise self._worker_failed(index, exc) from exc
-        batches: list[bytes] = []
-        for index, conn in enumerate(self._conns):
-            try:
-                batches.extend(conn.recv())
-            except (EOFError, OSError) as exc:
-                raise self._worker_failed(index, exc) from exc
-        return batches
 
     def reset(self) -> None:
         """Drop all worker state (a fresh pipeline without respawning)."""
@@ -837,9 +672,6 @@ class FanoutPipeline:
         empty_answers = 0
         events = 0
         flows = 0
-        labels: Optional[Counter] = (
-            Counter() if self.collect_labels else None
-        )
         worker_events = []
         for report in reports:
             resolver_stats.merge(ResolverStats(*report["resolver"]))
@@ -860,9 +692,6 @@ class FanoutPipeline:
             events += report["events"]
             flows += report["flows"]
             worker_events.append(report["events"])
-            if labels is not None and report["labels"]:
-                for raw, count in report["labels"].items():
-                    labels[raw.decode("utf-8")] += count
         return FanoutReport(
             processes=self.processes,
             events=events,
@@ -870,7 +699,6 @@ class FanoutPipeline:
             resolver_stats=resolver_stats,
             tag_stats=tag_stats,
             empty_answers=empty_answers,
-            label_counts=labels,
             worker_events=worker_events,
         )
 

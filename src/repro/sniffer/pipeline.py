@@ -23,22 +23,22 @@ Both paths produce the labeled flow list that feeds the off-line
 analyzer.
 
 The event path dispatches on exact type (``event.__class__ is ...``)
-instead of per-event ``isinstance`` and, when no policy enforcer or
-client filter is installed, runs a fused loop with the resolver lookup
-and tagger bookkeeping inlined — the per-event constant factor is what
+instead of per-event ``isinstance`` and, when no policy enforcer is
+installed, runs a fused loop with the resolver lookup and tagger
+bookkeeping inlined — the per-event constant factor is what
 decides whether the sniffer keeps up with the wire (Sec. 3.1.1; FlowDNS
 makes the same observation at ISP scale).  Statistics produced by the
 fused loop are identical to the modular path.
 
-With ``processes > 1`` both paths fan the resolver+tagger work out to a
-pool of worker processes (:mod:`repro.sniffer.fanout`): events are
+With ``processes > 1`` the event path fans the resolver+tagger work out
+to a pool of worker processes (:mod:`repro.sniffer.fanout`): events are
 partitioned by client IP, cross the process boundary as compact binary
-batches, and come back as merged statistics (on the packet path the
-parent keeps the decode and reassembly work and only the two sinks
-change).  In that mode the pipeline aggregates — per-flow records are
-tallied where they are tagged rather than materialised, so
-``tagged_flows`` stays empty and the run's merged counters land in
-:attr:`tagger` ``.stats`` and :attr:`fanout_report`.
+batches, and come back as merged statistics.  In that mode the pipeline
+aggregates — per-flow records are tallied where they are tagged rather
+than materialised, so ``tagged_flows`` stays empty and the run's merged
+counters land in :attr:`tagger` ``.stats`` and :attr:`fanout_report`.
+The packet path, a policy enforcer and a flow store all need the
+per-flow records, so they run in-process only.
 """
 
 from __future__ import annotations
@@ -74,39 +74,27 @@ class SnifferPipeline:
         policy: optional :class:`PolicyEnforcer`; when present, DNS
             responses pre-install decisions and each tagged flow gets a
             verdict.
-        monitored_clients: restrict the resolver replica to these client
-            addresses (None = everyone).
-        processes: when > 1, fan the resolver+tagger work out to this
-            many worker processes split by client low octet
+        processes: when > 1, fan the event path's resolver+tagger work
+            out to this many worker processes split by client low octet
             (Sec. 3.1.1's load-balancing note; see
             :mod:`repro.sniffer.fanout`).  The pipeline then
             aggregates: merged statistics instead of a materialised
-            labeled-flow list.  Mutually exclusive with ``policy`` and
-            ``monitored_clients``.
-        batch_events: events per fan-out batch (``processes > 1``);
-            single-process with a ``flow_store``, the tagged flows per
-            store batch and mid-run drain.
-        collect_labels: have fan-out workers histogram attached labels
-            (``fanout_report.label_counts``).
-        collect_flows: have fan-out workers buffer their tagged flows
-            as codec batches for :meth:`emit_tagged_batches` — the
-            zero-object-churn feed of ``FlowDatabase.ingest_batch``
-            (``processes > 1`` only; the single-process pipeline can
-            always emit batches from its ``tagged_flows``).
+            labeled-flow list.  Refused together with ``policy`` or
+            ``flow_store``, and by the packet path.
+        batch_events: events per fan-out batch (``processes > 1``); with
+            a ``flow_store``, the tagged flows per store batch and
+            mid-run drain.
         flow_store: durable-ingest mode — an opened store (flat or
             sharded) or a directory path, opened with
             :func:`repro.analytics.shard.open_store`.  After every
             processing call the tagged flows emitted since the previous
-            call stream into the store as binary batches
-            (worker→parent→disk with ``processes > 1``, where
-            ``collect_flows`` is implied); :meth:`close` seals the
-            store's live tail to disk.
+            call stream into the store as binary batches; :meth:`close`
+            seals the store's live tail to disk.
         retain_flows: with ``False`` (requires ``flow_store``), flows
             already drained into the store are dropped from
             ``tagged_flows`` — the multi-day capture mode, where the
             store bounds memory and the in-process list must not grow
-            forever.  ``processes > 1`` never materializes the list,
-            so the knob matters for single-process durable ingest.
+            forever.
     """
 
     def __init__(
@@ -114,11 +102,8 @@ class SnifferPipeline:
         clist_size: int = 100_000,
         warmup: float = 300.0,
         policy: Optional[PolicyEnforcer] = None,
-        monitored_clients: Optional[set[int]] = None,
         processes: int = 1,
         batch_events: int = 8192,
-        collect_labels: bool = False,
-        collect_flows: bool = False,
         flow_store=None,
         retain_flows: bool = True,
     ):
@@ -133,11 +118,9 @@ class SnifferPipeline:
             raise ValueError("processes must be positive")
         if batch_events <= 0:
             raise ValueError("batch_events must be positive")
-        if processes > 1 and (
-            policy is not None or monitored_clients is not None
-        ):
+        if processes > 1 and (policy is not None or flow_store is not None):
             raise ValueError(
-                "policy enforcement and client filters need per-flow "
+                "policy enforcement and a flow store need per-flow "
                 "records in-process; not supported with processes > 1"
             )
         # Open (and possibly create on disk) the store only after every
@@ -147,15 +130,9 @@ class SnifferPipeline:
             from repro.analytics.shard import open_store
 
             flow_store = open_store(flow_store)
-        if flow_store is not None and processes > 1:
-            # Durable ingest needs the workers to re-encode their
-            # tagged flows; the knob is implied rather than demanded.
-            collect_flows = True
         self.clist_size = clist_size
         self.processes = processes
         self.batch_events = batch_events
-        self.collect_labels = collect_labels
-        self.collect_flows = collect_flows
         self.fanout_report: Optional[FanoutReport] = None
         self._fanout: Optional[FanoutPipeline] = None
         self._fanout_baseline: Optional[FanoutReport] = None
@@ -165,9 +142,7 @@ class SnifferPipeline:
             # wiring, so a paper-scale clist is not allocated twice.
             clist_size = 1
         self.resolver = DnsResolver(clist_size=clist_size)
-        self.dns_sniffer = DnsResponseSniffer(
-            self.resolver, monitored_clients=monitored_clients
-        )
+        self.dns_sniffer = DnsResponseSniffer(self.resolver)
         self.flow_sniffer = FlowSniffer()
         self.tagger = FlowTagger(self.resolver, warmup=warmup)
         self.policy = policy
@@ -177,22 +152,20 @@ class SnifferPipeline:
         #: them the frame parser refused (and the loop skipped).
         self.frame_stats = {"frames": 0, "decode_errors": 0}
         self._emitted_flows = 0  # emit_tagged_batches drain cursor
+        # Payloads emitted for the store but not yet handed to it (a
+        # failed ingest_batch leaves the rest of its window here).
+        self._unstored: list[bytes] = []
         self.flow_store = flow_store
         self.retain_flows = retain_flows
         #: Optional observability hook, called as ``hook(batches,
-        #: rows)`` after every non-empty store drain (both the
-        #: in-process path and the fan-out pool's) — ``repro-serve``
+        #: rows)`` after every non-empty store drain — ``repro-serve``
         #: wires it to its ingest-rate metrics.  Must not raise.
         self.store_drain_hook: Optional[Callable[[int, int], None]] = None
-        # Durable single-process runs drain mid-stream (every
-        # ~batch_events tagged flows), so one multi-day processing call
-        # keeps spilling to disk instead of deferring all durability —
-        # and all memory — to the end of the call.  With processes > 1
-        # the fan-out pool owns the cadence (see _fanout_pipeline).
-        self._drain_every = (
-            batch_events if flow_store is not None and processes == 1
-            else 0
-        )
+        # Durable runs drain mid-stream (every ~batch_events tagged
+        # flows), so one multi-day processing call keeps spilling to
+        # disk instead of deferring all durability — and all memory —
+        # to the end of the call.
+        self._drain_every = batch_events if flow_store is not None else 0
 
     # -- packet path ------------------------------------------------------
 
@@ -239,7 +212,7 @@ class SnifferPipeline:
         finally:
             self.frame_stats["frames"] += seen
             self.frame_stats["decode_errors"] += refused
-        return self._end_of_capture(last_ts, finish)
+        return self._end_of_capture(last_ts)
 
     def process_packets(self, packets: Iterable[Packet]) -> list[FlowRecord]:
         """The same over decoded :class:`Packet` objects (the object API:
@@ -259,26 +232,26 @@ class SnifferPipeline:
             completed = feed_flow(packet)
             if completed is not None:
                 finish(completed)
-        return self._end_of_capture(last_ts, finish)
+        return self._end_of_capture(last_ts)
 
     def _packet_sinks(self):
         """``(feed_dns, finish)`` for the two packet loops: where a
-        port-53 payload and a completed flow go.  In-process that is the
-        resolver and the tagger; with ``processes > 1`` the parent keeps
-        the decode work (DNS response parsing, five-tuple reassembly)
-        and routes both to the worker pool instead."""
+        port-53 payload and a completed flow go — the resolver and the
+        tagger.  Raises ``ValueError`` with ``processes > 1``: the
+        packet path runs in-process only."""
         if self.processes > 1:
-            fanout = self._fanout_pipeline()
-            insert, finish = fanout.feed_dns, fanout.feed_flow
-        else:
-            insert, finish = self.resolver.insert, self._finish_flow
+            raise ValueError(
+                "the packet path runs in-process; processes > 1 fans "
+                "out the event path only"
+            )
+        insert = self.resolver.insert
         decode = self.dns_sniffer.decode_payload
         policy = self.policy
 
         def feed_dns(timestamp, client_ip, payload):
             # client_ip is the frame's destination: responses flow
             # server -> client.
-            decoded = decode(client_ip, payload)
+            decoded = decode(payload)
             if decoded is not None:
                 fqdn, addresses, ttl = decoded
                 insert(client_ip, fqdn, addresses, timestamp)
@@ -287,16 +260,14 @@ class SnifferPipeline:
                         timestamp, client_ip, fqdn, addresses, ttl
                     ))
 
-        return feed_dns, finish
+        return feed_dns, self._finish_flow
 
-    def _end_of_capture(self, last_ts: float, finish) -> list[FlowRecord]:
-        """Close what the flow sniffer still holds, collect the worker
-        pool's report (``processes > 1``) and drain into the store."""
+    def _end_of_capture(self, last_ts: float) -> list[FlowRecord]:
+        """Close what the flow sniffer still holds and drain into the
+        store."""
         for record in self.flow_sniffer.flush():
             record.end = max(record.end, last_ts)
-            finish(record)
-        if self.processes > 1:
-            self._absorb_report(self._fanout_pipeline().collect())
+            self._finish_flow(record)
         self._store_drain()
         return self.tagged_flows
 
@@ -338,16 +309,14 @@ class SnifferPipeline:
             fanout.feed_events(events)
             self._absorb_report(fanout.collect())
             return self.tagged_flows
-        if self.policy is not None or (
-            self.dns_sniffer.monitored_clients is not None
-        ):
+        if self.policy is not None:
             return self._process_events_modular(events)
         return self._process_events_flat(events)
 
     def _process_events_modular(
         self, events: Iterable[Event]
     ) -> list[FlowRecord]:
-        """General event loop: policy hooks and client filters apply."""
+        """General event loop: policy hooks apply."""
         feed = self.dns_sniffer.feed_observation
         finish = self._finish_flow
         policy = self.policy
@@ -563,86 +532,75 @@ class SnifferPipeline:
                 clist_size=self.clist_size,
                 warmup=self.tagger.warmup,
                 batch_events=self.batch_events,
-                collect_labels=self.collect_labels,
-                collect_flows=self.collect_flows,
-                # The pool owns durable ingest in fan-out mode: it
-                # drains worker batches into the store periodically
-                # while feeding (bounded worker buffers, mid-run
-                # durability) and on collect()/close().
-                flow_store=self.flow_store,
             )
-            # Forward through a bound method so a hook installed on
-            # the pipeline after the pool exists still takes effect.
-            self._fanout.store_drain_hook = self._note_store_drain
         return self._fanout.start()
-
-    def _note_store_drain(self, batches: int, rows: int) -> None:
-        if self.store_drain_hook is not None:
-            self.store_drain_hook(batches, rows)
 
     def _store_drain(self) -> None:
         """Stream tagged flows emitted since the last drain into the
         attached flow store (durable-ingest mode; no-op otherwise).
         With ``retain_flows=False`` the drained prefix is dropped from
         the in-process list, so a multi-day run stays bounded by the
-        store's spill budget instead of growing one record per flow."""
+        store's spill budget instead of growing one record per flow.
+
+        A payload whose ``ingest_batch`` raises is not retried — the
+        store may have committed it before failing (a seal after the
+        journal write) — but the payloads after it stay pending for
+        the next drain or :meth:`close`, and the error propagates."""
         if self.flow_store is None:
             return
-        if self.processes > 1:
-            # The fan-out pool owns the store in that mode: it drains
-            # worker batches periodically during feeding and again on
-            # collect()/close() (see _fanout_pipeline).
-            return
+        unstored = self._unstored
         batches = rows = 0
         rejected = None
-        # Loop until the window is empty: a rejected flow ends one emit
-        # early, and the flows after it still belong to this drain.
-        while self._emitted_flows < len(self.tagged_flows):
-            try:
-                payloads = self.emit_tagged_batches(self.batch_events)
-            except CodecError as exc:
-                rejected = rejected or exc
-                continue
-            for payload in payloads:
-                rows += self.flow_store.ingest_batch(payload)
+        try:
+            # Loop until the window is empty: a rejected flow ends one
+            # emit early, and the flows after it still belong to this
+            # drain.
+            while unstored or self._emitted_flows < len(self.tagged_flows):
+                if not unstored:
+                    try:
+                        unstored += self.emit_tagged_batches(
+                            self.batch_events
+                        )
+                    except CodecError as exc:
+                        rejected = rejected or exc
+                    continue
+                rows += self.flow_store.ingest_batch(unstored.pop(0))
                 batches += 1
-        if batches and self.store_drain_hook is not None:
-            self.store_drain_hook(batches, rows)
-        if not self.retain_flows and self._emitted_flows:
-            del self.tagged_flows[:self._emitted_flows]
-            self._emitted_flows = 0
+        finally:
+            if batches and self.store_drain_hook is not None:
+                self.store_drain_hook(batches, rows)
+            if not self.retain_flows and self._emitted_flows:
+                # Emitted flows live on in their payloads.
+                del self.tagged_flows[:self._emitted_flows]
+                self._emitted_flows = 0
         if rejected is not None:
             raise rejected
 
     def install_signal_handlers(self, signals=None) -> None:
         """Close the pipeline gracefully on SIGTERM/SIGINT (drain the
         tagged flows into the attached flow store, seal its tail and
-        journal, reap fan-out workers), then re-deliver the signal so
+        journal, or reap fan-out workers), then re-deliver the signal so
         the process exits with the correct status — see
         :func:`repro.sniffer.fanout.install_shutdown_signals`."""
         install_shutdown_signals(self.close, signals)
 
     def close(self) -> None:
-        """Shut down the fan-out worker pool, if one is running.
+        """Drain into the flow store and seal it, or shut down the
+        fan-out worker pool.
 
-        Merged statistics (``tagger.stats``, :attr:`fanout_report`)
-        survive the shutdown.  A later processing call restarts the
-        pool with fresh worker state.  No-op for in-process pipelines.
         With a ``flow_store`` attached, any not-yet-drained tagged
-        flows are streamed in and the store's live tail is sealed; a
-        failing drain still shuts the worker pool down.
+        flows are streamed in and the store's live tail is sealed, even
+        when the drain fails.  With ``processes > 1`` the merged
+        statistics (``tagger.stats``, :attr:`fanout_report`) survive
+        the shutdown, and a later processing call restarts the pool
+        with fresh worker state.
         """
-        try:
-            if self.flow_store is not None and self.processes == 1:
-                # processes > 1: the fan-out pool drains and seals in
-                # _close_fanout(); flushing here too would cut an
-                # extra near-empty segment per run.
-                try:
-                    self._store_drain()
-                finally:
-                    self.flow_store.flush()
-        finally:
-            self._close_fanout()
+        if self.flow_store is not None:
+            try:
+                self._store_drain()
+            finally:
+                self.flow_store.flush()
+        self._close_fanout()
 
     def _close_fanout(self) -> None:
         if self._fanout is not None:
@@ -688,17 +646,11 @@ class SnifferPipeline:
         """Tagged flows as eventcodec batches — the Flow Database feed.
 
         Returns the payloads ``FlowDatabase.ingest_batch`` absorbs.
-        Both modes drain: each call emits only the flows tagged since
-        the previous call, so a periodic emit→ingest loop stores every
-        flow exactly once whatever the process count.  With
-        ``processes > 1`` (requires ``collect_flows=True``) the batches
-        were re-encoded by the workers where the flows were tagged — no
-        :class:`FlowRecord` ever materialises — and their framing
-        follows the pool's construction-time ``batch_events``; this
-        method's ``batch_events`` argument applies only to the
-        single-process encode path, which batches the new tail of the
-        in-memory ``tagged_flows``, paying one object walk at emit
-        time.
+        Each call emits only the flows tagged since the previous call,
+        so a periodic emit→ingest loop stores every flow exactly once.
+        The batches hold ``batch_events`` flows each, encoded from the
+        new tail of the in-memory ``tagged_flows``.  A ``processes > 1``
+        pipeline keeps no per-flow records, so it emits nothing.
 
         A flow the codec rejects is passed over once: the call returns
         the payloads of the flows before it, the next call raises its
@@ -711,15 +663,6 @@ class SnifferPipeline:
         already absorbed — usually nothing.  Query the store instead;
         it holds every tagged flow exactly once.
         """
-        if self.processes > 1:
-            if not self.collect_flows:
-                raise ValueError(
-                    "emit_tagged_batches with processes > 1 needs "
-                    "collect_flows=True"
-                )
-            if self._fanout is None:
-                return []
-            return self._fanout.drain_tagged_batches()
         payloads: list[bytes] = []
         encoder = BatchEncoder()
         add_flow = encoder.add_flow

@@ -270,8 +270,7 @@ class TestDnsBlockLengthRegression:
         if use_numpy and fanout._np is None:
             pytest.skip("numpy not installed")
         worker = fanout._WorkerState(
-            clist_size=64, warmup=0.0, collect_labels=False,
-            use_numpy=use_numpy,
+            clist_size=64, warmup=0.0, use_numpy=use_numpy,
         )
         with pytest.raises(CodecError, match="DNS blocks disagree"):
             worker.consume(_mismatched_dns_batch())

@@ -11,16 +11,14 @@ from repro.net.flow import (
     Protocol,
     TransportProto,
 )
+from repro.sniffer.eventcodec import encode_events
 from repro.sniffer.fanout import (
     FanoutError,
     FanoutPipeline,
     shard_of,
-    _np,
 )
 from repro.sniffer.pipeline import SnifferPipeline
 from repro.sniffer.resolver import DnsResolver, fuse_key
-
-CONSUME_PATHS = [False] + ([True] if _np is not None else [])
 
 
 def make_events(n_events=3000, n_clients=40, n_servers=120, seed=3):
@@ -97,34 +95,18 @@ def assert_report_matches(report, single):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("use_numpy", CONSUME_PATHS)
     @pytest.mark.parametrize("processes", [2, 4])
-    def test_merged_stats_equal_single_process(self, processes, use_numpy):
+    def test_merged_stats_equal_single_process(self, processes):
         events = make_events()
         single = run_single(events)
         fanout = FanoutPipeline(
             processes=processes, clist_size=4096, batch_events=256,
-            use_numpy=use_numpy,
         )
         report = run_fanout(fanout, events)
         assert report.events == len(events)
         assert report.processes == processes
         assert sum(report.worker_events) == len(events)
         assert_report_matches(report, single)
-
-    def test_label_histogram(self):
-        events = make_events(n_events=1500, seed=5)
-        single = run_single(events, warmup=0.0)
-        fanout = FanoutPipeline(
-            processes=2, clist_size=4096, warmup=0.0,
-            batch_events=200, collect_labels=True,
-        )
-        report = run_fanout(fanout, events)
-        expected = {}
-        for flow in single.tagged_flows:
-            if flow.fqdn is not None:
-                expected[flow.fqdn] = expected.get(flow.fqdn, 0) + 1
-        assert dict(report.label_counts) == expected
 
     def test_report_helpers(self):
         events = make_events(n_events=1500, seed=7)
@@ -280,6 +262,27 @@ class TestPipelineIntegration:
         finally:
             pipeline.close()
 
+    def test_process_batches_matches_single_stream(self):
+        """The payload-level entry feeds the pool like the event one."""
+        events = make_events(n_events=900, seed=41)
+        single = run_single(events)
+        pipeline = SnifferPipeline(
+            clist_size=4096, processes=2, batch_events=64
+        )
+        try:
+            pipeline.process_batches(
+                encode_events(events[pos:pos + 250])
+                for pos in range(0, len(events), 250)
+            )
+            assert pipeline.fanout_report.events == len(events)
+            assert pipeline.tagger.stats == single.tagger.stats
+            assert (
+                pipeline.dns_sniffer.stats["empty_answers"]
+                == single.dns_sniffer.stats["empty_answers"]
+            )
+        finally:
+            pipeline.close()
+
     def test_close_and_restart_starts_fresh(self):
         events = make_events(n_events=400, seed=31)
         pipeline = SnifferPipeline(
@@ -303,32 +306,20 @@ class TestPipelineIntegration:
         finally:
             pipeline.close()
 
-    def test_process_packets_fanout_mode(self):
-        from repro.net.packet import decode_frame
-        from repro.simulation import build_trace
+    @pytest.mark.parametrize("entry", ["process_frames", "process_packets"])
+    def test_packet_path_is_refused_before_the_first_frame(self, entry):
+        consumed = []
 
-        trace = build_trace("EU1-FTTH", seed=19)
-        records = trace.to_packets(max_flows=40)
-        packets = [
-            decode_frame(record.timestamp, record.data, with_ethernet=True)
-            for record in records
-        ]
-        single = SnifferPipeline(clist_size=4096, warmup=0.0)
-        single.process_packets(packets)
-        fanned = SnifferPipeline(
-            clist_size=4096, warmup=0.0, processes=2, batch_events=64
-        )
-        fanned.process_packets(packets)
-        fanned.close()
-        report = fanned.fanout_report
-        assert report is not None
-        assert report.flows == len(single.tagged_flows)
-        assert report.resolver_stats.hits == single.resolver.stats.hits
-        assert fanned.tagger.stats.hits == single.tagger.stats.hits
-        assert (
-            fanned.dns_sniffer.stats["decoded"]
-            == single.dns_sniffer.stats["decoded"]
-        )
+        def frames():
+            consumed.append(True)
+            yield from ()
+
+        pipeline = SnifferPipeline(clist_size=64, processes=2)
+        with pytest.raises(ValueError, match="packet path"):
+            getattr(pipeline, entry)(frames())
+        assert not consumed
+        assert pipeline._fanout is None  # no worker was started
+        pipeline.close()
 
     def test_incompatible_knobs(self):
         from repro.sniffer.policy import PolicyEnforcer
@@ -336,9 +327,68 @@ class TestPipelineIntegration:
         with pytest.raises(ValueError):
             SnifferPipeline(processes=2, policy=PolicyEnforcer())
         with pytest.raises(ValueError):
-            SnifferPipeline(processes=2, monitored_clients={1})
-        with pytest.raises(ValueError):
             SnifferPipeline(processes=0)
+
+    def test_flow_store_is_refused_before_the_store_exists(self, tmp_path):
+        directory = tmp_path / "store"
+        with pytest.raises(ValueError, match="flow store"):
+            SnifferPipeline(processes=2, flow_store=directory)
+        assert not directory.exists()
+
+    def test_opened_flow_store_is_refused_untouched(self, tmp_path):
+        from repro.analytics.storage import FlowStore
+
+        store = FlowStore(tmp_path / "store")
+        before = store.version()
+        with pytest.raises(ValueError, match="flow store"):
+            SnifferPipeline(processes=2, flow_store=store)
+        assert store.version() == before and len(store) == 0
+        store.close()
+
+    def test_emits_no_tagged_batches(self):
+        """The pool keeps no per-flow records, so there is nothing for
+        the Flow Database feed."""
+        pipeline = SnifferPipeline(
+            clist_size=4096, processes=2, batch_events=64
+        )
+        try:
+            pipeline.process_events(make_events(n_events=300, seed=37))
+            assert pipeline.fanout_report.flows > 0
+            assert pipeline.emit_tagged_batches() == []
+        finally:
+            pipeline.close()
+
+
+class TestRemovedKeywords:
+    """The durable, label-histogram and packet-path fan-out options are
+    gone; passing one is a ``TypeError`` like any unknown keyword."""
+
+    @pytest.mark.parametrize(
+        "keyword", ["collect_labels", "collect_flows", "monitored_clients"]
+    )
+    def test_sniffer_pipeline(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            SnifferPipeline(**{keyword: None})
+
+    @pytest.mark.parametrize(
+        "keyword",
+        ["flow_store", "collect_labels", "collect_flows", "use_numpy"],
+    )
+    def test_fanout_pipeline(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            FanoutPipeline(**{keyword: None})
+
+    def test_sniff_pcap(self, tmp_path):
+        from repro.sniffer.cli import sniff_pcap
+
+        with pytest.raises(TypeError, match="processes"):
+            sniff_pcap(str(tmp_path / "absent.pcap"), processes=2)
+
+    def test_dns_sniffer(self):
+        from repro.sniffer.dns_sniffer import DnsResponseSniffer
+
+        with pytest.raises(TypeError, match="monitored_clients"):
+            DnsResponseSniffer(DnsResolver(8), monitored_clients=None)
 
 
 class TestLookupKey:
@@ -368,64 +418,8 @@ class TestLookupKey:
         assert after.hits == before.hits + 1
 
 
-class TestCollectFlows:
-    """Worker-side tagged-flow batch emission toward the Flow Database."""
-
-    @pytest.mark.parametrize("use_numpy", CONSUME_PATHS)
-    def test_drained_batches_match_single_process(self, use_numpy):
-        from collections import Counter
-
-        from repro.analytics.database import FlowDatabase
-
-        events = make_events(1500, seed=11)
-        single = run_single(events)
-        expected = FlowDatabase.from_flows(single.tagged_flows)
-        fanout = FanoutPipeline(
-            processes=2, clist_size=4096, collect_flows=True,
-            use_numpy=use_numpy,
-        )
-        with fanout:
-            fanout.feed_events(events)
-            report = fanout.collect()
-            batches = fanout.drain_tagged_batches()
-            # draining clears the worker buffers
-            assert fanout.drain_tagged_batches() == []
-        assert_report_matches(report, single)
-        database = FlowDatabase.from_batches(batches)
-        assert len(database) == len(expected)
-        assert database.tagged_count == expected.tagged_count
-        assert sorted(database.fqdns()) == sorted(expected.fqdns())
-        assert database.count_by_protocol() == expected.count_by_protocol()
-
-        def signature(db):
-            return Counter(
-                (f.fid.client_ip, f.fid.server_ip, f.start, f.fqdn)
-                for f in db
-            )
-
-        assert signature(database) == signature(expected)
-
-    def test_pipeline_emit_tagged_batches_fanout(self):
-        from repro.analytics.database import FlowDatabase
-
-        events = make_events(800, seed=4)
-        single = run_single(events)
-        pipeline = SnifferPipeline(
-            clist_size=4096, processes=2, collect_flows=True
-        )
-        try:
-            pipeline.process_events(events)
-            database = FlowDatabase.from_batches(
-                pipeline.emit_tagged_batches()
-            )
-        finally:
-            pipeline.close()
-        assert len(database) == len(single.tagged_flows)
-        assert database.tagged_count == sum(
-            1 for f in single.tagged_flows if f.fqdn
-        )
-
-    def test_pipeline_emit_tagged_batches_single_process(self):
+class TestEmitTaggedBatches:
+    def test_single_process(self):
         from repro.analytics.database import FlowDatabase
 
         events = make_events(500, seed=5)
@@ -433,9 +427,3 @@ class TestCollectFlows:
         payloads = pipeline.emit_tagged_batches(batch_events=128)
         database = FlowDatabase.from_batches(payloads)
         assert list(database) == pipeline.tagged_flows
-
-    def test_emit_requires_collect_flows(self):
-        pipeline = SnifferPipeline(processes=2)
-        with pytest.raises(ValueError):
-            pipeline.emit_tagged_batches()
-        pipeline.close()

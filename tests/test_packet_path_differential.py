@@ -4,7 +4,7 @@
 one scalar parse, scalar feeds, no per-frame object) and
 ``process_packets(decode_frame(...))`` (the object API) run the same
 cores, so over any frame sequence they must leave the same tagged flows
-in the same order and the same statistics everywhere.  Three retained
+in the same order and the same statistics everywhere.  Two retained
 twins pin the cores themselves to what the packet path did before it
 went scalar:
 
@@ -16,8 +16,7 @@ went scalar:
 * ``_reference_records`` — two ``read()`` calls per record — holds the
   block walker behind :meth:`PcapReader.frames` to the same records and
   then the same :class:`PcapFormatError` at every cut offset, block
-  size and byte order;
-* the in-process pipeline holds ``processes=2``.
+  size and byte order.
 """
 
 import io
@@ -52,7 +51,6 @@ SERVERS = [ip_from_str(f"93.184.216.{n}") for n in (34, 35, 36, 37)]
 RESOLVER = ip_from_str("10.0.0.53")
 NAMES = ["www.example.com", "cdn.example.net", "mail.example.org",
          "ads.tracker.example"]
-MONITORED = set(CLIENTS[:2])
 
 
 # -- frame construction (IP options, TCP options, bad fields) ---------------
@@ -332,15 +330,6 @@ class TestFusedLoopVsObjectApi:
         assert fused.frame_stats == {
             "frames": len(frames), "decode_errors": refused,
         }
-
-    @settings(deadline=None)
-    @given(frame_sequences())
-    def test_with_monitored_clients(self, sequence):
-        frames, ethernet = sequence
-        _assert_same_state(
-            _fused(frames, ethernet, monitored_clients=MONITORED),
-            _objects(frames, ethernet, monitored_clients=MONITORED),
-        )
 
     @settings(deadline=None)
     @given(frame_sequences())
@@ -716,78 +705,4 @@ class TestFailureAndBoundedState:
             for name, value in vars(holder).items():
                 if isinstance(value, (list, dict, set)) and name != "stats":
                     assert len(value) == 0, name
-        store.close()
-
-
-# -- processes > 1 ----------------------------------------------------------
-
-def _fanout_frames():
-    from repro.simulation import build_trace
-
-    records = build_trace("EU1-FTTH", seed=19).to_packets(max_flows=40)
-    frames = [(record.timestamp, record.data) for record in records]
-    last = frames[-1][0]
-    dns = _udp(53, 33333, _dns_payload("cname", NAMES[1], SERVERS[:2], b"x"))
-    extras = [
-        _ipv4(RESOLVER, CLIENTS[0], 17, dns),
-        _ipv4(RESOLVER, CLIENTS[1], 17,
-              _udp(53, 33333, _dns_payload("nxdomain", NAMES[0], [], b"x"))),
-        _ipv4(RESOLVER, CLIENTS[1], 17, _udp(53, 33333, b"\xff\xfe")),
-        _ipv4(RESOLVER, CLIENTS[0], 17, dns, frag=10),
-        _ipv4(CLIENTS[0], SERVERS[0], 17, _udp(5000, 6000, b"voice")),
-        _ipv4(CLIENTS[0], SERVERS[0], 6, _tcp(40000, 80, TCP_SYN)),
-        _ipv4(CLIENTS[0], SERVERS[0], 6, _tcp(40000, 80, TCP_RST)),
-        _ipv4(CLIENTS[0], SERVERS[0], 6, _tcp(40000, 80, TCP_ACK)),  # stray
-        _ipv4(CLIENTS[1], SERVERS[1], 6,
-              _tcp(40001, 443, TCP_PSH | TCP_ACK, b"hello")),
-    ]
-    return frames + [
-        (last + 1.0 + index, _link(datagram, True))
-        for index, datagram in enumerate(extras)
-    ]
-
-
-class TestFanoutKeepsItsSemantics:
-    """With ``processes=2`` the parent runs the same loop and only the
-    two sinks differ: the merged report must say what the in-process
-    pipeline says, from raw frames and from ``Packet`` objects alike."""
-
-    @pytest.mark.parametrize("entry", ["frames", "packets"])
-    def test_merged_report_equals_in_process(self, tmp_path, entry):
-        from repro.analytics.storage import FlowStore
-
-        frames = _fanout_frames()
-        single = SnifferPipeline(clist_size=4096, warmup=0.0)
-        single.process_frames(frames)
-        store = FlowStore(tmp_path / "store")
-        fanned = SnifferPipeline(
-            clist_size=4096, warmup=0.0, processes=2, batch_events=64,
-            flow_store=store,
-        )
-        try:
-            if entry == "frames":
-                fanned.process_frames(frames)
-            else:
-                fanned.process_packets(_decoded(frames, True))
-        finally:
-            fanned.close()
-        report = fanned.fanout_report
-        assert report.flows == len(single.tagged_flows)
-        assert report.tagged_flows == sum(
-            1 for flow in single.tagged_flows if flow.fqdn
-        )
-        assert report.resolver_stats.hits == single.resolver.stats.hits
-        assert report.resolver_stats.responses == (
-            single.resolver.stats.responses
-        )
-        assert fanned.tagger.stats == single.tagger.stats
-        assert fanned.dns_sniffer.stats == single.dns_sniffer.stats
-        assert fanned.flow_sniffer.stats == single.flow_sniffer.stats
-        assert fanned.flow_sniffer.tcp_stats == single.flow_sniffer.tcp_stats
-        assert fanned.tagged_flows == []  # aggregate mode
-
-        def key(flow):
-            return (flow.start, flow.fid.client_ip, flow.fid.src_port)
-
-        assert sorted(store, key=key) == sorted(single.tagged_flows, key=key)
         store.close()

@@ -208,18 +208,33 @@ class TestSnifferCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not target.exists()
 
-    def test_cli_fanout(self, pcap_path, capsys):
+    @pytest.mark.parametrize("top", [0, 3])
+    def test_cli_summary(self, pcap_path, capsys, top):
+        """The counts are ``sniff_pcap``'s; the label section lists the
+        ``--top`` most common labels, and is left out when that is
+        none."""
+        from collections import Counter
+
         from repro.sniffer.cli import main, sniff_pcap
 
         single = sniff_pcap(pcap_path, warmup=0.0)
-        code = main([pcap_path, "--warmup", "0", "--processes", "2"])
+        code = main([pcap_path, "--warmup", "0", "--top", str(top)])
         assert code == 0
         output = capsys.readouterr().out
-        labeled = sum(1 for f in single.tagged_flows if f.fqdn)
+        labels = Counter(f.fqdn for f in single.tagged_flows if f.fqdn)
         assert f"flows reconstructed : {len(single.tagged_flows)}" in output
-        assert f"flows labeled       : {labeled}" in output
-        assert "worker processes    : 2" in output
-        assert "top 10 labels:" in output
+        assert f"flows labeled       : {sum(labels.values())}" in output
+        shown = [
+            f"  {count:6d}  {fqdn}"
+            for fqdn, count in labels.most_common(top)
+        ]
+        if top:
+            assert len(shown) == top
+            assert output.endswith(
+                "\n".join([f"top {top} labels:", *shown]) + "\n"
+            )
+        else:
+            assert "labels:" not in output
 
     #: A child that, with ``import numpy`` failing first when argv[1]
     #: is ``shadow``, imports every module of the comma-separated
@@ -258,12 +273,10 @@ if argv:
         assert done.returncode != 0
         assert "numpy" in done.stderr
 
-    @pytest.mark.parametrize("extra", [[], ["--processes", "2"]],
-                             ids=["inline", "processes-2"])
     def test_capture_with_numpy_shadowed_prints_the_same_stats(
-        self, pcap_path, extra
+        self, pcap_path
     ):
-        argv = [pcap_path, "--warmup", "0", *extra]
+        argv = [pcap_path, "--warmup", "0"]
         packages = ",".join(self.CAPTURE)
         shadowed = self._child("shadow", packages, *argv)
         plain = self._child("plain", packages, *argv)

@@ -32,6 +32,7 @@ from repro.net.flow import (
 from repro.sniffer.eventcodec import PROTOCOLS, decode_events, encode_events
 from repro.sniffer.fanout import _WorkerState, _np
 from repro.sniffer.pipeline import SnifferPipeline
+from repro.sniffer.policy import PolicyEnforcer
 from repro.sniffer.resolver import DnsResolver
 from repro.sniffer.resolver_reference import DnsResolver as ReferenceResolver
 
@@ -211,12 +212,12 @@ class TestPipelineDifferential:
     """The flat event loop against the modular one."""
 
     def _modular_pipeline(self, clist_size, warmup):
-        # A non-empty monitored set that admits every simulated client
-        # forces the modular code path while filtering nothing.
+        # An enforcer without rules forces the modular code path while
+        # allowing every flow.
         return SnifferPipeline(
             clist_size=clist_size,
             warmup=warmup,
-            monitored_clients=set(range(8)),
+            policy=PolicyEnforcer(),
         )
 
     @pytest.mark.parametrize("clist_size,warmup", [(16, 0.0), (64, 100.0)])
@@ -229,6 +230,9 @@ class TestPipelineDifferential:
         modular = self._modular_pipeline(clist_size, warmup)
         modular.process_events(
             [_copy_event(event) for event in events]
+        )
+        assert modular.policy.stats["decisions"] == len(
+            modular.tagged_flows
         )
         assert len(fused.tagged_flows) == len(modular.tagged_flows)
         for ours, theirs in zip(fused.tagged_flows, modular.tagged_flows):
@@ -344,10 +348,7 @@ class TestWorkerConsumeDifferential:
         flat = SnifferPipeline(clist_size=clist_size, warmup=warmup)
         flat.process_events([_copy_event(event) for event in events])
 
-        worker = _WorkerState(
-            clist_size, warmup, collect_labels=False,
-            use_numpy=use_numpy, collect_flows=True,
-        )
+        worker = _WorkerState(clist_size, warmup, use_numpy=use_numpy)
         pos = turn = 0
         while pos < len(events):
             size = cuts[turn % len(cuts)]
@@ -367,12 +368,15 @@ class TestWorkerConsumeDifferential:
             } == expected
         assert worker.warmup_skipped == stats.warmup_skipped
         assert worker.empty_answers == flat.dns_sniffer.stats["empty_answers"]
-        retagged = [
-            flow.fqdn
-            for payload in worker.tagged_batches
-            for flow in decode_events(payload)
-        ]
-        assert retagged == [flow.fqdn for flow in flat.tagged_flows]
+        # The live Clist: every (client, server) key and the label it
+        # resolves to (the worker keeps labels as UTF-8 bytes).
+        assert {
+            key: worker.resolver._fqdns[slot].decode("utf-8")
+            for key, slot in worker.resolver._key_to_slot.items()
+        } == {
+            key: flat.resolver._fqdns[slot]
+            for key, slot in flat.resolver._key_to_slot.items()
+        }
 
 
 def _copy_event(event):

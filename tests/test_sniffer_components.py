@@ -84,14 +84,6 @@ class TestDnsResponseSniffer:
         assert sniffer.feed_packet(decode_frame(0.0, frame)) is None
         assert sniffer.stats["decode_errors"] == 1
 
-    def test_monitored_clients_filter(self):
-        resolver = DnsResolver(clist_size=16)
-        sniffer = DnsResponseSniffer(resolver, monitored_clients={CLIENT})
-        other = ip_from_str("10.9.9.9")
-        packet = _dns_response_packet(1.0, other, "x.com", [WEB1])
-        assert sniffer.feed_packet(packet) is None
-        assert sniffer.stats["foreign_client"] == 1
-
     def test_observation_fast_path(self):
         resolver = DnsResolver(clist_size=16)
         sniffer = DnsResponseSniffer(resolver)

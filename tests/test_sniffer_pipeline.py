@@ -212,7 +212,7 @@ class TestPacketEventEquivalence:
 
 
 class TestEmitTaggedBatchesDrains:
-    """emit_tagged_batches drains in both modes: each call returns only
+    """emit_tagged_batches drains: each call returns only
     the flows tagged since the previous call (regression: the
     single-process path used to re-emit the full list every call)."""
 
@@ -407,6 +407,87 @@ class TestRejectedFlowKeepsItsWindow:
             pipeline.emit_tagged_batches(batch_events=2)
         assert ports(pipeline.emit_tagged_batches(batch_events=2)) == [40003]
         assert pipeline.emit_tagged_batches() == []
+
+
+class TestFailedIngestKeepsItsWindow:
+    """A store batch whose ``ingest_batch`` raises is not retried (the
+    store may have committed it before failing), but the batches after
+    it in the same drain window still reach the store (regression: the
+    cursor used to pass the whole window before the first ingest)."""
+
+    class _FirstIngestFails:
+        def __init__(self, store):
+            self.store = store
+            self.calls = 0
+
+        def ingest_batch(self, payload):
+            self.calls += 1
+            if self.calls == 1:
+                raise OSError("no space left on device")
+            return self.store.ingest_batch(payload)
+
+        def flush(self):
+            self.store.flush()
+
+    @staticmethod
+    def _flow(port):
+        return FlowRecord(
+            FiveTuple(CLIENT, WEB, port, 80, TransportProto.TCP),
+            1.0 + port % 10,
+        )
+
+    def _failing_window(self, tmp_path, retain_flows):
+        """A pipeline whose first store batch failed; three flows were
+        in that drain window."""
+        from repro.analytics.storage import FlowStore
+
+        store = FlowStore(tmp_path / "store")
+        failing = self._FirstIngestFails(store)
+        # batch_events=1: one store batch per flow, and the four events
+        # below are one chunk of the event loop, so one drain window.
+        pipeline = SnifferPipeline(
+            clist_size=100, warmup=0.0, flow_store=failing,
+            batch_events=1, retain_flows=retain_flows,
+        )
+        drains = []
+        pipeline.store_drain_hook = (
+            lambda batches, rows: drains.append((batches, rows))
+        )
+        with pytest.raises(OSError, match="no space"):
+            pipeline.process_events([
+                DnsObservation(1.0, CLIENT, "www.example.com", [WEB]),
+                *(self._flow(port) for port in (40001, 40002, 40003)),
+            ])
+        assert failing.calls == 1 and drains == []
+        return pipeline, store, failing, drains
+
+    @pytest.mark.parametrize("retain_flows", [True, False])
+    def test_close_stores_the_rest_of_the_window(
+        self, tmp_path, retain_flows
+    ):
+        pipeline, store, failing, drains = self._failing_window(
+            tmp_path, retain_flows
+        )
+        pipeline.close()
+        assert failing.calls == 3
+        assert drains == [(2, 2)]  # only what the store took
+        assert [flow.fid.src_port for flow in store] == [40002, 40003]
+        assert {flow.fqdn for flow in store} == {"www.example.com"}
+        store.close()
+
+    @pytest.mark.parametrize("retain_flows", [True, False])
+    def test_next_drain_stores_the_rest_first(self, tmp_path, retain_flows):
+        pipeline, store, failing, drains = self._failing_window(
+            tmp_path, retain_flows
+        )
+        pipeline.process_events([self._flow(40004)])
+        assert drains == [(3, 3)]
+        assert [flow.fid.src_port for flow in store] == [
+            40002, 40003, 40004,
+        ]
+        pipeline.close()
+        assert failing.calls == 4 and len(store) == 3
+        store.close()
 
 
 def test_batch_encoder_slot_cache_is_invisible():

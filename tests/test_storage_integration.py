@@ -1,7 +1,7 @@
 """Durable-ingest wiring: pipeline → store → CLIs → experiments.
 
 The tentpole claim is end-to-end: tagged flows stream out of the
-sniffer (single-process or fan-out workers) as binary batches, spill
+in-process sniffer as binary batches, spill
 to segments on disk, and the reopened directory serves the analytics
 and the experiment runner with answers identical to the in-memory
 path.
@@ -98,6 +98,8 @@ class TestPipelineDurableIngest:
         assert reopened.tagged_count == mem.tagged_count
         assert reopened.fqdns() == mem.fqdns()
         assert reopened.fqdn_server_counts() == mem.fqdn_server_counts()
+        assert reopened.count_by_protocol() == mem.count_by_protocol()
+        assert reopened.time_span() == mem.time_span()
         assert list(reopened) == list(mem)
 
     def test_retain_flows_false_bounds_the_in_process_list(self, tmp_path):
@@ -152,26 +154,6 @@ class TestPipelineDurableIngest:
             pipeline.tagged_flows
         )
 
-    def test_fanout_feed_path_drains_periodically(self, tmp_path):
-        """Worker tagged-batch buffers must drain to the store during
-        feeding, not only at collect()/close()."""
-        from repro.sniffer.fanout import FanoutPipeline
-
-        events = _events()
-        store = FlowStore(tmp_path / "store", spill_rows=16)
-        fanout = FanoutPipeline(
-            processes=2, clist_size=1000, warmup=0.0, batch_events=16,
-            flow_store=store,
-        )
-        assert fanout._drain_interval >= 1
-        fanout._drain_interval = 1  # every dispatch, to keep the test small
-        with fanout:
-            fanout.feed_events(events)
-            rows_before_collect = len(store)
-            report = fanout.collect()
-        assert rows_before_collect > 0
-        assert len(store) == report.flows
-
     def test_incremental_drains_store_each_flow_once(self, tmp_path):
         events = _events()
         half = len(events) // 2
@@ -184,49 +166,6 @@ class TestPipelineDurableIngest:
         pipeline.close()
         reopened = FlowStore(tmp_path / "store")
         assert len(reopened) == len(pipeline.tagged_flows)
-
-    def test_fanout_streams_worker_batches_to_disk(self, tmp_path):
-        events = _events()
-        single = SnifferPipeline(clist_size=1000, warmup=0.0)
-        single.process_events(events)
-        mem = FlowDatabase.from_flows(single.tagged_flows)
-        pipeline = SnifferPipeline(
-            clist_size=1000, warmup=0.0, processes=2,
-            flow_store=FlowStore(tmp_path / "store", spill_rows=64),
-        )
-        assert pipeline.collect_flows  # implied by durable ingest
-        pipeline.process_events(events)
-        pipeline.close()
-        reopened = FlowStore(tmp_path / "store")
-        assert len(reopened) == len(mem)
-        assert reopened.tagged_count == mem.tagged_count
-        # Worker sharding reorders rows, so compare label-wise.
-        assert sorted(reopened.fqdns()) == sorted(mem.fqdns())
-        assert {
-            (reopened.fqdn_label(f), s, c)
-            for f, s, c in reopened.fqdn_server_counts()
-        } == {
-            (mem.fqdn_label(f), s, c)
-            for f, s, c in mem.fqdn_server_counts()
-        }
-        assert reopened.count_by_protocol() == mem.count_by_protocol()
-        assert reopened.time_span() == mem.time_span()
-
-    def test_fanout_pipeline_direct_flow_store(self, tmp_path):
-        from repro.sniffer.fanout import FanoutPipeline
-
-        events = _events()
-        fanout = FanoutPipeline(
-            processes=2, clist_size=1000, warmup=0.0,
-            flow_store=FlowStore(tmp_path / "store", spill_rows=64),
-        )
-        assert fanout.collect_flows
-        with fanout:
-            fanout.feed_events(events)
-            report = fanout.collect()
-        reopened = FlowStore(tmp_path / "store")
-        assert len(reopened) == report.flows
-        assert reopened.tagged_count == report.tagged_flows
 
 
 class TestFlowDatabaseConstructor:
@@ -531,9 +470,8 @@ class TestSnifferCliFlowStore:
         assert store.tagged_count >= 1
         assert store.fqdns()  # labels made it to disk
 
-    @pytest.mark.parametrize("processes", ["1", "2"])
     def test_truncated_capture_keeps_every_whole_record(
-        self, tmp_path, capsys, capture_records, processes
+        self, tmp_path, capsys, capture_records
     ):
         """A capture cut mid-record (the writer was killed) is stored
         exactly like the same file trimmed to its last whole record;
@@ -552,7 +490,6 @@ class TestSnifferCliFlowStore:
         def sniff(name):
             code = sniff_main([
                 str(tmp_path / f"{name}.pcap"), "--warmup", "0",
-                "--processes", processes,
                 "--flow-store", str(tmp_path / f"{name}.store"),
             ])
             with FlowStore(tmp_path / f"{name}.store") as store:
@@ -585,20 +522,34 @@ class TestSnifferCliFlowStore:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
 
-    @pytest.mark.parametrize("processes", ["1", "2"])
-    def test_batch_events_zero_is_rejected(
-        self, tmp_path, capsys, processes
-    ):
+    def test_batch_events_zero_is_rejected(self, tmp_path, capsys):
         from repro.net.pcap import write_pcap
         from repro.sniffer.cli import main as sniff_main
 
         pcap = tmp_path / "empty.pcap"
         write_pcap(str(pcap), [])
         assert sniff_main([
-            str(pcap), "--batch-events", "0", "--processes", processes,
+            str(pcap), "--batch-events", "0",
             "--flow-store", str(tmp_path / "store"),
         ]) == 1
         assert "batch_events must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
+    def test_processes_flag_is_gone(self, tmp_path, capsys):
+        """The capture runs in-process only: ``--processes`` is an
+        unknown flag, refused before the store directory exists."""
+        from repro.net.pcap import write_pcap
+        from repro.sniffer.cli import main as sniff_main
+
+        pcap = tmp_path / "empty.pcap"
+        write_pcap(str(pcap), [])
+        with pytest.raises(SystemExit) as exit_info:
+            sniff_main([
+                "--processes", "2", str(pcap),
+                "--flow-store", str(tmp_path / "store"),
+            ])
+        assert exit_info.value.code == 2
+        assert "--processes" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
 
 

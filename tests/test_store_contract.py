@@ -156,9 +156,8 @@ class TestOpen:
         )
         return str(path)
 
-    @pytest.mark.parametrize("processes", ["1", "2"])
     def test_sniffing_into_a_sharded_root_lands_in_the_shards(
-        self, tmp_path, capsys, pcap, processes
+        self, tmp_path, capsys, pcap
     ):
         from repro.sniffer.cli import main as sniff_main
 
@@ -166,7 +165,7 @@ class TestOpen:
         ShardCoordinator(root, shards=2).close()
         for directory in (root, flat_dir):
             assert sniff_main([
-                pcap, "--warmup", "0", "--processes", processes,
+                pcap, "--warmup", "0",
                 "--flow-store", str(directory),
             ]) == 0
         flat = FlowStore(flat_dir)
