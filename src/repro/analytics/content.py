@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from repro.analytics.database import FlowDatabase
 from repro.dns.name import second_level_domain
 from repro.orgdb.ipdb import IpOrganizationDb
@@ -45,12 +47,17 @@ class ContentDiscovery:
     def _servers_of_cdn(self, cdn: str) -> list[int]:
         if self.ipdb is None:
             raise ValueError("an IpOrganizationDb is required to resolve CDN names")
-        cdn_lower = cdn.lower()
-        return [
-            server
-            for server in self.database.servers()
-            if (owner := self.ipdb.lookup(server)) and owner.lower() == cdn_lower
-        ]
+        owned = self.ipdb.ranges_of(cdn)
+        if not owned:
+            return []
+        # Ranges never overlap: a server is the CDN's exactly when the
+        # last of its ranges starting at or below it also covers it.
+        starts = np.array([r.start for r in owned], np.int64)
+        ends = np.array([r.end for r in owned], np.int64)
+        servers = np.array(self.database.servers(), np.int64)
+        at = np.searchsorted(starts, servers, side="right") - 1
+        inside = (at >= 0) & (servers <= ends[np.maximum(at, 0)])
+        return servers[inside].tolist()
 
     # -- Algorithm 3 ------------------------------------------------------
 

@@ -115,7 +115,8 @@ class FlowColumns:
     ``-1`` for untagged flows and otherwise an id into the owning
     database's interned FQDN table.  The three string columns —
     original-case label, certificate name, ground-truth FQDN — are
-    plain lists of ``Optional[str]``.
+    sequences of ``Optional[str]``: lists where rows are added, a
+    materialized segment's read-only views of its string tables.
     """
 
     #: The fixed-width value columns: what one codec flow record, or
@@ -229,22 +230,26 @@ def _grouped_keys(keys, permute: bool):
     """Group the rows of equal-length numpy key columns: ``(order,
     starts, group_keys)`` — a permutation that sorts the rows
     lexicographically by key, the offset in it of each run of equal
-    keys, and the distinct keys column-wise.  Keys whose value ranges
-    multiply to under 2^63 are packed into one ``int64`` and take a
-    single unstable sort — of the values alone when no value column
-    has to follow (``permute`` false; ``order`` is then ``None`` and
-    the keys are unpacked again); anything wider takes ``lexsort``."""
-    packed, spans, width = None, [], 1
-    for key in keys:
-        lo = int(key.min())
-        span = int(key.max()) - lo + 1
-        spans.append((lo, span))
-        width *= span
-        if width >= 1 << 63:
-            packed = None
-            break
-        part = key.astype(_np.int64) - lo
-        packed = part if packed is None else packed * span + part
+    keys, and the distinct keys column-wise.  One key column sorts as
+    it is; several whose value ranges multiply to under 2^63 are packed
+    into one ``int64``.  Either takes a single unstable sort — of the
+    values alone when no value column has to follow (``permute``
+    false; ``order`` is then ``None`` and packed keys are unpacked
+    again); anything wider takes ``lexsort``."""
+    if len(keys) == 1:
+        packed, spans = keys[0], [(0, 0)]
+    else:
+        packed, spans, width = None, [], 1
+        for key in keys:
+            lo = int(key.min())
+            span = int(key.max()) - lo + 1
+            spans.append((lo, span))
+            width *= span
+            if width >= 1 << 63:
+                packed = None
+                break
+            part = key.astype(_np.int64) - lo
+            packed = part if packed is None else packed * span + part
     if packed is None:
         order = _np.lexsort(keys[::-1])
         ordered = [key[order] for key in keys]
@@ -262,9 +267,10 @@ def _grouped_keys(keys, permute: bool):
         first = order[starts]
         return order, starts, [key[first] for key in keys]
     rest, group_keys = ordered[0][starts], []
-    for lo, span in reversed(spans):
+    for lo, span in reversed(spans[1:]):
         rest, part = _np.divmod(rest, span)
         group_keys.append(part + lo)
+    group_keys.append(rest + spans[0][0] if spans[0][0] else rest)
     return None, starts, group_keys[::-1]
 
 
@@ -452,22 +458,30 @@ def _mapping(groups: Groups, _interns, *_args) -> dict:
     return groups.mapping()
 
 
+def gap_filled(counts: dict, bin_seconds: float) -> list[tuple[float, int]]:
+    """``{bin_index: count}`` as ``(bin_start, count)`` from the first
+    to the last bin, a missing bin counting 0 (:func:`series_bins`
+    long; no bin, no series)."""
+    if not counts:
+        return []
+    lo = min(counts)
+    return [
+        ((lo + index) * bin_seconds, counts.get(lo + index, 0))
+        for index in range(series_bins(lo, max(counts), bin_seconds))
+    ]
+
+
 def distinct_per_bin(pairs: Groups,
                      bin_seconds: float) -> list[tuple[float, int]]:
     """Deduped ``(bin_index, member)`` groups → distinct members per
     bin as ``(bin_start, count)``, gap-filled from the first to the
-    last active bin (:func:`series_bins` long).  Distinct counts do not
+    last active bin (:func:`gap_filled`).  Distinct counts do not
     merge across sources; the pairs do, so this is the last step
     wherever the pairs came from: servers of a 2LD (Fig. 4), FQDNs of
     a CDN (Fig. 5)."""
-    if not len(pairs):
-        return []
-    members = Groups.of(1, pairs.column(0), count=True).mapping()
-    lo = min(members)
-    return [
-        ((lo + index) * bin_seconds, members.get(lo + index, 0))
-        for index in range(series_bins(lo, max(members), bin_seconds))
-    ]
+    return gap_filled(
+        Groups.of(1, pairs.column(0), count=True).mapping(), bin_seconds
+    )
 
 
 def sld_stats(per_fqdn: Groups, interns, *_rows) -> list[tuple[int, int, int]]:
@@ -482,6 +496,29 @@ def sld_stats(per_fqdn: Groups, interns, *_rows) -> list[tuple[int, int, int]]:
             1, per_sld.column(0), per_sld.column(1), count=True
         ).tuples()
     ]
+
+
+class _RowIndex(dict):
+    """One index of a :class:`FlowDatabase`: key → the key's rows,
+    ascending (an ``array("I")``; do not mutate), keys in
+    first-appearance order, read through :meth:`get`.  An extension
+    appends its rows, grouped by key, to :attr:`grouped` and gives a
+    new key only where its rows lie there, ``start << 32 | stop`` — an
+    ``int``, no container per key; the key's array is cut the first
+    time it is asked for.  Two readers cutting one key at once store
+    equal arrays."""
+
+    __slots__ = ("grouped",)
+
+    def __init__(self):
+        super().__init__()
+        self.grouped = array("I")
+
+    def get(self, key, default=None):
+        rows = dict.get(self, key, default)
+        if type(rows) is int:
+            rows = self[key] = self.grouped[rows >> 32:rows & 0xFFFFFFFF]
+        return rows
 
 
 class FlowDatabase:
@@ -514,14 +551,16 @@ class FlowDatabase:
         self._fqdn_sld = array("i")                 # fqdn id -> sld id
         self._sld_names: list[str] = []
         self._sld_ids: dict[str, int] = {}
-        self._sld_fqdns: list[array] = []           # sld id -> fqdn ids
-        # Label bytes as they arrive in a batch -> (fqdn id, text);
-        # None is the untagged slot.
-        self._raw_cache: dict[Optional[bytes], tuple] = {None: (-1, None)}
+        # Label bytes as they arrive in a batch -> fqdn id, and -> text;
+        # None is the untagged slot.  A store's global table resolves
+        # its segments' label-table entries through the same two.
+        self._raw_ids: dict[Optional[bytes], int] = {None: -1}
+        self._raw_texts: dict[Optional[bytes], Optional[str]] = {None: None}
         # Row-index arrays (key -> rows), built on first use: per index
         # the rows it covers so far, extended through _index() only.
-        self._indexes: dict[str, dict[int, array]] = {
-            "fqdn": {}, "sld": {}, "server": {}, "port": {},
+        self._indexes = {
+            "fqdn": _RowIndex(), "sld": _RowIndex(),
+            "server": _RowIndex(), "port": _RowIndex(),
         }
         self._indexed = dict.fromkeys(self._indexes, 0)
         self._index_lock = threading.Lock()
@@ -546,9 +585,7 @@ class FlowDatabase:
                 sld_id = len(self._sld_names)
                 self._sld_ids[sld] = sld_id
                 self._sld_names.append(sld)
-                self._sld_fqdns.append(array("i"))
             self._fqdn_sld.append(sld_id)
-            self._sld_fqdns[sld_id].append(fqdn_id)
         return fqdn_id
 
     def fqdn_label(self, fqdn_id: int) -> str:
@@ -558,18 +595,6 @@ class FlowDatabase:
     def sld_label(self, sld_id: int) -> str:
         """The second-level domain behind an interned id."""
         return self._sld_names[sld_id]
-
-    def labels_of(self, fqdn_ids) -> tuple[list[str], list[str]]:
-        """``(FQDNs, their second-level domains)`` behind interned ids,
-        as this table's own ``str`` objects — what
-        :meth:`from_columns` adopts, so every segment of a store shares
-        one string per label and no name is parsed twice."""
-        sld_names = self._sld_names
-        return (
-            list(map(self._fqdn_names.__getitem__, fqdn_ids)),
-            [sld_names[sld_id]
-             for sld_id in map(self._fqdn_sld.__getitem__, fqdn_ids)],
-        )
 
     # -- ingestion ---------------------------------------------------------
 
@@ -647,42 +672,78 @@ class FlowDatabase:
 
     @classmethod
     def from_columns(
-        cls, columns: FlowColumns, fqdn_names: Sequence[str],
-        slds: Sequence[str],
+        cls, columns: FlowColumns, interns: "FlowDatabase", fqdn_map,
     ) -> "FlowDatabase":
         """Adopt ready-made rows (a materialized segment): ``columns``
-        complete, its ``fqdn_id`` column holding ``-1`` or an id into
-        ``fqdn_names`` — the distinct lowercased labels in
-        first-appearance order — and ``slds`` the second-level domain
-        of each (:meth:`labels_of` of a table that interned them).
-        The database takes ownership of ``columns``, builds its label
-        tables in bulk — field for field what interning the names one
-        by one gives, without parsing a name again — and folds the
-        statistics (indexes wait for their first reader).  Enum
+        complete, its ``fqdn_id`` column holding ``-1`` or a local id —
+        a position in ``fqdn_map``, which maps the distinct names of
+        the rows, in first-appearance order, onto ``interns``' ids.
+        The database takes ownership of ``columns``, takes its label
+        tables from ``interns``' through that map — field for field
+        what interning the names one by one gives, sharing ``interns``'
+        ``str`` objects, without reading a name; the fqdn name tables
+        only when first read — and folds the statistics (indexes wait
+        for their first reader too).  Enum
         validity (:meth:`FlowColumns.problem`) and the id range are the
-        caller's checks; ragged columns or a repeated name are
+        caller's checks; ragged columns or a repeated id are
         ``ValueError``."""
         database = cls()
         n = len(columns)
-        fqdn_ids = dict(zip(fqdn_names, range(len(fqdn_names))))
-        if not len(fqdn_ids) == len(fqdn_names) == len(slds) or any(
+        if len(set(fqdn_map)) != len(fqdn_map) or any(
             len(getattr(columns, name)) != n for name in columns.__slots__
         ):
             raise ValueError("inconsistent flow columns")
-        sld_ids = {sld: at for at, sld in enumerate(dict.fromkeys(slds))}
-        database._fqdn_names = list(fqdn_names)
-        database._fqdn_ids = fqdn_ids
-        database._fqdn_sld = array("i", map(sld_ids.__getitem__, slds))
-        database._sld_names = list(sld_ids)
-        database._sld_ids = sld_ids
-        database._sld_fqdns = [array("i") for _ in sld_ids]
-        for fqdn_id, sld_id in enumerate(database._fqdn_sld):
-            database._sld_fqdns[sld_id].append(fqdn_id)
+        # interns' sld id of each name (through a copy, see sld_stats),
+        # renumbered in first-appearance order.
+        slds, first, inverse = _np.unique(
+            _np.frombuffer(interns._fqdn_sld[:], _np.int32)[
+                _np.frombuffer(fqdn_map, _np.int32)
+            ],
+            return_index=True, return_inverse=True,
+        )
+        order = _np.argsort(first)
+        local = _np.empty(len(order), _np.int32)
+        local[order] = _np.arange(len(order), dtype=_np.int32)
+        # The name tables and the record cache wait for their first
+        # reader (__getattr__).
+        del database._fqdn_names, database._fqdn_ids, database._records
+        database._adopted = interns._fqdn_names, fqdn_map
+        database._fqdn_sld.frombytes(local[inverse].tobytes())
+        database._sld_names = list(
+            map(interns._sld_names.__getitem__, slds[order].tolist())
+        )
+        database._sld_ids = dict(
+            zip(database._sld_names, range(len(order)))
+        )
         database.columns = columns
-        database._records = [None] * n
         database._all_records = not n
         database._fold_statistics(0)
         return database
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: what a
+        # database from_columns built leaves to its first reader — the
+        # fqdn name tables and the record cache, which no grouped sweep
+        # reads.  Two readers building one at once store equal values.
+        adopted = self.__dict__.get("_adopted")
+        if adopted is None or name not in (
+            "_fqdn_names", "_fqdn_ids", "_records"
+        ):
+            raise AttributeError(name)
+        if name == "_records":
+            # Records read the per-row strings as lists: a segment's
+            # read-only table views become lists with the cache.
+            cols = self.columns
+            cols.raw_fqdn = list(cols.raw_fqdn)
+            cols.cert_name = list(cols.cert_name)
+            cols.true_fqdn = list(cols.true_fqdn)
+            self._records = [None] * len(cols)
+        else:
+            all_names, fqdn_map = adopted
+            names = list(map(all_names.__getitem__, fqdn_map))
+            self._fqdn_ids = dict(zip(names, range(len(names))))
+            self._fqdn_names = names
+        return getattr(self, name)
 
     # -- batch ingestion (the sniffer→database deployment format) ---------
 
@@ -765,7 +826,7 @@ class FlowDatabase:
         # than going through the memoryview per field.
         flow_str = bytes(view.flow_str)
         unpack = STR_LEN.unpack_from
-        raw_cache = self._raw_cache
+        raw_ids = self._raw_ids
         labels: list[Optional[bytes]] = []
         new_labels: dict[bytes, str] = {}
         cold: list[Optional[str]] = []   # cert_name, true_fqdn, ...
@@ -781,7 +842,7 @@ class FlowDatabase:
                 else:
                     raw = flow_str[pos:pos + length]
                     pos += length
-                    if raw not in raw_cache and raw not in new_labels:
+                    if raw not in raw_ids and raw not in new_labels:
                         new_labels[raw] = raw.decode("utf-8")
                     label_append(raw)
                 if flow_str[pos:pos + 4] == _NO_COLD_STRINGS:
@@ -814,17 +875,13 @@ class FlowDatabase:
         true_fqdns: list,
     ) -> None:
         """Intern and append parsed string entries (cannot fail)."""
-        raw_cache = self._raw_cache
+        raw_ids, raw_texts = self._raw_ids, self._raw_texts
         for raw, text in new_labels.items():
-            raw_cache[raw] = (
-                self._intern_fqdn(text.lower()) if text else -1, text
-            )
-        entries = [raw_cache[raw] for raw in labels]
+            raw_ids[raw] = self._intern_fqdn(text.lower()) if text else -1
+            raw_texts[raw] = text
         cols = self.columns
-        cols.fqdn_id.extend(
-            array("i", [fqdn_id for fqdn_id, _text in entries])
-        )
-        cols.raw_fqdn.extend([text for _fqdn_id, text in entries])
+        cols.fqdn_id.extend(array("i", list(map(raw_ids.__getitem__, labels))))
+        cols.raw_fqdn.extend(map(raw_texts.__getitem__, labels))
         cols.cert_name.extend(cert_names)
         cols.true_fqdn.extend(true_fqdns)
 
@@ -865,7 +922,7 @@ class FlowDatabase:
         and exactly one of them extends.  Rows are only ever *added*
         under the owning store's mutex, which its tail readers hold
         too, so the row count cannot move under a reader."""
-        n = len(self._records)
+        n = len(self.columns)
         if self._indexed[which] < n:
             with self._index_lock:
                 if self._indexed[which] < n:
@@ -877,7 +934,10 @@ class FlowDatabase:
         """Append rows ``[base, n)`` to one index: each key's rows
         ascending, missing keys created in first-appearance order (so
         the ``servers()`` / ``ports()`` listings match the row
-        store's whatever order the indexes were first asked in)."""
+        store's whatever order the indexes were first asked in).  One
+        sort groups the rows; a new key gets only where its rows lie
+        (:class:`_RowIndex` cuts them on first ask), a key the index
+        already holds is extended in place."""
         index = self._indexes[which]
         cols = self.columns
         column = {"server": cols.server_ip, "port": cols.dst_port}.get(
@@ -900,18 +960,21 @@ class FlowDatabase:
             ([0], _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
         )
         rows = (packed & _np.uint64(0xFFFFFFFF)).astype(_np.uint32)
-        sorted_rows = array("I")
-        sorted_rows.frombytes(rows.tobytes())
-        group_keys = sorted_keys[starts].tolist()
-        bounds = [*starts.tolist(), len(packed)]
+        offset = len(index.grouped)
+        index.grouped.frombytes(rows.tobytes())
+        bounds = _np.append(starts, len(packed)).astype(_np.uint64) + offset
+        where = (bounds[:-1] << _np.uint64(32)) | bounds[1:]
         # A group's first row is its key's first appearance.
-        for group in _np.argsort(rows[starts]).tolist():
-            chunk = sorted_rows[bounds[group]:bounds[group + 1]]
-            have = index.get(group_keys[group])
-            if have is None:
-                index[group_keys[group]] = chunk
-            else:
-                have.extend(chunk)
+        order = _np.argsort(rows[starts])
+        fresh = dict(zip(
+            sorted_keys[starts[order]].tolist(), where[order].tolist()
+        ))
+        for key in index.keys() & fresh.keys():
+            span = fresh.pop(key)
+            index.get(key).extend(
+                index.grouped[span >> 32:span & 0xFFFFFFFF]
+            )
+        index.update(fresh)
 
     # -- record materialization -------------------------------------------
 
@@ -1065,7 +1128,11 @@ class FlowDatabase:
         if sld_id is None:
             return set()
         names = self._fqdn_names
-        return {names[fqdn_id] for fqdn_id in self._sld_fqdns[sld_id]}
+        # Through a copy, not a view (see sld_stats).
+        members = _np.flatnonzero(
+            _np.frombuffer(self._fqdn_sld[:], _np.int32) == sld_id
+        )
+        return {names[fqdn_id] for fqdn_id in members.tolist()}
 
     # -- grouped aggregations (vectorized analytics backends) --------------
     #
@@ -1098,9 +1165,8 @@ class FlowDatabase:
 
     def _labeled(self, rows, *columns) -> list:
         """:meth:`_select` over the labeled flows among ``rows``
-        (``None`` = all of them), their fqdn ids as the first column."""
-        if rows is None:
-            rows = self._tagged
+        (``None`` = all of them, masked rather than gathered), their fqdn
+        ids as the first column."""
         selected = self._select(rows, self.columns.fqdn_id, *columns)
         mask = selected[0] >= 0
         return selected if mask.all() else [c[mask] for c in selected]
@@ -1219,11 +1285,11 @@ class FlowDatabase:
     # -- stats -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[FlowRecord]:
         record = self._record
-        return (record(row) for row in range(len(self._records)))
+        return (record(row) for row in range(len(self)))
 
     @property
     def tagged_count(self) -> int:
@@ -1240,6 +1306,6 @@ class FlowDatabase:
 
     def time_span(self) -> tuple[float, float]:
         """(earliest start, latest end), tracked during ingestion."""
-        if not self._records:
+        if not len(self):
             return (0.0, 0.0)
         return (self._min_start, self._max_end)

@@ -357,16 +357,15 @@ def _merge_span(parts) -> tuple:
 def _row_chunks(db, servers) -> dict:
     by_server = db._index("server")
     return {
-        server: by_server[server] for server in servers
-        if server in by_server
+        server: rows for server in servers
+        if (rows := by_server.get(server)) is not None
     }
 
 
 def _record_chunks(db, servers) -> dict:
-    by_server = db._index("server")
     return {
-        server: db._materialize(by_server[server]) for server in servers
-        if server in by_server
+        server: db._materialize(rows)
+        for server, rows in _row_chunks(db, servers).items()
     }
 
 

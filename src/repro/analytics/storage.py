@@ -13,8 +13,9 @@ query engine:
   tables) into a single versioned, CRC-checked segment file;
 * :class:`SegmentReader` — validate and lazily materialize one segment
   back into an in-memory columnar database (columns are rebuilt with
-  ``frombytes``, ids re-interned, statistics folded; an index is
-  grouped the first time a query reads it — no per-row object churn);
+  ``frombytes``, the label table resolved once against the store's by
+  raw bytes, statistics folded; an index is grouped the first time a
+  query reads it — no per-row object churn);
 * :class:`FlowStore` — the durable store: an ordered list of sealed
   segments plus a live in-memory *tail*.  ``add()`` / ``ingest_batch``
   land in the tail; when the tail crosses the configured row/byte
@@ -132,10 +133,11 @@ import threading
 import time
 import zlib
 from array import array
+from collections.abc import Sequence
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -574,28 +576,46 @@ def _intern_rows(values: Sequence[Optional[str]]) -> tuple[array, list[str]]:
     return ids, list(index)
 
 
-def _parse_table(raw: bytes, count: int, what: str) -> tuple[str, ...]:
-    """Decode one string-table block back into a tuple of strings."""
-    out: list[str] = []
+def _split_table(raw: bytes, count: int, what: str) -> list[bytes]:
+    """One string-table block as its entries' raw UTF-8 bytes, in one
+    length walk.  Every entry is checked to decode — the first fault in
+    entry order is the error, exactly as if each were decoded in turn —
+    but none is kept decoded: the label table is resolved by these
+    bytes (:meth:`SegmentReader.bind`)."""
+    out: list[bytes] = []
     append = out.append
     unpack = _STR_LEN.unpack_from
     pos = 0
-    total = len(raw)
+    short = False                   # a length prefix did not fit
     try:
         for _ in range(count):
-            if pos + _STR_LEN.size > total:
-                raise StorageError(f"truncated {what} table")
             (length,) = unpack(raw, pos)
             pos += _STR_LEN.size
-            if pos + length > total:
-                raise StorageError(f"truncated {what} table entry")
-            append(str(raw[pos:pos + length], "utf-8"))
+            append(raw[pos:pos + length])
             pos += length
-    except UnicodeDecodeError as exc:
-        raise StorageError(f"bad UTF-8 in {what} table: {exc}") from exc
-    if pos != total:
+    except struct.error:
+        short = True
+    overrun = pos > len(raw)        # the last entry came back short
+    whole = out[:-1] if overrun else out
+    try:
+        # NUL neither completes nor continues a sequence, so the joined
+        # entries decode exactly when each one does.
+        b"\0".join(whole).decode("utf-8")
+    except UnicodeDecodeError:
+        for entry in whole:
+            try:
+                str(entry, "utf-8")
+            except UnicodeDecodeError as exc:
+                raise StorageError(
+                    f"bad UTF-8 in {what} table: {exc}"
+                ) from exc
+    if overrun:
+        raise StorageError(f"truncated {what} table entry")
+    if short:
+        raise StorageError(f"truncated {what} table")
+    if pos != len(raw):
         raise StorageError(f"{what} table has trailing bytes")
-    return tuple(out)
+    return out
 
 
 class _OsIO:
@@ -837,14 +857,15 @@ class SegmentReader:
 
     :meth:`open` reads and fully validates the file (header sanity,
     per-block sizes against ``n_rows``, whole-payload CRC32, string
-    tables) and keeps only the small parts resident — the three string
-    tables, the block offsets and, once :meth:`bind` has resolved the
-    label table against the store's global id tables, the two label
-    maps (table entry → local fqdn id, local → global id).
+    tables) and keeps only the small parts resident — the label table
+    as raw entry bytes, the two small tables as text, the block offsets
+    and, once :meth:`bind` has resolved the label table against the
+    store's global id tables, the entry texts and the two label maps
+    (table entry → local fqdn id, local → global id).
     :meth:`database` re-reads the column blocks and rebuilds an
     in-memory :class:`FlowDatabase` on first use, cached until
     :meth:`release`; its label tables are adopted from the global ones
-    through those maps, so no name is lowered, parsed or interned a
+    through those maps, so no name is decoded, lowered or interned a
     second time.
 
     A cold open+query therefore reads each segment twice (validate,
@@ -860,7 +881,8 @@ class SegmentReader:
 
     __slots__ = (
         "path", "n_rows", "n_labels", "n_certs", "n_trues",
-        "labels", "certs", "trues", "crc", "file_size", "meta",
+        "_raw_labels", "_labels", "certs", "trues", "crc", "file_size",
+        "meta",
         "_body", "_lengths", "_offsets", "_database", "_summary",
         "fqdn_map", "_fqdn_of_label", "_interns",
     )
@@ -936,7 +958,7 @@ class SegmentReader:
         ):
             block = table_base + index
             start = offsets[block]
-            tables.append(_parse_table(
+            tables.append(_split_table(
                 data[start:start + lengths[block]], count, what
             ))
         reader = cls()
@@ -945,7 +967,10 @@ class SegmentReader:
         reader.n_labels = n_labels
         reader.n_certs = n_certs
         reader.n_trues = n_trues
-        reader.labels, reader.certs, reader.trues = tables
+        reader._raw_labels = tables[0]
+        reader.certs, reader.trues = (
+            tuple(map(bytes.decode, table)) for table in tables[1:]
+        )
         reader.crc = crc
         reader.file_size = len(data)
         reader._body = body
@@ -963,22 +988,49 @@ class SegmentReader:
     def bind(self, interns: FlowDatabase,
              fqdn_map: Optional[array] = None) -> None:
         """Resolve the label table against ``interns``, the global id
-        tables of the store this segment joins — once: the table is
-        lowered here and nowhere else, only names ``interns`` has not
-        seen are interned, and materialization reuses both maps.
-        ``fqdn_map`` (local fqdn id → global id) is taken as given when
-        the caller already holds it — a sealed tail's.  The store binds
-        under whatever lock guards ``interns``; a reader nobody bound
-        binds itself to an empty table on first use."""
-        names, self._fqdn_of_label = _lowered_labels(self.labels)
+        tables of the store this segment joins — once, by raw bytes:
+        each entry is one probe of ``interns``' raw-label tables (raw
+        UTF-8 → global fqdn id, → text; shared by every segment of the
+        store), and only an entry no segment bound before is decoded,
+        lowered — here and nowhere else — and interned.  A known entry
+        reuses the store's ``str``.  Kept: the entry texts, per entry
+        its local fqdn id (``-1`` for the untagged ``""``; ``None`` when
+        every entry's is its own position) and ``fqdn_map``, local →
+        global id, local ids numbering the distinct names in table
+        order.  ``fqdn_map`` is taken as given when the caller already
+        holds it — a sealed tail's, whose names are all interned.  The
+        store binds under whatever lock guards ``interns``; a reader
+        nobody bound binds itself to an empty table on first use."""
+        raw_ids, raw_texts = interns._raw_ids, interns._raw_texts
+        raws = self._raw_labels
+        ids = list(map(raw_ids.get, raws))
+        if None in ids:
+            intern = interns._intern_fqdn
+            unseen = [at for at, fqdn_id in enumerate(ids) if fqdn_id is None]
+            texts = list(map(bytes.decode, map(raws.__getitem__, unseen)))
+            for at, text, name in zip(unseen, texts, map(str.lower, texts)):
+                ids[at] = raw_ids[raws[at]] = intern(name) if name else -1
+                raw_texts[raws[at]] = text
         if fqdn_map is None:
-            known = interns._fqdn_ids.get
-            fqdn_map = array("i", map(known, names, repeat(-1)))
-            for local, global_id in enumerate(fqdn_map):
-                if global_id < 0:
-                    fqdn_map[local] = interns._intern_fqdn(names[local])
+            first = dict.fromkeys(ids)
+            first.pop(-1, None)
+            fqdn_map = array("i", ids if len(first) == len(ids) else first)
+        if fqdn_map.tolist() == ids:    # no "" entry, no case variants
+            self._fqdn_of_label = None
+        else:
+            local = dict(zip(fqdn_map, range(len(fqdn_map))))
+            local[-1] = -1
+            self._fqdn_of_label = array("i", map(local.__getitem__, ids))
+        self._labels = tuple(map(raw_texts.__getitem__, raws))
         self.fqdn_map = fqdn_map
         self._interns = interns
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The label table's entries as text (binds an unbound reader)."""
+        if self.fqdn_map is None:
+            self.bind(FlowDatabase())
+        return self._labels
 
     # -- block access ------------------------------------------------------
 
@@ -1040,7 +1092,7 @@ class SegmentReader:
         # entries holding "" both count as untagged, exactly as the
         # materialized database derives fqdn_id.
         untagged_entries = [
-            index for index, text in enumerate(self.labels) if not text
+            index for index, raw in enumerate(self._raw_labels) if not raw
         ]
         counts = np.bincount(
             np.frombuffer(protocols, np.uint8), minlength=len(PROTOCOLS),
@@ -1093,15 +1145,13 @@ class SegmentReader:
         problem = cols.problem()
         if problem:
             raise StorageError(f"segment {self.name}: {problem}")
-        if self.fqdn_map is None:
-            self.bind(FlowDatabase())
-        cols.fqdn_id = _remap_ids(label_ids, self._fqdn_of_label)
-        cols.raw_fqdn = _table_rows(self.labels, label_ids)
-        cols.cert_name = _table_rows(self.certs, cert_ids)
-        cols.true_fqdn = _table_rows(self.trues, true_ids)
-        return FlowDatabase.from_columns(
-            cols, *self._interns.labels_of(self.fqdn_map)
+        cols.raw_fqdn = _TableRows(self.labels, label_ids)
+        cols.fqdn_id = label_ids if self._fqdn_of_label is None else (
+            _remap_ids(label_ids, self._fqdn_of_label)
         )
+        cols.cert_name = _TableRows(self.certs, cert_ids)
+        cols.true_fqdn = _TableRows(self.trues, true_ids)
+        return FlowDatabase.from_columns(cols, self._interns, self.fqdn_map)
 
     @staticmethod
     def _validate_ids(ids: array, count: int, what: str) -> None:
@@ -1113,30 +1163,32 @@ class SegmentReader:
             raise StorageError(f"{what} id out of table range")
 
 
-def _lowered_labels(labels: Sequence[str]) -> tuple[list[str], array]:
-    """A segment label table's distinct lowercased FQDNs in
-    first-appearance order — the order a database fed the segment's
-    rows interns them in, so list position is the segment-local fqdn
-    id — and, per table entry, that id (``-1`` for the untagged
-    ``""``)."""
-    lowered = list(map(str.lower, labels))
-    ids = dict.fromkeys(lowered)
-    ids.pop("", None)
-    names = list(ids)
-    if len(names) == len(lowered):      # no case variants, no ""
-        return names, array("i", range(len(names)))
-    ids = dict(zip(names, range(len(names))))
-    ids[""] = -1
-    return names, array("i", map(ids.__getitem__, lowered))
+class _TableRows(Sequence):
+    """A materialized segment's per-row strings, read-only: each row's
+    entry of one string table through the row's id (``-1``: ``None``).
+    No list of one object per row is built, nor walked by the cyclic
+    collector, until the database first builds records from it and
+    turns it into one."""
 
+    __slots__ = ("_table", "_ids")
 
-def _table_rows(table: tuple, ids: array) -> list:
-    """The per-row strings of an id column validated ``>= -1``: ``-1``
-    (None) lands on the ``None`` appended to the table."""
-    if not table:
-        return [None] * len(ids)
-    table += (None,)
-    return np.array(table, object)[np.frombuffer(ids, np.int32)].tolist()
+    def __init__(self, table: tuple, ids: array):
+        self._table = table + (None,)
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, row):
+        at = self._ids[row]
+        if type(at) is int:
+            return self._table[at]
+        return [self._table[index] for index in at]
+
+    def __iter__(self):
+        return iter(np.array(self._table, object)[
+            np.frombuffer(self._ids, np.int32)
+        ].tolist())
 
 
 def _remap_ids(ids: array, lut: array) -> array:
@@ -2090,8 +2142,8 @@ class FlowStore(_StoreReadMixin):
             # hit the filesystem) before the manifest commits it — one
             # extra sequential read per sealed segment, page-cache warm.
             reader = SegmentReader.open(self.directory / name)
-            reader.bind(self._interns, self._tail_map)
             with self._mutex:
+                reader.bind(self._interns, self._tail_map)
                 self._segments.append(reader)
                 # Epoch protocol: the manifest commits the segment AND the
                 # new WAL epoch in one atomic rename, and only then is the

@@ -9,9 +9,9 @@ of the seed implementation became grouped dedupes over interned ids
 (:meth:`FlowDatabase.unique_servers_per_bin`,
 :meth:`FlowDatabase.server_fqdn_bin_triples`).  Fig. 5 regroups the
 packed triples (``database.groups``) without unpacking them: the
-IP→organization database is consulted once per *distinct server*, and
-every gap-filled series ends in
-:func:`~repro.analytics.database.distinct_per_bin`.
+IP→organization database is consulted once per *distinct server*, one
+fold counts the distinct FQDNs of every CDN and bin at once, and every
+gap-filled series ends in :func:`~repro.analytics.database.gap_filled`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from repro.analytics.database import (
     FlowDatabase,
     Groups,
-    distinct_per_bin,
+    gap_filled,
     series_bins,
 )
 from repro.net.flow import DnsObservation
@@ -119,12 +119,15 @@ def fqdns_per_cdn_series(
     codes, code_of = _owner_code(ipdb, cdns)
     owned = database.groups(
         "server_fqdn_bin_triples", bin_seconds
-    ).mapped(0, code_of)
+    ).mapped(0, code_of).where(0, codes.values())
+    # Distinct FQDNs per (CDN, bin), every CDN in the same two folds.
+    active = Groups.of(3, owned.column(0), owned.column(2), owned.column(1))
+    counts = Groups.of(2, active.column(0), active.column(1), count=True)
     out: dict[str, list[tuple[float, int]]] = {}
     for cdn, code in codes.items():
-        mine = owned.where(0, (code,))
-        out[cdn] = distinct_per_bin(
-            Groups.of(2, mine.column(2), mine.column(1)), bin_seconds
+        mine = counts.where(0, (code,))
+        out[cdn] = gap_filled(
+            dict(zip(mine.values(1), mine.values(2))), bin_seconds
         )
     return out
 

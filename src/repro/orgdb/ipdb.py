@@ -84,8 +84,15 @@ class IpOrganizationDb:
         index = bisect.bisect_right(self._starts, address) - 1
         if index < 0:
             return None
+        # The bisect already put the start at or below the address.
         candidate = self._ranges[index]
-        return candidate.organization if address in candidate else None
+        return candidate.organization if address <= candidate.end else None
+
+    def ranges_of(self, organization: str) -> list[IpRange]:
+        """The ranges ``organization`` owns — its name matched ignoring
+        case — in address order."""
+        wanted = organization.lower()
+        return [r for r in self._ranges if r.organization.lower() == wanted]
 
     def organizations(self) -> set[str]:
         """All distinct organizations with at least one range."""

@@ -1,11 +1,13 @@
 """Tests for Spatial Discovery (Alg. 2) and Content Discovery (Alg. 3)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analytics.content import ContentDiscovery
 from repro.analytics.database import FlowDatabase
 from repro.analytics.spatial import SELF_LABEL, SpatialDiscovery
-from repro.net.flow import FiveTuple, FlowRecord, TransportProto
+from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.net.ip import IPv4Network, ip_from_str
 from repro.orgdb.ipdb import IpOrganizationDb
 
@@ -104,6 +106,31 @@ class TestContentDiscovery:
         assert zynga.flows == 4
         assert zynga.share == pytest.approx(4 / 6)
         assert zynga.fqdn_count == 2
+
+    @given(st.lists(st.integers(0, 120), max_size=40),
+           st.sampled_from(["amazon", "AKAMAI", "Akamai", "edgecast"]))
+    def test_cdn_servers_are_those_the_ipdb_names(self, servers, cdn):
+        """Every server of the CDN (its name matched ignoring case), in
+        first-seen order: what looking each server up would give."""
+        ipdb = IpOrganizationDb()
+        ipdb.add_range(10, 19, "Akamai")
+        ipdb.add_range(30, 39, "akamai")
+        ipdb.add_range(50, 50, "Amazon")
+        ipdb.add_range(60, 100, "leaseweb")
+        db = FlowDatabase.from_flows(
+            FlowRecord(
+                fid=FiveTuple(1, server, 1024 + at, 443, TransportProto.TCP),
+                start=float(at), end=float(at) + 1.0,
+                protocol=Protocol.TLS, bytes_up=1, bytes_down=1, packets=1,
+                fqdn="www.example.com",
+            )
+            for at, server in enumerate(servers)
+        )
+        expected = [
+            server for server in db.servers()
+            if (ipdb.lookup(server) or "").lower() == cdn.lower()
+        ]
+        assert ContentDiscovery(db, ipdb)._servers_of_cdn(cdn) == expected
 
     def test_hosted_domains_explicit_servers(self, flows_db):
         content = ContentDiscovery(flows_db)

@@ -22,6 +22,8 @@ store's global ones) against interning every name from scratch.
 
 import json
 import pickle
+import struct
+from array import array
 from collections import defaultdict
 
 import numpy as np
@@ -47,6 +49,8 @@ from repro.analytics.trackers import TrackerActivityAnalysis
 from repro.experiments import fig5 as fig5_experiment
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.orgdb.ipdb import IpOrganizationDb
+from test_query_table import _assert_conforms
+from test_query_table import _flow as _query_flow
 
 
 #: Untagged (``None`` and ``""``), mixed case collapsing to one name,
@@ -389,7 +393,6 @@ label_tables = st.lists(
 )
 LABEL_FIELDS = (
     "_fqdn_names", "_fqdn_ids", "_fqdn_sld", "_sld_names", "_sld_ids",
-    "_sld_fqdns",
 )
 
 
@@ -456,12 +459,10 @@ class TestLabelBinding:
     def test_from_columns_refuses_inconsistent_tables(self):
         mem = FlowDatabase.from_flows(_labeled_flows(["a.example.com"]))
         with pytest.raises(ValueError):
-            FlowDatabase.from_columns(
-                mem.columns, ["a.example.com", "a.example.com"],
-                ["example.com", "example.com"],
-            )
+            FlowDatabase.from_columns(mem.columns, mem, array("i", [0, 0]))
+        mem.columns.raw_fqdn.append(None)
         with pytest.raises(ValueError):
-            FlowDatabase.from_columns(mem.columns, ["a.example.com"], [])
+            FlowDatabase.from_columns(mem.columns, mem, array("i", [0]))
 
     def test_reopened_store_equals_one_that_never_closed(self, tmp_path):
         """open → ingest → seal → compact → reopen, step by step: the
@@ -502,6 +503,154 @@ class TestLabelBinding:
         )
         kept.close()
         cycled.close()
+
+
+# ---------------------------------------------------------------------------
+# the cold read: label tables resolved once, by raw bytes
+
+
+#: Per sealed segment (10 rows each) and the live tail, the labels its
+#: rows cycle through: a name first seen in a later segment, one name
+#: in three cases over three segments, the untagged ``""`` next to
+#: ``None``, a non-ASCII name in two cases, and names only the tail has.
+COLD_PLAN = (
+    ("www.Example.com", None, "", "cdn.example.net"),
+    ("WWW.EXAMPLE.COM", "münchen.example.com", "static.example.com", None),
+    ("a.b.tracker.org", "www.example.com", "", "Cdn.Example.Net"),
+    ("MÜNCHEN.example.com", "www.Example.com", "late.example.net"),
+    ("tail.example.com", "München.Example.com", None, "a.b.tracker.org"),
+)
+
+
+def _cold_flows() -> list[FlowRecord]:
+    flows = []
+    for part, labels in enumerate(COLD_PLAN):
+        for at in range(10 if part < 4 else 6):
+            flow = _query_flow(len(flows))
+            flow.fqdn = labels[at % len(labels)]
+            flows.append(flow)
+    return flows
+
+
+def _cold_store(directory) -> FlowStore:
+    """Four sealed segments and a live tail, the tail ingested as a
+    codec batch (so its labels go through the raw-bytes cache too)."""
+    flows = _cold_flows()
+    store = FlowStore(directory, spill_rows=10)
+    store.add_all(flows[:40])
+    store.ingest_batch(storage._encode_flow_batch(flows[40:]))
+    assert len(store.segments) == 4 and len(store._tail) == 6
+    return store
+
+
+class TestColdRead:
+    def test_every_query_equals_the_in_memory_database(self, tmp_path):
+        """Open, then reopened from disk (the tail replayed from the
+        journal): every table entry answers as ``from_flows`` does,
+        with one global id per name whatever its case and each row
+        keeping its own."""
+        flows = _cold_flows()
+        mem = FlowDatabase.from_flows(flows)
+        store = _cold_store(tmp_path)
+        _assert_conforms({"open": store}, mem)
+        del store                   # no close: the tail stays journaled
+        reopened = FlowStore(tmp_path, spill_rows=10)
+        assert len(reopened.segments) == 4 and len(reopened._tail) == 6
+        _assert_conforms({"reopened": reopened}, mem)
+        assert reopened.fqdns() == mem.fqdns()
+        assert reopened.fqdns().count("www.example.com") == 1
+        assert "münchen.example.com" in reopened.fqdns()
+        assert [flow.fqdn for flow in reopened] == [
+            flow.fqdn for flow in flows
+        ]
+        # The untagged "" is a table entry of two segments, with no id.
+        assert [b"" in reader._raw_labels for reader in reopened.segments] \
+            == [True, False, True, False]
+        reopened.close()
+
+    def test_each_raw_entry_is_resolved_once(self, tmp_path, monkeypatch):
+        """A reopen probes every label-table entry once: an entry an
+        earlier segment bound is not decoded or interned again, and a
+        case variant is one more raw entry on the same id."""
+        _cold_store(tmp_path).close()
+        calls = []
+        intern = FlowDatabase._intern_fqdn
+        monkeypatch.setattr(
+            FlowDatabase, "_intern_fqdn",
+            lambda db, name: calls.append(name) or intern(db, name),
+        )
+        store = FlowStore(tmp_path, spill_rows=10)
+        entries = {
+            raw for reader in store.segments for raw in reader._raw_labels
+        }
+        assert sorted(calls) == sorted(
+            raw.decode().lower() for raw in entries if raw
+        )
+        assert set(store._interns._raw_ids) == entries | {None}
+        for reader in store.segments:
+            assert reader.labels == tuple(
+                raw.decode() for raw in reader._raw_labels
+            )
+            # Known entries share the store's str objects.
+            assert all(
+                text is store._interns._raw_texts[raw]
+                for raw, text in zip(reader._raw_labels, reader.labels)
+            )
+        store.close()
+
+    def test_ids_stay_stable_through_reopen_ingest_and_seal(
+        self, tmp_path, monkeypatch
+    ):
+        """Reopen, ingest batches whose labels the open already
+        resolved (and one it did not), seal: the global ids and their
+        order do not move, the sealed tail binds through the map it
+        was given without interning a name, and a second reopen binds
+        every segment to the same ids."""
+        _cold_store(tmp_path).close()
+        store = FlowStore(tmp_path, spill_rows=1000)
+        names = store.fqdns()
+        ids = dict(store._interns._fqdn_ids)
+        again = _cold_flows()[:20]
+        again[3].fqdn = "only.in.the.new.batch.example.org"
+        store.ingest_batch(storage._encode_flow_batch(again))
+        store.fqdns()                           # syncs the tail's map
+        tail_map = store._tail_map
+        grown = store.fqdns()
+        assert grown == names + ["only.in.the.new.batch.example.org"]
+        interned = []
+        intern = FlowDatabase._intern_fqdn
+        monkeypatch.setattr(
+            FlowDatabase, "_intern_fqdn",
+            lambda db, name: interned.append(name) or intern(db, name),
+        )
+        store.flush()
+        sealed = store.segments[-1]
+        assert sealed.fqdn_map is tail_map
+        assert store.fqdns() == grown
+        assert not set(interned) - set(grown)   # looked up, never added
+        assert {name: store._interns._fqdn_ids[name] for name in names} \
+            == ids
+        assert [store.fqdn_label(g) for g in sealed.fqdn_map] == (
+            sealed.database().fqdns()
+        )
+        maps = [list(reader.fqdn_map) for reader in store.segments]
+        store.close()
+        reopened = FlowStore(tmp_path, spill_rows=1000)
+        assert reopened.fqdns() == grown
+        assert [list(r.fqdn_map) for r in reopened.segments] == maps
+        reopened.close()
+
+    def test_a_reader_nobody_bound_binds_itself(self, tmp_path):
+        _cold_store(tmp_path).close()
+        store = FlowStore(tmp_path)
+        expected = [list(reader.database()) for reader in store.segments]
+        store.close()
+        for reader, rows in zip(store.segments, expected):
+            alone = SegmentReader.open(reader.path)
+            assert alone.fqdn_map is None
+            assert list(alone.database()) == rows
+            assert alone.fqdn_map is not None
+            assert alone._interns.fqdns() == alone.database().fqdns()
 
 
 class TestCorruptLabelTables:
@@ -556,6 +705,54 @@ class TestCorruptLabelTables:
         store = FlowStore(tmp_path)         # default: quarantined
         assert len(store) == 0 and store.health()["status"] == "degraded"
         store.close()
+
+    @staticmethod
+    def _entry_by_entry(raw: bytes, count: int, what: str) -> list[str]:
+        """The walk the one-pass split replaced: decode each entry in
+        turn; the first fault in entry order is the error."""
+        out, pos = [], 0
+        try:
+            for _ in range(count):
+                if pos + 4 > len(raw):
+                    raise StorageError(f"truncated {what} table")
+                (length,) = struct.unpack_from("<I", raw, pos)
+                pos += 4
+                if pos + length > len(raw):
+                    raise StorageError(f"truncated {what} table entry")
+                out.append(str(raw[pos:pos + length], "utf-8"))
+                pos += length
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"bad UTF-8 in {what} table: {exc}") from exc
+        if pos != len(raw):
+            raise StorageError(f"{what} table has trailing bytes")
+        return out
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.lists(st.binary(max_size=5) | st.text(max_size=3).map(str.encode),
+                 max_size=5),
+        st.integers(min_value=0, max_value=7), st.binary(max_size=6),
+        st.integers(min_value=-1, max_value=40),
+    )
+    def test_split_faults_like_decoding_entry_by_entry(
+        self, entries, count, garbage, cut
+    ):
+        """Valid entries, stray bytes, a cut anywhere, a count off either
+        way: the same entries or the same error, message and all."""
+        raw = b"".join(
+            struct.pack("<I", len(entry)) + entry for entry in entries
+        ) + garbage
+        if cut >= 0:
+            raw = raw[:cut]
+        try:
+            expected = self._entry_by_entry(raw, count, "label")
+        except StorageError as exc:
+            with pytest.raises(StorageError) as caught:
+                storage._split_table(raw, count, "label")
+            assert str(caught.value) == str(exc)
+        else:
+            split = storage._split_table(raw, count, "label")
+            assert [entry.decode() for entry in split] == expected
 
     @pytest.mark.parametrize("offset, what", [
         (0, "label"), (1, "cert"), (2, "true-fqdn"),

@@ -308,6 +308,11 @@ def _functions_with(path: Path, wanted) -> set[str]:
     }
 
 
+def _attribute(name: str):
+    """Node test: ``name`` read as an attribute, called or passed."""
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == name
+
+
 def _calls(name: str):
     """Node test: a call of ``name``, bare or as an attribute."""
     def wanted(node) -> bool:
@@ -378,7 +383,14 @@ def test_consumers_read_columns_and_labels_resolve_once():
     )
     storage, database = analytics / "storage.py", analytics / "database.py"
     assert not _source_hits(REPO / "src", r"_map_local_fqdns")
-    assert _functions_with(storage, _calls("_lowered_labels")) == {"bind"}
+    # A label-table entry is decoded, lowered and interned in bind
+    # alone (the footer lowers what it writes); no second pass exists.
+    assert _functions_with(storage, _attribute("lower")) == {
+        "bind", "from_blocks"
+    }
+    assert _functions_with(storage, _attribute("_intern_fqdn")) == {
+        "bind", "_sync_tail_map"
+    }
     # The footer (write path) and first-seen interning, nowhere else.
     assert _functions_with(storage, _calls("second_level_domain")) == {
         "from_blocks"

@@ -69,6 +69,16 @@ class TestIpOrganizationDb:
         db.add_range(40, 50, "y")
         assert db.organizations() == {"x", "y"}
 
+    def test_ranges_of_ignores_case_and_keeps_address_order(self):
+        db = IpOrganizationDb()
+        db.add_range(40, 50, "Akamai")
+        db.add_range(1, 10, "AKAMAI")
+        db.add_range(20, 30, "amazon")
+        assert [(r.start, r.end) for r in db.ranges_of("akamai")] == [
+            (1, 10), (40, 50),
+        ]
+        assert db.ranges_of("edgecast") == []
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 10_000), st.integers(1, 50)),

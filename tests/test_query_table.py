@@ -86,7 +86,7 @@ from repro.serve.server import ServeApp
 NOT_QUERIES = {
     "add", "add_all", "from_flows", "from_columns", "ingest_batch",
     "parse_batch", "commit_batch", "from_batches", "fqdn_label",
-    "sld_label", "labels_of", "groups",
+    "sld_label", "groups",
 }
 #: The grouped aggregations: their partials travel as packed ``Groups``.
 GROUPED = {
@@ -452,12 +452,8 @@ class TestCompleteness:
         FlowStore, StoreSnapshot, ShardCoordinator, CoordinatorSnapshot,
     ])
     def test_packed_accessor_is_generated_once(self, surface):
-        """``groups`` comes from ``QuerySurface`` alone; ``labels_of``
-        is the in-memory database's (what a segment adopts its label
-        tables through) and no merged surface grows one."""
+        """``groups`` comes from ``QuerySurface`` alone."""
         assert surface.groups is QuerySurface.groups
-        assert "labels_of" not in vars(QuerySurface)
-        assert "labels_of" not in vars(surface)
         assert {name for name, query in QUERIES.items() if query.grouped} == (
             GROUPED
         )
