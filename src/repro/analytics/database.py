@@ -115,8 +115,8 @@ class FlowColumns:
     ``-1`` for untagged flows and otherwise an id into the owning
     database's interned FQDN table.  The three string columns —
     original-case label, certificate name, ground-truth FQDN — are
-    sequences of ``Optional[str]``: lists where rows are added, a
-    materialized segment's read-only views of its string tables.
+    lists of ``Optional[str]`` (a materialized segment's: read-only
+    object arrays).
     """
 
     #: The fixed-width value columns: what one codec flow record, or
@@ -230,26 +230,22 @@ def _grouped_keys(keys, permute: bool):
     """Group the rows of equal-length numpy key columns: ``(order,
     starts, group_keys)`` — a permutation that sorts the rows
     lexicographically by key, the offset in it of each run of equal
-    keys, and the distinct keys column-wise.  One key column sorts as
-    it is; several whose value ranges multiply to under 2^63 are packed
-    into one ``int64``.  Either takes a single unstable sort — of the
-    values alone when no value column has to follow (``permute``
-    false; ``order`` is then ``None`` and packed keys are unpacked
-    again); anything wider takes ``lexsort``."""
-    if len(keys) == 1:
-        packed, spans = keys[0], [(0, 0)]
-    else:
-        packed, spans, width = None, [], 1
-        for key in keys:
-            lo = int(key.min())
-            span = int(key.max()) - lo + 1
-            spans.append((lo, span))
-            width *= span
-            if width >= 1 << 63:
-                packed = None
-                break
-            part = key.astype(_np.int64) - lo
-            packed = part if packed is None else packed * span + part
+    keys, and the distinct keys column-wise.  Keys whose value ranges
+    multiply to under 2^63 are packed into one ``int64`` and take a
+    single unstable sort — of the values alone when no value column
+    has to follow (``permute`` false; ``order`` is then ``None`` and
+    the keys are unpacked again); anything wider takes ``lexsort``."""
+    packed, spans, width = None, [], 1
+    for key in keys:
+        lo = int(key.min())
+        span = int(key.max()) - lo + 1
+        spans.append((lo, span))
+        width *= span
+        if width >= 1 << 63:
+            packed = None
+            break
+        part = key.astype(_np.int64) - lo
+        packed = part if packed is None else packed * span + part
     if packed is None:
         order = _np.lexsort(keys[::-1])
         ordered = [key[order] for key in keys]
@@ -267,10 +263,9 @@ def _grouped_keys(keys, permute: bool):
         first = order[starts]
         return order, starts, [key[first] for key in keys]
     rest, group_keys = ordered[0][starts], []
-    for lo, span in reversed(spans[1:]):
+    for lo, span in reversed(spans):
         rest, part = _np.divmod(rest, span)
         group_keys.append(part + lo)
-    group_keys.append(rest + spans[0][0] if spans[0][0] else rest)
     return None, starts, group_keys[::-1]
 
 
@@ -498,27 +493,61 @@ def sld_stats(per_fqdn: Groups, interns, *_rows) -> list[tuple[int, int, int]]:
     ]
 
 
-class _RowIndex(dict):
+class _RowIndex:
     """One index of a :class:`FlowDatabase`: key → the key's rows,
     ascending (an ``array("I")``; do not mutate), keys in
-    first-appearance order, read through :meth:`get`.  An extension
-    appends its rows, grouped by key, to :attr:`grouped` and gives a
-    new key only where its rows lie there, ``start << 32 | stop`` — an
-    ``int``, no container per key; the key's array is cut the first
-    time it is asked for.  Two readers cutting one key at once store
-    equal arrays."""
+    first-appearance order.  :meth:`add` appends an extension's rows,
+    grouped by key, to one array and gives a new key only where its
+    rows lie there (``start << 32 | stop``, an ``int``: no container
+    per key); :meth:`get` cuts a key's array the first time it is asked
+    for.  Two readers cutting one key at once store equal arrays."""
 
-    __slots__ = ("grouped",)
+    __slots__ = ("_rows", "_grouped")
 
     def __init__(self):
-        super().__init__()
-        self.grouped = array("I")
+        self._rows: dict = {}           # key -> array, or a span of _grouped
+        self._grouped = array("I")
+
+    def __iter__(self):
+        return iter(self._rows)
 
     def get(self, key, default=None):
-        rows = dict.get(self, key, default)
+        rows = self._rows.get(key, default)
         if type(rows) is int:
-            rows = self[key] = self.grouped[rows >> 32:rows & 0xFFFFFFFF]
+            rows = self._rows[key] = (
+                self._grouped[rows >> 32:rows & 0xFFFFFFFF]
+            )
         return rows
+
+    def gather(self, keys: Iterable) -> array:
+        """The rows of each of ``keys`` in turn (a key the index lacks
+        adds none), without cutting an array per key."""
+        out, grouped = array("I"), self._grouped
+        for rows in map(self._rows.get, keys):
+            if type(rows) is int:
+                out.extend(grouped[rows >> 32:rows & 0xFFFFFFFF])
+            elif rows is not None:
+                out.extend(rows)
+        return out
+
+    def add(self, keys, rows, starts) -> None:
+        """Take one extension: ``rows`` (``uint32``, ascending within a
+        group) grouped by key, group *g* starting at ``starts[g]`` with
+        key ``keys[g]``.  Keys new to the index join in the order of
+        their first rows; a key it holds already gets its rows
+        appended."""
+        offset = len(self._grouped)
+        self._grouped.frombytes(rows.tobytes())
+        bounds = _np.append(starts, len(rows)).astype(_np.uint64) + offset
+        where = (bounds[:-1] << _np.uint64(32)) | bounds[1:]
+        # A group's first row is its key's first appearance.
+        order = _np.argsort(rows[starts])
+        fresh = dict(zip(keys[order].tolist(), where[order].tolist()))
+        for key in self._rows.keys() & fresh.keys():
+            span = fresh.pop(key)
+            rows = self._rows[key] = self.get(key)
+            rows.extend(self._grouped[span >> 32:span & 0xFFFFFFFF])
+        self._rows.update(fresh)
 
 
 class FlowDatabase:
@@ -681,9 +710,8 @@ class FlowDatabase:
         The database takes ownership of ``columns``, takes its label
         tables from ``interns``' through that map — field for field
         what interning the names one by one gives, sharing ``interns``'
-        ``str`` objects, without reading a name; the fqdn name tables
-        only when first read — and folds the statistics (indexes wait
-        for their first reader too).  Enum
+        ``str`` objects, without reading a name — and folds the
+        statistics (indexes wait for their first reader).  Enum
         validity (:meth:`FlowColumns.problem`) and the id range are the
         caller's checks; ragged columns or a repeated id are
         ``ValueError``."""
@@ -704,10 +732,9 @@ class FlowDatabase:
         order = _np.argsort(first)
         local = _np.empty(len(order), _np.int32)
         local[order] = _np.arange(len(order), dtype=_np.int32)
-        # The name tables and the record cache wait for their first
-        # reader (__getattr__).
-        del database._fqdn_names, database._fqdn_ids, database._records
-        database._adopted = interns._fqdn_names, fqdn_map
+        names = list(map(interns._fqdn_names.__getitem__, fqdn_map))
+        database._fqdn_names = names
+        database._fqdn_ids = dict(zip(names, range(len(names))))
         database._fqdn_sld.frombytes(local[inverse].tobytes())
         database._sld_names = list(
             map(interns._sld_names.__getitem__, slds[order].tolist())
@@ -716,34 +743,10 @@ class FlowDatabase:
             zip(database._sld_names, range(len(order)))
         )
         database.columns = columns
+        database._records = [None] * n
         database._all_records = not n
         database._fold_statistics(0)
         return database
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the instance lacks: what a
-        # database from_columns built leaves to its first reader — the
-        # fqdn name tables and the record cache, which no grouped sweep
-        # reads.  Two readers building one at once store equal values.
-        adopted = self.__dict__.get("_adopted")
-        if adopted is None or name not in (
-            "_fqdn_names", "_fqdn_ids", "_records"
-        ):
-            raise AttributeError(name)
-        if name == "_records":
-            # Records read the per-row strings as lists: a segment's
-            # read-only table views become lists with the cache.
-            cols = self.columns
-            cols.raw_fqdn = list(cols.raw_fqdn)
-            cols.cert_name = list(cols.cert_name)
-            cols.true_fqdn = list(cols.true_fqdn)
-            self._records = [None] * len(cols)
-        else:
-            all_names, fqdn_map = adopted
-            names = list(map(all_names.__getitem__, fqdn_map))
-            self._fqdn_ids = dict(zip(names, range(len(names))))
-            self._fqdn_names = names
-        return getattr(self, name)
 
     # -- batch ingestion (the sniffer→database deployment format) ---------
 
@@ -911,7 +914,7 @@ class FlowDatabase:
         self._min_start = min(self._min_start, float(starts.min()))
         self._max_end = max(self._max_end, float(ends.max()))
 
-    def _index(self, which: str) -> dict[int, array]:
+    def _index(self, which: str) -> _RowIndex:
         """The by-``which`` index (``"fqdn"`` / ``"sld"`` / ``"server"``
         / ``"port"``: key → ascending rows), brought up to date over
         every row first — the one way any reader reaches an index, so
@@ -922,7 +925,7 @@ class FlowDatabase:
         and exactly one of them extends.  Rows are only ever *added*
         under the owning store's mutex, which its tail readers hold
         too, so the row count cannot move under a reader."""
-        n = len(self.columns)
+        n = len(self._records)
         if self._indexed[which] < n:
             with self._index_lock:
                 if self._indexed[which] < n:
@@ -935,9 +938,7 @@ class FlowDatabase:
         ascending, missing keys created in first-appearance order (so
         the ``servers()`` / ``ports()`` listings match the row
         store's whatever order the indexes were first asked in).  One
-        sort groups the rows; a new key gets only where its rows lie
-        (:class:`_RowIndex` cuts them on first ask), a key the index
-        already holds is extended in place."""
+        sort groups the rows; :meth:`_RowIndex.add` takes them."""
         index = self._indexes[which]
         cols = self.columns
         column = {"server": cols.server_ip, "port": cols.dst_port}.get(
@@ -959,22 +960,10 @@ class FlowDatabase:
         starts = _np.concatenate(
             ([0], _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
         )
-        rows = (packed & _np.uint64(0xFFFFFFFF)).astype(_np.uint32)
-        offset = len(index.grouped)
-        index.grouped.frombytes(rows.tobytes())
-        bounds = _np.append(starts, len(packed)).astype(_np.uint64) + offset
-        where = (bounds[:-1] << _np.uint64(32)) | bounds[1:]
-        # A group's first row is its key's first appearance.
-        order = _np.argsort(rows[starts])
-        fresh = dict(zip(
-            sorted_keys[starts[order]].tolist(), where[order].tolist()
-        ))
-        for key in index.keys() & fresh.keys():
-            span = fresh.pop(key)
-            index.get(key).extend(
-                index.grouped[span >> 32:span & 0xFFFFFFFF]
-            )
-        index.update(fresh)
+        index.add(
+            sorted_keys[starts],
+            (packed & _np.uint64(0xFFFFFFFF)).astype(_np.uint32), starts,
+        )
 
     # -- record materialization -------------------------------------------
 
@@ -1021,13 +1010,7 @@ class FlowDatabase:
 
     def rows_for_servers(self, servers: Iterable[int]) -> Sequence[int]:
         """Concatenated row indices for an address set (deduped)."""
-        out = array("I")
-        by_server = self._index("server")
-        for server in dict.fromkeys(servers):
-            index = by_server.get(server)
-            if index is not None:
-                out.extend(index)
-        return out
+        return self._index("server").gather(dict.fromkeys(servers))
 
     def rows_in_window(self, t0: float, t1: float) -> Sequence[int]:
         """Row indices of flows whose *start* falls in ``[t0, t1)``.
@@ -1285,11 +1268,11 @@ class FlowDatabase:
     # -- stats -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[FlowRecord]:
         record = self._record
-        return (record(row) for row in range(len(self)))
+        return (record(row) for row in range(len(self._records)))
 
     @property
     def tagged_count(self) -> int:
@@ -1306,6 +1289,6 @@ class FlowDatabase:
 
     def time_span(self) -> tuple[float, float]:
         """(earliest start, latest end), tracked during ingestion."""
-        if not len(self):
+        if not self._records:
             return (0.0, 0.0)
         return (self._min_start, self._max_end)

@@ -133,11 +133,11 @@ import threading
 import time
 import zlib
 from array import array
-from collections.abc import Sequence
 from functools import partial
 from itertools import islice
+from operator import countOf
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -559,7 +559,7 @@ def _intern_rows(values: Sequence[Optional[str]]) -> tuple[array, list[str]]:
     """Intern one per-row optional-string column for the file format:
     an ``i32`` id per row (``-1`` for None) into the table of distinct
     strings in first-appearance order."""
-    if values.count(None) == len(values):
+    if countOf(values, None) == len(values):
         # What the sniffer emits for cert_name / true_fqdn: never set.
         return array("i", [-1]) * len(values), []
     ids = array("i")
@@ -1145,12 +1145,12 @@ class SegmentReader:
         problem = cols.problem()
         if problem:
             raise StorageError(f"segment {self.name}: {problem}")
-        cols.raw_fqdn = _TableRows(self.labels, label_ids)
+        cols.raw_fqdn = _table_rows(self.labels, label_ids)
         cols.fqdn_id = label_ids if self._fqdn_of_label is None else (
             _remap_ids(label_ids, self._fqdn_of_label)
         )
-        cols.cert_name = _TableRows(self.certs, cert_ids)
-        cols.true_fqdn = _TableRows(self.trues, true_ids)
+        cols.cert_name = _table_rows(self.certs, cert_ids)
+        cols.true_fqdn = _table_rows(self.trues, true_ids)
         return FlowDatabase.from_columns(cols, self._interns, self.fqdn_map)
 
     @staticmethod
@@ -1163,32 +1163,15 @@ class SegmentReader:
             raise StorageError(f"{what} id out of table range")
 
 
-class _TableRows(Sequence):
-    """A materialized segment's per-row strings, read-only: each row's
-    entry of one string table through the row's id (``-1``: ``None``).
-    No list of one object per row is built, nor walked by the cyclic
-    collector, until the database first builds records from it and
-    turns it into one."""
-
-    __slots__ = ("_table", "_ids")
-
-    def __init__(self, table: tuple, ids: array):
-        self._table = table + (None,)
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, row):
-        at = self._ids[row]
-        if type(at) is int:
-            return self._table[at]
-        return [self._table[index] for index in at]
-
-    def __iter__(self):
-        return iter(np.array(self._table, object)[
-            np.frombuffer(self._ids, np.int32)
-        ].tolist())
+def _table_rows(table: tuple, ids: array) -> np.ndarray:
+    """The per-row strings of an id column validated ``>= -1``, as an
+    object array — indexed at C speed, and not walked by the cyclic
+    collector as a list of one entry per row would be.  ``-1`` (None)
+    lands on the ``None`` appended to the table; an empty table's
+    column is all ``None``, what ``np.empty`` holds for objects."""
+    if not table:
+        return np.empty(len(ids), object)
+    return np.array(table + (None,), object)[np.frombuffer(ids, np.int32)]
 
 
 def _remap_ids(ids: array, lut: array) -> array:

@@ -367,6 +367,18 @@ class TestSegmentFormat:
         assert not reader.resident
         assert list(reader.database()) == list(db)
 
+    def test_materialized_segment_rewrites_to_the_same_bytes(self, tmp_path):
+        """A reopened segment's columns (its per-row strings included)
+        are what the tail held: writing them again gives the file."""
+        flows = [_flow(i) for i in range(10)] + [
+            _flow(21, fqdn="other.example.net"), _flow(22, fqdn=None),
+        ]
+        path = tmp_path / "seg-00000001.fseg"
+        write_segment(path, FlowDatabase.from_flows(flows))
+        again = tmp_path / "seg-00000002.fseg"
+        write_segment(again, SegmentReader.open(path).database())
+        assert again.read_bytes() == path.read_bytes()
+
     def test_spill_bytes_budget(self, tmp_path):
         store = FlowStore(
             tmp_path / "store", spill_rows=10_000, spill_bytes=256
