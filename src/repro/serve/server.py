@@ -106,7 +106,8 @@ _STORE_SERIES = {
 
 def _encode(payload: dict | bytes) -> bytes:
     """The response body of a JSON payload; one that is encoded
-    already (a ``packed`` route's, a finished query's) passes through."""
+    already (a row or ``packed`` route's, a finished query's) passes
+    through."""
     if isinstance(payload, bytes):
         return payload
     return json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -118,8 +119,9 @@ def _query_route(query: Query) -> Callable:
     snapshot — 400 on a missing, repeated or malformed argument and on
     one the query itself refuses (a gap-filled series past
     ``MAX_SERIES_BINS``); the store's own ``StorageError`` stays a
-    server error — then shape the JSON payload (a ``packed`` route's
-    shape writes the body from the merged partial itself)."""
+    server error — then shape the JSON payload (a row route's shape
+    writes the body from the row column, a ``packed`` route's from the
+    merged partial itself)."""
     def handler(snap, params):
         try:
             args = query.parse(params)
@@ -236,6 +238,19 @@ class ServeApp:
             "serve_retained_bytes",
             "Bytes the kept answers charge to the retention budget.",
             fn=lambda: self.singleflight.retained()[1],
+        )
+        self.m_evicted = reg.counter(
+            "serve_retained_evicted_total",
+            "Kept answers dropped: for room in the retention budget "
+            "(budget), or because the store's version moved (version).",
+            labelnames=("reason",),
+        )
+        for reason in ("budget", "version"):
+            self.m_evicted.inc(0, reason=reason)
+        self.singleflight.on_evict = (
+            lambda reason, answers: self.m_evicted.inc(
+                answers, reason=reason
+            )
         )
         # Overload & degradation (PR 8).
         self.m_shed = reg.counter(

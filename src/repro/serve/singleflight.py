@@ -22,7 +22,15 @@ Semantics:
   — and a later caller at that same version gets the same object back
   without executing (:data:`REUSED`).  Versions never recur, so nothing
   is served stale; an error, or a result computed across a version
-  change, is never kept.  ``retain_bytes`` bounds what is kept (LRU).
+  change, is never kept, and the first keep at a new version drops
+  every answer kept at an older one.
+* ``retain_bytes`` bounds what is kept, and GreedyDual-Size (Cao &
+  Irani, USITS '97) decides what goes: a kept result's priority is the
+  floor plus what it cost to compute (the leader's thread CPU time)
+  per byte it charges, a reuse refreshes it, and evicting the lowest
+  raises the floor to its priority.  Answers that are cheap for their
+  size age out first; one that is costly to recompute stays while it
+  is asked for, however far apart the asks.
 
 Overload hardening (PR 8):
 
@@ -44,9 +52,10 @@ barrier behavior (N concurrent identical queries, 1 execution).
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
-from collections import OrderedDict
+from itertools import count
 from typing import Callable, Hashable, Optional, TypeVar
 
 __all__ = ["SingleFlight", "SingleFlightTimeout", "REUSED"]
@@ -55,10 +64,14 @@ T = TypeVar("T")
 
 #: Budget for kept results (instances read their ``retain_bytes``).
 RETAIN_BYTES = 4 << 20
-#: Charged per kept result on top of its length, for key, stamp and
-#: table slot (~540 B measured): a flood of distinct tiny answers must
-#: not outgrow the budget either.
-_ENTRY_BYTES = 512
+#: Charged per kept result on top of its length, for key, record, heap
+#: entry, table slot and the body's object header (~620 B measured with
+#: ``tracemalloc`` for a served ``rows-for-fqdn`` key): a flood of
+#: distinct tiny answers must not outgrow the budget either.
+_ENTRY_BYTES = 640
+#: The priority heap is rebuilt from the live records once it holds
+#: more than twice as many entries, plus this slack.
+_HEAP_SLACK = 64
 #: ``do``'s second result for a kept answer: truthy like a follower's
 #: ``True`` (the caller did not execute), but countable apart.
 REUSED = 2
@@ -85,12 +98,25 @@ class SingleFlight:
     def __init__(self):
         self._lock = threading.Lock()
         self._flights: dict[Hashable, _Flight] = {}
-        #: Finished flights' ``(version, result)``, least recently
-        #: used first.
-        self._kept: OrderedDict[Hashable, tuple] = OrderedDict()
+        #: Finished flights' ``(result, credit, heap entry)``, all
+        #: computed at ``_version``; ``credit`` is compute seconds per
+        #: byte charged.
+        self._kept: dict[Hashable, tuple] = {}
+        self._version: Hashable = None
         self._kept_bytes = 0
+        #: ``(priority, sequence, key)``; an entry is live while it is
+        #: its key's record's entry (lazy deletion).
+        self._heap: list[tuple] = []
+        self._sequence = count()
+        #: GreedyDual's inflation value: the priority of the last
+        #: answer evicted for room.
+        self._floor = 0.0
         #: Instance-level so tests can set it to 0 (nothing is kept).
         self.retain_bytes = RETAIN_BYTES
+        #: ``on_evict(reason, answers)``, called under the table lock
+        #: when answers leave for room (``"budget"``) or because a keep
+        #: at a new version dropped them (``"version"``).
+        self.on_evict: Optional[Callable[[str, int], None]] = None
 
     def in_flight(self) -> int:
         """Number of distinct keys currently executing."""
@@ -102,20 +128,51 @@ class SingleFlight:
         with self._lock:
             return len(self._kept), self._kept_bytes
 
+    def _evicted(self, reason: str, answers: int) -> None:
+        if answers and self.on_evict is not None:
+            self.on_evict(reason, answers)
+
+    def _rank(self, key: Hashable, value, credit: float) -> None:
+        """(Re)file ``key``'s record at the floor plus its credit."""
+        entry = (self._floor + credit, next(self._sequence), key)
+        self._kept[key] = (value, credit, entry)
+        heapq.heappush(self._heap, entry)
+        if len(self._heap) > 2 * len(self._kept) + _HEAP_SLACK:
+            self._heap = [kept[2] for kept in self._kept.values()]
+            heapq.heapify(self._heap)
+
     def _forget(self, key: Hashable) -> None:
         kept = self._kept.pop(key, None)
         if kept is not None:
-            self._kept_bytes -= len(kept[1]) + _ENTRY_BYTES
+            self._kept_bytes -= len(kept[0]) + _ENTRY_BYTES
 
-    def _keep(self, key: Hashable, version: Hashable, value) -> None:
-        self._forget(key)
-        cost = len(value) + _ENTRY_BYTES
-        if cost > self.retain_bytes:
+    def _keep(self, key: Hashable, version: Hashable, value,
+              seconds: float) -> None:
+        charge = len(value) + _ENTRY_BYTES
+        if charge > self.retain_bytes:
             return
-        self._kept[key] = (version, value)
-        self._kept_bytes += cost
+        if version != self._version:
+            # Versions never recur: nothing kept at another one can be
+            # served again.
+            self._evicted("version", len(self._kept))
+            self._kept.clear()
+            self._heap.clear()
+            self._kept_bytes = 0
+            self._floor = 0.0
+            self._version = version
+        self._forget(key)
+        self._rank(key, value, seconds / charge)
+        self._kept_bytes += charge
+        evicted = 0
         while self._kept_bytes > self.retain_bytes:
-            self._forget(next(iter(self._kept)))
+            entry = heapq.heappop(self._heap)
+            kept = self._kept.get(entry[2])
+            if kept is None or kept[2] is not entry:
+                continue
+            self._floor = entry[0]
+            self._forget(entry[2])
+            evicted += 1
+        self._evicted("budget", evicted)
 
     def do(self, key: Hashable, fn: Callable[[], T],
            timeout: float | None = None,
@@ -145,12 +202,14 @@ class SingleFlight:
         stamp = version() if keeping else None
         while True:
             with self._lock:
-                kept = self._kept.get(key) if stamp is not None else None
+                kept = (
+                    self._kept.get(key)
+                    if stamp is not None and stamp == self._version
+                    else None
+                )
                 if kept is not None:
-                    if kept[0] == stamp:
-                        self._kept.move_to_end(key)
-                        return kept[1], REUSED
-                    self._forget(key)
+                    self._rank(key, kept[0], kept[1])
+                    return kept[0], REUSED
                 flight = self._flights.get(key)
                 leader = flight is None
                 if leader:
@@ -159,7 +218,9 @@ class SingleFlight:
             if leader:
                 keep = False
                 try:
+                    began = time.thread_time()
                     flight.value = fn()
+                    seconds = time.thread_time() - began
                     # fn's snapshot sees rows acknowledged while it
                     # ran: only equality on both sides names a version.
                     keep = stamp is not None and version() == stamp
@@ -173,7 +234,7 @@ class SingleFlight:
                     with self._lock:
                         self._flights.pop(key, None)
                         if keep:
-                            self._keep(key, stamp, flight.value)
+                            self._keep(key, stamp, flight.value, seconds)
                     flight.done.set()
                 return flight.value, False
             wait = (

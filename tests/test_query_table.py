@@ -31,7 +31,9 @@ Served bytes (differential): every routed entry's HTTP body equals
 ``json.dumps(twin(result), sort_keys=True)`` byte for byte, the twin
 being the shape functions as PR 21 served them (kept here) — the four
 ``packed`` routes write their body from the columns
-(``Groups.to_json``) and must not be tellable from the rest; on
+(``Groups.to_json``), the four row routes from the row column
+(``queries._rows_json``, held to ``json.dumps`` at every digit-count
+boundary of a ``uint32``), and neither must be tellable from the rest; on
 generated stores (empty, one group, tail only, sealed + tail, sums
 past 2^53 and past 2^64).
 
@@ -54,6 +56,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.analytics.database as database_module
+from repro.analytics import queries
 from repro.analytics.database import FlowDatabase, Groups
 from repro.analytics.database_reference import (
     FlowDatabase as ReferenceDatabase,
@@ -689,6 +692,67 @@ class TestServedBytes:
             "fqdn_server_counts", "fqdn_client_counts",
             "fqdn_flow_byte_totals", "server_flow_counts",
         }
+
+
+#: Digit-count boundaries of a ``uint32`` row id, both sides of each.
+_ROW_EDGES = sorted(
+    {0, 2**32 - 1} | {10**k + d for k in range(1, 10) for d in (-1, 0)}
+)
+
+
+class TestRowBodies:
+    """The row routes' body is written from the row column
+    (``queries._rows_json``), not by ``json.dumps`` of a list."""
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.sampled_from(_ROW_EDGES) | st.integers(0, 2**32 - 1),
+        max_size=60,
+    ))
+    @example([])
+    @example(_ROW_EDGES)
+    @example([7, 7, 3, 10, 3])      # unsorted, repeated: as
+    # ``rows_for_servers`` returns them for overlapping servers
+    def test_the_encoder_writes_what_json_dumps_writes(self, rows):
+        assert queries._rows_json(array("I", rows)) == (
+            json.dumps(rows).encode()
+        )
+        assert queries._shape_rows(array("I", rows)) == _twin_body(
+            "rows_in_window", array("I", rows)
+        )
+
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["flat", "sharded"])
+    def test_every_row_route_serves_the_parent_s_bytes(
+        self, tmp_path, sharded
+    ):
+        """Row ids past four digits, from sealed segments and a tail,
+        on a flat store and an in-process sharded root."""
+        flows = [_flow(i) for i in range(1_100)]
+        if sharded:
+            store = ShardCoordinator(tmp_path / "root", shards=2,
+                                     spill_rows=300)
+        else:
+            store = FlowStore(tmp_path / "root", spill_rows=300)
+        store.add_all(flows)
+        app = ServeApp(store)
+        cases = [
+            ("rows_for_fqdn", ("www.example.com",)),
+            ("rows_for_domain", ("example.com",)),
+            ("rows_for_port", (443,)),
+            ("rows_in_window", (0.0, 100.0)),
+            ("rows_in_window", (50.0, 50.0)),
+        ]
+        for name, args in cases:
+            query = QUERIES[name]
+            rows = getattr(store, name)(*args)
+            status, _ctype, body, _headers = app.handle(
+                "GET", f"/query/{query.route}", _http_params(query, args)
+            )
+            assert status == 200
+            assert body == _twin_body(name, rows), (name, args)
+        assert max(store.rows_in_window(0.0, 100.0)) >= 1_000
+        store.close()
 
 
 class _IngestingToken:

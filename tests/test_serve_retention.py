@@ -16,8 +16,12 @@ query while the version stands still.  What must hold:
 * **nothing doubtful is kept** — an answer computed across a version
   change, an error, a 4xx/5xx, a 504; and a shed request never reaches
   the table;
-* **bounded** — the byte budget holds, least recently used first, and
-  a body over the budget is served but not kept;
+* **bounded** — the byte budget holds after every call, the answer
+  cheapest to recompute per byte goes first (GreedyDual-Size, costs
+  injected through a patched ``thread_time``), a keep at a new version
+  drops every older answer, the lazy-deletion heap stays within twice
+  the live answers, the per-answer charge matches what ``tracemalloc``
+  sees, and a body over the budget is served but not kept;
 * **opt-out by construction** — a sharded root whose shards are worker
   processes cannot say its version without a round trip: ``version()``
   is ``None`` and every request executes.
@@ -25,15 +29,18 @@ query while the version stands still.  What must hold:
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.analytics.database import FlowDatabase
@@ -41,6 +48,7 @@ from repro.analytics.queries import QUERIES
 from repro.analytics.shard import ShardCoordinator
 from repro.analytics.storage import FlowStore
 from repro.serve.admission import AdmissionController, RouteClassLimits
+from repro.serve import singleflight
 from repro.serve.server import ServeApp
 from repro.serve.singleflight import (
     _ENTRY_BYTES,
@@ -421,7 +429,7 @@ class TestNothingDoubtfulIsKept:
 
 class TestByteBudget:
     #: ``rows-for-fqdn`` of a label nobody has: a distinct key per
-    #: ``i``, one body for all of them, so every answer costs the same.
+    #: ``i``, one body for all of them, so every answer charges the same.
     EMPTY = b'{"rows": []}'
     COST = len(EMPTY) + _ENTRY_BYTES
 
@@ -431,55 +439,151 @@ class TestByteBudget:
         assert (status, body) == (200, self.EMPTY)
         return body
 
-    def test_lru_eviction_keeps_the_table_inside_the_budget(
-        self, tmp_path
+    @staticmethod
+    def _index(fqdn: str) -> int:
+        """``i`` of the name :meth:`_ask` asks for."""
+        return int(fqdn.removeprefix("absent").split(".")[0])
+
+    def _priced(self, app, monkeypatch):
+        """Charge each execution of ``rows-for-fqdn`` the CPU seconds
+        ``prices[i]`` says, through the clock single-flight reads, and
+        log which ``i`` executed."""
+        clock, prices, executed = [0.0], {}, []
+        monkeypatch.setattr(singleflight.time, "thread_time",
+                            lambda: clock[0])
+        original = app.query_routes["rows-for-fqdn"]
+
+        def priced(snap, params):
+            i = self._index(params["fqdn"][0])
+            executed.append(i)
+            clock[0] += prices[i]
+            return original(snap, params)
+
+        app.query_routes["rows-for-fqdn"] = priced
+        return prices, executed
+
+    def _kept(self, app):
+        """The ``i`` of every kept answer; a key is ``(route,
+        (("fqdn", (name,)),))``."""
+        return sorted(
+            self._index(params[0][1][0])
+            for _route, params in app.singleflight._kept
+        )
+
+    def test_greedy_dual_keeps_what_costs_most_to_recompute(
+        self, tmp_path, monkeypatch
     ):
         store = _quiet_store(tmp_path / "store")
         app = ServeApp(store)
         budget = app.singleflight.retain_bytes = 4 * self.COST + 7
-        executions = _count_executions(app, "rows-for-fqdn")
-        bodies = [self._ask(app, i) for i in range(12)]  # 3x the budget
-        assert len(executions) == 12
+        prices, executed = self._priced(app, monkeypatch)
+        prices.update({0: 8.0, 1: 1.0, 2: 6.0, 3: 2.5, 4: 3.0, 5: 4.0,
+                       6: 0.25, 8: 6.0, 9: 6.0, 10: 6.0, 11: 6.0})
+        bodies = {i: self._ask(app, i) for i in range(4)}
+        assert executed == [0, 1, 2, 3]
         assert app.singleflight.retained() == (4, 4 * self.COST)
         metrics = app.render_metrics()
         assert "serve_retained_answers 4" in metrics
         assert f"serve_retained_bytes {4 * self.COST}" in metrics
-        # Least recently used went first: 8..11 are kept...
-        for i in range(8, 12):
+        # Every answer charges the same, so priority follows price: a
+        # fifth pushes out the cheapest (1), whatever its age, and
+        # raises the floor to its priority.
+        self._ask(app, 4)
+        assert self._kept(app) == [0, 2, 3, 4]
+        for i in (0, 2):
             assert self._ask(app, i) is bodies[i]
-        assert len(executions) == 12
-        # ...0 is not, and keeping it again pushes 8 out: 9 10 11 0.
-        self._ask(app, 0)
-        assert len(executions) == 13
-        # A reuse counts as a use: touch 9 (10 11 0 9), push a new one
-        # in (11 0 9 12), and it is 10 that went, not 9.
-        self._ask(app, 9)
-        self._ask(app, 12)
-        assert len(executions) == 14
-        self._ask(app, 9)
-        assert len(executions) == 14
-        self._ask(app, 10)
-        assert len(executions) == 15
+        # A reuse renews an answer at the raised floor: 3 (2.5 over a
+        # floor of 1) now outranks 4 (3 over a floor of 0)...
+        self._ask(app, 3)
+        assert executed == [0, 1, 2, 3, 4]
+        # ...so the next keep pushes out 4, which never was asked again.
+        self._ask(app, 5)
+        assert self._kept(app) == [0, 2, 3, 5]
+        # A one-off cheaper than everything kept is served, kept, and
+        # the first to go: it displaces nothing.
+        self._ask(app, 6)
+        assert self._kept(app) == [0, 2, 3, 5]
+        # The floor only rises, so an answer nobody asks for again
+        # ages out however costly it was: 0, the dearest, goes last.
+        for i, gone in ((8, 3), (9, 5), (10, 2), (11, 0)):
+            self._ask(app, i)
+            assert gone not in self._kept(app), i
+        assert self._kept(app) == [8, 9, 10, 11]
         assert app.singleflight.retained() == (4, 4 * self.COST)
         assert app.singleflight.retained()[1] <= budget
+        assert app.m_evicted.value(reason="budget") == 7
+        assert app.m_evicted.value(reason="version") == 0
+        store.close()
+
+    def test_a_new_version_drops_every_older_answer(self, tmp_path):
+        store = _quiet_store(tmp_path / "store")
+        app = ServeApp(store)
+        for i in range(3):
+            self._ask(app, i)
+        assert app.singleflight.retained() == (3, 3 * self.COST)
+        store.add(_flow(40))
+        # Nothing kept at the older version is served...
+        executions = _count_executions(app, "rows-for-fqdn")
+        self._ask(app, 0)
+        assert len(executions) == 1
+        # ...and the first keep at the new one drops all of it.
+        assert app.singleflight.retained() == (1, self.COST)
+        metrics = app.render_metrics()
+        assert 'serve_retained_evicted_total{reason="version"} 3' in metrics
+        assert 'serve_retained_evicted_total{reason="budget"} 0' in metrics
         store.close()
 
     def test_a_body_over_the_budget_is_served_and_not_kept(
         self, tmp_path
     ):
         store = _quiet_store(tmp_path / "store")
-        app = ServeApp(store)
-        executions = _count_executions(app, "fqdn-server-counts")
-        status, body = _get(app, "fqdn-server-counts", {})
+        app, fresh = ServeApp(store), ServeApp(store)
+        fresh.singleflight.retain_bytes = 0
+        status, body = _get(fresh, "fqdn-server-counts", {})
         app.singleflight.retain_bytes = len(body) + _ENTRY_BYTES - 1
+        executions = _count_executions(app, "fqdn-server-counts")
         small = _get(app, "len", {})[1]
         for _ in range(2):
             assert _get(app, "fqdn-server-counts", {}) == (200, body)
-        assert len(executions) == 3
+        assert len(executions) == 2
         # The small answer beside it was not evicted to make room.
         assert _get(app, "len", {})[1] is small
         assert app.singleflight.retained() == (
             1, len(small) + _ENTRY_BYTES
+        )
+        assert app.m_evicted.value(reason="budget") == 0
+        store.close()
+
+    def test_the_charge_per_answer_is_what_the_answer_holds(
+        self, tmp_path
+    ):
+        """``serve_retained_bytes`` against ``tracemalloc``'s growth
+        over ~2k distinct tiny answers, each asked the way the
+        transport asks it (a fresh path and parameter per request)."""
+        store = _quiet_store(tmp_path / "store")
+        app = ServeApp(store)
+        for i in range(50):     # the store's and the app's lazy state
+            self._ask(app, -1 - i)
+        n = 2000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            _count, held = app.singleflight.retained()
+            for i in range(n):
+                app.handle("GET", "/query/" + "rows-for-fqdn",
+                           {"fqdn": [f"absent{i}.example.org"]})
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        count, charged = app.singleflight.retained()
+        assert count == n + 50
+        grown = sum(
+            stat.size_diff for stat in after.compare_to(before, "filename")
+        )
+        assert 0.75 <= grown / (charged - held) <= 1.25, (
+            grown / n, (charged - held) / n,
         )
         store.close()
 
@@ -550,7 +654,64 @@ class TestShardedRoots:
 
 
 # ---------------------------------------------------------------------------
-# the table itself, under contention
+# the table itself: invariants, and under contention
+# ---------------------------------------------------------------------------
+
+
+class TestTableInvariants:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 6 * (_ENTRY_BYTES + 300)),
+        st.lists(st.tuples(
+            st.integers(0, 11),             # key
+            st.integers(0, 2 * _ENTRY_BYTES),  # body length
+            st.integers(0, 50),             # CPU microseconds
+            st.booleans(),                  # the version moves first
+        ), max_size=120),
+    )
+    def test_inside_the_budget_and_never_at_another_version(
+        self, budget, calls
+    ):
+        flight = SingleFlight()
+        flight.retain_bytes = budget
+        clock, version = [0.0], [0]
+        with mock.patch.object(singleflight.time, "thread_time",
+                               lambda: clock[0]):
+            for key, length, micros, moves in calls:
+                version[0] += moves
+                at = version[0]
+
+                def compute():
+                    clock[0] += micros * 1e-6
+                    return b"%d@%d." % (key, at) + b"." * length
+
+                value, _how = flight.do(key, compute,
+                                        version=lambda: version[0])
+                assert value.startswith(b"%d@%d." % (key, version[0]))
+                count, held = flight.retained()
+                assert held <= budget
+                assert held == sum(
+                    len(kept[0]) + _ENTRY_BYTES
+                    for kept in flight._kept.values()
+                )
+                assert len(flight._heap) <= (
+                    2 * count + singleflight._HEAP_SLACK
+                )
+
+    def test_the_heap_stays_bounded_under_reuse(self):
+        flight = SingleFlight()
+        for key in range(20):
+            flight.do(key, lambda: b"x" * 100, version=lambda: 1)
+        for step in range(10_000):
+            _value, how = flight.do(step * 7 % 20, lambda: b"",
+                                    version=lambda: 1)
+            assert how == REUSED
+            assert len(flight._heap) <= 2 * 20 + singleflight._HEAP_SLACK
+        assert flight.retained() == (20, 20 * (100 + _ENTRY_BYTES))
+
+
+# ---------------------------------------------------------------------------
+# the table under contention
 # ---------------------------------------------------------------------------
 
 
@@ -610,7 +771,7 @@ def test_kept_answers_stay_exact_and_accounted_under_contention():
     assert reused[0] > 0
     count, held = flight.retained()
     assert held == sum(
-        len(value) + _ENTRY_BYTES for _v, value in flight._kept.values()
+        len(value) + _ENTRY_BYTES for value, *_ in flight._kept.values()
     ) == count * (_ENTRY_BYTES + 8)
     assert held <= flight.retain_bytes
     assert flight.in_flight() == 0

@@ -19,7 +19,9 @@ one watches the bytes the HTTP handler hands to the connection.
   405 from the request line and headers alone: a 10 GiB
   ``Content-Length`` is answered at once, and not one body byte is read.
 * **Coalesced followers share the encoded body** — N identical
-  concurrent queries: one execution, one encode, N identical bodies.
+  concurrent queries: one execution, one encode (by the server, by a
+  row route's shape, or by a packed route's shape), N identical
+  bodies.
 
 Since PR 24 a finished answer is kept until ``store.version()`` moves,
 and every app here keeps the production budget: what is under test is
@@ -42,6 +44,7 @@ import time
 import pytest
 
 import chaosclient
+from repro.analytics import queries
 from repro.analytics.database import Groups
 from repro.analytics.storage import FlowStore
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
@@ -357,15 +360,19 @@ class TestFollowersShareTheBody:
 
     @pytest.mark.parametrize("route, params, answer", [
         # A dict the server encodes...
+        ("fqdns", {}, lambda store: {"fqdns": store.fqdns()}),
+        # ...a row route, whose shape writes the body from the row
+        # column...
         ("rows-in-window", {"t0": ["0"], "t1": ["1000"]},
          lambda store: {"rows": list(store.rows_in_window(0.0, 1000.0))}),
-        # ...and a packed route, whose shape writes the body itself.
+        # ...and a packed route, whose shape writes it from the
+        # merged partial.
         ("server-flow-counts", {},
          lambda store: {"counts": [
              [server, n]
              for server, n in store.server_flow_counts().items()
          ]}),
-    ], ids=["dict", "packed"])
+    ], ids=["dict", "rows", "packed"])
     def test_n_identical_requests_one_execution_one_encode(
         self, store, monkeypatch, route, params, answer
     ):
@@ -381,6 +388,7 @@ class TestFollowersShareTheBody:
 
         app.query_routes[route] = held
         encode, to_json = server_module._encode, Groups.to_json
+        rows_json = queries._rows_json
 
         def counting_encode(payload):
             body = encode(payload)
@@ -392,8 +400,13 @@ class TestFollowersShareTheBody:
             encodes.append("groups")
             return to_json(groups)
 
+        def counting_rows_json(rows):
+            encodes.append("rows")
+            return rows_json(rows)
+
         monkeypatch.setattr(server_module, "_encode", counting_encode)
         monkeypatch.setattr(Groups, "to_json", counting_to_json)
+        monkeypatch.setattr(queries, "_rows_json", counting_rows_json)
         waiting = []
 
         class CountedEvent(threading.Event):
@@ -427,7 +440,8 @@ class TestFollowersShareTheBody:
             assert not thread.is_alive()
         assert len(executions) == 1
         assert len(encodes) == 1
-        assert len(results) == self.N
+        expected = json.dumps(answer(store), sort_keys=True).encode()
+        assert [result[2] for result in results] == [expected] * self.N
         assert {status for status, *_rest in results} == {200}
         # One bytes object handed to all, not N equal ones.
         bodies = [body for _status, _ctype, body, _headers in results]
