@@ -286,12 +286,15 @@ def bench_resolver_insert_churn(quick: bool) -> dict:
         insert = resolver.insert
         for client, fqdn, answers in workload:
             insert(client, fqdn, answers)
+        return resolver
 
     def run_seed():
         resolver = ReferenceResolver(clist_size=clist_size)
         for client, fqdn, answers in workload:
             resolver.insert(client, fqdn, answers)
+        return resolver
 
+    assert run_fast().stats == run_seed().stats  # same observable work
     fast = best_of(run_fast, repetitions)
     seed = best_of(run_seed, repetitions)
     return add_peaks({

@@ -296,6 +296,14 @@ _A_IN = b"\x00\x01\x00\x01"  # type A, class IN
 _TTL_RDLENGTH = struct.Struct("!IH")
 _KNOWN_QTYPES = frozenset(int(rrtype) for rrtype in RRType)
 
+# Question names already walked, keyed by their raw wire bytes up to and
+# including the first zero byte.  A name is stored only when its label
+# walk ended exactly on that byte, so equal keys walk identically; the
+# table is a memo of a pure function and safe to share.  Past the limit
+# new names are walked and not stored.
+_QNAME_TEXT: dict[bytes, str] = {}
+_QNAME_TEXT_MAX = 16384
+
 
 def decode_response_addresses(
     data: bytes,
@@ -320,24 +328,32 @@ def decode_response_addresses(
     if data[8] or data[9] or data[10] or data[11]:
         return None  # authority/additional sections present
     an_count = (data[6] << 8) | data[7]
-    # Question name: plain labels only (a compressed question name is
-    # possible in theory and handled by the general decoder).
-    offset = 12
-    labels = []
-    while True:
-        if offset >= size:
-            return None
-        length = data[offset]
-        if length == 0:
-            offset += 1
-            break
-        if length & 0xC0:
-            return None
-        end = offset + 1 + length
-        if end > size:
-            return None
-        labels.append(data[offset + 1:end].decode("ascii", "replace"))
-        offset = end
+    offset = data.find(0, 12) + 1
+    raw = data[12:offset]
+    fqdn = _QNAME_TEXT.get(raw)
+    if fqdn is None:
+        # Question name: plain labels only (a compressed question name
+        # is possible in theory and handled by the general decoder).
+        stop = offset
+        offset = 12
+        labels = []
+        while True:
+            if offset >= size:
+                return None
+            length = data[offset]
+            if length == 0:
+                offset += 1
+                break
+            if length & 0xC0:
+                return None
+            end = offset + 1 + length
+            if end > size:
+                return None
+            labels.append(data[offset + 1:end].decode("ascii", "replace"))
+            offset = end
+        fqdn = ".".join(labels)
+        if offset == stop and len(_QNAME_TEXT) < _QNAME_TEXT_MAX:
+            _QNAME_TEXT[raw] = fqdn
     if offset + 4 > size:
         return None
     qtype = (data[offset] << 8) | data[offset + 1]
@@ -345,7 +361,6 @@ def decode_response_addresses(
     if qtype not in _KNOWN_QTYPES or qclass != 1:
         return None
     offset += 4
-    fqdn = ".".join(labels)
     addresses: list[int] = []
     append = addresses.append
     min_ttl = -1

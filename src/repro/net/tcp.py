@@ -25,6 +25,15 @@ class TcpState(enum.Enum):
     CLOSING = "closing"
     CLOSED = "closed"
 
+    __hash__ = object.__hash__  # identity, as for Protocol
+
+
+# Members as module constants: a global read is cheaper than a class
+# attribute lookup on the per-segment path.
+_SYN_SEEN = TcpState.SYN_SEEN
+_ESTABLISHED = TcpState.ESTABLISHED
+_CLOSING = TcpState.CLOSING
+
 
 @dataclass(slots=True)
 class TcpConnection:
@@ -124,15 +133,15 @@ class TcpFlowTracker:
                 key = (src, dst, sport, dport)
             conn = active[key] = TcpConnection(
                 FiveTuple(*key, TransportProto.TCP),
-                TcpState.SYN_SEEN if upstream and flags & TCP_SYN
-                else TcpState.ESTABLISHED,
+                _SYN_SEEN if upstream and flags & TCP_SYN
+                else _ESTABLISHED,
                 timestamp,
                 timestamp,
             )
-        elif conn.state is TcpState.SYN_SEEN and (
+        elif conn.state is _SYN_SEEN and (
             flags & TCP_SYN and flags & TCP_ACK
         ):
-            conn.state = TcpState.ESTABLISHED
+            conn.state = _ESTABLISHED
         conn.last_seen = timestamp
         conn.packets += 1
         if payload_len:
@@ -149,7 +158,7 @@ class TcpFlowTracker:
                 conn.fin_down = True
             if conn.fin_up and conn.fin_down:
                 return self._finish(key)
-            conn.state = TcpState.CLOSING
+            conn.state = _CLOSING
         return None
 
     def _finish(self, key: tuple[int, int, int, int]) -> FlowRecord:

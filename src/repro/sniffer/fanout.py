@@ -235,15 +235,15 @@ class _WorkerState:
 
         resolver = self.resolver
         clist_size = resolver.clist_size
-        key_to_slot = resolver._key_to_slot
-        kget = key_to_slot.get
-        ksetdefault = key_to_slot.setdefault
+        key_to_burn = resolver._key_to_burn
+        kget = key_to_burn.get
+        ksetdefault = key_to_burn.setdefault
         fqdns = resolver._fqdns
-        back_refs = resolver._back_refs
         inserted_at = resolver._inserted_at
-        idx = resolver._next_slot
-        used = resolver._used
-        burned = resolver._burned
+        floor = resolver._floor
+        burned = floor + clist_size
+        sweep = resolver._sweep
+        sweep_at = resolver._sweep_at
         responses = resolver._responses
         answer_count = resolver._answers
         replacements = resolver._replacements
@@ -266,48 +266,26 @@ class _WorkerState:
                         continue
                     responses += 1
                     answer_count += n
-                    refs = back_refs[idx]
-                    if used == clist_size:
-                        for key in refs:
-                            if kget(key) == idx:
-                                del key_to_slot[key]
-                        refs.clear()
-                    else:
-                        used += 1
-                        if refs is None:
-                            refs = back_refs[idx] = []
                     burned += 1
-                    fqdns[idx] = names[name_offs[dpos]:name_offs[dpos + 1]]
-                    inserted_at[idx] = dtimes[dpos]
+                    floor += 1
+                    if burned == sweep_at:
+                        sweep_at = sweep(burned)
+                    slot = burned % clist_size
+                    fqdns[slot] = names[name_offs[dpos]:name_offs[dpos + 1]]
+                    inserted_at[slot] = dtimes[dpos]
                     dpos += 1
-                    if n == 1:
-                        key = dkeys[kpos]
-                        kpos += 1
-                        old = ksetdefault(key, idx)
-                        if old != idx:
-                            replacements += 1
-                            key_to_slot[key] = idx
-                        refs.append(key)
-                    else:
-                        rapp = refs.append
-                        stop = kpos + n
-                        for key in dkeys[kpos:stop]:
-                            old = kget(key)
-                            if old is None:
-                                key_to_slot[key] = idx
-                                rapp(key)
-                            elif old != idx:
+                    stop = kpos + n
+                    for key in dkeys[kpos:stop]:
+                        old = ksetdefault(key, burned)
+                        if old != burned:
+                            key_to_burn[key] = burned
+                            if old > floor:
                                 replacements += 1
-                                key_to_slot[key] = idx
-                                rapp(key)
-                        kpos = stop
-                    idx += 1
-                    if idx == clist_size:
-                        idx = 0
+                    kpos = stop
                 else:
                     # -- flow: DnsResolver.lookup + tagger, inlined -----
-                    slot = kget(fkeys[fpos])
-                    if slot is None:
+                    b = kget(fkeys[fpos])
+                    if b is None or b <= floor:
                         if fwarm[fpos]:
                             warmup_skipped += 1
                         else:
@@ -320,9 +298,8 @@ class _WorkerState:
                             hit_counts[fproto[fpos]] += 1
                     fpos += 1
         finally:
-            resolver._next_slot = idx
-            resolver._used = used
-            resolver._burned = burned
+            resolver._floor = floor
+            resolver._sweep_at = sweep_at
             resolver._responses = responses
             resolver._answers = answer_count
             resolver._replacements = replacements

@@ -358,15 +358,15 @@ class SnifferPipeline:
         events = iter(events)  # the modular bail-out resumes mid-stream
         resolver = self.resolver
         clist_size = resolver.clist_size
-        key_to_slot = resolver._key_to_slot
-        kget = key_to_slot.get
-        ksetdefault = key_to_slot.setdefault
+        key_to_burn = resolver._key_to_burn
+        kget = key_to_burn.get
+        ksetdefault = key_to_burn.setdefault
         fqdns = resolver._fqdns
-        back_refs = resolver._back_refs
         inserted_at = resolver._inserted_at
-        idx = resolver._next_slot
-        used = resolver._used
-        burned = resolver._burned
+        floor = resolver._floor
+        burned = floor + clist_size
+        sweep = resolver._sweep
+        sweep_at = resolver._sweep_at
         responses = resolver._responses
         answer_count = resolver._answers
         replacements = resolver._replacements
@@ -400,52 +400,31 @@ class SnifferPipeline:
                     responses += 1
                     answer_count += n
                     # -- DnsResolver.insert, inlined -----------------
-                    refs = back_refs[idx]
-                    if used == clist_size:
-                        for key in refs:
-                            if kget(key) == idx:
-                                del key_to_slot[key]
-                        refs.clear()
-                    else:
-                        used += 1
-                        if refs is None:
-                            refs = back_refs[idx] = []
                     burned += 1
-                    fqdns[idx] = event.fqdn
-                    inserted_at[idx] = event.timestamp
+                    floor += 1
+                    if burned == sweep_at:
+                        sweep_at = sweep(burned)
+                    slot = burned % clist_size
+                    fqdns[slot] = event.fqdn
+                    inserted_at[slot] = event.timestamp
                     base = event.client_ip << 32
-                    if n == 1:
-                        key = base | answers[0]
-                        old = ksetdefault(key, idx)
-                        if old != idx:
-                            replacements += 1
-                            key_to_slot[key] = idx
-                        refs.append(key)
-                    else:
-                        rapp = refs.append
-                        for server_ip in answers:
-                            key = base | server_ip
-                            old = kget(key)
-                            if old is None:
-                                key_to_slot[key] = idx
-                                rapp(key)
-                            elif old != idx:
+                    for server_ip in answers:
+                        key = base | server_ip
+                        old = ksetdefault(key, burned)
+                        if old != burned:
+                            key_to_burn[key] = burned
+                            if old > floor:
                                 replacements += 1
-                                key_to_slot[key] = idx
-                                rapp(key)
-                    idx += 1
-                    if idx == clist_size:
-                        idx = 0
                 elif cls is flow_cls:
                     fid = event.fid
                     # -- DnsResolver.lookup, inlined -----------------
                     lookups += 1
-                    slot = kget((fid.client_ip << 32) | fid.server_ip)
-                    if slot is None:
+                    b = kget((fid.client_ip << 32) | fid.server_ip)
+                    if b is None or b <= floor:
                         fqdn = None
                     else:
                         hits += 1
-                        fqdn = fqdns[slot]
+                        fqdn = fqdns[b % clist_size]
                     event.fqdn = fqdn
                     start = event.start
                     if trace_start is None:
@@ -461,9 +440,8 @@ class SnifferPipeline:
                     bail_event = event
                     break
         finally:
-            resolver._next_slot = idx
-            resolver._used = used
-            resolver._burned = burned
+            resolver._floor = floor
+            resolver._sweep_at = sweep_at
             resolver._responses = responses
             resolver._answers = answer_count
             resolver._replacements = replacements

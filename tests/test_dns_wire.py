@@ -1,5 +1,8 @@
 """Tests for the RFC 1035 wire codec: round-trips, compression, errors."""
 
+import struct
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from repro.dns.records import (
     cname_record,
     ptr_record,
 )
+from repro.dns import wire
 from repro.dns.wire import (
     DnsWireError,
     decode_message,
@@ -360,6 +364,70 @@ class TestFastPathDecode:
             message.a_addresses(),
             message.min_answer_ttl(),
         )
+
+    @settings(max_examples=150)
+    @given(
+        names=st.lists(
+            st.lists(
+                st.binary(min_size=1, max_size=5).map(
+                    lambda label: label.replace(b"\x01", b"\x00")
+                ),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        picks=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(
+                st.integers(0, 0xFFFFFFFF), max_size=3,
+            )),
+            min_size=1,
+            max_size=10,
+        ),
+        limit=st.integers(0, 3),
+    )
+    def test_name_table_matches_full_decoder(self, names, picks, limit):
+        """The raw-bytes name table answers exactly what the label walk
+        would: repeated names, zero bytes inside labels (never stored)
+        and a full table included."""
+        with mock.patch.object(wire, "_QNAME_TEXT", {}), mock.patch.object(
+            wire, "_QNAME_TEXT_MAX", limit
+        ):
+            for index, addresses in picks:
+                labels = names[index % len(names)]
+                question = b"".join(
+                    bytes([len(label)]) + label for label in labels
+                ) + b"\x00" + wire._A_IN
+                payload = struct.pack(
+                    "!HHHHHH", 9, 0x8180, 1, len(addresses), 0, 0
+                ) + question + b"".join(
+                    b"\xc0\x0c" + wire._A_IN
+                    + struct.pack("!IHI", 30, 4, address)
+                    for address in addresses
+                )
+                message = decode_message(payload)
+                for _ in range(2):
+                    assert decode_response_addresses(payload) == (
+                        message.question_name,
+                        message.a_addresses(),
+                        message.min_answer_ttl(),
+                    )
+            assert len(wire._QNAME_TEXT) <= limit
+            for raw in wire._QNAME_TEXT:
+                assert raw.index(0) == len(raw) - 1
+
+    def test_compressed_and_cut_questions_take_the_walk(self):
+        wire_bytes = self._response(name="walk.example.com")
+        assert decode_response_addresses(wire_bytes)[0] == "walk.example.com"
+        # Known name, cut anywhere after it: still deferred.
+        for cut in range(12, len(wire_bytes)):
+            assert decode_response_addresses(wire_bytes[:cut]) is None
+        # A compressed question is deferred, however often it is seen.
+        compressed = (
+            wire_bytes[:12] + b"\x04walk\xc0\x11" + wire_bytes[30:]
+        )
+        for _ in range(2):
+            assert decode_response_addresses(compressed) is None
 
     @settings(max_examples=200)
     @given(st.binary(max_size=200))

@@ -10,6 +10,7 @@ pins that so nothing comes to rely on the opposite.
 """
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.analytics.shard import ShardCoordinator
 from repro.analytics.storage import FlowStore
 from repro.net.flow import FiveTuple, FlowRecord, Protocol, TransportProto
 from repro.net.ip import ip_from_str
+from repro.net.tcp import TcpState
 from repro.sniffer.eventcodec import encode_events
 
 CLIENT = ip_from_str("10.1.0.5")
@@ -101,6 +103,34 @@ class TestFiveTupleValue:
         assert FlowRecord(_fid(), 5.0, 4.0).end == 5.0
         assert FlowRecord(_fid(), 5.0).end == 5.0
         assert FlowRecord(_fid(), 5.0, 6.5).duration == 1.5
+
+
+class TestEnumIdentityHash:
+    """``Protocol`` and ``TcpState`` hash by identity, not by name: the
+    members stay singletons through pickling and value lookup, so every
+    dict probe and ``Counter`` reads as before."""
+
+    @pytest.mark.parametrize("enum_cls", [Protocol, TcpState])
+    def test_members_stay_singletons(self, enum_cls):
+        for member in enum_cls:
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert enum_cls(member.value) is member
+            assert enum_cls[member.name] is member
+            assert hash(member) == object.__hash__(member)
+        assert Protocol("http") is Protocol.HTTP
+
+    def test_dicts_and_counters_read_as_before(self):
+        members = list(Protocol) * 3 + [Protocol.TLS, Protocol.HTTP]
+        index = {p: i for i, p in enumerate(Protocol)}
+        assert [index[p] for p in pickle.loads(pickle.dumps(members))] == [
+            index[p] for p in members
+        ]
+        counts = Counter(members)
+        assert list(counts) == list(Protocol)
+        assert counts[Protocol.TLS] == counts[Protocol.HTTP] == 4
+        assert counts[Protocol("other")] == 3
+        by_name = Counter(p.name for p in members)
+        assert {p.name: n for p, n in counts.items()} == by_name
 
 
 class TestRebuiltRecords:

@@ -68,17 +68,21 @@ def _random_ops(rng, count, clients=6, servers=24, fqdns=40):
 
 def _drive(fast, reference, ops, clist_size, check_every_wrap=True):
     """Apply ``ops`` to both resolvers, comparing as we go."""
-    inserted = 0
     for op in ops:
         if op[0] == "insert":
             _, client, fqdn, answers, ts = op
             fast.insert(client, fqdn, answers, ts)
             reference.insert(client, fqdn, list(answers), ts)
-            if answers:
-                inserted += 1
-                if check_every_wrap and inserted % clist_size == 0:
-                    fast.check_invariants()
-                    reference.check_invariants()
+            burned = fast._floor + clist_size
+            if answers and check_every_wrap and burned % clist_size == 0:
+                fast.check_invariants()
+                reference.check_invariants()
+                # The sweep's bound: at a wrap no key is older than two
+                # Clist turns.
+                assert all(
+                    b > burned - 2 * clist_size
+                    for b in fast._key_to_burn.values()
+                )
         else:
             _, client, server = op
             assert fast.lookup(client, server) == reference.lookup(
@@ -105,7 +109,7 @@ def _compare_full_state(fast, reference, clients, servers):
 class TestDifferential10k:
     """The headline differential: 10k mixed ops across Clist sizes."""
 
-    @pytest.mark.parametrize("clist_size", [3, 7, 64, 1024])
+    @pytest.mark.parametrize("clist_size", [1, 2, 3, 7, 64, 1024])
     def test_mixed_ops_match_reference(self, clist_size):
         rng = random.Random(clist_size * 1009 + 17)
         fast = DnsResolver(clist_size=clist_size)
@@ -141,6 +145,90 @@ class TestDifferential10k:
             assert fast.oldest_entry_age(100.0) == reference.oldest_entry_age(
                 100.0
             )
+
+
+class TestClistEdges:
+    """Directed cases at the edge of an entry's life."""
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_reannouncing_the_overwritten_entrys_key_is_a_fresh_link(
+        self, depth
+    ):
+        """Alg. 1 unlinks the overwritten entry's keys before linking
+        the new response, so a key of that entry is linked afresh, not
+        replaced: an entry ``L`` inserts old is already dead."""
+        for clist_size in (1, 2, 3):
+            fast = DnsResolver(clist_size=clist_size, multi_label_depth=depth)
+            reference = ReferenceResolver(
+                clist_size=clist_size, multi_label_depth=depth
+            )
+            ops = [("insert", 1, "old.com", [5, 6], 0.0)]
+            ops += [
+                ("insert", 1, f"filler{i}.com", [10 + i], 0.0)
+                for i in range(clist_size - 1)
+            ]
+            # The next insert overwrites old.com's slot and re-announces
+            # one of its keys.
+            ops.append(("insert", 1, "new.com", [5, 7], 0.0))
+            _drive(fast, reference, ops, clist_size)
+            assert fast.stats == reference.stats
+            assert fast.stats.replacements == 0
+            assert fast.lookup_all(1, 5) == reference.lookup_all(1, 5)
+            assert fast.lookup_all(1, 5) == ["new.com"]
+            assert fast.peek(1, 6) is None
+            fast.check_invariants()
+
+    def test_dead_keys_history_is_gone(self):
+        fast = DnsResolver(clist_size=2, multi_label_depth=2)
+        reference = ReferenceResolver(clist_size=2, multi_label_depth=2)
+        ops = [
+            ("insert", 1, "a.com", [5], 0.0),
+            ("insert", 1, "b.com", [5], 0.0),   # history of key 5: a.com
+            ("insert", 1, "x.com", [6], 0.0),
+            ("insert", 1, "y.com", [7], 0.0),   # b.com's entry is dead
+        ]
+        _drive(fast, reference, ops, 2)
+        assert fast.lookup_all(1, 5) == reference.lookup_all(1, 5) == []
+        # Relinked, the key starts a fresh history: neither a.com nor
+        # b.com comes back.
+        _drive(fast, reference, [("insert", 1, "z.com", [5], 0.0)], 2)
+        assert fast.lookup_all(1, 5) == reference.lookup_all(1, 5)
+        assert fast.lookup_all(1, 5) == ["z.com"]
+        fast.check_invariants()
+
+
+_hyp_step = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.integers(0, 2),
+        st.integers(0, 4).map(lambda i: f"s{i}.com"),
+        st.lists(st.integers(0, 5), min_size=0, max_size=4),
+        st.just(0.0),
+    ),
+    st.tuples(st.just("lookup"), st.integers(0, 2), st.integers(0, 5)),
+)
+
+
+class TestEveryOperation:
+    """After every single operation the whole observable state agrees."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        clist_size=st.integers(1, 8),
+        depth=st.sampled_from([0, 2]),
+        ops=st.lists(_hyp_step, min_size=1, max_size=60),
+    )
+    def test_state_matches_reference_after_each_op(
+        self, clist_size, depth, ops
+    ):
+        fast = DnsResolver(clist_size=clist_size, multi_label_depth=depth)
+        reference = ReferenceResolver(
+            clist_size=clist_size, multi_label_depth=depth
+        )
+        for op in ops:
+            _drive(fast, reference, [op], clist_size)
+            fast.check_invariants()
+            _compare_full_state(fast, reference, clients=3, servers=6)
 
 
 # Hypothesis view of the same property, on tiny Clists where every
@@ -368,15 +456,22 @@ class TestWorkerConsumeDifferential:
             } == expected
         assert worker.warmup_skipped == stats.warmup_skipped
         assert worker.empty_answers == flat.dns_sniffer.stats["empty_answers"]
-        # The live Clist: every (client, server) key and the label it
-        # resolves to (the worker keeps labels as UTF-8 bytes).
+        # The same map, dead keys the sweep has yet to drop included,
+        # and the same label behind every live key (the worker keeps
+        # labels as UTF-8 bytes).
+        assert worker.resolver._key_to_burn == flat.resolver._key_to_burn
         assert {
-            key: worker.resolver._fqdns[slot].decode("utf-8")
-            for key, slot in worker.resolver._key_to_slot.items()
-        } == {
-            key: flat.resolver._fqdns[slot]
-            for key, slot in flat.resolver._key_to_slot.items()
-        }
+            key: label.decode("utf-8")
+            for key, label in _live_labels(worker.resolver).items()
+        } == _live_labels(flat.resolver)
+
+
+def _live_labels(resolver):
+    floor = resolver._floor
+    return {
+        key: resolver._fqdns[b % resolver.clist_size]
+        for key, b in resolver._key_to_burn.items() if b > floor
+    }
 
 
 def _copy_event(event):
